@@ -11,7 +11,7 @@ here requires data from other ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.clocks.sync import LinearConverter
@@ -76,7 +76,11 @@ class OmpRegionRecord(NamedTuple):
 
 @dataclass(slots=True)
 class MPIOpInstance:
-    """One completed MPI call of one rank, with synchronized times."""
+    """One completed MPI call of one rank, with synchronized times.
+
+    ``sends``/``recvs`` are immutable tuples: most ops carry no record and
+    share the one empty ``()`` instead of allocating a list pair each.
+    """
 
     rank: int
     region: int
@@ -84,8 +88,8 @@ class MPIOpInstance:
     cpid: int
     enter: float
     exit: float
-    sends: List[SendRecord] = field(default_factory=list)
-    recvs: List[RecvRecord] = field(default_factory=list)
+    sends: Tuple[SendRecord, ...] = ()
+    recvs: Tuple[RecvRecord, ...] = ()
     coll: Optional[CollRecord] = None
 
     @property
@@ -122,11 +126,11 @@ class ProcessTimeline:
 
 
 class TimelineBuilder:
-    """Incremental form of :func:`build_timeline`: feed events, then finish.
+    """Incremental form of :func:`build_timeline`: feed runs of events, then finish.
 
-    The streaming replay drives one builder per rank from its global event
-    pump, so a rank's timeline state advances event by event while other
-    ranks' events interleave.  Two hooks make bounded-memory analysis
+    The streaming replay drives one builder per rank from its slice pump,
+    so a rank's timeline state advances a slice at a time while other
+    ranks' slices interleave.  Two hooks make bounded-memory analysis
     possible:
 
     * ``on_op`` is called with each :class:`MPIOpInstance` the moment its
@@ -137,9 +141,8 @@ class TimelineBuilder:
       consumers, and memory stays bounded by the *open* frames instead of
       the whole trace.
 
-    The per-event arithmetic, dispatch order, and error messages are
-    exactly those of the one-shot :func:`build_timeline` (which is now a
-    thin wrapper), so both paths produce identical timelines.
+    The one-shot :func:`build_timeline` is a thin wrapper feeding the whole
+    trace as one run, so both paths produce identical timelines.
     """
 
     __slots__ = (
@@ -195,101 +198,111 @@ class TimelineBuilder:
         self._mpi_name: Dict[int, Optional[str]] = {}
         self._finished = False
 
-    def feed(self, event: Event) -> None:
-        """Process one event (the replay's innermost dispatch)."""
+    def feed_many(self, events: Iterable[Event]) -> None:
+        """Process a run of this rank's events, in trace order.
+
+        The replay's innermost loop and its only dispatch: the streaming
+        pump hands it one slice at a time, the one-shot callers a whole
+        trace.
+        """
         rank = self.rank
         frame_stack = self._frame_stack
         timeline = self.timeline
-        t = event.time * self._slope + self._intercept
-        if self._first is None:
-            self._first = t
-        self._last = t
-        self._count += 1
-        kind = event.kind
-        if kind == _KIND_ENTER:
-            region = event.region
-            cpid = self._intern(
-                frame_stack[-1][0] if frame_stack else ROOT_PATH, region
-            )
-            visits = timeline.visits
-            visits[cpid] = visits.get(cpid, 0) + 1
-            name = self._mpi_name.get(region, _UNRESOLVED)
-            if name is _UNRESOLVED:
-                resolved = self._regions.name_of(region)
-                name = resolved if is_mpi_region(resolved) else None
-                self._mpi_name[region] = name
-            instance = None
-            if name is not None:
-                instance = MPIOpInstance(
-                    rank=rank,
-                    region=region,
-                    op_name=name,
+        visits = timeline.visits
+        exclusive_time = timeline.exclusive_time
+        slope = self._slope
+        intercept = self._intercept
+        intern = self._intern
+        mpi_name = self._mpi_name
+        retain = self.retain
+        on_op = self.on_op
+        on_omp = self.on_omp
+        first = self._first
+        count = 0
+        t = self._last
+        for event in events:
+            t = event.time * slope + intercept
+            if first is None:
+                self._first = first = t
+            count += 1
+            kind = event.kind
+            if kind == _KIND_ENTER:
+                region = event.region
+                cpid = intern(
+                    frame_stack[-1][0] if frame_stack else ROOT_PATH, region
+                )
+                visits[cpid] = visits.get(cpid, 0) + 1
+                name = mpi_name.get(region, _UNRESOLVED)
+                if name is _UNRESOLVED:
+                    resolved = self._regions.name_of(region)
+                    name = resolved if is_mpi_region(resolved) else None
+                    mpi_name[region] = name
+                instance = None
+                if name is not None:
+                    instance = MPIOpInstance(rank, region, name, cpid, t, t)
+                frame_stack.append([cpid, region, t, 0.0, instance])
+            elif kind == _KIND_EXIT:
+                if not frame_stack:
+                    raise AnalysisError(f"rank {rank}: EXIT without open frame")
+                cpid, region, enter_t, child_time, instance = frame_stack.pop()
+                if region != event.region:
+                    raise AnalysisError(
+                        f"rank {rank}: EXIT region {event.region} does not match "
+                        f"open region {region}"
+                    )
+                duration = t - enter_t
+                if duration < 0.0:
+                    duration = 0.0
+                exclusive = duration - child_time
+                exclusive_time[cpid] = exclusive_time.get(cpid, 0.0) + (
+                    exclusive if exclusive > 0.0 else 0.0
+                )
+                if frame_stack:
+                    frame_stack[-1][3] += duration
+                if instance is not None:
+                    instance.exit = t
+                    if retain:
+                        timeline.mpi_ops.append(instance)
+                    self.op_count += 1
+                    if on_op is not None:
+                        on_op(instance)
+            elif kind == _KIND_SEND:
+                instance = _open_mpi_instance(frame_stack, rank, "SEND")
+                instance.sends += (
+                    SendRecord(t, event.dest, event.tag, event.comm, event.size),
+                )
+            elif kind == _KIND_RECV:
+                instance = _open_mpi_instance(frame_stack, rank, "RECV")
+                instance.recvs += (
+                    RecvRecord(t, event.source, event.tag, event.comm, event.size),
+                )
+            elif kind == _KIND_COLLEXIT:
+                instance = _open_mpi_instance(frame_stack, rank, "COLLEXIT")
+                instance.coll = CollRecord(
+                    t, event.region, event.comm, event.root, event.sent, event.recvd
+                )
+            elif kind == _KIND_OMP:
+                if not frame_stack or frame_stack[-1][1] != event.region:
+                    raise AnalysisError(
+                        f"rank {rank}: OMPREGION record outside its region frame"
+                    )
+                cpid, _region, enter_t, _child, _inst = frame_stack[-1]
+                record = OmpRegionRecord(
                     cpid=cpid,
-                    enter=t,
+                    enter=enter_t,
                     exit=t,
+                    nthreads=event.nthreads,
+                    busy_sum=event.busy_sum,
+                    busy_max=event.busy_max,
                 )
-            frame_stack.append([cpid, region, t, 0.0, instance])
-        elif kind == _KIND_EXIT:
-            if not frame_stack:
-                raise AnalysisError(f"rank {rank}: EXIT without open frame")
-            cpid, region, enter_t, child_time, instance = frame_stack.pop()
-            if region != event.region:
-                raise AnalysisError(
-                    f"rank {rank}: EXIT region {event.region} does not match "
-                    f"open region {region}"
-                )
-            duration = t - enter_t
-            if duration < 0.0:
-                duration = 0.0
-            exclusive = duration - child_time
-            exclusive_time = timeline.exclusive_time
-            exclusive_time[cpid] = exclusive_time.get(cpid, 0.0) + (
-                exclusive if exclusive > 0.0 else 0.0
-            )
-            if frame_stack:
-                frame_stack[-1][3] += duration
-            if instance is not None:
-                instance.exit = t
-                if self.retain:
-                    timeline.mpi_ops.append(instance)
-                self.op_count += 1
-                if self.on_op is not None:
-                    self.on_op(instance)
-        elif kind == _KIND_SEND:
-            instance = _open_mpi_instance(frame_stack, rank, "SEND")
-            instance.sends.append(
-                SendRecord(t, event.dest, event.tag, event.comm, event.size)
-            )
-        elif kind == _KIND_RECV:
-            instance = _open_mpi_instance(frame_stack, rank, "RECV")
-            instance.recvs.append(
-                RecvRecord(t, event.source, event.tag, event.comm, event.size)
-            )
-        elif kind == _KIND_COLLEXIT:
-            instance = _open_mpi_instance(frame_stack, rank, "COLLEXIT")
-            instance.coll = CollRecord(
-                t, event.region, event.comm, event.root, event.sent, event.recvd
-            )
-        elif kind == _KIND_OMP:
-            if not frame_stack or frame_stack[-1][1] != event.region:
-                raise AnalysisError(
-                    f"rank {rank}: OMPREGION record outside its region frame"
-                )
-            cpid, _region, enter_t, _child, _inst = frame_stack[-1]
-            record = OmpRegionRecord(
-                cpid=cpid,
-                enter=enter_t,
-                exit=t,
-                nthreads=event.nthreads,
-                busy_sum=event.busy_sum,
-                busy_max=event.busy_max,
-            )
-            if self.retain:
-                timeline.omp_regions.append(record)
-            if self.on_omp is not None:
-                self.on_omp(record)
-        else:  # pragma: no cover - closed event union
-            raise AnalysisError(f"rank {rank}: unknown event {event!r}")
+                if retain:
+                    timeline.omp_regions.append(record)
+                if on_omp is not None:
+                    on_omp(record)
+            else:  # pragma: no cover - closed event union
+                raise AnalysisError(f"rank {rank}: unknown event {event!r}")
+        self._last = t
+        self._count += count
 
     def finish(self, *, force: bool = False) -> ProcessTimeline:
         """Validate trace closure and return the completed timeline.
@@ -329,12 +342,10 @@ def build_timeline(
     consumed record by record without a full in-memory event list.
 
     One-shot wrapper over :class:`TimelineBuilder` (the incremental form
-    the streaming replay drives event by event).
+    the streaming replay drives slice by slice).
     """
     builder = TimelineBuilder(rank, location, converter, callpaths, regions)
-    feed = builder.feed
-    for event in events:
-        feed(event)
+    builder.feed_many(events)
     return builder.finish()
 
 

@@ -478,7 +478,7 @@ class ReplayAnalyzer:
 
         # Every analyzer (buffered, streaming, parallel merge) sorts stamps
         # at finalize, so stamp lists compare equal across execution models.
-        checker.stamps.sort()
+        checker.sort_stamps()
 
         master_machine = definitions.machine_of(0)
         merged_copy_bytes = sum(

@@ -87,26 +87,19 @@ class SeverityCube:
             grow_expansion(partials, value)
         self._snapshot = None
 
-    def move_cell(self, metric: str, old_cpid: int, new_cpid: int, rank: int) -> None:
-        """Re-key one cell's accumulated partials under a new call-path id.
+    def add_expansion(
+        self, metric: str, cpid: int, rank: int, partials: Partials
+    ) -> None:
+        """Accumulate a whole expansion (kept by the caller) into one cell.
 
-        Used by the streaming finalizer when per-rank call-path registries
-        are renumbered into the global registry: the expansion moves
-        wholesale, so no re-addition (and no rounding) happens.
+        The streaming replay sums each ``(rank, call path)``'s MPI durations
+        once and installs a copy into every base metric of the op's class;
+        the cell's exact sum is what per-op ``add`` calls would have reached.
         """
-        by_cp = self._partials.get(metric)
-        if not by_cp:
-            return
-        by_rank = by_cp.get(old_cpid)
-        if by_rank is None or rank not in by_rank:
-            return
-        partials = by_rank.pop(rank)
-        if not by_rank:
-            del by_cp[old_cpid]
-        target = by_cp.setdefault(new_cpid, {})
-        existing = target.get(rank)
+        by_rank = self._partials.setdefault(metric, {}).setdefault(cpid, {})
+        existing = by_rank.get(rank)
         if existing is None:
-            target[rank] = partials
+            by_rank[rank] = list(partials)
         else:
             for part in partials:
                 grow_expansion(existing, part)

@@ -3,21 +3,35 @@
 The buffered :class:`~repro.analysis.replay.ReplayAnalyzer` materializes
 every rank's MPI-op instances, then matches, then searches patterns — three
 walks whose working set is O(trace).  This module restructures the replay
-into one pass: a chunked event pump (a time-ordered ``heapq.merge`` over
-every rank's streaming decoder) drives per-rank
-:class:`~repro.analysis.instances.TimelineBuilder`\\ s, whose completed ops
+into one pass: a **quantum-scheduled pump** cuts every rank's streaming
+decoder into slices of :data:`_SLICE_RECORDS` events, keeps one pending
+slice per rank in a heap keyed by the slice's first synchronized stamp,
+and hands the earliest slice whole to that rank's
+:class:`~repro.analysis.instances.TimelineBuilder` (one tight
+``feed_many`` loop per slice, no per-event scheduling).  Completed ops
 feed an **incremental** matcher; matched pairs and completed collective
 instances flow straight into the pattern search and the severity
 accumulators.  Memory is bounded by the *matching window* — in-flight
-sends/receives and open collectives — plus the raw trace blobs, never by
+sends/receives and open collectives, at most one slice per rank wider
+than a strictly time-ordered pump's — plus the raw trace blobs, never by
 the number of events.
+
+The pump guarantees two orders and no third: each rank's events arrive in
+**trace order**, and each receiver's matched pairs are released in
+**receive trace order**.  Ranks interleave only roughly by time (slice
+granularity), and nothing below depends on how: the replay needs local
+order plus message matching, never a global event order.  The one
+slice-order-dependent output is the ``SeverityTimeline``'s bins, plain
+float sums already documented as last-ulp order-dependent diagnostics.
 
 Bit-identity with the buffered analyzer (strict and degraded, every
 ``jobs`` value) rests on four mechanisms:
 
 * the severity cube and grid breakdown are **exact and order-free**
   (Shewchuk expansions, :mod:`repro.analysis.severity`), so pattern hits
-  may arrive in pump order instead of receiver-major order;
+  may arrive in pump order instead of receiver-major order — and the
+  structural MPI-time metrics, one exact sum per ``(rank, call path)``,
+  are installed into their cells at finalize;
 * the only *stateful* pattern (Wrong Order, keyed per receiver and
   communicator) sees pairs through a per-receiver reorder buffer that
   releases them in receive trace order — exactly the serial feed order
@@ -36,10 +50,11 @@ comparable across paths.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from heapq import heapify, heappop, heapreplace
+from itertools import islice
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.analysis.instances import (
@@ -78,7 +93,7 @@ from repro.analysis.replay import (
     RankCompleteness,
     ReplayTraffic,
 )
-from repro.analysis.severity import SeverityCube
+from repro.analysis.severity import Partials, SeverityCube, grow_expansion
 from repro.analysis.severity_timeline import (
     SeverityTimeline,
     record_collective_hits,
@@ -95,11 +110,21 @@ from repro.trace.encoding import iter_events
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
 ChannelKey = Tuple[int, int, int, int]
 
-#: Events pumped between deadline polls.  One ``time.monotonic`` call per
-#: this many events keeps the cooperative check under ~1% of pump cost
-#: while still bounding the reaction latency to a few dozen microseconds
-#: of work on toy traces.
-DEADLINE_POLL_EVENTS = 64
+#: Events per pump slice: the scheduling quantum, and the deadline's poll
+#: interval.  Large enough that heap traffic and the per-slice call vanish
+#: next to the builder loop; small enough that the in-flight matching
+#: window stays a sliver of a short trace — the decoder's own 1024-record
+#: chunk is too coarse (bounded peak 0.84x of retained on the 300-iteration
+#: memory-contract trace, against a 0.8x contract; at 64 it is 0.64x).
+_SLICE_RECORDS = 64
+
+#: Structural metrics an MPI op's duration is charged to, by region class.
+_BASE_METRICS = {
+    P2P: (MPI, COMMUNICATION, P2P),
+    COLLECTIVE: (MPI, COMMUNICATION, COLLECTIVE),
+    SYNCHRONIZATION: (MPI, SYNCHRONIZATION),
+    None: (MPI,),
+}
 
 
 class _ReceiverReleases:
@@ -169,10 +194,10 @@ class StreamingReplayAnalyzer:
         accumulate time-resolved severity into (None: skip).
     ``deadline``
         a :class:`~repro.resilience.deadline.Deadline` polled
-        cooperatively every :data:`DEADLINE_POLL_EVENTS` pump iterations.
-        On expiry (or cancellation) the pump stops, stragglers settle
-        degraded-style, and the result carries the severity accumulated
-        so far with honest per-rank completeness and
+        cooperatively after every pump slice (:data:`_SLICE_RECORDS`
+        events).  On expiry (or cancellation) the pump stops, stragglers
+        settle degraded-style, and the result carries the severity
+        accumulated so far with honest per-rank completeness and
         ``result.interrupted`` set — never a hang, never a crash.
     """
 
@@ -280,10 +305,7 @@ class StreamingReplayAnalyzer:
             rank, location, converter, CallPathRegistry(), regions, retain=False
         )
         try:
-            _, events = iter_events(blob)
-            feed = builder.feed
-            for event in events:
-                feed(event)
+            builder.feed_many(iter_events(blob)[1])
             builder.finish()
         except AnalysisError as exc:
             return str(exc)
@@ -400,40 +422,35 @@ class StreamingReplayAnalyzer:
             builder.on_omp = state.make_omp_sink(rank)
             builders[rank] = builder
 
-        # The pump: one time-ordered pass over every admitted rank's
-        # streaming decoder.  (t, rank, seq) keys are unique, so heapq
-        # never compares events; per-rank delivery order is trace order
-        # regardless of clock skew between ranks.
-        def keyed(rank: int) -> Iterator[Tuple[float, int, int, object]]:
-            slope = converters[rank].slope
-            intercept = converters[rank].intercept
-            _, events = iter_events(blobs[rank])
-            seq = 0
-            for event in events:
-                yield (event.time * slope + intercept, rank, seq, event)
-                seq += 1
+        # The pump: a heap holding each admitted rank's next slice, keyed by
+        # the slice's first synchronized stamp.  (stamp, rank) is unique —
+        # one pending slice per rank — so heapq never compares slices.
+        streams = {rank: iter_events(blobs[rank])[1] for rank in analyzed}
 
+        def next_slice(rank: int) -> Optional[Tuple[float, int, list]]:
+            events = list(islice(streams[rank], _SLICE_RECORDS))
+            if not events:
+                return None
+            converter = converters[rank]
+            stamp = events[0].time * converter.slope + converter.intercept
+            return (stamp, rank, events)
+
+        heap = [entry for entry in map(next_slice, analyzed) if entry is not None]
+        heapify(heap)
+        deadline = self.deadline
+        pumped: Dict[int, int] = dict.fromkeys(analyzed, 0)
         interrupted: Optional[str] = None
-        merged = heapq.merge(*(keyed(rank) for rank in analyzed))
-        if self.deadline is None:
-            for _, rank, _, event in merged:
-                builders[rank].feed(event)
-        else:
-            # Deadline-aware pump: same event order, plus a cooperative
-            # poll every DEADLINE_POLL_EVENTS events and a per-rank count
-            # of consumed events for honest completeness on interruption.
-            deadline = self.deadline
-            pumped: Dict[int, int] = dict.fromkeys(analyzed, 0)
-            countdown = DEADLINE_POLL_EVENTS
-            for _, rank, _, event in merged:
-                builders[rank].feed(event)
-                pumped[rank] += 1
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = DEADLINE_POLL_EVENTS
-                    interrupted = deadline.reason()
-                    if interrupted is not None:
-                        break
+        while heap and interrupted is None:
+            _, rank, events = heap[0]
+            builders[rank].feed_many(events)
+            pumped[rank] += len(events)
+            following = next_slice(rank)
+            if following is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, following)
+            if deadline is not None:
+                interrupted = deadline.reason()
 
         state.finish_stream(interrupted=interrupted is not None)
 
@@ -468,7 +485,7 @@ class StreamingReplayAnalyzer:
 
         # Every analyzer sorts stamps identically at finalize, so stamp
         # lists compare equal across the buffered/streaming/merged paths.
-        state.checker.stamps.sort()
+        state.checker.sort_stamps()
 
         master_machine = definitions.machine_of(0)
         merged_copy_bytes = sum(
@@ -561,7 +578,10 @@ class _StreamState:
         self._p2p_patterns = default_p2p_patterns()
         self._contribution_fns = [p.contributions for p in self._p2p_patterns]
         self._coll_patterns = default_collective_patterns()
-        self._leaf_of: Dict[str, Optional[str]] = {}
+        #: rank → local cpid → (base metrics, exact sum of op durations).  A
+        #: call path fixes its region, hence its metrics, so one expansion
+        #: per call path serves every cell it is installed into.
+        self._base: Dict[int, Dict[int, Tuple[Tuple[str, ...], Partials]]] = {}
         self._nodes: Dict[int, object] = {}
         #: channel → FIFO of (send op, send record) awaiting their receive.
         self._send_queues: Dict[ChannelKey, Deque[tuple]] = {}
@@ -581,11 +601,12 @@ class _StreamState:
         self._op_counts[rank] = 0
         self._releases[rank] = _ReceiverReleases()
         self._coll_counters[rank] = {}
+        self._base[rank] = base = {}
 
         def on_op(op: MPIOpInstance) -> None:
             op_idx = self._op_counts[rank]
             self._op_counts[rank] = op_idx + 1
-            self._base_metrics(rank, op)
+            self._base_metrics(base, op)
             for send in op.sends:
                 self._on_send(rank, op, send)
             for recv_idx, recv in enumerate(op.recvs):
@@ -608,33 +629,19 @@ class _StreamState:
 
         return on_omp
 
-    def _base_metrics(self, rank: int, op: MPIOpInstance) -> None:
+    def _base_metrics(self, base: dict, op: MPIOpInstance) -> None:
         duration = op.exit - op.enter
         if duration <= 0.0:
             return
-        cpid = op.cpid
-        cube_add = self.cube.add
-        cube_add(MPI, cpid, rank, duration)
-        name = op.op_name
-        try:
-            leaf = self._leaf_of[name]
-        except KeyError:
-            leaf = self._leaf_of[name] = classify_region(name)
-        metrics = [MPI]
-        if leaf == P2P:
-            cube_add(COMMUNICATION, cpid, rank, duration)
-            cube_add(P2P, cpid, rank, duration)
-            metrics += [COMMUNICATION, P2P]
-        elif leaf == COLLECTIVE:
-            cube_add(COMMUNICATION, cpid, rank, duration)
-            cube_add(COLLECTIVE, cpid, rank, duration)
-            metrics += [COMMUNICATION, COLLECTIVE]
-        elif leaf == SYNCHRONIZATION:
-            cube_add(SYNCHRONIZATION, cpid, rank, duration)
-            metrics.append(SYNCHRONIZATION)
+        entry = base.get(op.cpid)
+        if entry is None:
+            base[op.cpid] = entry = (_BASE_METRICS[classify_region(op.op_name)], [])
+        grow_expansion(entry[1], duration)
         if self.timeline is not None:
-            for metric in metrics:
-                self.timeline.add(metric, cpid, rank, op.enter, op.exit, duration)
+            for metric in entry[0]:
+                self.timeline.add(
+                    metric, op.cpid, op.rank, op.enter, op.exit, duration
+                )
 
     # -- point-to-point --------------------------------------------------------
 
@@ -786,7 +793,7 @@ class _StreamState:
     # -- end of stream ---------------------------------------------------------
 
     def finish_stream(self, interrupted: bool = False) -> None:
-        """Flush stragglers and settle unmatched accounting.
+        """Flush stragglers, settle unmatched accounting, install base metrics.
 
         In strict mode an unmatched receive reproduces the buffered
         analyzer's error exactly: its first unmatched receive in
@@ -822,3 +829,8 @@ class _StreamState:
         for key in sorted(self._groups):
             self._emit_collective(key[0], key[1], self._groups[key])
         self._groups.clear()
+        add_expansion = self.cube.add_expansion
+        for rank, base in self._base.items():
+            for cpid, (metrics, partials) in base.items():
+                for metric in metrics:
+                    add_expansion(metric, cpid, rank, partials)

@@ -70,6 +70,16 @@ class ClockConditionChecker:
     def add(self, stamp: MessageStamp) -> None:
         self.stamps.append(stamp)
 
+    def sort_stamps(self) -> None:
+        """Canonical stamp order; every analyzer calls this at finalize.
+
+        The order of ``stamps.sort()``, keyed on plain ints and floats so
+        the sort never enters ``NodeId``'s Python-level comparisons.
+        """
+        self.stamps.sort(
+            key=lambda s: (s[0].machine, s[0].node, s[1].machine, s[1].node, s[2], s[3])
+        )
+
     @property
     def total(self) -> int:
         return len(self.stamps)

@@ -90,8 +90,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # One write, not end_headers() then the body: ``wfile`` is unbuffered,
+        # and a second small segment on a keep-alive connection waits out the
+        # peer's delayed-ACK timer (~40 ms per response).
+        if self.request_version == "HTTP/0.9":  # header-less: nothing to join
+            self.wfile.write(body)
+        else:
+            self._headers_buffer.append(b"\r\n" + body)
+            self.flush_headers()
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.callpath import CallPathRegistry
-from repro.analysis.instances import build_timeline
+from repro.analysis.instances import SendRecord, TimelineBuilder, build_timeline
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError
 from repro.ids import Location
@@ -11,6 +11,7 @@ from repro.trace.events import (
     CollExitEvent,
     EnterEvent,
     ExitEvent,
+    OmpRegionEvent,
     RecvEvent,
     SendEvent,
 )
@@ -129,3 +130,61 @@ class TestTimeline:
         ]
         timeline = _build(op_events, regions)
         assert timeline.mpi_ops[0].duration == 0.0
+
+
+class TestFeedMany:
+    """The builder's one dispatch: same errors as the per-event ``feed`` it
+    replaced, and the same timeline however the trace is cut into runs."""
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (lambda r: ExitEvent(0.5, r.id_of("solve")),
+             "rank 0: EXIT region 1 does not match open region 0"),
+            (lambda r: SendEvent(0.5, 1, 0, 0, 64),
+             "rank 0: SEND record outside an MPI region"),
+            (lambda r: RecvEvent(0.5, 1, 0, 0, 64),
+             "rank 0: RECV record outside an MPI region"),
+            (lambda r: CollExitEvent(0.5, r.id_of("MPI_Barrier"), 0, 0, 0, 0),
+             "rank 0: COLLEXIT record outside an MPI region"),
+            (lambda r: OmpRegionEvent(0.5, r.id_of("solve"), 4, 1.0, 0.5),
+             "rank 0: OMPREGION record outside its region frame"),
+        ],
+    )
+    def test_misplaced_record_messages(self, regions, record, message):
+        events = [EnterEvent(0.0, regions.id_of("main")), record(regions)]
+        with pytest.raises(AnalysisError) as caught:
+            _build(events, regions)
+        assert str(caught.value) == message
+
+    def test_exit_without_frame_message(self, regions):
+        with pytest.raises(AnalysisError) as caught:
+            _build([ExitEvent(0.0, regions.id_of("main"))], regions)
+        assert str(caught.value) == "rank 0: EXIT without open frame"
+
+    def test_comm_record_with_no_frame_at_all(self, regions):
+        with pytest.raises(AnalysisError, match="SEND record outside an MPI region"):
+            _build([SendEvent(0.0, 1, 0, 0, 64)], regions)
+
+    @pytest.mark.parametrize("run_length", [1, 3, 8])
+    def test_any_cut_builds_the_same_timeline(self, regions, run_length):
+        events = _simple_trace(regions)
+        builder = TimelineBuilder(
+            0, Location(0, 0, 0), LinearConverter(1.0, 100.0),
+            CallPathRegistry(), regions,
+        )
+        completed = []
+        builder.on_op = completed.append
+        for start in range(0, len(events), run_length):
+            builder.feed_many(events[start:start + run_length])
+        builder.feed_many([])  # an empty run moves nothing
+        timeline = builder.finish()
+        whole = _build(events, regions, LinearConverter(1.0, 100.0))
+        assert timeline == whole
+        assert completed == whole.mpi_ops
+        assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
+            8, 100.0, 105.0,
+        )
+        # Records ride in immutable tuples; an op without any shares ().
+        assert whole.mpi_ops[0].sends == (SendRecord(101.1, 1, 0, 0, 64),)
+        assert whole.mpi_ops[0].recvs == ()

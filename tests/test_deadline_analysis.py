@@ -67,6 +67,34 @@ class TestSerialDeadline:
         assert result.interrupted is not None
         assert "deadline of" in result.interrupted
 
+    def test_spent_budget_stops_within_one_slice(self, monkeypatch):
+        """The pump polls after every slice: a budget already spent when
+        the pump starts costs exactly one slice, and every rank reports
+        the events it really consumed."""
+        import repro.analysis.streaming as streaming
+
+        # These traces are 29 events a rank: cut them mid-trace.
+        monkeypatch.setattr(streaming, "_SLICE_RECORDS", 8)
+        run = _small_run()
+        events = {
+            rank: timeline.event_count
+            for rank, timeline in analyze(run).timelines.items()
+        }
+        deadline = Deadline(1e-9)
+        assert deadline.expired()
+        result = analyze(run, deadline=deadline)
+        assert "deadline of" in result.interrupted
+        consumed = {
+            rank: entry.events for rank, entry in result.completeness.items()
+        }
+        started = [rank for rank, count in consumed.items() if count]
+        assert len(started) == 1 and set(consumed) == set(events)
+        (rank,) = started
+        assert consumed[rank] == 8 < events[rank]
+        for rank, entry in result.completeness.items():
+            assert entry.completeness == consumed[rank] / events[rank]
+            assert f"after {consumed[rank]} of {events[rank]} event(s)" in entry.error
+
 
 class TestParallelDeadline:
     def test_wedged_workers_bounded_by_deadline(self, tmp_path):

@@ -6,12 +6,15 @@ checks global invariants: every message matches, severities are bounded,
 and the analysis is insensitive to archive layout.
 """
 
+import json
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.patterns import LATE_SENDER, P2P, TIME
-from repro.analysis.replay import analyze_run
+from repro.analysis.replay import ReplayAnalyzer, analyze_run
 from repro.clocks.clock import ClockEnsemble
+from repro.report.serialize import result_to_dict
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import uniform_metacomputer
@@ -111,3 +114,22 @@ class TestRandomSchedules:
         # measurement-error scale, far below the one-way link latency.
         worst = min((s.slack_s for s in result.violations.stamps), default=0.0)
         assert worst >= -5e-6
+
+    @given(schedule=rounds, seed=st.integers(min_value=0, max_value=2**16))
+    @SETTINGS
+    def test_streaming_serializes_like_buffered(self, schedule, seed):
+        """The streaming engine installs its structural MPI-time metrics at
+        finalize, one summed expansion per call path; the buffered engine
+        adds them op by op up front.  Same exact cells — and no trace of the
+        different dict insertion order in the serialized result."""
+        mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
+        placement = Placement.block(mc, NPROCS)
+        run = MetaMPIRuntime(mc, placement, seed=seed).run(_schedule_app(schedule))
+        streaming = analyze_run(run)
+        buffered = ReplayAnalyzer(
+            {machine: run.reader(machine) for machine in run.machines_used}
+        ).analyze()
+        assert streaming.cube == buffered.cube
+        assert json.dumps(result_to_dict(streaming)) == json.dumps(
+            result_to_dict(buffered)
+        )

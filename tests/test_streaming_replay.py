@@ -21,6 +21,7 @@ config form, the deprecated-keyword shim).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -28,13 +29,15 @@ import warnings
 
 import pytest
 
+import repro.analysis.streaming as streaming_module
 from repro.analysis.replay import ReplayAnalyzer, analyze_run
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.apps.imbalance import make_imbalance_app
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReproError
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
 from repro.report import render_analysis, render_severity_timeline
+from repro.report.serialize import result_to_dict
 from repro.topology.presets import uniform_metacomputer
 
 from tests.conftest import run_app
@@ -124,6 +127,61 @@ class TestStreamingEquivalence:
             )
         assert buffered.cube.data == bounded.cube.data
         assert render_analysis(buffered) == render_analysis(bounded)
+
+
+class TestPumpOrderIndependence:
+    """The pump promises per-rank trace order and per-receiver release
+    order, nothing global: how ranks interleave (the slice size) must not
+    reach any aggregate."""
+
+    #: One event per slice (the old per-event merge), a few slices per rank
+    #: of these 29-event traces, the default, and a slice longer than any
+    #: trace (whole ranks, one after another).
+    SLICES = (1, 8, streaming_module._SLICE_RECORDS, 10**9)
+
+    def _outcomes(self, monkeypatch, run, degraded):
+        """Per slice size: the serialized result, or the error it raised."""
+        outcomes = []
+        for size in self.SLICES:
+            monkeypatch.setattr(streaming_module, "_SLICE_RECORDS", size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    result = analyze_run(
+                        run, request=AnalysisRequest(degraded=degraded)
+                    )
+                except ReproError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    outcomes.append(json.dumps(result_to_dict(result)))
+        return outcomes
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_clean_run(self, monkeypatch, small_run, degraded):
+        outcomes = self._outcomes(monkeypatch, small_run, degraded)
+        assert isinstance(outcomes[0], str)
+        assert outcomes.count(outcomes[0]) == len(self.SLICES)
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_faulted_run(self, monkeypatch, damaged_run, degraded):
+        outcomes = self._outcomes(monkeypatch, damaged_run, degraded)
+        # Strict replay of a damaged archive raises (the lowest damaged
+        # rank's decode error, met while the pump is primed); degraded
+        # returns.
+        assert isinstance(outcomes[0], str) == degraded
+        assert outcomes.count(outcomes[0]) == len(self.SLICES)
+
+    def test_timeline_counters_match_buffered(self, monkeypatch, small_run):
+        # Several slices per rank, so the counters cross slice borders.
+        monkeypatch.setattr(streaming_module, "_SLICE_RECORDS", 8)
+        buffered = _buffered(small_run)
+        streaming = analyze_run(small_run, request=AnalysisRequest())
+        for rank, reference in buffered.timelines.items():
+            timeline = streaming.timelines[rank]
+            assert timeline.event_count > 8
+            assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
+                reference.event_count, reference.first_time, reference.last_time,
+            )
 
 
 @pytest.mark.slow
