@@ -8,18 +8,26 @@ finished and reproduces the same outputs (every cell is deterministic in
 its configuration and seed, so a cached payload and a recomputed one are
 interchangeable).
 
-Write discipline: the journal is rewritten through a temporary file in the
-same directory, fsync'd, then moved over the old journal with
-:func:`os.replace` — an interrupted run can lose at most the cell being
-recorded, never corrupt the cells already recorded, and a resume can
-therefore always trust what it reads.  The on-disk format is one JSON
-object per line (``{"cell": {...}, "payload": ...}``); unparsable lines
-are skipped on load, so even a journal damaged by external means degrades
-to recomputing a few cells instead of failing the sweep.
+Write discipline: the journal is a log.  :meth:`CheckpointJournal.record`
+encodes the one changed cell, appends that single line and fsyncs before it
+returns; nothing already written is touched, so the cost of a save does not
+grow with the journal.  The on-disk format is one JSON object per line
+(``{"cell": {...}, "payload": ...}``); on load the last line of a cell wins
+and unparsable lines are skipped, so an interrupted run can lose at most
+the line being appended, never corrupt the cells already recorded, and even
+a journal damaged by external means degrades to recomputing a few cells
+instead of failing the sweep.  Superseded lines are dropped by *compaction*:
+the live cells are written to a temporary file in the same directory,
+fsync'd, moved over the journal with :func:`os.replace`, and the directory
+is fsync'd.  Compaction runs from ``record`` when the file outgrows twice
+its live bytes plus a fixed slack, and instead of the append whenever the
+file may not end in a whole line — it does not exist yet, the load saw a
+torn tail or an unparsable line, or an earlier append failed — so a new
+record can never glue onto a torn one.
 
-Single-writer discipline: the rewrite cycle is atomic against crashes but
-not against a *second writer* — two processes recording cells into one
-journal would overwrite each other's rewrites and silently lose cells.  A
+Single-writer discipline: appends and compaction are atomic against crashes
+but not against a *second writer* — two processes recording cells into one
+journal would compact away each other's lines and silently lose cells.  A
 journal therefore takes an advisory ``fcntl`` lock (on a ``<path>.lock``
 sidecar) before its first write — or already at open with
 ``exclusive=True``, the mode long-lived owners such as the job store and
@@ -46,6 +54,11 @@ __all__ = ["CheckpointJournal"]
 
 _FORMAT_VERSION = 1
 
+# Compact when the file exceeds _COMPACT_FACTOR x its live bytes + _COMPACT_SLACK:
+# the rewrite then costs less than the appends that earned it.
+_COMPACT_FACTOR = 2
+_COMPACT_SLACK = 64 * 1024
+
 
 def _canonical(cell: Mapping[str, Any]) -> str:
     """Stable identity of one cell: canonical-JSON of its config mapping."""
@@ -55,8 +68,14 @@ def _canonical(cell: Mapping[str, Any]) -> str:
         raise CheckpointError(f"cell is not JSON-serializable: {exc}") from exc
 
 
+def _encode(key: str, payload: Any) -> bytes:
+    """The journal line of one cell (*key* is its canonical form)."""
+    record = {"version": _FORMAT_VERSION, "cell": json.loads(key), "payload": payload}
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
 class CheckpointJournal:
-    """Persistent map of completed cells → payloads, with atomic writes.
+    """Persistent map of completed cells → payloads, with durable appends.
 
     ``exclusive=True`` acquires the writer lock at open (failing fast when
     another writer holds it); the default acquires it lazily on the first
@@ -67,6 +86,10 @@ class CheckpointJournal:
     def __init__(self, path: str, *, exclusive: bool = False) -> None:
         self.path = os.fspath(path)
         self._cells: Dict[str, Any] = {}
+        self._line_bytes: Dict[str, int] = {}  # size of each cell's live line
+        self._live_bytes = 0  # sum of _line_bytes
+        self._file_bytes = 0
+        self._appendable = False  # the file exists and ends in a whole line
         self._lock_fd: Optional[int] = None
         if exclusive:
             self._acquire_lock()
@@ -140,26 +163,33 @@ class CheckpointJournal:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
+        whole = True  # every line parsed and the file ends in a newline
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
+            with open(self.path, "rb") as handle:
+                for line in handle:
+                    self._file_bytes += len(line)
+                    whole = whole and line.endswith(b"\n")
+                    if line.isspace():
+                        continue
+                    try:
+                        record = json.loads(line)
+                        cell, payload = record["cell"], record["payload"]
+                        if not isinstance(cell, dict):
+                            raise TypeError("cell is not an object")
+                    except (ValueError, KeyError, TypeError):
+                        # A torn tail from an interrupted append or external
+                        # damage: skip the line — the cell is simply recomputed.
+                        whole = False
+                        continue
+                    self._set(_canonical(cell), payload, len(line))
         except OSError as exc:
             raise CheckpointError(f"cannot read journal {self.path}: {exc}") from exc
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                cell = record["cell"]
-                payload = record["payload"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                # A torn tail from an interrupted append or external
-                # damage: skip the line — the cell is simply recomputed.
-                continue
-            if not isinstance(cell, dict):
-                continue
-            self._cells[_canonical(cell)] = payload
+        self._appendable = whole
+
+    def _set(self, key: str, payload: Any, line_bytes: int) -> None:
+        self._live_bytes += line_bytes - self._line_bytes.get(key, 0)
+        self._line_bytes[key] = line_bytes
+        self._cells[key] = payload
 
     # -- queries ---------------------------------------------------------------
 
@@ -180,44 +210,67 @@ class CheckpointJournal:
     # -- recording ---------------------------------------------------------------
 
     def record(self, cell: Mapping[str, Any], payload: Any) -> None:
-        """Mark a cell completed and persist the journal atomically."""
+        """Mark a cell completed; returns once the new state is fsync'd."""
         key = _canonical(cell)
         try:
-            json.dumps(payload)
+            line = _encode(key, payload)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"payload for cell {key} is not JSON-serializable: {exc}"
             ) from exc
         self._acquire_lock()
-        self._cells[key] = payload
-        self._flush()
+        self._set(key, payload, len(line))
+        grown = self._file_bytes + len(line)
+        appendable, self._appendable = self._appendable, False  # until this write succeeds
+        if appendable and grown <= _COMPACT_FACTOR * self._live_bytes + _COMPACT_SLACK:
+            self._append(line)
+        else:
+            self._flush()
+        self._appendable = True
+
+    def _append(self, line: bytes) -> None:
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                rest = memoryview(line)
+                while rest:
+                    rest = rest[os.write(fd, rest) :]
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise CheckpointError(f"cannot append to journal {self.path}: {exc}") from exc
+        self._file_bytes += len(line)
 
     def _flush(self) -> None:
+        """Compact: atomically replace the journal with its live cells."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        lines = [
-            json.dumps(
-                {"version": _FORMAT_VERSION, "cell": json.loads(key), "payload": value},
-                sort_keys=True,
-            )
-            for key, value in self._cells.items()
-        ]
-        data = ("\n".join(lines) + "\n").encode("utf-8")
+        sizes: Dict[str, int] = {}
         fd, tmp_path = tempfile.mkstemp(
             dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                for key, value in self._cells.items():
+                    sizes[key] = handle.write(_encode(key, value))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.path)
+            if os.name == "posix":  # make the rename (or creation) itself durable
+                dir_fd = os.open(directory, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
         except OSError as exc:
             try:
                 os.unlink(tmp_path)
             except OSError:
                 pass
             raise CheckpointError(f"cannot write journal {self.path}: {exc}") from exc
+        self._line_bytes = sizes
+        self._live_bytes = self._file_bytes = sum(sizes.values())
 
 
 def open_journal(path: Optional[str], *, exclusive: bool = False) -> Optional[CheckpointJournal]:

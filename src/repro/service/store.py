@@ -6,11 +6,12 @@ here:
 * **Durability** — every state transition of a job (accepted, running,
   done, failed) is persisted through a
   :class:`~repro.resilience.checkpoint.CheckpointJournal` *before* the
-  transition is acknowledged to anyone.  The journal's atomic
-  rewrite-and-replace discipline means a SIGKILL at any instant leaves a
-  loadable store; on restart, every job that was accepted is still there
-  and every job that was mid-run is found in ``running`` state and
-  re-queued.
+  transition is acknowledged to anyone.  The journal appends one fsync'd
+  line per transition (the last line of a job wins on load; compaction
+  rewrites atomically), so a save costs the same at any store size and a
+  SIGKILL at any instant leaves a loadable store; on restart, every job
+  that was accepted is still there and every job that was mid-run is
+  found in ``running`` state and re-queued.
 * **Idempotency** — a job's identity is :func:`job_key`, the SHA-256 of
   its *canonicalized* specification.  Two submissions that mean the same
   work (same kind, experiment, seed, jobs, config — regardless of key
@@ -322,6 +323,7 @@ class JobStore:
             except (KeyError, TypeError, ValueError):
                 continue  # damaged payload degrades to "job unknown"
             self._records[record.key] = record
+        self._last_seq = max((r.seq for r in self._records.values()), default=0)
 
     @property
     def path(self) -> str:
@@ -341,7 +343,7 @@ class JobStore:
         return [r for r in self.records() if r.status in RECOVERABLE]
 
     def next_seq(self) -> int:
-        return 1 + max((r.seq for r in self._records.values()), default=0)
+        return self._last_seq + 1
 
     def __len__(self) -> int:
         return len(self._records)
@@ -351,6 +353,7 @@ class JobStore:
     def save(self, record: JobRecord) -> None:
         """Persist a job's current state durably (fsync'd) before returning."""
         self._records[record.key] = record
+        self._last_seq = max(self._last_seq, record.seq)
         self._journal.record({"job": record.key}, record.to_payload())
 
     def close(self) -> None:

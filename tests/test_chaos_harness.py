@@ -9,11 +9,18 @@ tier-1.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.chaos import run_chaos, run_episode, schedule_for_seed
 from repro.cli import _parse_seeds
 from repro.faults.plan import TraceCorruption
+from repro.resilience import CheckpointJournal
 
 
 class TestLadder:
@@ -98,3 +105,62 @@ class TestEpisodes:
         assert episode.byte_identical is False
         assert episode.complete_ranks < episode.total_ranks
         assert "L2" in episode.summary()
+
+
+class TestJournalUnderSigkill:
+    """A writer killed anywhere in a loop of appends (and the compactions
+    they trigger) leaves a loadable journal holding exactly the state it
+    acknowledged, or that plus the one record in flight."""
+
+    SLOTS = 8
+
+    WRITER = textwrap.dedent(
+        """
+        import sys
+        from repro.resilience.checkpoint import CheckpointJournal
+        journal = CheckpointJournal(sys.argv[1], exclusive=True)
+        start, slots = int(sys.argv[2]), int(sys.argv[3])
+        for n in range(start, 10**9):
+            journal.record({"slot": n % slots}, {"n": n, "pad": "p" * 300})
+            print(n, flush=True)  # the acknowledgement
+        """
+    )
+
+    def _state_after(self, count):
+        """Journal contents once records 0..count-1 have been made."""
+        return {
+            '{"slot":%d}' % (n % self.SLOTS): {"n": n, "pad": "p" * 300}
+            for n in range(count)
+        }
+
+    def test_killed_writer_leaves_a_prefix_consistent_journal(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        done = 0
+        # Each round resumes on the journal the last kill left behind; the
+        # third runs long enough (~200 KB of lines) to be killed after
+        # compaction has replaced the file at least once.
+        for acks_before_kill in (1, 37, 600):
+            writer = subprocess.Popen(
+                [sys.executable, "-c", self.WRITER, path, str(done), str(self.SLOTS)],
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            try:
+                for _ in range(acks_before_kill):
+                    assert writer.stdout.readline().strip()
+            finally:
+                writer.send_signal(signal.SIGKILL)
+                rest = writer.stdout.read()
+                writer.wait(timeout=10)
+            acked = done + acks_before_kill + len(rest.split())
+            with CheckpointJournal(path) as journal:  # the lock died with it
+                cells = journal.cells()
+            assert cells in (self._state_after(acked), self._state_after(acked + 1))
+            done = acked + (cells == self._state_after(acked + 1))
+        assert os.path.getsize(path) < done * 300  # superseded lines were dropped

@@ -225,6 +225,44 @@ class TestATM2Atomicity:
         """
         assert rules_of(src, "repro/report/fx.py") == []
 
+    def test_os_open_for_append_flagged(self):
+        src = """
+        import os
+        def append(path, line):
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            os.write(fd, line)
+            os.close(fd)
+        """
+        findings = check_source(textwrap.dedent(src), "repro/resilience/fx.py")
+        assert [f.rule for f in findings] == ["ATM201"]
+        assert "os.open(..., O_WRONLY|O_APPEND)" in findings[0].message
+
+    def test_os_open_flags_resolve_through_imports(self):
+        src = """
+        from os import O_TRUNC, O_RDWR, open as os_open
+        def clobber(path):
+            return os_open(path, flags=O_RDWR | O_TRUNC)
+        """
+        assert rules_of(src, "repro/service/fx.py") == ["ATM201"]
+
+    def test_os_open_without_write_flags_clean(self):
+        src = """
+        import os
+        def lock(path, directory):
+            os.open(path, os.O_CREAT | os.O_RDWR, 0o644)  # advisory lock sidecar
+            os.open(directory, os.O_RDONLY)  # directory fsync
+            os.open(path)
+        """
+        assert rules_of(src, "repro/resilience/fx.py") == []
+
+    def test_os_open_outside_durable_packages_clean(self):
+        src = """
+        import os
+        def silence():
+            return os.open(os.devnull, os.O_WRONLY)
+        """
+        assert rules_of(src, "repro/chaos/fx.py") == []
+
     def test_os_rename_flagged_everywhere(self):
         src = """
         import os

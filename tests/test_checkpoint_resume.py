@@ -8,8 +8,10 @@ recomputed payloads interchangeable.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.experiments import faults as faults_module
 from repro.experiments import table2 as table2_module
 from repro.experiments.faults import run_fault_experiment
 from repro.experiments.table2 import run_table2
+from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience import open_journal
 
 
@@ -92,6 +95,180 @@ class TestJournal:
         assert open_journal("") is None
         journal = open_journal(str(tmp_path / "j.jsonl"))
         assert isinstance(journal, CheckpointJournal)
+
+
+def _parsed_lines(path):
+    """Every line of the file as JSON — fails on a torn or glued line."""
+    with open(path, "rb") as handle:
+        return [json.loads(line) for line in handle]
+
+
+class TestLogStructuredJournal:
+    """record() appends one fsync'd line; _flush is the compactor only."""
+
+    def test_any_torn_tail_then_record_loses_at_most_the_torn_cell(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        with CheckpointJournal(path) as journal:
+            for i in range(4):
+                journal.record({"i": i}, {"value": "v" * 10, "i": i})
+        with open(path, "rb") as handle:
+            whole = handle.read()
+        last_line = len(whole) - (whole.rfind(b"\n", 0, len(whole) - 1) + 1)
+        assert last_line > 20
+        for torn in range(1, last_line + 1):
+            with open(path, "wb") as handle:
+                handle.write(whole[:-torn])
+            with CheckpointJournal(path) as journal:
+                journal.record({"new": torn}, "fresh")
+            reloaded = CheckpointJournal(path)
+            for i in range(3):
+                assert reloaded.get({"i": i}) == {"value": "v" * 10, "i": i}
+            assert reloaded.get({"new": torn}) == "fresh", torn
+            # Losing only the newline leaves cell 3 parsable; any deeper
+            # tear loses cell 3 and nothing else.
+            assert len(reloaded) == (5 if torn == 1 else 4), torn
+            assert len(_parsed_lines(path)) == len(reloaded)  # nothing glued
+
+    def test_rewriting_one_cell_keeps_the_file_bounded(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        bound = None
+        with CheckpointJournal(path) as journal:
+            for n in range(1000):
+                journal.record({"cell": 0}, {"blob": "x" * 500, "n": n % 10})
+                if bound is None:  # the file holds exactly the one live line
+                    bound = (
+                        checkpoint_module._COMPACT_FACTOR * os.path.getsize(path)
+                        + checkpoint_module._COMPACT_SLACK
+                    )
+                assert os.path.getsize(path) <= bound, n
+            # 1000 lines would be ~8x the slack: compaction did run.
+            assert os.path.getsize(path) < 1000 * 500
+            assert CheckpointJournal(path).cells() == journal.cells()
+
+    def test_record_cost_does_not_grow_with_the_journal(self, tmp_path, monkeypatch):
+        counts = {"dumps": 0, "compactions": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        def cost_of_one_record(size):
+            path = str(tmp_path / f"j{size}.jsonl")
+            with open(path, "w", encoding="utf-8") as handle:
+                for i in range(size):
+                    handle.write(json.dumps({"cell": {"i": i}, "payload": "p" * 50}) + "\n")
+            with CheckpointJournal(path) as journal:
+                assert len(journal) == size
+                before = os.path.getsize(path)
+                counts.update(dumps=0, compactions=0)
+                journal.record({"i": size - 1}, "changed")
+                return counts["dumps"], counts["compactions"], os.path.getsize(path) - before
+
+        monkeypatch.setattr(json, "dumps", counted("dumps", json.dumps))
+        monkeypatch.setattr(tempfile, "mkstemp", counted("compactions", tempfile.mkstemp))
+        dumps_1, compactions_1, grew_1 = cost_of_one_record(1)
+        dumps_1000, compactions_1000, grew_1000 = cost_of_one_record(1000)
+        assert compactions_1 == compactions_1000 == 0
+        assert 0 < dumps_1000 <= 2 * dumps_1  # the parent: 2 + one per cell
+        assert 0 < grew_1000 <= 2 * grew_1  # one line, not the journal
+
+    def test_pre_change_rewrite_format_loads_and_is_appended_to(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        cells = {json.dumps({"i": i}, separators=(",", ":")): {"text": f"t{i}"} for i in range(5)}
+        # Exactly what the parent's rewrite-everything _flush wrote.
+        lines = [
+            json.dumps({"version": 1, "cell": json.loads(key), "payload": value}, sort_keys=True)
+            for key, value in cells.items()
+        ]
+        old = ("\n".join(lines) + "\n").encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(old)
+        with CheckpointJournal(path) as journal:
+            assert journal.cells() == cells
+            journal.record({"i": 5}, {"text": "t5"})
+        with open(path, "rb") as handle:
+            new = handle.read()
+        assert new.startswith(old) and new.count(b"\n") == 6
+        assert CheckpointJournal(path).get({"i": 5}) == {"text": "t5"}
+
+    def test_lock_free_reader_sees_a_consistent_snapshot(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "j.jsonl")
+        seen = []
+        real_write = os.write
+
+        def short_write(fd, data):
+            # Half the line lands, then a reader opens the file mid-append.
+            written = real_write(fd, bytes(data[: max(1, len(data) // 2)]))
+            seen.append(CheckpointJournal(path).cells())
+            return written
+
+        with CheckpointJournal(path, exclusive=True) as writer:
+            writer.record({"i": 0}, "zero")
+            writer.record({"i": 1}, "one")
+            between = CheckpointJournal(path)  # between two appends
+            monkeypatch.setattr(os, "write", short_write)
+            writer.record({"i": 2}, "two" * 50)
+            monkeypatch.undo()
+            assert between.cells() == {'{"i":0}': "zero", '{"i":1}': "one"}
+            # Mid-append readers saw the old cells, and the new one only whole.
+            assert len(seen) >= 2
+            for cells in seen:
+                assert cells == between.cells() or cells == writer.cells()
+            assert CheckpointJournal(path).cells() == writer.cells()
+            assert len(_parsed_lines(path)) == 3
+
+    def test_failed_append_raises_and_the_next_record_loses_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "j.jsonl")
+        real_write = os.write
+
+        def torn_write(fd, data):
+            real_write(fd, bytes(data[:10]))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with CheckpointJournal(path) as journal:
+            for i in range(3):
+                journal.record({"i": i}, f"kept{i}")
+            monkeypatch.setattr(os, "write", torn_write)
+            with pytest.raises(CheckpointError, match="cannot append"):
+                journal.record({"i": 3}, "unacknowledged")
+            monkeypatch.undo()
+            # The torn ten bytes are on disk; a reader skips them.
+            assert len(CheckpointJournal(path)) == 3
+            journal.record({"i": 4}, "after")
+            reloaded = CheckpointJournal(path)
+            assert reloaded.cells() == journal.cells()
+            for i in range(3):
+                assert reloaded.get({"i": i}) == f"kept{i}"
+            assert reloaded.get({"i": 4}) == "after"
+            assert len(_parsed_lines(path)) == len(reloaded)  # torn bytes gone
+
+    def test_directory_fsynced_on_create_and_compaction_only(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.path.isdir(f"/proc/self/fd/{fd}"))
+            return real_fsync(fd)
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc to tell a directory descriptor from a file")
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = str(tmp_path / "j.jsonl")
+        with CheckpointJournal(path) as journal:
+            journal.record({"i": 0}, "created")
+            assert synced == [False, True]  # temp file, then its directory
+            del synced[:]
+            journal.record({"i": 1}, "appended")
+            journal.record({"i": 2}, "appended")
+            assert synced == [False, False]  # one file fsync per append
+            del synced[:]
+            journal._flush()
+            assert synced == [False, True]
 
 
 def _small_bench():

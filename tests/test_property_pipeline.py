@@ -8,7 +8,7 @@ and the analysis is insensitive to archive layout.
 
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.patterns import LATE_SENDER, P2P, TIME
@@ -27,8 +27,13 @@ SETTINGS = settings(
 
 NPROCS = 4
 
-# One round: a list of (sender, receiver, size) with senders/receivers
-# disjoint — lower rank sends, so every round is trivially deadlock-free.
+# One round: a list of (rank, rank, size) exchanges.  `_schedule_app` makes
+# every round deadlock-free whatever the sizes (above the eager threshold a
+# send blocks until its receive is posted): the lower rank of each pair
+# sends, every rank sends before it receives, and receives are posted for
+# the highest-ranked sender first.  By downward induction on the sender's
+# rank, every send completes: its receiver has only higher-ranked senders
+# to hear from first, and those are done by hypothesis.
 rounds = st.lists(
     st.lists(
         st.tuples(
@@ -50,22 +55,31 @@ def _schedule_app(schedule):
         with ctx.region("main"):
             for round_index, exchanges in enumerate(schedule):
                 clean = [
-                    (src, dst, size)
-                    for (src, dst, size) in exchanges
-                    if src != dst
+                    (min(a, b), max(a, b), size)
+                    for (a, b, size) in exchanges
+                    if a != b
                 ]
                 with ctx.region("round"):
                     for order, (src, dst, size) in enumerate(clean):
                         tag = round_index * 100 + order
                         if ctx.rank == src:
                             yield ctx.comm.send(dst, size, tag=tag)
-                    for order, (src, dst, size) in enumerate(clean):
+                    for order, (src, dst, size) in sorted(
+                        enumerate(clean), key=lambda item: -item[1][0]
+                    ):
                         tag = round_index * 100 + order
                         if ctx.rank == dst:
                             yield ctx.comm.recv(src, tag=tag)
                 yield ctx.comm.barrier()
 
     return app
+
+
+# Schedules that deadlocked the simulator before `_schedule_app` ordered
+# them: two head-to-head rendezvous sends (found by hypothesis), and an
+# up-rank-only round whose receives were posted in exchange order.
+HEAD_TO_HEAD = [[(0, 1, 65537), (1, 0, 65537)]]
+RECEIVE_ORDER = [[(0, 2, 70000), (0, 3, 70000), (2, 3, 70000)]]
 
 
 def _message_count(schedule):
@@ -76,6 +90,8 @@ def _message_count(schedule):
 
 class TestRandomSchedules:
     @given(schedule=rounds, seed=st.integers(min_value=0, max_value=2**16))
+    @example(schedule=HEAD_TO_HEAD, seed=0)
+    @example(schedule=RECEIVE_ORDER, seed=0)
     @SETTINGS
     def test_every_message_matched(self, schedule, seed):
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
@@ -87,6 +103,8 @@ class TestRandomSchedules:
         assert result.violations.total == _message_count(schedule)
 
     @given(schedule=rounds, seed=st.integers(min_value=0, max_value=2**16))
+    @example(schedule=HEAD_TO_HEAD, seed=0)
+    @example(schedule=RECEIVE_ORDER, seed=0)
     @SETTINGS
     def test_wait_states_bounded_by_op_time(self, schedule, seed):
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
@@ -98,6 +116,8 @@ class TestRandomSchedules:
         assert result.metric_total(P2P) <= result.metric_total(TIME) + eps
 
     @given(schedule=rounds)
+    @example(schedule=HEAD_TO_HEAD)
+    @example(schedule=RECEIVE_ORDER)
     @SETTINGS
     def test_true_causality_under_perfect_clocks(self, schedule):
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
@@ -116,6 +136,8 @@ class TestRandomSchedules:
         assert worst >= -5e-6
 
     @given(schedule=rounds, seed=st.integers(min_value=0, max_value=2**16))
+    @example(schedule=HEAD_TO_HEAD, seed=0)
+    @example(schedule=RECEIVE_ORDER, seed=0)
     @SETTINGS
     def test_streaming_serializes_like_buffered(self, schedule, seed):
         """The streaming engine installs its structural MPI-time metrics at

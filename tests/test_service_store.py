@@ -237,6 +237,32 @@ class TestJobStore:
             # Recovery set: accepted + running, in submission order.
             assert [r.key for r in reopened.pending()] == ["queued", "inflight"]
 
+    def test_restart_restores_the_last_state_of_every_job(self, tmp_path):
+        path = str(tmp_path / "jobs.jsonl")
+        jobs = 20
+        last = {}
+        with JobStore(path) as store:
+            for n in range(jobs):
+                record = self._record(f"job{n:02d}", store.next_seq())
+                store.save(record)
+                # Every third job stops at accepted, every third at running.
+                for status in (RUNNING, DONE)[: n % 3]:
+                    record.status = status
+                    record.attempts += status == RUNNING
+                    if status == DONE:
+                        record.result = {"text": f"result of {n}"}
+                    store.save(record)
+                last[record.key] = record.to_payload()
+            assert store.next_seq() == jobs + 1
+        with open(path, "rb") as handle:
+            assert len(handle.readlines()) > jobs  # transitions were appended
+        with JobStore(path) as reopened:
+            assert {r.key: r.to_payload() for r in reopened.records()} == last
+            assert [r.seq for r in reopened.records()] == list(range(1, jobs + 1))
+            assert reopened.next_seq() == jobs + 1
+            reopened.save(self._record("late", reopened.next_seq()))
+            assert reopened.next_seq() == jobs + 2
+
     def test_single_writer_enforced(self, tmp_path):
         path = str(tmp_path / "jobs.jsonl")
         with JobStore(path):
