@@ -94,7 +94,7 @@ from repro.report import (
     render_system_tree,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "ReproError",

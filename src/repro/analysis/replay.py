@@ -537,42 +537,6 @@ class ReplayAnalyzer:
                 cube_add(IDLE_THREADS, omp.cpid, rank, omp.idle_thread_seconds)
 
 
-#: Sentinel distinguishing "legacy keyword not passed" from any real value.
-_UNSET = object()
-
-#: The keyword sprawl the request object replaced (shimmed one release).
-_LEGACY_ANALYZE_KWARGS = ("degraded", "jobs", "max_retries", "timeout")
-
-
-def resolve_request(
-    request: Optional[AnalysisRequest],
-    legacy: Dict[str, object],
-    caller: str,
-) -> AnalysisRequest:
-    """Fold a deprecated keyword call into an :class:`AnalysisRequest`.
-
-    Shared by every shimmed entry point (``analyze_run``, ``api.analyze``,
-    ``api.run_experiment``): *legacy* holds only the keywords the caller
-    actually passed.  Mixing ``request=`` with legacy keywords is an error;
-    legacy keywords alone warn and build the equivalent request.
-    """
-    if legacy:
-        if request is not None:
-            raise AnalysisError(
-                f"{caller}: pass either request= or the deprecated keyword "
-                "arguments, not both: " + ", ".join(sorted(legacy))
-            )
-        warnings.warn(
-            f"{caller}: keyword arguments "
-            + ", ".join(f"{name}=" for name in sorted(legacy))
-            + " are deprecated; pass request=AnalysisRequest(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return AnalysisRequest(**legacy)
-    return request if request is not None else AnalysisRequest()
-
-
 def analyze_run(
     run_result,
     scheme: Optional[SyncScheme] = None,
@@ -580,10 +544,6 @@ def analyze_run(
     *,
     pool=None,
     deadline=None,
-    degraded=_UNSET,
-    jobs=_UNSET,
-    timeout=_UNSET,
-    max_retries=_UNSET,
 ) -> AnalysisResult:
     """Analyze a :class:`~repro.sim.runtime.RunResult` end to end.
 
@@ -605,26 +565,14 @@ def analyze_run(
     :class:`~repro.resilience.deadline.Deadline` (the service does this so
     a client cancel reaches the running analysis); when None and the
     request carries ``deadline_s``, a fresh deadline starts here.
-
-    The loose ``degraded=``/``jobs=``/``timeout=``/``max_retries=``
-    keywords are deprecated: they warn and are folded into a request.
     """
     # Imported lazily: both modules import this one.
     from repro.analysis.parallel import ParallelReplayAnalyzer, resolve_jobs
     from repro.analysis.streaming import StreamingReplayAnalyzer
     from repro.resilience.deadline import Deadline
 
-    legacy = {
-        name: value
-        for name, value in (
-            ("degraded", degraded),
-            ("jobs", jobs),
-            ("timeout", timeout),
-            ("max_retries", max_retries),
-        )
-        if value is not _UNSET
-    }
-    request = resolve_request(request, legacy, "analyze_run")
+    if request is None:
+        request = AnalysisRequest()
     if deadline is None and request.deadline_s is not None:
         deadline = Deadline(request.deadline_s)
 

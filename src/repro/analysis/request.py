@@ -4,8 +4,7 @@
 ``max_retries=``/``verify_archive=``...) grew past what a flat signature
 can carry.  This frozen dataclass replaces the sprawl: the public API, the
 CLI, the parallel sharder, and the analysis service all describe an
-analysis with one request object.  The old keywords survive one release as
-a ``DeprecationWarning`` shim (see :func:`repro.analysis.replay.analyze_run`).
+analysis with one request object.
 
 ``to_config``/``from_config`` give the request a canonical plain-dict form
 (defaults omitted) so the service job store content-addresses identical

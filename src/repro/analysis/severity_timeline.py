@@ -194,8 +194,7 @@ def record_p2p_hits(
 ) -> None:
     """Charge point-to-point pattern hits to the waiting op's interval.
 
-    Used identically by the streaming pipeline and the parallel merge: a
-    hit charged to the receiver spreads over the receive op, one charged
+    A hit charged to the receiver spreads over the receive op, one charged
     to the sender over the send op.
     """
     for hit in hits:
@@ -208,49 +207,3 @@ def record_collective_hits(timeline: SeverityTimeline, instance, hits) -> None:
     for hit in hits:
         op = instance.members[hit.rank][0]
         timeline.add(hit.metric, hit.cpid, hit.rank, op.enter, op.exit, hit.value)
-
-
-def record_base_metrics(timeline: SeverityTimeline, timelines: Dict[int, Any]) -> None:
-    """Charge the structural metrics over their op intervals, post-merge.
-
-    The merge-side counterpart of the streaming pipeline's per-op sink:
-    MPI time (and its communication-class refinements) spreads over each
-    op's ``[enter, exit]``, idle threads over each fork-join region.  Used
-    by :func:`repro.analysis.parallel.merge_partials`, where the timelines
-    already carry global call-path ids.
-    """
-    from repro.analysis.patterns.base import (
-        COLLECTIVE,
-        COMMUNICATION,
-        IDLE_THREADS,
-        MPI,
-        P2P,
-        SYNCHRONIZATION,
-        classify_region,
-    )
-
-    leaf_of: Dict[str, Optional[str]] = {}
-    for rank, process in timelines.items():
-        for op in process.mpi_ops:
-            duration = op.exit - op.enter
-            if duration <= 0.0:
-                continue
-            name = op.op_name
-            try:
-                leaf = leaf_of[name]
-            except KeyError:
-                leaf = leaf_of[name] = classify_region(name)
-            metrics = [MPI]
-            if leaf == P2P:
-                metrics += [COMMUNICATION, P2P]
-            elif leaf == COLLECTIVE:
-                metrics += [COMMUNICATION, COLLECTIVE]
-            elif leaf == SYNCHRONIZATION:
-                metrics.append(SYNCHRONIZATION)
-            for metric in metrics:
-                timeline.add(metric, op.cpid, rank, op.enter, op.exit, duration)
-        for omp in process.omp_regions:
-            timeline.add(
-                IDLE_THREADS, omp.cpid, rank, omp.enter, omp.exit,
-                omp.idle_thread_seconds,
-            )

@@ -1,9 +1,15 @@
-"""Single-pass, bounded-memory streaming replay.
+"""The replay core: single-pass, bounded-memory streaming replay.
 
-The buffered :class:`~repro.analysis.replay.ReplayAnalyzer` materializes
-every rank's MPI-op instances, then matches, then searches patterns — three
-walks whose working set is O(trace).  This module restructures the replay
-into one pass: a **quantum-scheduled pump** cuts every rank's streaming
+There are two replay engines.  The buffered
+:class:`~repro.analysis.replay.ReplayAnalyzer` — kept as the independent
+reference the tests and the benchmark compare against — materializes
+every rank's MPI-op instances, then matches, then searches patterns: three
+walks whose working set is O(trace).  This module is the other one, and
+the only matcher and pattern evaluator the package runs: the serial
+analyzer below pumps it slice by slice, and the parallel merge
+(:func:`repro.analysis.parallel.merge_partials`) feeds the same
+:class:`_StreamState` whole rank after whole rank.  It restructures the
+replay into one pass: a **quantum-scheduled pump** cuts every rank's streaming
 decoder into slices of :data:`_SLICE_RECORDS` events, keeps one pending
 slice per rank in a heap keyed by the slice's first synchronized stamp,
 and hands the earliest slice whole to that rank's
@@ -40,12 +46,14 @@ Bit-identity with the buffered analyzer (strict and degraded, every
   order, reproducing the serial causer tie-break, and flushed at
   end-of-stream sorted by ``(comm, index)``;
 * call paths are interned per rank and renumbered rank-major at finalize
-  (the parallel merge's idiom), with cube cells re-keyed wholesale — no
-  re-addition, no rounding.
+  (the parallel merge renumbers per shard, before it feeds), with cube
+  cells re-keyed wholesale — no re-addition, no rounding.
 
-Clock-condition stamps are sorted at finalize; every analyzer (buffered,
-streaming, parallel merge) sorts identically, so stamp lists stay
-comparable across paths.
+Clock-condition stamps are sorted at finalize; both engines sort
+identically, so stamp lists stay comparable across paths.  Because no
+output depends on how ranks interleave, the merge's whole-rank feed is
+just one more pump order — which is all that keeps ``jobs=N`` identical
+to ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -102,9 +110,15 @@ from repro.analysis.severity_timeline import (
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
 from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning
-from repro.ids import node_of
+from repro.ids import NodeId, node_of
 from repro.resilience.deadline import Deadline
-from repro.trace.archive import ArchiveReader, salvage_checked, trace_filename
+from repro.trace.archive import (
+    ArchiveReader,
+    Definitions,
+    TraceShard,
+    salvage_checked,
+    trace_filename,
+)
 from repro.trace.encoding import iter_events
 
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
@@ -179,6 +193,119 @@ class _CollectiveGroup:
         self.expected = expected
 
 
+def _admit_rank(
+    rank: int,
+    definitions: Definitions,
+    traces: TraceShard,
+    converters: Dict[NodeId, Optional[LinearConverter]],
+    degraded: bool,
+    completeness: Dict[int, RankCompleteness],
+    build=None,
+):
+    """Decide one rank's fate; every engine but the buffered reference asks here.
+
+    The streaming prepass, the parallel analyzer's strict pre-check and the
+    shard worker all admit a rank through this routine, so check order,
+    error text and warning text cannot drift between ``jobs`` values.
+    *traces* is a snapshot covering *rank*: a rank with neither a blob nor a
+    ``missing`` reason had no reader on its metahost.  Strict mode raises at
+    the first defect; degraded mode records it in *completeness*, warns
+    (:class:`~repro.errors.PartialTraceWarning`) and returns None.  Degraded
+    admission scans (``count_only``) instead of decoding, so a damaged
+    multi-gigabyte prefix costs O(1) memory.
+
+    *build*, when given, is called as ``build(rank, events, converter)`` on
+    the admitted rank's event stream; an :class:`AnalysisError` out of it is
+    the last exclusion reason (damage that decodes as valid records but is
+    structurally inconsistent).  Returns ``(blob, converter, built)``.
+    """
+    location = definitions.locations[rank]
+
+    def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
+        completeness[rank] = RankCompleteness(
+            rank=rank,
+            complete=False,
+            completeness=fraction,
+            events=events,
+            analyzed=False,
+            error=reason,
+        )
+        warnings.warn(
+            f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
+            stacklevel=4,
+        )
+
+    blob = traces.blobs.get(rank)
+    if blob is None:
+        reason = traces.missing.get(rank)
+        if degraded:
+            exclude(reason or "no archive reader for its metahost")
+            return None
+        if reason is None:
+            raise AnalysisError(
+                f"no archive reader for machine {location.machine} "
+                f"(rank {rank} lives there)"
+            )
+        raise AnalysisError(
+            f"rank {rank}'s trace is not visible on its own metahost "
+            f"({trace_filename(rank)} missing)"
+        )
+    if degraded:
+        scanned = salvage_checked(blob, traces.manifests.get(rank), count_only=True)
+        if scanned.rank is not None and scanned.rank != rank:
+            exclude(f"trace file claims rank {scanned.rank}")
+            return None
+        if not scanned.complete:
+            exclude(
+                scanned.error,
+                fraction=scanned.completeness,
+                events=scanned.event_count,
+            )
+            return None
+        if not scanned.balanced:
+            exclude(
+                f"trace decodes but leaves {scanned.open_regions} region(s) "
+                "open (truncated at a record boundary?)",
+                fraction=scanned.completeness,
+                events=scanned.event_count,
+            )
+            return None
+        completeness[rank] = RankCompleteness(
+            rank=rank,
+            complete=True,
+            completeness=1.0,
+            events=scanned.event_count,
+            analyzed=True,
+        )
+    file_rank, events = iter_events(blob)
+    if file_rank != rank:
+        raise ArchiveError(
+            f"trace file {trace_filename(rank)} claims rank {file_rank}"
+        )
+    converter = converters.get(node_of(location))
+    if converter is None:
+        if not degraded:
+            raise AnalysisError(f"no clock converter for node {node_of(location)}")
+        warnings.warn(
+            f"rank {rank}: no clock converter for {node_of(location)}, "
+            "using local time unconverted",
+            PartialTraceWarning,
+            stacklevel=3,
+        )
+        converter = LinearConverter.identity()
+    built = None
+    if build is not None:
+        try:
+            built = build(rank, events, converter)
+        except AnalysisError as exc:
+            if not degraded:
+                raise
+            prior = completeness[rank]
+            exclude(str(exc), fraction=prior.completeness, events=prior.events)
+            return None
+    return blob, converter, built
+
+
 class StreamingReplayAnalyzer:
     """Single-pass replay over per-metahost archive readers.
 
@@ -221,96 +348,6 @@ class StreamingReplayAnalyzer:
         self.timeline = timeline
         self.deadline = deadline
 
-    # -- prepass ---------------------------------------------------------------
-
-    def _scan_degraded(
-        self,
-        rank: int,
-        reader: Optional[ArchiveReader],
-        completeness: Dict[int, RankCompleteness],
-    ) -> Optional[bytes]:
-        """Decide one rank's fate without materializing its events.
-
-        Mirrors :meth:`ReplayAnalyzer._load_degraded` check for check and
-        message for message, but scans (``count_only``) instead of
-        decoding, so a damaged multi-gigabyte prefix costs O(1) memory.
-        Returns the raw blob for an analyzable rank, None for an excluded
-        one.
-        """
-
-        def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
-            completeness[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=fraction,
-                events=events,
-                analyzed=False,
-                error=reason,
-            )
-            warnings.warn(
-                f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
-                stacklevel=4,
-            )
-
-        if reader is None:
-            exclude("no archive reader for its metahost")
-            return None
-        if not reader.has_trace(rank):
-            exclude(f"{trace_filename(rank)} missing from its metahost's archive")
-            return None
-        blob = reader.read_trace_blob(rank)
-        scanned = salvage_checked(blob, reader.manifest_entry(rank), count_only=True)
-        if scanned.rank is not None and scanned.rank != rank:
-            exclude(f"trace file claims rank {scanned.rank}")
-            return None
-        if not scanned.complete:
-            exclude(
-                scanned.error,
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        if not scanned.balanced:
-            exclude(
-                f"trace decodes but leaves {scanned.open_regions} region(s) "
-                "open (truncated at a record boundary?)",
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=True,
-            completeness=1.0,
-            events=scanned.event_count,
-            analyzed=True,
-        )
-        return blob
-
-    @staticmethod
-    def _validate_structure(
-        rank: int, blob: bytes, converter: LinearConverter, regions
-    ) -> Optional[str]:
-        """Degraded dry run: does the trace build without structural errors?
-
-        The pump feeds the shared matcher incrementally, so a mid-stream
-        build failure (damage that decodes as valid records but is
-        structurally inconsistent — the buffered analyzer's backstop case)
-        would poison state already accumulated for other ranks.  Walking
-        the rank once up front keeps the pump infallible in degraded mode;
-        the events are discarded as they stream by.
-        """
-        location = None  # unused by the builder's structural checks
-        builder = TimelineBuilder(
-            rank, location, converter, CallPathRegistry(), regions, retain=False
-        )
-        try:
-            builder.feed_many(iter_events(blob)[1])
-            builder.finish()
-        except AnalysisError as exc:
-            return str(exc)
-        return None
-
     # -- the pass --------------------------------------------------------------
 
     def analyze(self) -> AnalysisResult:
@@ -321,84 +358,42 @@ class StreamingReplayAnalyzer:
         degraded = self.degraded
         regions = definitions.regions
 
-        # Prepass: per rank ascending, reproduce the buffered analyzer's
-        # admission decisions (same checks, same messages, same warning
-        # order) and collect each admitted rank's blob and converter.
+        def dry_run(rank: int, events, converter: LinearConverter) -> None:
+            # The pump feeds the shared matcher incrementally, so a
+            # mid-stream build failure (damage that decodes as valid records
+            # but is structurally inconsistent) would poison state already
+            # accumulated for other ranks.  Walking the rank once up front
+            # keeps the pump infallible in degraded mode; the events are
+            # discarded as they stream by.
+            builder = TimelineBuilder(
+                rank, None, converter, CallPathRegistry(), regions, retain=False
+            )
+            builder.feed_many(events)
+            builder.finish()
+
+        # Prepass: admit each rank, ascending, through its own metahost's
+        # reader and collect the admitted ranks' blobs and converters.
         completeness: Dict[int, RankCompleteness] = {}
-        trace_bytes: Dict[int, int] = {}
         blobs: Dict[int, bytes] = {}
         converters: Dict[int, LinearConverter] = {}
-        locations: Dict[int, object] = {}
         for rank in sorted(definitions.locations):
-            location = definitions.locations[rank]
-            reader = self.readers.get(location.machine)
-            if degraded:
-                blob = self._scan_degraded(rank, reader, completeness)
-                if blob is None:
-                    continue
-            else:
-                if reader is None:
-                    raise AnalysisError(
-                        f"no archive reader for machine {location.machine} "
-                        f"(rank {rank} lives there)"
-                    )
-                if not reader.has_trace(rank):
-                    raise AnalysisError(
-                        f"rank {rank}'s trace is not visible on its own metahost "
-                        f"({trace_filename(rank)} missing)"
-                    )
-                blob = reader.read_trace_blob(rank)
-                scanned_rank, _ = iter_events(blob)
-                if scanned_rank != rank:
-                    raise ArchiveError(
-                        f"trace file {trace_filename(rank)} claims rank "
-                        f"{scanned_rank}"
-                    )
-            converter = synchronized.converters.get(node_of(location))
-            if converter is None:
-                if not degraded:
-                    raise AnalysisError(
-                        f"no clock converter for node {node_of(location)}"
-                    )
-                warnings.warn(
-                    f"rank {rank}: no clock converter for {node_of(location)}, "
-                    "using local time unconverted",
-                    PartialTraceWarning,
-                    stacklevel=2,
-                )
-                converter = LinearConverter.identity()
-            if degraded:
-                error = self._validate_structure(rank, blob, converter, regions)
-                if error is not None:
-                    prior = completeness.get(rank)
-                    completeness[rank] = RankCompleteness(
-                        rank=rank,
-                        complete=False,
-                        completeness=prior.completeness if prior else 0.0,
-                        events=prior.events if prior else 0,
-                        analyzed=False,
-                        error=error,
-                    )
-                    warnings.warn(
-                        f"rank {rank} excluded from replay: {error}",
-                        PartialTraceWarning,
-                        stacklevel=2,
-                    )
-                    continue
-            blobs[rank] = blob
-            trace_bytes[rank] = len(blob)
-            converters[rank] = converter
-            locations[rank] = location
-
-        if not blobs:
-            raise AnalysisError("no rank produced a usable trace")
+            reader = self.readers.get(definitions.machine_of(rank))
+            admitted = _admit_rank(
+                rank,
+                definitions,
+                TraceShard((rank,)) if reader is None else reader.shard_snapshot((rank,)),
+                synchronized.converters,
+                degraded,
+                completeness,
+                build=dry_run if degraded else None,
+            )
+            if admitted is not None:
+                blobs[rank], converters[rank], _ = admitted
 
         analyzed = sorted(blobs)
-        analyzed_set = set(analyzed)
-
         state = _StreamState(
             definitions=definitions,
-            analyzed=analyzed_set,
+            analyzed=set(analyzed),
             degraded=degraded,
             timeline=self.timeline,
         )
@@ -408,17 +403,18 @@ class StreamingReplayAnalyzer:
         builders: Dict[int, TimelineBuilder] = {}
         local_registries: Dict[int, CallPathRegistry] = {}
         for rank in analyzed:
+            location = definitions.locations[rank]
             local = CallPathRegistry()
             local_registries[rank] = local
             builder = TimelineBuilder(
                 rank,
-                locations[rank],
+                location,
                 converters[rank],
                 local,
                 regions,
                 retain=self.retain,
             )
-            builder.on_op = state.make_op_sink(rank, locations[rank])
+            builder.on_op = state.make_op_sink(rank, location)
             builder.on_omp = state.make_omp_sink(rank)
             builders[rank] = builder
 
@@ -473,48 +469,16 @@ class StreamingReplayAnalyzer:
             timelines[rank] = timeline
             mapping[rank] = remap
 
-        cube = state.cube.remap_callpaths(mapping)
         if self.timeline is not None:
             self.timeline.remap_callpaths(mapping)
-
-        # TIME from per-rank exclusive time (already globally keyed).
-        cube_add = cube.add
-        for rank in analyzed:
-            for cpid, exclusive in timelines[rank].exclusive_time.items():
-                cube_add(TIME, cpid, rank, exclusive)
-
-        # Every analyzer sorts stamps identically at finalize, so stamp
-        # lists compare equal across the buffered/streaming/merged paths.
-        state.checker.sort_stamps()
-
-        master_machine = definitions.machine_of(0)
-        merged_copy_bytes = sum(
-            size
-            for rank, size in trace_bytes.items()
-            if definitions.machine_of(rank) != master_machine
-        )
-        traffic = ReplayTraffic(
-            replay_metadata_bytes=state.stats.metadata_bytes,
-            merged_copy_bytes=merged_copy_bytes,
-            trace_bytes_total=sum(trace_bytes.values()),
-        )
-
-        return AnalysisResult(
-            cube=cube,
-            callpaths=callpaths,
-            definitions=definitions,
-            violations=state.checker,
-            traffic=traffic,
-            scheme_name=self.scheme.name,
-            total_time=total_time_of(timelines),
-            timelines=timelines,
-            grid_pairs=state.grid_pairs,
-            # An interrupted result is degraded-style by construction:
-            # starved receives were voided, not matched.
-            degraded=degraded or interrupted is not None,
-            completeness=completeness,
-            severity_timeline=self.timeline,
-            interrupted=interrupted,
+        return state.result(
+            state.cube.remap_callpaths(mapping),
+            callpaths,
+            timelines,
+            {rank: len(blobs[rank]) for rank in analyzed},
+            completeness,
+            self.scheme.name,
+            interrupted,
         )
 
     @staticmethod
@@ -567,6 +531,8 @@ class _StreamState:
     """
 
     def __init__(self, definitions, analyzed, degraded, timeline) -> None:
+        if not analyzed:
+            raise AnalysisError("no rank produced a usable trace")
         self.definitions = definitions
         self.analyzed = analyzed
         self.degraded = degraded
@@ -834,3 +800,60 @@ class _StreamState:
             for cpid, (metrics, partials) in base.items():
                 for metric in metrics:
                     add_expansion(metric, cpid, rank, partials)
+
+    def result(
+        self,
+        cube: SeverityCube,
+        callpaths: CallPathRegistry,
+        timelines: Dict[int, ProcessTimeline],
+        trace_bytes: Dict[int, int],
+        completeness: Dict[int, RankCompleteness],
+        scheme_name: str,
+        interrupted: Optional[str] = None,
+    ) -> AnalysisResult:
+        """Assemble the result once the stream is finished.
+
+        The tail the serial pump and the parallel merge share.  *cube* is
+        this state's cube keyed by **global** call-path ids, which the
+        *timelines* must carry too.
+        """
+        # TIME from per-rank exclusive time (already globally keyed).
+        cube_add = cube.add
+        for rank, process in timelines.items():
+            for cpid, exclusive in process.exclusive_time.items():
+                cube_add(TIME, cpid, rank, exclusive)
+
+        # Both replay engines sort stamps identically at finalize, so stamp
+        # lists compare equal across the buffered and streaming paths.
+        self.checker.sort_stamps()
+
+        definitions = self.definitions
+        master_machine = definitions.machine_of(0)
+        merged_copy_bytes = sum(
+            size
+            for rank, size in trace_bytes.items()
+            if definitions.machine_of(rank) != master_machine
+        )
+        traffic = ReplayTraffic(
+            replay_metadata_bytes=self.stats.metadata_bytes,
+            merged_copy_bytes=merged_copy_bytes,
+            trace_bytes_total=sum(trace_bytes.values()),
+        )
+
+        return AnalysisResult(
+            cube=cube,
+            callpaths=callpaths,
+            definitions=definitions,
+            violations=self.checker,
+            traffic=traffic,
+            scheme_name=scheme_name,
+            total_time=total_time_of(timelines),
+            timelines=timelines,
+            grid_pairs=self.grid_pairs,
+            # An interrupted result is degraded-style by construction:
+            # starved receives were voided, not matched.
+            degraded=self.degraded or interrupted is not None,
+            completeness=completeness,
+            severity_timeline=self.timeline,
+            interrupted=interrupted,
+        )

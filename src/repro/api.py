@@ -21,9 +21,7 @@ Analyses are described by one object: :class:`AnalysisRequest` carries
 count), the supervised-pool tunables, and the time-resolved severity
 options (``timeline``/``window_s``/``stride_s``/``bounded``).  ``seed=``
 selects the deterministic random seed and ``scheme=`` the
-clock-synchronization scheme everywhere.  The pre-request keyword sprawl
-(``degraded=``/``jobs=``/``timeout=``/``max_retries=``/``verify_archive=``)
-survives one release as a ``DeprecationWarning`` shim.
+clock-synchronization scheme everywhere.
 
 This module's ``__all__`` is the compatibility contract: names listed here
 are stable; anything imported from deeper modules may move between
@@ -36,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.analysis.parallel import resolve_jobs
-from repro.analysis.replay import _UNSET, AnalysisResult, analyze_run, resolve_request
+from repro.analysis.replay import AnalysisResult, analyze_run
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.sync import SyncScheme
@@ -114,10 +112,6 @@ def analyze(
     scheme: Optional[SyncScheme] = None,
     pool=None,
     deadline=None,
-    degraded=_UNSET,
-    jobs=_UNSET,
-    timeout=_UNSET,
-    max_retries=_UNSET,
 ) -> AnalysisResult:
     """Replay-analyze a traced run's archive.
 
@@ -145,21 +139,7 @@ def analyze(
     ``result.interrupted`` set — instead of hanging.  ``deadline`` lends
     an externally owned :class:`Deadline` instead (how the service makes
     a client ``DELETE`` reach the running analysis).
-
-    The loose ``degraded=``/``jobs=``/``timeout=``/``max_retries=``
-    keywords are deprecated; they warn and are folded into a request.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("degraded", degraded),
-            ("jobs", jobs),
-            ("timeout", timeout),
-            ("max_retries", max_retries),
-        )
-        if value is not _UNSET
-    }
-    request = resolve_request(request, legacy, "analyze")
     return analyze_run(
         run, scheme=scheme, request=request, pool=pool, deadline=deadline
     )
@@ -347,10 +327,6 @@ def run_experiment(
     journal: Optional[CheckpointJournal] = None,
     pool=None,
     deadline=None,
-    jobs=_UNSET,
-    timeout=_UNSET,
-    max_retries=_UNSET,
-    verify_archive=_UNSET,
 ) -> str:
     """Regenerate one paper artifact by name; returns its rendered text.
 
@@ -371,25 +347,13 @@ def run_experiment(
 
     ``pool`` lends every analysis phase of the experiment an externally
     owned warm :class:`SupervisedPool`, as in :func:`analyze`.
-
-    The loose ``jobs=``/``timeout=``/``max_retries=``/``verify_archive=``
-    keywords are deprecated; they warn and are folded into a request.
     """
     runner = EXPERIMENTS.get(name)
     if runner is None:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ExperimentError(f"unknown experiment {name!r}; choose from: {known}")
-    legacy = {
-        name_: value
-        for name_, value in (
-            ("jobs", jobs),
-            ("timeout", timeout),
-            ("max_retries", max_retries),
-            ("verify_archive", verify_archive),
-        )
-        if value is not _UNSET
-    }
-    request = resolve_request(request, legacy, "run_experiment")
+    if request is None:
+        request = AnalysisRequest()
     if seed is None:
         seed = DEFAULT_SEEDS[name]
     if deadline is None and request.deadline_s is not None:

@@ -15,7 +15,6 @@ corresponding benchmark.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -226,11 +225,10 @@ class MetaTraceOutcome:
 
 
 def run_metatrace_experiment(
-    which: Optional[int] = None,
-    seed: int = 11,
-    coupling_intervals: Optional[int] = None,
     *,
     figure: Optional[int] = None,
+    seed: int = 11,
+    coupling_intervals: Optional[int] = None,
     request: Optional[AnalysisRequest] = None,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
@@ -241,40 +239,24 @@ def run_metatrace_experiment(
 ) -> MetaTraceOutcome:
     """Run and analyze MetaTrace Experiment 1 (Figure 6) or 2 (Figure 7).
 
-    ``figure=`` is the canonical way to select the experiment (1 → the
-    three-metahost analysis of Figure 6, 2 → the one-metahost analysis of
-    Figure 7); the positional form ``run_metatrace_experiment(1)`` still
-    works but emits a :class:`DeprecationWarning`.  ``request=`` describes
+    ``figure=`` selects the experiment (1 → the three-metahost analysis of
+    Figure 6, 2 → the one-metahost analysis of Figure 7); every argument is
+    keyword-only.  ``request=`` describes
     the analysis (jobs, degraded, timeline, archive verification) as in
     :func:`repro.api.analyze`; the flat ``jobs``/``timeout``/
     ``max_retries``/``verify_archive`` keywords build an equivalent
     request when no request is given.
     """
-    if figure is not None:
-        if which is not None:
-            raise ExperimentError(
-                "pass either figure= or the deprecated positional experiment "
-                "number, not both"
-            )
-        which = figure
-    elif which is None:
+    if figure is None:
         raise ExperimentError("run_metatrace_experiment requires figure=1 or figure=2")
-    else:
-        warnings.warn(
-            "passing the experiment number positionally "
-            "(run_metatrace_experiment(1)) is deprecated; use the figure= "
-            "keyword (run_metatrace_experiment(figure=1))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if which == 1:
+    if figure == 1:
         metacomputer, placement, config = experiment1()
         label = "Experiment 1 (three metahosts)"
-    elif which == 2:
+    elif figure == 2:
         metacomputer, placement, config = experiment2()
         label = "Experiment 2 (one metahost)"
     else:
-        raise ExperimentError(f"no experiment {which}; Table 3 defines 1 and 2")
+        raise ExperimentError(f"no experiment {figure}; Table 3 defines 1 and 2")
     if coupling_intervals is not None:
         from dataclasses import replace
 
@@ -291,7 +273,7 @@ def run_metatrace_experiment(
             verify_archive=verify_archive,
         )
     if request.verify_archive:
-        _verify_or_raise(f"figure{5 + which}", run)
+        _verify_or_raise(f"figure{5 + figure}", run)
     result = analyze(run, request, pool=pool, deadline=deadline)
     return MetaTraceOutcome(run=run, result=result, label=label)
 

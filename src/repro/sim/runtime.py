@@ -79,9 +79,7 @@ class RunResult:
             by_machine.setdefault(machine, []).append(rank)
         for machine in sorted(by_machine):
             if machine not in self.namespaces:
-                for rank in by_machine[machine]:
-                    shard.missing[rank] = "no archive reader for its metahost"
-                continue
+                continue  # no reader: neither a blob nor a ``missing`` reason
             snapshot = self.reader(machine).shard_snapshot(by_machine[machine])
             shard.blobs.update(snapshot.blobs)
             shard.missing.update(snapshot.missing)

@@ -376,9 +376,11 @@ class TraceShard:
     This is the unit of work shipped to a parallel analysis worker: plain
     bytes keyed by rank, detached from any mount namespace, so it crosses a
     ``multiprocessing`` boundary under both fork and spawn without dragging
-    the simulated file system along.  Ranks whose trace is absent are
-    recorded in ``missing`` with the same reason string the serial
-    degraded-mode analyzer uses.
+    the simulated file system along.  A rank whose trace file is absent
+    from its reader's archive is recorded in ``missing`` with the reason; a
+    rank in neither ``blobs`` nor ``missing`` had no reader at all.  Rank
+    admission (:func:`repro.analysis.streaming._admit_rank`) turns both
+    into the strict error or the degraded exclusion.
     """
 
     ranks: Tuple[int, ...]

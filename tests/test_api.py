@@ -103,15 +103,6 @@ class TestVerbs:
 
 
 class TestDeprecations:
-    def test_positional_experiment_number_warns(self):
-        from repro.experiments.figures import run_metatrace_experiment
-
-        with pytest.warns(DeprecationWarning, match="figure= keyword"):
-            with pytest.raises(ExperimentError):
-                # Invalid experiment number: warns on the calling style
-                # first, then rejects the value — no simulation runs.
-                run_metatrace_experiment(99)
-
     def test_figure_keyword_does_not_warn(self):
         from repro.experiments.figures import run_metatrace_experiment
 
@@ -123,7 +114,8 @@ class TestDeprecations:
     def test_both_forms_rejected(self):
         from repro.experiments.figures import run_metatrace_experiment
 
-        with pytest.raises(ExperimentError, match="not both"):
+        # The positional form is gone; it can no longer shadow figure=.
+        with pytest.raises(TypeError):
             run_metatrace_experiment(1, figure=1)
 
     def test_neither_form_rejected(self):

@@ -8,20 +8,33 @@ report bytes — in both strict and degraded mode.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import warnings
 
 import pytest
 
-from repro.analysis.parallel import plan_shards, resolve_jobs
+from repro.analysis.parallel import (
+    PartialAnalysis,
+    ShardTask,
+    analyze_shard,
+    merge_partials,
+    plan_shards,
+    resolve_jobs,
+)
 from repro.api import AnalysisRequest, analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.apps.metatrace import make_metatrace_app
+from repro.clocks.sync import HierarchicalInterpolation
 from repro.errors import AnalysisError, PartialTraceWarning
 from repro.experiments.configs import experiment1
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
 from repro.report import render_analysis
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.presets import uniform_metacomputer
+from repro.trace.archive import ArchiveWriter
+from repro.trace.encoding import encode_events
+from repro.trace.events import EventKind
 
 from tests.conftest import run_app
 
@@ -42,6 +55,27 @@ def assert_identical(serial, parallel):
     assert list(serial.timelines) == list(parallel.timelines)
     assert serial.completeness == parallel.completeness
     assert render_analysis(serial) == render_analysis(parallel)
+
+
+def assert_timelines_agree(serial, parallel):
+    """Same (metric, call path, rank, bin) keys; values to 1e-12 relative.
+
+    Bins are plain float sums — last-ulp order-dependent by contract — so
+    the values are compared approximately and only the keys exactly.
+    """
+    flat = [
+        {
+            (metric, cpid, rank, b): value
+            for metric, cells in result.severity_timeline._bins.items()
+            for (cpid, rank), cell in cells.items()
+            for b, value in cell.items()
+        }
+        for result in (serial, parallel)
+    ]
+    assert flat[0].keys() == flat[1].keys()
+    assert flat[0], "the run charged nothing to the timeline"
+    for key, value in flat[0].items():
+        assert flat[1][key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 class TestResolveJobs:
@@ -112,6 +146,84 @@ class TestStrictEquivalence:
     def test_jobs_one_uses_serial_path(self, small_run):
         assert_identical(analyze(small_run), analyze(small_run, AnalysisRequest(jobs=1)))
 
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
+    def test_timeline_matches_serial(self, small_run, jobs):
+        serial = analyze(small_run, AnalysisRequest(timeline=True))
+        parallel = analyze(small_run, AnalysisRequest(timeline=True, jobs=jobs))
+        assert_identical(serial, parallel)
+        assert_timelines_agree(serial, parallel)
+
+    def test_partial_carries_no_matching_state(self):
+        """Workers ship timelines, not matches: the merge does all matching."""
+        assert {f.name for f in dataclasses.fields(PartialAnalysis)} == {
+            "index",
+            "ranks",
+            "callpaths",
+            "timelines",
+            "trace_bytes",
+            "completeness",
+            "warnings",
+        }
+
+    def test_pickled_partials_merge_to_serial(self, small_run):
+        definitions = small_run.definitions
+        scheme = HierarchicalInterpolation()
+        converters = scheme.convert_all(small_run.reader(0).sync_data()).converters
+        ranks = sorted(definitions.locations)
+        shards = plan_shards(ranks, {r: definitions.machine_of(r) for r in ranks}, 3)
+        partials = [
+            pickle.loads(
+                pickle.dumps(
+                    analyze_shard(
+                        ShardTask(
+                            index=index,
+                            ranks=shard,
+                            degraded=False,
+                            definitions=definitions,
+                            converters=converters,
+                            traces=small_run.trace_shard(shard),
+                        )
+                    )
+                )
+            )
+            for index, shard in enumerate(shards)
+        ]
+        merged = merge_partials(partials[::-1], definitions, scheme.name, False)
+        assert_identical(analyze(small_run), merged)
+
+    @pytest.fixture(scope="class")
+    def starved_run(self):
+        """The small run with the first SEND 3->4 and the first SEND 6->7 lost.
+
+        Two starved receives: rank 4's crosses every shard cut at jobs >= 2,
+        rank 7's is shard-local at jobs 2 and 4.  The serial replay names the
+        first one in replay order (rank 4); so must every ``jobs`` value.
+        """
+        mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
+        work = {r: 0.005 * (1 + r % 3) for r in range(8)}
+        run = run_app(mc, 8, make_imbalance_app(work, iterations=3), seed=5)
+        for sender, dest in ((3, 4), (6, 7)):
+            machine = run.definitions.machine_of(sender)
+            events = run.reader(machine).read_trace(sender)
+            lost = next(
+                i
+                for i, event in enumerate(events)
+                if event.kind == EventKind.SEND and event.dest == dest
+            )
+            del events[lost]
+            ArchiveWriter(run.namespaces[machine], run.archive_path).write_trace_blob(
+                sender, encode_events(sender, events)
+            )
+        return run
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
+    def test_strict_names_the_serial_starved_receive(self, starved_run, jobs):
+        with pytest.raises(AnalysisError) as caught:
+            analyze(starved_run, AnalysisRequest(jobs=jobs))
+        assert str(caught.value) == (
+            "rank 4: RECV from 3 (tag 3, comm 0) has no matching SEND"
+        )
+
 
 @pytest.mark.slow
 class TestGoldenFigure6:
@@ -158,6 +270,17 @@ class TestDegradedEquivalence:
         parallel, parallel_warnings = self._analyze_with_warnings(damaged_run, jobs)
         assert_identical(serial, parallel)
         assert serial.excluded_ranks == parallel.excluded_ranks
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
+    def test_degraded_timeline_matches_serial(self, damaged_run, jobs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialTraceWarning)
+            serial = analyze(damaged_run, AnalysisRequest(degraded=True, timeline=True))
+            parallel = analyze(
+                damaged_run, AnalysisRequest(degraded=True, timeline=True, jobs=jobs)
+            )
+        assert serial.excluded_ranks and serial.excluded_ranks == parallel.excluded_ranks
+        assert_timelines_agree(serial, parallel)
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_worker_warnings_reach_parent(self, damaged_run, jobs):

@@ -16,7 +16,7 @@ Three contracts under test:
   conserve the cube's totals, without perturbing the aggregate result.
 
 Plus unit coverage of :class:`AnalysisRequest` (validation, canonical
-config form, the deprecated-keyword shim).
+config form, the removed legacy keywords).
 """
 
 from __future__ import annotations
@@ -486,60 +486,19 @@ class TestAnalysisRequest:
 
 
 class TestDeprecatedKwargShim:
-    def test_analyze_run_legacy_kwargs_warn(self, small_run):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"analyze_run: keyword arguments jobs= are deprecated",
-        ):
-            legacy = analyze_run(small_run, jobs=1)
-        assert legacy.cube.data == analyze_run(
-            small_run, request=AnalysisRequest(jobs=1)
-        ).cube.data
-
-    def test_analyze_run_rejects_both_forms(self, small_run):
-        with pytest.raises(AnalysisError, match="not both"):
-            analyze_run(small_run, request=AnalysisRequest(), jobs=2)
-
-    def test_api_analyze_legacy_kwargs_warn(self, small_run):
+    def test_removed_keywords_are_type_errors(self, small_run):
+        """The one-release shims are gone: a legacy keyword is a TypeError."""
         import repro.api as api
+        from repro.experiments.figures import run_metatrace_experiment
 
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"analyze: keyword arguments degraded=, jobs= are deprecated",
-        ):
-            api.analyze(small_run, degraded=False, jobs=1)
-
-    def test_api_run_experiment_legacy_kwargs_warn(self, monkeypatch):
-        import repro.api as api
-
-        calls = {}
-
-        def stub(seed, jobs, **opts):
-            calls["seed"], calls["jobs"] = seed, jobs
-            calls.update(opts)
-            return "stub-report"
-
-        monkeypatch.setitem(api.EXPERIMENTS, "stub", stub)
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"run_experiment: keyword arguments jobs=, timeout= are",
-        ):
-            text = api.run_experiment("stub", seed=0, jobs=3, timeout=9.0)
-        assert text == "stub-report"
-        assert calls["jobs"] == 3 and calls["timeout"] == 9.0
-        # Request form runs warning-free and carries the same values.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.run_experiment(
-                "stub", AnalysisRequest(jobs=3, timeout=9.0), seed=0
-            )
-
-    def test_api_run_experiment_rejects_both_forms(self, monkeypatch):
-        import repro.api as api
-
-        monkeypatch.setitem(api.EXPERIMENTS, "stub", lambda *a, **k: "x")
-        with pytest.raises(AnalysisError, match="not both"):
-            api.run_experiment("stub", AnalysisRequest(), seed=0, jobs=2)
+        with pytest.raises(TypeError):
+            analyze_run(small_run, jobs=1)
+        with pytest.raises(TypeError):
+            api.analyze(small_run, degraded=False)
+        with pytest.raises(TypeError):
+            api.run_experiment("table3", seed=0, verify_archive=True)
+        with pytest.raises(TypeError):
+            run_metatrace_experiment(1)
 
     def test_request_form_is_warning_free(self, small_run):
         with warnings.catch_warnings():
