@@ -98,6 +98,20 @@ class CallPathRegistry:
     def all_paths(self) -> List[CallPath]:
         return list(self._paths)
 
+    def absorb(self, other: "CallPathRegistry") -> List[int]:
+        """Intern every path of *other*, in its creation order.
+
+        Returns the renumbering: element ``cpid`` is the id here of
+        *other*'s path ``cpid``.  Absorbing rank-local (or shard-local)
+        registries in ascending rank order reproduces the first-encounter
+        numbering of one registry shared by all ranks.
+        """
+        remap: List[int] = []
+        for path in other._paths:
+            parent = ROOT_PATH if path.parent == ROOT_PATH else remap[path.parent]
+            remap.append(self.intern(parent, path.region))
+        return remap
+
 
 class CallPathBuilder:
     """Per-process stack walker producing cpids as events stream by."""

@@ -9,13 +9,15 @@ execution model with ``multiprocessing`` workers:
   metahost boundaries where possible (:func:`plan_shards`);
 * each worker receives a picklable :class:`ShardTask` — raw trace blobs,
   the definitions document, and the clock converters for its shard — and
-  performs the *local* phase: admit each rank, decode its trace, build its
-  synchronized timeline over a shard-local call-path registry;
+  performs the *local* phase: admit each rank and build its op tables
+  (:func:`repro.analysis.optable.build_rank_tables`) over a shard-local
+  call-path registry;
 * the worker returns a picklable :class:`PartialAnalysis` holding exactly
-  that — timelines, call paths, completeness, captured warnings;
+  that — timelines whose ops are numpy columns, call paths, completeness,
+  captured warnings;
 * the merge (:func:`merge_partials`) renumbers shard-local call paths into
-  one registry and feeds every merged timeline's completed operations,
-  rank by rank, through the streaming replay core
+  one registry and feeds every merged timeline's op table, rank by rank,
+  through the streaming replay core
   (:mod:`repro.analysis.streaming`): the one matcher and pattern evaluator
   outside the buffered reference.  This module contains neither.
 
@@ -37,8 +39,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
-from repro.analysis.instances import ProcessTimeline, build_timeline, remap_timeline
+from repro.analysis.callpath import CallPathRegistry
+from repro.analysis.instances import ProcessTimeline, remap_timeline
+from repro.analysis.optable import build_rank_tables
 from repro.analysis.replay import AnalysisResult, RankCompleteness
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.analysis.streaming import _admit_rank, _StreamState
@@ -134,7 +137,7 @@ class PartialAnalysis:
 
 
 def analyze_shard(task: ShardTask) -> PartialAnalysis:
-    """The worker: admit each rank, decode it, build its timeline.
+    """The worker: admit each rank and build its op tables.
 
     Runs in a subprocess; every warning is captured and carried back in the
     :class:`PartialAnalysis` so the parent can re-emit it (subprocess
@@ -143,11 +146,11 @@ def analyze_shard(task: ShardTask) -> PartialAnalysis:
     partial = PartialAnalysis(index=task.index, ranks=task.ranks)
     definitions = task.definitions
 
-    def build(rank: int, events, converter: LinearConverter) -> ProcessTimeline:
-        return build_timeline(
+    def build(rank: int, blob: bytes, converter: LinearConverter) -> ProcessTimeline:
+        return build_rank_tables(
             rank,
             definitions.locations[rank],
-            events,
+            blob,
             converter,
             partial.callpaths,
             definitions.regions,
@@ -182,9 +185,9 @@ def merge_partials(
     """Combine shard results into one analysis through the streaming core.
 
     Call paths are renumbered in first-encounter-by-rank order, then every
-    merged timeline's completed MPI operations and fork-join regions are
-    fed, whole rank after whole rank, through the same sinks the serial
-    pump drives slice by slice.  A whole-rank feed is one more pump order,
+    merged timeline's op and fork-join tables are fed, whole rank after
+    whole rank, through the same ``feed`` the serial pump drives quantum by
+    quantum.  A whole-rank feed is one more pump order,
     and the core's output does not depend on pump order, so the result —
     and the rendered output — is bit-identical to ``jobs=1``.
 
@@ -205,9 +208,7 @@ def merge_partials(
     trace_bytes: Dict[int, int] = {}
     completeness: Dict[int, RankCompleteness] = {}
     for partial in partials:
-        remap = {ROOT_PATH: ROOT_PATH}
-        for path in partial.callpaths.all_paths():
-            remap[path.cpid] = callpaths.intern(remap[path.parent], path.region)
+        remap = callpaths.absorb(partial.callpaths)
         for rank in sorted(partial.timelines):
             shard_timeline = partial.timelines[rank]
             remap_timeline(shard_timeline, remap)
@@ -216,13 +217,8 @@ def merge_partials(
         completeness.update(sorted(partial.completeness.items()))
 
     state = _StreamState(definitions, set(timelines), degraded, timeline)
-    for rank, process in timelines.items():
-        on_op = state.make_op_sink(rank, process.location)
-        on_omp = state.make_omp_sink(rank)
-        for op in process.mpi_ops:
-            on_op(op)
-        for omp in process.omp_regions:
-            on_omp(omp)
+    for process in timelines.values():
+        state.attach(process)(0, len(process.mpi_ops))
     state.finish_stream()
     return state.result(
         state.cube, callpaths, timelines, trace_bytes, completeness, scheme_name
@@ -286,21 +282,6 @@ class ParallelReplayAnalyzer:
         converters: Dict[NodeId, Optional[LinearConverter]],
     ) -> ShardTask:
         """Collect one shard's blobs through its ranks' own metahost readers."""
-        shard = TraceShard(ranks=ranks)
-        by_machine: Dict[int, List[int]] = {}
-        for rank in ranks:
-            by_machine.setdefault(definitions.machine_of(rank), []).append(rank)
-        for machine in sorted(by_machine):
-            machine_ranks = by_machine[machine]
-            reader = self.readers.get(machine)
-            if reader is None:
-                # Neither a blob nor a ``missing`` reason: admission reads
-                # that as "no reader on this rank's metahost".
-                continue
-            snapshot = reader.shard_snapshot(machine_ranks)
-            shard.blobs.update(snapshot.blobs)
-            shard.missing.update(snapshot.missing)
-            shard.manifests.update(snapshot.manifests)
         shard_converters = {
             node: converters.get(node)
             for node in sorted({node_of(definitions.locations[rank]) for rank in ranks})
@@ -311,7 +292,7 @@ class ParallelReplayAnalyzer:
             degraded=self.degraded,
             definitions=definitions,
             converters=shard_converters,
-            traces=shard,
+            traces=TraceShard.gather(ranks, definitions, self.readers),
         )
 
     # -- execution -------------------------------------------------------------

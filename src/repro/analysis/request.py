@@ -44,12 +44,15 @@ class AnalysisRequest:
     window_s / stride_s:
         Rolling-window width and bin stride of the timeline, in seconds.
     bounded:
-        Bounded-memory streaming: drop per-op retention so memory stays
-        O(open window) instead of O(trace).  The severity cube and every
-        aggregate are bit-identical either way; only
-        ``result.timelines[r].mpi_ops``/``omp_regions`` come back empty
-        (so the per-rank Gantt rendering needs ``bounded=False``).
-        Serial path only; sharded workers always retain.
+        Bounded-memory streaming: drop the per-rank op tables once the
+        replay has consumed them, so the result holds nothing O(trace).
+        The severity cube and every aggregate are bit-identical either
+        way; only ``result.timelines[r].mpi_ops``/``omp_regions`` come
+        back empty (so the per-rank Gantt rendering needs
+        ``bounded=False``).  A retained result keeps those as lazy
+        sequences over numpy columns — a few dozen bytes per operation,
+        objects made on read.  Serial path only; sharded workers always
+        retain.
     deadline_s:
         End-to-end wall-clock budget for the whole analysis.  Unlike
         ``timeout`` (which bounds one shard attempt), the deadline bounds

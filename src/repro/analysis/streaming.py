@@ -6,28 +6,34 @@ reference the tests and the benchmark compare against — materializes
 every rank's MPI-op instances, then matches, then searches patterns: three
 walks whose working set is O(trace).  This module is the other one, and
 the only matcher and pattern evaluator the package runs: the serial
-analyzer below pumps it slice by slice, and the parallel merge
+analyzer below pumps it quantum by quantum, and the parallel merge
 (:func:`repro.analysis.parallel.merge_partials`) feeds the same
-:class:`_StreamState` whole rank after whole rank.  It restructures the
-replay into one pass: a **quantum-scheduled pump** cuts every rank's streaming
-decoder into slices of :data:`_SLICE_RECORDS` events, keeps one pending
-slice per rank in a heap keyed by the slice's first synchronized stamp,
-and hands the earliest slice whole to that rank's
-:class:`~repro.analysis.instances.TimelineBuilder` (one tight
-``feed_many`` loop per slice, no per-event scheduling).  Completed ops
-feed an **incremental** matcher; matched pairs and completed collective
-instances flow straight into the pattern search and the severity
-accumulators.  Memory is bounded by the *matching window* — in-flight
-sends/receives and open collectives, at most one slice per rank wider
-than a strictly time-ordered pump's — plus the raw trace blobs, never by
-the number of events.
+:class:`_StreamState` whole rank after whole rank.
 
-The pump guarantees two orders and no third: each rank's events arrive in
+The replay has two phases.  The **local phase** is a pure function of one
+trace file: during admission every rank's blob becomes op tables — numpy
+columns built by array passes, no object per event
+(:mod:`repro.analysis.optable`).  The **pump** then keeps one cursor per
+rank in a heap keyed by the next op's synchronized enter stamp, takes the
+earliest rank's next :data:`_QUANTUM_OPS` completed ops, materializes them
+from the columns as transient :class:`MPIOpInstance` objects and hands them
+to an **incremental** matcher; matched pairs and completed collective
+instances flow straight into the pattern search and the severity
+accumulators.  An op object lives until its matching window closes, so the
+objects alive at any moment are the *matching window* — in-flight
+sends/receives and open collectives, at most one quantum per rank wider
+than a strictly time-ordered pump's — never the trace.  What a retained
+result keeps is the tables (``ProcessTimeline.mpi_ops`` is a lazy sequence
+over them); a bounded one drops them.  The cyclic garbage collector, which
+used to walk several hundred thousand retained op and record objects on
+every generation-2 pass, finds almost nothing to walk.
+
+The pump guarantees two orders and no third: each rank's ops arrive in
 **trace order**, and each receiver's matched pairs are released in
-**receive trace order**.  Ranks interleave only roughly by time (slice
+**receive trace order**.  Ranks interleave only roughly by time (quantum
 granularity), and nothing below depends on how: the replay needs local
 order plus message matching, never a global event order.  The one
-slice-order-dependent output is the ``SeverityTimeline``'s bins, plain
+pump-order-dependent output is the ``SeverityTimeline``'s bins, plain
 float sums already documented as last-ulp order-dependent diagnostics.
 
 Bit-identity with the buffered analyzer (strict and degraded, every
@@ -36,8 +42,9 @@ Bit-identity with the buffered analyzer (strict and degraded, every
 * the severity cube and grid breakdown are **exact and order-free**
   (Shewchuk expansions, :mod:`repro.analysis.severity`), so pattern hits
   may arrive in pump order instead of receiver-major order — and the
-  structural MPI-time metrics, one exact sum per ``(rank, call path)``,
-  are installed into their cells at finalize;
+  structural MPI-time metrics, one exact sum per ``(rank, call path)``
+  taken from the duration column, are installed into their cells at
+  finalize;
 * the only *stateful* pattern (Wrong Order, keyed per receiver and
   communicator) sees pairs through a per-receiver reorder buffer that
   releases them in receive trace order — exactly the serial feed order
@@ -54,6 +61,11 @@ identically, so stamp lists stay comparable across paths.  Because no
 output depends on how ranks interleave, the merge's whole-rank feed is
 just one more pump order — which is all that keeps ``jobs=N`` identical
 to ``jobs=1``.
+
+A deadline cuts the pump, not the local phase: an interrupted result's
+timelines describe whole traces (and so does the TIME metric, which is
+local), while every metric the pump feeds covers the consumed prefix and
+``RankCompleteness`` says how many events that was.
 """
 
 from __future__ import annotations
@@ -61,14 +73,14 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from heapq import heapify, heappop, heapreplace
-from itertools import islice
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
+import numpy as np
+
+from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import (
     MPIOpInstance,
     ProcessTimeline,
-    TimelineBuilder,
     remap_timeline,
     total_time_of,
 )
@@ -96,12 +108,13 @@ from repro.analysis.patterns.grid import (
     accumulate_collective,
     accumulate_p2p,
 )
+from repro.analysis.optable import OpTable, build_rank_tables
 from repro.analysis.replay import (
     AnalysisResult,
     RankCompleteness,
     ReplayTraffic,
 )
-from repro.analysis.severity import Partials, SeverityCube, grow_expansion
+from repro.analysis.severity import SeverityCube
 from repro.analysis.severity_timeline import (
     SeverityTimeline,
     record_collective_hits,
@@ -124,13 +137,12 @@ from repro.trace.encoding import iter_events
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
 ChannelKey = Tuple[int, int, int, int]
 
-#: Events per pump slice: the scheduling quantum, and the deadline's poll
-#: interval.  Large enough that heap traffic and the per-slice call vanish
-#: next to the builder loop; small enough that the in-flight matching
-#: window stays a sliver of a short trace — the decoder's own 1024-record
-#: chunk is too coarse (bounded peak 0.84x of retained on the 300-iteration
-#: memory-contract trace, against a 0.8x contract; at 64 it is 0.64x).
-_SLICE_RECORDS = 64
+#: Completed MPI ops per pump step: the scheduling quantum, and the
+#: deadline's poll interval.  Large enough that heap traffic and the
+#: per-quantum column slicing vanish next to matching; small enough that the
+#: in-flight matching window — and the op objects alive at once — stay a
+#: sliver of a short trace.
+_QUANTUM_OPS = 32
 
 #: Structural metrics an MPI op's duration is charged to, by region class.
 _BASE_METRICS = {
@@ -214,10 +226,12 @@ def _admit_rank(
     admission scans (``count_only``) instead of decoding, so a damaged
     multi-gigabyte prefix costs O(1) memory.
 
-    *build*, when given, is called as ``build(rank, events, converter)`` on
-    the admitted rank's event stream; an :class:`AnalysisError` out of it is
-    the last exclusion reason (damage that decodes as valid records but is
-    structurally inconsistent).  Returns ``(blob, converter, built)``.
+    *build*, when given, is called as ``build(rank, blob, converter)`` on
+    the admitted rank — the local phase,
+    :func:`~repro.analysis.optable.build_rank_tables`; an
+    :class:`AnalysisError` out of it is the last exclusion reason (damage
+    that decodes as valid records but is structurally inconsistent).
+    Returns ``(blob, converter, built)``.
     """
     location = definitions.locations[rank]
 
@@ -277,7 +291,7 @@ def _admit_rank(
             events=scanned.event_count,
             analyzed=True,
         )
-    file_rank, events = iter_events(blob)
+    file_rank, _ = iter_events(blob)
     if file_rank != rank:
         raise ArchiveError(
             f"trace file {trace_filename(rank)} claims rank {file_rank}"
@@ -296,7 +310,7 @@ def _admit_rank(
     built = None
     if build is not None:
         try:
-            built = build(rank, events, converter)
+            built = build(rank, blob, converter)
         except AnalysisError as exc:
             if not degraded:
                 raise
@@ -313,18 +327,18 @@ class StreamingReplayAnalyzer:
     (readers keyed by machine, optional scheme, degraded flag) plus:
 
     ``retain=False``
-        bounded-memory mode — completed op instances are consumed by the
-        pipeline and dropped instead of being appended to
-        ``timelines[rank].mpi_ops``.  Aggregates are unaffected.
+        bounded-memory mode — the op tables are dropped once the pump has
+        consumed them, and ``timelines[rank].mpi_ops`` / ``omp_regions``
+        come back empty.  Aggregates are unaffected.
     ``timeline``
         a :class:`~repro.analysis.severity_timeline.SeverityTimeline` to
         accumulate time-resolved severity into (None: skip).
     ``deadline``
         a :class:`~repro.resilience.deadline.Deadline` polled
-        cooperatively after every pump slice (:data:`_SLICE_RECORDS`
-        events).  On expiry (or cancellation) the pump stops, stragglers
-        settle degraded-style, and the result carries the severity
-        accumulated so far with honest per-rank completeness and
+        cooperatively after every pump quantum (:data:`_QUANTUM_OPS`
+        completed ops).  On expiry (or cancellation) the pump stops,
+        stragglers settle degraded-style, and the result carries the
+        severity accumulated so far with honest per-rank completeness and
         ``result.interrupted`` set — never a hang, never a crash.
     """
 
@@ -357,25 +371,23 @@ class StreamingReplayAnalyzer:
         synchronized = self.scheme.convert_all(sync_data)
         degraded = self.degraded
         regions = definitions.regions
+        local_registries: Dict[int, CallPathRegistry] = {}
 
-        def dry_run(rank: int, events, converter: LinearConverter) -> None:
-            # The pump feeds the shared matcher incrementally, so a
-            # mid-stream build failure (damage that decodes as valid records
-            # but is structurally inconsistent) would poison state already
-            # accumulated for other ranks.  Walking the rank once up front
-            # keeps the pump infallible in degraded mode; the events are
-            # discarded as they stream by.
-            builder = TimelineBuilder(
-                rank, None, converter, CallPathRegistry(), regions, retain=False
+        def build(rank: int, blob: bytes, converter: LinearConverter) -> ProcessTimeline:
+            # The whole local phase, per rank, over a rank-local call-path
+            # registry.  It runs here, before the pump feeds the shared
+            # matcher, so a structurally inconsistent rank is excluded (or,
+            # strict, raises) with nothing accumulated for it.
+            local_registries[rank] = local = CallPathRegistry()
+            return build_rank_tables(
+                rank, definitions.locations[rank], blob, converter, local, regions
             )
-            builder.feed_many(events)
-            builder.finish()
 
         # Prepass: admit each rank, ascending, through its own metahost's
-        # reader and collect the admitted ranks' blobs and converters.
+        # reader and run the admitted ranks' local phase.
         completeness: Dict[int, RankCompleteness] = {}
-        blobs: Dict[int, bytes] = {}
-        converters: Dict[int, LinearConverter] = {}
+        trace_bytes: Dict[int, int] = {}
+        timelines: Dict[int, ProcessTimeline] = {}
         for rank in sorted(definitions.locations):
             reader = self.readers.get(definitions.machine_of(rank))
             admitted = _admit_rank(
@@ -385,66 +397,45 @@ class StreamingReplayAnalyzer:
                 synchronized.converters,
                 degraded,
                 completeness,
-                build=dry_run if degraded else None,
+                build,
             )
             if admitted is not None:
-                blobs[rank], converters[rank], _ = admitted
+                blob, _, timelines[rank] = admitted
+                trace_bytes[rank] = len(blob)
 
-        analyzed = sorted(blobs)
         state = _StreamState(
             definitions=definitions,
-            analyzed=set(analyzed),
+            analyzed=set(timelines),
             degraded=degraded,
             timeline=self.timeline,
         )
 
-        # Per-rank builders with per-rank (local) call-path registries;
-        # completed ops flow into the shared incremental matcher.
-        builders: Dict[int, TimelineBuilder] = {}
-        local_registries: Dict[int, CallPathRegistry] = {}
-        for rank in analyzed:
-            location = definitions.locations[rank]
-            local = CallPathRegistry()
-            local_registries[rank] = local
-            builder = TimelineBuilder(
+        # The pump: a heap holding each admitted rank's next op index, keyed
+        # by that op's synchronized enter stamp.  (stamp, rank) is unique —
+        # one cursor per rank — so heapq never compares further.
+        feeds = {rank: state.attach(timeline) for rank, timeline in timelines.items()}
+        heap = [
+            (
+                float(timeline.mpi_ops.enter[0]) if len(timeline.mpi_ops)
+                else timeline.first_time,
                 rank,
-                location,
-                converters[rank],
-                local,
-                regions,
-                retain=self.retain,
+                0,
             )
-            builder.on_op = state.make_op_sink(rank, location)
-            builder.on_omp = state.make_omp_sink(rank)
-            builders[rank] = builder
-
-        # The pump: a heap holding each admitted rank's next slice, keyed by
-        # the slice's first synchronized stamp.  (stamp, rank) is unique —
-        # one pending slice per rank — so heapq never compares slices.
-        streams = {rank: iter_events(blobs[rank])[1] for rank in analyzed}
-
-        def next_slice(rank: int) -> Optional[Tuple[float, int, list]]:
-            events = list(islice(streams[rank], _SLICE_RECORDS))
-            if not events:
-                return None
-            converter = converters[rank]
-            stamp = events[0].time * converter.slope + converter.intercept
-            return (stamp, rank, events)
-
-        heap = [entry for entry in map(next_slice, analyzed) if entry is not None]
+            for rank, timeline in timelines.items()
+        ]
         heapify(heap)
         deadline = self.deadline
-        pumped: Dict[int, int] = dict.fromkeys(analyzed, 0)
+        pumped: Dict[int, int] = dict.fromkeys(timelines, 0)
         interrupted: Optional[str] = None
         while heap and interrupted is None:
-            _, rank, events = heap[0]
-            builders[rank].feed_many(events)
-            pumped[rank] += len(events)
-            following = next_slice(rank)
-            if following is None:
+            _, rank, lo = heap[0]
+            ops = timelines[rank].mpi_ops
+            hi = min(lo + _QUANTUM_OPS, len(ops))
+            pumped[rank] = feeds[rank](lo, hi)
+            if hi == len(ops):
                 heappop(heap)
             else:
-                heapreplace(heap, following)
+                heapreplace(heap, (float(ops.enter[hi]), rank, hi))
             if deadline is not None:
                 interrupted = deadline.reason()
 
@@ -452,22 +443,18 @@ class StreamingReplayAnalyzer:
 
         if interrupted is not None:
             completeness = self._interrupted_completeness(
-                interrupted, analyzed, pumped, blobs, completeness
+                interrupted, timelines, pumped, completeness
             )
 
-        # Finalize timelines and renumber call paths rank-major — the
-        # buffered analyzer's first-encounter order, exactly.
-        timelines: Dict[int, ProcessTimeline] = {}
+        # Renumber call paths rank-major — the buffered analyzer's
+        # first-encounter order, exactly.
         callpaths = CallPathRegistry()
-        mapping: Dict[int, Dict[int, int]] = {}
-        for rank in analyzed:
-            timeline = builders[rank].finish(force=interrupted is not None)
-            remap = {ROOT_PATH: ROOT_PATH}
-            for path in local_registries[rank].all_paths():
-                remap[path.cpid] = callpaths.intern(remap[path.parent], path.region)
-            remap_timeline(timeline, remap)
-            timelines[rank] = timeline
-            mapping[rank] = remap
+        mapping: Dict[int, List[int]] = {}
+        for rank, timeline in timelines.items():
+            mapping[rank] = callpaths.absorb(local_registries[rank])
+            remap_timeline(timeline, mapping[rank])
+            if not self.retain:
+                timeline.mpi_ops, timeline.omp_regions = [], []
 
         if self.timeline is not None:
             self.timeline.remap_callpaths(mapping)
@@ -475,7 +462,7 @@ class StreamingReplayAnalyzer:
             state.cube.remap_callpaths(mapping),
             callpaths,
             timelines,
-            {rank: len(blobs[rank]) for rank in analyzed},
+            trace_bytes,
             completeness,
             self.scheme.name,
             interrupted,
@@ -484,39 +471,31 @@ class StreamingReplayAnalyzer:
     @staticmethod
     def _interrupted_completeness(
         reason: str,
-        analyzed: List[int],
+        timelines: Dict[int, ProcessTimeline],
         pumped: Dict[int, int],
-        blobs: Dict[int, bytes],
         completeness: Dict[int, RankCompleteness],
     ) -> Dict[int, RankCompleteness]:
         """Honest per-rank accounting for a deadline-cut pump.
 
-        Every analyzed rank reports the events it actually consumed and
-        the fraction of its trace that represents; the error string names
-        the budget so the partial result can never be mistaken for a
-        complete one.
+        Every analyzed rank reports the events the replay actually consumed
+        and the fraction of its trace that represents (the local phase
+        counted them, so nothing is decoded again after the budget is
+        gone); the error string names the budget so the partial result can
+        never be mistaken for a complete one.
         """
         out = dict(completeness)
-        for rank in analyzed:
-            consumed = pumped.get(rank, 0)
-            prior = completeness.get(rank)
-            total = prior.events if prior is not None and prior.events else None
-            if total is None:
-                try:
-                    _, events = iter_events(blobs[rank])
-                    total = sum(1 for _ in events)
-                except Exception:  # noqa: BLE001 - count is best-effort
-                    total = None
-            fraction = consumed / total if total else 0.0
+        for rank, timeline in timelines.items():
+            consumed = pumped[rank]
+            total = timeline.event_count
             out[rank] = RankCompleteness(
                 rank=rank,
                 complete=False,
-                completeness=min(fraction, 1.0),
+                completeness=consumed / total if total else 0.0,
                 events=consumed,
                 analyzed=True,
                 error=(
                     f"TimeBudgetExceeded: {reason} after {consumed} of "
-                    f"{total if total is not None else 'unknown'} event(s)"
+                    f"{total} event(s)"
                 ),
             )
         return out
@@ -544,10 +523,13 @@ class _StreamState:
         self._p2p_patterns = default_p2p_patterns()
         self._contribution_fns = [p.contributions for p in self._p2p_patterns]
         self._coll_patterns = default_collective_patterns()
-        #: rank → local cpid → (base metrics, exact sum of op durations).  A
-        #: call path fixes its region, hence its metrics, so one expansion
-        #: per call path serves every cell it is installed into.
-        self._base: Dict[int, Dict[int, Tuple[Tuple[str, ...], Partials]]] = {}
+        #: rank → its op table, and how many of its ops were fed: the
+        #: structural MPI-time metrics are summed per call path from the fed
+        #: column slice at finalize, not op by op.
+        self._ops: Dict[int, OpTable] = {}
+        self._fed: Dict[int, int] = {}
+        #: MPI region name → the structural metrics its duration is charged to.
+        self._base_metrics: Dict[str, Tuple[str, ...]] = {}
         self._nodes: Dict[int, object] = {}
         #: channel → FIFO of (send op, send record) awaiting their receive.
         self._send_queues: Dict[ChannelKey, Deque[tuple]] = {}
@@ -558,56 +540,77 @@ class _StreamState:
         self._groups: Dict[Tuple[int, int], _CollectiveGroup] = {}
         self._coll_counters: Dict[int, Dict[int, int]] = {}
         self._comm_order_cache: Dict[int, Optional[Tuple[int, ...]]] = {}
-        self._op_counts: Dict[int, int] = {}
 
-    # -- sinks -----------------------------------------------------------------
+    # -- feeding ---------------------------------------------------------------
 
-    def make_op_sink(self, rank: int, location) -> "callable":
+    def attach(self, process: ProcessTimeline) -> Callable[[int, int], int]:
+        """Register one admitted rank's tables; returns its ``feed(lo, hi)``.
+
+        ``feed`` materializes ops ``[lo, hi)`` from the columns — transient
+        objects that live until their matching window closes — runs them
+        and the fork-join records up to the same point in the trace through
+        the matcher and the patterns, and returns the number of the rank's
+        events consumed so far.  Calls must cover the ops in order; the
+        serial pump feeds a quantum at a time, the parallel merge a whole
+        rank.
+        """
+        rank = process.rank
+        location = process.location
+        ops = process.mpi_ops
+        omps = process.omp_regions
         self._nodes[rank] = node_of(location)
-        self._op_counts[rank] = 0
         self._releases[rank] = _ReceiverReleases()
         self._coll_counters[rank] = {}
-        self._base[rank] = base = {}
+        self._ops[rank] = ops
+        self._fed[rank] = 0
+        omp_fed = 0
 
-        def on_op(op: MPIOpInstance) -> None:
-            op_idx = self._op_counts[rank]
-            self._op_counts[rank] = op_idx + 1
-            self._base_metrics(base, op)
-            for send in op.sends:
-                self._on_send(rank, op, send)
-            for recv_idx, recv in enumerate(op.recvs):
-                self._on_recv(rank, op, recv, op_idx, recv_idx)
-            if op.coll is not None:
-                self._on_coll(rank, location, op)
-
-        return on_op
-
-    def make_omp_sink(self, rank: int) -> "callable":
-        def on_omp(record) -> None:
-            idle = record.idle_thread_seconds
-            if idle > 0.0:
-                self.cube.add(IDLE_THREADS, record.cpid, rank, idle)
+        def feed(lo: int, hi: int) -> int:
+            nonlocal omp_fed
+            op_idx = lo
+            for op in ops.span(lo, hi):
                 if self.timeline is not None:
-                    self.timeline.add(
-                        IDLE_THREADS, record.cpid, rank,
-                        record.enter, record.exit, idle,
-                    )
+                    self._timeline_base(op)
+                for send in op.sends:
+                    self._on_send(rank, op, send)
+                for recv_idx, recv in enumerate(op.recvs):
+                    self._on_recv(rank, op, recv, op_idx, recv_idx)
+                if op.coll is not None:
+                    self._on_coll(rank, location, op)
+                op_idx += 1
+            self._fed[rank] = hi
+            consumed = (
+                process.event_count if hi == len(ops) else int(ops.exit_event[hi - 1]) + 1
+            )
+            if omp_fed < len(omps):
+                upto = int(np.searchsorted(omps.event, consumed))
+                for record in omps.span(omp_fed, upto):
+                    self._on_fork_join(rank, record)
+                omp_fed = upto
+            return consumed
 
-        return on_omp
+        return feed
 
-    def _base_metrics(self, base: dict, op: MPIOpInstance) -> None:
-        duration = op.exit - op.enter
-        if duration <= 0.0:
-            return
-        entry = base.get(op.cpid)
-        if entry is None:
-            base[op.cpid] = entry = (_BASE_METRICS[classify_region(op.op_name)], [])
-        grow_expansion(entry[1], duration)
-        if self.timeline is not None:
-            for metric in entry[0]:
+    def _on_fork_join(self, rank: int, record) -> None:
+        idle = record.idle_thread_seconds
+        if idle > 0.0:
+            self.cube.add(IDLE_THREADS, record.cpid, rank, idle)
+            if self.timeline is not None:
                 self.timeline.add(
-                    metric, op.cpid, op.rank, op.enter, op.exit, duration
+                    IDLE_THREADS, record.cpid, rank, record.enter, record.exit, idle
                 )
+
+    def _metrics_of(self, op_name: str) -> Tuple[str, ...]:
+        metrics = self._base_metrics.get(op_name)
+        if metrics is None:
+            metrics = self._base_metrics[op_name] = _BASE_METRICS[classify_region(op_name)]
+        return metrics
+
+    def _timeline_base(self, op: MPIOpInstance) -> None:
+        duration = op.exit - op.enter
+        if duration > 0.0:
+            for metric in self._metrics_of(op.op_name):
+                self.timeline.add(metric, op.cpid, op.rank, op.enter, op.exit, duration)
 
     # -- point-to-point --------------------------------------------------------
 
@@ -796,9 +799,9 @@ class _StreamState:
             self._emit_collective(key[0], key[1], self._groups[key])
         self._groups.clear()
         add_expansion = self.cube.add_expansion
-        for rank, base in self._base.items():
-            for cpid, (metrics, partials) in base.items():
-                for metric in metrics:
+        for rank, ops in self._ops.items():
+            for cpid, region, partials in ops.base_cells(self._fed[rank]):
+                for metric in self._metrics_of(ops.names[region]):
                     add_expansion(metric, cpid, rank, partials)
 
     def result(

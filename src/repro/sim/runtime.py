@@ -71,19 +71,8 @@ class RunResult:
     def trace_shard(self, ranks: Sequence[int]) -> TraceShard:
         """Picklable trace snapshot for *ranks*, each read through the
         namespace of its own metahost (the parallel analyzer's work unit)."""
-        ranks = tuple(sorted(ranks))
-        shard = TraceShard(ranks=ranks)
-        by_machine: Dict[int, List[int]] = {}
-        for rank in ranks:
-            machine = self.definitions.machine_of(rank)
-            by_machine.setdefault(machine, []).append(rank)
-        for machine in sorted(by_machine):
-            if machine not in self.namespaces:
-                continue  # no reader: neither a blob nor a ``missing`` reason
-            snapshot = self.reader(machine).shard_snapshot(by_machine[machine])
-            shard.blobs.update(snapshot.blobs)
-            shard.missing.update(snapshot.missing)
-        return shard
+        readers = {machine: self.reader(machine) for machine in self.namespaces}
+        return TraceShard.gather(sorted(ranks), self.definitions, readers)
 
     @property
     def machines_used(self) -> List[int]:

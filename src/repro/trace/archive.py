@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.serialize import sync_data_from_dict, sync_data_to_dict
 from repro.clocks.sync import SyncData
@@ -389,6 +389,33 @@ class TraceShard:
     #: Manifest entries for the snapshotted ranks, when the archive has a
     #: manifest — workers use them for checksum-aware degraded salvage.
     manifests: Dict[int, TraceManifestEntry] = field(default_factory=dict)
+
+    @classmethod
+    def gather(
+        cls,
+        ranks: Sequence[int],
+        definitions: "Definitions",
+        readers: Mapping[int, "ArchiveReader"],
+    ) -> "TraceShard":
+        """Snapshot *ranks*, each through its own metahost's reader.
+
+        *readers* is keyed by machine; a rank whose machine has none ends up
+        in neither ``blobs`` nor ``missing``.  Blobs, absence reasons and
+        checksum manifests all travel — a shard without its manifests would
+        skip block verification in degraded admission.
+        """
+        shard = cls(ranks=tuple(ranks))
+        by_machine: Dict[int, List[int]] = {}
+        for rank in shard.ranks:
+            by_machine.setdefault(definitions.machine_of(rank), []).append(rank)
+        for machine in sorted(by_machine):
+            reader = readers.get(machine)
+            if reader is not None:
+                snapshot = reader.shard_snapshot(by_machine[machine])
+                shard.blobs.update(snapshot.blobs)
+                shard.missing.update(snapshot.missing)
+                shard.manifests.update(snapshot.manifests)
+        return shard
 
 
 class ArchiveWriter:

@@ -30,15 +30,22 @@ full event list, and batches runs of same-kind records — the common case,
 since tight loops emit long ENTER/EXIT/SEND trains — through a single
 :meth:`struct.Struct.iter_unpack` call over a :class:`memoryview` slice
 instead of one ``unpack_from`` per record.
+
+:func:`decode_columns` is the columnar decoder the replay's local phase
+reads: no event objects, one numpy array per kind, straight from the blob.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import EncodingError
 from repro.trace.events import (
@@ -104,17 +111,20 @@ def _factory(cls) -> Callable[[tuple], Event]:
     return lambda f, _new=tuple.__new__, _cls=cls: _new(_cls, f[1:])
 
 
+#: The record grammar: (kind, whole-record struct, event class).
+_RECORD_KINDS = (
+    (EventKind.ENTER, _ENTER_REC, EnterEvent),
+    (EventKind.EXIT, _EXIT_REC, ExitEvent),
+    (EventKind.SEND, _SEND_REC, SendEvent),
+    (EventKind.RECV, _RECV_REC, RecvEvent),
+    (EventKind.COLLEXIT, _COLLEXIT_REC, CollExitEvent),
+    (EventKind.OMPREGION, _OMPREGION_REC, OmpRegionEvent),
+)
+
 #: kind → (record stride, unpack_from, iter_unpack, record fields → event).
 _DECODERS: Dict[int, Tuple[int, Callable, Callable, Callable[[tuple], Event]]] = {
     int(kind): (rec.size, rec.unpack_from, rec.iter_unpack, _factory(cls))
-    for kind, rec, cls in (
-        (EventKind.ENTER, _ENTER_REC, EnterEvent),
-        (EventKind.EXIT, _EXIT_REC, ExitEvent),
-        (EventKind.SEND, _SEND_REC, SendEvent),
-        (EventKind.RECV, _RECV_REC, RecvEvent),
-        (EventKind.COLLEXIT, _COLLEXIT_REC, CollExitEvent),
-        (EventKind.OMPREGION, _OMPREGION_REC, OmpRegionEvent),
-    )
+    for kind, rec, cls in _RECORD_KINDS
 }
 
 
@@ -248,6 +258,90 @@ def decode_events(data: bytes) -> Tuple[int, List[Event]]:
     for chunk in _chunk_iter(data):
         extend(chunk)
     return rank, events
+
+
+class TraceColumns(NamedTuple):
+    """One trace file as arrays: what :func:`decode_columns` returns."""
+
+    rank: int
+    #: Record kind per event, in trace order.
+    kinds: np.ndarray
+    #: Local time stamp per event, in trace order.
+    times: np.ndarray
+    #: kind → that kind's records in trace order, one structured row each
+    #: (fields named as in the event class); every kind is present.
+    records: Dict[int, np.ndarray]
+
+
+#: struct format character → numpy scalar type (all little-endian).
+_NUMPY_TYPES = {"B": "u1", "d": "<f8", "i": "<i4", "I": "<u4", "Q": "<u8"}
+
+#: kind → packed structured dtype of one whole record (kind byte first).
+_RECORD_DTYPES: Dict[int, np.dtype] = {
+    int(kind): np.dtype(
+        [("kind", "u1")]
+        + [(name, _NUMPY_TYPES[code]) for name, code in zip(cls._fields, rec.format[2:])]
+    )
+    for kind, rec, cls in _RECORD_KINDS
+}
+
+#: kind byte → record stride, 0 for a byte that is no record kind.
+_STRIDES = [
+    _RECORD_DTYPES[kind].itemsize if kind in _RECORD_DTYPES else 0 for kind in range(256)
+]
+
+
+def _record_offsets(data: bytes) -> np.ndarray:
+    """Offset of every record's kind tag: the sequential walk of the grammar.
+
+    Record lengths depend on the kind, so this one pass cannot be an array
+    operation; everything after it is.  Raises exactly what the event
+    decoders raise on an unknown kind or a truncated final record.
+    """
+    strides = _STRIDES
+    size = len(data)
+    offset = _HEADER.size
+    offsets = array("q")
+    append = offsets.append
+    while offset < size:
+        stride = strides[data[offset]]
+        if not stride:
+            raise EncodingError(f"unknown record kind {data[offset]} at offset {offset}")
+        append(offset)
+        offset += stride
+    if offset > size:
+        last = offsets[-1]
+        raise EncodingError(
+            f"truncated {EventKind(data[last]).name} record at offset {last}"
+        )
+    return np.frombuffer(offsets, dtype=np.int64) if offsets else np.empty(0, np.int64)
+
+
+def decode_columns(data: bytes) -> TraceColumns:
+    """Parse a trace file into per-kind arrays, without event objects.
+
+    The strict decoders' columnar sibling: same header and grammar checks,
+    same :class:`~repro.errors.EncodingError` texts.  After the offset walk
+    each kind's records are gathered in one indexing operation through a
+    byte-window view of the blob and reinterpreted as structured rows, so
+    the cost per event is a few array elements, not a Python object.
+    """
+    rank = _check_header(data)
+    offsets = _record_offsets(data)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    kinds = raw[offsets]
+
+    def gather(where: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        if not len(where):  # also: a blob too short for one window
+            return np.empty(0, dtype)
+        return sliding_window_view(raw, dtype.itemsize)[where].view(dtype).ravel()
+
+    # Every record carries its stamp right after the kind tag.
+    times = gather(offsets + 1, np.dtype("<f8"))
+    records = {
+        kind: gather(offsets[kinds == kind], dtype) for kind, dtype in _RECORD_DTYPES.items()
+    }
+    return TraceColumns(rank, kinds, times, records)
 
 
 #: Target checksum-block size.  Small enough that a flipped byte condemns

@@ -1,12 +1,29 @@
-"""Tests for timeline construction from raw events."""
+"""Tests for timeline construction from raw events.
+
+Two builders, one result: the sequential :func:`build_timeline` (the
+definition, and the reference analyzer's local phase) and the columnar
+:func:`build_rank_tables` (what the streaming replay and the shard workers
+run).  The property tests at the bottom hold the second to the first.
+"""
+
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.callpath import CallPathRegistry
-from repro.analysis.instances import SendRecord, TimelineBuilder, build_timeline
+from repro.analysis.instances import (
+    MPIOpInstance,
+    OmpRegionRecord,
+    SendRecord,
+    build_timeline,
+)
+from repro.analysis.optable import build_rank_tables
 from repro.clocks.sync import LinearConverter
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReproError
 from repro.ids import Location
+from repro.trace.encoding import encode_events, iter_events
 from repro.trace.events import (
     CollExitEvent,
     EnterEvent,
@@ -168,23 +185,276 @@ class TestFeedMany:
 
     @pytest.mark.parametrize("run_length", [1, 3, 8])
     def test_any_cut_builds_the_same_timeline(self, regions, run_length):
+        """The op table equals the sequential timeline, and reading it in
+        runs of any length (the pump's quantum) makes the same ops."""
         events = _simple_trace(regions)
-        builder = TimelineBuilder(
-            0, Location(0, 0, 0), LinearConverter(1.0, 100.0),
-            CallPathRegistry(), regions,
-        )
-        completed = []
-        builder.on_op = completed.append
-        for start in range(0, len(events), run_length):
-            builder.feed_many(events[start:start + run_length])
-        builder.feed_many([])  # an empty run moves nothing
-        timeline = builder.finish()
-        whole = _build(events, regions, LinearConverter(1.0, 100.0))
+        converter = LinearConverter(1.0, 100.0)
+        whole = _build(events, regions, converter)
+        timeline = _tables(encode_events(0, events), regions, converter)
         assert timeline == whole
+        ops = timeline.mpi_ops
+        completed = []
+        for start in range(0, len(ops), run_length):
+            completed.extend(ops.span(start, min(start + run_length, len(ops))))
+        assert list(ops.span(0, 0)) == []  # an empty run makes nothing
         assert completed == whole.mpi_ops
         assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
             8, 100.0, 105.0,
         )
         # Records ride in immutable tuples; an op without any shares ().
-        assert whole.mpi_ops[0].sends == (SendRecord(101.1, 1, 0, 0, 64),)
-        assert whole.mpi_ops[0].recvs == ()
+        assert ops[0].sends == (SendRecord(101.1, 1, 0, 0, 64),)
+        assert ops[0].recvs == ()
+
+
+def _tables(blob, regions, converter=None, callpaths=None, rank=0):
+    return build_rank_tables(
+        rank,
+        Location(0, 0, rank),
+        blob,
+        converter or LinearConverter.identity(),
+        CallPathRegistry() if callpaths is None else callpaths,
+        regions,
+    )
+
+
+class TestLazySequences:
+    """``mpi_ops`` / ``omp_regions`` of a table-built timeline behave as the
+    lists they replaced; the objects exist only while being read."""
+
+    @pytest.fixture
+    def pair(self, regions):
+        main = regions.id_of("main")
+        solve = regions.id_of("solve")
+        events = [EnterEvent(0.0, main)]
+        for i in range(5):
+            events += _simple_trace(regions)[1:7]
+            events += [
+                EnterEvent(6.0 + i, solve),
+                OmpRegionEvent(6.5 + i, solve, 4, 1.5, 0.5),
+                ExitEvent(6.5 + i, solve),
+            ]
+        events.append(ExitEvent(20.0, main))
+        return _build(events, regions), _tables(encode_events(0, events), regions)
+
+    def test_sequence_protocol(self, pair):
+        listed, tabled = pair
+        for reference, lazy in (
+            (listed.mpi_ops, tabled.mpi_ops),
+            (listed.omp_regions, tabled.omp_regions),
+        ):
+            assert not isinstance(lazy, list)
+            assert len(lazy) == len(reference) > 0 and bool(lazy)
+            assert list(lazy) == reference
+            assert lazy == reference and reference == lazy
+            assert not (lazy == reference[:-1]) and lazy != reference[:-1]
+            assert lazy[0] == reference[0] and lazy[-1] == reference[-1]
+            assert lazy[1:4] == reference[1:4]
+            assert lazy[::-2] == reference[::-2]
+            assert lazy[-3:] == reference[-3:]
+            assert reference[2] in lazy
+            with pytest.raises(IndexError):
+                lazy[len(reference)]
+            with pytest.raises(IndexError):
+                lazy[-len(reference) - 1]
+        assert isinstance(tabled.mpi_ops[0], MPIOpInstance)
+        assert isinstance(tabled.omp_regions[0], OmpRegionRecord)
+
+    def test_sorted_and_fresh_objects(self, pair):
+        listed, tabled = pair
+        by_exit = sorted(tabled.mpi_ops, key=lambda op: -op.exit)
+        assert by_exit == sorted(listed.mpi_ops, key=lambda op: -op.exit)
+        # Made on read: two reads give equal but distinct objects, so
+        # mutating one cannot reach the table.
+        first, again = tabled.mpi_ops[0], tabled.mpi_ops[0]
+        assert first == again and first is not again
+        first.cpid = 99
+        assert tabled.mpi_ops[0].cpid == again.cpid
+
+    def test_pickle_round_trip(self, pair):
+        listed, tabled = pair
+        clone = pickle.loads(pickle.dumps(tabled))
+        assert clone == tabled == listed
+        assert clone.mpi_ops == listed.mpi_ops
+        assert clone.omp_regions == listed.omp_regions
+
+    def test_empty_tables(self, regions):
+        timeline = _tables(encode_events(0, []), regions)
+        assert timeline == _build([], regions)
+        assert timeline.mpi_ops == [] and not timeline.mpi_ops
+        assert list(timeline.omp_regions) == []
+
+
+# -- the property: table build == sequential build ------------------------------
+
+_REGION_NAMES = (
+    "main", "solve", "step", "MPI_Send", "MPI_Recv", "MPI_Barrier", "MPI_Sendrecv",
+)
+_MPI_IDS = tuple(i for i, name in enumerate(_REGION_NAMES) if name.startswith("MPI_"))
+
+
+def _property_regions():
+    return RegionRegistry.from_list(_REGION_NAMES)
+
+
+#: Clock steps: mostly forward, often zero, sometimes backwards (a local
+#: clock that a negative-slope or badly fitted converter turns around).
+_steps = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-9, max_value=10.0),
+    st.floats(min_value=-0.5, max_value=-1e-6),
+)
+
+_record = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 7), st.integers(0, 3), st.integers(0, 2),
+              st.integers(0, 2**40)),
+    st.tuples(st.just("recv"), st.integers(0, 7), st.integers(0, 3), st.integers(0, 2),
+              st.integers(0, 2**40)),
+    st.tuples(st.just("coll"), st.integers(0, 2), st.integers(0, 7), st.integers(0, 999),
+              st.integers(0, 999)),
+)
+
+
+def _frame(depth):
+    """One region frame: (region, body); a body item is a child frame, a
+    communication record (MPI frames only) or a fork-join record."""
+    def body_of(region):
+        items = [st.tuples(st.just("omp"), st.integers(1, 8),
+                           st.floats(0.0, 4.0), st.floats(0.0, 1.0))]
+        if region in _MPI_IDS:
+            items.append(_record)
+        if depth > 0:
+            items.append(_frame(depth - 1))
+        return st.tuples(st.just(region), st.lists(st.one_of(*items), max_size=3))
+
+    return st.integers(0, len(_REGION_NAMES) - 1).flatmap(body_of)
+
+
+def _events_of(frames, steps):
+    """Flatten generated frames into events, drawing stamps from *steps*."""
+    clock = [0.0]
+    steps = iter(steps)
+
+    def tick():
+        clock[0] += next(steps, 0.25)
+        return clock[0]
+
+    out = []
+
+    def emit(frame):
+        region, body = frame
+        out.append(EnterEvent(tick(), region))
+        for item in body:
+            if isinstance(item[0], int):
+                emit(item)
+            elif item[0] == "send":
+                out.append(SendEvent(tick(), *item[1:]))
+            elif item[0] == "recv":
+                out.append(RecvEvent(tick(), *item[1:]))
+            elif item[0] == "coll":
+                out.append(CollExitEvent(tick(), region, *item[1:]))
+            else:
+                out.append(OmpRegionEvent(tick(), region, *item[1:]))
+        out.append(ExitEvent(tick(), region))
+
+    for frame in frames:
+        emit(frame)
+    return out
+
+
+_traces = st.builds(
+    _events_of,
+    st.lists(_frame(3), max_size=4),
+    st.lists(_steps, max_size=60),
+)
+
+_converters = st.builds(
+    LinearConverter,
+    st.one_of(st.just(1.0), st.floats(0.5, 2.0), st.floats(-1.5, -0.5)),
+    st.floats(-1e3, 1e3),
+)
+
+
+def _outcome(build):
+    """What a builder did: every comparable facet, or the error it raised."""
+    callpaths = CallPathRegistry()
+    callpaths.intern(-1, 2)  # a registry other ranks have already used
+    try:
+        timeline = build(callpaths)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return (
+        timeline,
+        list(timeline.exclusive_time.items()),
+        list(timeline.visits.items()),
+        list(timeline.mpi_ops),
+        list(timeline.omp_regions),
+        callpaths.all_paths(),
+    )
+
+
+def _both(blob, converter):
+    regions = _property_regions()
+    location = Location(0, 0, 0)
+    tabled = _outcome(
+        lambda callpaths: build_rank_tables(3, location, blob, converter, callpaths, regions)
+    )
+    walked = _outcome(
+        lambda callpaths: build_timeline(
+            3, location, iter_events(blob)[1], converter, callpaths, regions
+        )
+    )
+    return tabled, walked
+
+
+class TestTablesEqualSequentialWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(_traces, _converters)
+    def test_well_formed(self, events, converter):
+        tabled, walked = _both(encode_events(3, events), converter)
+        assert not isinstance(walked[0], type), walked  # well-formed: no error
+        assert tabled == walked
+
+    @settings(max_examples=300, deadline=None)
+    @given(_traces, _converters, st.data())
+    def test_malformed(self, events, converter, data):
+        """One defect per trace: both builders raise the same error, or —
+        where the defect happens to leave a valid trace — agree again."""
+        defect = data.draw(st.sampled_from((
+            "stray-exit", "wrong-exit", "stray-record", "stray-omp", "open-frame",
+            "unknown-region", "truncated", "unknown-kind",
+        )))
+        events = list(events) or [EnterEvent(0.0, 0), ExitEvent(1.0, 0)]
+        at = data.draw(st.integers(0, len(events) - 1))
+        if defect == "stray-exit":
+            events.insert(at, ExitEvent(events[at].time, data.draw(st.integers(0, 6))))
+        elif defect == "wrong-exit":
+            exits = [i for i, e in enumerate(events) if isinstance(e, ExitEvent)]
+            at = data.draw(st.sampled_from(exits))
+            events[at] = ExitEvent(events[at].time, (events[at].region + 1) % 7)
+        elif defect == "stray-record":
+            record = data.draw(st.sampled_from((
+                SendEvent(0.0, 1, 0, 0, 8), RecvEvent(0.0, 1, 0, 0, 8),
+                CollExitEvent(0.0, 5, 0, 0, 0, 0),
+            )))
+            events.insert(at, record._replace(time=events[at].time))
+        elif defect == "stray-omp":
+            events.insert(
+                at, OmpRegionEvent(events[at].time, data.draw(st.integers(0, 6)), 2, 1.0, 0.5)
+            )
+        elif defect == "open-frame":
+            del events[data.draw(st.sampled_from(
+                [i for i, e in enumerate(events) if isinstance(e, ExitEvent)]
+            ))]
+        elif defect == "unknown-region":
+            events.insert(at, ExitEvent(events[at].time, 40))
+            events.insert(at, EnterEvent(events[at].time, 40))
+        blob = encode_events(3, events)
+        if defect == "truncated":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif defect == "unknown-kind":
+            # Overwrite one record's kind tag (a payload byte would only
+            # change a field — possibly to NaN, which equals nothing).
+            cut = len(encode_events(3, events[:at]))
+            blob = blob[:cut] + bytes([data.draw(st.sampled_from((0, 7, 255)))]) + blob[cut + 1:]
+        tabled, walked = _both(blob, converter)
+        assert tabled == walked

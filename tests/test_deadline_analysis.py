@@ -67,19 +67,17 @@ class TestSerialDeadline:
         assert result.interrupted is not None
         assert "deadline of" in result.interrupted
 
-    def test_spent_budget_stops_within_one_slice(self, monkeypatch):
-        """The pump polls after every slice: a budget already spent when
-        the pump starts costs exactly one slice, and every rank reports
-        the events it really consumed."""
+    def test_spent_budget_stops_within_one_quantum(self, monkeypatch):
+        """The pump polls after every quantum: a budget already spent when
+        the pump starts costs exactly one quantum of one rank, and every
+        rank reports the events the replay really consumed."""
         import repro.analysis.streaming as streaming
 
-        # These traces are 29 events a rank: cut them mid-trace.
-        monkeypatch.setattr(streaming, "_SLICE_RECORDS", 8)
+        # These traces are 9 ops (29 events) a rank: cut them mid-trace.
+        monkeypatch.setattr(streaming, "_QUANTUM_OPS", 2)
         run = _small_run()
-        events = {
-            rank: timeline.event_count
-            for rank, timeline in analyze(run).timelines.items()
-        }
+        timelines = analyze(run).timelines
+        events = {rank: timeline.event_count for rank, timeline in timelines.items()}
         deadline = Deadline(1e-9)
         assert deadline.expired()
         result = analyze(run, deadline=deadline)
@@ -90,10 +88,51 @@ class TestSerialDeadline:
         started = [rank for rank, count in consumed.items() if count]
         assert len(started) == 1 and set(consumed) == set(events)
         (rank,) = started
-        assert consumed[rank] == 8 < events[rank]
+        # Consumed through the EXIT that completed the quantum's last op.
+        assert consumed[rank] == timelines[rank].mpi_ops.exit_event[1] + 1 < events[rank]
         for rank, entry in result.completeness.items():
             assert entry.completeness == consumed[rank] / events[rank]
             assert f"after {consumed[rank]} of {events[rank]} event(s)" in entry.error
+
+    def test_expired_strict_run_decodes_nothing_after_expiry(self, monkeypatch):
+        """Accounting for a cut pump uses the event counts the local phase
+        already has: once the budget is gone, no trace is decoded again."""
+        import repro.analysis.optable as optable
+        import repro.analysis.streaming as streaming
+        import repro.trace.encoding as encoding
+
+        run = _small_run()
+        deadline = Deadline(3600.0)
+        decodes_after_expiry = []
+
+        def counting(name, original):
+            def wrapper(blob, *args, **kwargs):
+                if deadline.expired():
+                    decodes_after_expiry.append(name)
+                return original(blob, *args, **kwargs)
+            return wrapper
+
+        real_columns = optable.decode_columns
+
+        def last_columns(blob):
+            columns = real_columns(blob)
+            if columns.rank == max(run.definitions.locations):
+                deadline.cancel("budget spent")  # as the prepass ends
+            return columns
+
+        monkeypatch.setattr(optable, "decode_columns", counting("columns", last_columns))
+        for module in (optable, streaming, encoding):
+            monkeypatch.setattr(
+                module, "iter_events", counting("iter_events", encoding.iter_events)
+            )
+        monkeypatch.setattr(
+            encoding, "_chunk_iter", counting("_chunk_iter", encoding._chunk_iter)
+        )
+        result = analyze(run, deadline=deadline)
+        assert result.interrupted == "budget spent"
+        assert decodes_after_expiry == []
+        for entry in result.completeness.values():
+            assert "of " in entry.error and "unknown" not in entry.error
 
 
 class TestParallelDeadline:

@@ -308,3 +308,45 @@ class TestShardAddressableReads:
         for rank in shard.ranks:
             machine = run.definitions.machine_of(rank)
             assert shard.blobs[rank] == run.reader(machine).read_trace_blob(rank)
+
+    def test_trace_shard_carries_checksum_manifests(self):
+        """A flipped time byte still parses and still nests: only the block
+        checksums can see it.  A shard built by ``trace_shard`` must exclude
+        the rank for that reason, exactly as the serial analyzer does."""
+        from repro.trace.archive import trace_filename
+        from repro.trace.encoding import HEADER_SIZE
+
+        mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
+        work = {r: 0.004 for r in range(8)}
+        run = run_app(mc, 8, make_imbalance_app(work, iterations=2), seed=2)
+        victim = 5
+        machine = run.definitions.machine_of(victim)
+        damaged = bytearray(run.reader(machine).read_trace_blob(victim))
+        damaged[HEADER_SIZE + 1] ^= 0x01  # lowest mantissa byte of the first stamp
+        run.namespaces[machine].write_file(
+            f"{run.archive_path}/{trace_filename(victim)}", bytes(damaged), overwrite=True
+        )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialTraceWarning)
+            serial = analyze(run, AnalysisRequest(degraded=True))
+            ranks = tuple(sorted(run.definitions.locations))
+            shard = run.trace_shard(ranks)
+            partial = analyze_shard(
+                ShardTask(
+                    index=0,
+                    ranks=ranks,
+                    degraded=True,
+                    definitions=run.definitions,
+                    converters=HierarchicalInterpolation(strict=False)
+                    .convert_all(run.reader(0).sync_data())
+                    .converters,
+                    traces=shard,
+                )
+            )
+        assert sorted(shard.manifests) == list(ranks)
+        assert serial.excluded_ranks == [victim]
+        assert "checksum" in serial.completeness[victim].error
+        assert partial.completeness[victim] == serial.completeness[victim]
+        assert sorted(partial.timelines) == [r for r in ranks if r != victim]
+

@@ -118,6 +118,27 @@ class TestStreamingEquivalence:
         for rank, tl in retained.timelines.items():
             assert bounded.timelines[rank].exclusive_time == tl.exclusive_time
 
+    def test_timeline_consumers_read_tables_as_lists(self, small_run):
+        """The Gantt view, the trace statistics and the skeleton extractor
+        iterate ``mpi_ops``: over the streaming result's lazy tables they
+        produce what they produce over the reference's lists."""
+        from repro.analysis.stats import render_statistics, statistics_of
+        from repro.predict.skeleton import skeleton_from_run
+        from repro.report.timeline import render_result_timeline
+
+        listed = _buffered(small_run)
+        tabled = analyze_run(small_run, request=AnalysisRequest())
+        assert all(isinstance(tl.mpi_ops, list) for tl in listed.timelines.values())
+        assert not any(isinstance(tl.mpi_ops, list) for tl in tabled.timelines.values())
+        assert listed.timelines == tabled.timelines
+        assert render_result_timeline(listed) == render_result_timeline(tabled)
+        assert render_statistics(statistics_of(listed)) == render_statistics(
+            statistics_of(tabled)
+        )
+        assert skeleton_from_run(small_run, listed) == skeleton_from_run(
+            small_run, tabled
+        )
+
     def test_bounded_degraded_matches_buffered(self, damaged_run):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -131,19 +152,19 @@ class TestStreamingEquivalence:
 
 class TestPumpOrderIndependence:
     """The pump promises per-rank trace order and per-receiver release
-    order, nothing global: how ranks interleave (the slice size) must not
+    order, nothing global: how ranks interleave (the quantum) must not
     reach any aggregate."""
 
-    #: One event per slice (the old per-event merge), a few slices per rank
-    #: of these 29-event traces, the default, and a slice longer than any
-    #: trace (whole ranks, one after another).
-    SLICES = (1, 8, streaming_module._SLICE_RECORDS, 10**9)
+    #: One op per quantum (a strictly time-ordered pump), a few quanta per
+    #: rank of these 9-op traces, the default, and a quantum longer than any
+    #: trace (whole ranks, one after another — the parallel merge's order).
+    QUANTA = (1, 3, streaming_module._QUANTUM_OPS, 10**9)
 
     def _outcomes(self, monkeypatch, run, degraded):
-        """Per slice size: the serialized result, or the error it raised."""
+        """Per quantum: the serialized result, or the error it raised."""
         outcomes = []
-        for size in self.SLICES:
-            monkeypatch.setattr(streaming_module, "_SLICE_RECORDS", size)
+        for size in self.QUANTA:
+            monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", size)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
@@ -160,20 +181,20 @@ class TestPumpOrderIndependence:
     def test_clean_run(self, monkeypatch, small_run, degraded):
         outcomes = self._outcomes(monkeypatch, small_run, degraded)
         assert isinstance(outcomes[0], str)
-        assert outcomes.count(outcomes[0]) == len(self.SLICES)
+        assert outcomes.count(outcomes[0]) == len(self.QUANTA)
 
     @pytest.mark.parametrize("degraded", [False, True])
     def test_faulted_run(self, monkeypatch, damaged_run, degraded):
         outcomes = self._outcomes(monkeypatch, damaged_run, degraded)
         # Strict replay of a damaged archive raises (the lowest damaged
-        # rank's decode error, met while the pump is primed); degraded
+        # rank's decode error, met in the prepass's local phase); degraded
         # returns.
         assert isinstance(outcomes[0], str) == degraded
-        assert outcomes.count(outcomes[0]) == len(self.SLICES)
+        assert outcomes.count(outcomes[0]) == len(self.QUANTA)
 
     def test_timeline_counters_match_buffered(self, monkeypatch, small_run):
-        # Several slices per rank, so the counters cross slice borders.
-        monkeypatch.setattr(streaming_module, "_SLICE_RECORDS", 8)
+        # Several quanta per rank, so the cursors cross quantum borders.
+        monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", 3)
         buffered = _buffered(small_run)
         streaming = analyze_run(small_run, request=AnalysisRequest())
         for rank, reference in buffered.timelines.items():
@@ -271,16 +292,21 @@ def _long_short_runs(iterations):
 @pytest.mark.slow
 class TestBoundedMemory:
     def test_bounded_peak_below_retained_on_long_trace(self):
-        """Dropping retention must actually shed the O(trace) working set.
+        """A retained result keeps op *columns*, not op objects, so keeping
+        it costs next to nothing over the bounded run.
 
-        Measured on this workload: bounded peaks at ~0.54× the retained
-        peak (the remainder is the raw blobs, the clock-condition stamps,
-        and the result itself).  0.8 leaves headroom against allocator
-        noise while still failing if retention quietly comes back.
+        Measured on this workload (tracemalloc peaks): bounded ~0.49 MB,
+        retained ~0.52 MB — 1.06-1.11x.  The parent of the columnar local
+        phase retained one object per op and record and peaked at 1.11 MB
+        retained against 0.65 MB bounded.  1.25x the bounded peak and 0.8x
+        the parent's retained peak leave headroom against allocator noise
+        while still failing if per-op objects quietly come back.
         """
         import tracemalloc
 
+        parent_retained_peak = 1_114_794
         run = _long_short_runs(300)
+        analyze_run(_long_short_runs(3))  # first-call caches are not the subject
 
         def peak(bounded):
             tracemalloc.start()
@@ -292,10 +318,44 @@ class TestBoundedMemory:
         retained, retained_peak = peak(False)
         bounded, bounded_peak = peak(True)
         assert retained.cube.data == bounded.cube.data
-        assert bounded_peak < 0.8 * retained_peak, (
-            f"bounded peak {bounded_peak} not below 0.8x retained "
-            f"{retained_peak}: per-op retention leaked back in"
+        assert retained_peak <= 1.25 * bounded_peak, (
+            f"retained peak {retained_peak} above 1.25x bounded {bounded_peak}: "
+            "a retained result holds more than its tables"
         )
+        assert retained_peak < 0.8 * parent_retained_peak, (
+            f"retained peak {retained_peak} not below 0.8x the object-retaining "
+            f"parent's {parent_retained_peak}"
+        )
+
+    def test_retained_result_holds_no_op_objects(self):
+        """The census: after a retained analyze nothing per-op is alive —
+        the objects the replay made died with their matching windows."""
+        import gc
+
+        from repro.analysis.instances import (
+            CollRecord,
+            MPIOpInstance,
+            RecvRecord,
+            SendRecord,
+        )
+        from repro.apps.metatrace import make_metatrace_app
+        from repro.experiments.configs import scaled_experiment1
+        from repro.sim.runtime import MetaMPIRuntime
+
+        metacomputer, placement, config = scaled_experiment1(1, coupling_intervals=1)
+        run = MetaMPIRuntime(
+            metacomputer, placement, seed=1, subcomms=config.subcomms()
+        ).run(make_metatrace_app(config))
+        result = analyze_run(run, request=AnalysisRequest())
+        assert len(result.timelines) == 32
+        assert sum(len(tl.mpi_ops) for tl in result.timelines.values()) > 1000
+        gc.collect()
+        alive = [
+            type(obj).__name__
+            for obj in gc.get_objects()
+            if isinstance(obj, (MPIOpInstance, SendRecord, RecvRecord, CollRecord))
+        ]
+        assert alive == []
 
     def test_rss_flat_across_10x_trace(self):
         """The acceptance criterion: peak RSS of a bounded analyze on a
