@@ -8,10 +8,14 @@ buffer.  Nothing downstream of this point ever sees true time again; the
 analysis must recover a global time base via offset measurements, which is
 the entire point of the paper's synchronization machinery.
 
-Hooks run once per simulated event, so the per-rank state they need — the
-trace buffer and the node clock's bound ``local_time`` — is resolved once
-per rank and cached, not re-looked-up through the location/ensemble tables
-on every event.
+The by-slot hooks below are the public interface.  The simulated world
+does not go through them: it resolves each rank's buffer and its node
+clock's affine stamp once (:meth:`repro.sim.mpi.World.launch`) and calls the
+same :class:`~repro.trace.buffer.TraceBuffer` record methods directly, one
+frame per record — one encoder, two callers, and
+``tests/test_sim_golden.py`` holds their bytes equal.  The hooks cache the
+per-rank state they need (buffer, the clock's bound ``local_time``) the same
+way instead of walking the location/ensemble tables per event.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class Tracer:
 
     def buffers(self) -> Dict[int, TraceBuffer]:
         return self._buffers
-
-    def _stamp(self, slot: ProcessSlot, true_time: float) -> float:
-        return self.clocks.clock(node_of(slot.location)).local_time(true_time)
 
     def _hot(self, slot: ProcessSlot) -> Tuple[TraceBuffer, Callable[[float], float]]:
         entry = self._per_rank.get(slot.rank)

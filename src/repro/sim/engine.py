@@ -1,10 +1,10 @@
 """Minimal deterministic discrete-event engine.
 
-A binary heap of plain ``[time, seq, callback, pooled]`` list entries.  The
-sequence number breaks ties in insertion order (and is unique, so comparison
-never reaches the callback slot), which — together with seeding every random
-draw from one :class:`numpy.random.Generator` — makes entire simulations
-bit-reproducible from a single seed.
+A binary heap of plain ``[time, seq, callback, args, pooled]`` list entries.
+The sequence number breaks ties in insertion order (and is unique, so
+comparison never reaches the callback slot), which — together with seeding
+every random draw from one :class:`numpy.random.Generator` — makes entire
+simulations bit-reproducible from a single seed.
 
 Cancellation flips the callback slot to ``None`` and decrements a live-entry
 counter, so :meth:`Engine.pending_events` and :meth:`Engine.empty` are O(1)
@@ -14,11 +14,17 @@ full-heap scan on every query.
 Two scheduling surfaces exist.  :meth:`Engine.schedule` /
 :meth:`Engine.schedule_at` return an :class:`EventHandle` for callers that
 may cancel.  :meth:`Engine.call_later` / :meth:`Engine.call_at` are the hot
-path: no handle is created, and the entry list itself is recycled through a
-small free pool once its callback has run — per-message scheduling then
-allocates nothing in the steady state.  Only handle-less entries are pooled;
-an entry referenced by an :class:`EventHandle` is never reused, so a stale
-handle can never cancel an unrelated later event.
+path: they take the callback's positional arguments (the ``asyncio``
+``call_at`` shape) and keep them in the entry's ``args`` slot, so a caller
+schedules a bound method plus its operand instead of allocating a closure
+per event.  No handle is created, and the entry list itself is recycled
+through a small free pool once its callback has run — per-message
+scheduling then allocates nothing but the argument tuple in the steady
+state.  What is pooled is the five-slot list only: a recycled entry keeps
+its last ``args`` until it is reused (at most ``_POOL_MAX`` stale tuples),
+and only handle-less entries are pooled — an entry referenced by an
+:class:`EventHandle` is never reused, so a stale handle can never cancel an
+unrelated later event.
 
 All four reject non-finite times: ``delay < 0`` is ``False`` for NaN, so the
 old guard let ``NaN``/``inf`` stamps into the heap, where a single NaN
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from math import isfinite
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -39,10 +45,10 @@ from repro.errors import SimulationError
 #: entries (``None``) so a late ``cancel()`` cannot corrupt the counter.
 _DONE = object()
 
-# Entry layout: [time, seq, callback, pooled]; callback is None once
-# cancelled and _DONE once consumed by the run loop.  ``pooled`` marks
-# handle-less entries eligible for recycling.
-_TIME, _SEQ, _CALLBACK, _POOLED = 0, 1, 2, 3
+# Entry layout: [time, seq, callback, args, pooled]; callback is None once
+# cancelled and _DONE once consumed by the run loop, ``args`` is the tuple it
+# is called with.  ``pooled`` marks handle-less entries eligible for recycling.
+_TIME, _SEQ, _CALLBACK, _ARGS, _POOLED = 0, 1, 2, 3, 4
 
 #: Upper bound on recycled entry lists kept around (covers scheduling
 #: bursts; beyond this, entries are simply dropped to the allocator).
@@ -78,15 +84,11 @@ class Engine:
     def __init__(self) -> None:
         self._heap: List[list] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current true simulation time in seconds (read-only for callers).
+        self.now = 0.0
         self._processed = 0
         self._live = 0  # non-cancelled entries still in the heap
         self._pool: List[list] = []  # recycled handle-less entries
-
-    @property
-    def now(self) -> float:
-        """Current true simulation time in seconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -104,39 +106,40 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule a negative or non-finite delay: delay={delay}"
             )
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run *callback* at absolute time *time* (must not precede now)."""
-        if time < self._now or not isfinite(time):
+        if time < self.now or not isfinite(time):
             raise SimulationError(
                 f"cannot schedule into the past or at a non-finite time: "
-                f"t={time}, now={self._now}"
+                f"t={time}, now={self.now}"
             )
-        entry = [time, self._seq, callback, False]
+        entry = [time, self._seq, callback, (), False]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
         return EventHandle(entry, self)
 
-    def call_later(self, delay: float, callback: Callable[[], None]) -> None:
+    def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Handle-less :meth:`schedule` (hot path; cannot be cancelled)."""
         if delay < 0 or not isfinite(delay):
             raise SimulationError(
                 f"cannot schedule a negative or non-finite delay: delay={delay}"
             )
-        self.call_at(self._now + delay, callback)
+        self.call_at(self.now + delay, callback, *args)
 
-    def call_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Handle-less :meth:`schedule_at` (hot path; cannot be cancelled).
+    def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Handle-less :meth:`schedule_at`: run ``callback(*args)`` at *time*.
 
-        The entry list is drawn from (and eventually returned to) the free
-        pool, so steady-state scheduling performs no allocation.
+        Hot path; cannot be cancelled.  The entry list is drawn from (and
+        eventually returned to) the free pool, so steady-state scheduling
+        allocates nothing beyond the *args* tuple.
         """
-        if time < self._now or not isfinite(time):
+        if time < self.now or not isfinite(time):
             raise SimulationError(
                 f"cannot schedule into the past or at a non-finite time: "
-                f"t={time}, now={self._now}"
+                f"t={time}, now={self.now}"
             )
         pool = self._pool
         if pool:
@@ -144,8 +147,9 @@ class Engine:
             entry[_TIME] = time
             entry[_SEQ] = self._seq
             entry[_CALLBACK] = callback
+            entry[_ARGS] = args
         else:
-            entry = [time, self._seq, callback, True]
+            entry = [time, self._seq, callback, args, True]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
@@ -170,9 +174,9 @@ class Engine:
         while heap:
             batch_time = heap[0][_TIME]
             if until is not None and batch_time > until:
-                self._now = until
+                self.now = until
                 return
-            self._now = batch_time
+            self.now = batch_time
             while heap and heap[0][_TIME] == batch_time:
                 entry = pop(heap)
                 callback = entry[_CALLBACK]
@@ -180,7 +184,7 @@ class Engine:
                     continue  # (never pooled: only handles can cancel)
                 entry[_CALLBACK] = _DONE
                 self._live -= 1
-                callback()
+                callback(*entry[_ARGS])
                 self._processed += 1
                 executed += 1
                 if entry[_POOLED] and len(pool) < _POOL_MAX:
@@ -190,8 +194,8 @@ class Engine:
                         f"simulation exceeded {max_events} events — likely livelock"
                     )
         # Heap drained before reaching *until*: idle time still passes.
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
     def empty(self) -> bool:
         """True when no live callbacks remain — O(1)."""

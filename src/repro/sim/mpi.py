@@ -21,16 +21,18 @@ instrumentation hooks that turn simulated MPI activity into trace events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from math import ceil, log2
 from sys import intern
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DeadlockError, MPIUsageError, SimulationError
+from repro.errors import DeadlockError, MPIUsageError, ReproError, SimulationError
 from repro.ids import ANY_SOURCE, ANY_TAG, Location, node_of
 from repro.sim import collectives as coll
 from repro.sim.engine import Engine
-from repro.sim.process import AppGenerator, SimProcess
+from repro.sim.process import AppGenerator, ProcessState, SimProcess
 from repro.sim.transfer import ChannelClock, SimParams
 from repro.topology.metacomputer import Metacomputer, Placement, ProcessSlot
 from repro.topology.network import ExponentialJitterStream, LatencyModel
@@ -157,32 +159,34 @@ class Message:
 
 
 class RequestHandle:
-    """Handle returned by ``isend``/``irecv``; completed via ``wait``."""
+    """Handle returned by ``isend``/``irecv``; completed via ``wait``.
 
-    __slots__ = (
-        "id",
-        "kind",
-        "owner_rank",
-        "completed",
-        "completion_time",
-        "result",
-        "_waiter",
-    )
+    ``completion_time`` is the whole completion state: ``None`` until the
+    instant the operation completes is known — at injection for an eager
+    send, at match time for everything else, both possibly long before that
+    instant — and the instant itself from then on (``result`` is set with
+    it).  The completion becomes observable when simulated time reaches
+    ``completion_time``: a ``wait`` issued after it returns at once, a
+    ``wait`` issued before it is woken by one engine event at exactly that
+    instant.  A handle nobody waits on costs the engine nothing; it settles
+    lazily, if and when a wait reads its time.  Ids count from 1 per
+    :class:`World`, so a seed reproduces them.
+    """
 
-    _next_id = 0
+    __slots__ = ("id", "kind", "owner_rank", "completion_time", "result", "_waiter")
 
-    def __init__(self, kind: str, owner_rank: int) -> None:
-        RequestHandle._next_id += 1
-        self.id = RequestHandle._next_id
+    def __init__(self, handle_id: int, kind: str, owner_rank: int) -> None:
+        self.id = handle_id
         self.kind = kind  # "send" | "recv"
         self.owner_rank = owner_rank
-        self.completed = False
         self.completion_time: Optional[float] = None
         self.result: Optional[Message] = None
-        self._waiter: Optional[Callable[[], None]] = None
+        #: ``(process, waitall slot or None)`` blocked on this handle.
+        self._waiter: Optional[Tuple[SimProcess, Optional[int]]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        state = "done" if self.completed else "pending"
+        due = self.completion_time
+        state = "pending" if due is None else f"due t={due}"
         return f"RequestHandle(#{self.id} {self.kind} rank={self.owner_rank} {state})"
 
 
@@ -377,6 +381,7 @@ class Context:
         #: (``REPRO_METAHOST_ID`` and ``REPRO_METAHOST_NAME``).
         self.env = env
         self.rng = rng
+        self._proc: Optional[SimProcess] = None  # set by World.launch
 
     # -- machine info ---------------------------------------------------------
 
@@ -440,11 +445,11 @@ class Context:
 
     def enter(self, region: str) -> None:
         """Record entry into a user region (e.g. ``cgiteration``)."""
-        self._world.record_enter(self.slot, region)
+        self._world.record_enter(self._proc, region)
 
     def exit(self, region: str) -> None:
         """Record exit from a user region."""
-        self._world.record_exit(self.slot, region)
+        self._world.record_exit(self._proc, region)
 
     def region(self, name: str) -> "_RegionGuard":
         """``with ctx.region("foo"): yield ...`` convenience guard."""
@@ -471,13 +476,12 @@ class _RegionGuard:
 
 @dataclass(slots=True)
 class _PendingRecv:
-    proc_rank: int
+    proc: SimProcess
     source: int  # comm rank or ANY_SOURCE
     tag: int
     comm_id: int
     post_time: float
-    handle: Optional[RequestHandle]  # None for blocking recv
-    resume: Optional[Callable[[Message, float], None]]  # blocking-recv continuation
+    handle: Optional[RequestHandle]  # None for a blocking recv: *proc* resumes
 
 
 @dataclass(slots=True)
@@ -492,8 +496,10 @@ class _InFlight:
     message: Message
     announce_time: float
     rendezvous: bool
-    sender_resume: Optional[Callable[[float], None]]  # rendezvous blocking send
-    sender_handle: Optional[RequestHandle]  # rendezvous isend
+    sender: SimProcess
+    #: Rendezvous only: the isend/sendrecv handle the transfer completes;
+    #: ``None`` when *sender* itself is blocked in the send.
+    sender_handle: Optional[RequestHandle]
 
 
 @dataclass(slots=True)
@@ -523,6 +529,22 @@ class WorldStats:
     retransmits: int = 0
 
 
+class _RegionIds(dict):
+    """Region name → id, registered with the run's registry on first use.
+
+    First use is in global event order, exactly when the tracer's by-slot
+    hooks would have registered the name, so ids are unchanged.
+    """
+
+    def __init__(self, registry: Any) -> None:
+        super().__init__()
+        self._register = registry.register
+
+    def __missing__(self, name: str) -> int:
+        rid = self[name] = self._register(name)
+        return rid
+
+
 # --------------------------------------------------------------------------
 # The world
 # --------------------------------------------------------------------------
@@ -530,6 +552,12 @@ class WorldStats:
 
 class World:
     """Owns the engine, processes, communicators, matching state and hooks.
+
+    A simulated MPI call costs one engine event per thing that happens at a
+    distinct time — the call's return, a message's arrival, a completion a
+    rank is blocked on — and every event is a bound method of this class
+    scheduled with its operand: the continuation of a blocked rank is the
+    ``(blocked_on, pending)`` pair on its :class:`SimProcess`.
 
     Parameters
     ----------
@@ -540,9 +568,10 @@ class World:
     rng:
         Single generator used for every latency draw (reproducibility).
     tracer:
-        Optional object implementing the hook methods ``enter``, ``exit``,
-        ``send``, ``recv`` and ``coll_exit`` (see
-        :mod:`repro.instrument.adapter`); ``None`` disables tracing.
+        Optional :class:`~repro.instrument.tracer.Tracer`.  The world takes
+        each rank's buffer, its node clock and the region registry from it
+        and writes records into the buffers directly; ``None`` disables
+        tracing.
     fault_injector:
         Optional :class:`~repro.faults.FaultInjector`; when set, every
         network delay consults it for outage/loss/degradation effects and
@@ -578,6 +607,8 @@ class World:
 
         self._procs: Dict[int, SimProcess] = {}
         self._envs: Dict[int, Dict[str, str]] = {}
+        #: Request handles are numbered per world, so a seed names them.
+        self._handle_ids = count(1)
         # Matching state, keyed by (comm_id, dest_global).
         self._pending_recvs: Dict[Tuple[int, int], List[_PendingRecv]] = {}
         self._unexpected: Dict[Tuple[int, int], List[_InFlight]] = {}
@@ -588,21 +619,23 @@ class World:
         self._coll_next: Dict[Tuple, int] = {}
         self._split_pending: Dict[Tuple, List[Dict]] = {}
 
-        # Hot-path caches.  All three are pure functions of immutable run
-        # state (placement, link topology, communicator membership), so
-        # memoizing them cannot change any sampled value.
+        # Hot-path caches.  All are pure functions of immutable run state
+        # (placement, link topology, communicator membership, first-use
+        # order of region names), so memoizing them cannot change any
+        # sampled value or trace byte.
         self._jitter = ExponentialJitterStream(self.rng)
         self._routes: Dict[Tuple[int, int], Tuple[LatencyModel, str]] = {}
         self._comm_costs: Dict[int, Tuple[float, float]] = {}
         self._comm_locations: Dict[int, Dict[int, Location]] = {}
+        self._region_ids = _RegionIds(tracer.regions) if tracer is not None else {}
         self._handlers: Dict[type, Callable[[SimProcess, Any], None]] = {
             ComputeReq: self._do_compute,
-            SendReq: self._do_blocking_send,
-            RecvReq: self._do_blocking_recv,
+            SendReq: self._do_send,
+            RecvReq: self._do_recv,
             IsendReq: self._do_isend,
             IrecvReq: self._do_irecv,
-            WaitReq: self._do_wait_req,
-            WaitallReq: self._do_waitall_req,
+            WaitReq: self._do_wait,
+            WaitallReq: self._do_waitall,
             SendrecvReq: self._do_sendrecv,
             CollectiveReq: self._do_collective,
             SplitReq: self._do_split,
@@ -665,16 +698,18 @@ class World:
                 np.random.default_rng((seed, slot.rank)),
             )
             self._envs[slot.rank] = env
-            proc = SimProcess(slot, app(ctx))
+            proc = ctx._proc = SimProcess(slot, app(ctx))
+            if self.tracer is not None:
+                # What a record needs, resolved once per rank: the buffer
+                # and the node clock as ``offset + rate * true_time`` —
+                # the arithmetic of ``LinearClock.local_time``, bit for bit.
+                clock = self.tracer.clocks.clock(node_of(slot.location))
+                proc.trace = (
+                    self.tracer.buffer(slot.rank), clock.offset_s, 1.0 + clock.drift
+                )
             self._procs[slot.rank] = proc
         for proc in self._procs.values():
-            self.engine.call_later(0.0, self._make_starter(proc))
-
-    def _make_starter(self, proc: SimProcess) -> Callable[[], None]:
-        def start() -> None:
-            self._advance(proc, None)
-
-        return start
+            self.engine.call_later(0.0, self._advance, proc)
 
     # -- execution ----------------------------------------------------------------
 
@@ -703,23 +738,38 @@ class World:
 
     # -- process stepping ----------------------------------------------------------
 
-    def _advance(self, proc: SimProcess, value: Any) -> None:
-        """Resume *proc* with *value* and dispatch its next request."""
-        request = proc.step(value)
-        if request is None:
+    def _advance(self, proc: SimProcess) -> None:
+        """Resume *proc* with its pending value and dispatch its next request.
+
+        :meth:`SimProcess.step` and the handler lookup in one frame: this
+        runs once per generator resume.
+        """
+        state = proc.state
+        if state is ProcessState.DONE or state is ProcessState.FAILED:
+            raise SimulationError(f"rank {proc.rank} already finished")
+        value, proc.pending = proc.pending, None
+        proc.state = ProcessState.RUNNING
+        try:
+            request = proc.generator.send(value)
+        except StopIteration:
+            proc.state = ProcessState.DONE
             proc.finish_time = self.engine.now
             return
-        self._dispatch(proc, request)
-
-    def _dispatch(self, proc: SimProcess, request: Request) -> None:
+        except BaseException as exc:  # noqa: BLE001 - reported with context
+            proc.state = ProcessState.FAILED
+            proc.failure = exc
+            if isinstance(exc, ReproError):
+                # Toolkit errors (bad rank, bad size, ...) keep their type.
+                raise
+            raise SimulationError(f"rank {proc.rank} raised {exc!r}") from exc
+        proc.state = ProcessState.BLOCKED
         handler = self._handlers.get(type(request))
         if handler is None:
             # Exact-type miss: honour subclasses of the request dataclasses
             # once, then cache the resolution for their concrete type.
             for cls, candidate in self._handlers.items():
                 if isinstance(request, cls):
-                    self._handlers[type(request)] = candidate
-                    handler = candidate
+                    self._handlers[type(request)] = handler = candidate
                     break
             else:
                 raise MPIUsageError(
@@ -728,56 +778,43 @@ class World:
                 )
         handler(proc, request)
 
+    def _finish_call(self, proc: SimProcess) -> None:
+        """The call *proc* is blocked in returns: EXIT record, then resume."""
+        trace = proc.trace  # record_exit, inlined: every call returns through here
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.exit(offset + rate * self.engine.now, self._region_ids[proc.blocked_on])
+        self._advance(proc)
+
     def _do_compute(self, proc: SimProcess, req: ComputeReq) -> None:
         proc.blocked_on = "compute"
-        self.engine.call_later(req.seconds, lambda: self._advance(proc, None))
+        self.engine.call_later(req.seconds, self._advance, proc)
 
-    def _do_blocking_send(self, proc: SimProcess, req: SendReq) -> None:
-        self._do_send(proc, req, blocking=True)
+    # -- trace emit --------------------------------------------------------------------
+    #
+    # One frame in front of each TraceBuffer record method: stamp with the
+    # rank's node clock, resolve the region id, append.
 
-    def _do_blocking_recv(self, proc: SimProcess, req: RecvReq) -> None:
-        self._do_recv(proc, req, blocking=True)
+    def record_enter(self, proc: SimProcess, region: str) -> None:
+        trace = proc.trace
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.enter(offset + rate * self.engine.now, self._region_ids[region])
 
-    def _do_wait_req(self, proc: SimProcess, req: WaitReq) -> None:
-        self._do_wait(proc, req.handle)
+    def record_exit(self, proc: SimProcess, region: str) -> None:
+        trace = proc.trace
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.exit(offset + rate * self.engine.now, self._region_ids[region])
 
-    def _do_waitall_req(self, proc: SimProcess, req: WaitallReq) -> None:
-        self._do_waitall(proc, req.handles)
-
-    # -- tracing hooks ----------------------------------------------------------------
-
-    def record_enter(self, slot: ProcessSlot, region: str) -> None:
-        if self.tracer is not None:
-            self.tracer.enter(slot, region, self.engine.now)
-
-    def record_exit(self, slot: ProcessSlot, region: str) -> None:
-        if self.tracer is not None:
-            self.tracer.exit(slot, region, self.engine.now)
-
-    def _trace_send(
-        self, slot: ProcessSlot, t: float, dest_global: int, tag: int, comm_id: int, size: int
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.send(slot, t, dest_global, tag, comm_id, size)
-
-    def _trace_recv(
-        self, slot: ProcessSlot, t: float, source_global: int, tag: int, comm_id: int, size: int
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.recv(slot, t, source_global, tag, comm_id, size)
-
-    def _trace_coll_exit(
-        self,
-        slot: ProcessSlot,
-        t: float,
-        region: str,
-        comm_id: int,
-        root_global: int,
-        sent: int,
-        recvd: int,
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.coll_exit(slot, t, region, comm_id, root_global, sent, recvd)
+    def _record_recv(self, proc: SimProcess, message: Message) -> None:
+        trace = proc.trace
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.recv(
+                offset + rate * self.engine.now,
+                message.source_global, message.tag, message.comm_id, message.size,
+            )
 
     # -- point-to-point implementation ------------------------------------------------
 
@@ -786,7 +823,8 @@ class World:
 
         Ranks never migrate, so the placement/topology lookups and the
         direction-string formatting that used to run once per message are
-        paid once per (src, dst) pair for the whole run.
+        paid once per (src, dst) pair for the whole run.  The direction
+        keys the congestion model (per node pair).
         """
         key = (src_global, dst_global)
         route = self._routes.get(key)
@@ -799,460 +837,304 @@ class World:
             self._routes[key] = route
         return route
 
-    def _link_model(self, src_global: int, dst_global: int) -> LatencyModel:
-        return self._route(src_global, dst_global)[0]
-
-    def _direction(self, src_global: int, dst_global: int) -> str:
-        """Directional path key for the congestion model (per node pair)."""
-        return self._route(src_global, dst_global)[1]
-
-    def _faulted(self, link, sampled: float) -> float:
+    def _faulted(self, link: LatencyModel, sampled: float) -> float:
         """Apply fault-plan effects to one sampled network delay.
 
-        Retransmission backoff (lost messages, outage windows) is added on
-        top; degradation windows scale the sampled delay itself.  Raises
+        Called only when a fault injector exists.  Retransmission backoff
+        (lost messages, outage windows) is added on top; degradation
+        windows scale the sampled delay itself.  Raises
         :class:`~repro.errors.CommunicationTimeoutError` out of the engine
         when the retry budget dies on a blacked-out link.
         """
         inj = self.fault_injector
-        if inj is None:
-            return sampled
         when = self.engine.now
         before = inj.counters.retransmits
         delay = inj.message_delivery(link.spec, when, self.params.retry)
         self.stats.retransmits += inj.counters.retransmits - before
         return delay + sampled * inj.latency_factor(link.spec, when + delay)
 
-    def _transfer_time(self, link, size: int, src_global: int, dst_global: int) -> float:
-        return self._faulted(link, link.transfer_time(
-            size, self._jitter, when=self.engine.now,
-            direction=self._direction(src_global, dst_global),
-        ))
+    def _inject(
+        self,
+        proc: SimProcess,
+        comm_id: int,
+        dest: int,
+        size: int,
+        tag: int,
+        data: Any,
+        overhead: float,
+        eager: bool,
+        handle: Optional[RequestHandle],
+    ) -> None:
+        """Put one message of *proc* on the wire.
 
-    def _one_way_latency(self, link, src_global: int, dst_global: int) -> float:
-        return self._faulted(link, link.sample_latency(
-            self._jitter, when=self.engine.now,
-            direction=self._direction(src_global, dst_global),
-        ))
-
-    def _do_send(self, proc: SimProcess, req: SendReq, blocking: bool) -> None:
-        comm = self.comm_by_id(req.comm_id)
+        The single injection routine behind ``send``/``ssend``, ``isend``
+        and the send half of ``sendrecv``: build the :class:`Message`, count
+        it, write the SEND record, draw the network delay (one route lookup,
+        one draw from the shared jitter stream, fault effects if a plan is
+        active), clamp the arrival on the channel (MPI non-overtaking) and
+        schedule the announcement at the receiver.  *overhead* is the
+        sender-side cost before the message leaves; *eager* selects payload
+        arrival over a ready-to-send announcement; *handle* is the request
+        the send completes, ``None`` when *proc* itself blocks in the call
+        (its return is then the caller's business for eager, the match's
+        for rendezvous).  Draw, clamp and scheduling order are part of the
+        archive contract — do not reorder.
+        """
+        comm = self.comm_by_id(comm_id)
         src_global = proc.rank
-        dst_global = comm.global_rank(req.dest)
+        dst_global = comm.global_rank(dest)
         now = self.engine.now
-        region = "MPI_Ssend" if req.synchronous else "MPI_Send"
-        self.record_enter(proc.slot, region)
-        send_event_t = now
         message = Message(
-            source=comm.comm_rank(src_global),
-            dest=req.dest,
-            tag=req.tag,
-            comm_id=req.comm_id,
-            size=req.size,
-            data=req.data,
-            send_enter_time=now,
-            send_time=send_event_t,
-            source_global=src_global,
-            dest_global=dst_global,
+            comm.comm_rank(src_global), dest, tag, comm_id, size, data,
+            now, now, src_global, dst_global,
         )
-        self.stats.p2p_messages += 1
-        self.stats.p2p_bytes += req.size
-        link = self._link_model(src_global, dst_global)
-        channel = (req.comm_id, src_global, dst_global)
-        proc.blocked_on = region
-
-        if self.params.is_eager(req.size) and not req.synchronous:
-            departure = now + self.params.send_overhead_s
-            arrival = self._channel_clock.clamp(
-                channel,
-                departure + self._transfer_time(link, req.size, src_global, dst_global),
-            )
-            self._trace_send(proc.slot, send_event_t, dst_global, req.tag, req.comm_id, req.size)
-            inflight = _InFlight(message, arrival, rendezvous=False, sender_resume=None, sender_handle=None)
-            self.engine.call_at(arrival, lambda: self._announce(inflight))
-            done = now + self.params.eager_send_cost_s(req.size)
-
-            def finish_eager() -> None:
-                self.record_exit(proc.slot, region)
-                self._advance(proc, None)
-
-            self.engine.call_at(done, finish_eager)
+        stats = self.stats
+        stats.p2p_messages += 1
+        stats.p2p_bytes += size
+        trace = proc.trace
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.send(offset + rate * now, dst_global, tag, comm_id, size)
+        link, direction = self._route(src_global, dst_global)
+        if eager:
+            delay = link.transfer_time(size, self._jitter, now, direction)
         else:
-            self.stats.rendezvous_messages += 1
-            self._trace_send(proc.slot, send_event_t, dst_global, req.tag, req.comm_id, req.size)
-            rts_arrival = self._channel_clock.clamp(
-                channel,
-                now
-                + self.params.send_overhead_s
-                + self._one_way_latency(link, src_global, dst_global),
+            stats.rendezvous_messages += 1
+            delay = link.sample_latency(self._jitter, now, direction)
+        if self.fault_injector is not None:
+            delay = self._faulted(link, delay)
+        announce = self._channel_clock.clamp(
+            (comm_id, src_global, dst_global), now + overhead + delay
+        )
+        self.engine.call_at(
+            announce, self._announce, _InFlight(message, announce, not eager, proc, handle)
+        )
+        if eager and handle is not None:
+            # The eager isend itself completes immediately after the copy.
+            self._complete_handle(handle, now + self.params.eager_send_cost_s(size), None)
+
+    def _do_send(self, proc: SimProcess, req: SendReq) -> None:
+        region = "MPI_Ssend" if req.synchronous else "MPI_Send"
+        self.record_enter(proc, region)
+        proc.blocked_on = region
+        params = self.params
+        eager = params.is_eager(req.size) and not req.synchronous
+        self._inject(
+            proc, req.comm_id, req.dest, req.size, req.tag, req.data,
+            params.send_overhead_s, eager, None,
+        )
+        if eager:  # a rendezvous sender returns when the match's transfer ends
+            self.engine.call_at(
+                self.engine.now + params.eager_send_cost_s(req.size), self._finish_call, proc
             )
-
-            def sender_resume(completion: float) -> None:
-                def finish() -> None:
-                    self.record_exit(proc.slot, region)
-                    self._advance(proc, None)
-
-                self.engine.call_at(completion, finish)
-
-            inflight = _InFlight(
-                message, rts_arrival, rendezvous=True, sender_resume=sender_resume, sender_handle=None
-            )
-            self.engine.call_at(rts_arrival, lambda: self._announce(inflight))
 
     def _do_isend(self, proc: SimProcess, req: IsendReq) -> None:
-        comm = self.comm_by_id(req.comm_id)
-        src_global = proc.rank
-        dst_global = comm.global_rank(req.dest)
-        now = self.engine.now
-        region = "MPI_Isend"
-        self.record_enter(proc.slot, region)
-        handle = RequestHandle("send", proc.rank)
-        send_event_t = now
-        message = Message(
-            source=comm.comm_rank(src_global),
-            dest=req.dest,
-            tag=req.tag,
-            comm_id=req.comm_id,
-            size=req.size,
-            data=req.data,
-            send_enter_time=now,
-            send_time=send_event_t,
-            source_global=src_global,
-            dest_global=dst_global,
+        self.record_enter(proc, "MPI_Isend")
+        proc.blocked_on = "MPI_Isend"
+        params = self.params
+        handle = proc.pending = RequestHandle(next(self._handle_ids), "send", proc.rank)
+        self._inject(
+            proc, req.comm_id, req.dest, req.size, req.tag, req.data,
+            params.nonblocking_overhead_s, params.is_eager(req.size), handle,
         )
-        self.stats.p2p_messages += 1
-        self.stats.p2p_bytes += req.size
-        link = self._link_model(src_global, dst_global)
-        channel = (req.comm_id, src_global, dst_global)
-        self._trace_send(proc.slot, send_event_t, dst_global, req.tag, req.comm_id, req.size)
-
-        if self.params.is_eager(req.size):
-            departure = now + self.params.nonblocking_overhead_s
-            arrival = self._channel_clock.clamp(
-                channel,
-                departure + self._transfer_time(link, req.size, src_global, dst_global),
-            )
-            inflight = _InFlight(message, arrival, rendezvous=False, sender_resume=None, sender_handle=None)
-            self.engine.call_at(arrival, lambda: self._announce(inflight))
-            # The eager isend itself completes immediately after the copy.
-            self._complete_handle(handle, now + self.params.eager_send_cost_s(req.size), None)
-        else:
-            self.stats.rendezvous_messages += 1
-            rts_arrival = self._channel_clock.clamp(
-                channel,
-                now
-                + self.params.nonblocking_overhead_s
-                + self._one_way_latency(link, src_global, dst_global),
-            )
-            inflight = _InFlight(
-                message, rts_arrival, rendezvous=True, sender_resume=None, sender_handle=handle
-            )
-            self.engine.call_at(rts_arrival, lambda: self._announce(inflight))
-
-        def finish_call() -> None:
-            self.record_exit(proc.slot, region)
-            self._advance(proc, handle)
-
-        self.engine.call_later(self.params.nonblocking_overhead_s, finish_call)
-
-    def _do_recv(self, proc: SimProcess, req: RecvReq, blocking: bool) -> None:
-        comm = self.comm_by_id(req.comm_id)
-        now = self.engine.now
-        region = "MPI_Recv"
-        self.record_enter(proc.slot, region)
-        proc.blocked_on = region
-
-        def resume(message: Message, completion: float) -> None:
-            def finish() -> None:
-                self._trace_recv(
-                    proc.slot,
-                    self.engine.now,
-                    message.source_global,
-                    message.tag,
-                    message.comm_id,
-                    message.size,
-                )
-                self.record_exit(proc.slot, region)
-                self._advance(proc, message)
-
-            self.engine.call_at(completion, finish)
-
-        pending = _PendingRecv(
-            proc_rank=proc.rank,
-            source=req.source,
-            tag=req.tag,
-            comm_id=req.comm_id,
-            post_time=now,
-            handle=None,
-            resume=resume,
+        self.engine.call_at(
+            self.engine.now + params.nonblocking_overhead_s, self._finish_call, proc
         )
-        self._post_recv(pending)
+
+    def _do_recv(self, proc: SimProcess, req: RecvReq) -> None:
+        self.record_enter(proc, "MPI_Recv")
+        proc.blocked_on = "MPI_Recv"
+        self._post_recv(
+            _PendingRecv(proc, req.source, req.tag, req.comm_id, self.engine.now, None)
+        )
+
+    def _finish_recv(self, proc: SimProcess) -> None:
+        """A receiving call returns the message pending on *proc*: RECV
+        record at this instant (none for a ``wait`` on a send), then EXIT."""
+        if proc.pending is not None:
+            self._record_recv(proc, proc.pending)
+        self._finish_call(proc)
 
     def _do_irecv(self, proc: SimProcess, req: IrecvReq) -> None:
-        now = self.engine.now
-        region = "MPI_Irecv"
-        self.record_enter(proc.slot, region)
-        handle = RequestHandle("recv", proc.rank)
-        pending = _PendingRecv(
-            proc_rank=proc.rank,
-            source=req.source,
-            tag=req.tag,
-            comm_id=req.comm_id,
-            post_time=now,
-            handle=handle,
-            resume=None,
+        self.record_enter(proc, "MPI_Irecv")
+        proc.blocked_on = "MPI_Irecv"
+        handle = RequestHandle(next(self._handle_ids), "recv", proc.rank)
+        self._post_recv(
+            _PendingRecv(proc, req.source, req.tag, req.comm_id, self.engine.now, handle)
         )
-        self._post_recv(pending)
+        proc.pending = handle
+        self.engine.call_at(
+            self.engine.now + self.params.nonblocking_overhead_s, self._finish_call, proc
+        )
 
-        def finish_call() -> None:
-            self.record_exit(proc.slot, region)
-            self._advance(proc, handle)
+    def _do_wait(self, proc: SimProcess, req: WaitReq) -> None:
+        self.record_enter(proc, "MPI_Wait")
+        proc.blocked_on = "MPI_Wait"
+        self._wait_for(proc, (req.handle,), False)
 
-        self.engine.call_later(self.params.nonblocking_overhead_s, finish_call)
-
-    def _do_wait(self, proc: SimProcess, handle: RequestHandle) -> None:
-        region = "MPI_Wait"
-        self.record_enter(proc.slot, region)
-        proc.blocked_on = region
-
-        def on_complete() -> None:
-            message = handle.result
-            if handle.kind == "recv" and message is not None:
-                self._trace_recv(
-                    proc.slot,
-                    self.engine.now,
-                    message.source_global,
-                    message.tag,
-                    message.comm_id,
-                    message.size,
-                )
-            self.record_exit(proc.slot, region)
-            self._advance(proc, message)
-
-        self._when_handle_done(handle, on_complete)
-
-    def _do_waitall(self, proc: SimProcess, handles: Tuple[RequestHandle, ...]) -> None:
-        region = "MPI_Waitall"
-        self.record_enter(proc.slot, region)
-        proc.blocked_on = region
-        remaining = {h.id: h for h in handles}
-
-        if not handles:
-            def finish_empty() -> None:
-                self.record_exit(proc.slot, region)
-                self._advance(proc, [])
-
-            self.engine.call_later(0.0, finish_empty)
-            return
-
-        results: List[Optional[Message]] = [None] * len(handles)
-        pending_count = [len(remaining)]
-
-        def make_callback(index: int, handle: RequestHandle) -> Callable[[], None]:
-            def cb() -> None:
-                message = handle.result
-                results[index] = message
-                if handle.kind == "recv" and message is not None:
-                    self._trace_recv(
-                        proc.slot,
-                        self.engine.now,
-                        message.source_global,
-                        message.tag,
-                        message.comm_id,
-                        message.size,
-                    )
-                pending_count[0] -= 1
-                if pending_count[0] == 0:
-                    self.record_exit(proc.slot, region)
-                    self._advance(proc, results)
-
-            return cb
-
-        for index, handle in enumerate(handles):
-            self._when_handle_done(handle, make_callback(index, handle))
+    def _do_waitall(self, proc: SimProcess, req: WaitallReq) -> None:
+        self.record_enter(proc, "MPI_Waitall")
+        proc.blocked_on = "MPI_Waitall"
+        proc.pending = [None] * len(req.handles)
+        self._wait_for(proc, req.handles, True)
 
     def _do_sendrecv(self, proc: SimProcess, req: SendrecvReq) -> None:
-        """Simultaneous send + receive (deadlock-free halo exchanges)."""
-        region = "MPI_Sendrecv"
-        comm = self.comm_by_id(req.comm_id)
-        src_global = proc.rank
-        dst_global = comm.global_rank(req.dest)
-        now = self.engine.now
-        self.record_enter(proc.slot, region)
-        proc.blocked_on = region
+        """Simultaneous send + receive (deadlock-free halo exchanges).
 
-        # Send half (always behaves like an isend).
-        send_event_t = now
-        message = Message(
-            source=comm.comm_rank(src_global),
-            dest=req.dest,
-            tag=req.send_tag,
-            comm_id=req.comm_id,
-            size=req.send_size,
-            data=req.data,
-            send_enter_time=now,
-            send_time=send_event_t,
-            source_global=src_global,
-            dest_global=dst_global,
+        The send half behaves like an isend, the receive half like an
+        irecv; the call returns the received message once both are due and
+        stamps its RECV record at that instant.
+        """
+        self.record_enter(proc, "MPI_Sendrecv")
+        proc.blocked_on = "MPI_Sendrecv"
+        params = self.params
+        send_handle = RequestHandle(next(self._handle_ids), "send", proc.rank)
+        self._inject(
+            proc, req.comm_id, req.dest, req.send_size, req.send_tag, req.data,
+            params.send_overhead_s, params.is_eager(req.send_size), send_handle,
         )
-        self.stats.p2p_messages += 1
-        self.stats.p2p_bytes += req.send_size
-        link = self._link_model(src_global, dst_global)
-        channel = (req.comm_id, src_global, dst_global)
-        self._trace_send(
-            proc.slot, send_event_t, dst_global, req.send_tag, req.comm_id, req.send_size
+        recv_handle = RequestHandle(next(self._handle_ids), "recv", proc.rank)
+        self._post_recv(
+            _PendingRecv(
+                proc, req.source, req.recv_tag, req.comm_id, self.engine.now, recv_handle
+            )
         )
-        send_handle = RequestHandle("send", proc.rank)
-        if self.params.is_eager(req.send_size):
-            departure = now + self.params.send_overhead_s
-            arrival = self._channel_clock.clamp(
-                channel,
-                departure
-                + self._transfer_time(link, req.send_size, src_global, dst_global),
-            )
-            inflight = _InFlight(message, arrival, rendezvous=False, sender_resume=None, sender_handle=None)
-            self.engine.call_at(arrival, lambda: self._announce(inflight))
-            self._complete_handle(
-                send_handle, now + self.params.eager_send_cost_s(req.send_size), None
-            )
-        else:
-            self.stats.rendezvous_messages += 1
-            rts_arrival = self._channel_clock.clamp(
-                channel,
-                now
-                + self.params.send_overhead_s
-                + self._one_way_latency(link, src_global, dst_global),
-            )
-            inflight = _InFlight(
-                message, rts_arrival, rendezvous=True, sender_resume=None, sender_handle=send_handle
-            )
-            self.engine.call_at(rts_arrival, lambda: self._announce(inflight))
-
-        # Receive half.
-        recv_handle = RequestHandle("recv", proc.rank)
-        pending = _PendingRecv(
-            proc_rank=proc.rank,
-            source=req.source,
-            tag=req.recv_tag,
-            comm_id=req.comm_id,
-            post_time=now,
-            handle=recv_handle,
-            resume=None,
-        )
-        self._post_recv(pending)
-
-        done = [False, False]
-
-        def check_done(which: int) -> Callable[[], None]:
-            def cb() -> None:
-                done[which] = True
-                if all(done):
-                    received = recv_handle.result
-                    assert received is not None
-                    self._trace_recv(
-                        proc.slot,
-                        self.engine.now,
-                        received.source_global,
-                        received.tag,
-                        received.comm_id,
-                        received.size,
-                    )
-                    self.record_exit(proc.slot, region)
-                    self._advance(proc, received)
-
-            return cb
-
-        self._when_handle_done(send_handle, check_done(0))
-        self._when_handle_done(recv_handle, check_done(1))
+        self._wait_for(proc, (send_handle, recv_handle), False)
 
     # -- matching ------------------------------------------------------------------
 
     def _post_recv(self, pending: _PendingRecv) -> None:
-        key = (pending.comm_id, pending.proc_rank)
-        queue = self._unexpected.setdefault(key, [])
-        comm = self.comm_by_id(pending.comm_id)
-        for i, inflight in enumerate(queue):
-            if self._matches(pending, inflight.message, comm):
-                queue.pop(i)
-                self._match(pending, inflight, match_time=self.engine.now)
-                return
+        if pending.comm_id not in self._comms:
+            self.comm_by_id(pending.comm_id)  # raises: unknown communicator
+        key = (pending.comm_id, pending.proc.rank)
+        queue = self._unexpected.get(key)
+        if queue:
+            for i, inflight in enumerate(queue):
+                if self._matches(pending, inflight.message):
+                    del queue[i]
+                    self._match(pending, inflight)
+                    return
         self._pending_recvs.setdefault(key, []).append(pending)
 
     def _announce(self, inflight: _InFlight) -> None:
         """A message (or its rendezvous announcement) reaches the receiver."""
         msg = inflight.message
         key = (msg.comm_id, msg.dest_global)
-        comm = self.comm_by_id(msg.comm_id)
-        pendings = self._pending_recvs.get(key, [])
-        for i, pending in enumerate(pendings):
-            if self._matches(pending, msg, comm):
-                pendings.pop(i)
-                self._match(pending, inflight, match_time=self.engine.now)
-                return
+        pendings = self._pending_recvs.get(key)
+        if pendings:
+            for i, pending in enumerate(pendings):
+                if self._matches(pending, msg):
+                    del pendings[i]
+                    self._match(pending, inflight)
+                    return
         self._unexpected.setdefault(key, []).append(inflight)
 
     @staticmethod
-    def _matches(pending: _PendingRecv, msg: Message, comm: CommunicatorData) -> bool:
-        if pending.comm_id != msg.comm_id:
-            return False
-        if pending.source != ANY_SOURCE and pending.source != msg.source:
-            return False
-        if pending.tag != ANY_TAG and pending.tag != msg.tag:
-            return False
-        return True
+    def _matches(pending: _PendingRecv, msg: Message) -> bool:
+        """Both queues are keyed by communicator: source and tag decide."""
+        return (pending.source == ANY_SOURCE or pending.source == msg.source) and (
+            pending.tag == ANY_TAG or pending.tag == msg.tag
+        )
 
-    def _match(self, pending: _PendingRecv, inflight: _InFlight, match_time: float) -> None:
-        """Complete a matched pair, honouring the protocol timing."""
+    def _match(self, pending: _PendingRecv, inflight: _InFlight) -> None:
+        """Complete a pair matched at this instant, honouring protocol timing."""
         msg = inflight.message
+        now = self.engine.now
         if inflight.rendezvous:
-            link = self._link_model(msg.source_global, msg.dest_global)
-            cts = match_time + self._one_way_latency(
-                link, msg.dest_global, msg.source_global
+            src_global, dst_global = msg.source_global, msg.dest_global
+            link, direction = self._route(src_global, dst_global)
+            # Clear-to-send travels back, then the payload forward.
+            cts = link.sample_latency(
+                self._jitter, now, self._route(dst_global, src_global)[1]
             )
-            transfer_done = cts + self._transfer_time(
-                link, msg.size, msg.source_global, msg.dest_global
-            )
+            transfer = link.transfer_time(msg.size, self._jitter, now, direction)
+            if self.fault_injector is not None:
+                cts = self._faulted(link, cts)
+                transfer = self._faulted(link, transfer)
+            transfer_done = now + cts + transfer
             recv_completion = transfer_done + self.params.recv_overhead_s
-            if inflight.sender_resume is not None:
-                inflight.sender_resume(transfer_done)
-            if inflight.sender_handle is not None:
+            if inflight.sender_handle is None:
+                self.engine.call_at(transfer_done, self._finish_call, inflight.sender)
+            else:
                 self._complete_handle(inflight.sender_handle, transfer_done, None)
         else:
-            arrival = inflight.announce_time
-            recv_completion = max(arrival, pending.post_time) + self.params.recv_overhead_s
-            recv_completion = max(recv_completion, match_time)
-        if pending.handle is not None:
+            recv_completion = max(
+                max(inflight.announce_time, pending.post_time) + self.params.recv_overhead_s,
+                now,
+            )
+        if pending.handle is None:
+            pending.proc.pending = msg
+            self.engine.call_at(recv_completion, self._finish_recv, pending.proc)
+        else:
             self._complete_handle(pending.handle, recv_completion, msg)
-        if pending.resume is not None:
-            pending.resume(msg, recv_completion)
 
     # -- handle plumbing ---------------------------------------------------------------
 
     def _complete_handle(
         self, handle: RequestHandle, completion_time: float, result: Optional[Message]
     ) -> None:
-        if handle.completed:
+        """Record when *handle* completes; wake its waiter then, if it has one."""
+        if handle.completion_time is not None:
             raise SimulationError(f"handle {handle!r} completed twice")
+        due = handle.completion_time = max(completion_time, self.engine.now)
+        handle.result = result
+        if handle._waiter is not None:
+            self.engine.call_at(due, self._handle_due, handle)
 
-        def mark() -> None:
-            handle.completed = True
-            handle.completion_time = self.engine.now
-            handle.result = result
-            waiter = getattr(handle, "_waiter", None)
-            if waiter is not None:
-                handle._waiter = None  # type: ignore[attr-defined]
-                waiter()
+    def _wait_for(
+        self, proc: SimProcess, handles: Tuple[RequestHandle, ...], indexed: bool
+    ) -> None:
+        """Block *proc* until every handle of its call is due.
 
-        self.engine.call_at(max(completion_time, self.engine.now), mark)
+        Handles already past due are settled here and now; each other one
+        gets *proc* as its waiter and — as soon as its completion time is
+        known — exactly one engine event at that instant.  If nothing is
+        left outstanding the whole call costs one event.  *indexed* is a
+        ``waitall`` (results land in ``proc.pending[i]``, each RECV record
+        stamped as its handle falls due); otherwise the call returns the
+        one received message and stamps its RECV record on return.
+        """
+        now = self.engine.now
+        outstanding = 0
+        for index, handle in enumerate(handles):
+            slot = index if indexed else None
+            due = handle.completion_time
+            if due is not None and due <= now:
+                if handle.result is not None:
+                    self._settle(proc, handle.result, slot)
+                continue
+            if handle._waiter is not None:
+                raise MPIUsageError(f"handle {handle!r} waited on twice")
+            handle._waiter = (proc, slot)
+            outstanding += 1
+            if due is not None:
+                self.engine.call_at(due, self._handle_due, handle)
+        proc.outstanding = outstanding
+        if not outstanding:
+            self.engine.call_at(
+                now, self._finish_call if indexed else self._finish_recv, proc
+            )
 
-    def _when_handle_done(self, handle: RequestHandle, callback: Callable[[], None]) -> None:
-        if handle.completed:
-            self.engine.call_later(0.0, callback)
-            return
-        existing = getattr(handle, "_waiter", None)
-        if existing is not None:
-            raise MPIUsageError(f"handle {handle!r} waited on twice")
-        handle._waiter = callback  # type: ignore[attr-defined]
+    def _settle(self, proc: SimProcess, message: Message, slot: Optional[int]) -> None:
+        """Hand a due receive's *message* to the call *proc* waits in."""
+        if slot is None:
+            proc.pending = message
+        else:
+            proc.pending[slot] = message
+            self._record_recv(proc, message)
+
+    def _handle_due(self, handle: RequestHandle) -> None:
+        """The completion instant of a handle somebody waits on."""
+        proc, slot = handle._waiter
+        handle._waiter = None
+        if handle.result is not None:
+            self._settle(proc, handle.result, slot)
+        proc.outstanding -= 1
+        if not proc.outstanding:
+            if slot is None:
+                self._finish_recv(proc)
+            else:
+                self._finish_call(proc)
 
     # -- collectives ---------------------------------------------------------------------
 
@@ -1265,7 +1147,7 @@ class World:
             )
         my_comm_rank = comm.comm_rank(proc.rank)
         now = self.engine.now
-        self.record_enter(proc.slot, req.op)
+        self.record_enter(proc, req.op)
         proc.blocked_on = req.op
 
         instances = self._coll_instances.setdefault(req.comm_id, [])
@@ -1332,9 +1214,7 @@ class World:
         alpha: float,
         inv_bw: float,
     ) -> None:
-        import math as _math
-
-        stages = max(1, _math.ceil(_math.log2(max(2, comm.size))))
+        stages = max(1, ceil(log2(max(2, comm.size))))
         stage_cost = alpha + instance.size * inv_bw
         prefix_max = float("-inf")
         for comm_rank in range(comm.size):
@@ -1392,21 +1272,28 @@ class World:
                 f"comm rank {comm_rank} resumed twice in {instance.op}"
             )
         instance.resumed.add(comm_rank)
-        global_rank = comm.global_rank(comm_rank)
-        proc = self._procs[global_rank]
-        result = self._collective_result(instance, comm_rank)
+        proc = self._procs[comm.global_rank(comm_rank)]
+        proc.pending = self._collective_result(instance, comm_rank)
         sent, recvd = coll.bytes_moved(
             instance.op, instance.size, comm.size, comm_rank, instance.root
         )
-        root_global = comm.global_rank(instance.root)
-        op, cid = instance.op, comm.id
+        self.engine.call_at(
+            max(exit_time, self.engine.now), self._finish_collective,
+            proc, comm.id, comm.global_rank(instance.root), sent, recvd,
+        )
 
-        def finish() -> None:
-            self._trace_coll_exit(proc.slot, self.engine.now, op, cid, root_global, sent, recvd)
-            self.record_exit(proc.slot, op)
-            self._advance(proc, result)
-
-        self.engine.call_at(max(exit_time, self.engine.now), finish)
+    def _finish_collective(
+        self, proc: SimProcess, comm_id: int, root_global: int, sent: int, recvd: int
+    ) -> None:
+        """*proc* leaves the collective it is blocked in: COLLEXIT, EXIT."""
+        trace = proc.trace
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.coll_exit(
+                offset + rate * self.engine.now, self._region_ids[proc.blocked_on],
+                comm_id, root_global, sent, recvd,
+            )
+        self._finish_call(proc)
 
     def _complete_collective(self, comm: CommunicatorData, instance: _CollectiveInstance) -> None:
         self.stats.collectives += 1
@@ -1439,20 +1326,23 @@ class World:
         speed = proc.slot.cpu.speed_factor
         busy = [w / speed for w in req.work_seconds]
         busy_max = max(busy)
-        busy_sum = sum(busy)
-        nthreads = len(busy)
-        self.record_enter(proc.slot, req.region)
+        self.record_enter(proc, req.region)
         proc.blocked_on = req.region
+        self.engine.call_later(
+            busy_max, self._finish_omp_parallel, proc, len(busy), sum(busy), busy_max
+        )
 
-        def finish() -> None:
-            if self.tracer is not None:
-                self.tracer.omp_region(
-                    proc.slot, self.engine.now, req.region, nthreads, busy_sum, busy_max
-                )
-            self.record_exit(proc.slot, req.region)
-            self._advance(proc, None)
-
-        self.engine.call_later(busy_max, finish)
+    def _finish_omp_parallel(
+        self, proc: SimProcess, nthreads: int, busy_sum: float, busy_max: float
+    ) -> None:
+        trace = proc.trace
+        if trace is not None:
+            buf, offset, rate = trace
+            buf.omp_region(
+                offset + rate * self.engine.now, self._region_ids[proc.blocked_on],
+                nthreads, busy_sum, busy_max,
+            )
+        self._finish_call(proc)
 
     # -- communicator splitting -------------------------------------------------
 
@@ -1464,10 +1354,9 @@ class World:
                 f"rank {proc.rank} called split on communicator "
                 f"{comm.name!r} it does not belong to"
             )
-        region = "MPI_Comm_split"
         now = self.engine.now
-        self.record_enter(proc.slot, region)
-        proc.blocked_on = region
+        self.record_enter(proc, "MPI_Comm_split")
+        proc.blocked_on = "MPI_Comm_split"
 
         key = (req.comm_id, "split")
         pending = self._split_pending.setdefault(key, [])
@@ -1486,9 +1375,7 @@ class World:
         self.stats.collectives += 1
         # Exchange of (color, key) behaves like a small allgather.
         alpha, inv_bw = self._comm_cost(comm)
-        import math as _math
-
-        stages = max(1, _math.ceil(_math.log2(max(2, comm.size))))
+        stages = max(1, ceil(log2(max(2, comm.size))))
         finish = max(t for (_c, _k, t) in instance.values()) + stages * (
             alpha + 8 * inv_bw
         )
@@ -1514,22 +1401,11 @@ class World:
         for global_rank, (color, _key, _t) in instance.items():
             proc = self._procs[global_rank]
             data = new_comms.get(color) if color is not None else None
-            result = (
-                Communicator(data, global_rank) if data is not None else None
+            proc.pending = Communicator(data, global_rank) if data is not None else None
+            self.engine.call_at(
+                max(finish, self.engine.now), self._finish_collective,
+                proc, comm.id, comm.global_rank(0), 8, 8 * comm.size,
             )
-
-            def make_finish(p: SimProcess, res: Any) -> Callable[[], None]:
-                def finish() -> None:
-                    self._trace_coll_exit(
-                        p.slot, self.engine.now, "MPI_Comm_split", comm.id,
-                        comm.global_rank(0), 8, 8 * comm.size,
-                    )
-                    self.record_exit(p.slot, "MPI_Comm_split")
-                    self._advance(p, res)
-
-                return finish
-
-            self.engine.call_at(max(finish, self.engine.now), make_finish(proc, result))
 
     @staticmethod
     def _collective_result(instance: _CollectiveInstance, comm_rank: int) -> Any:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Generator, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.topology.metacomputer import ProcessSlot
 
 #: Type of application generators: they yield request objects and receive
@@ -32,17 +32,25 @@ class SimProcess:
 
     def __init__(self, slot: ProcessSlot, generator: AppGenerator) -> None:
         self.slot = slot
+        self.rank = slot.rank
         self.generator = generator
         self.state = ProcessState.READY
         self.finish_time: Optional[float] = None
         #: Exception that terminated the process, if any.
         self.failure: Optional[BaseException] = None
-        #: Set by the world while an MPI call is in flight (diagnostics).
+        #: Region of the call in flight (``"compute"`` outside MPI), set by
+        #: the world: what a deadlock report names and what the call's EXIT
+        #: record closes.
         self.blocked_on: Optional[str] = None
-
-    @property
-    def rank(self) -> int:
-        return self.slot.rank
+        #: Value the generator is resumed with when that call completes.  A
+        #: generator is blocked on exactly one request, so the continuation
+        #: of every call is (blocked_on, pending) — no closure per call.
+        self.pending: Any = None
+        #: Request handles the call in flight still waits for.
+        self.outstanding = 0
+        #: ``(buffer, clock offset, clock rate)`` the world stamps this
+        #: rank's trace records with; ``None`` when the run is untraced.
+        self.trace: Optional[tuple] = None
 
     @property
     def done(self) -> bool:
@@ -66,8 +74,6 @@ class SimProcess:
         except BaseException as exc:  # noqa: BLE001 - reported with context
             self.state = ProcessState.FAILED
             self.failure = exc
-            from repro.errors import ReproError
-
             if isinstance(exc, ReproError):
                 # Toolkit errors (bad rank, bad size, ...) keep their type.
                 raise

@@ -76,63 +76,65 @@ class TraceBuffer:
         yield encode_header(self.rank)
         yield memoryview(self._buf)
 
-    def _check(self, time: float) -> None:
+    # One frame per record on the accepting path: order/finalized/depth
+    # checks, pack and append happen in the record method itself, and a
+    # failed pack leaves the buffer untouched.  The simulated world calls
+    # these once per event, directly.
+
+    def _reject(self, time: float) -> None:
         if self._finalized:
             raise TraceError(f"trace buffer of rank {self.rank} already finalized")
-        if time < self._last_time:
-            raise TraceError(
-                f"rank {self.rank}: non-monotonic local time stamp "
-                f"{time} after {self._last_time}"
-            )
+        raise TraceError(
+            f"rank {self.rank}: non-monotonic local time stamp "
+            f"{time} after {self._last_time}"
+        )
 
-    def _commit(self, time: float, record: bytes) -> None:
-        self._last_time = time
-        self._count += 1
-        self._buf += record
+    def _unencodable(self, kind: str, exc: struct.error) -> EncodingError:
+        return EncodingError(f"rank {self.rank}: cannot encode {kind} event: {exc}")
 
     def enter(self, time: float, region: int) -> None:
-        self._check(time)
+        if self._finalized or time < self._last_time:
+            self._reject(time)
         try:
-            record = pack_enter(1, time, region)
+            self._buf += pack_enter(1, time, region)
         except struct.error as exc:
-            raise EncodingError(
-                f"rank {self.rank}: cannot encode ENTER event: {exc}"
-            ) from exc
+            raise self._unencodable("ENTER", exc) from exc
+        self._last_time = time
+        self._count += 1
         self._depth += 1
-        self._commit(time, record)
 
     def exit(self, time: float, region: int) -> None:
         if self._depth <= 0:
             raise TraceError(f"rank {self.rank}: EXIT without matching ENTER")
-        self._check(time)
+        if self._finalized or time < self._last_time:
+            self._reject(time)
         try:
-            record = pack_exit(2, time, region)
+            self._buf += pack_exit(2, time, region)
         except struct.error as exc:
-            raise EncodingError(
-                f"rank {self.rank}: cannot encode EXIT event: {exc}"
-            ) from exc
+            raise self._unencodable("EXIT", exc) from exc
+        self._last_time = time
+        self._count += 1
         self._depth -= 1
-        self._commit(time, record)
 
     def send(self, time: float, dest: int, tag: int, comm: int, size: int) -> None:
-        self._check(time)
+        if self._finalized or time < self._last_time:
+            self._reject(time)
         try:
-            record = pack_send(3, time, dest, tag, comm, size)
+            self._buf += pack_send(3, time, dest, tag, comm, size)
         except struct.error as exc:
-            raise EncodingError(
-                f"rank {self.rank}: cannot encode SEND event: {exc}"
-            ) from exc
-        self._commit(time, record)
+            raise self._unencodable("SEND", exc) from exc
+        self._last_time = time
+        self._count += 1
 
     def recv(self, time: float, source: int, tag: int, comm: int, size: int) -> None:
-        self._check(time)
+        if self._finalized or time < self._last_time:
+            self._reject(time)
         try:
-            record = pack_recv(4, time, source, tag, comm, size)
+            self._buf += pack_recv(4, time, source, tag, comm, size)
         except struct.error as exc:
-            raise EncodingError(
-                f"rank {self.rank}: cannot encode RECV event: {exc}"
-            ) from exc
-        self._commit(time, record)
+            raise self._unencodable("RECV", exc) from exc
+        self._last_time = time
+        self._count += 1
 
     def omp_region(
         self, time: float, region: int, nthreads: int, busy_sum: float, busy_max: float
@@ -141,26 +143,26 @@ class TraceBuffer:
             raise TraceError(f"rank {self.rank}: team size must be positive")
         if busy_sum < 0 or busy_max < 0:
             raise TraceError(f"rank {self.rank}: negative thread busy time")
-        self._check(time)
+        if self._finalized or time < self._last_time:
+            self._reject(time)
         try:
-            record = pack_omp_region(6, time, region, nthreads, busy_sum, busy_max)
+            self._buf += pack_omp_region(6, time, region, nthreads, busy_sum, busy_max)
         except struct.error as exc:
-            raise EncodingError(
-                f"rank {self.rank}: cannot encode OMPREGION event: {exc}"
-            ) from exc
-        self._commit(time, record)
+            raise self._unencodable("OMPREGION", exc) from exc
+        self._last_time = time
+        self._count += 1
 
     def coll_exit(
         self, time: float, region: int, comm: int, root: int, sent: int, recvd: int
     ) -> None:
-        self._check(time)
+        if self._finalized or time < self._last_time:
+            self._reject(time)
         try:
-            record = pack_coll_exit(5, time, region, comm, root, sent, recvd)
+            self._buf += pack_coll_exit(5, time, region, comm, root, sent, recvd)
         except struct.error as exc:
-            raise EncodingError(
-                f"rank {self.rank}: cannot encode COLLEXIT event: {exc}"
-            ) from exc
-        self._commit(time, record)
+            raise self._unencodable("COLLEXIT", exc) from exc
+        self._last_time = time
+        self._count += 1
 
     def finalize(self) -> None:
         """Close the buffer, verifying ENTER/EXIT balance."""

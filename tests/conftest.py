@@ -7,6 +7,8 @@ run share a single simulation.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def run_app(metacomputer, nprocs, app, seed=0, **runtime_kwargs):
     placement = Placement.block(metacomputer, nprocs)
     runtime = MetaMPIRuntime(metacomputer, placement, seed=seed, **runtime_kwargs)
     return runtime.run(app)
+
+
+def archive_digest(run):
+    """One hash over every archive file of every metahost, in stable order."""
+    h = hashlib.sha256()
+    for machine in run.machines_used:
+        reader = run.reader(machine)
+        for name in sorted(reader.namespace.list_dir(reader.path)):
+            h.update(name.encode())
+            h.update(reader.namespace.read_file(f"{reader.path}/{name}"))
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

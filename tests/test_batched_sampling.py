@@ -13,7 +13,6 @@ clean figure-6 workload and for a fault-injected degraded run, at
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.experiments.faults import escalating_fault_plans
 from repro.report import render_analysis
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.network import ExponentialJitterStream
+from tests.conftest import archive_digest
 
 
 class ScalarJitterShim:
@@ -46,17 +46,6 @@ class ScalarJitterShim:
 
     def sync(self):
         pass
-
-
-def archive_digest(run):
-    """One hash over every archive file of every metahost, in stable order."""
-    h = hashlib.sha256()
-    for machine in run.machines_used:
-        reader = run.reader(machine)
-        for name in sorted(reader.namespace.list_dir(reader.path)):
-            h.update(name.encode())
-            h.update(reader.namespace.read_file(f"{reader.path}/{name}"))
-    return h.hexdigest()
 
 
 class TestStreamEquivalence:
