@@ -5,9 +5,10 @@ Times the full replay analysis of the scaled Experiment 1 workload
 results to ``BENCH_parallel.json``, extending the perf trajectory of
 ``BENCH_pipeline.json``:
 
-* **jobs=1** — the serial :class:`~repro.analysis.replay.ReplayAnalyzer`;
-* **jobs=N** — :class:`~repro.analysis.parallel.ParallelReplayAnalyzer`
-  sharding the same archive across N worker processes.
+* **jobs=1** — :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`
+  with its local phase in-process;
+* **jobs=N** — the same analyzer, the local phase of the same archive
+  sharded across N worker processes.
 
 Every parallel result is checked bit-identical to the serial severity cube
 before its timing is recorded — a benchmark of a wrong analysis is

@@ -24,13 +24,7 @@ from repro.analysis.replay import (
 )
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.analysis.streaming import StreamingReplayAnalyzer
-from repro.analysis.parallel import (
-    ParallelReplayAnalyzer,
-    PartialAnalysis,
-    merge_partials,
-    plan_shards,
-    resolve_jobs,
-)
+from repro.analysis.parallel import PartialAnalysis, plan_shards, resolve_jobs
 from repro.analysis.patterns import metric_tree, Metric, METRICS
 from repro.analysis.stats import (
     TraceStatistics,
@@ -51,11 +45,9 @@ __all__ = [
     "CollectiveInstance",
     "ReplayAnalyzer",
     "StreamingReplayAnalyzer",
-    "ParallelReplayAnalyzer",
     "AnalysisRequest",
     "SeverityTimeline",
     "PartialAnalysis",
-    "merge_partials",
     "plan_shards",
     "resolve_jobs",
     "AnalysisResult",

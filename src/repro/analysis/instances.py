@@ -280,10 +280,10 @@ def total_time_of(timelines: Dict[int, ProcessTimeline]) -> float:
 def remap_timeline(timeline: ProcessTimeline, remap: List[int]) -> None:
     """Rewrite a table-backed timeline's call-path ids: ``remap[old]`` is new.
 
-    Shared by the two renumbering finalizers: the parallel merge (shard-
-    local → global ids) and the streaming replay (rank-local → global ids).
-    Dict insertion order is preserved, so downstream iteration order is
-    unchanged; the op and fork-join tables take one ``np.take`` each.
+    How a shard worker's tables get their global (rank-major, first-
+    encounter) ids before the pump feeds them.  Dict insertion order is
+    preserved, so downstream iteration order is unchanged; the op and
+    fork-join tables take one ``np.take`` each.
     """
     timeline.exclusive_time = {
         remap[cpid]: value for cpid, value in timeline.exclusive_time.items()

@@ -1,35 +1,31 @@
-"""Process-parallel sharded replay analysis.
+"""What crosses the process boundary when the local phase runs on a pool.
 
 The paper's analyzer is *parallel by construction*: every analysis process
 reads only the traces local to its own metahost and the replay exchanges
-per-event metadata, never whole trace files.  This module reproduces that
-execution model with ``multiprocessing`` workers:
+per-event metadata, never whole trace files.  The replay's **local phase**
+— admit a rank, build its op tables — is a pure function of one trace
+file, so it is the part that can run anywhere.  This module holds what a
+worker process needs to run it and nothing else:
 
-* the world is partitioned into contiguous **shards** of ranks, aligned to
-  metahost boundaries where possible (:func:`plan_shards`);
-* each worker receives a picklable :class:`ShardTask` — raw trace blobs,
-  the definitions document, and the clock converters for its shard — and
-  performs the *local* phase: admit each rank and build its op tables
-  (:func:`repro.analysis.optable.build_rank_tables`) over a shard-local
+* :func:`plan_shards` partitions the world into contiguous **shards** of
+  ranks, aligned to metahost boundaries where possible;
+* a picklable :class:`ShardTask` carries one shard's raw trace blobs, the
+  definitions document and the clock converters of its nodes;
+* :func:`analyze_shard`, the :class:`~repro.resilience.pool.SupervisedPool`
+  task function, runs :meth:`PartialAnalysis.admit` — one rank's local
+  phase, the same routine at every ``jobs`` value: admission
+  (:func:`_admit_rank`), then its op tables
+  (:func:`repro.analysis.optable.build_rank_tables`) — over a shard-local
   call-path registry;
-* the worker returns a picklable :class:`PartialAnalysis` holding exactly
-  that — timelines whose ops are numpy columns, call paths, completeness,
-  captured warnings;
-* the merge (:func:`merge_partials`) renumbers shard-local call paths into
-  one registry and feeds every merged timeline's op table, rank by rank,
-  through the streaming replay core
-  (:mod:`repro.analysis.streaming`): the one matcher and pattern evaluator
-  outside the buffered reference.  This module contains neither.
+* the picklable :class:`PartialAnalysis` it returns holds exactly that —
+  timelines whose ops are numpy columns, call paths, completeness, captured
+  warnings.
 
-The merged :class:`AnalysisResult` is bit-for-bit identical to ``jobs=1``
-because the serial pump and the merge are the *same* code fed in two
-different rank interleavings, and nothing the core computes depends on the
-interleaving: the severity cube and grid breakdown are exact and
-order-free, stateful patterns see pairs in receive trace order per
-receiver, and clock-condition stamps are sorted at finalize.
-
-``jobs=1`` callers never reach this module; ``analyze_run(..., jobs=N)``
-dispatches here for ``N != 1``.
+There is no matcher, no pattern evaluator and no driver here.
+:class:`repro.analysis.streaming.StreamingReplayAnalyzer` is the one
+analyzer: with ``jobs >= 2`` it ships shards here, absorbs the returned
+registries in ascending shard order, and pumps the tables exactly as it
+pumps the ones it builds in-process with ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -40,17 +36,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.callpath import CallPathRegistry
-from repro.analysis.instances import ProcessTimeline, remap_timeline
+from repro.analysis.instances import ProcessTimeline
 from repro.analysis.optable import build_rank_tables
-from repro.analysis.replay import AnalysisResult, RankCompleteness
-from repro.analysis.severity_timeline import SeverityTimeline
-from repro.analysis.streaming import _admit_rank, _StreamState
-from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
-from repro.errors import AnalysisError, TimeBudgetExceeded
+from repro.analysis.replay import RankCompleteness
+from repro.clocks.sync import LinearConverter
+from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning
 from repro.ids import NodeId, node_of
-from repro.resilience.deadline import Deadline
-from repro.resilience.pool import PoolConfig, SupervisedPool
-from repro.trace.archive import ArchiveReader, Definitions, TraceShard
+from repro.trace.archive import (
+    Definitions,
+    TraceShard,
+    salvage_checked,
+    trace_filename,
+)
+from repro.trace.encoding import iter_events
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -73,7 +71,7 @@ def plan_shards(
     """Partition *ranks* (ascending) into ≤ *jobs* contiguous shards.
 
     Shards are contiguous slices of the ascending rank list — the property
-    the deterministic call-path merge relies on — with interior cuts
+    the rank-major call-path numbering relies on — with interior cuts
     snapped to metahost boundaries when one is nearby, so a shard usually
     only needs trace files from a single metahost (the paper's locality
     constraint).
@@ -123,7 +121,7 @@ class ShardTask:
 
 @dataclass
 class PartialAnalysis:
-    """One shard's local analysis: picklable, mergeable."""
+    """One shard's local phase: picklable, absorbed in shard order."""
 
     index: int
     ranks: Tuple[int, ...]
@@ -135,256 +133,167 @@ class PartialAnalysis:
     #: Warnings raised in the worker, re-emitted by the parent in order.
     warnings: List[Tuple[Type[Warning], str]] = field(default_factory=list)
 
+    def admit(
+        self,
+        rank: int,
+        definitions: Definitions,
+        traces: TraceShard,
+        converters: Dict[NodeId, Optional[LinearConverter]],
+        degraded: bool,
+    ) -> None:
+        """One rank's local phase: admit it and build its op tables.
+
+        An admitted rank gains a timeline (its call paths interned into
+        ``callpaths``) and a ``trace_bytes`` entry; a rejected one raises
+        (strict) or gains an exclusion record in ``completeness``.
+        """
+
+        def build(rank: int, blob: bytes, converter: LinearConverter) -> ProcessTimeline:
+            return build_rank_tables(
+                rank,
+                definitions.locations[rank],
+                blob,
+                converter,
+                self.callpaths,
+                definitions.regions,
+            )
+
+        admitted = _admit_rank(
+            rank, definitions, traces, converters, degraded, self.completeness, build
+        )
+        if admitted is not None:
+            blob, _converter, self.timelines[rank] = admitted
+            self.trace_bytes[rank] = len(blob)
+
+
+def _admit_rank(
+    rank: int,
+    definitions: Definitions,
+    traces: TraceShard,
+    converters: Dict[NodeId, Optional[LinearConverter]],
+    degraded: bool,
+    completeness: Dict[int, RankCompleteness],
+    build=None,
+):
+    """Decide one rank's fate; every engine but the buffered reference asks here.
+
+    The in-process local phase, the strict pre-check ahead of a pool run and
+    the shard worker all admit a rank through this routine, so check order,
+    error text and warning text cannot drift between ``jobs`` values.
+    *traces* is a snapshot covering *rank*: a rank with neither a blob nor a
+    ``missing`` reason had no reader on its metahost.  Strict mode raises at
+    the first defect; degraded mode records it in *completeness*, warns
+    (:class:`~repro.errors.PartialTraceWarning`) and returns None.  Degraded
+    admission scans (``count_only``) instead of decoding, so a damaged
+    multi-gigabyte prefix costs O(1) memory.
+
+    *build*, when given, is called as ``build(rank, blob, converter)`` on
+    the admitted rank — the local phase,
+    :func:`~repro.analysis.optable.build_rank_tables`; an
+    :class:`AnalysisError` out of it is the last exclusion reason (damage
+    that decodes as valid records but is structurally inconsistent).
+    Returns ``(blob, converter, built)``.
+    """
+    location = definitions.locations[rank]
+
+    def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
+        completeness[rank] = RankCompleteness(
+            rank=rank,
+            complete=False,
+            completeness=fraction,
+            events=events,
+            analyzed=False,
+            error=reason,
+        )
+        warnings.warn(
+            f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
+            stacklevel=4,
+        )
+
+    blob = traces.blobs.get(rank)
+    if blob is None:
+        reason = traces.missing.get(rank)
+        if degraded:
+            exclude(reason or "no archive reader for its metahost")
+            return None
+        if reason is None:
+            raise AnalysisError(
+                f"no archive reader for machine {location.machine} "
+                f"(rank {rank} lives there)"
+            )
+        raise AnalysisError(
+            f"rank {rank}'s trace is not visible on its own metahost "
+            f"({trace_filename(rank)} missing)"
+        )
+    if degraded:
+        scanned = salvage_checked(blob, traces.manifests.get(rank), count_only=True)
+        if scanned.rank is not None and scanned.rank != rank:
+            exclude(f"trace file claims rank {scanned.rank}")
+            return None
+        if not scanned.complete:
+            exclude(
+                scanned.error,
+                fraction=scanned.completeness,
+                events=scanned.event_count,
+            )
+            return None
+        if not scanned.balanced:
+            exclude(
+                f"trace decodes but leaves {scanned.open_regions} region(s) "
+                "open (truncated at a record boundary?)",
+                fraction=scanned.completeness,
+                events=scanned.event_count,
+            )
+            return None
+        completeness[rank] = RankCompleteness(
+            rank=rank,
+            complete=True,
+            completeness=1.0,
+            events=scanned.event_count,
+            analyzed=True,
+        )
+    file_rank, _ = iter_events(blob)
+    if file_rank != rank:
+        raise ArchiveError(
+            f"trace file {trace_filename(rank)} claims rank {file_rank}"
+        )
+    converter = converters.get(node_of(location))
+    if converter is None:
+        if not degraded:
+            raise AnalysisError(f"no clock converter for node {node_of(location)}")
+        warnings.warn(
+            f"rank {rank}: no clock converter for {node_of(location)}, "
+            "using local time unconverted",
+            PartialTraceWarning,
+            stacklevel=3,
+        )
+        converter = LinearConverter.identity()
+    built = None
+    if build is not None:
+        try:
+            built = build(rank, blob, converter)
+        except AnalysisError as exc:
+            if not degraded:
+                raise
+            prior = completeness[rank]
+            exclude(str(exc), fraction=prior.completeness, events=prior.events)
+            return None
+    return blob, converter, built
+
 
 def analyze_shard(task: ShardTask) -> PartialAnalysis:
-    """The worker: admit each rank and build its op tables.
+    """The worker: the local phase of every rank of one shard.
 
     Runs in a subprocess; every warning is captured and carried back in the
     :class:`PartialAnalysis` so the parent can re-emit it (subprocess
     warnings are invisible to the caller's ``warnings`` machinery).
     """
     partial = PartialAnalysis(index=task.index, ranks=task.ranks)
-    definitions = task.definitions
-
-    def build(rank: int, blob: bytes, converter: LinearConverter) -> ProcessTimeline:
-        return build_rank_tables(
-            rank,
-            definitions.locations[rank],
-            blob,
-            converter,
-            partial.callpaths,
-            definitions.regions,
-        )
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for rank in task.ranks:
-            admitted = _admit_rank(
-                rank,
-                definitions,
-                task.traces,
-                task.converters,
-                task.degraded,
-                partial.completeness,
-                build,
+            partial.admit(
+                rank, task.definitions, task.traces, task.converters, task.degraded
             )
-            if admitted is not None:
-                blob, _converter, partial.timelines[rank] = admitted
-                partial.trace_bytes[rank] = len(blob)
     partial.warnings = [(w.category, str(w.message)) for w in caught]
     return partial
-
-
-def merge_partials(
-    partials: List[PartialAnalysis],
-    definitions: Definitions,
-    scheme_name: str,
-    degraded: bool,
-    timeline: Optional[SeverityTimeline] = None,
-) -> AnalysisResult:
-    """Combine shard results into one analysis through the streaming core.
-
-    Call paths are renumbered in first-encounter-by-rank order, then every
-    merged timeline's op and fork-join tables are fed, whole rank after
-    whole rank, through the same ``feed`` the serial pump drives quantum by
-    quantum.  A whole-rank feed is one more pump order,
-    and the core's output does not depend on pump order, so the result —
-    and the rendered output — is bit-identical to ``jobs=1``.
-
-    *timeline*, when given, is charged by the core exactly as in a serial
-    run; call-path ids are already global at this point, so no remap is
-    needed.
-    """
-    partials = sorted(partials, key=lambda p: p.index)
-    for partial in partials:
-        for category, message in partial.warnings:
-            warnings.warn(message, category, stacklevel=2)
-
-    # Call-path renumbering.  Shards are contiguous ascending rank slices,
-    # so interning each shard's paths in local-creation order reproduces the
-    # serial registry's first-encounter order exactly.
-    callpaths = CallPathRegistry()
-    timelines: Dict[int, ProcessTimeline] = {}
-    trace_bytes: Dict[int, int] = {}
-    completeness: Dict[int, RankCompleteness] = {}
-    for partial in partials:
-        remap = callpaths.absorb(partial.callpaths)
-        for rank in sorted(partial.timelines):
-            shard_timeline = partial.timelines[rank]
-            remap_timeline(shard_timeline, remap)
-            timelines[rank] = shard_timeline
-        trace_bytes.update(sorted(partial.trace_bytes.items()))
-        completeness.update(sorted(partial.completeness.items()))
-
-    state = _StreamState(definitions, set(timelines), degraded, timeline)
-    for process in timelines.values():
-        state.attach(process)(0, len(process.mpi_ops))
-    state.finish_stream()
-    return state.result(
-        state.cube, callpaths, timelines, trace_bytes, completeness, scheme_name
-    )
-
-
-class ParallelReplayAnalyzer:
-    """Drives one sharded analysis over per-metahost archive readers.
-
-    Same constructor contract as the serial analyzers (readers keyed by
-    machine, optional scheme, degraded flag) plus ``jobs``; ``analyze()`` returns a result bit-identical to the
-    serial analyzer's.
-    """
-
-    def __init__(
-        self,
-        readers: Dict[int, ArchiveReader],
-        scheme: Optional[SyncScheme] = None,
-        degraded: bool = False,
-        jobs: int = 2,
-        pool_config: Optional[PoolConfig] = None,
-        pool: Optional[SupervisedPool] = None,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        timeline: Optional[SeverityTimeline] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        if not readers:
-            raise AnalysisError("no archive readers supplied")
-        if jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-        self.readers = dict(readers)
-        self.degraded = degraded
-        if scheme is None:
-            scheme = HierarchicalInterpolation(strict=not degraded)
-        self.scheme = scheme
-        self.jobs = jobs
-        # ``pool`` is an externally owned (usually persistent) worker pool
-        # shared across many analyses — the serving-layer configuration.
-        # Its task function must be :func:`analyze_shard`.  Without one,
-        # each run builds its own from ``pool_config``.  ``timeout`` and
-        # ``max_retries`` travel as per-run overrides either way.
-        self.pool = pool
-        self.pool_config = pool_config or PoolConfig()
-        self.timeout = timeout
-        self.max_retries = max_retries
-        # End-to-end budget: per-shard pool budgets derive from what is
-        # left of it, and an expiry mid-run merges the settled shards into
-        # a degraded-style partial result instead of raising.
-        self.deadline = deadline
-        # Charged by the streaming core during the merge.
-        self.timeline = timeline
-
-    # -- task construction -----------------------------------------------------
-
-    def _shard_task(
-        self,
-        index: int,
-        ranks: Tuple[int, ...],
-        definitions: Definitions,
-        converters: Dict[NodeId, Optional[LinearConverter]],
-    ) -> ShardTask:
-        """Collect one shard's blobs through its ranks' own metahost readers."""
-        shard_converters = {
-            node: converters.get(node)
-            for node in sorted({node_of(definitions.locations[rank]) for rank in ranks})
-        }
-        return ShardTask(
-            index=index,
-            ranks=ranks,
-            degraded=self.degraded,
-            definitions=definitions,
-            converters=shard_converters,
-            traces=TraceShard.gather(ranks, definitions, self.readers),
-        )
-
-    # -- execution -------------------------------------------------------------
-
-    def analyze(self) -> AnalysisResult:
-        first_reader = next(iter(self.readers.values()))
-        definitions = first_reader.definitions()
-        sync_data = first_reader.sync_data()
-        synchronized = self.scheme.convert_all(sync_data)
-
-        ranks = sorted(definitions.locations)
-        machine_of = {rank: loc.machine for rank, loc in definitions.locations.items()}
-        shards = plan_shards(ranks, machine_of, self.jobs)
-        tasks = [
-            self._shard_task(index, shard, definitions, synchronized.converters)
-            for index, shard in enumerate(shards)
-        ]
-        if not self.degraded:
-            # Strict pre-check, rank-ascending in the parent: a broken
-            # experiment fails with the very same error — same rank, same
-            # message — as ``jobs=1``, before any worker is spawned.
-            for task in tasks:
-                for rank in task.ranks:
-                    _admit_rank(
-                        rank, definitions, task.traces, task.converters, False, {}
-                    )
-
-        interrupted: Optional[str] = None
-        execution = None
-        if len(tasks) <= 1:
-            partials = []
-            for task in tasks:
-                if self.deadline is not None:
-                    interrupted = self.deadline.reason()
-                    if interrupted is not None:
-                        break
-                partials.append(analyze_shard(task))
-        else:
-            # The supervised pool keeps the serial analyzer's semantics —
-            # results in shard order, the lowest-ranked shard's exception
-            # wins — while surviving worker crashes, hangs, and kills that
-            # would deadlock a bare Pool.map forever.  A lent (warm,
-            # externally owned) pool keeps its owner's worker count and
-            # lifetime; this run only overrides budgets.
-            pool = self.pool
-            if pool is None:
-                pool = SupervisedPool(
-                    analyze_shard,
-                    self.pool_config.with_workers(min(self.jobs, len(tasks))),
-                )
-            try:
-                partials, execution = pool.run(
-                    tasks,
-                    timeout_s=self.timeout,
-                    max_retries=self.max_retries,
-                    deadline=self.deadline,
-                )
-            except TimeBudgetExceeded as exc:
-                interrupted = exc.reason
-                partials = [exc.results[i] for i in sorted(exc.results)]
-                execution = exc.report
-
-        if interrupted is not None and not partials:
-            # Nothing settled before the budget ran out: there is no
-            # partial result to salvage, so the budget error stands.
-            raise TimeBudgetExceeded(interrupted, report=execution)
-
-        # An interrupted merge is degraded-style by construction: shards
-        # that never settled look exactly like excluded ranks (boundary
-        # receives must void, collectives tolerate missing members).
-        result = merge_partials(
-            partials,
-            definitions,
-            self.scheme.name,
-            self.degraded or interrupted is not None,
-            timeline=self.timeline,
-        )
-        if interrupted is not None:
-            settled = {rank for partial in partials for rank in partial.ranks}
-            for rank in ranks:
-                if rank not in settled:
-                    result.completeness[rank] = RankCompleteness(
-                        rank=rank,
-                        complete=False,
-                        completeness=0.0,
-                        events=0,
-                        analyzed=False,
-                        error=(
-                            f"TimeBudgetExceeded: {interrupted} before its "
-                            "shard finished"
-                        ),
-                    )
-            result.interrupted = interrupted
-        result.execution = execution
-        return result

@@ -112,7 +112,7 @@ class AnalysisResult:
     severity_timeline: Optional[SeverityTimeline] = field(
         default=None, compare=False
     )
-    #: Supervised-pool account of a parallel run (None for serial runs).
+    #: Supervised-pool account of a ``jobs >= 2`` run (None in-process).
     #: Deliberately outside the equality contract of the result: the same
     #: analysis recovered after a worker crash is the same analysis.
     execution: Optional[ExecutionReport] = field(default=None, compare=False)
@@ -476,8 +476,8 @@ class ReplayAnalyzer:
                 for hit in pattern.contributions(instance):
                     cube.add(hit.metric, hit.cpid, hit.rank, hit.value)
 
-        # Every analyzer (buffered, streaming, parallel merge) sorts stamps
-        # at finalize, so stamp lists compare equal across execution models.
+        # Both engines sort stamps at finalize, so stamp lists compare
+        # equal across them.
         checker.sort_stamps()
 
         master_machine = definitions.machine_of(0)
@@ -548,12 +548,14 @@ def analyze_run(
     """Analyze a :class:`~repro.sim.runtime.RunResult` end to end.
 
     *request* (an :class:`~repro.analysis.request.AnalysisRequest`) selects
-    everything about the analysis: ``jobs`` picks the execution model
-    (``None``/``1`` the serial single-pass streaming replay, ``N >= 2``
-    sharded across *N* workers, ``0`` one per core), ``degraded`` survives
-    damaged traces, ``timeline`` adds time-resolved severity series,
-    ``bounded`` caps serial memory at the matching window.  Every execution
-    model produces a bit-identical severity cube.
+    everything about the analysis: ``jobs`` says where the replay's local
+    phase runs (``None``/``1`` in this process, ``N >= 2`` sharded across
+    *N* pool workers, ``0`` one per core), ``degraded`` survives damaged
+    traces, ``timeline`` adds time-resolved severity series, ``bounded``
+    caps memory at the matching window.  One analyzer,
+    :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`, serves
+    every combination, and every ``jobs`` value produces a bit-identical
+    result.
 
     ``pool`` lends the analysis an externally owned
     :class:`~repro.resilience.pool.SupervisedPool` (task function
@@ -567,7 +569,7 @@ def analyze_run(
     request carries ``deadline_s``, a fresh deadline starts here.
     """
     # Imported lazily: both modules import this one.
-    from repro.analysis.parallel import ParallelReplayAnalyzer, resolve_jobs
+    from repro.analysis.parallel import resolve_jobs
     from repro.analysis.streaming import StreamingReplayAnalyzer
     from repro.resilience.deadline import Deadline
 
@@ -584,24 +586,15 @@ def analyze_run(
         if request.timeline
         else None
     )
-    effective = resolve_jobs(request.jobs)
-    if effective <= 1:
-        return StreamingReplayAnalyzer(
-            readers,
-            scheme=scheme,
-            degraded=request.degraded,
-            retain=not request.bounded,
-            timeline=timeline,
-            deadline=deadline,
-        ).analyze()
-    return ParallelReplayAnalyzer(
+    return StreamingReplayAnalyzer(
         readers,
         scheme=scheme,
         degraded=request.degraded,
-        jobs=effective,
+        retain=not request.bounded,
+        timeline=timeline,
+        deadline=deadline,
+        jobs=resolve_jobs(request.jobs),
         pool=pool,
         timeout=request.timeout,
         max_retries=request.max_retries,
-        timeline=timeline,
-        deadline=deadline,
     ).analyze()

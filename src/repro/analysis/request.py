@@ -29,13 +29,15 @@ class AnalysisRequest:
     degraded:
         Survive damaged traces: salvage/exclude instead of raising.
     jobs:
-        Execution model: ``None``/``1`` serial, ``N >= 2`` sharded across
-        *N* workers, ``0`` one worker per core.
+        Where the replay's local phase runs: ``None``/``1`` in-process,
+        ``N >= 2`` sharded across *N* pool workers, ``0`` one worker per
+        core.  Nothing else about the analysis depends on it.
     timeout:
-        Per-shard deadline in seconds for the supervised pool (parallel
-        runs only).
+        Per-shard deadline in seconds for the supervised pool
+        (``jobs >= 2`` only).
     max_retries:
-        Re-dispatches allowed after a worker crash/hang (parallel only).
+        Re-dispatches allowed after a worker crash/hang (``jobs >= 2``
+        only).
     verify_archive:
         Verify archive checksums before analyzing (experiment layer).
     timeline:
@@ -51,8 +53,7 @@ class AnalysisRequest:
         back empty (so the per-rank Gantt rendering needs
         ``bounded=False``).  A retained result keeps those as lazy
         sequences over numpy columns — a few dozen bytes per operation,
-        objects made on read.  Serial path only; sharded workers always
-        retain.
+        objects made on read.
     deadline_s:
         End-to-end wall-clock budget for the whole analysis.  Unlike
         ``timeout`` (which bounds one shard attempt), the deadline bounds

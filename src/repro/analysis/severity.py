@@ -11,9 +11,9 @@ expansion (a short list of non-overlapping partial floats whose sum is the
 cell's exact value), collapsed with :func:`math.fsum` on read.  The
 collapsed value is the correctly rounded sum of the real numbers added, so
 it depends only on the *multiset* of contributions — never on their order.
-That property is what lets the single-pass streaming replay, the buffered
-two-pass replay, and the parallel sharded merge feed the same cells in
-three different orders and still agree bit for bit.
+That property is what lets the single-pass streaming replay, in whatever
+order its pump interleaves the ranks, and the buffered two-pass reference
+feed the same cells in different orders and still agree bit for bit.
 """
 
 from __future__ import annotations
@@ -124,30 +124,6 @@ class SeverityCube:
             for part in partials:
                 grow_expansion(existing, part)
         self._snapshot = None
-
-    def remap_callpaths(self, mapping: Dict[int, Dict[int, int]]) -> "SeverityCube":
-        """New cube with per-rank local call-path ids rewritten to global ones.
-
-        *mapping* is ``rank → local cpid → global cpid``.  Every cell of
-        this cube was accumulated under the call-path registry of its own
-        rank (patterns always charge a rank at its own op's path), so the
-        cell's rank selects the mapping.  Partials move wholesale — no
-        re-addition, no rounding — preserving exactness.
-        """
-        out = SeverityCube()
-        for metric, by_cp in self._partials.items():
-            target = out._partials.setdefault(metric, {})
-            for cpid, by_rank in by_cp.items():
-                for rank, partials in by_rank.items():
-                    new_cpid = mapping[rank][cpid]
-                    cell = target.setdefault(new_cpid, {})
-                    existing = cell.get(rank)
-                    if existing is None:
-                        cell[rank] = partials
-                    else:  # pragma: no cover - injective mappings never merge
-                        for part in partials:
-                            grow_expansion(existing, part)
-        return out
 
     @property
     def data(self) -> Dict[str, Dict[int, Dict[int, float]]]:

@@ -141,27 +141,6 @@ class SeverityTimeline:
     def ranks(self, metric: str) -> List[int]:
         return sorted({rank for _, rank in self._bins.get(metric, {})})
 
-    # -- finalization ----------------------------------------------------------
-
-    def remap_callpaths(self, mapping: Dict[int, Dict[int, int]]) -> None:
-        """Rewrite per-rank local call-path ids to global ones, in place.
-
-        *mapping* is ``rank → local cpid → global cpid`` (the streaming
-        finalizer's renumbering).  Bins are plain floats, so colliding
-        cells merge additively.
-        """
-        for metric, cells in self._bins.items():
-            remapped: Dict[CellKey, Dict[int, float]] = {}
-            for (cpid, rank), cell in cells.items():
-                new_key = (mapping[rank][cpid], rank)
-                existing = remapped.get(new_key)
-                if existing is None:
-                    remapped[new_key] = cell
-                else:
-                    for b, value in cell.items():
-                        existing[b] = existing.get(b, 0.0) + value
-            self._bins[metric] = remapped
-
     # -- service payload -------------------------------------------------------
 
     def to_payload(self, metric: Optional[str] = None) -> Dict[str, Any]:

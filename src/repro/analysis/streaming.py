@@ -1,32 +1,35 @@
-"""The replay core: single-pass, bounded-memory streaming replay.
+"""The replay analyzer: one driver, a single-pass bounded-memory core.
 
 There are two replay engines.  The buffered
 :class:`~repro.analysis.replay.ReplayAnalyzer` — kept as the independent
 reference the tests and the benchmark compare against — materializes
 every rank's MPI-op instances, then matches, then searches patterns: three
 walks whose working set is O(trace).  This module is the other one, and
-the only matcher and pattern evaluator the package runs: the serial
-analyzer below pumps it quantum by quantum, and the parallel merge
-(:func:`repro.analysis.parallel.merge_partials`) feeds the same
-:class:`_StreamState` whole rank after whole rank.
+the only driver, matcher and pattern evaluator the package runs:
+:class:`StreamingReplayAnalyzer` is the same code path at every ``jobs``
+value.
 
 The replay has two phases.  The **local phase** is a pure function of one
 trace file: during admission every rank's blob becomes op tables — numpy
 columns built by array passes, no object per event
-(:mod:`repro.analysis.optable`).  The **pump** then keeps one cursor per
-rank in a heap keyed by the next op's synchronized enter stamp, takes the
-earliest rank's next :data:`_QUANTUM_OPS` completed ops, materializes them
-from the columns as transient :class:`MPIOpInstance` objects and hands them
-to an **incremental** matcher; matched pairs and completed collective
-instances flow straight into the pattern search and the severity
-accumulators.  An op object lives until its matching window closes, so the
-objects alive at any moment are the *matching window* — in-flight
-sends/receives and open collectives, at most one quantum per rank wider
-than a strictly time-ordered pump's — never the trace.  What a retained
-result keeps is the tables (``ProcessTimeline.mpi_ops`` is a lazy sequence
-over them); a bounded one drops them.  The cyclic garbage collector, which
-used to walk several hundred thousand retained op and record objects on
-every generation-2 pass, finds almost nothing to walk.
+(:mod:`repro.analysis.optable`).  ``jobs`` says only *where* it runs: in
+this process, one rank's blob in memory at a time over one shared
+call-path registry, or as :func:`~repro.analysis.parallel.analyze_shard`
+tasks on a supervised pool, whose shard-local registries are absorbed in
+ascending shard order before anything is fed.  The **pump** then keeps one
+cursor per rank in a heap keyed by the next op's synchronized enter stamp,
+takes the earliest rank's next :data:`_QUANTUM_OPS` completed ops,
+materializes them from the columns as transient :class:`MPIOpInstance`
+objects and hands them to an **incremental** matcher; matched pairs and
+completed collective instances flow straight into the pattern search and
+the severity accumulators.  An op object lives until its matching window
+closes, so the objects alive at any moment are the *matching window* —
+in-flight sends/receives and open collectives, at most one quantum per rank
+wider than a strictly time-ordered pump's — never the trace.  What a
+retained result keeps is the tables (``ProcessTimeline.mpi_ops`` is a lazy
+sequence over them); a bounded one drops them.  The cyclic garbage
+collector, which used to walk several hundred thousand retained op and
+record objects on every generation-2 pass, finds almost nothing to walk.
 
 The pump guarantees two orders and no third: each rank's ops arrive in
 **trace order**, and each receiver's matched pairs are released in
@@ -47,22 +50,21 @@ Bit-identity with the buffered analyzer (strict and degraded, every
   finalize;
 * the only *stateful* pattern (Wrong Order, keyed per receiver and
   communicator) sees pairs through a per-receiver reorder buffer that
-  releases them in receive trace order — exactly the serial feed order
+  releases them in receive trace order — exactly the buffered feed order
   per key;
 * collective instances are emitted with members rebuilt in ascending rank
-  order, reproducing the serial causer tie-break, and flushed at
+  order, reproducing the buffered causer tie-break, and flushed at
   end-of-stream sorted by ``(comm, index)``;
-* call paths are interned per rank and renumbered rank-major at finalize
-  (the parallel merge renumbers per shard, before it feeds), with cube
-  cells re-keyed wholesale — no re-addition, no rounding.
+* call paths are numbered rank-major in first-encounter order before the
+  pump starts, so the cube and the timeline are keyed globally from the
+  first ``add``.
 
 Clock-condition stamps are sorted at finalize; both engines sort
-identically, so stamp lists stay comparable across paths.  Because no
-output depends on how ranks interleave, the merge's whole-rank feed is
-just one more pump order — which is all that keeps ``jobs=N`` identical
-to ``jobs=1``.
+identically, so stamp lists stay comparable across paths.
 
-A deadline cuts the pump, not the local phase: an interrupted result's
+A deadline cuts a pool run (the supervised pool kills in-flight workers
+and the settled shards are salvaged) and the pump (polled after every
+quantum), never the in-process local phase: an interrupted result's
 timelines describe whole traces (and so does the TIME metric, which is
 local), while every metric the pump feeds covers the consumed prefix and
 ``RankCompleteness`` says how many events that was.
@@ -108,7 +110,14 @@ from repro.analysis.patterns.grid import (
     accumulate_collective,
     accumulate_p2p,
 )
-from repro.analysis.optable import OpTable, build_rank_tables
+from repro.analysis.optable import OpTable
+from repro.analysis.parallel import (
+    PartialAnalysis,
+    ShardTask,
+    _admit_rank,
+    analyze_shard,
+    plan_shards,
+)
 from repro.analysis.replay import (
     AnalysisResult,
     RankCompleteness,
@@ -122,17 +131,11 @@ from repro.analysis.severity_timeline import (
 )
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
-from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning
+from repro.errors import AnalysisError, TimeBudgetExceeded
 from repro.ids import NodeId, node_of
 from repro.resilience.deadline import Deadline
-from repro.trace.archive import (
-    ArchiveReader,
-    Definitions,
-    TraceShard,
-    salvage_checked,
-    trace_filename,
-)
-from repro.trace.encoding import iter_events
+from repro.resilience.pool import ExecutionReport, PoolConfig, SupervisedPool
+from repro.trace.archive import ArchiveReader, Definitions, TraceShard
 
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
 ChannelKey = Tuple[int, int, int, int]
@@ -205,123 +208,8 @@ class _CollectiveGroup:
         self.expected = expected
 
 
-def _admit_rank(
-    rank: int,
-    definitions: Definitions,
-    traces: TraceShard,
-    converters: Dict[NodeId, Optional[LinearConverter]],
-    degraded: bool,
-    completeness: Dict[int, RankCompleteness],
-    build=None,
-):
-    """Decide one rank's fate; every engine but the buffered reference asks here.
-
-    The streaming prepass, the parallel analyzer's strict pre-check and the
-    shard worker all admit a rank through this routine, so check order,
-    error text and warning text cannot drift between ``jobs`` values.
-    *traces* is a snapshot covering *rank*: a rank with neither a blob nor a
-    ``missing`` reason had no reader on its metahost.  Strict mode raises at
-    the first defect; degraded mode records it in *completeness*, warns
-    (:class:`~repro.errors.PartialTraceWarning`) and returns None.  Degraded
-    admission scans (``count_only``) instead of decoding, so a damaged
-    multi-gigabyte prefix costs O(1) memory.
-
-    *build*, when given, is called as ``build(rank, blob, converter)`` on
-    the admitted rank — the local phase,
-    :func:`~repro.analysis.optable.build_rank_tables`; an
-    :class:`AnalysisError` out of it is the last exclusion reason (damage
-    that decodes as valid records but is structurally inconsistent).
-    Returns ``(blob, converter, built)``.
-    """
-    location = definitions.locations[rank]
-
-    def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
-        completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=False,
-            completeness=fraction,
-            events=events,
-            analyzed=False,
-            error=reason,
-        )
-        warnings.warn(
-            f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
-            stacklevel=4,
-        )
-
-    blob = traces.blobs.get(rank)
-    if blob is None:
-        reason = traces.missing.get(rank)
-        if degraded:
-            exclude(reason or "no archive reader for its metahost")
-            return None
-        if reason is None:
-            raise AnalysisError(
-                f"no archive reader for machine {location.machine} "
-                f"(rank {rank} lives there)"
-            )
-        raise AnalysisError(
-            f"rank {rank}'s trace is not visible on its own metahost "
-            f"({trace_filename(rank)} missing)"
-        )
-    if degraded:
-        scanned = salvage_checked(blob, traces.manifests.get(rank), count_only=True)
-        if scanned.rank is not None and scanned.rank != rank:
-            exclude(f"trace file claims rank {scanned.rank}")
-            return None
-        if not scanned.complete:
-            exclude(
-                scanned.error,
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        if not scanned.balanced:
-            exclude(
-                f"trace decodes but leaves {scanned.open_regions} region(s) "
-                "open (truncated at a record boundary?)",
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=True,
-            completeness=1.0,
-            events=scanned.event_count,
-            analyzed=True,
-        )
-    file_rank, _ = iter_events(blob)
-    if file_rank != rank:
-        raise ArchiveError(
-            f"trace file {trace_filename(rank)} claims rank {file_rank}"
-        )
-    converter = converters.get(node_of(location))
-    if converter is None:
-        if not degraded:
-            raise AnalysisError(f"no clock converter for node {node_of(location)}")
-        warnings.warn(
-            f"rank {rank}: no clock converter for {node_of(location)}, "
-            "using local time unconverted",
-            PartialTraceWarning,
-            stacklevel=3,
-        )
-        converter = LinearConverter.identity()
-    built = None
-    if build is not None:
-        try:
-            built = build(rank, blob, converter)
-        except AnalysisError as exc:
-            if not degraded:
-                raise
-            prior = completeness[rank]
-            exclude(str(exc), fraction=prior.completeness, events=prior.events)
-            return None
-    return blob, converter, built
-
-
 class StreamingReplayAnalyzer:
-    """Single-pass replay over per-metahost archive readers.
+    """The replay analyzer: local phase, call-path numbering, one pump.
 
     Constructor contract mirrors :class:`~repro.analysis.replay.ReplayAnalyzer`
     (readers keyed by machine, optional scheme, degraded flag) plus:
@@ -334,12 +222,25 @@ class StreamingReplayAnalyzer:
         a :class:`~repro.analysis.severity_timeline.SeverityTimeline` to
         accumulate time-resolved severity into (None: skip).
     ``deadline``
-        a :class:`~repro.resilience.deadline.Deadline` polled
-        cooperatively after every pump quantum (:data:`_QUANTUM_OPS`
-        completed ops).  On expiry (or cancellation) the pump stops,
-        stragglers settle degraded-style, and the result carries the
+        a :class:`~repro.resilience.deadline.Deadline`.  A pool run is cut
+        by the :class:`~repro.resilience.pool.SupervisedPool` (in-flight
+        workers killed, settled shards salvaged); the pump polls it after
+        every quantum (:data:`_QUANTUM_OPS` completed ops).  Either way
+        stragglers settle degraded-style and the result carries the
         severity accumulated so far with honest per-rank completeness and
         ``result.interrupted`` set — never a hang, never a crash.
+    ``jobs``
+        where the local phase runs, and nothing else: ``1`` in this
+        process, one rank's blob in memory at a time; ``N >= 2`` as
+        :func:`~repro.analysis.parallel.analyze_shard` tasks over at most
+        *N* shards on a supervised pool.
+    ``pool`` / ``pool_config``
+        the pool for ``jobs >= 2``: an externally owned (usually
+        persistent) one whose task function is ``analyze_shard`` and whose
+        worker count and lifetime stay its owner's, or the configuration
+        this run builds its own from.
+    ``timeout`` / ``max_retries``
+        per-run overrides of the pool's per-shard budget, either way.
     """
 
     def __init__(
@@ -350,9 +251,16 @@ class StreamingReplayAnalyzer:
         retain: bool = True,
         timeline: Optional[SeverityTimeline] = None,
         deadline: Optional[Deadline] = None,
+        jobs: int = 1,
+        pool: Optional[SupervisedPool] = None,
+        pool_config: Optional[PoolConfig] = None,
+        timeout: Optional[float] = None,
+        max_retries: Optional[int] = None,
     ) -> None:
         if not readers:
             raise AnalysisError("no archive readers supplied")
+        if jobs < 1:
+            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
         self.readers = dict(readers)
         self.degraded = degraded
         if scheme is None:
@@ -361,47 +269,63 @@ class StreamingReplayAnalyzer:
         self.retain = retain
         self.timeline = timeline
         self.deadline = deadline
+        self.jobs = jobs
+        self.pool = pool
+        self.pool_config = pool_config or PoolConfig()
+        self.timeout = timeout
+        self.max_retries = max_retries
 
     # -- the pass --------------------------------------------------------------
 
     def analyze(self) -> AnalysisResult:
         first_reader = next(iter(self.readers.values()))
         definitions = first_reader.definitions()
-        sync_data = first_reader.sync_data()
-        synchronized = self.scheme.convert_all(sync_data)
+        converters = self.scheme.convert_all(first_reader.sync_data()).converters
         degraded = self.degraded
-        regions = definitions.regions
-        local_registries: Dict[int, CallPathRegistry] = {}
+        ranks = sorted(definitions.locations)
 
-        def build(rank: int, blob: bytes, converter: LinearConverter) -> ProcessTimeline:
-            # The whole local phase, per rank, over a rank-local call-path
-            # registry.  It runs here, before the pump feeds the shared
-            # matcher, so a structurally inconsistent rank is excluded (or,
-            # strict, raises) with nothing accumulated for it.
-            local_registries[rank] = local = CallPathRegistry()
-            return build_rank_tables(
-                rank, definitions.locations[rank], blob, converter, local, regions
+        # The local phase: admit each rank through its own metahost's reader
+        # and build the admitted ranks' op tables.  It finishes before the
+        # pump feeds the shared matcher, so a structurally inconsistent rank
+        # is excluded (or, strict, raises) with nothing accumulated for it.
+        # Either branch leaves the call paths numbered rank-major in first-
+        # encounter order — the buffered analyzer's numbering, exactly.
+        # *local* collects it for the whole world.
+        local = PartialAnalysis(index=0, ranks=tuple(ranks))
+        callpaths = local.callpaths
+        timelines = local.timelines
+        trace_bytes = local.trace_bytes
+        completeness = local.completeness
+        interrupted: Optional[str] = None
+        execution = None
+        if self.jobs == 1:
+            # One registry shared by all ranks is that numbering as it stands:
+            # the local phase interns nothing for a rank it rejects.  One
+            # rank's blob is in memory at a time.
+            for rank in ranks:
+                local.admit(
+                    rank,
+                    definitions,
+                    TraceShard.gather((rank,), definitions, self.readers),
+                    converters,
+                    degraded,
+                )
+        else:
+            partials, execution, interrupted = self._run_shards(
+                ranks, definitions, converters
             )
-
-        # Prepass: admit each rank, ascending, through its own metahost's
-        # reader and run the admitted ranks' local phase.
-        completeness: Dict[int, RankCompleteness] = {}
-        trace_bytes: Dict[int, int] = {}
-        timelines: Dict[int, ProcessTimeline] = {}
-        for rank in sorted(definitions.locations):
-            reader = self.readers.get(definitions.machine_of(rank))
-            admitted = _admit_rank(
-                rank,
-                definitions,
-                TraceShard((rank,)) if reader is None else reader.shard_snapshot((rank,)),
-                synchronized.converters,
-                degraded,
-                completeness,
-                build,
-            )
-            if admitted is not None:
-                blob, _, timelines[rank] = admitted
-                trace_bytes[rank] = len(blob)
+            # Shards are contiguous ascending rank slices, so absorbing each
+            # shard's registry in shard order, before anything is fed, is
+            # the same numbering.
+            for partial in partials:
+                for category, message in partial.warnings:
+                    warnings.warn(message, category, stacklevel=2)
+                remap = callpaths.absorb(partial.callpaths)
+                for rank, timeline in sorted(partial.timelines.items()):
+                    remap_timeline(timeline, remap)
+                    timelines[rank] = timeline
+                trace_bytes.update(sorted(partial.trace_bytes.items()))
+                completeness.update(sorted(partial.completeness.items()))
 
         state = _StreamState(
             definitions=definitions,
@@ -412,7 +336,10 @@ class StreamingReplayAnalyzer:
 
         # The pump: a heap holding each admitted rank's next op index, keyed
         # by that op's synchronized enter stamp.  (stamp, rank) is unique —
-        # one cursor per rank — so heapq never compares further.
+        # one cursor per rank — so heapq never compares further.  The budget
+        # is polled after every quantum, so one that is already spent when
+        # the pump starts — the pool run above was cut, or the local phase
+        # used it up — still costs one quantum.
         feeds = {rank: state.attach(timeline) for rank, timeline in timelines.items()}
         heap = [
             (
@@ -426,8 +353,7 @@ class StreamingReplayAnalyzer:
         heapify(heap)
         deadline = self.deadline
         pumped: Dict[int, int] = dict.fromkeys(timelines, 0)
-        interrupted: Optional[str] = None
-        while heap and interrupted is None:
+        while heap:
             _, rank, lo = heap[0]
             ops = timelines[rank].mpi_ops
             hi = min(lo + _QUANTUM_OPS, len(ops))
@@ -436,30 +362,21 @@ class StreamingReplayAnalyzer:
                 heappop(heap)
             else:
                 heapreplace(heap, (float(ops.enter[hi]), rank, hi))
-            if deadline is not None:
+            if interrupted is None and deadline is not None:
                 interrupted = deadline.reason()
+            if interrupted is not None:
+                break
 
         state.finish_stream(interrupted=interrupted is not None)
 
         if interrupted is not None:
             completeness = self._interrupted_completeness(
-                interrupted, timelines, pumped, completeness
+                interrupted, ranks, timelines, pumped, completeness
             )
-
-        # Renumber call paths rank-major — the buffered analyzer's
-        # first-encounter order, exactly.
-        callpaths = CallPathRegistry()
-        mapping: Dict[int, List[int]] = {}
-        for rank, timeline in timelines.items():
-            mapping[rank] = callpaths.absorb(local_registries[rank])
-            remap_timeline(timeline, mapping[rank])
-            if not self.retain:
+        if not self.retain:
+            for timeline in timelines.values():
                 timeline.mpi_ops, timeline.omp_regions = [], []
-
-        if self.timeline is not None:
-            self.timeline.remap_callpaths(mapping)
-        return state.result(
-            state.cube.remap_callpaths(mapping),
+        result = state.result(
             callpaths,
             timelines,
             trace_bytes,
@@ -467,46 +384,125 @@ class StreamingReplayAnalyzer:
             self.scheme.name,
             interrupted,
         )
+        result.execution = execution
+        return result
+
+    def _run_shards(
+        self,
+        ranks: List[int],
+        definitions: Definitions,
+        converters: Dict[NodeId, Optional[LinearConverter]],
+    ) -> Tuple[List[PartialAnalysis], ExecutionReport, Optional[str]]:
+        """The local phase on the supervised pool, one task per shard.
+
+        Returns the settled shards' partials in shard order, the pool's
+        report, and why the run was cut short (None: it was not).
+        """
+        machine_of = {rank: definitions.machine_of(rank) for rank in ranks}
+        tasks = [
+            ShardTask(
+                index=index,
+                ranks=shard,
+                degraded=self.degraded,
+                definitions=definitions,
+                converters={
+                    node: converters.get(node)
+                    for node in sorted(
+                        {node_of(definitions.locations[rank]) for rank in shard}
+                    )
+                },
+                # Each rank's blob comes through its own metahost's reader.
+                traces=TraceShard.gather(shard, definitions, self.readers),
+            )
+            for index, shard in enumerate(plan_shards(ranks, machine_of, self.jobs))
+        ]
+        if not self.degraded:
+            # Strict pre-check, rank-ascending in the parent: a broken
+            # experiment fails with the very same error — same rank, same
+            # message — as ``jobs=1``, before any worker is spawned.
+            for task in tasks:
+                for rank in task.ranks:
+                    _admit_rank(
+                        rank, definitions, task.traces, task.converters, False, {}
+                    )
+        # The supervised pool keeps the in-process semantics — results in
+        # shard order, the lowest-ranked shard's exception wins — while
+        # surviving worker crashes, hangs, and kills that would deadlock a
+        # bare Pool.map forever.
+        pool = self.pool
+        if pool is None:
+            pool = SupervisedPool(
+                analyze_shard,
+                self.pool_config.with_workers(min(self.jobs, len(tasks))),
+            )
+        try:
+            partials, execution = pool.run(
+                tasks,
+                timeout_s=self.timeout,
+                max_retries=self.max_retries,
+                deadline=self.deadline,
+            )
+        except TimeBudgetExceeded as exc:
+            if not exc.results:
+                # Nothing settled before the budget ran out: there is no
+                # partial result to salvage, so the budget error stands.
+                raise
+            # Shards that never settled look exactly like excluded ranks:
+            # boundary receives void, collectives tolerate missing members.
+            return [exc.results[i] for i in sorted(exc.results)], exc.report, exc.reason
+        return partials, execution, None
 
     @staticmethod
     def _interrupted_completeness(
         reason: str,
+        ranks: List[int],
         timelines: Dict[int, ProcessTimeline],
         pumped: Dict[int, int],
         completeness: Dict[int, RankCompleteness],
     ) -> Dict[int, RankCompleteness]:
-        """Honest per-rank accounting for a deadline-cut pump.
+        """Honest per-rank accounting for a run the budget cut short.
 
         Every analyzed rank reports the events the replay actually consumed
         and the fraction of its trace that represents (the local phase
         counted them, so nothing is decoded again after the budget is
-        gone); the error string names the budget so the partial result can
+        gone).  A rank with neither a timeline nor an exclusion record was
+        never admitted: its shard had not settled when the pool run was
+        cut.  The error string names the budget so the partial result can
         never be mistaken for a complete one.
         """
         out = dict(completeness)
-        for rank, timeline in timelines.items():
-            consumed = pumped[rank]
-            total = timeline.event_count
-            out[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=consumed / total if total else 0.0,
-                events=consumed,
-                analyzed=True,
-                error=(
-                    f"TimeBudgetExceeded: {reason} after {consumed} of "
-                    f"{total} event(s)"
-                ),
-            )
+        for rank in ranks:
+            if rank in timelines:
+                consumed = pumped[rank]
+                total = timelines[rank].event_count
+                out[rank] = RankCompleteness(
+                    rank=rank,
+                    complete=False,
+                    completeness=consumed / total if total else 0.0,
+                    events=consumed,
+                    analyzed=True,
+                    error=(
+                        f"TimeBudgetExceeded: {reason} after {consumed} of "
+                        f"{total} event(s)"
+                    ),
+                )
+            elif rank not in completeness:
+                out[rank] = RankCompleteness(
+                    rank=rank,
+                    complete=False,
+                    completeness=0.0,
+                    events=0,
+                    analyzed=False,
+                    error=f"TimeBudgetExceeded: {reason} before its shard finished",
+                )
         return out
 
 
 class _StreamState:
     """Everything the pump accumulates: matcher, patterns, severities.
 
-    Cube cells are keyed by each rank's *local* call-path ids during the
-    pass (every contribution charges a rank at its own op's path); the
-    finalizer re-keys them globally.
+    The tables it is fed carry global call-path ids, so the cube and the
+    timeline are keyed globally from the first contribution.
     """
 
     def __init__(self, definitions, analyzed, degraded, timeline) -> None:
@@ -550,9 +546,7 @@ class _StreamState:
         objects that live until their matching window closes — runs them
         and the fork-join records up to the same point in the trace through
         the matcher and the patterns, and returns the number of the rank's
-        events consumed so far.  Calls must cover the ops in order; the
-        serial pump feeds a quantum at a time, the parallel merge a whole
-        rank.
+        events consumed so far.  Calls must cover the ops in order.
         """
         rank = process.rank
         location = process.location
@@ -806,7 +800,6 @@ class _StreamState:
 
     def result(
         self,
-        cube: SeverityCube,
         callpaths: CallPathRegistry,
         timelines: Dict[int, ProcessTimeline],
         trace_bytes: Dict[int, int],
@@ -814,14 +807,9 @@ class _StreamState:
         scheme_name: str,
         interrupted: Optional[str] = None,
     ) -> AnalysisResult:
-        """Assemble the result once the stream is finished.
-
-        The tail the serial pump and the parallel merge share.  *cube* is
-        this state's cube keyed by **global** call-path ids, which the
-        *timelines* must carry too.
-        """
-        # TIME from per-rank exclusive time (already globally keyed).
-        cube_add = cube.add
+        """Assemble the result once the stream is finished."""
+        # TIME from per-rank exclusive time.
+        cube_add = self.cube.add
         for rank, process in timelines.items():
             for cpid, exclusive in process.exclusive_time.items():
                 cube_add(TIME, cpid, rank, exclusive)
@@ -844,7 +832,7 @@ class _StreamState:
         )
 
         return AnalysisResult(
-            cube=cube,
+            cube=self.cube,
             callpaths=callpaths,
             definitions=definitions,
             violations=self.checker,

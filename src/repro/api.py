@@ -115,20 +115,21 @@ def analyze(
 ) -> AnalysisResult:
     """Replay-analyze a traced run's archive.
 
-    *request* (an :class:`AnalysisRequest`) describes the analysis:
-    ``jobs=None``/``1`` runs the serial single-pass streaming analyzer,
-    ``jobs>=2`` shards the replay across that many worker processes
-    (``0`` = one per available core).  Every value of ``jobs`` produces a
-    bit-identical :class:`AnalysisResult` — see
-    :mod:`repro.analysis.parallel` for the merge model that guarantees it.
+    *request* (an :class:`AnalysisRequest`) describes the analysis.  One
+    single-pass streaming analyzer serves every request; ``jobs`` says
+    only where its local phase (trace blob → op tables, per rank) runs:
+    ``jobs=None``/``1`` in this process, ``jobs>=2`` sharded across that
+    many pool worker processes (``0`` = one per available core).  Every
+    value of ``jobs`` produces a bit-identical :class:`AnalysisResult` —
+    see :mod:`repro.analysis.streaming` for why.
     ``request.timeline`` additionally accumulates a time-resolved
     :class:`SeverityTimeline` (``result.severity_timeline``), and
-    ``request.bounded`` caps serial memory at the matching window.
+    ``request.bounded`` caps memory at the matching window.
 
     ``request.timeout`` (per-shard deadline, seconds) and
     ``request.max_retries`` (re-dispatches after a worker crash or hang)
-    tune the supervised pool behind the parallel path; a parallel result
-    carries the pool's :class:`ExecutionReport` in ``result.execution``.
+    tune the supervised pool a ``jobs>=2`` run uses; its result carries
+    the pool's :class:`ExecutionReport` in ``result.execution``.
     ``pool`` lends the run an externally owned warm :class:`SupervisedPool`
     (task function ``analyze_shard``) instead of spawning one — how the
     analysis service shares a single pool across every job it serves.

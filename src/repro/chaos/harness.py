@@ -173,7 +173,7 @@ def run_episode(
     ``baseline`` is the clean-run :class:`~repro.api.AnalysisResult` to
     compare against (computed on demand when omitted).
     """
-    from repro.analysis.parallel import ParallelReplayAnalyzer
+    from repro.analysis.streaming import StreamingReplayAnalyzer
     from repro.api import analyze
 
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
@@ -187,7 +187,7 @@ def run_episode(
     deadline = (
         Deadline(schedule.deadline_s) if schedule.deadline_s is not None else None
     )
-    analyzer = ParallelReplayAnalyzer(
+    analyzer = StreamingReplayAnalyzer(
         {machine: run.reader(machine) for machine in run.machines_used},
         degraded=degraded,
         jobs=jobs,

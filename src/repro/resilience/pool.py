@@ -138,8 +138,8 @@ class ExecutionReport:
     """Aggregate account of one supervised pool run.
 
     Attached to :class:`~repro.analysis.replay.AnalysisResult` by the
-    parallel analyzer so a recovered analysis carries the evidence of its
-    recovery.
+    analyzer after a pool run so a recovered analysis carries the evidence
+    of its recovery.
     """
 
     tasks: List[TaskExecution] = field(default_factory=list)

@@ -70,7 +70,7 @@ class RunResult:
 
     def trace_shard(self, ranks: Sequence[int]) -> TraceShard:
         """Picklable trace snapshot for *ranks*, each read through the
-        namespace of its own metahost (the parallel analyzer's work unit)."""
+        namespace of its own metahost (a shard worker's work unit)."""
         readers = {machine: self.reader(machine) for machine in self.namespaces}
         return TraceShard.gather(sorted(ranks), self.definitions, readers)
 

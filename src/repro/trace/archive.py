@@ -379,7 +379,7 @@ class TraceShard:
     the simulated file system along.  A rank whose trace file is absent
     from its reader's archive is recorded in ``missing`` with the reason; a
     rank in neither ``blobs`` nor ``missing`` had no reader at all.  Rank
-    admission (:func:`repro.analysis.streaming._admit_rank`) turns both
+    admission (:func:`repro.analysis.parallel._admit_rank`) turns both
     into the strict error or the degraded exclusion.
     """
 
@@ -615,10 +615,10 @@ class ArchiveReader:
     def shard_snapshot(self, ranks: Sequence[int]) -> TraceShard:
         """Raw trace blobs for *ranks*, detached from the namespace.
 
-        The shard-addressable read used by the parallel analyzer: the
-        parent process snapshots each shard's bytes through the owning
-        metahost's namespace, then ships the self-contained
-        :class:`TraceShard` to a worker.
+        The shard-addressable read behind the analyzer's local phase: the
+        parent process snapshots a rank's (in-process) or a shard's bytes
+        through the owning metahost's namespace; a shard's self-contained
+        :class:`TraceShard` is then shipped to a pool worker.
         """
         shard = TraceShard(ranks=tuple(ranks))
         for rank in shard.ranks:

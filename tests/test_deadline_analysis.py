@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.analysis.parallel import ParallelReplayAnalyzer
+from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.analysis.request import AnalysisRequest
 from repro.api import analyze
 from repro.errors import AnalysisError, TimeBudgetExceeded
@@ -98,7 +98,7 @@ class TestSerialDeadline:
         """Accounting for a cut pump uses the event counts the local phase
         already has: once the budget is gone, no trace is decoded again."""
         import repro.analysis.optable as optable
-        import repro.analysis.streaming as streaming
+        import repro.analysis.parallel as parallel
         import repro.trace.encoding as encoding
 
         run = _small_run()
@@ -121,7 +121,7 @@ class TestSerialDeadline:
             return columns
 
         monkeypatch.setattr(optable, "decode_columns", counting("columns", last_columns))
-        for module in (optable, streaming, encoding):
+        for module in (optable, parallel, encoding):
             monkeypatch.setattr(
                 module, "iter_events", counting("iter_events", encoding.iter_events)
             )
@@ -135,12 +135,18 @@ class TestSerialDeadline:
             assert "of " in entry.error and "unknown" not in entry.error
 
 
+def _hang_upper_shards(task):
+    """Pool chaos hook: every shard but the first wedges."""
+    if task.index >= 1:
+        _hang(task)
+
+
 class TestParallelDeadline:
     def test_wedged_workers_bounded_by_deadline(self, tmp_path):
         """The acceptance criterion: deadline D against wedged workers →
         partial result within D + grace, never a hang."""
         run = _small_run()
-        analyzer = ParallelReplayAnalyzer(
+        analyzer = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             jobs=4,
             # Workers hang forever; timeout_s would allow 60s — only the
@@ -172,6 +178,75 @@ class TestParallelDeadline:
             assert all(
                 "TimeBudgetExceeded" in entry.error for entry in unfinished
             )
+
+    def test_cut_pool_run_salvages_what_settled(self, monkeypatch):
+        """The pool run is cut by the pool, the pump after a quantum: the
+        shard that settled is replayed for one quantum — not to its end —
+        and the ranks of the one that did not say so."""
+        import repro.analysis.streaming as streaming
+
+        monkeypatch.setattr(streaming, "_QUANTUM_OPS", 2)
+        run = _small_run()
+        result = StreamingReplayAnalyzer(
+            {m: run.reader(m) for m in run.machines_used},
+            jobs=2,
+            pool_config=_fast_config(
+                timeout_s=60.0, max_retries=0, chaos_hook=_hang_upper_shards
+            ),
+            deadline=Deadline(1.0),
+        ).analyze()
+        assert "deadline of 1.0s" in result.interrupted and result.degraded
+        assert len(result.execution.tasks) == 2
+        entries = result.completeness
+        assert sorted(result.timelines) == [0, 1, 2, 3] and sorted(entries) == list(range(8))
+        for rank in (0, 1, 2, 3):
+            assert entries[rank].analyzed and "event(s)" in entries[rank].error
+        assert sum(1 for rank in (0, 1, 2, 3) if entries[rank].events) == 1
+        for rank in (4, 5, 6, 7):
+            assert not entries[rank].analyzed and entries[rank].events == 0
+            assert entries[rank].error == (
+                f"TimeBudgetExceeded: {result.interrupted} before its shard finished"
+            )
+
+    def test_budget_spent_as_pool_returns_stops_within_one_quantum(self, monkeypatch):
+        """The ``jobs=2`` twin of ``test_spent_budget_stops_within_one_quantum``:
+        every shard settles, the budget ends as the pool run returns, and the
+        pump — the one pump — stops after a quantum with the same accounting.
+        (Not a parameter of that test: a budget spent *before* ``analyze``
+        cuts the pool run first and, no shard settled, raises
+        ``TimeBudgetExceeded``.)"""
+        import repro.analysis.streaming as streaming
+        from repro.resilience import SupervisedPool
+
+        monkeypatch.setattr(streaming, "_QUANTUM_OPS", 2)
+        run = _small_run()
+        timelines = analyze(run).timelines
+        events = {rank: timeline.event_count for rank, timeline in timelines.items()}
+        deadline = Deadline(3600.0)
+        pool_run = SupervisedPool.run
+
+        def run_then_cancel(pool, tasks, **budgets):
+            try:
+                return pool_run(pool, tasks, **budgets)
+            finally:
+                budgets["deadline"].cancel("cancelled by client")
+
+        monkeypatch.setattr(SupervisedPool, "run", run_then_cancel)
+        result = analyze(run, AnalysisRequest(jobs=2), deadline=deadline)
+        assert result.interrupted == "cancelled by client"
+        assert result.degraded
+        assert result.execution is not None and result.execution.clean
+        consumed = {
+            rank: entry.events for rank, entry in result.completeness.items()
+        }
+        started = [rank for rank, count in consumed.items() if count]
+        assert len(started) == 1 and set(consumed) == set(events)
+        (rank,) = started
+        assert consumed[rank] == timelines[rank].mpi_ops.exit_event[1] + 1 < events[rank]
+        for rank, entry in result.completeness.items():
+            assert entry.analyzed
+            assert entry.completeness == consumed[rank] / events[rank]
+            assert f"after {consumed[rank]} of {events[rank]} event(s)" in entry.error
 
     def test_generous_parallel_deadline_is_byte_identical(self):
         run = _small_run()

@@ -11,25 +11,30 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.streaming as streaming_module
 from repro.analysis.parallel import (
     PartialAnalysis,
     ShardTask,
     analyze_shard,
-    merge_partials,
     plan_shards,
     resolve_jobs,
 )
+from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import AnalysisRequest, analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.apps.metatrace import make_metatrace_app
 from repro.clocks.sync import HierarchicalInterpolation
-from repro.errors import AnalysisError, PartialTraceWarning
+from repro.errors import AnalysisError, PartialTraceWarning, ReproError
 from repro.experiments.configs import experiment1
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
 from repro.report import render_analysis
+from repro.resilience import ExecutionReport
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.presets import uniform_metacomputer
 from repro.trace.archive import ArchiveWriter
@@ -76,6 +81,39 @@ def assert_timelines_agree(serial, parallel):
     assert flat[0], "the run charged nothing to the timeline"
     for key, value in flat[0].items():
         assert flat[1][key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+class _PicklingPool:
+    """The analyzer's ``pool=`` seam without processes: every shard runs
+    here, and its partial still crosses a pickle boundary."""
+
+    def run(self, tasks, **budgets):
+        partials = [pickle.loads(pickle.dumps(analyze_shard(task))) for task in tasks]
+        return partials, ExecutionReport()
+
+
+def _through_the_seam(run, jobs, quantum, degraded):
+    """``(result or error, warnings)`` of one analysis whose local phase ran
+    at *jobs* behind :class:`_PicklingPool` and whose pump steps *quantum*
+    ops at a time."""
+    with mock.patch.object(streaming_module, "_QUANTUM_OPS", quantum):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = StreamingReplayAnalyzer(
+                    {machine: run.reader(machine) for machine in run.machines_used},
+                    degraded=degraded,
+                    jobs=jobs,
+                    pool=_PicklingPool(),
+                ).analyze()
+            except ReproError as exc:
+                outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+#: Any shard plan of the 8-rank runs below, and pump quanta from one op (a
+#: strictly time-ordered pump) to longer than any trace (whole ranks).
+_SEAM = dict(jobs=st.integers(1, 8), quantum=st.sampled_from((1, 2, 3, 7, 32, 10**9)))
 
 
 class TestResolveJobs:
@@ -165,31 +203,16 @@ class TestStrictEquivalence:
             "warnings",
         }
 
-    def test_pickled_partials_merge_to_serial(self, small_run):
-        definitions = small_run.definitions
-        scheme = HierarchicalInterpolation()
-        converters = scheme.convert_all(small_run.reader(0).sync_data()).converters
-        ranks = sorted(definitions.locations)
-        shards = plan_shards(ranks, {r: definitions.machine_of(r) for r in ranks}, 3)
-        partials = [
-            pickle.loads(
-                pickle.dumps(
-                    analyze_shard(
-                        ShardTask(
-                            index=index,
-                            ranks=shard,
-                            degraded=False,
-                            definitions=definitions,
-                            converters=converters,
-                            traces=small_run.trace_shard(shard),
-                        )
-                    )
-                )
-            )
-            for index, shard in enumerate(shards)
-        ]
-        merged = merge_partials(partials[::-1], definitions, scheme.name, False)
-        assert_identical(analyze(small_run), merged)
+    @settings(max_examples=30, deadline=None)
+    @given(**_SEAM)
+    def test_local_phase_placement_reaches_nothing(self, small_run, jobs, quantum):
+        """Where the local phase ran (here, or in shards whose partials were
+        pickled back), how the world was cut into shards and how the pump
+        interleaved the ranks afterwards reach nothing in the result —
+        call-path ids included."""
+        result, _ = _through_the_seam(small_run, jobs, quantum, degraded=False)
+        assert_identical(analyze(small_run), result)
+        assert (result.execution is None) == (jobs == 1)
 
     @pytest.fixture(scope="class")
     def starved_run(self):
@@ -270,6 +293,23 @@ class TestDegradedEquivalence:
         parallel, parallel_warnings = self._analyze_with_warnings(damaged_run, jobs)
         assert_identical(serial, parallel)
         assert serial.excluded_ranks == parallel.excluded_ranks
+
+    @settings(max_examples=30, deadline=None)
+    @given(degraded=st.booleans(), **_SEAM)
+    def test_local_phase_placement_reaches_nothing(
+        self, damaged_run, jobs, quantum, degraded
+    ):
+        """The seam property on a damaged archive: degraded, the same
+        exclusions, result and warnings in the same order; strict, the same
+        error for the same rank."""
+        serial = _through_the_seam(damaged_run, 1, streaming_module._QUANTUM_OPS, degraded)
+        sharded = _through_the_seam(damaged_run, jobs, quantum, degraded)
+        assert serial[1] == sharded[1]
+        if degraded:
+            assert_identical(serial[0], sharded[0])
+            assert serial[0].excluded_ranks == sharded[0].excluded_ranks == [3, 6]
+        else:
+            assert isinstance(serial[0], tuple) and serial[0] == sharded[0]
 
     @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
     def test_degraded_timeline_matches_serial(self, damaged_run, jobs):

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.analysis.parallel import ParallelReplayAnalyzer
+from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import AnalysisRequest, analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.faults import FaultPlan, TraceCorruption
@@ -231,7 +231,7 @@ class TestAnalyzerChaos:
         supervision deadline, with the recovery on the record."""
         run = _small_run()
         serial = analyze(run)
-        analyzer = ParallelReplayAnalyzer(
+        analyzer = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             jobs=4,
             pool_config=_fast_config(
@@ -260,7 +260,7 @@ class TestAnalyzerChaos:
         )
         run = _small_run(fault_plan=plan, seed=3)
         serial = analyze(run, AnalysisRequest(degraded=True))
-        analyzer = ParallelReplayAnalyzer(
+        analyzer = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             degraded=True,
             jobs=4,
@@ -287,7 +287,7 @@ class TestAnalyzerChaos:
         )
         run = _small_run(fault_plan=plan, seed=3)
         serial = analyze(run, AnalysisRequest(degraded=True))
-        analyzer = ParallelReplayAnalyzer(
+        analyzer = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             degraded=True,
             jobs=4,

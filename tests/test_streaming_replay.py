@@ -21,6 +21,7 @@ config form, the removed legacy keywords).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -102,9 +103,9 @@ class TestStreamingEquivalence:
         # experiments count these warnings.
         assert buffered_warnings == streaming_warnings
 
-    def test_bounded_matches_retained(self, small_run):
-        retained = analyze_run(small_run, request=AnalysisRequest())
-        bounded = analyze_run(small_run, request=AnalysisRequest(bounded=True))
+    def test_bounded_matches_retained(self, small_run, jobs=None):
+        retained = analyze_run(small_run, request=AnalysisRequest(jobs=jobs))
+        bounded = analyze_run(small_run, request=AnalysisRequest(bounded=True, jobs=jobs))
         assert retained.cube.data == bounded.cube.data
         assert retained.grid_pairs.data == bounded.grid_pairs.data
         assert retained.violations.stamps == bounded.violations.stamps
@@ -117,6 +118,11 @@ class TestStreamingEquivalence:
         # Exclusive time survives (it feeds the TIME metric).
         for rank, tl in retained.timelines.items():
             assert bounded.timelines[rank].exclusive_time == tl.exclusive_time
+
+    def test_bounded_means_the_same_on_the_pool(self, small_run):
+        """``bounded`` is the analyzer's, not the in-process local phase's:
+        shard workers' tables are dropped after the pump like any others."""
+        self.test_bounded_matches_retained(small_run, jobs=2)
 
     def test_timeline_consumers_read_tables_as_lists(self, small_run):
         """The Gantt view, the trace statistics and the skeleton extractor
@@ -153,23 +159,26 @@ class TestStreamingEquivalence:
 class TestPumpOrderIndependence:
     """The pump promises per-rank trace order and per-receiver release
     order, nothing global: how ranks interleave (the quantum) must not
-    reach any aggregate."""
+    reach any aggregate — wherever the local phase ran (``jobs``)."""
 
     #: One op per quantum (a strictly time-ordered pump), a few quanta per
     #: rank of these 9-op traces, the default, and a quantum longer than any
-    #: trace (whole ranks, one after another — the parallel merge's order).
+    #: trace (whole ranks, one after another).
     QUANTA = (1, 3, streaming_module._QUANTUM_OPS, 10**9)
+    #: In-process, and three shards on the pool.  A loop, not a parameter:
+    #: every outcome below must equal every other, across both axes.
+    JOBS = (1, 3)
 
     def _outcomes(self, monkeypatch, run, degraded):
-        """Per quantum: the serialized result, or the error it raised."""
+        """Per (jobs, quantum): the serialized result, or the error it raised."""
         outcomes = []
-        for size in self.QUANTA:
+        for jobs, size in itertools.product(self.JOBS, self.QUANTA):
             monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", size)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
                     result = analyze_run(
-                        run, request=AnalysisRequest(degraded=degraded)
+                        run, request=AnalysisRequest(degraded=degraded, jobs=jobs)
                     )
                 except ReproError as exc:
                     outcomes.append((type(exc), str(exc)))
@@ -181,28 +190,28 @@ class TestPumpOrderIndependence:
     def test_clean_run(self, monkeypatch, small_run, degraded):
         outcomes = self._outcomes(monkeypatch, small_run, degraded)
         assert isinstance(outcomes[0], str)
-        assert outcomes.count(outcomes[0]) == len(self.QUANTA)
+        assert outcomes.count(outcomes[0]) == len(self.JOBS) * len(self.QUANTA)
 
     @pytest.mark.parametrize("degraded", [False, True])
     def test_faulted_run(self, monkeypatch, damaged_run, degraded):
         outcomes = self._outcomes(monkeypatch, damaged_run, degraded)
         # Strict replay of a damaged archive raises (the lowest damaged
-        # rank's decode error, met in the prepass's local phase); degraded
-        # returns.
+        # rank's decode error, met in the local phase); degraded returns.
         assert isinstance(outcomes[0], str) == degraded
-        assert outcomes.count(outcomes[0]) == len(self.QUANTA)
+        assert outcomes.count(outcomes[0]) == len(self.JOBS) * len(self.QUANTA)
 
     def test_timeline_counters_match_buffered(self, monkeypatch, small_run):
         # Several quanta per rank, so the cursors cross quantum borders.
         monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", 3)
         buffered = _buffered(small_run)
-        streaming = analyze_run(small_run, request=AnalysisRequest())
-        for rank, reference in buffered.timelines.items():
-            timeline = streaming.timelines[rank]
-            assert timeline.event_count > 8
-            assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
-                reference.event_count, reference.first_time, reference.last_time,
-            )
+        for jobs in self.JOBS:
+            streaming = analyze_run(small_run, request=AnalysisRequest(jobs=jobs))
+            for rank, reference in buffered.timelines.items():
+                timeline = streaming.timelines[rank]
+                assert timeline.event_count > 8
+                assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
+                    reference.event_count, reference.first_time, reference.last_time,
+                )
 
 
 @pytest.mark.slow
@@ -437,14 +446,6 @@ class TestSeverityTimelineUnit:
         assert tl.bins("m", rank=3) == {0: pytest.approx(2.0)}
         assert tl.bins("m", cpid=1) == {0: pytest.approx(1.0)}
         assert tl.bins("m") == {0: pytest.approx(3.0)}
-
-    def test_remap_merges_colliding_cells(self):
-        tl = SeverityTimeline(stride_s=1.0)
-        tl.add("m", 1, 0, 0.0, 1.0, 1.0)
-        tl.add("m", 2, 0, 0.0, 1.0, 2.0)
-        # Both local paths map to global cpid 7: cells merge additively.
-        tl.remap_callpaths({0: {1: 7, 2: 7}})
-        assert tl.bins("m", cpid=7) == {0: pytest.approx(3.0)}
 
     def test_payload_shape(self):
         tl = SeverityTimeline(window_s=2.0, stride_s=1.0)
