@@ -24,10 +24,10 @@ The result is a :class:`~repro.analysis.instances.ProcessTimeline` whose
 ``mpi_ops`` and ``omp_regions`` are an :class:`OpTable` and an
 :class:`OmpTable`: lazy sequences over numpy columns that make
 :class:`~repro.analysis.instances.MPIOpInstance` /
-:class:`~repro.analysis.instances.OmpRegionRecord` objects on read.  The
-replay materializes a quantum of ops at a time and lets them die with
-their matching window; a retained result keeps the columns, not the
-objects.
+:class:`~repro.analysis.instances.OmpRegionRecord` objects on read.  That
+protocol is for result consumers: the replay's global phase
+(:mod:`repro.analysis.globalphase`) reads the columns and never iterates a
+table, and a retained result keeps the columns, not objects.
 
 A trace the passes find inconsistent is walked again by the sequential
 builder, whose error is the canonical one: strict mode raises it, degraded
@@ -53,7 +53,6 @@ from repro.analysis.instances import (
     SendRecord,
     build_timeline,
 )
-from repro.analysis.severity import Partials, exact_expansion
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, ReproError
 from repro.ids import Location
@@ -152,27 +151,6 @@ class OpTable(_LazySequence):
     def remap(self, lookup: np.ndarray) -> None:
         """Renumber call paths: ``lookup[old cpid]`` is the new one."""
         self.cpid = np.take(lookup, self.cpid)
-
-    def base_cells(self, count: int) -> List[Tuple[int, int, Partials]]:
-        """``(cpid, region, exact sum of durations)`` over the first *count* ops.
-
-        One cell per call path with a positive-duration op, ordered by each
-        path's first such op: the structural MPI-time metrics, summed per
-        cell from the column slice instead of op by op.
-        """
-        duration = self.exit[:count] - self.enter[:count]
-        kept = np.flatnonzero(duration > 0.0)
-        paths, first, inverse = np.unique(
-            self.cpid[kept], return_index=True, return_inverse=True
-        )
-        return [
-            (
-                int(paths[i]),
-                int(self.region[kept[first[i]]]),
-                exact_expansion(duration[kept[inverse == i]].tolist()),
-            )
-            for i in np.argsort(first).tolist()
-        ]
 
 
 @dataclass(eq=False, repr=False, slots=True)

@@ -552,7 +552,7 @@ def analyze_run(
     phase runs (``None``/``1`` in this process, ``N >= 2`` sharded across
     *N* pool workers, ``0`` one per core), ``degraded`` survives damaged
     traces, ``timeline`` adds time-resolved severity series, ``bounded``
-    caps memory at the matching window.  One analyzer,
+    drops the op tables once the global phase has read them.  One analyzer,
     :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`, serves
     every combination, and every ``jobs`` value produces a bit-identical
     result.

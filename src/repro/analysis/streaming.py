@@ -1,116 +1,85 @@
-"""The replay analyzer: one driver, a single-pass bounded-memory core.
+"""The replay analyzer: one driver — local phase, pump, columnar global phase.
 
 There are two replay engines.  The buffered
-:class:`~repro.analysis.replay.ReplayAnalyzer` — kept as the independent
-reference the tests and the benchmark compare against — materializes
-every rank's MPI-op instances, then matches, then searches patterns: three
-walks whose working set is O(trace).  This module is the other one, and
-the only driver, matcher and pattern evaluator the package runs:
-:class:`StreamingReplayAnalyzer` is the same code path at every ``jobs``
-value.
+:class:`~repro.analysis.replay.ReplayAnalyzer` — kept as the independent,
+object-wise reference the tests and the benchmark compare against —
+materializes every rank's MPI-op instances, then matches, then searches
+patterns.  This module is the other one, and the only driver the package
+runs: :class:`StreamingReplayAnalyzer` is the same code path at every
+``jobs`` value, and it makes no object per op, record, pair or collective.
 
-The replay has two phases.  The **local phase** is a pure function of one
-trace file: during admission every rank's blob becomes op tables — numpy
-columns built by array passes, no object per event
-(:mod:`repro.analysis.optable`).  ``jobs`` says only *where* it runs: in
-this process, one rank's blob in memory at a time over one shared
-call-path registry, or as :func:`~repro.analysis.parallel.analyze_shard`
-tasks on a supervised pool, whose shard-local registries are absorbed in
-ascending shard order before anything is fed.  The **pump** then keeps one
-cursor per rank in a heap keyed by the next op's synchronized enter stamp,
-takes the earliest rank's next :data:`_QUANTUM_OPS` completed ops,
-materializes them from the columns as transient :class:`MPIOpInstance`
-objects and hands them to an **incremental** matcher; matched pairs and
-completed collective instances flow straight into the pattern search and
-the severity accumulators.  An op object lives until its matching window
-closes, so the objects alive at any moment are the *matching window* —
-in-flight sends/receives and open collectives, at most one quantum per rank
-wider than a strictly time-ordered pump's — never the trace.  What a
-retained result keeps is the tables (``ProcessTimeline.mpi_ops`` is a lazy
-sequence over them); a bounded one drops them.  The cyclic garbage
-collector, which used to walk several hundred thousand retained op and
-record objects on every generation-2 pass, finds almost nothing to walk.
+The replay has four steps.
 
-The pump guarantees two orders and no third: each rank's ops arrive in
-**trace order**, and each receiver's matched pairs are released in
-**receive trace order**.  Ranks interleave only roughly by time (quantum
-granularity), and nothing below depends on how: the replay needs local
-order plus message matching, never a global event order.  The one
-pump-order-dependent output is the ``SeverityTimeline``'s bins, plain
-float sums already documented as last-ulp order-dependent diagnostics.
+1. The **local phase** is a pure function of one trace file: during
+   admission every rank's blob becomes op tables — numpy columns built by
+   array passes (:mod:`repro.analysis.optable`).  ``jobs`` says only
+   *where* it runs: in this process, one rank's blob in memory at a time
+   over one shared call-path registry, or as
+   :func:`~repro.analysis.parallel.analyze_shard` tasks on a supervised
+   pool.
+2. **Call-path numbering**: shard-local registries are absorbed in
+   ascending shard order, so either way call paths are numbered rank-major
+   in first-encounter order — the buffered analyzer's numbering — before
+   anything is evaluated, and the cube and the timeline are keyed globally
+   from the first contribution.
+3. The **pump chooses the cut.**  It keeps one cursor per rank in a heap
+   keyed by the next op's synchronized enter stamp, advances the earliest
+   rank's cursor by :data:`_QUANTUM_OPS` completed ops, and polls the
+   deadline after every step.  A step does no analysis: it only records how
+   many of the rank's events are now inside the cut.  Ranks advance roughly
+   in time order (quantum granularity), so a budget that runs out leaves a
+   cut that is about one instant of the run, a prefix of every trace.
+4. The **columnar global phase** (:mod:`repro.analysis.globalphase`) then
+   evaluates everything over that cut in array passes: FIFO matching as one
+   sort, the pattern catalogue as ufuncs and ``reduceat`` passes over pair
+   and member columns, severities as exact per-cell sums.  It runs after
+   the pump and is bounded by the consumed prefix; like the in-process
+   local phase, it is never cut itself.
 
-Bit-identity with the buffered analyzer (strict and degraded, every
-``jobs`` value) rests on four mechanisms:
+What a retained result keeps is the tables (``ProcessTimeline.mpi_ops`` is
+a lazy sequence over them); a bounded one drops them once the global phase
+has read them.
 
-* the severity cube and grid breakdown are **exact and order-free**
-  (Shewchuk expansions, :mod:`repro.analysis.severity`), so pattern hits
-  may arrive in pump order instead of receiver-major order — and the
-  structural MPI-time metrics, one exact sum per ``(rank, call path)``
-  taken from the duration column, are installed into their cells at
-  finalize;
-* the only *stateful* pattern (Wrong Order, keyed per receiver and
-  communicator) sees pairs through a per-receiver reorder buffer that
-  releases them in receive trace order — exactly the buffered feed order
-  per key;
-* collective instances are emitted with members rebuilt in ascending rank
-  order, reproducing the buffered causer tie-break, and flushed at
-  end-of-stream sorted by ``(comm, index)``;
-* call paths are numbered rank-major in first-encounter order before the
-  pump starts, so the cube and the timeline are keyed globally from the
-  first ``add``.
+The result is a function of the tables and the cut, never of how the pump
+interleaved the ranks: the replay needs local order plus message matching,
+not a global event order.  Bit-identity with the buffered analyzer (strict
+and degraded, every ``jobs`` value, dict orders included) rests on:
 
-Clock-condition stamps are sorted at finalize; both engines sort
-identically, so stamp lists stay comparable across paths.
+* **exact order-free sums** — the severity cube and the grid breakdown
+  hold Shewchuk expansions (:mod:`repro.analysis.severity`); a cell's hits
+  are summed exactly in one pass, which is the value one ``add`` per hit
+  reaches in any order;
+* **pairs in receive order** — matched pairs are evaluated receiver-major
+  in receive trace order, the buffered feed order, which is what the one
+  stateful pattern (Wrong Order, keyed per receiver and communicator) and
+  the first-encounter order of every cell depend on;
+* **members in rank order** — collective instances are taken by
+  ``(comm, index)`` with members in ascending rank order, reproducing the
+  buffered causer tie-break and the lowest-rank member's say on region and
+  root;
+* **global call-path ids** — see step 2.
+
+Clock-condition stamps are built in the canonical order
+(``ClockConditionChecker.sort_stamps``), so stamp lists stay comparable
+across engines.  The ``SeverityTimeline``'s bins are plain float sums,
+documented as last-ulp diagnostics.
 
 A deadline cuts a pool run (the supervised pool kills in-flight workers
 and the settled shards are salvaged) and the pump (polled after every
-quantum), never the in-process local phase: an interrupted result's
-timelines describe whole traces (and so does the TIME metric, which is
-local), while every metric the pump feeds covers the consumed prefix and
-``RankCompleteness`` says how many events that was.
+quantum), never the in-process local phase or the global phase: an
+interrupted result's timelines describe whole traces (and so does the TIME
+metric, which is local), while every other metric covers the consumed
+prefix and ``RankCompleteness`` says how many events that was.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from heapq import heapify, heappop, heapreplace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.analysis.callpath import CallPathRegistry
-from repro.analysis.instances import (
-    MPIOpInstance,
-    ProcessTimeline,
-    remap_timeline,
-    total_time_of,
-)
-from repro.analysis.matching import (
-    COLLECTIVE_MEMBER_BYTES,
-    PAIR_METADATA_BYTES,
-    CollectiveInstance,
-    MatchedPair,
-    MatchStats,
-)
-from repro.analysis.patterns import (
-    COLLECTIVE,
-    COMMUNICATION,
-    IDLE_THREADS,
-    MPI,
-    P2P,
-    SYNCHRONIZATION,
-    TIME,
-    default_collective_patterns,
-    default_p2p_patterns,
-)
-from repro.analysis.patterns.base import classify_region
-from repro.analysis.patterns.grid import (
-    GridPairBreakdown,
-    accumulate_collective,
-    accumulate_p2p,
-)
-from repro.analysis.optable import OpTable
+from repro.analysis.globalphase import global_phase
+from repro.analysis.instances import ProcessTimeline, remap_timeline, total_time_of
 from repro.analysis.parallel import (
     PartialAnalysis,
     ShardTask,
@@ -118,18 +87,13 @@ from repro.analysis.parallel import (
     analyze_shard,
     plan_shards,
 )
+from repro.analysis.patterns import TIME
 from repro.analysis.replay import (
     AnalysisResult,
     RankCompleteness,
     ReplayTraffic,
 )
-from repro.analysis.severity import SeverityCube
-from repro.analysis.severity_timeline import (
-    SeverityTimeline,
-    record_collective_hits,
-    record_p2p_hits,
-)
-from repro.clocks.condition import ClockConditionChecker, MessageStamp
+from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
 from repro.errors import AnalysisError, TimeBudgetExceeded
 from repro.ids import NodeId, node_of
@@ -137,87 +101,24 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.pool import ExecutionReport, PoolConfig, SupervisedPool
 from repro.trace.archive import ArchiveReader, Definitions, TraceShard
 
-#: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
-ChannelKey = Tuple[int, int, int, int]
-
-#: Completed MPI ops per pump step: the scheduling quantum, and the
-#: deadline's poll interval.  Large enough that heap traffic and the
-#: per-quantum column slicing vanish next to matching; small enough that the
-#: in-flight matching window — and the op objects alive at once — stay a
-#: sliver of a short trace.
+#: Completed MPI ops a pump step admits into the cut: the scheduling
+#: quantum, and the deadline's poll interval.  Small enough that ranks
+#: advance nearly in time order and an expired budget is noticed at once;
+#: a step is a heap operation, so no smaller quantum would be cheaper to act on.
 _QUANTUM_OPS = 32
-
-#: Structural metrics an MPI op's duration is charged to, by region class.
-_BASE_METRICS = {
-    P2P: (MPI, COMMUNICATION, P2P),
-    COLLECTIVE: (MPI, COMMUNICATION, COLLECTIVE),
-    SYNCHRONIZATION: (MPI, SYNCHRONIZATION),
-    None: (MPI,),
-}
-
-
-class _ReceiverReleases:
-    """Per-receiver reorder buffer: pairs leave in receive trace order.
-
-    Each receive record gets a sequence number when its op completes (the
-    pump delivers a rank's ops in trace order, so assignment order *is*
-    receive trace order).  A completed pair parks under its sequence until
-    every earlier receive of that receiver is resolved — matched and
-    released, or voided (unmatched in degraded mode).  The buffer holds at
-    most the in-flight matching window.
-    """
-
-    __slots__ = ("assign", "release", "parked")
-
-    def __init__(self) -> None:
-        self.assign = 0
-        self.release = 0
-        #: seq → MatchedPair, or None for a voided (unmatched) receive.
-        self.parked: Dict[int, Optional[MatchedPair]] = {}
-
-    def next_seq(self) -> int:
-        seq = self.assign
-        self.assign += 1
-        return seq
-
-    def resolve(self, seq: int, pair: Optional[MatchedPair]) -> List[MatchedPair]:
-        """Park one outcome; return every pair that becomes releasable."""
-        self.parked[seq] = pair
-        out: List[MatchedPair] = []
-        while self.release in self.parked:
-            released = self.parked.pop(self.release)
-            self.release += 1
-            if released is not None:
-                out.append(released)
-        return out
-
-
-class _CollectiveGroup:
-    """One in-flight collective instance, accumulating members as they exit."""
-
-    __slots__ = ("region", "members", "locations", "order", "expected")
-
-    def __init__(self, region: int, order, expected: Optional[int]) -> None:
-        self.region = region
-        self.members: Dict[int, tuple] = {}
-        self.locations: Dict[int, object] = {}
-        #: Full communicator rank order (None when unknown to the archive).
-        self.order = order
-        #: Analyzed member count that completes the instance (None: unknown
-        #: communicator, only end-of-stream flush can close it).
-        self.expected = expected
 
 
 class StreamingReplayAnalyzer:
-    """The replay analyzer: local phase, call-path numbering, one pump.
+    """The replay analyzer: local phase, call-path numbering, the pump's
+    cut, the columnar global phase over it.
 
     Constructor contract mirrors :class:`~repro.analysis.replay.ReplayAnalyzer`
     (readers keyed by machine, optional scheme, degraded flag) plus:
 
     ``retain=False``
-        bounded-memory mode — the op tables are dropped once the pump has
-        consumed them, and ``timelines[rank].mpi_ops`` / ``omp_regions``
-        come back empty.  Aggregates are unaffected.
+        bounded-memory mode — the op tables are dropped once the global
+        phase has read them, and ``timelines[rank].mpi_ops`` /
+        ``omp_regions`` come back empty.  Aggregates are unaffected.
     ``timeline``
         a :class:`~repro.analysis.severity_timeline.SeverityTimeline` to
         accumulate time-resolved severity into (None: skip).
@@ -225,9 +126,12 @@ class StreamingReplayAnalyzer:
         a :class:`~repro.resilience.deadline.Deadline`.  A pool run is cut
         by the :class:`~repro.resilience.pool.SupervisedPool` (in-flight
         workers killed, settled shards salvaged); the pump polls it after
-        every quantum (:data:`_QUANTUM_OPS` completed ops).  Either way
-        stragglers settle degraded-style and the result carries the
-        severity accumulated so far with honest per-rank completeness and
+        every quantum (:data:`_QUANTUM_OPS` completed ops) and stops
+        extending the cut when it has run out.  The global phase then
+        evaluates the cut it was left with — work bounded by the consumed
+        prefix, never cut itself.  Either way stragglers settle
+        degraded-style and the result carries the severity of the consumed
+        prefix with honest per-rank completeness and
         ``result.interrupted`` set — never a hang, never a crash.
     ``jobs``
         where the local phase runs, and nothing else: ``1`` in this
@@ -285,9 +189,9 @@ class StreamingReplayAnalyzer:
         ranks = sorted(definitions.locations)
 
         # The local phase: admit each rank through its own metahost's reader
-        # and build the admitted ranks' op tables.  It finishes before the
-        # pump feeds the shared matcher, so a structurally inconsistent rank
-        # is excluded (or, strict, raises) with nothing accumulated for it.
+        # and build the admitted ranks' op tables.  It finishes before
+        # anything is evaluated, so a structurally inconsistent rank is
+        # excluded (or, strict, raises) with nothing accumulated for it.
         # Either branch leaves the call paths numbered rank-major in first-
         # encounter order — the buffered analyzer's numbering, exactly.
         # *local* collects it for the whole world.
@@ -327,20 +231,17 @@ class StreamingReplayAnalyzer:
                 trace_bytes.update(sorted(partial.trace_bytes.items()))
                 completeness.update(sorted(partial.completeness.items()))
 
-        state = _StreamState(
-            definitions=definitions,
-            analyzed=set(timelines),
-            degraded=degraded,
-            timeline=self.timeline,
-        )
+        if not timelines:
+            raise AnalysisError("no rank produced a usable trace")
 
-        # The pump: a heap holding each admitted rank's next op index, keyed
-        # by that op's synchronized enter stamp.  (stamp, rank) is unique —
-        # one cursor per rank — so heapq never compares further.  The budget
-        # is polled after every quantum, so one that is already spent when
-        # the pump starts — the pool run above was cut, or the local phase
-        # used it up — still costs one quantum.
-        feeds = {rank: state.attach(timeline) for rank, timeline in timelines.items()}
+        # The pump chooses the cut: a heap holding each admitted rank's next
+        # op index, keyed by that op's synchronized enter stamp.  (stamp,
+        # rank) is unique — one cursor per rank — so heapq never compares
+        # further.  A step admits the earliest rank's next quantum of ops
+        # and notes the events that covers; nothing is evaluated here.  The
+        # budget is polled after every step, so one that is already spent
+        # when the pump starts — the pool run above was cut, or the local
+        # phase used it up — still costs one quantum.
         heap = [
             (
                 float(timeline.mpi_ops.enter[0]) if len(timeline.mpi_ops)
@@ -357,17 +258,33 @@ class StreamingReplayAnalyzer:
             _, rank, lo = heap[0]
             ops = timelines[rank].mpi_ops
             hi = min(lo + _QUANTUM_OPS, len(ops))
-            pumped[rank] = feeds[rank](lo, hi)
             if hi == len(ops):
                 heappop(heap)
+                pumped[rank] = timelines[rank].event_count
             else:
                 heapreplace(heap, (float(ops.enter[hi]), rank, hi))
+                # Consumed through the EXIT that completed the quantum's last op.
+                pumped[rank] = int(ops.exit_event[hi - 1]) + 1
             if interrupted is None and deadline is not None:
                 interrupted = deadline.reason()
             if interrupted is not None:
                 break
 
-        state.finish_stream(interrupted=interrupted is not None)
+        # The global phase evaluates the cut.  An *interrupted* stream
+        # settles degraded-style: a receive whose send lies beyond the cut
+        # is expected when the sender's trace was only half pumped, so it
+        # is counted, never raised.
+        cube, grid_pairs, violations, stats = global_phase(
+            definitions,
+            timelines,
+            pumped,
+            allow_unmatched=degraded or interrupted is not None,
+            timeline=self.timeline,
+        )
+        # TIME from per-rank exclusive time: local, so whole traces.
+        for rank, process in timelines.items():
+            for cpid, exclusive in process.exclusive_time.items():
+                cube.add(TIME, cpid, rank, exclusive)
 
         if interrupted is not None:
             completeness = self._interrupted_completeness(
@@ -376,16 +293,34 @@ class StreamingReplayAnalyzer:
         if not self.retain:
             for timeline in timelines.values():
                 timeline.mpi_ops, timeline.omp_regions = [], []
-        result = state.result(
-            callpaths,
-            timelines,
-            trace_bytes,
-            completeness,
-            self.scheme.name,
-            interrupted,
+        master_machine = definitions.machine_of(0)
+        traffic = ReplayTraffic(
+            replay_metadata_bytes=stats.metadata_bytes,
+            merged_copy_bytes=sum(
+                size
+                for rank, size in trace_bytes.items()
+                if definitions.machine_of(rank) != master_machine
+            ),
+            trace_bytes_total=sum(trace_bytes.values()),
         )
-        result.execution = execution
-        return result
+        return AnalysisResult(
+            cube=cube,
+            callpaths=callpaths,
+            definitions=definitions,
+            violations=violations,
+            traffic=traffic,
+            scheme_name=self.scheme.name,
+            total_time=total_time_of(timelines),
+            timelines=timelines,
+            grid_pairs=grid_pairs,
+            # An interrupted result is degraded-style by construction:
+            # starved receives were counted, not matched.
+            degraded=degraded or interrupted is not None,
+            completeness=completeness,
+            severity_timeline=self.timeline,
+            interrupted=interrupted,
+            execution=execution,
+        )
 
     def _run_shards(
         self,
@@ -496,355 +431,3 @@ class StreamingReplayAnalyzer:
                     error=f"TimeBudgetExceeded: {reason} before its shard finished",
                 )
         return out
-
-
-class _StreamState:
-    """Everything the pump accumulates: matcher, patterns, severities.
-
-    The tables it is fed carry global call-path ids, so the cube and the
-    timeline are keyed globally from the first contribution.
-    """
-
-    def __init__(self, definitions, analyzed, degraded, timeline) -> None:
-        if not analyzed:
-            raise AnalysisError("no rank produced a usable trace")
-        self.definitions = definitions
-        self.analyzed = analyzed
-        self.degraded = degraded
-        self.timeline = timeline
-        self.cube = SeverityCube()
-        self.grid_pairs = GridPairBreakdown()
-        self.checker = ClockConditionChecker()
-        self.stats = MatchStats()
-        self._p2p_patterns = default_p2p_patterns()
-        self._contribution_fns = [p.contributions for p in self._p2p_patterns]
-        self._coll_patterns = default_collective_patterns()
-        #: rank → its op table, and how many of its ops were fed: the
-        #: structural MPI-time metrics are summed per call path from the fed
-        #: column slice at finalize, not op by op.
-        self._ops: Dict[int, OpTable] = {}
-        self._fed: Dict[int, int] = {}
-        #: MPI region name → the structural metrics its duration is charged to.
-        self._base_metrics: Dict[str, Tuple[str, ...]] = {}
-        self._nodes: Dict[int, object] = {}
-        #: channel → FIFO of (send op, send record) awaiting their receive.
-        self._send_queues: Dict[ChannelKey, Deque[tuple]] = {}
-        #: channel → FIFO of (recv op, recv record, seq, op idx, recv idx).
-        self._pending_recvs: Dict[ChannelKey, Deque[tuple]] = {}
-        self._releases: Dict[int, _ReceiverReleases] = {}
-        #: (comm, index) → in-flight group; per-rank per-comm counters.
-        self._groups: Dict[Tuple[int, int], _CollectiveGroup] = {}
-        self._coll_counters: Dict[int, Dict[int, int]] = {}
-        self._comm_order_cache: Dict[int, Optional[Tuple[int, ...]]] = {}
-
-    # -- feeding ---------------------------------------------------------------
-
-    def attach(self, process: ProcessTimeline) -> Callable[[int, int], int]:
-        """Register one admitted rank's tables; returns its ``feed(lo, hi)``.
-
-        ``feed`` materializes ops ``[lo, hi)`` from the columns — transient
-        objects that live until their matching window closes — runs them
-        and the fork-join records up to the same point in the trace through
-        the matcher and the patterns, and returns the number of the rank's
-        events consumed so far.  Calls must cover the ops in order.
-        """
-        rank = process.rank
-        location = process.location
-        ops = process.mpi_ops
-        omps = process.omp_regions
-        self._nodes[rank] = node_of(location)
-        self._releases[rank] = _ReceiverReleases()
-        self._coll_counters[rank] = {}
-        self._ops[rank] = ops
-        self._fed[rank] = 0
-        omp_fed = 0
-
-        def feed(lo: int, hi: int) -> int:
-            nonlocal omp_fed
-            op_idx = lo
-            for op in ops.span(lo, hi):
-                if self.timeline is not None:
-                    self._timeline_base(op)
-                for send in op.sends:
-                    self._on_send(rank, op, send)
-                for recv_idx, recv in enumerate(op.recvs):
-                    self._on_recv(rank, op, recv, op_idx, recv_idx)
-                if op.coll is not None:
-                    self._on_coll(rank, location, op)
-                op_idx += 1
-            self._fed[rank] = hi
-            consumed = (
-                process.event_count if hi == len(ops) else int(ops.exit_event[hi - 1]) + 1
-            )
-            if omp_fed < len(omps):
-                upto = int(np.searchsorted(omps.event, consumed))
-                for record in omps.span(omp_fed, upto):
-                    self._on_fork_join(rank, record)
-                omp_fed = upto
-            return consumed
-
-        return feed
-
-    def _on_fork_join(self, rank: int, record) -> None:
-        idle = record.idle_thread_seconds
-        if idle > 0.0:
-            self.cube.add(IDLE_THREADS, record.cpid, rank, idle)
-            if self.timeline is not None:
-                self.timeline.add(
-                    IDLE_THREADS, record.cpid, rank, record.enter, record.exit, idle
-                )
-
-    def _metrics_of(self, op_name: str) -> Tuple[str, ...]:
-        metrics = self._base_metrics.get(op_name)
-        if metrics is None:
-            metrics = self._base_metrics[op_name] = _BASE_METRICS[classify_region(op_name)]
-        return metrics
-
-    def _timeline_base(self, op: MPIOpInstance) -> None:
-        duration = op.exit - op.enter
-        if duration > 0.0:
-            for metric in self._metrics_of(op.op_name):
-                self.timeline.add(metric, op.cpid, op.rank, op.enter, op.exit, duration)
-
-    # -- point-to-point --------------------------------------------------------
-
-    def _on_send(self, rank: int, op: MPIOpInstance, send) -> None:
-        if self.degraded and send.dest not in self.analyzed:
-            # Receiver excluded: the buffered analyzer leaves this send in
-            # its queue and counts it at the end; count it now.
-            self.stats.unmatched_sends += 1
-            return
-        key: ChannelKey = (rank, send.dest, send.tag, send.comm)
-        pending = self._pending_recvs.get(key)
-        if pending:
-            recv_op, recv, seq, _op_idx, _recv_idx = pending.popleft()
-            self._complete_pair(rank, op, send, send.dest, recv_op, recv, seq)
-            return
-        queue = self._send_queues.get(key)
-        if queue is None:
-            self._send_queues[key] = queue = deque()
-        queue.append((op, send))
-
-    def _on_recv(
-        self, rank: int, op: MPIOpInstance, recv, op_idx: int, recv_idx: int
-    ) -> None:
-        releases = self._releases[rank]
-        seq = releases.next_seq()
-        if self.degraded and recv.source not in self.analyzed:
-            # Sender excluded: unmatched by construction.  (In strict mode
-            # an unknown source must instead reach the starved-receive
-            # error at end of stream, as the buffered analyzer raises.)
-            self.stats.unmatched_recvs += 1
-            self._release(rank, releases.resolve(seq, None))
-            return
-        key: ChannelKey = (recv.source, rank, recv.tag, recv.comm)
-        queue = self._send_queues.get(key)
-        if queue:
-            send_op, send = queue.popleft()
-            self._complete_pair(recv.source, send_op, send, rank, op, recv, seq)
-            return
-        pending = self._pending_recvs.get(key)
-        if pending is None:
-            self._pending_recvs[key] = pending = deque()
-        pending.append((op, recv, seq, op_idx, recv_idx))
-
-    def _complete_pair(
-        self, sender: int, send_op, send, receiver: int, recv_op, recv, seq: int
-    ) -> None:
-        self.stats.matched += 1
-        pair = MatchedPair(
-            sender,
-            self.definitions.locations[sender],
-            send_op,
-            send,
-            receiver,
-            self.definitions.locations[receiver],
-            recv_op,
-            recv,
-        )
-        self._release(receiver, self._releases[receiver].resolve(seq, pair))
-
-    def _release(self, receiver: int, pairs: List[MatchedPair]) -> None:
-        """Run released pairs through the patterns, in receive trace order."""
-        if not pairs:
-            return
-        nodes = self._nodes
-        stamp_append = self.checker.stamps.append
-        cube_add = self.cube.add
-        for pair in pairs:
-            accumulate_p2p(self.grid_pairs, pair)
-            stamp_append(
-                MessageStamp(
-                    nodes[pair.sender_rank],
-                    nodes[pair.receiver_rank],
-                    pair.send.time,
-                    pair.recv.time,
-                )
-            )
-            for contributions in self._contribution_fns:
-                hits = contributions(pair)
-                if self.timeline is not None:
-                    hits = list(hits)
-                    record_p2p_hits(self.timeline, pair, hits)
-                for hit in hits:
-                    cube_add(hit.metric, hit.cpid, hit.rank, hit.value)
-
-    # -- collectives -----------------------------------------------------------
-
-    def _comm_order(self, comm: int) -> Optional[Tuple[int, ...]]:
-        if comm not in self._comm_order_cache:
-            entry = self.definitions.communicators.get(comm)
-            self._comm_order_cache[comm] = entry[1] if entry is not None else None
-        return self._comm_order_cache[comm]
-
-    def _on_coll(self, rank: int, location, op: MPIOpInstance) -> None:
-        coll = op.coll
-        counters = self._coll_counters[rank]
-        index = counters.get(coll.comm, 0)
-        counters[coll.comm] = index + 1
-        key = (coll.comm, index)
-        group = self._groups.get(key)
-        if group is None:
-            order = self._comm_order(coll.comm)
-            expected = (
-                sum(1 for r in order if r in self.analyzed)
-                if order is not None
-                else None
-            )
-            group = _CollectiveGroup(coll.region, order, expected)
-            self._groups[key] = group
-        elif group.region != coll.region:
-            raise AnalysisError(
-                f"collective mismatch on comm {coll.comm} instance {index}: "
-                f"rank {rank} recorded region {coll.region}, others "
-                f"{group.region}"
-            )
-        group.members[rank] = (op, coll)
-        group.locations[rank] = location
-        self.stats.metadata_bytes += COLLECTIVE_MEMBER_BYTES
-        if group.expected is not None and len(group.members) == group.expected:
-            del self._groups[key]
-            self._emit_collective(coll.comm, index, group)
-
-    def _emit_collective(self, comm: int, index: int, group: _CollectiveGroup) -> None:
-        # Members in ascending rank order: the serial grouping inserts
-        # rank-major, and the grid causer tie-break scans insertion order.
-        ranks = sorted(group.members)
-        first_op, first_coll = group.members[ranks[0]]
-        instance = CollectiveInstance(
-            comm=comm,
-            index=index,
-            region=first_coll.region,
-            op_name=first_op.op_name,
-            root=first_coll.root,
-            comm_order=list(group.order) if group.order is not None else None,
-        )
-        for rank in ranks:
-            instance.members[rank] = group.members[rank]
-            instance.locations[rank] = group.locations[rank]
-        self.stats.collective_instances += 1
-        accumulate_collective(self.grid_pairs, instance)
-        cube_add = self.cube.add
-        for pattern in self._coll_patterns:
-            hits = pattern.contributions(instance)
-            if self.timeline is not None:
-                hits = list(hits)
-                record_collective_hits(self.timeline, instance, hits)
-            for hit in hits:
-                cube_add(hit.metric, hit.cpid, hit.rank, hit.value)
-
-    # -- end of stream ---------------------------------------------------------
-
-    def finish_stream(self, interrupted: bool = False) -> None:
-        """Flush stragglers, settle unmatched accounting, install base metrics.
-
-        In strict mode an unmatched receive reproduces the buffered
-        analyzer's error exactly: its first unmatched receive in
-        receiver-major replay order, same message.  An *interrupted*
-        stream (deadline expiry cut the pump mid-trace) settles
-        degraded-style instead: a receive whose send never arrived is
-        expected when the sender's trace was only half pumped, so it is
-        voided and counted, never raised.
-        """
-        settle_unmatched = self.degraded or interrupted
-        starved: List[Tuple[int, int, int, ChannelKey]] = []
-        for key, pending in self._pending_recvs.items():
-            if not pending:
-                continue
-            if not settle_unmatched:
-                _op, _recv, _seq, op_idx, recv_idx = pending[0]
-                starved.append((key[1], op_idx, recv_idx, key))
-                continue
-            releases = self._releases[key[1]]
-            for _op, _recv, seq, _op_idx, _recv_idx in pending:
-                self.stats.unmatched_recvs += 1
-                self._release(key[1], releases.resolve(seq, None))
-        if starved:
-            _rank, _op_idx, _recv_idx, key = min(starved)
-            raise AnalysisError(
-                f"rank {key[1]}: RECV from {key[0]} "
-                f"(tag {key[2]}, comm {key[3]}) has no matching SEND"
-            )
-        self.stats.unmatched_sends += sum(
-            len(queue) for queue in self._send_queues.values()
-        )
-        self.stats.metadata_bytes += self.stats.matched * PAIR_METADATA_BYTES
-        for key in sorted(self._groups):
-            self._emit_collective(key[0], key[1], self._groups[key])
-        self._groups.clear()
-        add_expansion = self.cube.add_expansion
-        for rank, ops in self._ops.items():
-            for cpid, region, partials in ops.base_cells(self._fed[rank]):
-                for metric in self._metrics_of(ops.names[region]):
-                    add_expansion(metric, cpid, rank, partials)
-
-    def result(
-        self,
-        callpaths: CallPathRegistry,
-        timelines: Dict[int, ProcessTimeline],
-        trace_bytes: Dict[int, int],
-        completeness: Dict[int, RankCompleteness],
-        scheme_name: str,
-        interrupted: Optional[str] = None,
-    ) -> AnalysisResult:
-        """Assemble the result once the stream is finished."""
-        # TIME from per-rank exclusive time.
-        cube_add = self.cube.add
-        for rank, process in timelines.items():
-            for cpid, exclusive in process.exclusive_time.items():
-                cube_add(TIME, cpid, rank, exclusive)
-
-        # Both replay engines sort stamps identically at finalize, so stamp
-        # lists compare equal across the buffered and streaming paths.
-        self.checker.sort_stamps()
-
-        definitions = self.definitions
-        master_machine = definitions.machine_of(0)
-        merged_copy_bytes = sum(
-            size
-            for rank, size in trace_bytes.items()
-            if definitions.machine_of(rank) != master_machine
-        )
-        traffic = ReplayTraffic(
-            replay_metadata_bytes=self.stats.metadata_bytes,
-            merged_copy_bytes=merged_copy_bytes,
-            trace_bytes_total=sum(trace_bytes.values()),
-        )
-
-        return AnalysisResult(
-            cube=self.cube,
-            callpaths=callpaths,
-            definitions=definitions,
-            violations=self.checker,
-            traffic=traffic,
-            scheme_name=scheme_name,
-            total_time=total_time_of(timelines),
-            timelines=timelines,
-            grid_pairs=self.grid_pairs,
-            # An interrupted result is degraded-style by construction:
-            # starved receives were voided, not matched.
-            degraded=self.degraded or interrupted is not None,
-            completeness=completeness,
-            severity_timeline=self.timeline,
-            interrupted=interrupted,
-        )

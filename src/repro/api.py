@@ -124,7 +124,8 @@ def analyze(
     see :mod:`repro.analysis.streaming` for why.
     ``request.timeline`` additionally accumulates a time-resolved
     :class:`SeverityTimeline` (``result.severity_timeline``), and
-    ``request.bounded`` caps memory at the matching window.
+    ``request.bounded`` drops the op tables once the global phase has
+    read them, so the result holds nothing that grows with the trace.
 
     ``request.timeout`` (per-shard deadline, seconds) and
     ``request.max_retries`` (re-dispatches after a worker crash or hang)

@@ -256,6 +256,22 @@ class TestGoldenFigure6:
         assert_identical(reference, result)
         assert render_analysis(reference).encode() == render_analysis(result).encode()
 
+    def test_grid_pair_key_order_is_the_buffered_engines(self, monkeypatch, clean_run):
+        """``figure6`` prints the grid breakdown's dicts in insertion order:
+        cells must enter in the reference's first-encounter order (pairs
+        receiver-major, instances by ``(comm, index)``, members by rank),
+        whatever the quantum and wherever the local phase ran."""
+
+        def key_order(result):
+            return {m: list(cells) for m, cells in result.grid_pairs.data.items()}
+
+        reference = key_order(_buffered(clean_run))
+        assert any(len(cells) > 1 for cells in reference.values())
+        for jobs, size in itertools.product((1, 4), (1, 32, 10**9)):
+            monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", size)
+            result = analyze_run(clean_run, request=AnalysisRequest(jobs=jobs))
+            assert key_order(result) == reference, (jobs, size)
+
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_faulted_matches_buffered(self, faulted_run, jobs):
         with warnings.catch_warnings():
@@ -419,6 +435,52 @@ class TestSeverityTimelineUnit:
         tl.add("m", 1, 0, 0.0, 1.0, 0.0)
         tl.add("m", 1, 0, 0.0, 1.0, -1.0)
         assert tl.metrics() == []
+
+    def test_column_charge_equals_per_item_add(self):
+        """``add_columns`` against one ``add`` per row on the same inputs:
+        degenerate interval, single bin, spans over several bins, zero and
+        negative values skipped, several metrics charged from one pass."""
+        import numpy as np
+
+        rows = [
+            # cpid, rank, start, end, value
+            (1, 0, 1.0, 1.0, 3.0),      # degenerate: its single bin
+            (1, 0, 0.30, 0.20, 1.5),    # end before start: likewise
+            (1, 0, 0.26, 0.49, 0.7),    # inside one bin
+            (1, 0, 0.10, 1.35, 2.0),    # six bins, same cell as above
+            (2, 3, 0.50, 1.00, 1.0),    # ends on a bin edge: no empty bin
+            (2, 3, -0.60, 0.10, 4.0),   # negative bins
+            (2, 1, 0.00, 9.99, 0.0),    # zero: skipped
+            (2, 1, 0.00, 9.99, -1.0),   # negative: skipped
+            (7, 1, 3.10, 3.90, 1e-9),
+        ]
+        itemwise = SeverityTimeline(stride_s=0.25)
+        for metric in ("a", "b"):
+            for cpid, rank, start, end, value in rows:
+                itemwise.add(metric, cpid, rank, start, end, value)
+        columnar = SeverityTimeline(stride_s=0.25)
+        columnar.add_columns(("a", "b"), *(np.array(column) for column in zip(*rows)))
+
+        def flat(timeline):
+            return {
+                (metric, cell, b): value
+                for metric, cells in timeline._bins.items()
+                for cell, bins in cells.items()
+                for b, value in bins.items()
+            }
+
+        assert flat(columnar).keys() == flat(itemwise).keys()
+        assert (2, 1) not in columnar._bins["a"]
+        for key, value in flat(itemwise).items():
+            assert flat(columnar)[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        # A second pass accumulates into the same bins.
+        columnar.add_columns(("a",), *(np.array(column) for column in zip(*rows)))
+        for key, value in flat(itemwise).items():
+            times = 2 if key[0] == "a" else 1
+            assert flat(columnar)[key] == pytest.approx(times * value, rel=1e-12), key
+        empty = SeverityTimeline()
+        empty.add_columns(("a",), *(np.empty(0) for _ in range(5)))
+        assert empty.metrics() == []
 
     def test_rolling_window_series(self):
         tl = SeverityTimeline(window_s=2.0, stride_s=1.0)
