@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.analysis.instances import (
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, ReproError
 from repro.ids import Location
-from repro.trace.encoding import decode_columns, iter_events
+from repro.trace.encoding import RecordScan, decode_columns, iter_events
 from repro.trace.events import EventKind
 from repro.trace.regions import RegionRegistry, is_mpi_region
 
@@ -195,16 +195,18 @@ def build_rank_tables(
     converter: LinearConverter,
     callpaths: CallPathRegistry,
     regions: RegionRegistry,
+    scan: Optional[RecordScan] = None,
 ) -> ProcessTimeline:
     """One rank's local phase from its trace blob; see the module docstring.
 
     Equal, field for field, to ``build_timeline`` over the decoded events —
     dict orders and the order paths enter *callpaths* included — with
     ``mpi_ops`` / ``omp_regions`` as tables.  Nothing is interned into
-    *callpaths* unless the whole trace is consistent.
+    *callpaths* unless the whole trace is consistent.  *scan* is the grammar
+    walk of *blob* when admission has already made it.
     """
     try:
-        return _array_passes(rank, location, blob, converter, callpaths, regions)
+        return _array_passes(rank, location, blob, converter, callpaths, regions, scan)
     except ReproError:
         # Undecodable or structurally inconsistent.  Which defect a reader
         # meets first is defined by the sequential walk, so let it say.
@@ -217,8 +219,8 @@ def build_rank_tables(
 _ENTER, _EXIT, _SEND, _RECV, _COLLEXIT, _OMP = map(int, EventKind)
 
 
-def _array_passes(rank, location, blob, converter, callpaths, regions) -> ProcessTimeline:
-    trace = decode_columns(blob)
+def _array_passes(rank, location, blob, converter, callpaths, regions, scan) -> ProcessTimeline:
+    trace = decode_columns(blob, scan)
     kinds = trace.kinds
     events = len(kinds)
     inconsistent = AnalysisError(f"rank {rank}: trace is structurally inconsistent")

@@ -48,7 +48,7 @@ from repro.trace.archive import (
     salvage_checked,
     trace_filename,
 )
-from repro.trace.encoding import iter_events
+from repro.trace.encoding import RecordScan, header_rank
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -148,7 +148,9 @@ class PartialAnalysis:
         (strict) or gains an exclusion record in ``completeness``.
         """
 
-        def build(rank: int, blob: bytes, converter: LinearConverter) -> ProcessTimeline:
+        def build(
+            rank: int, blob: bytes, converter: LinearConverter, scan: Optional[RecordScan]
+        ) -> ProcessTimeline:
             return build_rank_tables(
                 rank,
                 definitions.locations[rank],
@@ -156,6 +158,7 @@ class PartialAnalysis:
                 converter,
                 self.callpaths,
                 definitions.regions,
+                scan,
             )
 
         admitted = _admit_rank(
@@ -185,11 +188,12 @@ def _admit_rank(
     the first defect; degraded mode records it in *completeness*, warns
     (:class:`~repro.errors.PartialTraceWarning`) and returns None.  Degraded
     admission scans (``count_only``) instead of decoding, so a damaged
-    multi-gigabyte prefix costs O(1) memory.
+    prefix costs no event objects.
 
-    *build*, when given, is called as ``build(rank, blob, converter)`` on
-    the admitted rank — the local phase,
-    :func:`~repro.analysis.optable.build_rank_tables`; an
+    *build*, when given, is called as ``build(rank, blob, converter, scan)``
+    on the admitted rank — the local phase,
+    :func:`~repro.analysis.optable.build_rank_tables`, reading the grammar
+    walk the degraded scan already made (None in strict mode); an
     :class:`AnalysisError` out of it is the last exclusion reason (damage
     that decodes as valid records but is structurally inconsistent).
     Returns ``(blob, converter, built)``.
@@ -225,8 +229,10 @@ def _admit_rank(
             f"rank {rank}'s trace is not visible on its own metahost "
             f"({trace_filename(rank)} missing)"
         )
+    scan = None
     if degraded:
         scanned = salvage_checked(blob, traces.manifests.get(rank), count_only=True)
+        scan = scanned.scan
         if scanned.rank is not None and scanned.rank != rank:
             exclude(f"trace file claims rank {scanned.rank}")
             return None
@@ -252,11 +258,12 @@ def _admit_rank(
             events=scanned.event_count,
             analyzed=True,
         )
-    file_rank, _ = iter_events(blob)
-    if file_rank != rank:
-        raise ArchiveError(
-            f"trace file {trace_filename(rank)} claims rank {file_rank}"
-        )
+    else:
+        file_rank = header_rank(blob)
+        if file_rank != rank:
+            raise ArchiveError(
+                f"trace file {trace_filename(rank)} claims rank {file_rank}"
+            )
     converter = converters.get(node_of(location))
     if converter is None:
         if not degraded:
@@ -271,7 +278,7 @@ def _admit_rank(
     built = None
     if build is not None:
         try:
-            built = build(rank, blob, converter)
+            built = build(rank, blob, converter, scan)
         except AnalysisError as exc:
             if not degraded:
                 raise

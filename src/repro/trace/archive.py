@@ -348,8 +348,9 @@ def salvage_checked(
       partial instead of silently analyzing corrupt data.
 
     With no manifest entry (``entry is None``) this is exactly
-    ``salvage_events(blob)``.  ``count_only`` is passed through: the
-    streaming prepass scans without materializing events.
+    ``salvage_events(blob)``.  ``count_only`` is passed through: degraded
+    admission scans without materializing events, and the result carries
+    that scan on (``.scan``) for the columnar decoder to read.
     """
     salvaged = salvage_events(blob, count_only=count_only)
     if entry is None:

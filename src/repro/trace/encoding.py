@@ -24,22 +24,23 @@ encode, and unknown kinds or truncated records on decode, all raise
 :class:`~repro.errors.EncodingError` (offsets in decode diagnostics always
 point at the record's kind tag, i.e. the start of the offending record).
 
-Both directions run through per-kind dispatch tables.  The decoder exposes
-a streaming :func:`iter_events` so consumers never have to materialize a
-full event list, and batches runs of same-kind records — the common case,
-since tight loops emit long ENTER/EXIT/SEND trains — through a single
-:meth:`struct.Struct.iter_unpack` call over a :class:`memoryview` slice
-instead of one ``unpack_from`` per record.
-
-:func:`decode_columns` is the columnar decoder the replay's local phase
-reads: no event objects, one numpy array per kind, straight from the blob.
+Both directions run through per-kind dispatch tables, and two loops step
+through the variable-length record grammar.  :func:`scan_records` builds
+nothing: it returns every complete record's offset, where the clean prefix
+ends and the defect there, and :func:`decode_columns` (the columnar decoder
+the replay's local phase reads: one numpy array per kind, no event objects),
+:func:`block_table`, :func:`record_boundary` and :func:`salvage_events` are
+array operations over its result.  :func:`_chunk_iter` builds event objects
+for the streaming :func:`iter_events` and :func:`decode_events` — the
+reference the columnar decoder is tested against — one ``unpack_from`` per
+record (traces wrap every MPI call in its own ENTER/EXIT, so same-kind runs
+average 1.07 records and batching them measured slower).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -66,15 +67,9 @@ _HEADER = struct.Struct("<4sHI")  # magic, version, rank
 
 #: Byte length of the file header (fault injection cuts traces below this).
 HEADER_SIZE = _HEADER.size
-_ENTER = struct.Struct("<dI")
-_EXIT = _ENTER
-_SEND = struct.Struct("<diiIQ")
-_RECV = _SEND
-_COLLEXIT = struct.Struct("<dIIiQQ")
-_OMPREGION = struct.Struct("<dIIdd")
 
 # Whole-record structs (kind byte + payload, still unaligned little-endian)
-# shared by the encoder and the run-batched decoder fast path.
+# shared by the encoder and the decoders.
 _ENTER_REC = struct.Struct("<BdI")
 _EXIT_REC = _ENTER_REC
 _SEND_REC = struct.Struct("<BdiiIQ")
@@ -121,11 +116,15 @@ _RECORD_KINDS = (
     (EventKind.OMPREGION, _OMPREGION_REC, OmpRegionEvent),
 )
 
-#: kind → (record stride, unpack_from, iter_unpack, record fields → event).
-_DECODERS: Dict[int, Tuple[int, Callable, Callable, Callable[[tuple], Event]]] = {
-    int(kind): (rec.size, rec.unpack_from, rec.iter_unpack, _factory(cls))
+#: kind → (record stride, unpack_from, record fields → event).
+_DECODERS: Dict[int, Tuple[int, Callable, Callable[[tuple], Event]]] = {
+    int(kind): (rec.size, rec.unpack_from, _factory(cls))
     for kind, rec, cls in _RECORD_KINDS
 }
+
+#: kind byte → record stride; a byte that is no record kind strides past the
+#: end of any file, so the scan needs no test for it inside its loop.
+_STRIDES = [_DECODERS[kind][0] if kind in _DECODERS else 1 << 62 for kind in range(256)]
 
 
 def encode_header(rank: int) -> bytes:
@@ -167,7 +166,7 @@ def encode_events(rank: int, events: Iterable[Event]) -> bytes:
     return b"".join(chunks)
 
 
-def _check_header(data: bytes) -> int:
+def header_rank(data: bytes) -> int:
     """Validate the file header; returns the recorded rank."""
     if len(data) < _HEADER.size:
         raise EncodingError("trace file shorter than its header")
@@ -179,16 +178,12 @@ def _check_header(data: bytes) -> int:
     return rank
 
 
-def _run_end(data: bytes, offset: int, kind: int, stride: int, size: int) -> int:
-    """End offset of the run of complete *kind* records starting at *offset*.
-
-    The first record is already known to be complete; extend while the next
-    full record carries the same kind tag.
-    """
-    end = offset + stride
-    while end + stride <= size and data[end] == kind:
-        end += stride
-    return end
+def _defect(data: bytes, offset: int) -> str:
+    """Why no complete record starts at *offset*: the text both walks report."""
+    kind = data[offset]
+    if kind not in _DECODERS:
+        return f"unknown record kind {kind} at offset {offset}"
+    return f"truncated {EventKind(kind).name} record at offset {offset}"
 
 
 #: Records decoded per chunk on the streaming path — large enough to make the
@@ -200,42 +195,28 @@ _CHUNK_RECORDS = 1024
 def _chunk_iter(data: bytes, chunk: int = _CHUNK_RECORDS) -> Iterator[List[Event]]:
     """Decode records after a validated header, yielding lists of ~*chunk*.
 
-    The single implementation of the record grammar: both the streaming
+    The walk that builds event objects: both the streaming
     (:func:`iter_events`) and the one-shot (:func:`decode_events`) decoders
-    consume it.  Inside a chunk the loop is tight ``append``/``extend``;
-    yielding whole lists keeps per-event generator-resume cost out of the
-    hot path (the consumer iterates each chunk at C level).
+    consume it.  Inside a chunk the loop is a tight ``append``; yielding
+    whole lists keeps per-event generator-resume cost out of the hot path
+    (the consumer iterates each chunk at C level).
     """
-    view = memoryview(data)
     decoders = _DECODERS
     size = len(data)
     offset = _HEADER.size
     buf: List[Event] = []
     append = buf.append
-    extend = buf.extend
     while offset < size:
-        kind = data[offset]
-        entry = decoders.get(kind)
-        if entry is None:
-            raise EncodingError(f"unknown record kind {kind} at offset {offset}")
-        stride, unpack_from, iter_unpack, factory = entry
-        end = offset + stride
-        if end > size:
-            raise EncodingError(
-                f"truncated {EventKind(kind).name} record at offset {offset}"
-            )
-        if end < size and data[end] == kind:
-            # Run of ≥ 2 same-kind records: one iter_unpack for the batch.
-            end = _run_end(data, offset, kind, stride, size)
-            extend(map(factory, iter_unpack(view[offset:end])))
-        else:
-            append(factory(unpack_from(data, offset)))
-        offset = end
+        entry = decoders.get(data[offset])
+        if entry is None or offset + entry[0] > size:
+            raise EncodingError(_defect(data, offset))
+        stride, unpack_from, factory = entry
+        append(factory(unpack_from(data, offset)))
+        offset += stride
         if len(buf) >= chunk:
             yield buf
             buf = []
             append = buf.append
-            extend = buf.extend
     if buf:
         yield buf
 
@@ -247,17 +228,13 @@ def iter_events(data: bytes) -> Tuple[int, Iterator[Event]]:
     :class:`~repro.errors.EncodingError` while iterating.  Memory use is
     bounded by the decode chunk size, never the whole trace.
     """
-    return _check_header(data), chain.from_iterable(_chunk_iter(data))
+    return header_rank(data), chain.from_iterable(_chunk_iter(data))
 
 
 def decode_events(data: bytes) -> Tuple[int, List[Event]]:
     """Parse a trace file; returns ``(rank, events)``."""
-    rank = _check_header(data)
-    events: List[Event] = []
-    extend = events.extend
-    for chunk in _chunk_iter(data):
-        extend(chunk)
-    return rank, events
+    rank, events = iter_events(data)
+    return rank, list(events)
 
 
 class TraceColumns(NamedTuple):
@@ -285,49 +262,56 @@ _RECORD_DTYPES: Dict[int, np.dtype] = {
     for kind, rec, cls in _RECORD_KINDS
 }
 
-#: kind byte → record stride, 0 for a byte that is no record kind.
-_STRIDES = [
-    _RECORD_DTYPES[kind].itemsize if kind in _RECORD_DTYPES else 0 for kind in range(256)
-]
+
+class RecordScan(NamedTuple):
+    """What one walk of the record grammar finds behind the header."""
+
+    #: Offset of every complete record's kind tag, ascending.
+    offsets: np.ndarray
+    #: Where the clean prefix ends: the defect's offset, or ``len(data)``.
+    end: int
+    #: What the strict decoders raise at ``end``; empty when every byte parses.
+    error: str
 
 
-def _record_offsets(data: bytes) -> np.ndarray:
-    """Offset of every record's kind tag: the sequential walk of the grammar.
+def scan_records(data: bytes) -> RecordScan:
+    """Step through the records of *data* without decoding any; never raises.
 
     Record lengths depend on the kind, so this one pass cannot be an array
-    operation; everything after it is.  Raises exactly what the event
-    decoders raise on an unknown kind or a truncated final record.
+    operation; everything that does not build event objects is one over its
+    result.  The header is not examined (checksum blocks and fault injection
+    walk foreign files too): the walk starts where it ends.
     """
     strides = _STRIDES
     size = len(data)
-    offset = _HEADER.size
-    offsets = array("q")
+    offset = min(_HEADER.size, size)
+    offsets: List[int] = []
     append = offsets.append
     while offset < size:
-        stride = strides[data[offset]]
-        if not stride:
-            raise EncodingError(f"unknown record kind {data[offset]} at offset {offset}")
         append(offset)
-        offset += stride
-    if offset > size:
-        last = offsets[-1]
-        raise EncodingError(
-            f"truncated {EventKind(data[last]).name} record at offset {last}"
-        )
-    return np.frombuffer(offsets, dtype=np.int64) if offsets else np.empty(0, np.int64)
+        offset += strides[data[offset]]
+    if offset > size:  # the last step left the file: cut short, or no record
+        offset = offsets.pop()
+    error = _defect(data, offset) if offset < size else ""
+    return RecordScan(np.array(offsets, dtype=np.int64), offset, error)
 
 
-def decode_columns(data: bytes) -> TraceColumns:
+def decode_columns(data: bytes, scan: Optional[RecordScan] = None) -> TraceColumns:
     """Parse a trace file into per-kind arrays, without event objects.
 
     The strict decoders' columnar sibling: same header and grammar checks,
-    same :class:`~repro.errors.EncodingError` texts.  After the offset walk
-    each kind's records are gathered in one indexing operation through a
-    byte-window view of the blob and reinterpreted as structured rows, so
-    the cost per event is a few array elements, not a Python object.
+    same :class:`~repro.errors.EncodingError` texts.  After the scan — *scan*
+    itself, when the caller has already walked this blob — each kind's
+    records are gathered in one indexing operation through a byte-window
+    view of the blob and reinterpreted as structured rows, so the cost per
+    event is a few array elements, not a Python object.
     """
-    rank = _check_header(data)
-    offsets = _record_offsets(data)
+    rank = header_rank(data)
+    if scan is None:
+        scan = scan_records(data)
+    if scan.error:
+        raise EncodingError(scan.error)
+    offsets = scan.offsets
     raw = np.frombuffer(data, dtype=np.uint8)
     kinds = raw[offsets]
 
@@ -355,7 +339,7 @@ def block_table(
 ) -> List[Tuple[int, int, int]]:
     """Record-aligned checksum blocks of a trace file: ``(offset, length, crc32)``.
 
-    Blocks are cut by walking the record grammar (like
+    Blocks are cut at record ends of the scan (like
     :func:`record_boundary`), never mid-record, so a failed checksum
     condemns whole records and the block boundary doubles as a salvage
     boundary.  The first block starts at offset 0 and includes the header;
@@ -369,22 +353,19 @@ def block_table(
         return []
     if block_bytes <= 0:
         raise ValueError(f"block_bytes must be positive, got {block_bytes}")
-    decoders = _DECODERS
+    scan = scan_records(data)
+    # A block may close wherever a complete record ends.
+    ends = np.append(scan.offsets[1:], scan.end) if len(scan.offsets) else scan.offsets
     table: List[Tuple[int, int, int]] = []
     start = 0
-    offset = min(_HEADER.size, size)
-    while offset < size:
-        entry = decoders.get(data[offset])
-        if entry is None or offset + entry[0] > size:
-            # Unknown kind or truncated record: the grammar ends here; the
-            # rest of the file belongs to the final block.
-            offset = size
+    for _ in range(size // block_bytes):  # no more blocks than this can fill up
+        index = int(np.searchsorted(ends, start + block_bytes))
+        if index == len(ends):
             break
-        offset += entry[0]
-        if offset - start >= block_bytes:
-            table.append((start, offset - start, zlib.crc32(data[start:offset])))
-            start = offset
-    if start < size or not table:
+        stop = int(ends[index])
+        table.append((start, stop - start, zlib.crc32(data[start:stop])))
+        start = stop
+    if start < size:
         table.append((start, size - start, zlib.crc32(data[start:size])))
     return table
 
@@ -392,20 +373,22 @@ def block_table(
 def record_boundary(data: bytes, target_offset: int) -> int:
     """Offset of the first record starting at or after *target_offset*.
 
-    Walks the record grammar from the header without decoding payloads, so
-    callers (fault injection, salvage diagnostics) can damage or cut a trace
-    at a record boundary.  Stops early at an unknown kind byte; the returned
-    offset never exceeds ``len(data)``.
+    Steps through the record grammar from the header without decoding
+    payloads, so callers (fault injection, salvage diagnostics) can damage
+    or cut a trace at a record boundary.  Stops early at an unknown kind
+    byte; the returned offset never exceeds ``len(data)``.
     """
     size = len(data)
-    offset = _HEADER.size
-    decoders = _DECODERS
-    while offset < size and offset < target_offset:
-        entry = decoders.get(data[offset])
-        if entry is None:
-            break
-        offset += entry[0]
-    return min(offset, size)
+    scan = scan_records(data)
+    index = int(np.searchsorted(scan.offsets, target_offset))
+    if index < len(scan.offsets):
+        return int(scan.offsets[index])
+    end = scan.end
+    if end < min(size, target_offset) and data[end] in _DECODERS:
+        # The defect before the target is a truncated record: stepped over.
+        # (An unknown kind stops the walk where it stands.)
+        return size
+    return end
 
 
 @dataclass
@@ -431,6 +414,9 @@ class SalvagedTrace:
     #: prefix.  Negative when stray EXITs outnumber ENTERs (corruption that
     #: happened to decode as valid records).
     open_regions: int = 0
+    #: The grammar walk behind these numbers (None under a bad header), so a
+    #: caller that goes on to :func:`decode_columns` need not walk again.
+    scan: Optional[RecordScan] = field(default=None, repr=False, compare=False)
 
     @property
     def completeness(self) -> float:
@@ -460,67 +446,26 @@ def salvage_events(data: bytes, count_only: bool = False) -> SalvagedTrace:
     returned together with a description of it.  Degraded-mode replay is
     built on this.
 
-    With ``count_only=True`` the walk makes the same decisions — same
-    ``complete``/``balanced``/``error``/byte accounting — but records are
-    counted (``event_count``) instead of materialized, so scanning an
-    arbitrarily long damaged trace costs O(1) memory.  The streaming
-    degraded prepass uses this; the actual events then flow through the
-    chunked decoder only for ranks that pass the scan.
+    Every field but ``events`` comes from the scan.  ``count_only=True``
+    stops there — records are counted (``event_count``), not materialized,
+    so a long damaged trace costs one offset per record instead of one
+    object.  Degraded admission uses this and hands the scan on to the
+    columnar decoder for the ranks that pass.
     """
-    bytes_total = len(data)
     try:
-        rank = _check_header(data)
+        rank = header_rank(data)
     except EncodingError as exc:
-        return SalvagedTrace(
-            rank=None, complete=False, error=str(exc), bytes_total=bytes_total
-        )
-    events: List[Event] = []
-    append = events.append
-    decoders = _DECODERS
-    size = bytes_total
-    offset = _HEADER.size
-    depth = 0
-    count = 0
-    while offset < size:
-        kind = data[offset]
-        entry = decoders.get(kind)
-        if entry is None:
-            return SalvagedTrace(
-                rank,
-                events,
-                complete=False,
-                error=f"unknown record kind {kind} at offset {offset}",
-                bytes_decoded=offset,
-                bytes_total=bytes_total,
-                open_regions=depth,
-                event_count=count,
-            )
-        stride, unpack_from, _iter_unpack, factory = entry
-        if offset + stride > size:
-            return SalvagedTrace(
-                rank,
-                events,
-                complete=False,
-                error=f"truncated {EventKind(kind).name} record at offset {offset}",
-                bytes_decoded=offset,
-                bytes_total=bytes_total,
-                open_regions=depth,
-                event_count=count,
-            )
-        if not count_only:
-            append(factory(unpack_from(data, offset)))
-        count += 1
-        if kind == 1:
-            depth += 1
-        elif kind == 2:
-            depth -= 1
-        offset += stride
+        return SalvagedTrace(rank=None, complete=False, error=str(exc), bytes_total=len(data))
+    scan = scan_records(data)
+    kinds = np.bincount(np.frombuffer(data, dtype=np.uint8)[scan.offsets], minlength=3)
     return SalvagedTrace(
         rank,
-        events,
-        complete=True,
-        bytes_decoded=offset,
-        bytes_total=bytes_total,
-        open_regions=depth,
-        event_count=count,
+        [] if count_only else decode_events(data[: scan.end])[1],
+        complete=not scan.error,
+        error=scan.error,
+        bytes_decoded=scan.end,
+        bytes_total=len(data),
+        event_count=len(scan.offsets),
+        open_regions=int(kinds[EventKind.ENTER]) - int(kinds[EventKind.EXIT]),
+        scan=scan,
     )

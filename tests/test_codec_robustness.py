@@ -8,15 +8,33 @@ The codec contract under test (PR: engine/codec correctness fixes):
   fields surface as :class:`~repro.errors.EncodingError` naming the event;
 * the streaming decoder (:func:`iter_events`) and the one-shot decoder
   (:func:`decode_events`) agree on every input, including across the
-  streaming chunk boundary.
+  streaming chunk boundary;
+* everything derived from the one grammar scan (:func:`scan_records`:
+  columnar decode, checksum blocks, record boundaries, salvage) agrees
+  with the event decoders on damaged input too, down to blobs too short
+  to hold a record or a header.
 """
 
+import re
+import zlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
-from repro.trace.encoding import decode_events, encode_events, iter_events
+from repro.trace.encoding import (
+    HEADER_SIZE,
+    block_table,
+    decode_columns,
+    decode_events,
+    encode_events,
+    iter_events,
+    record_boundary,
+    salvage_events,
+    scan_records,
+)
 from repro.trace.events import (
     CollExitEvent,
     EnterEvent,
@@ -139,6 +157,157 @@ class TestDecodeDiagnostics:
         offsets = _record_offsets(0, evs)
         with pytest.raises(EncodingError, match=f"truncated SEND record at offset {offsets[1]}"):
             decode_events(blob[: offsets[1] + 5])
+
+
+def _salvage_fields(blob, count_only):
+    """Every compared field of a salvage but ``events``."""
+    fields = vars(salvage_events(blob, count_only=count_only))
+    return {name: value for name, value in fields.items() if name not in ("events", "scan")}
+
+
+_HEADER_ONLY = encode_events(3, [])
+_CUT_RECORD = encode_events(3, [SendEvent(1.0, 1, 0, 0, 64)])[:-4]
+
+
+class TestDegenerateBlobs:
+    """Blobs with no complete record: where a shared scan has an empty
+    offset list, or stands past the end of the file before its first step."""
+
+    BLOBS = [b"", b"RPR", _HEADER_ONLY, _CUT_RECORD]
+
+    @pytest.mark.parametrize("blob", BLOBS)
+    def test_one_block_covers_every_byte(self, blob):
+        expected = [(0, len(blob), zlib.crc32(blob))] if blob else []
+        assert block_table(blob) == expected
+        assert block_table(blob, block_bytes=1) == expected
+
+    @pytest.mark.parametrize("blob", BLOBS[:3])
+    @pytest.mark.parametrize("target", [-1, 0, 3, HEADER_SIZE, HEADER_SIZE + 1, 10**6])
+    def test_no_record_follows_the_header(self, blob, target):
+        assert record_boundary(blob, target) == min(HEADER_SIZE, len(blob))
+
+    def test_boundary_steps_over_the_cut_record(self):
+        assert record_boundary(_CUT_RECORD, HEADER_SIZE) == HEADER_SIZE
+        assert record_boundary(_CUT_RECORD, HEADER_SIZE + 1) == len(_CUT_RECORD)
+
+    @pytest.mark.parametrize(
+        "blob, rank, complete, error, decoded",
+        [
+            (b"", None, False, "trace file shorter than its header", 0),
+            (b"RPR", None, False, "trace file shorter than its header", 0),
+            (_HEADER_ONLY, 3, True, "", HEADER_SIZE),
+            (_CUT_RECORD, 3, False, f"truncated SEND record at offset {HEADER_SIZE}",
+             HEADER_SIZE),
+        ],
+    )
+    def test_salvage(self, blob, rank, complete, error, decoded):
+        salvaged = salvage_events(blob)
+        assert salvaged.events == []
+        assert _salvage_fields(blob, False) == _salvage_fields(blob, True) == {
+            "rank": rank,
+            "complete": complete,
+            "error": error,
+            "bytes_decoded": decoded,
+            "bytes_total": len(blob),
+            "event_count": 0,
+            "open_regions": 0,
+        }
+
+    @pytest.mark.parametrize("blob", [b"", b"RPR", _CUT_RECORD])
+    def test_columns_raise_what_the_event_decoder_raises(self, blob):
+        with pytest.raises(EncodingError) as by_events:
+            decode_events(blob)
+        with pytest.raises(EncodingError) as by_columns:
+            decode_columns(blob)
+        assert str(by_columns.value) == str(by_events.value)
+
+    def test_header_only_columns_are_empty(self):
+        columns = decode_columns(_HEADER_ONLY)
+        assert columns.rank == 3
+        assert len(columns.kinds) == len(columns.times) == 0
+        assert all(len(rows) == 0 for rows in columns.records.values())
+
+
+@st.composite
+def _mutated_blobs(draw):
+    """A valid blob with up to two bits flipped and, perhaps, a record
+    overwritten or displaced by (part of) a record of any kind."""
+    evs = draw(st.lists(events, min_size=1, max_size=10))
+    blob = bytearray(encode_events(draw(st.integers(0, 9)), evs))
+    starts = _record_offsets(0, evs)
+    for _ in range(draw(st.integers(0, 2))):
+        blob[draw(st.integers(0, len(blob) - 1))] ^= 1 << draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        graft = encode_events(0, [draw(events)])[HEADER_SIZE:]
+        at = draw(st.sampled_from(starts))
+        if draw(st.booleans()):
+            blob[at : at + len(graft)] = graft  # overwrite, lengths may differ
+        else:
+            blob[at:at] = graft[: draw(st.integers(1, len(graft)))]  # displace
+    return bytes(blob)
+
+
+def _strict(decode, blob):
+    """``(value, "")`` or ``(None, error text)`` of a strict decoder."""
+    try:
+        return decode(blob), ""
+    except EncodingError as exc:
+        return None, str(exc)
+
+
+class TestDamagedInputAgreement:
+    """The scan's four consumers against the event decoders, on damaged
+    input (ROADMAP *Generated-input attack*, codec part)."""
+
+    @staticmethod
+    def check(blob):
+        _, error = _strict(decode_events, blob)
+        columns, columnar_error = _strict(decode_columns, blob)
+        assert columnar_error == error
+        scan = scan_records(blob)
+
+        # Salvage keeps exactly the prefix the event decoder reads before it
+        # raises (iter_events yields by the chunk, so count on the prefix).
+        salvaged = salvage_events(blob)
+        assert salvaged.error == error and salvaged.complete == (not error)
+        assert _salvage_fields(blob, False) == _salvage_fields(blob, True)
+        if salvaged.rank is not None:
+            prefix = blob[: salvaged.bytes_decoded]
+            assert salvaged.events == decode_events(prefix)[1] == list(iter_events(prefix)[1])
+        assert salvaged.event_count == len(salvaged.events)
+        at = re.search(r"at offset (\d+)$", error)
+        if at:
+            assert salvaged.bytes_decoded == scan.end == int(at.group(1))
+        elif error:  # a header defect: nothing decoded
+            assert salvaged.bytes_decoded == 0 and salvaged.rank is None
+        else:
+            assert salvaged.bytes_decoded == len(blob)
+            assert np.array_equal(columns.kinds, [event.kind for event in salvaged.events])
+
+        # Blocks tile the file and close only where the scan stands.
+        stands = set(scan.offsets.tolist()) | {scan.end}
+        for block_bytes in (1, 40, 4096):
+            table = block_table(blob, block_bytes)
+            assert [start for start, _, _ in table] == [
+                sum(length for _, length, _ in table[:i]) for i in range(len(table))
+            ]
+            assert sum(length for _, length, _ in table) == len(blob)
+            assert all(start + length in stands for start, length, _ in table[:-1])
+            assert all(crc == zlib.crc32(blob[o : o + n]) for o, n, crc in table)
+        for target in range(-1, len(blob) + 2):
+            assert record_boundary(blob, target) in stands | {len(blob)}
+
+    @given(blob=_mutated_blobs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_flips_and_splices(self, blob):
+        self.check(blob)
+
+    @given(evs=st.lists(events, min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_truncation_at_every_byte(self, evs):
+        blob = encode_events(1, evs)
+        for cut in range(len(blob) + 1):
+            self.check(blob[:cut])
 
 
 class TestEncodeErrors:

@@ -114,17 +114,20 @@ class TestSerialDeadline:
 
         real_columns = optable.decode_columns
 
-        def last_columns(blob):
-            columns = real_columns(blob)
+        def last_columns(blob, *args, **kwargs):
+            columns = real_columns(blob, *args, **kwargs)
             if columns.rank == max(run.definitions.locations):
                 deadline.cancel("budget spent")  # as the prepass ends
             return columns
 
         monkeypatch.setattr(optable, "decode_columns", counting("columns", last_columns))
-        for module in (optable, parallel, encoding):
+        for module in (optable, encoding):
             monkeypatch.setattr(
                 module, "iter_events", counting("iter_events", encoding.iter_events)
             )
+        monkeypatch.setattr(
+            parallel, "header_rank", counting("header_rank", encoding.header_rank)
+        )
         monkeypatch.setattr(
             encoding, "_chunk_iter", counting("_chunk_iter", encoding._chunk_iter)
         )

@@ -311,6 +311,32 @@ class TestDegradedEquivalence:
         else:
             assert isinstance(serial[0], tuple) and serial[0] == sharded[0]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_admitted_rank_is_scanned_once(self, monkeypatch, jobs):
+        """The grammar walk degraded admission pays for is the one the
+        columnar decoder reads — in-process and inside ``analyze_shard``."""
+        import repro.trace.encoding as encoding
+
+        mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
+        work = {r: 0.004 for r in range(8)}
+        run = run_app(mc, 8, make_imbalance_app(work, iterations=2), seed=2)
+        scanned = []
+        real_scan = encoding.scan_records
+
+        def counting_scan(blob):
+            scanned.append(encoding.header_rank(blob))
+            return real_scan(blob)
+
+        monkeypatch.setattr(encoding, "scan_records", counting_scan)
+        result = StreamingReplayAnalyzer(
+            {machine: run.reader(machine) for machine in run.machines_used},
+            degraded=True,
+            jobs=jobs,
+            pool=_PicklingPool(),
+        ).analyze()
+        assert result.excluded_ranks == []
+        assert sorted(scanned) == sorted(run.definitions.locations)
+
     @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
     def test_degraded_timeline_matches_serial(self, damaged_run, jobs):
         with warnings.catch_warnings():
