@@ -1,10 +1,12 @@
 """The one way to describe an analysis: :class:`AnalysisRequest`.
 
-``analyze_run``'s keyword surface (``jobs=``/``degraded=``/``timeout=``/
-``max_retries=``/``verify_archive=``...) grew past what a flat signature
-can carry.  This frozen dataclass replaces the sprawl: the public API, the
-CLI, the parallel sharder, and the analysis service all describe an
-analysis with one request object.
+A request is built at an edge — ``repro.cli._request`` from the command
+line, ``repro.service.runners._request`` from a job spec, a library
+caller's own code — and travels whole through ``run_experiment`` and the
+experiment drivers to ``analyze_run``, the one place that spells its
+fields out (for ``StreamingReplayAnalyzer``).  Nothing in between takes
+``jobs``/``timeout``/``max_retries``/``verify_archive`` apart; the fault
+ladder's per-rung ``replace(request, degraded=...)`` is the only edit.
 
 ``to_config``/``from_config`` give the request a canonical plain-dict form
 (defaults omitted) so the service job store content-addresses identical

@@ -31,6 +31,7 @@ exclusively through this facade.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.analysis.parallel import resolve_jobs
@@ -140,7 +141,8 @@ def analyze(
     result — severity accumulated so far, honest per-rank completeness,
     ``result.interrupted`` set — instead of hanging.  ``deadline`` lends
     an externally owned :class:`Deadline` instead (how the service makes
-    a client ``DELETE`` reach the running analysis).
+    a client ``DELETE`` reach the running analysis) and wins over
+    ``request.deadline_s``, which starts a fresh clock at every call.
     """
     return analyze_run(
         run, scheme=scheme, request=request, pool=pool, deadline=deadline
@@ -197,41 +199,33 @@ DEFAULT_SEEDS: Dict[str, int] = {
 # themselves import through this facade, and deferring the other
 # direction keeps the cycle open at module-import time.
 #
-# Every runner takes ``(seed, jobs, **opts)``; the resilience options in
-# ``opts`` (``timeout``, ``max_retries``, ``journal``, ``verify_archive``)
-# are forwarded to the drivers that have an analysis phase and ignored by
-# the purely computational ones.
-
-_ANALYSIS_OPTS = ("timeout", "max_retries", "verify_archive", "pool", "deadline")
+# Every runner takes ``(seed, request, journal, **lent)``: the request
+# goes whole to the drivers that analyze, ``lent`` is the live ``pool``
+# and ``deadline`` they borrow; the purely computational runners ignore both.
 
 
-def _analysis_opts(opts: Dict, *extra: str) -> Dict:
-    wanted = _ANALYSIS_OPTS + extra
-    return {key: opts[key] for key in wanted if opts.get(key) is not None}
-
-
-def _run_table1(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_table1(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     from repro.experiments.table1 import run_table1, table1_text
 
     return table1_text(run_table1(seed=seed))
 
 
-def _run_table2(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_table2(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     from repro.experiments.table2 import run_table2, table2_text
 
     rows, _run, _analyses = run_table2(
-        seed=seed, jobs=jobs, **_analysis_opts(opts, "journal")
+        seed=seed, request=request, journal=journal, **lent
     )
     return table2_text(rows)
 
 
-def _run_table3(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_table3(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     from repro.experiments.configs import table3_text
 
     return table3_text()
 
 
-def _run_figure1(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_figure1(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     from repro.experiments.figures import run_figure1
 
     rows = run_figure1()
@@ -243,7 +237,7 @@ def _run_figure1(seed: int, jobs: Optional[int], **opts) -> str:
     return "\n".join(lines)
 
 
-def _run_figure3(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_figure3(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     import numpy as np
 
     from repro.experiments.figures import run_figure3
@@ -251,7 +245,7 @@ def _run_figure3(seed: int, jobs: Optional[int], **opts) -> str:
 
     # No journal here: figure3 needs the live RunResult, which a
     # journal-satisfied table2 cell would not recompute.
-    _rows, run, _analyses = run_table2(seed=seed, jobs=jobs, **_analysis_opts(opts))
+    _rows, run, _analyses = run_table2(seed=seed, request=request, **lent)
     outcome = run_figure3(run)
     lines = ["Figure 3: intra-metahost pairwise synchronization error", ""]
     for scheme, errors in outcome.pair_errors_us.items():
@@ -263,11 +257,11 @@ def _run_figure3(seed: int, jobs: Optional[int], **opts) -> str:
     return "\n".join(lines)
 
 
-def _run_figure4(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_figure4(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     from repro.analysis.patterns import LATE_SENDER, WAIT_AT_NXN
     from repro.experiments.figures import run_figure4
 
-    analyses = run_figure4(seed=seed, jobs=jobs, **_analysis_opts(opts))
+    analyses = run_figure4(seed=seed, request=request, **lent)
     ls = analyses["late_sender"]
     nxn = analyses["wait_at_nxn"]
     return "\n".join(
@@ -279,35 +273,29 @@ def _run_figure4(seed: int, jobs: Optional[int], **opts) -> str:
     )
 
 
-def _metatrace_text(figure: int, seed: int, jobs: Optional[int], **opts) -> str:
+def _run_metatrace(
+    figure: int, seed: int, request: AnalysisRequest, journal, **lent
+) -> str:
     from repro.experiments.figures import (
         metatrace_report_text,
         run_metatrace_experiment,
     )
 
-    outcome = run_metatrace_experiment(
-        figure=figure, seed=seed, jobs=jobs, **_analysis_opts(opts)
+    return metatrace_report_text(
+        run_metatrace_experiment(figure=figure, seed=seed, request=request, **lent)
     )
-    return metatrace_report_text(outcome)
 
 
-def _run_figure6(seed: int, jobs: Optional[int], **opts) -> str:
-    return _metatrace_text(1, seed, jobs, **opts)
-
-
-def _run_figure7(seed: int, jobs: Optional[int], **opts) -> str:
-    return _metatrace_text(2, seed, jobs, **opts)
-
-
-def _run_faults(seed: int, jobs: Optional[int], **opts) -> str:
+def _run_faults(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     from repro.experiments.faults import run_fault_experiment
 
     return run_fault_experiment(
-        seed=seed, jobs=jobs, **_analysis_opts(opts, "journal")
+        seed=seed, request=request, journal=journal, **lent
     ).text()
 
 
-#: Experiment name → runner(seed, jobs, **opts) producing the rendered text.
+#: Experiment name → runner(seed, request, journal, **lent) producing the
+#: rendered text.
 EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "table1": _run_table1,
     "table2": _run_table2,
@@ -315,8 +303,8 @@ EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "figure1": _run_figure1,
     "figure3": _run_figure3,
     "figure4": _run_figure4,
-    "figure6": _run_figure6,
-    "figure7": _run_figure7,
+    "figure6": partial(_run_metatrace, 1),
+    "figure7": partial(_run_metatrace, 2),
     "faults": _run_faults,
 }
 
@@ -333,12 +321,13 @@ def run_experiment(
     """Regenerate one paper artifact by name; returns its rendered text.
 
     ``name`` is one of :data:`EXPERIMENTS` (``table1`` ... ``faults``).
-    ``seed=None`` uses the artifact's committed default seed; *request*
-    describes the analysis phases as in :func:`analyze` — ``request.jobs``
-    selects the analysis process count, ``request.timeout``/
-    ``request.max_retries`` tune its supervised pool, and
-    ``request.verify_archive`` checksum-verifies trace archives before
-    analysis.
+    ``seed=None`` uses the artifact's committed default seed.  *request*
+    describes the analysis phases as in :func:`analyze` and reaches every
+    one of them whole (the fault ladder alone sets ``degraded`` per rung);
+    ``request.verify_archive`` checksum-verifies trace archives first.
+    The text renders severities and counts, so only ``degraded`` and an
+    expired ``deadline_s`` can change it; a ``timeline`` is computed but
+    not rendered (``repro analyze --timeline`` or an ``analyze`` job do).
 
     ``journal`` makes the run resumable: each completed (experiment, seed)
     cell — and, inside ``table2`` and ``faults``, each completed
@@ -348,7 +337,11 @@ def run_experiment(
     fault ladder records the verdict in its report instead.
 
     ``pool`` lends every analysis phase of the experiment an externally
-    owned warm :class:`SupervisedPool`, as in :func:`analyze`.
+    owned warm :class:`SupervisedPool`, as in :func:`analyze`.  A lent
+    ``deadline`` wins over ``request.deadline_s``; either way this is the
+    one place an experiment's :class:`Deadline` starts, so all its phases
+    draw down one clock.  (A driver called directly with ``deadline_s``
+    and no lent ``Deadline`` restarts the budget per ``analyze`` call.)
     """
     runner = EXPERIMENTS.get(name)
     if runner is None:
@@ -359,24 +352,13 @@ def run_experiment(
     if seed is None:
         seed = DEFAULT_SEEDS[name]
     if deadline is None and request.deadline_s is not None:
-        # One budget for the whole experiment: simulation, verification,
-        # and every analysis phase draw down the same clock.
         deadline = Deadline(request.deadline_s)
     cell = {"experiment": name, "seed": seed}
     if journal is not None:
         cached = journal.get(cell)
         if cached is not None:
             return cached["text"]
-    text = runner(
-        seed,
-        request.jobs,
-        timeout=request.timeout,
-        max_retries=request.max_retries,
-        journal=journal,
-        verify_archive=request.verify_archive,
-        pool=pool,
-        deadline=deadline,
-    )
+    text = runner(seed, request, journal, pool=pool, deadline=deadline)
     if journal is not None:
         journal.record(cell, {"text": text})
     return text

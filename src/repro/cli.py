@@ -91,44 +91,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    experiment_opts = argparse.ArgumentParser(add_help=False)
-    experiment_opts.add_argument(
+    # What every analysing command shares; ``_request`` reads it back.
+    analysis_opts = argparse.ArgumentParser(add_help=False)
+    analysis_opts.add_argument(
         "--seed", type=int, default=None, help="random seed (default: per-artifact)"
     )
-    experiment_opts.add_argument(
+    analysis_opts.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="analysis worker processes (1=serial, 0=one per core; "
         "default: serial)",
     )
-    experiment_opts.add_argument(
+    analysis_opts.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
         help="per-shard deadline for parallel analysis workers (default: 300)",
     )
-    experiment_opts.add_argument(
+    analysis_opts.add_argument(
         "--max-retries",
         type=int,
         default=None,
         metavar="N",
         help="re-dispatches allowed after a worker crash/hang (default: 2)",
     )
-    experiment_opts.add_argument(
-        "--resume",
-        action="store_true",
-        help="record completed experiment cells in a journal and skip them "
-        "on rerun",
-    )
-    experiment_opts.add_argument(
-        "--journal",
-        default=DEFAULT_JOURNAL,
-        metavar="PATH",
-        help=f"checkpoint journal used by --resume (default: {DEFAULT_JOURNAL})",
-    )
-    experiment_opts.add_argument(
+    analysis_opts.add_argument(
         "--verify-archive",
         action="store_true",
         help="checksum-verify trace archives before analysis",
@@ -137,11 +126,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help_text = (
             "regenerate every artifact" if name == "all" else f"regenerate {name}"
         )
-        run_parser = sub.add_parser(name, parents=[experiment_opts], help=help_text)
+        run_parser = sub.add_parser(name, parents=[analysis_opts], help=help_text)
+        run_parser.add_argument(
+            "--resume",
+            action="store_true",
+            help="record completed experiment cells in a journal and skip them "
+            "on rerun",
+        )
+        run_parser.add_argument(
+            "--journal",
+            default=DEFAULT_JOURNAL,
+            metavar="PATH",
+            help=f"checkpoint journal used by --resume (default: {DEFAULT_JOURNAL})",
+        )
         run_parser.set_defaults(command="run", what=name)
 
     analyze_parser = sub.add_parser(
         "analyze",
+        parents=[analysis_opts],
         help="analyze one MetaTrace experiment, optionally with a "
         "time-resolved severity timeline",
     )
@@ -149,29 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=("figure6", "figure7"),
         help="MetaTrace experiment to simulate and analyze",
-    )
-    analyze_parser.add_argument(
-        "--seed", type=int, default=None, help="random seed (default: per-artifact)"
-    )
-    analyze_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="analysis worker processes (1=serial, 0=one per core; "
-        "default: serial)",
-    )
-    analyze_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard deadline for parallel analysis workers",
-    )
-    analyze_parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="re-dispatches allowed after a worker crash/hang",
-    )
-    analyze_parser.add_argument(
-        "--verify-archive",
-        action="store_true",
-        help="checksum-verify trace archives before analysis",
     )
     analyze_parser.add_argument(
         "--timeline",
@@ -378,6 +357,17 @@ def _parse_seeds(spec: str) -> List[int]:
 # -- experiment commands ---------------------------------------------------------
 
 
+def _request(args: argparse.Namespace, **extra: Any) -> AnalysisRequest:
+    """The request the shared analysis flags describe, plus a command's own."""
+    return AnalysisRequest(
+        jobs=args.jobs,
+        timeout=args.timeout,
+        max_retries=args.max_retries,
+        verify_archive=args.verify_archive,
+        **extra,
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     # ``--resume`` owns the journal for the whole sweep, so it takes the
     # writer lock up front and fails fast if another sweep holds it.
@@ -385,12 +375,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         CheckpointJournal(args.journal, exclusive=True) if args.resume else None
     )
     try:
-        request = AnalysisRequest(
-            jobs=args.jobs,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-            verify_archive=args.verify_archive,
-        )
+        request = _request(args)
         targets = sorted(COMMANDS) if args.what == "all" else [args.what]
         for name in targets:
             seed = args.seed if args.seed is not None else DEFAULT_SEEDS[name]
@@ -415,11 +400,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     figures = {"figure6": 1, "figure7": 2}
     seed = args.seed if args.seed is not None else DEFAULT_SEEDS[args.experiment]
-    request = AnalysisRequest(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        verify_archive=args.verify_archive,
+    request = _request(
+        args,
         timeline=args.timeline,
         window_s=args.window,
         stride_s=args.stride,

@@ -236,29 +236,11 @@ class DegradationReport:
         return "\n".join(lines).rstrip() + "\n"
 
 
-def _analyze(
-    run,
-    degraded: bool,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    pool=None,
-    deadline=None,
-) -> tuple:
+def _analyze(run, request: AnalysisRequest, pool, deadline) -> tuple:
     """Run the (possibly degraded) replay, counting partial-trace warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PartialTraceWarning)
-        result = analyze(
-            run,
-            AnalysisRequest(
-                degraded=degraded,
-                jobs=jobs,
-                timeout=timeout,
-                max_retries=max_retries,
-            ),
-            pool=pool,
-            deadline=deadline,
-        )
+        result = analyze(run, request, pool=pool, deadline=deadline)
     partial = sum(
         1 for w in caught if issubclass(w.category, PartialTraceWarning)
     )
@@ -269,11 +251,8 @@ def run_fault_experiment(
     seed: int = 11,
     plans: Optional[List[FaultPlan]] = None,
     coupling_intervals: Optional[int] = None,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
+    request: Optional[AnalysisRequest] = None,
     journal: Optional[CheckpointJournal] = None,
-    verify_archive: bool = False,
     pool=None,
     deadline=None,
 ) -> DegradationReport:
@@ -285,11 +264,15 @@ def run_fault_experiment(
     With a ``journal``, every settled plan — including the deterministic
     aborts of the link-death rung — is a resumable cell; an interrupted
     ladder rerun with the same journal replays the finished rungs from
-    their recorded payloads.  ``verify_archive`` runs a checksum pass over
-    each completed run's archives and records the verdict in the report
-    (plans that injected trace damage are *expected* to fail it — the
-    ladder never raises on corruption).
+    their recorded payloads.  ``request`` describes every rung's analysis
+    as in :func:`repro.api.analyze`, except ``degraded``, which each rung
+    sets for itself (strict on the clean plan, degraded under faults).
+    Its ``verify_archive`` runs a checksum pass over each completed run's
+    archives and records the verdict in the report (plans that injected
+    trace damage are *expected* to fail it — the ladder never raises on
+    corruption).
     """
+    request = request or AnalysisRequest()
     report = DegradationReport(seed=seed)
     for plan in plans if plans is not None else escalating_fault_plans(seed):
         cell = {
@@ -298,7 +281,7 @@ def run_fault_experiment(
             "seed": seed,
             "coupling_intervals": coupling_intervals,
             "specs": len(plan.specs),
-            "verify_archive": bool(verify_archive),
+            "verify_archive": request.verify_archive,
         }
         if journal is not None:
             cached = journal.get(cell)
@@ -333,16 +316,10 @@ def run_fault_experiment(
         entry.archive_retries = run.archive_outcome.retries
         entry.sync_failures = len(run.sync_data.failures)
         entry.degraded = not plan.is_empty
-        if verify_archive:
+        if request.verify_archive:
             entry.integrity_ok = verify_archives(run).ok
         result, entry.partial_warnings = _analyze(
-            run,
-            degraded=entry.degraded,
-            jobs=jobs,
-            timeout=timeout,
-            max_retries=max_retries,
-            pool=pool,
-            deadline=deadline,
+            run, replace(request, degraded=entry.degraded), pool, deadline
         )
         entry.analyzed_ranks = len(result.analyzed_ranks)
         entry.excluded_ranks = len(result.excluded_ranks)

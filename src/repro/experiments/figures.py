@@ -121,10 +121,9 @@ def run_figure3(run: RunResult, at_fraction: float = 0.5) -> Figure3Outcome:
     return outcome
 
 
-def _verify_or_raise(label: str, *runs: RunResult) -> None:
-    """Strict archive verification for the figure drivers."""
-    for run in runs:
-        verification = verify_archives(run)
+def raise_on_damage(label: str, *verifications) -> None:
+    """Strict archive verification: raise on the first damaged verdict."""
+    for verification in verifications:
         if not verification.ok:
             raise ArchiveError(
                 f"{label} archive verification failed:\n{verification.text()}"
@@ -136,10 +135,7 @@ def _verify_or_raise(label: str, *runs: RunResult) -> None:
 
 def run_figure4(
     seed: int = 3,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    verify_archive: bool = False,
+    request: Optional[AnalysisRequest] = None,
     pool=None,
     deadline=None,
 ) -> Dict[str, AnalysisResult]:
@@ -160,10 +156,9 @@ def run_figure4(
     runtime2 = MetaMPIRuntime(metacomputer, placement, seed=seed + 1)
     nxn_run = runtime2.run(make_nxn_imbalance_app(work, iterations=4))
 
-    if verify_archive:
-        _verify_or_raise("figure4", ls_run, nxn_run)
-
-    request = AnalysisRequest(jobs=jobs, timeout=timeout, max_retries=max_retries)
+    request = request or AnalysisRequest()
+    if request.verify_archive:
+        raise_on_damage("figure4", verify_archives(ls_run), verify_archives(nxn_run))
     return {
         "late_sender": analyze(ls_run, request, pool=pool, deadline=deadline),
         "wait_at_nxn": analyze(nxn_run, request, pool=pool, deadline=deadline),
@@ -230,10 +225,6 @@ def run_metatrace_experiment(
     seed: int = 11,
     coupling_intervals: Optional[int] = None,
     request: Optional[AnalysisRequest] = None,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    verify_archive: bool = False,
     pool=None,
     deadline=None,
 ) -> MetaTraceOutcome:
@@ -241,11 +232,8 @@ def run_metatrace_experiment(
 
     ``figure=`` selects the experiment (1 → the three-metahost analysis of
     Figure 6, 2 → the one-metahost analysis of Figure 7); every argument is
-    keyword-only.  ``request=`` describes
-    the analysis (jobs, degraded, timeline, archive verification) as in
-    :func:`repro.api.analyze`; the flat ``jobs``/``timeout``/
-    ``max_retries``/``verify_archive`` keywords build an equivalent
-    request when no request is given.
+    keyword-only.  ``request=`` describes the analysis (jobs, degraded,
+    timeline, archive verification) as in :func:`repro.api.analyze`.
     """
     if figure is None:
         raise ExperimentError("run_metatrace_experiment requires figure=1 or figure=2")
@@ -265,15 +253,9 @@ def run_metatrace_experiment(
         metacomputer, placement, seed=seed, subcomms=config.subcomms()
     )
     run = runtime.run(make_metatrace_app(config))
-    if request is None:
-        request = AnalysisRequest(
-            jobs=jobs,
-            timeout=timeout,
-            max_retries=max_retries,
-            verify_archive=verify_archive,
-        )
+    request = request or AnalysisRequest()
     if request.verify_archive:
-        _verify_or_raise(f"figure{5 + figure}", run)
+        raise_on_damage(f"figure{5 + figure}", verify_archives(run))
     result = analyze(run, request, pool=pool, deadline=deadline)
     return MetaTraceOutcome(run=run, result=result, label=label)
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.api import AnalysisRequest, AnalysisResult, analyze, verify_archives
 from repro.apps.clockbench import ClockBenchConfig, make_clockbench_app
 from repro.clocks.sync import SCHEMES
-from repro.errors import ArchiveError
+from repro.experiments.figures import raise_on_damage
 from repro.resilience import CheckpointJournal
 from repro.sim.runtime import MetaMPIRuntime, RunResult
 from repro.topology.metacomputer import Placement
@@ -57,11 +57,8 @@ def run_table2(
     config: Optional[ClockBenchConfig] = None,
     nodes_per_metahost: int = 4,
     clock_drift_scale: float = 3e-6,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
+    request: Optional[AnalysisRequest] = None,
     journal: Optional[CheckpointJournal] = None,
-    verify_archive: bool = False,
     pool=None,
     deadline=None,
 ) -> Tuple[List[Table2Row], RunResult, Dict[str, AnalysisResult]]:
@@ -73,9 +70,10 @@ def run_table2(
     With a ``journal``, each per-scheme analysis is a resumable cell: an
     interrupted sweep rerun with the same journal skips the schemes it
     already finished (their rows are rebuilt from the journal; ``analyses``
-    then lacks those schemes).  ``verify_archive`` checksum-verifies the
-    run's archives first and raises :class:`~repro.errors.ArchiveError` on
-    damage.
+    then lacks those schemes).  ``request`` describes every analysis as
+    in :func:`repro.api.analyze`; its ``verify_archive`` checksum-verifies
+    the run's archives first and raises
+    :class:`~repro.errors.ArchiveError` on damage.
     """
     config = config or default_benchmark()
     metacomputer = viola_testbed()
@@ -94,12 +92,9 @@ def run_table2(
         clock_drift_scale=clock_drift_scale,
     )
     run = runtime.run(make_clockbench_app(config))
-    if verify_archive:
-        verification = verify_archives(run)
-        if not verification.ok:
-            raise ArchiveError(
-                f"table2 archive verification failed:\n{verification.text()}"
-            )
+    request = request or AnalysisRequest()
+    if request.verify_archive:
+        raise_on_damage("table2", verify_archives(run))
 
     rows: List[Table2Row] = []
     analyses: Dict[str, AnalysisResult] = {}
@@ -117,13 +112,7 @@ def run_table2(
             if cached is not None:
                 rows.append(Table2Row(**cached))
                 continue
-        result = analyze(
-            run,
-            AnalysisRequest(jobs=jobs, timeout=timeout, max_retries=max_retries),
-            scheme=scheme,
-            pool=pool,
-            deadline=deadline,
-        )
+        result = analyze(run, request, scheme=scheme, pool=pool, deadline=deadline)
         analyses[scheme.name] = result
         summary = result.violations.summary()
         row = Table2Row(

@@ -80,10 +80,6 @@ class ServiceConfig:
     pool_workers: int = 2
     #: Default ``jobs`` for submissions that do not specify one.
     default_jobs: int = 2
-    #: Per-shard deadline / crash-retry budget for analysis, pool-wide
-    #: defaults (a job's config may override per run).
-    timeout_s: Optional[float] = None
-    max_retries: Optional[int] = None
     #: How long a graceful shutdown waits for the in-flight job.
     drain_grace_s: float = 30.0
     #: Journaled attempts after which a job is declared crash-looping.
@@ -133,8 +129,6 @@ class AnalysisService:
         """Open the store, recover journaled work, start pool + executor."""
         if self.store is not None:
             return self
-        from dataclasses import replace as _replace
-
         from repro.analysis.parallel import analyze_shard
         from repro.resilience.pool import PoolConfig, SupervisedPool
 
@@ -143,10 +137,6 @@ class AnalysisService:
             max_workers=max(1, self.config.pool_workers),
             handle_signals=False,  # the serve loop owns signal handling
         )
-        if self.config.timeout_s is not None:
-            pool_config = _replace(pool_config, timeout_s=self.config.timeout_s)
-        if self.config.max_retries is not None:
-            pool_config = _replace(pool_config, max_retries=self.config.max_retries)
         self.pool = SupervisedPool(analyze_shard, pool_config, persistent=True)
         with self._lock:
             recovered = self.store.pending()

@@ -71,23 +71,29 @@ def _check_budget(deadline) -> None:
         deadline.check()
 
 
+def _request(spec: Mapping[str, Any]):
+    """The spec's ``AnalysisRequest``: its config minus the workload key,
+    window widths (which may arrive as JSON integers) served as floats."""
+    from repro.api import AnalysisRequest
+
+    config = dict(spec.get("config", {}))
+    config.pop("coupling_intervals", None)
+    for key in ("window_s", "stride_s"):
+        if key in config:
+            config[key] = float(config[key])
+    return AnalysisRequest.from_config(config, jobs=spec["jobs"] or None)
+
+
 def _run_experiment_job(
     spec: Mapping[str, Any], pool, notify: Progress, deadline
 ) -> Tuple[Dict[str, Any], None]:
     """Regenerate a paper artifact; the result is its rendered text."""
-    from repro.api import AnalysisRequest, run_experiment
+    from repro.api import run_experiment
 
-    config = spec.get("config", {})
     notify(f"running experiment {spec['experiment']}")
     text = run_experiment(
         spec["experiment"],
-        AnalysisRequest(
-            jobs=spec["jobs"] or None,
-            timeout=config.get("timeout"),
-            max_retries=config.get("max_retries"),
-            verify_archive=bool(config.get("verify_archive", False)),
-            deadline_s=config.get("deadline_s"),
-        ),
+        _request(spec),
         seed=spec["seed"],
         pool=pool,
         deadline=deadline,
@@ -109,7 +115,6 @@ def _analyze_job(
     ``run_experiment("figure6"/"figure7")`` uses, so a served report can
     be compared byte-for-byte against a direct library call.
     """
-    from repro.api import AnalysisRequest
     from repro.experiments.figures import (
         metatrace_report_text,
         run_metatrace_experiment,
@@ -119,22 +124,11 @@ def _analyze_job(
     config = spec.get("config", {})
     experiment = spec["experiment"]
     notify(f"simulating and replaying {experiment}")
-    request = AnalysisRequest(
-        jobs=spec["jobs"] or None,
-        timeout=config.get("timeout"),
-        max_retries=config.get("max_retries"),
-        verify_archive=bool(config.get("verify_archive", False)),
-        timeline=bool(config.get("timeline", False)),
-        window_s=float(config.get("window_s", 1.0)),
-        stride_s=float(config.get("stride_s", 0.25)),
-        bounded=bool(config.get("bounded", False)),
-        deadline_s=config.get("deadline_s"),
-    )
     outcome = run_metatrace_experiment(
         figure=_FIGURES[experiment],
         seed=spec["seed"],
         coupling_intervals=config.get("coupling_intervals"),
-        request=request,
+        request=_request(spec),
         pool=pool,
         deadline=deadline,
     )

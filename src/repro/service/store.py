@@ -72,19 +72,21 @@ JOB_KINDS = ("simulate", "analyze", "run_experiment")
 _ANALYZE_EXPERIMENTS = ("figure6", "figure7")
 _SIMULATE_EXPERIMENTS = ("imbalance",)
 
-#: Per-kind whitelist of ``config`` keys: (name, validator, description).
+#: What both analysing kinds accept: name → (description, validator).
+_REQUEST_SCHEMA: Dict[str, Any] = {
+    "timeout": ("positive number", lambda v: _is_number(v) and v > 0),
+    "max_retries": ("non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "verify_archive": ("boolean", lambda v: isinstance(v, bool)),
+    "deadline_s": ("positive number", lambda v: _is_number(v) and v > 0),
+}
+
+#: Per-kind whitelist of ``config`` keys.  Apart from ``coupling_intervals``
+#: every key of the analysing kinds is an ``AnalysisRequest`` field: the
+#: runner builds its request with ``from_config``, so admitted is served.
 _CONFIG_SCHEMA: Dict[str, Dict[str, Any]] = {
-    "run_experiment": {
-        "timeout": ("positive number", lambda v: _is_number(v) and v > 0),
-        "max_retries": ("non-negative integer", lambda v: _is_int(v) and v >= 0),
-        "verify_archive": ("boolean", lambda v: isinstance(v, bool)),
-        "deadline_s": ("positive number", lambda v: _is_number(v) and v > 0),
-    },
+    "run_experiment": _REQUEST_SCHEMA,
     "analyze": {
-        "timeout": ("positive number", lambda v: _is_number(v) and v > 0),
-        "max_retries": ("non-negative integer", lambda v: _is_int(v) and v >= 0),
-        "verify_archive": ("boolean", lambda v: isinstance(v, bool)),
-        "deadline_s": ("positive number", lambda v: _is_number(v) and v > 0),
+        **_REQUEST_SCHEMA,
         "coupling_intervals": ("positive integer", lambda v: _is_int(v) and v >= 1),
         "timeline": ("boolean", lambda v: isinstance(v, bool)),
         "window_s": ("positive number", lambda v: _is_number(v) and v > 0),

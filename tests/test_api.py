@@ -125,6 +125,78 @@ class TestDeprecations:
             run_metatrace_experiment()
 
 
+#: A request no field of which is a default any layer could re-invent.
+_MARKED = dict(jobs=1, degraded=True, bounded=True, timeline=True, window_s=0.5)
+
+
+def _spy_on_analyze(monkeypatch, module):
+    """Record every ``analyze`` call *module* makes, calling through."""
+    calls = []
+    real = module.analyze
+
+    def spy(run, request=None, **kwargs):
+        calls.append((request, kwargs))
+        return real(run, request, **kwargs)
+
+    monkeypatch.setattr(module, "analyze", spy)
+    return calls
+
+
+class TestRequestTravelsWhole:
+    """A request given to an experiment reaches every analysis untouched."""
+
+    @pytest.mark.parametrize(
+        "name, module_name, phases",
+        [("figure4", "figures", 2), ("table2", "table2", 3), ("figure6", "figures", 1)],
+    )
+    def test_run_experiment_delivers_every_field(
+        self, monkeypatch, name, module_name, phases
+    ):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        calls = _spy_on_analyze(monkeypatch, module)
+        request = api.AnalysisRequest(**_MARKED)
+        api.run_experiment(name, request)
+        assert [req for req, _ in calls] == [request] * phases
+
+    def test_fault_ladder_overrides_only_degraded(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.experiments import faults
+
+        calls = _spy_on_analyze(monkeypatch, faults)
+        request = api.AnalysisRequest(**_MARKED)
+        plans = faults.escalating_fault_plans(1)[:2]  # clean, lossy links
+        report = faults.run_fault_experiment(
+            seed=1, plans=plans, coupling_intervals=1, request=request
+        )
+        rungs = [run.degraded for run in report.runs]
+        assert rungs == [False, True]  # each rung picks its own mode ...
+        assert [req for req, _ in calls] == [
+            replace(request, degraded=degraded) for degraded in rungs
+        ]  # ... and nothing else about the caller's request
+
+    def test_one_deadline_per_experiment(self, monkeypatch):
+        from repro.experiments import table2
+
+        calls = _spy_on_analyze(monkeypatch, table2)
+        api.run_experiment("table2", api.AnalysisRequest(jobs=1, deadline_s=300))
+        lent = [kwargs["deadline"] for _, kwargs in calls]
+        assert len(lent) == 3 and isinstance(lent[0], api.Deadline)
+        assert all(deadline is lent[0] for deadline in lent)
+
+    def test_lent_deadline_wins_over_deadline_s(self, monkeypatch):
+        from repro.experiments import figures
+
+        calls = _spy_on_analyze(monkeypatch, figures)
+        mine = api.Deadline(3600.0)
+        api.run_experiment(
+            "figure4", api.AnalysisRequest(jobs=1, deadline_s=300), deadline=mine
+        )
+        assert [kwargs["deadline"] for _, kwargs in calls] == [mine, mine]
+
+
 class TestPythonDashM:
     def _run(self, *argv: str) -> subprocess.CompletedProcess:
         env = dict(os.environ)

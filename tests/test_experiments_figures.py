@@ -9,6 +9,8 @@ waiting time drops sharply, and the steering Late Sender grows — "now Trace
 mostly waits for Partrace".
 """
 
+import inspect
+
 import pytest
 
 from repro.analysis.patterns import (
@@ -18,7 +20,15 @@ from repro.analysis.patterns import (
     LATE_SENDER,
     WAIT_AT_BARRIER,
 )
-from repro.errors import ExperimentError
+from repro.api import AnalysisRequest
+from repro.apps.clockbench import ClockBenchConfig
+from repro.errors import ArchiveError, ExperimentError
+from repro.trace.archive import (
+    ArchiveVerification,
+    BlockCorruption,
+    RunVerification,
+    TraceVerification,
+)
 from repro.experiments.figures import (
     run_figure1,
     run_figure3,
@@ -151,3 +161,79 @@ class TestDriverErrors:
 
         with pytest.raises(ExperimentError):
             run_metatrace_experiment(figure=3)
+
+
+class TestDriversTakeARequest:
+    def test_no_flat_analysis_keywords(self):
+        from repro.experiments.faults import run_fault_experiment
+        from repro.experiments.figures import run_metatrace_experiment
+        from repro.experiments.table2 import run_table2
+
+        flat = {"jobs", "timeout", "max_retries", "verify_archive"}
+        for driver in (
+            run_figure4, run_metatrace_experiment, run_table2, run_fault_experiment
+        ):
+            parameters = inspect.signature(driver).parameters
+            assert "request" in parameters
+            assert not flat & set(parameters), driver.__name__
+
+    def test_flat_keyword_is_a_type_error(self):
+        from repro.experiments.figures import run_metatrace_experiment
+
+        with pytest.raises(TypeError):
+            run_metatrace_experiment(figure=1, jobs=2)
+
+
+def _one_corrupt_block(run) -> RunVerification:
+    """What ``verify_archives`` reports for one failed checksum block."""
+    damage = BlockCorruption(
+        rank=0, block=0, offset=0, length=64,
+        expected_crc32=1, actual_crc32=2, reason="checksum mismatch",
+    )
+    trace = TraceVerification(
+        rank=0, size_expected=64, size_actual=64, corruptions=(damage,)
+    )
+    return RunVerification([ArchiveVerification(path="archive", traces={0: trace})])
+
+
+#: A table2 run small enough to simulate in milliseconds.
+_SMALL_TABLE2 = dict(
+    config=ClockBenchConfig(
+        rounds=4, exchanges_per_round=1, size_bytes=64, inter_round_gap_s=0.05
+    ),
+    nodes_per_metahost=2,
+)
+
+
+class TestStrictVerification:
+    """``verify_archive`` on the strict drivers: one helper, one message.
+
+    The drivers build their own runs, so damage is reported by a patched
+    ``verify_archives`` rather than injected into an archive.
+    """
+
+    STRICT = AnalysisRequest(verify_archive=True)
+
+    def test_figure4_raises_on_damage(self, monkeypatch):
+        from repro.experiments import figures
+
+        monkeypatch.setattr(figures, "verify_archives", _one_corrupt_block)
+        with pytest.raises(ArchiveError) as caught:
+            run_figure4(request=self.STRICT)
+        assert str(caught.value).startswith("figure4 archive verification failed:\n")
+        assert "CORRUPTION DETECTED" in str(caught.value)
+
+    def test_table2_raises_on_damage(self, monkeypatch):
+        from repro.experiments import table2
+
+        monkeypatch.setattr(table2, "verify_archives", _one_corrupt_block)
+        with pytest.raises(ArchiveError) as caught:
+            table2.run_table2(request=self.STRICT, **_SMALL_TABLE2)
+        assert str(caught.value).startswith("table2 archive verification failed:\n")
+
+    def test_clean_archives_pass(self):
+        from repro.experiments.table2 import run_table2
+
+        assert set(run_figure4(request=self.STRICT)) == {"late_sender", "wait_at_nxn"}
+        rows, _run, _analyses = run_table2(request=self.STRICT, **_SMALL_TABLE2)
+        assert len(rows) == 3

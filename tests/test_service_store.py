@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import CheckpointLockError, JobValidationError
@@ -180,6 +182,76 @@ class TestRequestCanonicalization:
              "config": AnalysisRequest(jobs=4)}
         )
         assert spec["jobs"] == 4
+
+
+class TestAdmittedIsServed:
+    """The store's whitelist and the runner's request cannot drift apart:
+    every config key the two analysing kinds admit is an AnalysisRequest
+    field (``coupling_intervals``, the workload size, aside), and the
+    runner turns any admitted config into a request without loss."""
+
+    #: One valid value per whitelisted key, none of them a default.
+    FULL = {
+        "timeout": 60,
+        "max_retries": 1,
+        "verify_archive": True,
+        "deadline_s": 300,
+        "coupling_intervals": 1,
+        "timeline": True,
+        "window_s": 2,
+        "stride_s": 1,
+        "bounded": True,
+    }
+
+    @pytest.mark.parametrize("kind", ["run_experiment", "analyze"])
+    def test_whitelist_is_request_fields(self, kind):
+        from dataclasses import fields
+
+        from repro.analysis.request import AnalysisRequest
+        from repro.service.store import _CONFIG_SCHEMA
+
+        known = {f.name for f in fields(AnalysisRequest)}
+        assert set(_CONFIG_SCHEMA[kind]) - {"coupling_intervals"} <= known
+
+    @pytest.mark.parametrize("kind", ["run_experiment", "analyze"])
+    def test_runner_serves_every_admitted_key(self, kind):
+        from repro.analysis.request import AnalysisRequest
+        from repro.service.runners import _request
+        from repro.service.store import _CONFIG_SCHEMA
+
+        config = {key: self.FULL[key] for key in _CONFIG_SCHEMA[kind]}
+        spec = canonical_spec(
+            {"kind": kind, "experiment": "figure6", "jobs": 2, "config": config}
+        )
+        served = dict(spec["config"])
+        served.pop("coupling_intervals", None)
+        AnalysisRequest.from_config(served)  # accepts every admitted key
+        request = _request(spec)
+        assert request.jobs == 2
+        assert request.to_config() == {"jobs": 2, **served}
+
+    def test_integer_windows_serve_the_float_result(self):
+        from repro.service.runners import execute_job
+
+        def result_of(window_s, stride_s):
+            spec = canonical_spec(
+                {
+                    "kind": "analyze",
+                    "experiment": "figure6",
+                    "seed": 1,
+                    "jobs": 1,
+                    "config": {
+                        "coupling_intervals": 1,
+                        "timeline": True,
+                        "window_s": window_s,
+                        "stride_s": stride_s,
+                    },
+                }
+            )
+            return json.dumps(execute_job(spec)[0], sort_keys=True)
+
+        assert result_of(2, 1) == result_of(2.0, 1.0)
+        assert '"window_s": 2.0' in result_of(2, 1)
 
 
 class TestJobRecord:
