@@ -237,29 +237,21 @@ class AnalysisService:
                     status=503,
                 )
             if existing is not None:  # a failed/cancelled job, resubmitted
-                record = existing
-                prior = record.status
-                record.status = ACCEPTED
-                record.phase = f"re-admitted after {prior}"
-                record.error = None
-                record.attempts = 0
-                record.finished_at = None
-                disposition = "retried"
-            else:
-                record = JobRecord(
-                    key=key,
-                    seq=self.store.next_seq(),
-                    spec=spec,
-                    status=ACCEPTED,
-                    submitted_at=wallclock(),
-                )
-                disposition = "created"
+                self._readmit(existing, f"re-admitted after {existing.status}")
+                return existing, "retried"
+            record = JobRecord(
+                key=key,
+                seq=self.store.next_seq(),
+                spec=spec,
+                status=ACCEPTED,
+                submitted_at=wallclock(),
+            )
             # Durability before acknowledgement: the fsync'd journal
             # write happens inside save(), before the caller sees a key.
             self.store.save(record)
             self._queue.append(key)
             self._wakeup.notify_all()
-            return record, disposition
+            return record, "created"
 
     def cancel(
         self, key: str, *, reason: str = "cancelled by client"
@@ -291,11 +283,7 @@ class AnalysisService:
                 self._queue.remove(key)
             except ValueError:  # pragma: no cover - queue/store drift guard
                 pass
-            record.status = CANCELLED
-            record.error = reason
-            record.finished_at = wallclock()
-            record.phase = ""
-            self.store.save(record)
+            self._finish(record, CANCELLED, error=reason)
             return record, "cancelled"
 
     def requeue(self, key: str) -> JobRecord:
@@ -328,14 +316,7 @@ class AnalysisService:
                     "retry later",
                     retry_after_s=2.0,
                 )
-            record.status = ACCEPTED
-            record.phase = "re-queued by operator"
-            record.error = None
-            record.attempts = 0
-            record.finished_at = None
-            self.store.save(record)
-            self._queue.append(key)
-            self._wakeup.notify_all()
+            self._readmit(record, "re-queued by operator")
             return record
 
     def drain_retry_after_s(self) -> float:
@@ -389,6 +370,15 @@ class AnalysisService:
                 "breaker": self.breaker.snapshot(),
             }
 
+    def _done_result(self, key: str) -> Dict[str, Any]:
+        """The stored result of a finished job, or why there is none."""
+        record = self.job(key)
+        if record is None:
+            raise ServiceError(f"no job {key}")
+        if record.status != DONE or not record.result:
+            raise ServiceError(f"job {key} is {record.status}; no result to query")
+        return record.result
+
     def severity(
         self, key: str, *, metric: Optional[str] = None
     ) -> Dict[str, Any]:
@@ -398,15 +388,11 @@ class AnalysisService:
         With ``metric``: total severity plus by-rank and by-callpath
         aggregations of that metric's cells.
         """
-        record = self.job(key)
-        if record is None:
-            raise ServiceError(f"no job {key}")
-        if record.status != DONE or not record.result:
-            raise ServiceError(f"job {key} is {record.status}; no result to query")
-        cube = record.result.get("severity")
+        result = self._done_result(key)
+        cube = result.get("severity")
         if not cube:
             raise ServiceError(
-                f"job {key} is a {record.result.get('kind')} job; "
+                f"job {key} is a {result.get('kind')} job; "
                 "only analyze jobs carry a severity cube"
             )
         cells = cube.get("cells", [])
@@ -450,17 +436,13 @@ class AnalysisService:
         recorded metric's rolling-window series, peak window and per-rank
         breakdown), with ``metric`` just that metric's entry.
         """
-        record = self.job(key)
-        if record is None:
-            raise ServiceError(f"no job {key}")
-        if record.status != DONE or not record.result:
-            raise ServiceError(f"job {key} is {record.status}; no result to query")
-        if record.result.get("kind") != "analyze":
+        result = self._done_result(key)
+        if result.get("kind") != "analyze":
             raise ServiceError(
-                f"job {key} is a {record.result.get('kind')} job; "
+                f"job {key} is a {result.get('kind')} job; "
                 "only analyze jobs carry a severity timeline"
             )
-        payload = record.result.get("timeline")
+        payload = result.get("timeline")
         if not payload:
             raise ServiceError(
                 f"job {key} did not record a timeline; submit with "
@@ -505,13 +487,8 @@ class AnalysisService:
                 if record.attempts > self.config.max_job_attempts:
                     # The job has now crashed the service repeatedly;
                     # quarantine it instead of crash-looping forever.
-                    record.status = FAILED
-                    record.error = (
-                        f"gave up after {record.attempts - 1} interrupted attempts"
-                    )
-                    record.finished_at = wallclock()
-                    record.phase = ""
-                    self.store.save(record)
+                    gave_up = f"gave up after {record.attempts - 1} interrupted attempts"
+                    self._finish(record, FAILED, error=gave_up)
                     self.breaker.record_failure(
                         f"job {key} quarantined after crash-looping"
                     )
@@ -555,12 +532,7 @@ class AnalysisService:
                 # answers.
                 with self._lock:
                     client = key in self._cancel_requested
-                    record.status = CANCELLED
-                    record.error = f"TimeBudgetExceeded: {exc.reason}"
-                    record.finished_at = wallclock()
-                    record.phase = ""
-                    self.store.save(record)
-                    self._clear_running(key)
+                    self._finish(record, CANCELLED, error=f"TimeBudgetExceeded: {exc.reason}")
                 if client:
                     # A client cancel says nothing about service health:
                     # don't count it, but do free the half-open probe
@@ -573,27 +545,48 @@ class AnalysisService:
                 continue
             except Exception as exc:
                 with self._lock:
-                    record.status = FAILED
-                    record.error = f"{type(exc).__name__}: {exc}"
-                    record.finished_at = wallclock()
-                    record.phase = ""
-                    self.store.save(record)
-                    self._clear_running(key)
+                    self._finish(record, FAILED, error=f"{type(exc).__name__}: {exc}")
                 # A deterministic application error from a healthy worker
                 # proves the infrastructure works; it resets the breaker
                 # rather than tripping it.
                 self.breaker.record_success()
                 continue
             with self._lock:
-                record.status = DONE
-                record.result = result
-                record.execution = execution
-                record.finished_at = wallclock()
-                record.phase = ""
-                self.store.save(record)
-                self._clear_running(key)
+                self._finish(record, DONE, result=result, execution=execution)
                 self._executed += 1
             self.breaker.record_success()
+
+    def _finish(
+        self,
+        record: JobRecord,
+        status: str,
+        *,
+        error: Optional[str] = None,
+        result: Optional[Dict[str, Any]] = None,
+        execution: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Journal *record* settled in terminal *status* (caller holds the lock)."""
+        record.status = status
+        record.error = error
+        record.result = result
+        record.execution = execution
+        record.finished_at = wallclock()
+        record.phase = ""
+        self.store.save(record)
+        if record.key == self._running_key:
+            self._clear_running(record.key)
+
+    def _readmit(self, record: JobRecord, phase: str) -> None:
+        """Journal a settled *record* back to ``accepted`` and queue it
+        (caller holds the lock)."""
+        record.status = ACCEPTED
+        record.phase = phase
+        record.error = None
+        record.attempts = 0
+        record.finished_at = None
+        self.store.save(record)
+        self._queue.append(record.key)
+        self._wakeup.notify_all()
 
     def _clear_running(self, key: str) -> None:
         """Drop the running-job bookkeeping (caller holds the lock)."""

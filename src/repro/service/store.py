@@ -102,26 +102,36 @@ _CONFIG_SCHEMA: Dict[str, Dict[str, Any]] = {
 }
 
 
+#: Request fields whose value is a duration: an integer means the float.
+_SECONDS = ("timeout", "deadline_s", "window_s", "stride_s")
+
+
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # An integer no float can hold is no duration: ``float()`` of it and
+    # ``Deadline`` arithmetic on it raise OverflowError.
+    return (_is_int(value) and abs(value) < 1e308) or isinstance(value, float)
 
 
 def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str, Any]:
     """Validate a submission and reduce it to its canonical form.
 
-    The canonical spec is the *meaning* of the job with every default
-    made explicit: ``{"kind", "experiment", "seed", "jobs", "config"}``.
-    Submissions that differ only in key order, omitted defaults, or
-    JSON-irrelevant formatting canonicalize identically — the foundation
-    of :func:`job_key` dedup.  ``config`` may also be an
-    :class:`~repro.analysis.request.AnalysisRequest`: it reduces to its
-    defaults-omitted dict form (jobs lifting into the spec's top-level
-    field), so a request submission dedupes against the equivalent plain
-    JSON one.
+    The canonical spec is the *meaning* of the job:
+    ``{"kind", "experiment", "seed", "jobs", "config"}``, ``seed`` and
+    ``jobs`` made explicit.  Submissions that differ only in key order,
+    omitted defaults, or JSON-irrelevant formatting canonicalize
+    identically — the foundation of :func:`job_key` dedup.  The
+    :class:`~repro.analysis.request.AnalysisRequest` fields of an
+    analysing kind's ``config`` — given as a plain dict or as a request,
+    whose ``jobs`` lifts into the spec's top-level field — are normalised
+    one way, ``AnalysisRequest.from_config(...).to_config()``: a field
+    left at or set to its default is omitted, and a duration (``timeout``,
+    ``deadline_s``, ``window_s``, ``stride_s``) is a float whether it
+    arrived as ``1`` or ``1.0``.  ``coupling_intervals`` and the
+    ``simulate`` keys are kept as submitted.
 
     Raises :class:`~repro.errors.JobValidationError` on anything
     malformed, with a message precise enough to fix the submission.
@@ -177,10 +187,7 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
     config = raw.get("config") or {}
     request_jobs = None
     if isinstance(config, AnalysisRequest):
-        # An AnalysisRequest canonicalizes through its defaults-omitted
-        # dict form, so a request of all defaults hashes exactly like the
-        # empty config pre-request submissions produced.  Its ``jobs``
-        # belongs to the spec's top-level field, not the config.
+        # Its ``jobs`` belongs to the spec's top-level field, not the config.
         config = config.to_config()
         request_jobs = config.pop("jobs", None)
     if not isinstance(config, Mapping):
@@ -213,6 +220,13 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
         if not check(value):
             raise JobValidationError(f"config {key!r} must be a {expected}, got {value!r}")
         clean[key] = value
+    if kind != "simulate":
+        fields = {k: float(v) if k in _SECONDS else v for k, v in clean.items()}
+        intervals = fields.pop("coupling_intervals", None)
+        fields = AnalysisRequest.from_config(fields).to_config()
+        if intervals is not None:
+            fields["coupling_intervals"] = intervals
+        clean = dict(sorted(fields.items()))
 
     return {
         "kind": kind,

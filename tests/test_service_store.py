@@ -184,6 +184,90 @@ class TestRequestCanonicalization:
         assert spec["jobs"] == 4
 
 
+class TestSameJobSameKey:
+    """One canonicalisation path: a plain-dict config and a request object
+    are normalised alike, so an explicit default or an integer-valued
+    duration never makes a second cache entry for the same work."""
+
+    BASE = {"kind": "analyze", "experiment": "figure6"}
+
+    def key(self, config):
+        return job_key(canonical_spec({**self.BASE, "config": config}))
+
+    def test_five_probes_two_keys(self):
+        from repro.analysis.request import AnalysisRequest
+
+        plain = self.key({})
+        timeline = self.key({"timeline": True})
+        assert plain != timeline
+        assert self.key({"bounded": False}) == plain
+        assert self.key({"timeline": True, "window_s": 1.0}) == timeline
+        assert self.key({"timeline": True, "window_s": 1}) == timeline
+        assert self.key(AnalysisRequest()) == plain
+        assert self.key(AnalysisRequest(timeline=True)) == timeline
+
+    def test_durations_are_floats_from_either_form(self):
+        from repro.analysis.request import AnalysisRequest
+
+        ints = {"timeout": 60, "deadline_s": 300, "window_s": 2, "stride_s": 1}
+        spec = canonical_spec({**self.BASE, "config": ints})
+        assert spec["config"] == {k: float(v) for k, v in ints.items()}
+        assert all(type(v) is float for v in spec["config"].values())
+        assert spec == canonical_spec({**self.BASE, "config": AnalysisRequest(**ints)})
+
+    def test_workload_and_simulate_keys_kept_as_submitted(self):
+        spec = canonical_spec(
+            {**self.BASE, "config": {"coupling_intervals": 1, "timeline": False}}
+        )
+        assert spec["config"] == {"coupling_intervals": 1}
+        simulate = canonical_spec(
+            {"kind": "simulate", "experiment": "imbalance", "config": {"deadline_s": 5}}
+        )
+        assert type(simulate["config"]["deadline_s"]) is int
+
+    def test_duration_no_float_can_hold_is_rejected(self):
+        with pytest.raises(JobValidationError, match="positive number"):
+            canonical_spec({**self.BASE, "config": {"deadline_s": 10**400}})
+
+    def test_service_dedupes_explicit_defaults_and_integer_widths(
+        self, tmp_path, monkeypatch
+    ):
+        import threading
+        import time
+
+        import repro.service.app as app_module
+        from repro.service import ServiceConfig, create_app
+
+        release = threading.Event()
+
+        def gated(spec, *, pool=None, progress=None, deadline=None):
+            assert release.wait(timeout=60), "gate never released"
+            return {"kind": spec["kind"]}, None
+
+        monkeypatch.setattr(app_module, "execute_job", gated)
+        config = ServiceConfig(store_path=str(tmp_path / "jobs.jsonl"), pool_workers=1)
+        with create_app(config) as service:
+            try:
+                first, disposition = service.submit(
+                    {**self.BASE, "config": {"timeline": True}}
+                )
+                assert disposition == "created"
+                again, disposition = service.submit(
+                    {**self.BASE, "config": {"timeline": True, "bounded": False}}
+                )
+                assert (again.key, disposition) == (first.key, "duplicate")
+            finally:
+                release.set()
+            give_up = time.monotonic() + 30.0
+            while service.job(first.key).status != DONE and time.monotonic() < give_up:
+                time.sleep(0.01)
+            cached, disposition = service.submit(
+                {**self.BASE, "config": {"timeline": True, "window_s": 1}}
+            )
+            assert (cached.key, disposition) == (first.key, "cached")
+            assert len(service.jobs()) == 1
+
+
 class TestAdmittedIsServed:
     """The store's whitelist and the runner's request cannot drift apart:
     every config key the two analysing kinds admit is an AnalysisRequest
