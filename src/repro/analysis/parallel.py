@@ -7,8 +7,9 @@ per-event metadata, never whole trace files.  The replay's **local phase**
 file, so it is the part that can run anywhere.  This module holds what a
 worker process needs to run it and nothing else:
 
-* :func:`plan_shards` partitions the world into contiguous **shards** of
-  ranks, aligned to metahost boundaries where possible;
+* :func:`plan_shards` cuts the ascending rank list into contiguous
+  **shards** of about equal trace *bytes* (ranks differ in trace size by
+  orders of magnitude, and a shard's cost is what it decodes);
 * a picklable :class:`ShardTask` carries one shard's raw trace blobs, the
   definitions document and the clock converters of its nodes;
 * :func:`analyze_shard`, the :class:`~repro.resilience.pool.SupervisedPool`
@@ -33,7 +34,8 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from itertools import accumulate
+from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import ProcessTimeline
@@ -66,43 +68,38 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def plan_shards(
-    ranks: Sequence[int], machine_of: Dict[int, int], jobs: int
+    sizes: Mapping[int, int], machine_of: Mapping[int, int], jobs: int
 ) -> List[Tuple[int, ...]]:
-    """Partition *ranks* (ascending) into ≤ *jobs* contiguous shards.
+    """Cut the ranks of *sizes* (rank → trace bytes) into ≤ *jobs* shards.
 
-    Shards are contiguous slices of the ascending rank list — the property
-    the rank-major call-path numbering relies on — with interior cuts
-    snapped to metahost boundaries when one is nearby, so a shard usually
-    only needs trace files from a single metahost (the paper's locality
-    constraint).
+    Shards are contiguous, non-empty slices of the ascending rank list —
+    the property the rank-major call-path numbering relies on.  Cut *k*
+    falls at the rank boundary whose cumulative bytes lie nearest
+    ``k * total / jobs``, so no shard exceeds ``total / jobs`` by more than
+    the largest trace; among equally near boundaries one between two
+    metahosts wins.  (The paper's locality rule — a trace is read on its
+    own metahost — is :meth:`TraceShard.gather`'s business, not the cut's.)
     """
-    ordered = sorted(ranks)
-    n = len(ordered)
     if jobs < 1:
         raise AnalysisError(f"shard count must be >= 1, got {jobs}")
-    jobs = min(jobs, n)
-    if jobs <= 1:
-        return [tuple(ordered)] if ordered else []
-    boundaries = [
-        i
-        for i in range(1, n)
-        if machine_of.get(ordered[i]) != machine_of.get(ordered[i - 1])
-    ]
-    tolerance = max(1, n // (2 * jobs))
+    ordered = sorted(sizes)
+    below = list(accumulate((sizes[rank] for rank in ordered), initial=0))
     cuts = [0]
     for k in range(1, jobs):
-        ideal = round(k * n / jobs)
-        snapped = ideal
-        best = tolerance + 1
-        for b in boundaries:
-            if abs(b - ideal) < best and b > cuts[-1]:
-                snapped, best = b, abs(b - ideal)
-        if snapped <= cuts[-1]:
-            snapped = ideal
-        if snapped <= cuts[-1] or snapped >= n:
-            continue
-        cuts.append(snapped)
-    cuts.append(n)
+        candidates = range(cuts[-1] + 1, len(ordered))
+        if not candidates:
+            break
+        # min() keeps the first of equals: the lowest such boundary.
+        cuts.append(
+            min(
+                candidates,
+                key=lambda i: (
+                    abs(below[i] * jobs - k * below[-1]),
+                    machine_of.get(ordered[i]) == machine_of.get(ordered[i - 1]),
+                ),
+            )
+        )
+    cuts.append(len(ordered))
     return [tuple(ordered[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 

@@ -333,6 +333,10 @@ class StreamingReplayAnalyzer:
         Returns the settled shards' partials in shard order, the pool's
         report, and why the run was cut short (None: it was not).
         """
+        # One snapshot of the world, each rank's blob through its own
+        # metahost's reader; its blob lengths are what the plan balances.
+        world = TraceShard.gather(ranks, definitions, self.readers)
+        sizes = {rank: len(world.blobs.get(rank, b"")) for rank in ranks}
         machine_of = {rank: definitions.machine_of(rank) for rank in ranks}
         tasks = [
             ShardTask(
@@ -346,10 +350,9 @@ class StreamingReplayAnalyzer:
                         {node_of(definitions.locations[rank]) for rank in shard}
                     )
                 },
-                # Each rank's blob comes through its own metahost's reader.
-                traces=TraceShard.gather(shard, definitions, self.readers),
+                traces=world.select(shard),
             )
-            for index, shard in enumerate(plan_shards(ranks, machine_of, self.jobs))
+            for index, shard in enumerate(plan_shards(sizes, machine_of, self.jobs))
         ]
         if not self.degraded:
             # Strict pre-check, rank-ascending in the parent: a broken

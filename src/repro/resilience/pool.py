@@ -11,7 +11,9 @@ OOM kills and batch-system preemption).
 actively supervises it:
 
 * **crash detection** — a worker that exits without delivering a result
-  (segfault, SIGKILL, OOM) is noticed within one poll interval;
+  (segfault, SIGKILL, OOM) wakes the supervisor at once: it blocks on
+  the running workers' result pipes and process sentinels, never on a
+  timer alone;
 * **hang detection** — each task has a wall-clock *deadline*, and each
   worker carries a heartbeat thread; a worker whose heartbeat goes stale
   (process alive but wedged, e.g. SIGSTOP or a hung syscall) is killed
@@ -49,6 +51,7 @@ results instead of silently absorbing it.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import signal
 import threading
 import time
@@ -89,7 +92,8 @@ class PoolConfig:
     heartbeat_interval_s: float = 0.5
     #: Stale-heartbeat window after which a live worker counts as wedged.
     heartbeat_grace_s: float = 30.0
-    #: Supervisor poll period.
+    #: Longest the supervisor blocks before re-checking deadlines and
+    #: heartbeats; a result or a worker death wakes it sooner.
     poll_interval_s: float = 0.02
     #: How long a graceful shutdown waits for in-flight tasks to finish
     #: before killing their workers.
@@ -307,8 +311,15 @@ class SupervisedPool:
 
     def close(self) -> None:
         """Reap every warm worker.  Idempotent."""
-        while self._idle:
-            self._release(self._idle.pop())
+        idle, self._idle = self._idle, []
+        # Sentinels first, joins after: the workers exit side by side.
+        for worker in idle:
+            try:
+                worker.conn.send(None)
+            except (OSError, ValueError):
+                pass
+        for worker in idle:
+            self._release(worker)
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -360,7 +371,10 @@ class SupervisedPool:
             self._release(worker, kill=True)
         return self._spawn(ctx)
 
-    def _dispatch(self, ctx, task: Any, now: float, fresh: bool) -> _Attempt:
+    def _dispatch(self, ctx, task: Any, fresh: bool) -> _Attempt:
+        # Stamped here, not at the top of the supervisor's pass: the spawn
+        # and send of the tasks dispatched before this one are not its time.
+        now = time.monotonic()
         worker = self._checkout(ctx, fresh)
         try:
             worker.conn.send((task,))
@@ -378,12 +392,8 @@ class SupervisedPool:
 
     @staticmethod
     def _release(worker: _Worker, kill: bool = False) -> None:
-        """Retire one worker: sentinel + join when healthy, kill otherwise."""
-        if not kill and worker.process.is_alive():
-            try:
-                worker.conn.send(None)
-            except (OSError, ValueError):
-                pass
+        """Retire one worker: join it (:meth:`close` sent its sentinel) or kill it."""
+        if not kill:
             worker.process.join(timeout=5.0)
         if worker.process.is_alive():
             worker.process.kill()
@@ -445,6 +455,22 @@ class SupervisedPool:
                 "(worker presumed wedged)",
             )
         return None
+
+    def _wait(self, running: Dict[int, _Attempt], pending: list, config: PoolConfig) -> None:
+        """Block until a result or a worker's death (its pipe, its sentinel)
+        or — with nothing in flight — a shutdown request, for at most
+        ``poll_interval_s``: the cadence of the deadline, timeout, heartbeat
+        and drain checks.  A backed-off retry with a free slot cuts it short."""
+        timeout = config.poll_interval_s
+        if pending and len(running) < config.max_workers and not self._shutdown.is_set():
+            timeout = min(timeout, max(0.0, min(pending)[0] - time.monotonic()))
+        workers = [attempt.worker for attempt in running.values()]
+        if workers:
+            multiprocessing.connection.wait(
+                [w.conn for w in workers] + [w.process.sentinel for w in workers], timeout
+            )
+        else:
+            self._shutdown.wait(timeout)
 
     # -- signal wiring ---------------------------------------------------------
 
@@ -591,8 +617,9 @@ class SupervisedPool:
                         pending.remove(entry)
                         _not_before, index, fresh = entry
                         report.tasks[index].attempts += 1
-                        first_dispatch.setdefault(index, now)
-                        running[index] = self._dispatch(ctx, tasks[index], now, fresh)
+                        attempt = self._dispatch(ctx, tasks[index], fresh)
+                        first_dispatch.setdefault(index, attempt.started)
+                        running[index] = attempt
 
                 progressed = False
                 for index in list(running):
@@ -623,7 +650,7 @@ class SupervisedPool:
                         # settled: cancel the rest and raise it.
                         break
                 if not progressed:
-                    time.sleep(config.poll_interval_s)
+                    self._wait(running, pending, config)
         finally:
             for attempt in running.values():
                 self._release(attempt.worker, kill=True)

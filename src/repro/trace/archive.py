@@ -418,6 +418,16 @@ class TraceShard:
                 shard.manifests.update(snapshot.manifests)
         return shard
 
+    def select(self, ranks: Sequence[int]) -> "TraceShard":
+        """The part of this snapshot that covers *ranks* (no bytes copied)."""
+
+        def part(held: Dict[int, Any]) -> Dict[int, Any]:
+            return {rank: held[rank] for rank in ranks if rank in held}
+
+        return TraceShard(
+            tuple(ranks), part(self.blobs), part(self.missing), part(self.manifests)
+        )
+
 
 class ArchiveWriter:
     """Writes one metahost's partial archive through its mount namespace.

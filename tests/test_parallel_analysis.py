@@ -34,6 +34,7 @@ from repro.errors import AnalysisError, PartialTraceWarning, ReproError
 from repro.experiments.configs import experiment1
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
 from repro.report import render_analysis
+from repro.report.serialize import result_to_dict
 from repro.resilience import ExecutionReport
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.presets import uniform_metacomputer
@@ -132,40 +133,92 @@ class TestResolveJobs:
             resolve_jobs(-2)
 
 
+def _one_metahost(sizes):
+    return dict.fromkeys(sizes, 0)
+
+
 class TestPlanShards:
     def test_contiguous_cover(self):
-        ranks = list(range(10))
-        machine_of = {r: 0 for r in ranks}
-        shards = plan_shards(ranks, machine_of, 3)
+        sizes = {rank: 100 + rank for rank in range(10)}
+        shards = plan_shards(sizes, _one_metahost(sizes), 3)
         assert 1 < len(shards) <= 3
         flat = [r for shard in shards for r in shard]
-        assert flat == ranks  # every rank exactly once, ascending
+        assert flat == list(range(10))  # every rank exactly once, ascending
 
     def test_single_job_single_shard(self):
-        shards = plan_shards([3, 1, 2], {1: 0, 2: 0, 3: 0}, 1)
-        assert shards == [(1, 2, 3)]
+        sizes = {3: 10, 1: 500, 2: 7}
+        assert plan_shards(sizes, _one_metahost(sizes), 1) == [(1, 2, 3)]
 
     def test_empty_world(self):
-        assert plan_shards([], {}, 4) == []
+        assert plan_shards({}, {}, 4) == []
 
     def test_more_jobs_than_ranks(self):
-        shards = plan_shards([0, 1, 2], {0: 0, 1: 0, 2: 1}, 8)
-        assert [r for shard in shards for r in shard] == [0, 1, 2]
-        assert all(shard for shard in shards)
+        shards = plan_shards({0: 5, 1: 5, 2: 5}, {0: 0, 1: 0, 2: 1}, 8)
+        assert shards == [(0,), (1,), (2,)]
 
-    def test_cut_snaps_to_machine_boundary(self):
-        # Machine boundary at rank 7, ideal midpoint cut at 5: the planner
-        # prefers the boundary so each shard reads one metahost's traces.
-        machine_of = {r: (0 if r < 7 else 1) for r in range(10)}
-        shards = plan_shards(list(range(10)), machine_of, 2)
-        assert shards == [tuple(range(7)), (7, 8, 9)]
+    def test_shard_count_must_be_positive(self):
+        with pytest.raises(AnalysisError):
+            plan_shards({0: 1}, {0: 0}, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+        first_rank=st.integers(0, 5),
+        jobs=st.integers(1, 12),
+        metahost_width=st.integers(1, 16),
+    )
+    def test_slices_cover_the_world_and_balance_its_bytes(
+        self, sizes, first_rank, jobs, metahost_width
+    ):
+        ranks = range(first_rank, first_rank + len(sizes))
+        size_of = dict(zip(ranks, sizes))
+        machine_of = {rank: rank // metahost_width for rank in ranks}
+        # Insertion order must not reach the plan.
+        shards = plan_shards(dict(reversed(size_of.items())), machine_of, jobs)
+        assert shards == plan_shards(size_of, machine_of, jobs)  # deterministic
+        assert 1 <= len(shards) <= jobs
+        assert all(shards)  # non-empty
+        # Contiguous, ascending, every rank exactly once.
+        assert [rank for shard in shards for rank in shard] == list(ranks)
+        heaviest = max(sum(size_of[rank] for rank in shard) for shard in shards)
+        assert heaviest <= sum(sizes) / jobs + max(sizes)
+
+    def test_benchmark_shape_cuts_inside_the_heavy_half(self):
+        """``replay_jobs2_64``: ranks 0-31 hold 1.5 KB of trace each, ranks
+        32-63 hold 90 KB each and sit on another metahost.  Half the ranks
+        is 1.6 % of the bytes; half the bytes is a cut inside the heavy half."""
+        sizes = {rank: 1_500 if rank < 32 else 90_000 for rank in range(64)}
+        machine_of = {rank: rank // 32 for rank in range(64)}
+        low, high = plan_shards(sizes, machine_of, 2)
+        assert low[0] == 0 and 32 < high[0] < 63 and high[-1] == 63
+        half = sum(sizes.values()) / 2
+        for shard in (low, high):
+            assert abs(sum(sizes[rank] for rank in shard) - half) <= 0.10 * half
+
+    def test_metahost_boundary_wins_only_among_equally_near_cuts(self):
+        # Ranks 2-4 are empty, so cutting before rank 3, 4 or 5 splits the
+        # bytes equally well; the metahost boundary at rank 4 breaks the tie.
+        sizes = {0: 10, 1: 10, 2: 10, 3: 0, 4: 0, 5: 10, 6: 10, 7: 10}
+        machine_of = {rank: rank // 4 for rank in sizes}
+        assert plan_shards(sizes, machine_of, 2) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+        # A boundary that is merely *nearby* does not move the cut: the old
+        # planner cut this world at rank 7 (0-6 | 7-9); bytes say 0-4 | 5-9.
+        sizes = dict.fromkeys(range(10), 100)
+        machine_of = {rank: 0 if rank < 7 else 1 for rank in sizes}
+        assert plan_shards(sizes, machine_of, 2) == [tuple(range(5)), tuple(range(5, 10))]
+
+    def test_ranks_without_a_trace_are_still_assigned(self):
+        """A missing or empty trace weighs nothing but belongs to a shard:
+        admission (strict error, degraded exclusion) happens in the shard."""
+        for sizes in ({0: 0, 1: 400, 2: 0, 3: 0, 4: 400, 5: 0}, dict.fromkeys(range(6), 0)):
+            shards = plan_shards(sizes, _one_metahost(sizes), 2)
+            assert len(shards) == 2
+            assert [rank for shard in shards for rank in shard] == list(range(6))
 
     def test_deterministic(self):
-        ranks = list(range(32))
-        machine_of = {r: r // 11 for r in ranks}
-        assert plan_shards(ranks, machine_of, 4) == plan_shards(
-            ranks, machine_of, 4
-        )
+        sizes = {rank: (rank * 7919) % 1000 for rank in range(32)}
+        machine_of = {rank: rank // 11 for rank in sizes}
+        assert plan_shards(sizes, machine_of, 4) == plan_shards(sizes, machine_of, 4)
 
 
 class TestStrictEquivalence:
@@ -246,6 +299,48 @@ class TestStrictEquivalence:
         assert str(caught.value) == (
             "rank 4: RECV from 3 (tag 3, comm 0) has no matching SEND"
         )
+
+
+def _skewed_app(ctx):
+    """A ring in which ranks 5-7 write some twenty times the trace of ranks
+    0-4, through call paths the light ranks never enter."""
+    succ = (ctx.rank + 1) % ctx.size
+    pred = (ctx.rank - 1) % ctx.size
+    with ctx.region("main"):
+        for _ in range(3):
+            if ctx.rank >= 5:
+                for _ in range(40):
+                    with ctx.region("solver"):
+                        with ctx.region(f"kernel_{ctx.rank % 2}"):
+                            yield ctx.compute(1e-5)
+            with ctx.region("ring"):
+                yield ctx.comm.sendrecv(
+                    dest=succ, send_size=512, send_tag=3, source=pred, recv_tag=3
+                )
+    yield ctx.comm.barrier()
+
+
+class TestByteBalancedCutNeverShows:
+    @pytest.fixture(scope="class")
+    def skewed_run(self):
+        mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
+        return run_app(mc, 8, _skewed_app, seed=9)
+
+    def test_the_plan_follows_the_bytes(self, skewed_run):
+        ranks = sorted(skewed_run.definitions.locations)
+        sizes = {rank: len(blob) for rank, blob in skewed_run.trace_shard(ranks).blobs.items()}
+        assert min(sizes[rank] for rank in (5, 6, 7)) > 10 * max(sizes[rank] for rank in range(5))
+        machine_of = {rank: skewed_run.definitions.machine_of(rank) for rank in ranks}
+        # Half the ranks (and the metahost boundary) is rank 4; half the
+        # bytes lies among the three heavy ranks.
+        _low, high = plan_shards(sizes, machine_of, 2)
+        assert high[0] > 5
+
+    @pytest.mark.parametrize("jobs", [2, 3, 5])
+    def test_result_equals_serial(self, skewed_run, jobs):
+        sharded = analyze(skewed_run, AnalysisRequest(jobs=jobs))
+        assert sharded.execution.clean and len(sharded.execution.tasks) > 1
+        assert result_to_dict(sharded) == result_to_dict(analyze(skewed_run))
 
 
 @pytest.mark.slow

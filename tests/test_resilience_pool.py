@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import AnalysisRequest, analyze
 from repro.apps.imbalance import make_imbalance_app
+from repro.errors import PoolShutdown
 from repro.faults import FaultPlan, TraceCorruption
 from repro.resilience import ExecutionReport, PoolConfig, SupervisedPool
 from repro.topology.presets import uniform_metacomputer
@@ -82,6 +84,23 @@ def _sigstop_first(marker_dir, task):
         return
     os.close(fd)
     os.kill(os.getpid(), signal.SIGSTOP)
+
+
+class _SlowToSend:
+    """A task whose pickling — the parent's blocking ``send`` — takes 0.15 s."""
+
+    def __reduce__(self):
+        time.sleep(0.15)
+        return (_SlowToSend, ())
+
+
+def _zero(task):
+    return 0
+
+
+def _square_shortly(x):
+    time.sleep(0.05)  # not done yet when the dispatching pass polls it
+    return x * x
 
 
 def _fast_config(**overrides) -> PoolConfig:
@@ -210,6 +229,74 @@ class TestHangRecovery:
         assert results == [25]
         assert elapsed < 30.0
         assert any("heartbeat" in f for f in report.tasks[0].failures)
+
+
+class TestSupervisorWaitsOnItsWorkers:
+    """``poll_interval_s`` only bounds how late a deadline or heartbeat check
+    can run.  With it at five seconds, anything below that is an event having
+    woken the supervisor: a result, a worker's death, a shutdown request."""
+
+    def test_results_are_seen_when_they_arrive(self):
+        pool = SupervisedPool(_square_shortly, _fast_config(poll_interval_s=5.0))
+        began = time.monotonic()
+        results, report = pool.run([1, 2, 3, 4, 5, 6])
+        assert time.monotonic() - began < 1.0
+        assert results == [1, 4, 9, 16, 25, 36]
+        assert report.clean
+
+    def test_worker_death_is_seen_and_retried_at_once(self, tmp_path):
+        hook = functools.partial(_kill_once, str(tmp_path))
+        pool = SupervisedPool(
+            _square, _fast_config(poll_interval_s=5.0, chaos_hook=hook)
+        )
+        began = time.monotonic()
+        results, report = pool.run([2, 3])
+        assert time.monotonic() - began < 1.0
+        assert results == [4, 9]
+        assert [task.attempts for task in report.tasks] == [2, 2]
+        assert all("signal 9" in task.failures[0] for task in report.tasks)
+
+    def test_shutdown_during_retry_backoff_is_honoured_at_once(self, tmp_path):
+        # The only task's worker shoots itself; the retry is 30 s away, so
+        # nothing is in flight and the supervisor waits on the shutdown event.
+        hook = functools.partial(_kill_once, str(tmp_path))
+        pool = SupervisedPool(
+            _square,
+            _fast_config(
+                max_workers=1,
+                poll_interval_s=5.0,
+                backoff_base_s=30.0,
+                handle_signals=False,
+                chaos_hook=hook,
+            ),
+        )
+        requested = []
+
+        def stop_once_backing_off():
+            while not os.path.exists(tmp_path / "killed-7"):
+                time.sleep(0.01)
+            time.sleep(0.2)  # the death has been noticed; the backoff runs
+            requested.append(time.monotonic())
+            pool.request_shutdown("stop during backoff")
+
+        stopper = threading.Thread(target=stop_once_backing_off, daemon=True)
+        stopper.start()
+        with pytest.raises(PoolShutdown) as excinfo:
+            pool.run([7])
+        raised = time.monotonic()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+        assert raised - requested[0] < 1.0
+        assert excinfo.value.results == {}
+        assert excinfo.value.report.tasks[0].attempts == 1
+
+    def test_a_task_is_not_charged_its_predecessors_dispatch(self):
+        """Each dispatch blocks the supervisor for 0.15 s (the send); task 2
+        is dispatched third, and its clock starts with its own send."""
+        pool = SupervisedPool(_zero, _fast_config(max_workers=3))
+        _results, report = pool.run([_SlowToSend(), _SlowToSend(), _SlowToSend()])
+        assert report.clean
+        assert 0.15 <= report.tasks[2].wall_time_s < 0.40
 
 
 # -- recovery inside the parallel analyzer ------------------------------------
