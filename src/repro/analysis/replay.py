@@ -1,6 +1,10 @@
-"""The parallel replay analyzer.
+"""The buffered reference replay analyzer, and the result types of every replay.
 
-Mirrors SCALASCA's metacomputing-enabled analysis (paper Section 4):
+:class:`ReplayAnalyzer` builds each rank's operations as objects and
+matches them object-wise; it is the oracle the tests and the benchmark
+hold the columnar engine to.  :func:`analyze_run` does not use it — it
+runs :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`.  Both
+mirror SCALASCA's metacomputing-enabled analysis (paper Section 4):
 
 * every rank's trace is read **through the mount namespace of its own
   metahost** — the analyzer never copies a trace file across machines;

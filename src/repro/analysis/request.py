@@ -16,6 +16,7 @@ exactly like the empty config that pre-request job specs produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
@@ -76,22 +77,18 @@ class AnalysisRequest:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.jobs is not None and self.jobs < 0:
-            raise AnalysisError(f"jobs must be >= 0 or None, got {self.jobs}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise AnalysisError(f"timeout must be positive, got {self.timeout}")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise AnalysisError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not self.window_s > 0:
-            raise AnalysisError(f"window_s must be positive, got {self.window_s}")
-        if not self.stride_s > 0:
-            raise AnalysisError(f"stride_s must be positive, got {self.stride_s}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise AnalysisError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        for name in ("jobs", "max_retries"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 0):
+                raise AnalysisError(f"{name} must be an integer >= 0 or None, got {value!r}")
+        for name in ("timeout", "deadline_s"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN fails too
+                raise AnalysisError(f"{name} must be positive, got {value!r}")
+        for name in ("window_s", "stride_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise AnalysisError(f"{name} must be positive and finite, got {value!r}")
 
     def to_config(self) -> Dict[str, Any]:
         """Canonical plain-dict form with every default omitted.

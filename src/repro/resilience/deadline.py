@@ -37,7 +37,7 @@ class Deadline:
     __slots__ = ("budget_s", "_expires_at", "_cancel_reason")
 
     def __init__(self, budget_s: Optional[float] = None) -> None:
-        if budget_s is not None and budget_s <= 0:
+        if budget_s is not None and not budget_s > 0:  # NaN fails too
             raise ValueError(f"deadline budget must be positive, got {budget_s!r}")
         self.budget_s = budget_s
         self._expires_at = (

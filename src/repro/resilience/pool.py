@@ -85,9 +85,8 @@ class PoolConfig:
     timeout_s: float = 300.0
     #: Re-dispatches allowed after an infrastructure failure, per task.
     max_retries: int = 2
-    #: First retry backoff; doubles (``backoff_factor``) per further retry.
+    #: First retry backoff; doubles per further retry.
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     #: Worker heartbeat period.
     heartbeat_interval_s: float = 0.5
     #: Stale-heartbeat window after which a live worker counts as wedged.
@@ -102,9 +101,6 @@ class PoolConfig:
     #: interrupted parent drains and reaps its workers instead of
     #: orphaning them.  Runs on non-main threads never install handlers.
     handle_signals: bool = True
-    #: Multiprocessing start method (``"fork"``/``"spawn"``/...);
-    #: ``None`` uses the platform default.
-    mp_context: Optional[str] = None
     #: Test-only fault hook, run inside the worker before the task function
     #: (chaos harnesses use it to SIGKILL/SIGSTOP/stall the worker).
     chaos_hook: Optional[Callable[[Any], None]] = None
@@ -335,11 +331,6 @@ class SupervisedPool:
 
     # -- worker lifecycle ------------------------------------------------------
 
-    def _context(self):
-        if self.config.mp_context:
-            return multiprocessing.get_context(self.config.mp_context)
-        return multiprocessing.get_context()
-
     def _spawn(self, ctx) -> _Worker:
         parent_conn, child_conn = ctx.Pipe()
         beat = ctx.Value("Q", 0)
@@ -551,7 +542,7 @@ class SupervisedPool:
         if not tasks:
             return [], report
 
-        ctx = self._context()
+        ctx = multiprocessing.get_context()
         results: Dict[int, Any] = {}
         errors: Dict[int, BaseException] = {}
         first_dispatch: Dict[int, float] = {}
@@ -582,9 +573,7 @@ class SupervisedPool:
             record = report.tasks[index]
             record.failures.append(reason)
             if record.retries < config.max_retries:
-                delay = config.backoff_base_s * (
-                    config.backoff_factor ** (record.attempts - 1)
-                )
+                delay = config.backoff_base_s * 2 ** (record.attempts - 1)
                 pending.append((time.monotonic() + delay, index, True))
             else:
                 run_fallback(index)

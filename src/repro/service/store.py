@@ -89,8 +89,8 @@ _CONFIG_SCHEMA: Dict[str, Dict[str, Any]] = {
         **_REQUEST_SCHEMA,
         "coupling_intervals": ("positive integer", lambda v: _is_int(v) and v >= 1),
         "timeline": ("boolean", lambda v: isinstance(v, bool)),
-        "window_s": ("positive number", lambda v: _is_number(v) and v > 0),
-        "stride_s": ("positive number", lambda v: _is_number(v) and v > 0),
+        "window_s": ("positive number", lambda v: _is_number(v) and 0 < v < float("inf")),
+        "stride_s": ("positive number", lambda v: _is_number(v) and 0 < v < float("inf")),
         "bounded": ("boolean", lambda v: isinstance(v, bool)),
     },
     "simulate": {

@@ -19,6 +19,7 @@ import pytest
 
 from repro.chaos import run_chaos, run_episode, schedule_for_seed
 from repro.cli import _parse_seeds
+from repro.errors import PartialTraceWarning
 from repro.faults.plan import TraceCorruption
 from repro.resilience import CheckpointJournal
 
@@ -96,9 +97,10 @@ class TestEpisodes:
         assert episode.complete_ranks == episode.total_ranks
 
     def test_degrading_episode_loses_completeness_honestly(self, tmp_path):
-        episode = run_episode(
-            schedule_for_seed(2), jobs=2, workdir=str(tmp_path)
-        )
+        with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
+            episode = run_episode(
+                schedule_for_seed(2), jobs=2, workdir=str(tmp_path)
+            )
         assert not episode.violations, episode.violations
         # Corrupted traces: diverged from the clean baseline, and the
         # damage shows up as lost per-rank completeness.

@@ -38,9 +38,16 @@ class TestCli:
         assert "A-B=" in capsys.readouterr().out
 
     def test_figure4(self, capsys):
-        assert main(["figure4"]) == 0
-        out = capsys.readouterr().out
-        assert "Late Sender" in out and "Wait at NxN" in out
+        for flags in ([], ["--seed", "3", "--jobs", "2"]):
+            assert main(["figure4", *flags]) == 0
+            out = capsys.readouterr().out
+            assert "Late Sender" in out and "Wait at NxN" in out
+
+    def test_nan_timeout_is_an_error_exit(self, capsys):
+        assert main(["analyze", "figure6", "--timeout", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: timeout must be positive, got nan")
 
     @pytest.mark.slow
     def test_figure6_output(self, capsys):

@@ -34,6 +34,12 @@ class TestDeadlineObject:
         with pytest.raises(ValueError, match="positive"):
             Deadline(-1.5)
 
+    def test_nan_budget_rejected(self):
+        # NaN compares false both ways: it would read as expired() with no
+        # reason(), and the pool would clamp every shard attempt to 1 ms.
+        with pytest.raises(ValueError, match="positive"):
+            Deadline(float("nan"))
+
     def test_budget_counts_down(self):
         deadline = Deadline(60.0)
         remaining = deadline.remaining()

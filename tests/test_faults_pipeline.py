@@ -177,3 +177,32 @@ class TestFaultExperiment:
         assert "CommunicationTimeoutError" in report.runs[-1].error
         text = report.text()
         assert "retransmits" in text and "ABORTED" in text
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recoverable_rungs_complete_with_wait_states(self, seed):
+        """Lossy links, degraded links plus flaky storage, and severe trace
+        damage: each is survived, counted, and still shows wait states."""
+        from repro.experiments.faults import escalating_fault_plans, run_fault_experiment
+
+        plans = escalating_fault_plans(seed)[1:4]
+        report = run_fault_experiment(seed=seed, plans=plans, coupling_intervals=1)
+        for run in report.runs:
+            assert run.completed, f"plan '{run.plan.name}' aborted: {run.error}"
+            assert run.counters is not None and run.counters.total > 0
+            assert run.patterns, f"plan '{run.plan.name}' detected no wait states"
+
+    def test_sharded_ladder_report_equals_in_process(self):
+        """The recoverable rungs with the local phase on two workers print
+        the same report as in-process — strict and degraded replay alike."""
+        from repro.experiments.faults import escalating_fault_plans, run_fault_experiment
+
+        plans = escalating_fault_plans(1)[1:4]
+        reports = {
+            jobs: run_fault_experiment(
+                seed=1, plans=plans, coupling_intervals=1,
+                request=AnalysisRequest(jobs=jobs),
+            )
+            for jobs in (1, 2)
+        }
+        assert all(run.completed and run.patterns for run in reports[2].runs)
+        assert reports[2].text() == reports[1].text()

@@ -18,9 +18,9 @@ import time
 import pytest
 
 from repro.analysis.streaming import StreamingReplayAnalyzer
-from repro.api import AnalysisRequest, analyze
+from repro.api import AnalysisRequest, analyze, verify_archives
 from repro.apps.imbalance import make_imbalance_app
-from repro.errors import PoolShutdown
+from repro.errors import PartialTraceWarning, PoolShutdown
 from repro.faults import FaultPlan, TraceCorruption
 from repro.resilience import ExecutionReport, PoolConfig, SupervisedPool
 from repro.topology.presets import uniform_metacomputer
@@ -346,7 +346,9 @@ class TestAnalyzerChaos:
             specs=(TraceCorruption(rank=3, at_fraction=0.5, length=8),),
         )
         run = _small_run(fault_plan=plan, seed=3)
-        serial = analyze(run, AnalysisRequest(degraded=True))
+        assert not verify_archives(run).ok, "injected corruption went undetected"
+        with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
+            serial = analyze(run, AnalysisRequest(degraded=True))
         analyzer = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             degraded=True,
@@ -356,7 +358,8 @@ class TestAnalyzerChaos:
                 chaos_hook=functools.partial(_kill_first, str(tmp_path)),
             ),
         )
-        recovered = analyzer.analyze()
+        with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
+            recovered = analyzer.analyze()
         assert_identical(serial, recovered)
         assert recovered.execution is not None
         assert not recovered.execution.clean
@@ -373,7 +376,8 @@ class TestAnalyzerChaos:
             specs=(TraceCorruption(rank=3, at_fraction=0.5, length=8),),
         )
         run = _small_run(fault_plan=plan, seed=3)
-        serial = analyze(run, AnalysisRequest(degraded=True))
+        with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
+            serial = analyze(run, AnalysisRequest(degraded=True))
         analyzer = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             degraded=True,
@@ -387,7 +391,8 @@ class TestAnalyzerChaos:
             ),
         )
         began = time.monotonic()
-        recovered = analyzer.analyze()
+        with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
+            recovered = analyzer.analyze()
         assert time.monotonic() - began < 60.0
         assert_identical(serial, recovered)
         assert recovered.execution is not None

@@ -229,6 +229,13 @@ class TestSameJobSameKey:
         with pytest.raises(JobValidationError, match="positive number"):
             canonical_spec({**self.BASE, "config": {"deadline_s": 10**400}})
 
+    @pytest.mark.parametrize("key", ["window_s", "stride_s"])
+    def test_infinite_timeline_width_is_rejected(self, key):
+        # JSON admits ``Infinity``; no timeline can bin with it.
+        config = json.loads(f'{{"{key}": Infinity}}')
+        with pytest.raises(JobValidationError, match=f"'{key}' must be a positive number"):
+            canonical_spec({**self.BASE, "config": config})
+
     def test_service_dedupes_explicit_defaults_and_integer_widths(
         self, tmp_path, monkeypatch
     ):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -385,7 +386,9 @@ class TestBoundedMemory:
     def test_rss_flat_across_10x_trace(self):
         """The acceptance criterion: peak RSS of a bounded analyze on a
         10× longer trace stays within 2× of the short-trace baseline.
-        Measured ratio is ~1.01; 2.0 is the contract."""
+        Measured ratio is ~1.01; 2.0 is the contract.  The long run must
+        also fit an absolute 256 MiB (measured 55–65 MiB): headroom for
+        allocator and interpreter drift, not for an O(trace) regression."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -403,6 +406,10 @@ class TestBoundedMemory:
         assert long <= 2.0 * short, (
             f"10x trace RSS {long} KiB exceeds 2x short-trace baseline "
             f"{short} KiB"
+        )
+        budget_kib = 256 * 1024
+        assert long < budget_kib, (
+            f"bounded analyze peaked at {long} KiB, over the {budget_kib} KiB budget"
         )
 
 
@@ -581,6 +588,28 @@ class TestAnalysisRequest:
             AnalysisRequest(window_s=0.0)
         with pytest.raises(AnalysisError, match="stride_s"):
             AnalysisRequest(stride_s=-0.1)
+
+    @pytest.mark.parametrize("value", [1.5, True, False, "2"])
+    def test_non_integer_jobs_rejected(self, value):
+        # Refused here, or plan_shards dies on it with a raw TypeError.
+        with pytest.raises(AnalysisError, match="jobs must be an integer"):
+            AnalysisRequest(jobs=value)
+
+    @pytest.mark.parametrize("value", [1.5, True, False])
+    def test_non_integer_max_retries_rejected(self, value):
+        with pytest.raises(AnalysisError, match="max_retries must be an integer"):
+            AnalysisRequest(max_retries=value)
+
+    @pytest.mark.parametrize("name", ["timeout", "deadline_s", "window_s", "stride_s"])
+    def test_nan_durations_rejected(self, name):
+        with pytest.raises(AnalysisError, match=name):
+            AnalysisRequest(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["window_s", "stride_s"])
+    def test_infinite_timeline_widths_rejected(self, name):
+        # The timeline cannot bin with them: inf * 0 is NaN.
+        with pytest.raises(AnalysisError, match=f"{name} must be positive and finite"):
+            AnalysisRequest(timeline=True, **{name: math.inf})
 
     def test_frozen(self):
         request = AnalysisRequest()
