@@ -274,13 +274,15 @@ def _run_figure4(seed: int, request: AnalysisRequest, journal, **lent) -> str:
 
 
 def _run_metatrace(
-    figure: int, seed: int, request: AnalysisRequest, journal, **lent
+    name: str, seed: int, request: AnalysisRequest, journal, **lent
 ) -> str:
     from repro.experiments.figures import (
+        METATRACE_FIGURES,
         metatrace_report_text,
         run_metatrace_experiment,
     )
 
+    figure = METATRACE_FIGURES[name]
     return metatrace_report_text(
         run_metatrace_experiment(figure=figure, seed=seed, request=request, **lent)
     )
@@ -303,8 +305,8 @@ EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "figure1": _run_figure1,
     "figure3": _run_figure3,
     "figure4": _run_figure4,
-    "figure6": partial(_run_metatrace, 1),
-    "figure7": partial(_run_metatrace, 2),
+    "figure6": partial(_run_metatrace, "figure6"),
+    "figure7": partial(_run_metatrace, "figure7"),
     "faults": _run_faults,
 }
 

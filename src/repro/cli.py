@@ -393,12 +393,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("error: --metric requires --timeline", file=sys.stderr)
         return 2
     from repro.experiments.figures import (
+        METATRACE_FIGURES,
         metatrace_report_text,
         run_metatrace_experiment,
     )
     from repro.report.timeline import render_severity_timeline
 
-    figures = {"figure6": 1, "figure7": 2}
     seed = args.seed if args.seed is not None else DEFAULT_SEEDS[args.experiment]
     request = _request(
         args,
@@ -408,7 +408,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bounded=args.bounded,
     )
     outcome = run_metatrace_experiment(
-        figure=figures[args.experiment], seed=seed, request=request
+        figure=METATRACE_FIGURES[args.experiment], seed=seed, request=request
     )
     print(f"==== {args.experiment} (seed {seed}) ====")
     print(metatrace_report_text(outcome))

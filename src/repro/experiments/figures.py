@@ -219,6 +219,10 @@ class MetaTraceOutcome:
         }
 
 
+#: Experiment name → the ``figure=`` of :func:`run_metatrace_experiment`.
+METATRACE_FIGURES: Dict[str, int] = {"figure6": 1, "figure7": 2}
+
+
 def run_metatrace_experiment(
     *,
     figure: Optional[int] = None,

@@ -25,9 +25,6 @@ __all__ = ["execute_job"]
 
 Progress = Callable[[str], None]
 
-#: ``analyze`` experiment name → MetaTrace figure number.
-_FIGURES = {"figure6": 1, "figure7": 2}
-
 
 def execute_job(
     spec: Mapping[str, Any],
@@ -116,6 +113,7 @@ def _analyze_job(
     be compared byte-for-byte against a direct library call.
     """
     from repro.experiments.figures import (
+        METATRACE_FIGURES,
         metatrace_report_text,
         run_metatrace_experiment,
     )
@@ -125,7 +123,7 @@ def _analyze_job(
     experiment = spec["experiment"]
     notify(f"simulating and replaying {experiment}")
     outcome = run_metatrace_experiment(
-        figure=_FIGURES[experiment],
+        figure=METATRACE_FIGURES[experiment],
         seed=spec["seed"],
         coupling_intervals=config.get("coupling_intervals"),
         request=_request(spec),

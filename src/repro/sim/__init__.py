@@ -10,7 +10,7 @@ semantics (blocking receives, rendezvous sends, collective synchronization).
 """
 
 from repro.sim.engine import Engine
-from repro.sim.process import SimProcess, ProcessState
+from repro.sim.process import SimProcess
 from repro.sim.transfer import SimParams
 from repro.sim.mpi import (
     World,
@@ -24,7 +24,6 @@ from repro.sim.runtime import MetaMPIRuntime, RunResult
 __all__ = [
     "Engine",
     "SimProcess",
-    "ProcessState",
     "SimParams",
     "World",
     "Communicator",

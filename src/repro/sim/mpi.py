@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count
 from math import ceil, log2
+from operator import index
 from sys import intern
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.errors import DeadlockError, MPIUsageError, ReproError, SimulationErr
 from repro.ids import ANY_SOURCE, ANY_TAG, Location, node_of
 from repro.sim import collectives as coll
 from repro.sim.engine import Engine
-from repro.sim.process import AppGenerator, ProcessState, SimProcess
+from repro.sim.process import AppGenerator, SimProcess
 from repro.sim.transfer import ChannelClock, SimParams
 from repro.topology.metacomputer import Metacomputer, Placement, ProcessSlot
 from repro.topology.network import ExponentialJitterStream, LatencyModel
@@ -40,17 +41,18 @@ from repro.topology.network import ExponentialJitterStream, LatencyModel
 # --------------------------------------------------------------------------
 # Requests yielded by application generators
 # --------------------------------------------------------------------------
+# ``NamedTuple``s, for the reason ``trace/events.py`` gives for its records:
+# one is built per simulated call, and a frozen dataclass pays one
+# ``object.__setattr__`` per field.
 
 
-@dataclass(frozen=True, slots=True)
-class ComputeReq:
+class ComputeReq(NamedTuple):
     """Busy CPU time in *wall* seconds (already speed-scaled)."""
 
     seconds: float
 
 
-@dataclass(frozen=True, slots=True)
-class SendReq:
+class SendReq(NamedTuple):
     comm_id: int
     dest: int  # comm rank
     size: int
@@ -61,15 +63,13 @@ class SendReq:
     synchronous: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class RecvReq:
+class RecvReq(NamedTuple):
     comm_id: int
     source: int  # comm rank or ANY_SOURCE
     tag: int
 
 
-@dataclass(frozen=True, slots=True)
-class IsendReq:
+class IsendReq(NamedTuple):
     comm_id: int
     dest: int
     size: int
@@ -77,25 +77,21 @@ class IsendReq:
     data: Any = None
 
 
-@dataclass(frozen=True, slots=True)
-class IrecvReq:
+class IrecvReq(NamedTuple):
     comm_id: int
     source: int
     tag: int
 
 
-@dataclass(frozen=True, slots=True)
-class WaitReq:
+class WaitReq(NamedTuple):
     handle: "RequestHandle"
 
 
-@dataclass(frozen=True, slots=True)
-class WaitallReq:
+class WaitallReq(NamedTuple):
     handles: Tuple["RequestHandle", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SendrecvReq:
+class SendrecvReq(NamedTuple):
     comm_id: int
     dest: int
     send_size: int
@@ -105,8 +101,7 @@ class SendrecvReq:
     data: Any = None
 
 
-@dataclass(frozen=True, slots=True)
-class CollectiveReq:
+class CollectiveReq(NamedTuple):
     comm_id: int
     op: str
     size: int
@@ -114,16 +109,14 @@ class CollectiveReq:
     data: Any = None
 
 
-@dataclass(frozen=True, slots=True)
-class OmpParallelReq:
+class OmpParallelReq(NamedTuple):
     """A fork-join parallel region: per-thread reference work amounts."""
 
     work_seconds: Tuple[float, ...]
     region: str
 
 
-@dataclass(frozen=True, slots=True)
-class SplitReq:
+class SplitReq(NamedTuple):
     """MPI_Comm_split: collective creation of sub-communicators."""
 
     comm_id: int
@@ -131,7 +124,7 @@ class SplitReq:
     key: int
 
 
-Request = Any  # union of the dataclasses above
+Request = Any  # union of the request tuples above
 
 
 # --------------------------------------------------------------------------
@@ -206,13 +199,10 @@ class CommunicatorData:
         self.id = comm_id
         self.name = name
         self.global_ranks: Tuple[int, ...] = tuple(global_ranks)
+        self.size = len(self.global_ranks)
         self._comm_rank_of: Dict[int, int] = {
             g: i for i, g in enumerate(self.global_ranks)
         }
-
-    @property
-    def size(self) -> int:
-        return len(self.global_ranks)
 
     def comm_rank(self, global_rank: int) -> int:
         try:
@@ -223,7 +213,7 @@ class CommunicatorData:
             ) from None
 
     def global_rank(self, comm_rank: int) -> int:
-        if not 0 <= comm_rank < len(self.global_ranks):
+        if not 0 <= comm_rank < self.size:
             raise MPIUsageError(
                 f"comm rank {comm_rank} out of range for {self.name!r} "
                 f"(size {self.size})"
@@ -234,6 +224,79 @@ class CommunicatorData:
         return global_rank in self._comm_rank_of
 
 
+#: Exclusive upper bounds of a message size and tag: the SEND and RECV trace
+#: records store them as u64 and i32, and MPI tags are non-negative.
+_SIZE_END = 2**64
+_TAG_END = 2**31
+
+
+def _checked(value: Any, what: str, end: int, wildcard: Optional[int] = None) -> int:
+    """A builder's slow path: *value* as an ``int`` in ``[0, end)`` or equal
+    to *wildcard*, else :class:`MPIUsageError` naming the argument *what*.
+    Numpy integers pass; floats and bools do not, even when integral."""
+    try:
+        number = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise MPIUsageError(f"{what} must be an integer, got {value!r}")
+    if not (0 <= number < end or number == wildcard):
+        bound = f"2**{end.bit_length() - 1}" if end >= 2**31 else end
+        allowed = "" if wildcard is None else f" or {wildcard} (the wildcard)"
+        raise MPIUsageError(f"{what} must be in [0, {bound}){allowed}, got {number}")
+    return number
+
+
+# Builders that differ only in what they build, each checking and building in
+# one frame: a plain in-range ``int`` passes on ``type(x) is int`` and one
+# chained comparison, the rest goes through :func:`_checked`.  ``ANY_SOURCE``
+# and ``ANY_TAG`` are -1, so a receive's range starts at its wildcard.
+
+
+def _sender(request: Callable[..., Any]) -> Callable[..., Any]:
+    def build(self: Communicator, dest: int, size: int, tag: int = 0, data: Any = None):
+        if type(dest) is not int or not 0 <= dest < self.size:
+            dest = _checked(dest, "dest", self.size)
+        if type(size) is not int or not 0 <= size < _SIZE_END:
+            size = _checked(size, "size", _SIZE_END)
+        if type(tag) is not int or not 0 <= tag < _TAG_END:
+            tag = _checked(tag, "tag", _TAG_END)
+        return request(self.id, dest, size, tag, data)
+
+    return build
+
+
+def _receiver(request: Callable[..., Any]) -> Callable[..., Any]:
+    def build(self: Communicator, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        if type(source) is not int or not ANY_SOURCE <= source < self.size:
+            source = _checked(source, "source", self.size, ANY_SOURCE)
+        if type(tag) is not int or not ANY_TAG <= tag < _TAG_END:
+            tag = _checked(tag, "tag", _TAG_END, ANY_TAG)
+        return request(self.id, source, tag)
+
+    return build
+
+
+def _rooted(op: str) -> Callable[..., CollectiveReq]:
+    def build(self: Communicator, size: int, root: int = 0, data: Any = None):
+        if type(size) is not int or not 0 <= size < _SIZE_END:
+            size = _checked(size, "size", _SIZE_END)
+        if type(root) is not int or not 0 <= root < self.size:
+            root = _checked(root, "root", self.size)
+        return CollectiveReq(self.id, op, size, root, data)
+
+    return build
+
+
+def _unrooted(op: str) -> Callable[..., CollectiveReq]:
+    def build(self: Communicator, size: int, data: Any = None):
+        if type(size) is not int or not 0 <= size < _SIZE_END:
+            size = _checked(size, "size", _SIZE_END)
+        return CollectiveReq(self.id, op, size, 0, data)
+
+    return build
+
+
 class Communicator:
     """A communicator bound to one calling process (mpi4py-style surface)."""
 
@@ -241,10 +304,8 @@ class Communicator:
         self.data = data
         self.my_global_rank = my_global_rank
         self.rank = data.comm_rank(my_global_rank)
-
-    @property
-    def size(self) -> int:
-        return self.data.size
+        self.id = data.id
+        self.size = data.size
 
     @property
     def name(self) -> str:
@@ -252,30 +313,14 @@ class Communicator:
 
     # -- point-to-point request builders ------------------------------------
 
-    def send(self, dest: int, size: int, tag: int = 0, data: Any = None) -> SendReq:
-        self._check_rank(dest)
-        return SendReq(self.data.id, dest, self._check_size(size), tag, data)
+    send = _sender(SendReq)
+    isend = _sender(IsendReq)
+    recv = _receiver(RecvReq)
+    irecv = _receiver(IrecvReq)
 
     def ssend(self, dest: int, size: int, tag: int = 0, data: Any = None) -> SendReq:
         """Synchronous send: rendezvous regardless of size (MPI_Ssend)."""
-        self._check_rank(dest)
-        return SendReq(
-            self.data.id, dest, self._check_size(size), tag, data, synchronous=True
-        )
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvReq:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        return RecvReq(self.data.id, source, tag)
-
-    def isend(self, dest: int, size: int, tag: int = 0, data: Any = None) -> IsendReq:
-        self._check_rank(dest)
-        return IsendReq(self.data.id, dest, self._check_size(size), tag, data)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> IrecvReq:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        return IrecvReq(self.data.id, source, tag)
+        return self.send(dest, size, tag, data)._replace(synchronous=True)
 
     @staticmethod
     def wait(handle: RequestHandle) -> WaitReq:
@@ -294,46 +339,31 @@ class Communicator:
         recv_tag: int = ANY_TAG,
         data: Any = None,
     ) -> SendrecvReq:
-        self._check_rank(dest)
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        return SendrecvReq(
-            self.data.id, dest, self._check_size(send_size), send_tag, source, recv_tag, data
-        )
+        if type(dest) is not int or not 0 <= dest < self.size:
+            dest = _checked(dest, "dest", self.size)
+        if type(send_size) is not int or not 0 <= send_size < _SIZE_END:
+            send_size = _checked(send_size, "send_size", _SIZE_END)
+        if type(send_tag) is not int or not 0 <= send_tag < _TAG_END:
+            send_tag = _checked(send_tag, "send_tag", _TAG_END)
+        if type(source) is not int or not ANY_SOURCE <= source < self.size:
+            source = _checked(source, "source", self.size, ANY_SOURCE)
+        if type(recv_tag) is not int or not ANY_TAG <= recv_tag < _TAG_END:
+            recv_tag = _checked(recv_tag, "recv_tag", _TAG_END, ANY_TAG)
+        return SendrecvReq(self.id, dest, send_size, send_tag, source, recv_tag, data)
 
     # -- collective request builders -----------------------------------------
 
     def barrier(self) -> CollectiveReq:
-        return CollectiveReq(self.data.id, coll.BARRIER, 0)
+        return CollectiveReq(self.id, coll.BARRIER, 0)
 
-    def bcast(self, size: int, root: int = 0, data: Any = None) -> CollectiveReq:
-        self._check_rank(root)
-        return CollectiveReq(self.data.id, coll.BCAST, self._check_size(size), root, data)
-
-    def reduce(self, size: int, root: int = 0, data: Any = None) -> CollectiveReq:
-        self._check_rank(root)
-        return CollectiveReq(self.data.id, coll.REDUCE, self._check_size(size), root, data)
-
-    def allreduce(self, size: int, data: Any = None) -> CollectiveReq:
-        return CollectiveReq(self.data.id, coll.ALLREDUCE, self._check_size(size), 0, data)
-
-    def gather(self, size: int, root: int = 0, data: Any = None) -> CollectiveReq:
-        self._check_rank(root)
-        return CollectiveReq(self.data.id, coll.GATHER, self._check_size(size), root, data)
-
-    def allgather(self, size: int, data: Any = None) -> CollectiveReq:
-        return CollectiveReq(self.data.id, coll.ALLGATHER, self._check_size(size), 0, data)
-
-    def alltoall(self, size: int, data: Any = None) -> CollectiveReq:
-        return CollectiveReq(self.data.id, coll.ALLTOALL, self._check_size(size), 0, data)
-
-    def scatter(self, size: int, root: int = 0, data: Any = None) -> CollectiveReq:
-        self._check_rank(root)
-        return CollectiveReq(self.data.id, coll.SCATTER, self._check_size(size), root, data)
-
-    def scan(self, size: int, data: Any = None) -> CollectiveReq:
-        """MPI_Scan: inclusive prefix reduction over comm ranks."""
-        return CollectiveReq(self.data.id, coll.SCAN, self._check_size(size), 0, data)
+    bcast = _rooted(coll.BCAST)
+    reduce = _rooted(coll.REDUCE)
+    gather = _rooted(coll.GATHER)
+    scatter = _rooted(coll.SCATTER)
+    allreduce = _unrooted(coll.ALLREDUCE)
+    allgather = _unrooted(coll.ALLGATHER)
+    alltoall = _unrooted(coll.ALLTOALL)
+    scan = _unrooted(coll.SCAN)  # MPI_Scan: inclusive prefix over comm ranks
 
     def split(self, color: Optional[int], key: int = 0) -> SplitReq:
         """MPI_Comm_split: partition this communicator by *color*.
@@ -343,18 +373,7 @@ class Communicator:
         (MPI_UNDEFINED) yields no communicator for that rank — the result
         delivered to the caller is then ``None``.
         """
-        return SplitReq(self.data.id, color, key)
-
-    # -- helpers --------------------------------------------------------------
-
-    def _check_rank(self, comm_rank: int) -> None:
-        self.data.global_rank(comm_rank)  # raises on out-of-range
-
-    @staticmethod
-    def _check_size(size: int) -> int:
-        if size < 0:
-            raise MPIUsageError(f"message size must be non-negative, got {size}")
-        return int(size)
+        return SplitReq(self.id, color, key)
 
 
 # --------------------------------------------------------------------------
@@ -377,6 +396,7 @@ class Context:
         self.rank = slot.rank
         self.size = world.placement.size
         self.comm = Communicator(world.comm_world, slot.rank)
+        self._speed = slot.cpu.speed_factor
         #: Per-metahost environment, carrying the paper's two variables
         #: (``REPRO_METAHOST_ID`` and ``REPRO_METAHOST_NAME``).
         self.env = env
@@ -408,7 +428,7 @@ class Context:
         """Busy time for *work_seconds* of reference work on this CPU."""
         if work_seconds < 0:
             raise MPIUsageError(f"work must be non-negative, got {work_seconds}")
-        return ComputeReq(self.slot.cpu.work_seconds(work_seconds))
+        return ComputeReq(work_seconds / self._speed)  # CpuSpec.work_seconds
 
     def sleep(self, wall_seconds: float) -> ComputeReq:
         """Busy time independent of CPU speed (I/O waits, fixed delays)."""
@@ -453,20 +473,21 @@ class Context:
 
     def region(self, name: str) -> "_RegionGuard":
         """``with ctx.region("foo"): yield ...`` convenience guard."""
-        return _RegionGuard(self, name)
+        return _RegionGuard((self._world, self._proc, name))
 
 
-class _RegionGuard:
-    def __init__(self, ctx: Context, name: str) -> None:
-        self._ctx = ctx
-        self._name = name
+class _RegionGuard(tuple):
+    """``(world, process, region)``, built by ``tuple``'s own constructor (no
+    ``__init__`` frame); entering and leaving record straight on the world."""
+
+    __slots__ = ()
 
     def __enter__(self) -> "_RegionGuard":
-        self._ctx.enter(self._name)
+        self[0].record_enter(self[1], self[2])
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self._ctx.exit(self._name)
+        self[0].record_exit(self[1], self[2])
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +533,6 @@ class _CollectiveInstance:
     #: Comm ranks whose exit has already been scheduled (rooted operations
     #: release early finishers before the whole communicator has entered).
     resumed: set = field(default_factory=set)
-    done: bool = False
 
 
 @dataclass
@@ -741,28 +761,26 @@ class World:
     def _advance(self, proc: SimProcess) -> None:
         """Resume *proc* with its pending value and dispatch its next request.
 
-        :meth:`SimProcess.step` and the handler lookup in one frame: this
-        runs once per generator resume.
+        The one resume path of a simulated process and the handler lookup,
+        in one frame; an application's own exception is recorded on *proc*
+        and re-raised as a :class:`SimulationError` naming the rank.
         """
-        state = proc.state
-        if state is ProcessState.DONE or state is ProcessState.FAILED:
+        if proc.done:
             raise SimulationError(f"rank {proc.rank} already finished")
         value, proc.pending = proc.pending, None
-        proc.state = ProcessState.RUNNING
         try:
             request = proc.generator.send(value)
         except StopIteration:
-            proc.state = ProcessState.DONE
+            proc.done = True
             proc.finish_time = self.engine.now
             return
         except BaseException as exc:  # noqa: BLE001 - reported with context
-            proc.state = ProcessState.FAILED
+            proc.done = True
             proc.failure = exc
             if isinstance(exc, ReproError):
                 # Toolkit errors (bad rank, bad size, ...) keep their type.
                 raise
             raise SimulationError(f"rank {proc.rank} raised {exc!r}") from exc
-        proc.state = ProcessState.BLOCKED
         handler = self._handlers.get(type(request))
         if handler is None:
             # Exact-type miss: honour subclasses of the request dataclasses
@@ -1139,16 +1157,17 @@ class World:
     # -- collectives ---------------------------------------------------------------------
 
     def _do_collective(self, proc: SimProcess, req: CollectiveReq) -> None:
-        comm = self.comm_by_id(req.comm_id)
-        if not comm.contains(proc.rank):
+        comm = self._comms.get(req.comm_id) or self.comm_by_id(req.comm_id)
+        my_comm_rank = comm._comm_rank_of.get(proc.rank)
+        if my_comm_rank is None:
             raise MPIUsageError(
                 f"rank {proc.rank} called {req.op} on communicator "
                 f"{comm.name!r} it does not belong to"
             )
-        my_comm_rank = comm.comm_rank(proc.rank)
+        op = req.op
         now = self.engine.now
-        self.record_enter(proc, req.op)
-        proc.blocked_on = req.op
+        self.record_enter(proc, op)
+        proc.blocked_on = op
 
         instances = self._coll_instances.setdefault(req.comm_id, [])
         index_key = (req.comm_id, proc.rank)
@@ -1157,18 +1176,18 @@ class World:
         while len(instances) <= index:
             instances.append(_CollectiveInstance(op=req.op, root=req.root, size=req.size))
         instance = instances[index]
-        if instance.enter_times and instance.op != req.op:
+        if instance.enter_times and instance.op != op:
             raise MPIUsageError(
                 f"collective mismatch on {comm.name!r}: rank {proc.rank} called "
-                f"{req.op} while others called {instance.op}"
+                f"{op} while others called {instance.op}"
             )
         if not instance.enter_times:
-            instance.op = req.op
+            instance.op = op
             instance.root = req.root
             instance.size = req.size
-        elif req.op != coll.BARRIER and instance.root != req.root:
+        elif op != coll.BARRIER and instance.root != req.root:
             raise MPIUsageError(
-                f"root mismatch in {req.op} on {comm.name!r}: "
+                f"root mismatch in {op} on {comm.name!r}: "
                 f"{req.root} vs {instance.root}"
             )
         instance.size = max(instance.size, req.size)
@@ -1180,11 +1199,14 @@ class World:
         # participant leaves as soon as the root's subtree reaches it.
         # Without this, an early contributor would be blocked until the
         # *last* rank arrived — wrong semantics (and exits in the past).
-        alpha, inv_bw = self._comm_cost(comm)
-        if instance.op in coll.N_TO_1_OPS and my_comm_rank != instance.root:
-            exit_time = now + alpha + req.size * inv_bw
-            self._schedule_coll_exit(comm, instance, my_comm_rank, exit_time)
-        elif instance.op in coll.ONE_TO_N_OPS:
+        # Barriers and n-to-n operations release nobody early.
+        if op in coll.N_TO_1_OPS:
+            if my_comm_rank != instance.root:
+                alpha, inv_bw = self._comm_cost(comm)
+                exit_time = now + alpha + req.size * inv_bw
+                self._schedule_coll_exit(comm, instance, my_comm_rank, exit_time)
+        elif op in coll.ONE_TO_N_OPS:
+            alpha, inv_bw = self._comm_cost(comm)
             if my_comm_rank == instance.root:
                 self._schedule_coll_exit(
                     comm, instance, my_comm_rank, now + alpha + req.size * inv_bw
@@ -1199,10 +1221,10 @@ class World:
                 self._schedule_one_to_n_exit(
                     comm, instance, my_comm_rank, alpha, inv_bw
                 )
-        elif instance.op in coll.PREFIX_OPS:
+        elif op in coll.PREFIX_OPS:
             # A scan rank may leave once every lower comm rank has entered;
             # release the whole frontier of complete prefixes.
-            self._release_scan_frontier(comm, instance, alpha, inv_bw)
+            self._release_scan_frontier(comm, instance, *self._comm_cost(comm))
 
         if len(instance.enter_times) == comm.size:
             self._complete_collective(comm, instance)
@@ -1272,14 +1294,15 @@ class World:
                 f"comm rank {comm_rank} resumed twice in {instance.op}"
             )
         instance.resumed.add(comm_rank)
-        proc = self._procs[comm.global_rank(comm_rank)]
+        global_ranks = comm.global_ranks
+        proc = self._procs[global_ranks[comm_rank]]
         proc.pending = self._collective_result(instance, comm_rank)
         sent, recvd = coll.bytes_moved(
             instance.op, instance.size, comm.size, comm_rank, instance.root
         )
         self.engine.call_at(
             max(exit_time, self.engine.now), self._finish_collective,
-            proc, comm.id, comm.global_rank(instance.root), sent, recvd,
+            proc, comm.id, global_ranks[instance.root], sent, recvd,
         )
 
     def _finish_collective(
@@ -1317,7 +1340,6 @@ class World:
             if comm_rank in instance.resumed:
                 continue  # released early by the rooted-op fast path
             self._schedule_coll_exit(comm, instance, comm_rank, exit_time)
-        instance.done = True
 
     # -- fork-join threading ------------------------------------------------------
 
@@ -1409,15 +1431,17 @@ class World:
 
     @staticmethod
     def _collective_result(instance: _CollectiveInstance, comm_rank: int) -> Any:
+        """What the collective returns to *comm_rank*.  An n-to-n result (and
+        an n-to-1 root's) is the instance's complete comm rank → contribution
+        ``dict`` itself: one object shared by every member, read-only."""
         op = instance.op
         if op == coll.BARRIER:
             return None
         if op in coll.ONE_TO_N_OPS:
             return instance.data.get(instance.root)
         if op in coll.N_TO_1_OPS:
-            return dict(instance.data) if comm_rank == instance.root else None
+            return instance.data if comm_rank == instance.root else None
         if op in coll.PREFIX_OPS:
             # Inclusive prefix: contributions of comm ranks 0..self.
             return {r: d for r, d in instance.data.items() if r <= comm_rank}
-        # n-to-n: everyone sees all contributions.
-        return dict(instance.data)
+        return instance.data

@@ -186,6 +186,10 @@ class LatencyModel:
         self.spec = spec
         #: direction -> (time block, bias); one entry per direction, ever.
         self._bias_cache: Dict[str, Tuple[int, float]] = {}
+        # What every draw reads, resolved once (``base_latency_s`` is a property).
+        self._jitter = spec.jitter_s
+        self._floor = spec.base_latency_s if spec.jitter_s > 0.0 else spec.latency_s
+        self._congested = spec.congestion_prob > 0.0 and spec.congestion_scale_s > 0.0
 
     def _derive_bias(self, direction: str, block: int) -> float:
         """Pure (link, direction, block) -> bias; CRC32-keyed, stream-free."""
@@ -198,12 +202,9 @@ class LatencyModel:
 
     def congestion_bias(self, when: Optional[float], direction: Optional[str]) -> float:
         """Directional queueing bias active at time *when* (0 if unmodeled)."""
-        spec = self.spec
-        if spec.congestion_prob <= 0.0 or spec.congestion_scale_s <= 0.0:
+        if not self._congested or when is None or direction is None:
             return 0.0
-        if when is None or direction is None:
-            return 0.0
-        block = int(when // spec.congestion_block_s)
+        block = int(when // self.spec.congestion_block_s)
         cached = self._bias_cache.get(direction)
         if cached is not None and cached[0] == block:
             return cached[1]
@@ -211,33 +212,38 @@ class LatencyModel:
         self._bias_cache[direction] = (block, bias)
         return bias
 
+    # The two draws are one frame each (the simulator makes one per message):
+    # a cached congestion bias is read inline, :meth:`congestion_bias` runs
+    # only to derive a new block's.
+
     def sample_latency(
-        self,
-        rng,
-        when: Optional[float] = None,
-        direction: Optional[str] = None,
+        self, rng, when: Optional[float] = None, direction: Optional[str] = None
     ) -> float:
         """Draw one one-way latency sample in seconds."""
-        spec = self.spec
-        latency = spec.latency_s
-        if spec.jitter_s > 0.0:
-            latency = spec.base_latency_s + rng.exponential(spec.jitter_s)
-        return latency + self.congestion_bias(when, direction)
+        latency = self._floor
+        if self._jitter > 0.0:
+            latency += rng.exponential(self._jitter)
+        if self._congested and when is not None and direction is not None:
+            cached = self._bias_cache.get(direction)
+            hit = cached is not None and cached[0] == int(when // self.spec.congestion_block_s)
+            latency += cached[1] if hit else self.congestion_bias(when, direction)
+        return latency
 
     def transfer_time(
-        self,
-        size_bytes: int,
-        rng,
-        when: Optional[float] = None,
-        direction: Optional[str] = None,
+        self, size_bytes: int, rng, when: Optional[float] = None, direction: Optional[str] = None
     ) -> float:
-        """Draw the total time to move *size_bytes* over the link."""
+        """Draw the total time to move *size_bytes* over the link:
+        ``((floor + jitter) + bias) + size / bandwidth``."""
         if size_bytes < 0:
             raise TopologyError(f"message size must be non-negative: {size_bytes}")
-        return (
-            self.sample_latency(rng, when, direction)
-            + size_bytes / self.spec.bandwidth_bps
-        )
+        latency = self._floor
+        if self._jitter > 0.0:
+            latency += rng.exponential(self._jitter)
+        if self._congested and when is not None and direction is not None:
+            cached = self._bias_cache.get(direction)
+            hit = cached is not None and cached[0] == int(when // self.spec.congestion_block_s)
+            latency += cached[1] if hit else self.congestion_bias(when, direction)
+        return latency + size_bytes / self.spec.bandwidth_bps
 
     def mean_transfer_time(self, size_bytes: int) -> float:
         """Expected transfer time (no sampling); useful for cost models.

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DeadlockError, MPIUsageError
 from repro.ids import ANY_SOURCE, ANY_TAG
-from repro.sim.mpi import World
+from repro.sim.mpi import Communicator, CommunicatorData, World
 from repro.sim.transfer import SimParams
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster, uniform_metacomputer
@@ -241,6 +241,62 @@ class TestErrors:
 
         with pytest.raises(MPIUsageError):
             run_world(mc, 1, app)
+
+
+class TestBuilderArguments:
+    """The request builders refuse what MPI forbids, naming the argument,
+    before anything is simulated or traced."""
+
+    @pytest.fixture
+    def comm(self):
+        return Communicator(CommunicatorData(0, "world", range(2)), 0)
+
+    def test_fractional_size(self, comm):
+        with pytest.raises(MPIUsageError, match=r"^size must be an integer, got 8\.7$"):
+            comm.isend(1, 8.7)
+
+    def test_fractional_dest(self, comm):
+        with pytest.raises(MPIUsageError, match=r"^dest must be an integer, got 1\.5$"):
+            comm.isend(1.5, 8)
+
+    def test_fractional_root(self, comm):
+        with pytest.raises(MPIUsageError, match=r"^root must be an integer, got 1\.0$"):
+            comm.bcast(8, root=1.0)
+
+    def test_wildcard_send_tag(self, comm):
+        with pytest.raises(MPIUsageError, match=r"^tag must be in \[0, 2\*\*31\), got -1$"):
+            comm.send(1, 8, tag=ANY_TAG)
+
+    def test_negative_send_tag(self, comm):
+        with pytest.raises(MPIUsageError, match=r"^tag must be in \[0, 2\*\*31\), got -7$"):
+            comm.send(1, 8, tag=-7)
+
+    def test_tag_beyond_the_trace_format_in_an_untraced_run(self, mc):
+        def app(ctx):
+            if ctx.rank == 0:
+                yield ctx.comm.send(1, 8, tag=2**40)
+            else:
+                yield ctx.comm.recv(0)
+
+        with pytest.raises(MPIUsageError, match=r"^tag must be in \[0, 2\*\*31\), got 1099511627776$"):
+            run_world(mc, 2, app)
+
+    def test_size_beyond_the_trace_format(self, comm):
+        with pytest.raises(MPIUsageError, match=rf"^size must be in \[0, 2\*\*64\), got {2**70}$"):
+            comm.send(1, 2**70)
+        with pytest.raises(MPIUsageError, match=r"^send_size must be in \[0, 2\*\*64\)"):
+            comm.sendrecv(1, 2**70)
+
+    def test_wildcards_numpy_integers_and_bools(self, comm):
+        assert comm.recv(ANY_SOURCE, ANY_TAG) == (0, ANY_SOURCE, ANY_TAG)
+        assert comm.irecv(np.int64(1), np.int32(3)) == (0, 1, 3)
+        request = comm.isend(np.int64(1), np.uint16(8), tag=np.int8(2))
+        assert request == (0, 1, 8, 2, None)
+        assert all(type(field) is int for field in request[:4])
+        with pytest.raises(MPIUsageError, match="^dest must be an integer, got True$"):
+            comm.send(True, 8)
+        with pytest.raises(MPIUsageError, match=r"^source must be in \[0, 2\) or -1"):
+            comm.recv(2)
 
 
 class TestDeterminism:
