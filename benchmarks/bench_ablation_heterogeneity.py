@@ -12,7 +12,7 @@ Experiment 1 the solver's waiting is hardware-caused, while the coupling
 """
 
 from repro.analysis.patterns import GRID_LATE_SENDER, GRID_WAIT_AT_BARRIER
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.metatrace import make_metatrace_app
 from repro.apps.metatrace.config import interleaved_x_coords
 from repro.experiments.configs import EXPERIMENT1_BLOCKS, PARTRACE_RANKS, TRACE_RANKS
@@ -37,7 +37,7 @@ def _run(caesar_speed: float, seed: int = 11):
     runtime = MetaMPIRuntime(
         metacomputer, placement, seed=seed, subcomms=config.subcomms()
     )
-    return analyze_run(runtime.run(make_metatrace_app(config)))
+    return analyze(runtime.run(make_metatrace_app(config)))
 
 
 def test_ablation_heterogeneity_sweep(benchmark, artifact_dir):

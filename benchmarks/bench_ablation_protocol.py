@@ -9,7 +9,7 @@ observed call timings alone, without knowing the MPI-internal protocol.
 """
 
 from repro.analysis.patterns import LATE_RECEIVER, LATE_SENDER
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.sim.runtime import MetaMPIRuntime
 from repro.sim.transfer import SimParams
 from repro.topology.metacomputer import Placement
@@ -37,7 +37,7 @@ def _run(threshold: int):
     placement = Placement.block(mc, 2)
     params = SimParams(eager_threshold_bytes=threshold)
     runtime = MetaMPIRuntime(mc, placement, seed=5, params=params)
-    return analyze_run(runtime.run(_late_receiver_app))
+    return analyze(runtime.run(_late_receiver_app))
 
 
 def test_ablation_protocol_threshold(benchmark, artifact_dir):

@@ -8,7 +8,7 @@ analysis would copy across metahosts versus the metadata bytes the replay
 exchanges.
 """
 
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.experiments.figures import run_metatrace_experiment
 from repro.sim.runtime import MetaMPIRuntime
@@ -25,7 +25,7 @@ def _synthetic_traffic(iterations: int):
     run = runtime.run(
         make_imbalance_app({r: 0.001 for r in range(4)}, iterations=iterations)
     )
-    return analyze_run(run).traffic
+    return analyze(run).traffic
 
 
 def test_ablation_replay_traffic(benchmark, artifact_dir):

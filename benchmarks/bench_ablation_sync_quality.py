@@ -9,7 +9,7 @@ the design argument for fixing the topology of measurements rather than
 spending more probes.
 """
 
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.clockbench import ClockBenchConfig, make_clockbench_app
 from repro.clocks.measurement import OffsetMeasurementConfig
 from repro.clocks.sync import SCHEMES
@@ -35,7 +35,7 @@ def _violations(exchanges: int):
     config = ClockBenchConfig(rounds=120, exchanges_per_round=2, inter_round_gap_s=0.15)
     run = runtime.run(make_clockbench_app(config))
     return {
-        scheme.name: analyze_run(run, scheme=scheme).violations.violations
+        scheme.name: analyze(run, scheme=scheme).violations.violations
         for scheme in SCHEMES
     }
 

@@ -13,7 +13,7 @@ Shows the full public API surface a downstream user needs:
 Run with:  python examples/custom_workload.py
 """
 
-from repro import MetaMPIRuntime, Placement, analyze_run
+from repro import MetaMPIRuntime, Placement, analyze
 from repro.analysis.patterns import (
     EARLY_REDUCE,
     GRID_LATE_SENDER,
@@ -97,7 +97,7 @@ def main() -> None:
         subcomms={"workers": list(range(1, 8))},
     )
     run = runtime.run(application)
-    result = analyze_run(run)
+    result = analyze(run)
 
     print(f"simulated {run.stats.finish_time:.2f} s; "
           f"{run.stats.p2p_messages} messages, "

@@ -12,7 +12,7 @@ Run with:  python examples/quickstart.py
 from repro import (
     MetaMPIRuntime,
     Placement,
-    analyze_run,
+    analyze,
     render_analysis,
     uniform_metacomputer,
 )
@@ -51,7 +51,7 @@ def main() -> None:
     )
 
     # Replay-analyze the archives (hierarchical synchronization by default).
-    result = analyze_run(run)
+    result = analyze(run)
     print(render_analysis(result, metric=WAIT_AT_BARRIER, min_pct=0.1))
 
     # Because the barrier spans metahosts, the waiting is *grid* waiting.

@@ -15,7 +15,7 @@ that will suffer.
 Run with:  python examples/whatif_prediction.py
 """
 
-from repro import MetaMPIRuntime, Placement, analyze_run
+from repro import MetaMPIRuntime, Placement, analyze
 from repro.analysis.patterns import GRID_LATE_SENDER, GRID_WAIT_AT_NXN, LATE_SENDER
 from repro.analysis.stats import render_statistics, statistics_of
 from repro.predict import predict_run, skeleton_from_run
@@ -65,7 +65,7 @@ def main() -> None:
     # 1. Trace on the machine we have: one homogeneous cluster.
     source = single_cluster(node_count=8, cpus_per_node=1, speed=1.0)
     run = MetaMPIRuntime(source, Placement.block(source, 8), seed=3).run(solver)
-    baseline = analyze_run(run)
+    baseline = analyze(run)
     print(f"source run: {run.stats.finish_time:.3f} s wall, "
           f"grid late sender {baseline.pct(GRID_LATE_SENDER):.2f} % "
           "(single machine: necessarily zero)\n")

@@ -14,7 +14,7 @@ algebra.
 Quickstart::
 
     from repro import (
-        viola_testbed, Placement, MetaMPIRuntime, analyze_run, render_analysis,
+        viola_testbed, Placement, MetaMPIRuntime, analyze, render_analysis,
     )
 
     mc = viola_testbed()
@@ -25,7 +25,7 @@ Quickstart::
         yield ctx.comm.barrier()
 
     run = MetaMPIRuntime(mc, placement, seed=1).run(app)
-    result = analyze_run(run)
+    result = analyze(run)
     print(render_analysis(result, metric="wait-at-barrier"))
 """
 
@@ -69,7 +69,6 @@ from repro.faults import (
 from repro.analysis import (
     AnalysisResult,
     ReplayAnalyzer,
-    analyze_run,
     statistics_of,
     render_statistics,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "World",
     "AnalysisResult",
     "ReplayAnalyzer",
-    "analyze_run",
     "simulate",
     "analyze",
     "run_experiment",

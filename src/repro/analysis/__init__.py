@@ -16,14 +16,10 @@ from repro.analysis.instances import (
 )
 from repro.analysis.matching import MessageMatcher, MatchedPair, CollectiveInstance
 from repro.analysis.request import AnalysisRequest
-from repro.analysis.replay import (
-    ReplayAnalyzer,
-    AnalysisResult,
-    ReplayTraffic,
-    analyze_run,
-)
+from repro.analysis.result import AnalysisResult, ReplayTraffic
 from repro.analysis.severity_timeline import SeverityTimeline
-from repro.analysis.streaming import StreamingReplayAnalyzer
+from repro.analysis.streaming import StreamingReplayAnalyzer, analyze
+from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.parallel import PartialAnalysis, plan_shards, resolve_jobs
 from repro.analysis.patterns import metric_tree, Metric, METRICS
 from repro.analysis.stats import (
@@ -52,7 +48,7 @@ __all__ = [
     "resolve_jobs",
     "AnalysisResult",
     "ReplayTraffic",
-    "analyze_run",
+    "analyze",
     "metric_tree",
     "Metric",
     "METRICS",

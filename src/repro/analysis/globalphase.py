@@ -32,22 +32,19 @@ op, record, pair or collective instance is ever made an object:
 The object-wise definitions — :mod:`repro.analysis.matching` and
 :mod:`repro.analysis.patterns`, driven by the buffered reference analyzer —
 are the oracle: ``tests/test_global_phase.py`` holds the two together,
-cuts included.
+cuts included.  They take the match accounting (:class:`MatchStats`, the
+metadata byte sizes) from this module; nothing here imports them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.instances import ProcessTimeline
-from repro.analysis.matching import (
-    COLLECTIVE_MEMBER_BYTES,
-    PAIR_METADATA_BYTES,
-    MatchStats,
-)
 from repro.analysis.optable import OpTable
 from repro.analysis.patterns.base import (
     BARRIER_COMPLETION,
@@ -77,13 +74,31 @@ from repro.analysis.patterns.base import (
     WAIT_AT_NXN,
     classify_region,
 )
-from repro.analysis.patterns.grid import GridPairBreakdown
+from repro.analysis.result import GridPairBreakdown
 from repro.analysis.severity import Partials, SeverityCube, exact_expansion
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.errors import AnalysisError
 from repro.ids import node_of
 from repro.trace.archive import Definitions
+
+#: Bytes of metadata the replay ships per matched message
+#: (send-enter time, send time, sender location, call path, sizes).
+PAIR_METADATA_BYTES = 48
+#: Bytes each member contributes to a collective gather (enter time + ids).
+COLLECTIVE_MEMBER_BYTES = 16
+
+
+@dataclass
+class MatchStats:
+    """What one replay's matching found, and the metadata bytes it shipped."""
+
+    matched: int = 0
+    unmatched_sends: int = 0
+    unmatched_recvs: int = 0
+    collective_instances: int = 0
+    metadata_bytes: int = 0
+
 
 #: Structural metrics an MPI op's duration is charged to, by region class.
 _BASE_METRICS = {

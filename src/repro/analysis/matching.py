@@ -17,6 +17,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.globalphase import (
+    COLLECTIVE_MEMBER_BYTES,
+    PAIR_METADATA_BYTES,
+    MatchStats,
+)
 from repro.analysis.instances import (
     CollRecord,
     MPIOpInstance,
@@ -26,12 +31,6 @@ from repro.analysis.instances import (
 )
 from repro.errors import AnalysisError
 from repro.ids import Location
-
-#: Bytes of metadata the replay ships per matched message
-#: (send-enter time, send time, sender location, call path, sizes).
-PAIR_METADATA_BYTES = 48
-#: Bytes each member contributes to a collective gather (enter time + ids).
-COLLECTIVE_MEMBER_BYTES = 16
 
 
 class MatchedPair:
@@ -125,23 +124,10 @@ class CollectiveInstance:
         return max(op.enter for op, _ in self.members.values())
 
     @property
-    def first_enter(self) -> float:
-        return min(op.enter for op, _ in self.members.values())
-
-    @property
     def spans_metahosts(self) -> bool:
         """The grid predicate for collectives: communicator spans machines."""
         machines = {loc.machine for loc in self.locations.values()}
         return len(machines) > 1
-
-
-@dataclass
-class MatchStats:
-    matched: int = 0
-    unmatched_sends: int = 0
-    unmatched_recvs: int = 0
-    collective_instances: int = 0
-    metadata_bytes: int = 0
 
 
 class MessageMatcher:

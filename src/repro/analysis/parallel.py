@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Type
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import ProcessTimeline
 from repro.analysis.optable import build_rank_tables
-from repro.analysis.replay import RankCompleteness
+from repro.analysis.result import RankCompleteness
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning
 from repro.ids import NodeId, node_of

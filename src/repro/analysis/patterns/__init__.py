@@ -3,6 +3,11 @@
 Single-machine MPI-1 patterns (Wolf & Mohr) plus this paper's *grid*
 variants, which fire only when the wait state involves communication across
 metahost boundaries (Section 4, *Metacomputing patterns*).
+
+The package exports the metric hierarchy (:mod:`.base`).  The object-wise
+evaluators in :mod:`.point2point`, :mod:`.collective` and :mod:`.grid` are
+the reference engine's and are imported from their modules, so importing
+the catalogue never loads them.
 """
 
 from repro.analysis.patterns.base import (
@@ -36,33 +41,6 @@ from repro.analysis.patterns.base import (
     COLLECTIVE_COMM_REGIONS,
     SYNC_REGIONS,
 )
-from repro.analysis.patterns.point2point import (
-    P2PPattern,
-    LateSenderPattern,
-    GridLateSenderPattern,
-    WrongOrderPattern,
-    LateReceiverPattern,
-    GridLateReceiverPattern,
-    default_p2p_patterns,
-)
-from repro.analysis.patterns.grid import (
-    GridPairBreakdown,
-    accumulate_p2p,
-    accumulate_collective,
-)
-from repro.analysis.patterns.collective import (
-    CollectivePattern,
-    WaitAtNxNPattern,
-    GridWaitAtNxNPattern,
-    NxNCompletionPattern,
-    WaitAtBarrierPattern,
-    GridWaitAtBarrierPattern,
-    EarlyReducePattern,
-    EarlyScanPattern,
-    LateBroadcastPattern,
-    BarrierCompletionPattern,
-    default_collective_patterns,
-)
 
 __all__ = [
     "Metric",
@@ -94,25 +72,4 @@ __all__ = [
     "P2P_REGIONS",
     "COLLECTIVE_COMM_REGIONS",
     "SYNC_REGIONS",
-    "GridPairBreakdown",
-    "accumulate_p2p",
-    "accumulate_collective",
-    "P2PPattern",
-    "LateSenderPattern",
-    "GridLateSenderPattern",
-    "WrongOrderPattern",
-    "LateReceiverPattern",
-    "GridLateReceiverPattern",
-    "default_p2p_patterns",
-    "CollectivePattern",
-    "WaitAtNxNPattern",
-    "GridWaitAtNxNPattern",
-    "NxNCompletionPattern",
-    "WaitAtBarrierPattern",
-    "GridWaitAtBarrierPattern",
-    "EarlyReducePattern",
-    "EarlyScanPattern",
-    "LateBroadcastPattern",
-    "BarrierCompletionPattern",
-    "default_collective_patterns",
 ]

@@ -11,7 +11,7 @@ exclusive values by subtracting children.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import PatternError
 
@@ -209,10 +209,6 @@ def metric_by_name(name: str) -> Metric:
         return _BY_NAME[name]
     except KeyError:
         raise PatternError(f"unknown metric {name!r}") from None
-
-
-def children_of(name: str) -> List[Metric]:
-    return [m for m in METRICS if m.parent == name]
 
 
 def classify_region(op_name: str) -> Optional[str]:

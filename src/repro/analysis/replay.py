@@ -1,18 +1,17 @@
-"""The buffered reference replay analyzer, and the result types of every replay.
+"""The buffered reference replay analyzer.
 
 :class:`ReplayAnalyzer` builds each rank's operations as objects and
 matches them object-wise; it is the oracle the tests and the benchmark
-hold the columnar engine to.  :func:`analyze_run` does not use it — it
-runs :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`.  Both
-mirror SCALASCA's metacomputing-enabled analysis (paper Section 4):
+hold the columnar engine to.  The package's entry point,
+:func:`repro.analysis.streaming.analyze`, does not use it.  Both engines
+mirror SCALASCA's metacomputing-enabled analysis (paper Section 4) and
+return the same :class:`~repro.analysis.result.AnalysisResult`:
 
 * every rank's trace is read **through the mount namespace of its own
   metahost** — the analyzer never copies a trace file across machines;
 * the replay exchanges only per-event metadata (matched-pair records and
   collective enter times), whose volume is tracked in
-  :class:`ReplayTraffic` so it can be compared against the merged-trace
-  baseline ("the amount of data transferred per process is significantly
-  smaller than the entire trace file belonging to that process");
+  :class:`~repro.analysis.result.ReplayTraffic`;
 * while matching, the analyzer also "reports violations of the clock
   condition" — the Table 2 metric.
 """
@@ -20,260 +19,40 @@ mirror SCALASCA's metacomputing-enabled analysis (paper Section 4):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import ProcessTimeline, build_timeline, total_time_of
 from repro.analysis.matching import MessageMatcher
-from repro.analysis.patterns import (
+from repro.analysis.patterns.base import (
     COLLECTIVE,
     COMMUNICATION,
-    EXECUTION,
     IDLE_THREADS,
     MPI,
     P2P,
     SYNCHRONIZATION,
     TIME,
-    default_collective_patterns,
-    default_p2p_patterns,
-    metric_tree,
+    classify_region,
 )
-from repro.analysis.patterns.base import classify_region
-from repro.analysis.patterns.grid import (
+from repro.analysis.patterns.collective import default_collective_patterns
+from repro.analysis.patterns.grid import accumulate_collective, accumulate_p2p
+from repro.analysis.patterns.point2point import default_p2p_patterns
+from repro.analysis.result import (
+    AnalysisResult,
     GridPairBreakdown,
-    accumulate_collective,
-    accumulate_p2p,
+    RankCompleteness,
+    ReplayTraffic,
 )
-from repro.analysis.request import AnalysisRequest
 from repro.analysis.severity import SeverityCube
-from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
 from repro.errors import AnalysisError, PartialTraceWarning
 from repro.ids import node_of
-from repro.resilience.pool import ExecutionReport
 from repro.trace.archive import (
     ArchiveReader,
-    Definitions,
     salvage_checked,
     trace_filename,
 )
-
-
-@dataclass(frozen=True)
-class RankCompleteness:
-    """Per-rank account of how much of a trace the analysis could use."""
-
-    rank: int
-    complete: bool
-    completeness: float  # fraction of the trace file's bytes that decoded
-    events: int  # events decoded (salvaged prefix included)
-    analyzed: bool  # included in matching/pattern search
-    error: str = ""  # why the trace is incomplete ("" when complete)
-
-
-@dataclass
-class ReplayTraffic:
-    """Bytes moved by the replay vs. a merged-trace analysis."""
-
-    replay_metadata_bytes: int = 0
-    merged_copy_bytes: int = 0
-    trace_bytes_total: int = 0
-
-    @property
-    def saving_factor(self) -> float:
-        """How many times more data a merged analysis would have moved."""
-        if self.replay_metadata_bytes == 0:
-            return float("inf") if self.merged_copy_bytes > 0 else 1.0
-        return self.merged_copy_bytes / self.replay_metadata_bytes
-
-
-@dataclass
-class AnalysisResult:
-    """Severity cube plus everything needed to interpret it."""
-
-    cube: SeverityCube
-    callpaths: CallPathRegistry
-    definitions: Definitions
-    violations: ClockConditionChecker
-    traffic: ReplayTraffic
-    scheme_name: str
-    total_time: float
-    timelines: Dict[int, ProcessTimeline] = field(default_factory=dict)
-    #: Fine-grained grid classification (paper §6 future work): grid
-    #: severities per (causing metahost, waiting metahost) combination.
-    grid_pairs: GridPairBreakdown = field(default_factory=GridPairBreakdown)
-    #: True when the analysis ran in degraded mode (damaged traces are
-    #: salvaged/excluded instead of raising).
-    degraded: bool = False
-    #: Per-rank completeness record (degraded mode; empty otherwise).
-    completeness: Dict[int, RankCompleteness] = field(default_factory=dict)
-    #: Time-resolved severity (rolling-window series), populated when the
-    #: request asked for a timeline.  Diagnostic floats — deliberately
-    #: outside the equality contract: only the aggregate cube promises
-    #: bit-identity across execution models.
-    severity_timeline: Optional[SeverityTimeline] = field(
-        default=None, compare=False
-    )
-    #: Supervised-pool account of a ``jobs >= 2`` run (None in-process).
-    #: Deliberately outside the equality contract of the result: the same
-    #: analysis recovered after a worker crash is the same analysis.
-    execution: Optional[ExecutionReport] = field(default=None, compare=False)
-    #: Why the analysis was cut short (deadline expiry / cancellation), or
-    #: None for a run that completed.  An interrupted result is *partial*:
-    #: severity accumulated up to the cut, per-rank ``completeness``
-    #: reporting exactly how far each rank got.
-    interrupted: Optional[str] = field(default=None, compare=False)
-
-    # Lazily built query indexes.  The cube and call-path registry are
-    # frozen once analyze() returns, so caching is safe; before these,
-    # every metric_in_region/metric_under_region call re-walked every call
-    # path (and rebuilt the per-callpath marginal) per query.
-    _by_callpath_cache: Dict[str, Dict[int, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _leaf_index: Optional[Dict[int, List[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _containment_index: Optional[Dict[int, List[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def _by_callpath(self, metric: str) -> Dict[int, float]:
-        cached = self._by_callpath_cache.get(metric)
-        if cached is None:
-            cached = self.cube.by_callpath(metric)
-            self._by_callpath_cache[metric] = cached
-        return cached
-
-    def _region_indexes(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """``(leaf index, containment index)``: region id → cpids.
-
-        Built in one pass over the interned paths.  Parents are always
-        interned before their children, so a path's region set is its
-        parent's set plus its own leaf region.
-        """
-        if self._leaf_index is None or self._containment_index is None:
-            leaf: Dict[int, List[int]] = {}
-            containment: Dict[int, List[int]] = {}
-            region_sets: Dict[int, frozenset] = {}
-            for path in self.callpaths.all_paths():
-                leaf.setdefault(path.region, []).append(path.cpid)
-                parent_set = region_sets.get(path.parent, frozenset())
-                regions = parent_set | {path.region}
-                region_sets[path.cpid] = regions
-                for rid in sorted(regions):
-                    containment.setdefault(rid, []).append(path.cpid)
-            self._leaf_index = leaf
-            self._containment_index = containment
-        return self._leaf_index, self._containment_index
-
-    # -- metric access ----------------------------------------------------------
-
-    def metric_total(self, metric: str) -> float:
-        """Inclusive total of a metric over all call paths and ranks."""
-        if metric == EXECUTION:
-            # No measurement overhead is modeled, so Execution == Time.
-            return self.cube.total(TIME)
-        return self.cube.total(metric)
-
-    def pct(self, metric: str) -> float:
-        """Metric total as percent of total time (the Figure 6 numbers)."""
-        total = self.metric_total(TIME)
-        if total <= 0.0:
-            return 0.0
-        return 100.0 * self.metric_total(metric) / total
-
-    def exclusive_total(self, metric: str) -> float:
-        """Metric total minus its children's totals (browser display value).
-
-        The Idle Threads child is measured in thread-seconds rather than
-        process wall seconds, so it is never subtracted from its parent.
-        """
-        children = [
-            m
-            for m in metric_tree()
-            if m.parent == metric and m.name != IDLE_THREADS
-        ]
-        value = self.metric_total(metric) - sum(
-            self.metric_total(child.name) for child in children
-        )
-        return max(0.0, value)
-
-    # -- distributions -------------------------------------------------------------
-
-    def grid_pair_breakdown(self, metric: str) -> Dict[tuple, float]:
-        """Grid severity per (causing, waiting) metahost name pair.
-
-        Implements the paper's desired finer-grained classification of the
-        grid patterns by metahost combination.
-        """
-        return self.grid_pairs.named(metric, self.definitions.machine_names)
-
-    def machine_breakdown(self, metric: str) -> Dict[str, float]:
-        """Metric total per metahost name (the right panel of Figure 6)."""
-        out: Dict[str, float] = {}
-        for rank, value in self.cube.by_rank(metric).items():
-            machine = self.definitions.machine_of(rank)
-            name = self.definitions.machine_names[machine]
-            out[name] = out.get(name, 0.0) + value
-        return out
-
-    def rank_breakdown(self, metric: str) -> Dict[int, float]:
-        return self.cube.by_rank(metric)
-
-    def top_callpaths(
-        self, metric: str, n: int = 5
-    ) -> List[Tuple[str, float]]:
-        """Largest call-path contributors, rendered as path strings."""
-        return [
-            (self.callpaths.render(cpid, self.definitions.regions), value)
-            for cpid, value in self.cube.top_callpaths(metric, n)
-        ]
-
-    def callpath_value(self, metric: str, *names: str) -> float:
-        """Metric value at the exact call path given by region names."""
-        cpid = self.callpaths.find(self.definitions.regions, *names)
-        if cpid is None:
-            return 0.0
-        return self._by_callpath(metric).get(cpid, 0.0)
-
-    @property
-    def analyzed_ranks(self) -> List[int]:
-        """Ranks whose timelines entered the pattern search."""
-        return sorted(self.timelines)
-
-    @property
-    def excluded_ranks(self) -> List[int]:
-        """Ranks dropped by degraded mode (damaged or unreadable traces)."""
-        return sorted(
-            rank for rank, rec in self.completeness.items() if not rec.analyzed
-        )
-
-    def metric_in_region(self, metric: str, region_name: str) -> float:
-        """Metric total over all call paths whose innermost frame is *region_name*."""
-        regions = self.definitions.regions
-        if region_name not in regions:
-            return 0.0
-        leaf_index, _ = self._region_indexes()
-        by_callpath = self._by_callpath(metric)
-        return sum(
-            by_callpath.get(cpid, 0.0)
-            for cpid in leaf_index.get(regions.id_of(region_name), ())
-        )
-
-    def metric_under_region(self, metric: str, region_name: str) -> float:
-        """Metric total over call paths containing *region_name* anywhere."""
-        regions = self.definitions.regions
-        if region_name not in regions:
-            return 0.0
-        _, containment_index = self._region_indexes()
-        by_callpath = self._by_callpath(metric)
-        return sum(
-            by_callpath.get(cpid, 0.0)
-            for cpid in containment_index.get(regions.id_of(region_name), ())
-        )
 
 
 class ReplayAnalyzer:
@@ -540,65 +319,3 @@ class ReplayAnalyzer:
             for omp in timeline.omp_regions:
                 cube_add(IDLE_THREADS, omp.cpid, rank, omp.idle_thread_seconds)
 
-
-def analyze_run(
-    run_result,
-    scheme: Optional[SyncScheme] = None,
-    request: Optional[AnalysisRequest] = None,
-    *,
-    pool=None,
-    deadline=None,
-) -> AnalysisResult:
-    """Analyze a :class:`~repro.sim.runtime.RunResult` end to end.
-
-    *request* (an :class:`~repro.analysis.request.AnalysisRequest`) selects
-    everything about the analysis: ``jobs`` says where the replay's local
-    phase runs (``None``/``1`` in this process, ``N >= 2`` sharded across
-    *N* pool workers, ``0`` one per core), ``degraded`` survives damaged
-    traces, ``timeline`` adds time-resolved severity series, ``bounded``
-    drops the op tables once the global phase has read them.  One analyzer,
-    :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`, serves
-    every combination, and every ``jobs`` value produces a bit-identical
-    result.
-
-    ``pool`` lends the analysis an externally owned
-    :class:`~repro.resilience.pool.SupervisedPool` (task function
-    :func:`~repro.analysis.parallel.analyze_shard`) instead of spawning a
-    fresh one — long-lived owners such as the analysis service reuse one
-    warm pool across many runs.
-
-    ``deadline`` lends an externally owned
-    :class:`~repro.resilience.deadline.Deadline` (the service does this so
-    a client cancel reaches the running analysis); when None and the
-    request carries ``deadline_s``, a fresh deadline starts here.
-    """
-    # Imported lazily: both modules import this one.
-    from repro.analysis.parallel import resolve_jobs
-    from repro.analysis.streaming import StreamingReplayAnalyzer
-    from repro.resilience.deadline import Deadline
-
-    if request is None:
-        request = AnalysisRequest()
-    if deadline is None and request.deadline_s is not None:
-        deadline = Deadline(request.deadline_s)
-
-    readers = {
-        machine: run_result.reader(machine) for machine in run_result.machines_used
-    }
-    timeline = (
-        SeverityTimeline(window_s=request.window_s, stride_s=request.stride_s)
-        if request.timeline
-        else None
-    )
-    return StreamingReplayAnalyzer(
-        readers,
-        scheme=scheme,
-        degraded=request.degraded,
-        retain=not request.bounded,
-        timeline=timeline,
-        deadline=deadline,
-        jobs=resolve_jobs(request.jobs),
-        pool=pool,
-        timeout=request.timeout,
-        max_retries=request.max_retries,
-    ).analyze()

@@ -3,8 +3,8 @@
 A request is built at an edge — ``repro.cli._request`` from the command
 line, ``repro.service.runners._request`` from a job spec, a library
 caller's own code — and travels whole through ``run_experiment`` and the
-experiment drivers to ``analyze_run``, the one place that spells its
-fields out (for ``StreamingReplayAnalyzer``).  Nothing in between takes
+experiment drivers to :func:`repro.analysis.streaming.analyze`, the one
+place that spells its fields out (for ``StreamingReplayAnalyzer``).  Nothing in between takes
 ``jobs``/``timeout``/``max_retries``/``verify_archive`` apart; the fault
 ladder's per-rung ``replace(request, degraded=...)`` is the only edit.
 

@@ -5,8 +5,11 @@ There are two replay engines.  The buffered
 object-wise reference the tests and the benchmark compare against —
 materializes every rank's MPI-op instances, then matches, then searches
 patterns.  This module is the other one, and the only driver the package
-runs: :class:`StreamingReplayAnalyzer` is the same code path at every
-``jobs`` value, and it makes no object per op, record, pair or collective.
+runs: :func:`analyze` (re-exported as :func:`repro.analyze` and
+:func:`repro.api.analyze`) builds :class:`StreamingReplayAnalyzer`, the
+same code path at every ``jobs`` value, which makes no object per op,
+record, pair or collective.  The reference imports this engine's result
+types (:mod:`repro.analysis.result`); the engine never imports it.
 
 The replay has four steps.
 
@@ -86,13 +89,11 @@ from repro.analysis.parallel import (
     _admit_rank,
     analyze_shard,
     plan_shards,
+    resolve_jobs,
 )
-from repro.analysis.patterns import TIME
-from repro.analysis.replay import (
-    AnalysisResult,
-    RankCompleteness,
-    ReplayTraffic,
-)
+from repro.analysis.patterns.base import TIME
+from repro.analysis.request import AnalysisRequest
+from repro.analysis.result import AnalysisResult, RankCompleteness, ReplayTraffic
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
 from repro.errors import AnalysisError, TimeBudgetExceeded
@@ -434,3 +435,69 @@ class StreamingReplayAnalyzer:
                     error=f"TimeBudgetExceeded: {reason} before its shard finished",
                 )
         return out
+
+
+def analyze(
+    run,
+    request: Optional[AnalysisRequest] = None,
+    *,
+    scheme: Optional[SyncScheme] = None,
+    pool: Optional[SupervisedPool] = None,
+    deadline: Optional[Deadline] = None,
+) -> AnalysisResult:
+    """Replay-analyze a traced run's archive (a :class:`~repro.sim.runtime.RunResult`).
+
+    *request* (an :class:`~repro.analysis.request.AnalysisRequest`)
+    describes the analysis; its fields are spelled out here and nowhere
+    else.  ``jobs`` says only where the local phase (trace blob → op
+    tables, per rank) runs: ``None``/``1`` in this process, ``N >= 2``
+    sharded across that many pool worker processes, ``0`` one per
+    available core.  Every value of ``jobs`` produces a bit-identical
+    :class:`~repro.analysis.result.AnalysisResult`.  ``request.timeline``
+    additionally accumulates a time-resolved :class:`SeverityTimeline`
+    (``result.severity_timeline``), and ``request.bounded`` drops the op
+    tables once the global phase has read them, so the result holds
+    nothing that grows with the trace.
+
+    ``request.timeout`` (per-shard deadline, seconds) and
+    ``request.max_retries`` (re-dispatches after a worker crash or hang)
+    tune the supervised pool a ``jobs >= 2`` run uses; its result carries
+    the pool's :class:`~repro.resilience.pool.ExecutionReport` in
+    ``result.execution``.  ``pool`` lends the run an externally owned warm
+    :class:`~repro.resilience.pool.SupervisedPool` (task function
+    :func:`~repro.analysis.parallel.analyze_shard`) instead of spawning one
+    — how the analysis service shares a single pool across every job it
+    serves.
+
+    ``request.deadline_s`` bounds the whole analysis end to end: on expiry
+    the analyzer stops cooperatively and returns a *partial* result —
+    severity accumulated so far, honest per-rank completeness,
+    ``result.interrupted`` set — instead of hanging.  ``deadline`` lends an
+    externally owned :class:`~repro.resilience.deadline.Deadline` instead
+    (how the service makes a client ``DELETE`` reach the running analysis)
+    and wins over ``request.deadline_s``, which starts a fresh clock at
+    every call.  ``scheme`` picks the clock synchronization (default:
+    hierarchical interpolation).
+    """
+    if request is None:
+        request = AnalysisRequest()
+    if deadline is None and request.deadline_s is not None:
+        deadline = Deadline(request.deadline_s)
+    readers = {machine: run.reader(machine) for machine in run.machines_used}
+    timeline = (
+        SeverityTimeline(window_s=request.window_s, stride_s=request.stride_s)
+        if request.timeline
+        else None
+    )
+    return StreamingReplayAnalyzer(
+        readers,
+        scheme=scheme,
+        degraded=request.degraded,
+        retain=not request.bounded,
+        timeline=timeline,
+        deadline=deadline,
+        jobs=resolve_jobs(request.jobs),
+        pool=pool,
+        timeout=request.timeout,
+        max_retries=request.max_retries,
+    ).analyze()

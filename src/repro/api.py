@@ -5,9 +5,10 @@ Everything a user of this package needs lives behind four names:
 * :func:`simulate` — run one traced experiment on a simulated metacomputer
   and return its :class:`~repro.sim.runtime.RunResult`;
 * :func:`analyze` — replay a run's trace archive into an
-  :class:`~repro.analysis.replay.AnalysisResult`, serially (``jobs=1``) or
+  :class:`~repro.analysis.result.AnalysisResult`, serially (``jobs=1``) or
   sharded across worker processes (``jobs>=2`` / ``jobs=0`` for one per
-  core) with bit-identical output;
+  core) with bit-identical output (it is
+  :func:`repro.analysis.streaming.analyze` itself, not a wrapper);
 * :func:`run_experiment` — regenerate one of the paper's tables or figures
   by name and return its rendered text;
 * the topology presets (:func:`~repro.topology.presets.viola_testbed` and
@@ -35,10 +36,10 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.analysis.parallel import resolve_jobs
-from repro.analysis.replay import AnalysisResult, analyze_run
 from repro.analysis.request import AnalysisRequest
+from repro.analysis.result import AnalysisResult
 from repro.analysis.severity_timeline import SeverityTimeline
-from repro.clocks.sync import SyncScheme
+from repro.analysis.streaming import analyze
 from repro.errors import ExperimentError, TimeBudgetExceeded
 from repro.report.render import render_analysis
 from repro.resilience import CheckpointJournal, Deadline, ExecutionReport
@@ -104,49 +105,6 @@ def simulate(
     """
     runtime = MetaMPIRuntime(metacomputer, placement, seed=seed, **runtime_options)
     return runtime.run(app)
-
-
-def analyze(
-    run: RunResult,
-    request: Optional[AnalysisRequest] = None,
-    *,
-    scheme: Optional[SyncScheme] = None,
-    pool=None,
-    deadline=None,
-) -> AnalysisResult:
-    """Replay-analyze a traced run's archive.
-
-    *request* (an :class:`AnalysisRequest`) describes the analysis.  One
-    single-pass streaming analyzer serves every request; ``jobs`` says
-    only where its local phase (trace blob → op tables, per rank) runs:
-    ``jobs=None``/``1`` in this process, ``jobs>=2`` sharded across that
-    many pool worker processes (``0`` = one per available core).  Every
-    value of ``jobs`` produces a bit-identical :class:`AnalysisResult` —
-    see :mod:`repro.analysis.streaming` for why.
-    ``request.timeline`` additionally accumulates a time-resolved
-    :class:`SeverityTimeline` (``result.severity_timeline``), and
-    ``request.bounded`` drops the op tables once the global phase has
-    read them, so the result holds nothing that grows with the trace.
-
-    ``request.timeout`` (per-shard deadline, seconds) and
-    ``request.max_retries`` (re-dispatches after a worker crash or hang)
-    tune the supervised pool a ``jobs>=2`` run uses; its result carries
-    the pool's :class:`ExecutionReport` in ``result.execution``.
-    ``pool`` lends the run an externally owned warm :class:`SupervisedPool`
-    (task function ``analyze_shard``) instead of spawning one — how the
-    analysis service shares a single pool across every job it serves.
-
-    ``request.deadline_s`` bounds the whole analysis end to end: on
-    expiry the analyzer stops cooperatively and returns a *partial*
-    result — severity accumulated so far, honest per-rank completeness,
-    ``result.interrupted`` set — instead of hanging.  ``deadline`` lends
-    an externally owned :class:`Deadline` instead (how the service makes
-    a client ``DELETE`` reach the running analysis) and wins over
-    ``request.deadline_s``, which starts a fresh clock at every call.
-    """
-    return analyze_run(
-        run, scheme=scheme, request=request, pool=pool, deadline=deadline
-    )
 
 
 def verify_archives(run: RunResult) -> RunVerification:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.check.findings import Finding
 
@@ -184,12 +184,3 @@ class RuleVisitor(ast.NodeVisitor):
         self.visit(self.module.tree)
         return self.findings
 
-
-def iter_withitem_locks(
-    node: ast.With, imports: Dict[str, str]
-) -> List[Tuple[ast.expr, Optional[str]]]:
-    """(context expression, resolved dotted name) for each with-item."""
-    return [
-        (item.context_expr, resolve(item.context_expr, imports))
-        for item in node.items
-    ]

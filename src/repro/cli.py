@@ -52,6 +52,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.errors import CheckpointLockError, PoolShutdown, ReproError
+from repro.service.store import DONE, TERMINAL
 
 #: Default on-disk location of the ``--resume`` checkpoint journal.
 DEFAULT_JOURNAL = ".repro-checkpoint.jsonl"
@@ -250,7 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--wait",
         action="store_true",
-        help="poll until the job settles and print its result",
+        help="poll until the job is done, failed or cancelled; print its "
+        "result (exit 0) or its error (exit 1)",
     )
     submit_parser.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECONDS"
@@ -492,11 +494,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         job = body["job"]
-        if job["status"] in ("done", "failed"):
+        if job["status"] in TERMINAL:
             break
         time.sleep(args.poll_interval)
-    if job["status"] == "failed":
-        print(f"job failed: {job.get('error')}", file=sys.stderr)
+    if job["status"] != DONE:  # failed, or cancelled by a client or its deadline
+        print(f"job {job['status']}: {job.get('error')}", file=sys.stderr)
         return 1
     result = job.get("result") or {}
     print(result.get("text") or json.dumps(result, sort_keys=True, indent=2))

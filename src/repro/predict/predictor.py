@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.analysis.replay import AnalysisResult, analyze_run
+from repro.analysis.result import AnalysisResult
+from repro.analysis.streaming import analyze
 from repro.errors import ConfigurationError
 from repro.predict.skeleton import (
     CollectiveAction,
@@ -168,5 +169,5 @@ def predict_run(
         archive_path="/work/epik_predicted",
     )
     run = runtime.run(_make_replay_app(skeleton, comm_names))
-    result = analyze_run(run)
+    result = analyze(run)
     return PredictionOutcome(run=run, result=result, skeleton=skeleton)

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.analysis.instances import MPIOpInstance
-from repro.analysis.replay import AnalysisResult
+from repro.analysis.result import AnalysisResult
+from repro.analysis.streaming import analyze
 from repro.errors import AnalysisError, ConfigurationError
 from repro.trace.regions import RegionRegistry, is_mpi_region
 
@@ -111,9 +112,6 @@ class ProgramSkeleton:
     @property
     def world_size(self) -> int:
         return len(self.actions)
-
-    def action_count(self) -> int:
-        return sum(len(a) for a in self.actions.values())
 
     def compute_seconds(self, rank: int) -> float:
         return sum(
@@ -291,9 +289,7 @@ def skeleton_from_run(run_result, analysis: Optional[AnalysisResult] = None) -> 
     synchronization), and reads the source CPU speeds off the placement.
     """
     if analysis is None:
-        from repro.analysis.replay import analyze_run
-
-        analysis = analyze_run(run_result)
+        analysis = analyze(run_result)
     speeds = {
         slot.rank: slot.cpu.speed_factor for slot in run_result.placement.slots
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.replay import AnalysisResult
+from repro.analysis.result import AnalysisResult
 from repro.errors import ReportError
 
 #: Canonical cell key: (metric name, call-path region names, rank).

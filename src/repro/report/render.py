@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.patterns import metric_tree
-from repro.analysis.replay import AnalysisResult
+from repro.analysis.result import AnalysisResult
 from repro.errors import ReportError
 
 

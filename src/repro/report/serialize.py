@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.analysis.replay import AnalysisResult
+from repro.analysis.result import AnalysisResult
 from repro.errors import ReportError
 from repro.report.algebra import ExperimentData, canonicalize
 

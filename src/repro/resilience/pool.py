@@ -137,7 +137,7 @@ class TaskExecution:
 class ExecutionReport:
     """Aggregate account of one supervised pool run.
 
-    Attached to :class:`~repro.analysis.replay.AnalysisResult` by the
+    Attached to :class:`~repro.analysis.result.AnalysisResult` by the
     analyzer after a pool run so a recovered analysis carries the evidence
     of its recovery.
     """

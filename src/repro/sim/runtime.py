@@ -281,22 +281,14 @@ class MetaMPIRuntime:
             for rank in ranks:
                 # Buffers hold the already-encoded record stream (encoding
                 # happened incrementally during simulation), so emission is
-                # a byte copy per rank — no event objects, no second
-                # whole-trace encode pass.
-                buf = tracer.buffer(rank)
-                if injector is None:
-                    trace_bytes[rank] = writer.write_trace_stream(
-                        rank, buf.encoded_chunks()
-                    )
-                else:
-                    # Checksums cover the pristine encoding; the injector's
-                    # damage models storage corrupting the bytes *after*
-                    # they were checksummed, so verify() can catch it.
-                    clean = buf.encoded()
-                    blob = injector.mangle_trace(rank, clean)
-                    trace_bytes[rank] = writer.write_trace_blob(
-                        rank, blob, checksums_of=clean
-                    )
+                # one byte copy per rank — no event objects, no second
+                # whole-trace encode pass.  Checksums cover the pristine
+                # encoding; an injector's damage models storage corrupting
+                # the bytes *after* they were checksummed, so verify() can
+                # catch it.
+                clean = tracer.buffer(rank).encoded()
+                blob = clean if injector is None else injector.mangle_trace(rank, clean)
+                trace_bytes[rank] = writer.write_trace_blob(rank, blob, checksums_of=clean)
             writer.write_manifest()
 
         return RunResult(

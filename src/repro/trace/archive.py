@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.serialize import sync_data_from_dict, sync_data_to_dict
 from repro.clocks.sync import SyncData
@@ -466,22 +466,6 @@ class ArchiveWriter:
     def write_trace(self, rank: int, events: Sequence[Event]) -> int:
         """Write one rank's local trace; returns the encoded byte count."""
         return self.write_trace_blob(rank, encode_events(rank, events))
-
-    def write_trace_stream(
-        self,
-        rank: int,
-        chunks: Iterable[bytes],
-        checksums_of: Optional[bytes] = None,
-    ) -> int:
-        """Write a trace from pre-encoded byte chunks (streaming emit path).
-
-        The simulator's buffers encode records incrementally during the
-        run; this entry point accepts that stream (header chunk first)
-        without a decode/re-encode round trip.  Namespace writes are
-        atomic whole-file operations, so the chunks are joined here — the
-        memory bound is one rank's encoded trace, never event objects.
-        """
-        return self.write_trace_blob(rank, b"".join(chunks), checksums_of=checksums_of)
 
     def write_trace_blob(
         self, rank: int, blob: bytes, checksums_of: Optional[bytes] = None

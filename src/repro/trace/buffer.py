@@ -63,18 +63,10 @@ class TraceBuffer:
         """The trace-file bytes (header + records) encoded so far.
 
         Identical to ``encode_events(rank, events)`` over the same event
-        sequence; the archive writer stores this directly.
+        sequence; the archive writer stores this directly.  One join, so
+        the records are copied once.
         """
-        return encode_header(self.rank) + bytes(self._buf)
-
-    def encoded_chunks(self) -> Iterator[bytes]:
-        """Byte chunks forming :meth:`encoded` (header first), copy-free.
-
-        Feed this to :meth:`~repro.trace.archive.ArchiveWriter.write_trace_stream`
-        to emit the trace without materializing event objects.
-        """
-        yield encode_header(self.rank)
-        yield memoryview(self._buf)
+        return b"".join((encode_header(self.rank), self._buf))
 
     # One frame per record on the accepting path: order/finalized/depth
     # checks, pack and append happen in the record method itself, and a

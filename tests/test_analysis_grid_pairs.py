@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.analysis.patterns import (
-    GRID_LATE_SENDER,
-    GRID_WAIT_AT_BARRIER,
-    GridPairBreakdown,
-)
-from repro.analysis.replay import analyze_run
+from repro.analysis.patterns import GRID_LATE_SENDER, GRID_WAIT_AT_BARRIER
+from repro.analysis.result import GridPairBreakdown
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app, make_imbalance_app
 from repro.topology.presets import uniform_metacomputer
 
@@ -50,7 +47,7 @@ class TestEndToEnd:
         mc = uniform_metacomputer(metahost_count=3, node_count=1, cpus_per_node=2)
         work = {0: 0.2, 1: 0.2, 2: 0.01, 3: 0.01, 4: 0.01, 5: 0.01}
         run = run_app(mc, 6, make_barrier_imbalance_app(work), seed=8)
-        return analyze_run(run)
+        return analyze(run)
 
     def test_causer_is_the_slow_metahost(self, three_host_result):
         pairs = three_host_result.grid_pairs.pairs(GRID_WAIT_AT_BARRIER)
@@ -79,7 +76,7 @@ class TestEndToEnd:
         # Rank 1 (metahost 0) is slow; its ring successor rank 2 lives on
         # metahost 1 and waits for it.
         work = {0: 0.01, 1: 0.2, 2: 0.01, 3: 0.01}
-        result = analyze_run(run_app(mc, 4, make_imbalance_app(work), seed=9))
+        result = analyze(run_app(mc, 4, make_imbalance_app(work), seed=9))
         pairs = result.grid_pairs.pairs(GRID_LATE_SENDER)
         top_pair, value = result.grid_pairs.top_pair(GRID_LATE_SENDER)
         assert top_pair == (0, 1)  # metahost 0 causes metahost 1 to wait
@@ -90,7 +87,7 @@ class TestEndToEnd:
 
         mc = single_cluster(node_count=4, cpus_per_node=1)
         work = {0: 0.1, 1: 0.01, 2: 0.01, 3: 0.01}
-        result = analyze_run(run_app(mc, 4, make_barrier_imbalance_app(work)))
+        result = analyze(run_app(mc, 4, make_barrier_imbalance_app(work)))
         assert result.grid_pairs.pairs(GRID_WAIT_AT_BARRIER) == {}
 
 

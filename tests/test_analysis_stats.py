@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis.replay import analyze_run
 from repro.analysis.stats import (
     CommMatrix,
     SizeHistogram,
     render_statistics,
     statistics_of,
 )
+from repro.api import analyze
 from repro.apps.imbalance import make_imbalance_app, make_master_worker_app
 from repro.errors import AnalysisError
 from repro.topology.presets import single_cluster, uniform_metacomputer
@@ -70,7 +70,7 @@ class TestEndToEndStatistics:
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
         work = {r: 0.01 for r in range(4)}
         run = run_app(mc, 4, make_imbalance_app(work, iterations=3), seed=2)
-        return statistics_of(analyze_run(run))
+        return statistics_of(analyze(run))
 
     def test_message_counts(self, stats):
         # 4 ranks × 3 iterations × 1 sendrecv each = 12 messages.
@@ -106,7 +106,7 @@ class TestEndToEndStatistics:
         mc = single_cluster(node_count=4, cpus_per_node=1)
         work = {1: 0.01, 2: 0.01, 3: 0.01}
         run = run_app(mc, 4, make_master_worker_app(work, rounds=2))
-        stats = statistics_of(analyze_run(run))
+        stats = statistics_of(analyze(run))
         # All traffic flows into rank 0.
         assert all(dst == 0 for (_src, dst) in stats.comm.bytes_sent)
         assert stats.comm.partners_of(0) == [1, 2, 3]

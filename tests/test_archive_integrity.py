@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.replay import RankCompleteness, ReplayAnalyzer
+from repro.analysis.replay import ReplayAnalyzer
+from repro.analysis.result import RankCompleteness
 from repro.api import AnalysisRequest, analyze, simulate, verify_archives
 from repro.apps.imbalance import make_imbalance_app
 from repro.errors import ArchiveError

@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from repro.analysis.replay import analyze_run
 from repro.analysis.request import AnalysisRequest
+from repro.api import analyze
 from repro.errors import (
     CommunicationTimeoutError,
     EncodingError,
@@ -75,7 +75,7 @@ class TestTransportFaults:
         assert run.fault_counters.retransmits > 0
         assert run.stats.retransmits == run.fault_counters.retransmits
         # The run still analyzes cleanly: no trace was damaged.
-        result = analyze_run(run, request=AnalysisRequest(degraded=True))
+        result = analyze(run, request=AnalysisRequest(degraded=True))
         assert len(result.analyzed_ranks) == NPROCS
 
     def test_retransmission_delays_surface_in_timing(self):
@@ -96,15 +96,15 @@ class TestMeasurementFaults:
         assert run.fault_counters.pings_dropped > 0
         assert run.fault_counters.pings_reissued == run.fault_counters.pings_dropped
         assert not run.sync_data.failures
-        analyze_run(run)  # strict analysis still works
+        analyze(run)  # strict analysis still works
 
     def test_total_ping_loss_degrades_but_completes(self):
         plan = FaultPlan(specs=(PingFault("external", drop_prob=1.0),), seed=3)
         run = _run(fault_plan=plan)
         assert run.sync_data.failures  # measurements were abandoned
         with pytest.raises(Exception):
-            analyze_run(run)  # strict replay refuses the gap
-        result = analyze_run(run, request=AnalysisRequest(degraded=True))
+            analyze(run)  # strict replay refuses the gap
+        result = analyze(run, request=AnalysisRequest(degraded=True))
         assert len(result.analyzed_ranks) == NPROCS
 
 
@@ -114,10 +114,10 @@ class TestDegradedReplay:
         run = _run(fault_plan=plan)
         assert run.fault_counters.traces_truncated == 1
         with pytest.raises((TraceError, EncodingError)):
-            analyze_run(run)
+            analyze(run)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = analyze_run(run, request=AnalysisRequest(degraded=True))
+            result = analyze(run, request=AnalysisRequest(degraded=True))
         assert any(
             issubclass(w.category, PartialTraceWarning) for w in caught
         )
@@ -136,7 +136,7 @@ class TestDegradedReplay:
         assert run.fault_counters.traces_corrupted == 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PartialTraceWarning)
-            result = analyze_run(run, request=AnalysisRequest(degraded=True))
+            result = analyze(run, request=AnalysisRequest(degraded=True))
         assert result.excluded_ranks == [2]
         assert result.completeness[2].events > 0
 
@@ -147,14 +147,14 @@ class TestDegradedReplay:
         run = _run(fault_plan=plan)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PartialTraceWarning)
-            result = analyze_run(run, request=AnalysisRequest(degraded=True))
+            result = analyze(run, request=AnalysisRequest(degraded=True))
         # Surviving ranks still wait at the barrier for the slow ranks.
         assert result.metric_total(WAIT_AT_BARRIER) > 0.0
 
     def test_degraded_on_clean_run_matches_strict(self):
         run = _run(fault_plan=None)
-        strict = analyze_run(run)
-        degraded = analyze_run(run, request=AnalysisRequest(degraded=True))
+        strict = analyze(run)
+        degraded = analyze(run, request=AnalysisRequest(degraded=True))
         assert degraded.analyzed_ranks == strict.analyzed_ranks
         for metric in ("time", "mpi", "late-sender", "wait-at-barrier"):
             assert degraded.metric_total(metric) == pytest.approx(

@@ -36,14 +36,13 @@ from repro.analysis.patterns import (
     LATE_SENDER_WRONG_ORDER,
     TIME,
     WAIT_AT_BARRIER,
-    accumulate_collective,
-    accumulate_p2p,
-    default_collective_patterns,
-    default_p2p_patterns,
 )
-from repro.analysis.patterns.grid import GridPairBreakdown
+from repro.analysis.patterns.collective import default_collective_patterns
+from repro.analysis.patterns.grid import accumulate_collective, accumulate_p2p
+from repro.analysis.patterns.point2point import default_p2p_patterns
 from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.request import AnalysisRequest
+from repro.analysis.result import GridPairBreakdown
 from repro.analysis.severity import SeverityCube
 from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import analyze

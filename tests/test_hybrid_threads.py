@@ -8,7 +8,7 @@ the metahosts" — this covers the multithreading half.
 import pytest
 
 from repro.analysis.patterns import IDLE_THREADS, TIME, metric_by_name
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.errors import MPIUsageError, TraceError
 from repro.topology.presets import single_cluster, uniform_metacomputer
 from repro.trace.buffer import TraceBuffer
@@ -74,7 +74,7 @@ class TestIdleThreadsMetric:
                 yield ctx.parallel([0.2, 0.0, 0.0, 0.0], region="hotloop")
             yield ctx.comm.barrier()
 
-        result = analyze_run(run_app(mc, 2, app, seed=1))
+        result = analyze(run_app(mc, 2, app, seed=1))
         # Both ranks run the same region.
         assert result.metric_total(IDLE_THREADS) == pytest.approx(0.6, rel=1e-3)
 
@@ -84,7 +84,7 @@ class TestIdleThreadsMetric:
                 yield ctx.parallel([0.1] * 4)
             yield ctx.comm.barrier()
 
-        result = analyze_run(run_app(mc, 2, app, seed=1))
+        result = analyze(run_app(mc, 2, app, seed=1))
         assert result.metric_total(IDLE_THREADS) == pytest.approx(0.0, abs=1e-9)
 
     def test_localized_to_region_callpath(self, mc):
@@ -93,7 +93,7 @@ class TestIdleThreadsMetric:
                 yield ctx.parallel([0.2, 0.0], region="hotloop")
             yield ctx.comm.barrier()
 
-        result = analyze_run(run_app(mc, 1, app, seed=1))
+        result = analyze(run_app(mc, 1, app, seed=1))
         assert result.metric_under_region(IDLE_THREADS, "hotloop") == pytest.approx(
             result.metric_total(IDLE_THREADS)
         )
@@ -110,7 +110,7 @@ class TestIdleThreadsMetric:
                 yield ctx.parallel(work, region="phase")
                 yield ctx.comm.barrier()
 
-        result = analyze_run(run_app(mc, 4, app, seed=2))
+        result = analyze(run_app(mc, 4, app, seed=2))
         assert result.metric_total(IDLE_THREADS) > 0.25
         assert result.metric_total("grid-wait-at-barrier") > 0.25
 

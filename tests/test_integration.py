@@ -13,7 +13,7 @@ from repro.analysis.patterns import (
     TIME,
     WAIT_AT_BARRIER,
 )
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app, make_imbalance_app
 from repro.clocks.sync import SCHEMES
 from repro.fs.filesystem import shared_namespace
@@ -34,7 +34,7 @@ class TestFullPipeline:
         placement = Placement.from_counts(mc, [("FZJ-XD1", 2, 2), ("CAESAR", 2, 2)])
         work = {r: 0.02 for r in range(8)}
         run = run_app(mc, placement, _placement_app(work), seed=4)
-        result = analyze_run(run)
+        result = analyze(run)
         text = render_analysis(result, metric=WAIT_AT_BARRIER)
         assert "Wait at Barrier" in text
         assert "FZJ-XD1" in text or "CAESAR" in text
@@ -52,7 +52,7 @@ class TestFullPipeline:
             reader = run.reader(machine)
             own_ranks = set(placement.ranks_on_machine(machine))
             assert set(reader.available_ranks()) == own_ranks
-        result = analyze_run(run)
+        result = analyze(run)
         assert result.metric_total(TIME) > 0
 
     def test_same_workload_shared_vs_private_fs_same_analysis(self):
@@ -68,8 +68,8 @@ class TestFullPipeline:
             seed=1,
             namespaces=shared_namespace(mc.machine_names()),
         ).run(app)
-        a = analyze_run(private)
-        b = analyze_run(shared)
+        a = analyze(private)
+        b = analyze(shared)
         assert a.cube.data == b.cube.data
 
     def test_scheme_choice_changes_violations_not_structure(self):
@@ -78,7 +78,7 @@ class TestFullPipeline:
         run = MetaMPIRuntime(mc, placement, seed=6, clock_drift_scale=5e-6).run(
             make_imbalance_app({r: 0.02 for r in range(4)}, iterations=30)
         )
-        results = {s.name: analyze_run(run, scheme=s) for s in SCHEMES}
+        results = {s.name: analyze(run, scheme=s) for s in SCHEMES}
         # Structure (matched messages, total severity of TIME) identical…
         messages = {r.violations.total for r in results.values()}
         assert len(messages) == 1
@@ -97,12 +97,12 @@ class TestComparativeWorkflow:
         placement = Placement.block(mc, 4)
         hetero_work = {0: 0.1, 1: 0.1, 2: 0.01, 3: 0.01}
         homog_work = {r: 0.05 for r in range(4)}
-        hetero = analyze_run(
+        hetero = analyze(
             MetaMPIRuntime(mc, placement, seed=2).run(
                 make_barrier_imbalance_app(hetero_work)
             )
         )
-        homog = analyze_run(
+        homog = analyze(
             MetaMPIRuntime(mc, placement, seed=2).run(
                 make_barrier_imbalance_app(homog_work)
             )
@@ -115,7 +115,7 @@ class TestComparativeWorkflow:
         # One CPU per node: 4 ranks span both metahosts in block placement.
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
         work = {0: 0.1, 1: 0.1, 2: 0.01, 3: 0.01}
-        spanning = analyze_run(
+        spanning = analyze(
             run_app(mc, 4, make_barrier_imbalance_app(work), seed=3)
         )
         # Same workload confined to one metahost.
@@ -123,14 +123,14 @@ class TestComparativeWorkflow:
         confined_run = MetaMPIRuntime(mc, placement, seed=3).run(
             make_barrier_imbalance_app(work)
         )
-        confined = analyze_run(confined_run)
+        confined = analyze(confined_run)
         assert spanning.metric_total(GRID_WAIT_AT_BARRIER) > 0.0
         assert confined.metric_total(GRID_WAIT_AT_BARRIER) == 0.0
 
     def test_round_trip_through_json_preserves_comparison(self):
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
         work = {0: 0.05, 1: 0.01, 2: 0.01, 3: 0.01}
-        result = analyze_run(run_app(mc, 4, make_barrier_imbalance_app(work)))
+        result = analyze(run_app(mc, 4, make_barrier_imbalance_app(work)))
         data = canonicalize(result, "x")
         restored = experiment_from_dict(experiment_to_dict(data))
         assert restored.metric_total(LATE_SENDER) == pytest.approx(

@@ -7,7 +7,7 @@ from repro.analysis.patterns import (
     LATE_SENDER,
     WAIT_AT_BARRIER,
 )
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app, make_imbalance_app
 from repro.errors import ConfigurationError
 from repro.predict import predict_run, skeleton_from_run
@@ -54,7 +54,7 @@ class TestSkeletonExtraction:
         mc = single_cluster(node_count=4, cpus_per_node=1, speed=2.0)
         work = {0: 0.04, 1: 0.01, 2: 0.01, 3: 0.01}
         run = run_app(mc, 4, make_imbalance_app(work, iterations=2), seed=3)
-        return run, analyze_run(run)
+        return run, analyze(run)
 
     def test_skeleton_covers_all_ranks(self, source):
         run, result = source
@@ -99,7 +99,7 @@ class TestPrediction:
         mc = single_cluster(node_count=4, cpus_per_node=1)
         work = {0: 0.1, 1: 0.01, 2: 0.01, 3: 0.01}
         run = run_app(mc, 4, make_barrier_imbalance_app(work), seed=5)
-        direct = analyze_run(run)
+        direct = analyze(run)
         skeleton = skeleton_from_run(run, direct)
         predicted = predict_run(skeleton, mc, Placement.block(mc, 4), seed=6)
         assert predicted.result.metric_total(WAIT_AT_BARRIER) == pytest.approx(
@@ -126,7 +126,7 @@ class TestPrediction:
         source_mc = single_cluster(node_count=4, cpus_per_node=1)
         work = {0: 0.1, 1: 0.1, 2: 0.01, 3: 0.01}
         run = run_app(source_mc, 4, make_barrier_imbalance_app(work), seed=7)
-        direct = analyze_run(run)
+        direct = analyze(run)
         assert direct.metric_total(GRID_WAIT_AT_BARRIER) == 0.0
 
         target = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
@@ -186,7 +186,7 @@ class TestScanPrediction:
                 yield ctx.comm.scan(256)
 
         run = run_app(mc, 4, app, seed=12)
-        direct = analyze_run(run)
+        direct = analyze(run)
         predicted = predict_run(
             skeleton_from_run(run, direct), mc, Placement.block(mc, 4), seed=13
         )

@@ -22,33 +22,10 @@ class TestEngineProperties:
         engine = Engine()
         fired = []
         for delay in delays:
-            engine.schedule(delay, lambda d=delay: fired.append(d))
+            engine.call_later(delay, fired.append, delay)
         engine.run()
         assert fired == sorted(delays)
         assert engine.now == max(delays)
-
-    @given(
-        delays=st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            min_size=1,
-            max_size=30,
-        ),
-        cancel_mask=st.lists(st.booleans(), min_size=1, max_size=30),
-    )
-    def test_cancelled_never_fire(self, delays, cancel_mask):
-        engine = Engine()
-        fired = []
-        handles = []
-        for i, delay in enumerate(delays):
-            handles.append(engine.schedule(delay, lambda i=i: fired.append(i)))
-        cancelled = set()
-        for i, (handle, cancel) in enumerate(zip(handles, cancel_mask)):
-            if cancel:
-                handle.cancel()
-                cancelled.add(i)
-        engine.run()
-        assert cancelled.isdisjoint(fired)
-        assert len(fired) == len(delays) - len(cancelled & set(range(len(delays))))
 
 
 class TestChannelClockProperties:

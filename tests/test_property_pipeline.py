@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.patterns import LATE_SENDER, P2P, TIME
-from repro.analysis.replay import ReplayAnalyzer, analyze_run
+from repro.analysis.replay import ReplayAnalyzer
+from repro.api import analyze
 from repro.clocks.clock import ClockEnsemble
 from repro.report.serialize import result_to_dict
 from repro.sim.runtime import MetaMPIRuntime
@@ -98,7 +99,7 @@ class TestRandomSchedules:
         placement = Placement.block(mc, NPROCS)
         run = MetaMPIRuntime(mc, placement, seed=seed).run(_schedule_app(schedule))
         assert run.stats.p2p_messages == _message_count(schedule)
-        result = analyze_run(run)
+        result = analyze(run)
         # The analyzer sees exactly the simulated messages.
         assert result.violations.total == _message_count(schedule)
 
@@ -110,7 +111,7 @@ class TestRandomSchedules:
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
         placement = Placement.block(mc, NPROCS)
         run = MetaMPIRuntime(mc, placement, seed=seed).run(_schedule_app(schedule))
-        result = analyze_run(run)
+        result = analyze(run)
         eps = 1e-9
         assert result.metric_total(LATE_SENDER) <= result.metric_total(P2P) + eps
         assert result.metric_total(P2P) <= result.metric_total(TIME) + eps
@@ -126,7 +127,7 @@ class TestRandomSchedules:
         run = MetaMPIRuntime(mc, placement, seed=1, clocks=clocks).run(
             _schedule_app(schedule)
         )
-        result = analyze_run(run)
+        result = analyze(run)
         # Perfect clocks remove drift and offset, but the synchronized
         # stamps still pass through *measured* offsets, whose ping-pong
         # jitter can misplace a near-simultaneous pair by nanoseconds.
@@ -147,7 +148,7 @@ class TestRandomSchedules:
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
         placement = Placement.block(mc, NPROCS)
         run = MetaMPIRuntime(mc, placement, seed=seed).run(_schedule_app(schedule))
-        streaming = analyze_run(run)
+        streaming = analyze(run)
         buffered = ReplayAnalyzer(
             {machine: run.reader(machine) for machine in run.machines_used}
         ).analyze()

@@ -18,7 +18,7 @@ from repro.analysis.patterns import (
     TIME,
     WAIT_AT_BARRIER,
 )
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app, make_imbalance_app
 from repro.clocks.clock import ClockEnsemble
 from repro.sim.runtime import MetaMPIRuntime
@@ -42,7 +42,7 @@ def _analyze(work, seed, app_factory, synchronized=False):
         kwargs["clocks"] = ClockEnsemble.synchronized(placement.ranks_by_node())
     runtime = MetaMPIRuntime(mc, placement, seed=seed, **kwargs)
     run = runtime.run(app_factory(work))
-    return analyze_run(run)
+    return analyze(run)
 
 
 class TestSimulationInvariants:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.patterns import LATE_SENDER, TIME, WAIT_AT_BARRIER
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app
 from repro.errors import ReportError
 from repro.report.algebra import ExperimentData, canonicalize, diff, mean, merge
@@ -21,7 +21,7 @@ def _run(work_slow, seed=0):
     mc = single_cluster(node_count=4, cpus_per_node=1)
     work = {0: work_slow, 1: 0.01, 2: 0.01, 3: 0.01}
     run = run_app(mc, 4, make_barrier_imbalance_app(work), seed=seed)
-    return analyze_run(run)
+    return analyze(run)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.patterns import LATE_SENDER, TIME, WAIT_AT_BARRIER
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app, make_imbalance_app
 from repro.errors import ReportError
 from repro.report.render import (
@@ -22,7 +22,7 @@ def result():
     mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
     work = {0: 0.01, 1: 0.15, 2: 0.01, 3: 0.01}
     run = run_app(mc, 4, make_imbalance_app(work, iterations=2))
-    return analyze_run(run)
+    return analyze(run)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def barrier_result():
     mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
     work = {0: 0.15, 1: 0.15, 2: 0.01, 3: 0.01}
     run = run_app(mc, 4, make_barrier_imbalance_app(work))
-    return analyze_run(run)
+    return analyze(run)
 
 
 class TestMetricTree:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_barrier_imbalance_app, make_imbalance_app
 from repro.errors import ReportError
 from repro.report.timeline import (
@@ -19,7 +19,7 @@ from tests.conftest import run_app
 def barrier_result():
     mc = single_cluster(node_count=4, cpus_per_node=1)
     work = {0: 0.1, 1: 0.01, 2: 0.01, 3: 0.01}
-    return analyze_run(run_app(mc, 4, make_barrier_imbalance_app(work), seed=4))
+    return analyze(run_app(mc, 4, make_barrier_imbalance_app(work), seed=4))
 
 
 class TestTimeline:
@@ -109,6 +109,6 @@ class TestTimeline:
     def test_p2p_glyphs_present(self):
         mc = single_cluster(node_count=2, cpus_per_node=1)
         work = {0: 0.01, 1: 0.05}
-        result = analyze_run(run_app(mc, 2, make_imbalance_app(work), seed=1))
+        result = analyze(run_app(mc, 2, make_imbalance_app(work), seed=1))
         text = render_result_timeline(result, columns=40)
         assert "m" in text.split("\n")[1]  # sendrecv cells on rank 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.clocks.sync import HierarchicalInterpolation
 from repro.sim.runtime import MetaMPIRuntime
@@ -62,7 +62,7 @@ class TestGlobalClockMetahost:
                 assert record.local_end is None
 
     def test_hierarchical_scheme_still_analyzes_cleanly(self, run):
-        result = analyze_run(run, scheme=HierarchicalInterpolation())
+        result = analyze(run, scheme=HierarchicalInterpolation())
         assert result.violations.violations == 0
 
     def test_synced_slaves_use_local_master_converter(self, run):

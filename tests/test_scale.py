@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.patterns import LATE_SENDER, WAIT_AT_NXN
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import uniform_metacomputer
@@ -35,7 +35,7 @@ class TestLargeWorlds:
         assert run.stats.p2p_messages == 128 * 3
         assert run.archive_outcome.partial_archive_count == 4
 
-        result = analyze_run(run)
+        result = analyze(run)
         assert result.violations.total == 128 * 3
         # Work modulation creates both p2p and collective waits.
         assert result.metric_total(LATE_SENDER) > 0
@@ -59,7 +59,7 @@ class TestLargeWorlds:
             yield ctx.comm.barrier()
 
         run = MetaMPIRuntime(mc, placement, seed=23).run(app)
-        result = analyze_run(run)
+        result = analyze(run)
         # Grid barrier waiting exists (spanning barrier), and the slowest
         # entrant defines the sync point for 231 waiters.
         assert result.metric_total("grid-wait-at-barrier") > 0

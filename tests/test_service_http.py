@@ -239,6 +239,32 @@ class TestCliClient:
         assert "created: job " in out
         assert '"integrity_ok": true' in out
 
+    def test_submit_wait_returns_for_a_cancelled_job(self, server, capsys):
+        """A job its deadline cancels is terminal: ``--wait`` stops polling,
+        prints the job's error and exits 1.  The client runs in a thread so
+        a poll loop that never ends fails this test instead of the suite."""
+        base, _ = server
+        outcome = {}
+
+        def submit():
+            outcome["code"] = cli_main(
+                [
+                    "submit", "imbalance", "--kind", "simulate", "--seed", "7",
+                    "--config", '{"deadline_s": 1e-06}',
+                    "--url", base, "--wait", "--poll-interval", "0.05",
+                ]
+            )
+
+        client = threading.Thread(target=submit, daemon=True)
+        client.start()
+        client.join(timeout=60)
+        assert not client.is_alive(), "submit --wait kept polling a cancelled job"
+        captured = capsys.readouterr()
+        assert outcome["code"] == 1
+        assert "created: job " in captured.out
+        assert "job cancelled: TimeBudgetExceeded" in captured.err
+        assert "deadline of 1e-06s exceeded" in captured.err
+
     def test_submit_invalid_is_an_error_exit(self, server, capsys):
         base, _ = server
         code = cli_main(["submit", "figure99", "--url", base])

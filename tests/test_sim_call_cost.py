@@ -12,6 +12,7 @@ not move when frames are cut.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -59,12 +60,20 @@ def _run(body, iterations):
         if event == "call":
             calls += 1
 
+    # A collection inside the window would add frames that are not the
+    # call's: ``gc.callbacks`` (hypothesis registers one once any property
+    # test has run) and finalizers.  Where collections fall depends on what
+    # ran before, so the collector is off while counting.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
         world.run()
     finally:
         sys.setprofile(previous)
+        if gc_was_enabled:
+            gc.enable()
     return calls, world.engine.processed_events
 
 

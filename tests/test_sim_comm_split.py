@@ -144,7 +144,7 @@ class TestSplitArchival:
 
     def test_split_trace_predictable(self, mc):
         """A trace containing a split can still be skeletonized."""
-        from repro.analysis.replay import analyze_run
+        from repro.api import analyze
         from repro.predict import predict_run, skeleton_from_run
         from repro.topology.metacomputer import Placement
 
@@ -155,7 +155,7 @@ class TestSplitArchival:
                 yield sub.allreduce(64)
 
         run = run_app(mc, 4, app, seed=6)
-        direct = analyze_run(run)
+        direct = analyze(run)
         predicted = predict_run(
             skeleton_from_run(run, direct), mc, Placement.block(mc, 4), seed=7
         )

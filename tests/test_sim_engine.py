@@ -10,194 +10,82 @@ class TestScheduling:
     def test_runs_in_time_order(self):
         engine = Engine()
         order = []
-        engine.schedule(3.0, lambda: order.append("c"))
-        engine.schedule(1.0, lambda: order.append("a"))
-        engine.schedule(2.0, lambda: order.append("b"))
+        engine.call_later(3.0, order.append, "c")
+        engine.call_later(1.0, order.append, "a")
+        engine.call_later(2.0, order.append, "b")
         engine.run()
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_insertion(self):
         engine = Engine()
         order = []
-        engine.schedule(1.0, lambda: order.append(1))
-        engine.schedule(1.0, lambda: order.append(2))
-        engine.schedule(1.0, lambda: order.append(3))
+        engine.call_later(1.0, order.append, 1)
+        engine.call_at(1.0, order.append, 2)
+        engine.call_later(1.0, order.append, 3)
         engine.run()
         assert order == [1, 2, 3]
 
     def test_now_advances(self):
         engine = Engine()
         seen = []
-        engine.schedule(0.5, lambda: seen.append(engine.now))
-        engine.schedule(1.5, lambda: seen.append(engine.now))
+        engine.call_later(0.5, lambda: seen.append(engine.now))
+        engine.call_later(1.5, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [0.5, 1.5]
+        assert engine.now == 1.5
 
     def test_nested_scheduling(self):
         engine = Engine()
         seen = []
 
         def outer():
-            engine.schedule(1.0, lambda: seen.append(engine.now))
+            engine.call_later(1.0, lambda: seen.append(engine.now))
 
-        engine.schedule(1.0, outer)
+        engine.call_later(1.0, outer)
         engine.run()
         assert seen == [2.0]
 
     def test_rejects_past_scheduling(self):
         engine = Engine()
-        engine.schedule(1.0, lambda: None)
+        engine.call_later(1.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
-            engine.schedule_at(0.5, lambda: None)
+            engine.call_at(0.5, lambda: None)
         with pytest.raises(SimulationError):
-            engine.schedule(-1.0, lambda: None)
+            engine.call_later(-1.0, lambda: None)
 
     def test_zero_delay_allowed(self):
         engine = Engine()
         hits = []
-        engine.schedule(0.0, lambda: hits.append(1))
+        engine.call_later(0.0, hits.append, 1)
         engine.run()
         assert hits == [1]
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        engine = Engine()
-        hits = []
-        handle = engine.schedule(1.0, lambda: hits.append("cancelled"))
-        engine.schedule(2.0, lambda: hits.append("kept"))
-        handle.cancel()
-        engine.run()
-        assert hits == ["kept"]
-        assert handle.cancelled
-
-    def test_empty_considers_cancellation(self):
-        engine = Engine()
-        handle = engine.schedule(1.0, lambda: None)
-        assert not engine.empty()
-        handle.cancel()
-        assert engine.empty()
 
 
 class TestRunLimits:
-    def test_until_stops_before_future_events(self):
-        engine = Engine()
-        hits = []
-        engine.schedule(1.0, lambda: hits.append(1))
-        engine.schedule(5.0, lambda: hits.append(2))
-        engine.run(until=2.0)
-        assert hits == [1]
-        assert engine.now == 2.0
-        engine.run()
-        assert hits == [1, 2]
-
     def test_max_events_guards_livelock(self):
         engine = Engine()
 
         def reschedule():
-            engine.schedule(0.0, reschedule)
+            engine.call_later(0.0, reschedule)
 
-        engine.schedule(0.0, reschedule)
+        engine.call_later(0.0, reschedule)
         with pytest.raises(SimulationError):
             engine.run(max_events=100)
+        assert engine.processed_events == 100
 
     def test_processed_events_counter(self):
         engine = Engine()
         for i in range(5):
-            engine.schedule(float(i), lambda: None)
+            engine.call_later(float(i), lambda: None)
         engine.run()
         assert engine.processed_events == 5
-
-    def test_until_advances_now_when_heap_drains_early(self):
-        # Regression: the heap drains at t=1 but simulated idle time still
-        # passes until the run horizon — now must end up at `until`, not
-        # stay stale at the last event's stamp.
-        engine = Engine()
-        engine.schedule(1.0, lambda: None)
-        engine.run(until=5.0)
-        assert engine.now == 5.0
-        # Scheduling relative to the horizon must therefore be legal.
-        engine.schedule_at(5.0, lambda: None)
-
-    def test_until_advances_now_on_empty_heap(self):
-        engine = Engine()
-        engine.run(until=3.0)
-        assert engine.now == 3.0
-
-    def test_until_never_moves_now_backwards(self):
-        engine = Engine()
-        engine.schedule(2.0, lambda: None)
-        engine.run()
-        assert engine.now == 2.0
-        engine.run(until=1.0)
-        assert engine.now == 2.0
-
-
-class TestPendingAccounting:
-    def test_pending_counts_live_entries(self):
-        engine = Engine()
-        handles = [engine.schedule(float(i + 1), lambda: None) for i in range(3)]
-        assert engine.pending_events == 3
-        handles[1].cancel()
-        assert engine.pending_events == 2
-        assert not engine.empty()
-        engine.run()
-        assert engine.pending_events == 0
-        assert engine.empty()
-
-    def test_double_cancel_decrements_once(self):
-        engine = Engine()
-        handle = engine.schedule(1.0, lambda: None)
-        other = engine.schedule(2.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert engine.pending_events == 1
-        engine.run()
-        assert engine.pending_events == 0
-        assert not other.cancelled
-
-    def test_cancel_after_execution_is_noop(self):
-        engine = Engine()
-        hits = []
-        handle = engine.schedule(1.0, lambda: hits.append(1))
-        engine.schedule(2.0, lambda: None)
-        engine.run(until=1.5)
-        assert hits == [1]
-        handle.cancel()  # already executed: must not touch the live counter
-        assert not handle.cancelled
-        assert engine.pending_events == 1
-        engine.run()
-        assert engine.pending_events == 0
-
-    def test_cancelled_tie_preserves_order_of_survivors(self):
-        engine = Engine()
-        order = []
-        engine.schedule(1.0, lambda: order.append(1))
-        middle = engine.schedule(1.0, lambda: order.append(2))
-        engine.schedule(1.0, lambda: order.append(3))
-        middle.cancel()
-        engine.run()
-        assert order == [1, 3]
-        assert engine.processed_events == 2
 
 
 class TestNonFiniteTimes:
     """Regression: ``delay < 0`` is False for NaN, so NaN/inf stamps used to
     reach the heap, where a single NaN breaks every comparison and silently
     corrupts event ordering for the rest of the run."""
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_schedule_rejects_non_finite_delay(self, bad):
-        engine = Engine()
-        with pytest.raises(SimulationError):
-            engine.schedule(bad, lambda: None)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_schedule_at_rejects_non_finite_time(self, bad):
-        engine = Engine()
-        with pytest.raises(SimulationError):
-            engine.schedule_at(bad, lambda: None)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_call_later_rejects_non_finite_delay(self, bad):
@@ -214,12 +102,14 @@ class TestNonFiniteTimes:
     def test_rejection_leaves_engine_usable(self):
         engine = Engine()
         with pytest.raises(SimulationError):
-            engine.schedule(float("nan"), lambda: None)
+            engine.call_later(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            engine.call_at(float("inf"), lambda: None)
         hits = []
-        engine.schedule(1.0, lambda: hits.append(1))
+        engine.call_later(1.0, hits.append, 1)
         engine.run()
         assert hits == [1]
-        assert engine.pending_events == 0
+        assert engine.processed_events == 1
 
 
 class TestHandleLessScheduling:
@@ -234,7 +124,7 @@ class TestHandleLessScheduling:
 
     def test_call_at_rejects_past(self):
         engine = Engine()
-        engine.schedule(1.0, lambda: None)
+        engine.call_later(1.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
             engine.call_at(0.5, lambda: None)
@@ -242,40 +132,33 @@ class TestHandleLessScheduling:
             engine.call_later(-1.0, lambda: None)
 
     def test_entry_recycling_preserves_order_and_counts(self):
-        # Interleave enough handle-less events to cycle entries through the
-        # free pool several times; ordering, tie-breaking and the live
+        # Interleave enough events to cycle entries through the free pool
+        # several times, across runs; ordering, tie-breaking and the event
         # counter must be unaffected by reuse.
         engine = Engine()
         seen = []
         for i in range(500):
-            engine.call_later(float(i % 7), lambda i=i: seen.append(i))
+            engine.call_later(float(i % 7), seen.append, i)
         engine.run()
         assert len(seen) == 500
         assert engine.processed_events == 500
-        assert engine.pending_events == 0
         assert seen == sorted(seen, key=lambda i: (i % 7, i))
-
-    def test_recycled_entries_cannot_be_cancelled_by_stale_handles(self):
-        # A handle from schedule() must never alias a pooled entry: cancel
-        # after execution stays a no-op even once call_later reuses lists.
-        engine = Engine()
-        handle = engine.schedule(1.0, lambda: None)
+        # A second run draws every entry from the pool the first one filled.
+        again = []
+        for i in range(300):
+            engine.call_later(float(i % 5), again.append, i)
         engine.run()
-        for _ in range(10):
-            engine.call_later(1.0, lambda: None)
-        engine.run()
-        handle.cancel()
-        assert not handle.cancelled
-        assert engine.pending_events == 0
+        assert again == sorted(again, key=lambda i: (i % 5, i))
+        assert engine.processed_events == 800
 
     def test_mixed_same_timestamp_batch(self):
-        # Same-timestamp wakeups drain in one batch; nested scheduling at
-        # the batch time must still run within this run() call.
+        # Same-timestamp wakeups run in insertion order; nested scheduling
+        # at the current time must still run within this run() call.
         engine = Engine()
         order = []
-        engine.call_at(1.0, lambda: order.append("a"))
-        engine.call_at(1.0, lambda: engine.call_at(1.0, lambda: order.append("c")))
-        engine.schedule_at(1.0, lambda: order.append("b"))
+        engine.call_at(1.0, order.append, "a")
+        engine.call_at(1.0, lambda: engine.call_at(1.0, order.append, "c"))
+        engine.call_at(1.0, order.append, "b")
         engine.run()
         assert order == ["a", "b", "c"]
         assert engine.now == 1.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.patterns import LATE_RECEIVER
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.topology.presets import single_cluster
 from tests.conftest import run_app
 from tests.test_sim_mpi_p2p import run_world
@@ -66,7 +66,7 @@ class TestSsend:
                     yield ctx.comm.recv(0, 0)
             yield ctx.comm.barrier()
 
-        result = analyze_run(run_app(mc, 2, app))
+        result = analyze(run_app(mc, 2, app))
         assert result.metric_total(LATE_RECEIVER) > 0.25
         # Attributed at the sender's MPI_Ssend call path.
         top_path, _ = result.top_callpaths(LATE_RECEIVER, 1)[0]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.patterns import metric_by_name
 from repro.analysis.patterns.base import EARLY_SCAN
-from repro.analysis.replay import analyze_run
+from repro.api import analyze
 from repro.sim import collectives as coll
 from repro.sim.transfer import SimParams
 from repro.topology.presets import single_cluster
@@ -89,7 +89,7 @@ class TestEarlyScanPattern:
                 yield ctx.compute(0.2 if ctx.rank == 0 else 0.01)
                 yield ctx.comm.scan(64)
 
-        result = analyze_run(run_app(mc, 4, app, seed=3))
+        result = analyze(run_app(mc, 4, app, seed=3))
         early_scan = result.cube.by_rank(EARLY_SCAN)
         assert result.metric_total(EARLY_SCAN) > 0.4  # 3 ranks × ~0.19 s
         assert early_scan.get(0, 0.0) < 0.01  # the culprit never waits
@@ -102,5 +102,5 @@ class TestEarlyScanPattern:
                 yield ctx.compute(0.2 if ctx.rank == ctx.size - 1 else 0.01)
                 yield ctx.comm.scan(64)
 
-        result = analyze_run(run_app(mc, 4, app, seed=4))
+        result = analyze(run_app(mc, 4, app, seed=4))
         assert result.metric_total(EARLY_SCAN) < 0.02

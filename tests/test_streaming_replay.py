@@ -3,7 +3,7 @@
 Three contracts under test:
 
 * **Golden equivalence** — the streaming analyzer (the default serial
-  path of ``analyze_run``) reproduces the buffered
+  path of ``analyze``) reproduces the buffered
   :class:`~repro.analysis.replay.ReplayAnalyzer` bit for bit: same cube
   floats, same call-path ids, same stamps, same rendered report bytes —
   strict and degraded, retained and bounded, serial and sharded.
@@ -32,9 +32,10 @@ import warnings
 import pytest
 
 import repro.analysis.streaming as streaming_module
-from repro.analysis.replay import ReplayAnalyzer, analyze_run
+from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.severity_timeline import SeverityTimeline
+from repro.api import analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.errors import AnalysisError, ReproError
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
@@ -82,7 +83,7 @@ def damaged_run():
 
 class TestStreamingEquivalence:
     def test_strict_matches_buffered(self, small_run):
-        streaming = analyze_run(small_run, request=AnalysisRequest())
+        streaming = analyze(small_run, request=AnalysisRequest())
         assert_identical(_buffered(small_run), streaming)
 
     def test_degraded_matches_buffered(self, damaged_run):
@@ -96,7 +97,7 @@ class TestStreamingEquivalence:
             lambda: _buffered(damaged_run, degraded=True)
         )
         streaming, streaming_warnings = caught(
-            lambda: analyze_run(damaged_run, request=AnalysisRequest(degraded=True))
+            lambda: analyze(damaged_run, request=AnalysisRequest(degraded=True))
         )
         assert_identical(buffered, streaming)
         assert buffered.excluded_ranks == streaming.excluded_ranks
@@ -105,8 +106,8 @@ class TestStreamingEquivalence:
         assert buffered_warnings == streaming_warnings
 
     def test_bounded_matches_retained(self, small_run, jobs=None):
-        retained = analyze_run(small_run, request=AnalysisRequest(jobs=jobs))
-        bounded = analyze_run(small_run, request=AnalysisRequest(bounded=True, jobs=jobs))
+        retained = analyze(small_run, request=AnalysisRequest(jobs=jobs))
+        bounded = analyze(small_run, request=AnalysisRequest(bounded=True, jobs=jobs))
         assert retained.cube.data == bounded.cube.data
         assert retained.grid_pairs.data == bounded.grid_pairs.data
         assert retained.violations.stamps == bounded.violations.stamps
@@ -134,7 +135,7 @@ class TestStreamingEquivalence:
         from repro.report.timeline import render_result_timeline
 
         listed = _buffered(small_run)
-        tabled = analyze_run(small_run, request=AnalysisRequest())
+        tabled = analyze(small_run, request=AnalysisRequest())
         assert all(isinstance(tl.mpi_ops, list) for tl in listed.timelines.values())
         assert not any(isinstance(tl.mpi_ops, list) for tl in tabled.timelines.values())
         assert listed.timelines == tabled.timelines
@@ -150,7 +151,7 @@ class TestStreamingEquivalence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             buffered = _buffered(damaged_run, degraded=True)
-            bounded = analyze_run(
+            bounded = analyze(
                 damaged_run, request=AnalysisRequest(degraded=True, bounded=True)
             )
         assert buffered.cube.data == bounded.cube.data
@@ -178,7 +179,7 @@ class TestPumpOrderIndependence:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    result = analyze_run(
+                    result = analyze(
                         run, request=AnalysisRequest(degraded=degraded, jobs=jobs)
                     )
                 except ReproError as exc:
@@ -206,7 +207,7 @@ class TestPumpOrderIndependence:
         monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", 3)
         buffered = _buffered(small_run)
         for jobs in self.JOBS:
-            streaming = analyze_run(small_run, request=AnalysisRequest(jobs=jobs))
+            streaming = analyze(small_run, request=AnalysisRequest(jobs=jobs))
             for rank, reference in buffered.timelines.items():
                 timeline = streaming.timelines[rank]
                 assert timeline.event_count > 8
@@ -253,7 +254,7 @@ class TestGoldenFigure6:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_clean_matches_buffered(self, clean_run, jobs):
         reference = _buffered(clean_run)
-        result = analyze_run(clean_run, request=AnalysisRequest(jobs=jobs))
+        result = analyze(clean_run, request=AnalysisRequest(jobs=jobs))
         assert_identical(reference, result)
         assert render_analysis(reference).encode() == render_analysis(result).encode()
 
@@ -270,7 +271,7 @@ class TestGoldenFigure6:
         assert any(len(cells) > 1 for cells in reference.values())
         for jobs, size in itertools.product((1, 4), (1, 32, 10**9)):
             monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", size)
-            result = analyze_run(clean_run, request=AnalysisRequest(jobs=jobs))
+            result = analyze(clean_run, request=AnalysisRequest(jobs=jobs))
             assert key_order(result) == reference, (jobs, size)
 
     @pytest.mark.parametrize("jobs", [1, 4])
@@ -278,7 +279,7 @@ class TestGoldenFigure6:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reference = _buffered(faulted_run, degraded=True)
-            result = analyze_run(
+            result = analyze(
                 faulted_run, request=AnalysisRequest(degraded=True, jobs=jobs)
             )
         assert_identical(reference, result)
@@ -289,8 +290,8 @@ class TestGoldenFigure6:
 
 _MEASURE = """
 import resource, sys
-from repro.analysis.replay import analyze_run
 from repro.analysis.request import AnalysisRequest
+from repro.analysis.streaming import analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.metacomputer import Placement
@@ -303,7 +304,7 @@ placement = Placement.block(mc, 4)
 run = MetaMPIRuntime(mc, placement, seed=2).run(
     make_imbalance_app(work, iterations=iterations)
 )
-result = analyze_run(run, request=AnalysisRequest(bounded=True))
+result = analyze(run, request=AnalysisRequest(bounded=True))
 assert result.cube.metrics()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
@@ -332,11 +333,11 @@ class TestBoundedMemory:
 
         parent_retained_peak = 1_114_794
         run = _long_short_runs(300)
-        analyze_run(_long_short_runs(3))  # first-call caches are not the subject
+        analyze(_long_short_runs(3))  # first-call caches are not the subject
 
         def peak(bounded):
             tracemalloc.start()
-            result = analyze_run(run, request=AnalysisRequest(bounded=bounded))
+            result = analyze(run, request=AnalysisRequest(bounded=bounded))
             _, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return result, peak_bytes
@@ -372,7 +373,7 @@ class TestBoundedMemory:
         run = MetaMPIRuntime(
             metacomputer, placement, seed=1, subcomms=config.subcomms()
         ).run(make_metatrace_app(config))
-        result = analyze_run(run, request=AnalysisRequest())
+        result = analyze(run, request=AnalysisRequest())
         assert len(result.timelines) == 32
         assert sum(len(tl.mpi_ops) for tl in result.timelines.values()) > 1000
         gc.collect()
@@ -533,7 +534,7 @@ class TestSeverityTimelineUnit:
 class TestTimelineThroughAnalyze:
     def test_timeline_conserves_cube_totals(self, small_run):
         request = AnalysisRequest(timeline=True, window_s=0.5, stride_s=0.1)
-        result = analyze_run(small_run, request=request)
+        result = analyze(small_run, request=request)
         timeline = result.severity_timeline
         assert timeline is not None
         assert "mpi" in timeline.metrics()
@@ -544,16 +545,16 @@ class TestTimelineThroughAnalyze:
             assert binned == pytest.approx(result.cube.total(metric), rel=1e-9), metric
 
     def test_timeline_does_not_perturb_aggregates(self, small_run):
-        plain = analyze_run(small_run, request=AnalysisRequest())
-        timed = analyze_run(small_run, request=AnalysisRequest(timeline=True))
+        plain = analyze(small_run, request=AnalysisRequest())
+        timed = analyze(small_run, request=AnalysisRequest(timeline=True))
         assert plain.cube.data == timed.cube.data
         assert render_analysis(plain) == render_analysis(timed)
         assert plain.severity_timeline is None
 
     def test_parallel_timeline_matches_serial_mass(self, small_run):
         request = AnalysisRequest(timeline=True)
-        serial = analyze_run(small_run, request=request).severity_timeline
-        parallel = analyze_run(
+        serial = analyze(small_run, request=request).severity_timeline
+        parallel = analyze(
             small_run, request=AnalysisRequest(timeline=True, jobs=2)
         ).severity_timeline
         assert parallel is not None
@@ -565,7 +566,7 @@ class TestTimelineThroughAnalyze:
 
     def test_render_severity_timeline(self, small_run):
         request = AnalysisRequest(timeline=True)
-        result = analyze_run(small_run, request=request)
+        result = analyze(small_run, request=request)
         text = render_severity_timeline(result.severity_timeline)
         assert text.startswith("Time-resolved severity (window 1 s")
         assert "mpi" in text and "peak" in text and "|" in text
@@ -644,9 +645,9 @@ class TestDeprecatedKwargShim:
         from repro.experiments.figures import run_metatrace_experiment
 
         with pytest.raises(TypeError):
-            analyze_run(small_run, jobs=1)
+            analyze(small_run, jobs=1)
         with pytest.raises(TypeError):
-            api.analyze(small_run, degraded=False)
+            analyze(small_run, degraded=False)
         with pytest.raises(TypeError):
             api.run_experiment("table3", seed=0, verify_archive=True)
         with pytest.raises(TypeError):
@@ -655,4 +656,4 @@ class TestDeprecatedKwargShim:
     def test_request_form_is_warning_free(self, small_run):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            analyze_run(small_run, request=AnalysisRequest(jobs=1))
+            analyze(small_run, request=AnalysisRequest(jobs=1))
