@@ -17,7 +17,7 @@ op, record, pair or collective instance is ever made an object:
 * **point-to-point patterns** — the Late Sender / Late Receiver waits and
   the grid predicate are ufuncs over the pair columns; Wrong Order is an
   exclusive running maximum of send stamps per ``(receiver, communicator)``;
-  clock-condition stamps are built already in their canonical order;
+  the clock-condition checker takes the pairs' node and stamp columns;
 * **collectives** — a member's instance is ``(communicator, its running
   count on it)``; members are sorted by ``(communicator, index, rank)`` and
   last enter, spans-metahosts, the causing metahost (lowest rank on a tie),
@@ -39,7 +39,6 @@ metadata byte sizes) from this module; nothing here imports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +76,7 @@ from repro.analysis.patterns.base import (
 from repro.analysis.result import GridPairBreakdown
 from repro.analysis.severity import Partials, SeverityCube, exact_expansion
 from repro.analysis.severity_timeline import SeverityTimeline
-from repro.clocks.condition import ClockConditionChecker, MessageStamp
+from repro.clocks.condition import ClockConditionChecker
 from repro.errors import AnalysisError
 from repro.ids import node_of
 from repro.trace.archive import Definitions
@@ -166,7 +165,7 @@ def global_phase(
     )
     _collectives(tables, fed, machine, definitions, charge, grid_pairs, stats)
     # Last, so that the one per-pair product is not alive during the passes.
-    return cube, grid_pairs, ClockConditionChecker(_stamps(timelines, *pairs)), stats
+    return cube, grid_pairs, _stamps(timelines, *pairs), stats
 
 
 # -- shared array idioms -------------------------------------------------------
@@ -390,9 +389,8 @@ def _point_to_point(
     return sender, receiver, s_time, r_time
 
 
-def _stamps(timelines, sender, receiver, sent, received) -> List[MessageStamp]:
-    """The matched pairs' clock-condition stamps, in the canonical order of
-    ``ClockConditionChecker.sort_stamps``."""
+def _stamps(timelines, sender, receiver, sent, received) -> ClockConditionChecker:
+    """The matched pairs' clock-condition stamps, as the checker's columns."""
     # NodeId sorts by (machine, node), so a node's place among the sorted
     # nodes stands for both.
     nodes = sorted({node_of(process.location) for process in timelines.values()})
@@ -400,17 +398,7 @@ def _stamps(timelines, sender, receiver, sent, received) -> List[MessageStamp]:
     place = np.zeros(max(timelines) + 1, np.int64)
     for rank, process in timelines.items():
         place[rank] = place_of[node_of(process.location)]
-    from_node, to_node = place[sender], place[receiver]
-    order = np.lexsort((received, sent, to_node, from_node))
-    return list(map(
-        partial(tuple.__new__, MessageStamp),
-        zip(
-            map(nodes.__getitem__, from_node[order].tolist()),
-            map(nodes.__getitem__, to_node[order].tolist()),
-            sent[order].tolist(),
-            received[order].tolist(),
-        ),
-    ))
+    return ClockConditionChecker(nodes, place[sender], place[receiver], sent, received)
 
 
 # -- collectives ---------------------------------------------------------------

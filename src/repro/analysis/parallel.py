@@ -13,11 +13,14 @@ worker process needs to run it and nothing else:
 * a picklable :class:`ShardTask` carries one shard's raw trace blobs, the
   definitions document and the clock converters of its nodes;
 * :func:`analyze_shard`, the :class:`~repro.resilience.pool.SupervisedPool`
-  task function, runs :meth:`PartialAnalysis.admit` — one rank's local
-  phase, the same routine at every ``jobs`` value: admission
-  (:func:`_admit_rank`), then its op tables
-  (:func:`repro.analysis.optable.build_rank_tables`) — over a shard-local
-  call-path registry;
+  task function, runs :meth:`PartialAnalysis.admit` — the local phase, the
+  same routine at every ``jobs`` value — over a shard-local call-path
+  registry.  It takes the ranks in contiguous batches of about
+  :data:`_BATCH_BYTES` of trace; per batch, one grammar walk
+  (:func:`repro.trace.encoding.walk_records`), every rank's admission
+  (:func:`_admit_rank`) over its part of that walk, then the admitted
+  ranks' op tables by one set of array passes
+  (:func:`repro.analysis.optable.build_tables`);
 * the picklable :class:`PartialAnalysis` it returns holds exactly that —
   timelines whose ops are numpy columns, call paths, completeness, captured
   warnings.
@@ -39,10 +42,10 @@ from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import ProcessTimeline
-from repro.analysis.optable import build_rank_tables
+from repro.analysis.optable import RankTrace, build_tables
 from repro.analysis.result import RankCompleteness
 from repro.clocks.sync import LinearConverter
-from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning
+from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning, ReproError
 from repro.ids import NodeId, node_of
 from repro.trace.archive import (
     Definitions,
@@ -50,7 +53,13 @@ from repro.trace.archive import (
     salvage_checked,
     trace_filename,
 )
-from repro.trace.encoding import RecordScan, header_rank
+from repro.trace.encoding import RecordScan, header_rank, walk_records
+
+#: Trace bytes the local phase takes in one batch of contiguous ranks: its
+#: array passes cost per batch, not per rank, and their transient arrays
+#: grow with the batch.  Only how much work one step does depends on it —
+#: results never do.
+_BATCH_BYTES = 1 << 20
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -132,38 +141,97 @@ class PartialAnalysis:
 
     def admit(
         self,
-        rank: int,
         definitions: Definitions,
         traces: TraceShard,
         converters: Dict[NodeId, Optional[LinearConverter]],
         degraded: bool,
     ) -> None:
-        """One rank's local phase: admit it and build its op tables.
+        """The local phase of every rank of *traces*, batch after batch.
 
         An admitted rank gains a timeline (its call paths interned into
         ``callpaths``) and a ``trace_bytes`` entry; a rejected one raises
-        (strict) or gains an exclusion record in ``completeness``.
+        (strict) or gains an exclusion record in ``completeness``.  Errors
+        and warnings come in rank order, the lowest rank's error first.
         """
+        batch: List[int] = []
+        held = 0
+        for rank in traces.ranks:
+            batch.append(rank)
+            held += len(traces.blobs.get(rank, b""))
+            if held >= _BATCH_BYTES:
+                self._admit_batch(batch, definitions, traces, converters, degraded)
+                batch, held = [], 0
+        if batch:
+            self._admit_batch(batch, definitions, traces, converters, degraded)
 
-        def build(
-            rank: int, blob: bytes, converter: LinearConverter, scan: Optional[RecordScan]
-        ) -> ProcessTimeline:
-            return build_rank_tables(
-                rank,
-                definitions.locations[rank],
-                blob,
-                converter,
-                self.callpaths,
-                definitions.regions,
-                scan,
-            )
+    def _admit_batch(
+        self,
+        ranks: List[int],
+        definitions: Definitions,
+        traces: TraceShard,
+        converters: Dict[NodeId, Optional[LinearConverter]],
+        degraded: bool,
+    ) -> None:
+        """One walk, every rank's admission, one build: see :meth:`admit`."""
+        walked = [rank for rank in ranks if rank in traces.blobs]
+        tables = [getattr(traces.manifests.get(rank), "blocks", None) for rank in walked]
+        scans = dict(zip(walked, walk_records([traces.blobs[r] for r in walked], tables)))
+        notes: Dict[int, List[str]] = {}
+        failed: Dict[int, ReproError] = {}
+        admitted: List[RankTrace] = []
+        for rank in ranks:
+            try:
+                converter, notes[rank] = _admit_rank(
+                    rank, definitions, traces, converters, degraded,
+                    self.completeness, scans.get(rank),
+                )
+            except ReproError as exc:
+                failed[rank] = exc  # strict: no later rank is looked at
+                break
+            if converter is not None:
+                admitted.append(RankTrace(
+                    rank, definitions.locations[rank], traces.blobs[rank], converter,
+                    scans[rank],
+                ))
+        built = build_tables(admitted, self.callpaths, definitions.regions)
+        for trace, timeline in zip(admitted, built):
+            rank = trace.rank
+            if isinstance(timeline, ProcessTimeline):
+                self.timelines[rank] = timeline
+                self.trace_bytes[rank] = len(trace.blob)
+            elif degraded and isinstance(timeline, AnalysisError):
+                # Damage that decodes as valid records but is structurally
+                # inconsistent: the last exclusion reason.
+                prior = self.completeness[rank]
+                notes[rank].append(_exclude(
+                    self.completeness, rank, str(timeline), prior.completeness, prior.events
+                ))
+            else:
+                failed[rank] = timeline
+        for rank in ranks:
+            for message in notes.get(rank, ()):
+                warnings.warn(message, PartialTraceWarning, stacklevel=3)
+            if rank in failed:
+                raise failed[rank]
 
-        admitted = _admit_rank(
-            rank, definitions, traces, converters, degraded, self.completeness, build
-        )
-        if admitted is not None:
-            blob, _converter, self.timelines[rank] = admitted
-            self.trace_bytes[rank] = len(blob)
+
+def _exclude(
+    completeness: Dict[int, RankCompleteness],
+    rank: int,
+    reason: str,
+    fraction: float = 0.0,
+    events: int = 0,
+) -> str:
+    """Record *rank*'s exclusion; returns the warning that reports it."""
+    completeness[rank] = RankCompleteness(
+        rank=rank,
+        complete=False,
+        completeness=fraction,
+        events=events,
+        analyzed=False,
+        error=reason,
+    )
+    return f"rank {rank} excluded from replay: {reason}"
 
 
 def _admit_rank(
@@ -173,8 +241,8 @@ def _admit_rank(
     converters: Dict[NodeId, Optional[LinearConverter]],
     degraded: bool,
     completeness: Dict[int, RankCompleteness],
-    build=None,
-):
+    scan: Optional[RecordScan] = None,
+) -> Tuple[Optional[LinearConverter], List[str]]:
     """Decide one rank's fate; every engine but the buffered reference asks here.
 
     The in-process local phase, the strict pre-check ahead of a pool run and
@@ -182,41 +250,23 @@ def _admit_rank(
     error text and warning text cannot drift between ``jobs`` values.
     *traces* is a snapshot covering *rank*: a rank with neither a blob nor a
     ``missing`` reason had no reader on its metahost.  Strict mode raises at
-    the first defect; degraded mode records it in *completeness*, warns
-    (:class:`~repro.errors.PartialTraceWarning`) and returns None.  Degraded
-    admission scans (``count_only``) instead of decoding, so a damaged
-    prefix costs no event objects.
+    the first defect.  Degraded mode records the rank in *completeness* and
+    counts its records on *scan*, the grammar walk the local phase made of
+    its blob, instead of decoding, so a damaged prefix costs no event
+    objects.
 
-    *build*, when given, is called as ``build(rank, blob, converter, scan)``
-    on the admitted rank — the local phase,
-    :func:`~repro.analysis.optable.build_rank_tables`, reading the grammar
-    walk the degraded scan already made (None in strict mode); an
-    :class:`AnalysisError` out of it is the last exclusion reason (damage
-    that decodes as valid records but is structurally inconsistent).
-    Returns ``(blob, converter, built)``.
+    Returns the converter of an admitted rank (None: excluded) and the
+    :class:`~repro.errors.PartialTraceWarning` texts its admission owes,
+    for the caller to emit in rank order.
     """
     location = definitions.locations[rank]
-
-    def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
-        completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=False,
-            completeness=fraction,
-            events=events,
-            analyzed=False,
-            error=reason,
-        )
-        warnings.warn(
-            f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
-            stacklevel=4,
-        )
-
     blob = traces.blobs.get(rank)
     if blob is None:
         reason = traces.missing.get(rank)
         if degraded:
-            exclude(reason or "no archive reader for its metahost")
-            return None
+            return None, [
+                _exclude(completeness, rank, reason or "no archive reader for its metahost")
+            ]
         if reason is None:
             raise AnalysisError(
                 f"no archive reader for machine {location.machine} "
@@ -226,28 +276,22 @@ def _admit_rank(
             f"rank {rank}'s trace is not visible on its own metahost "
             f"({trace_filename(rank)} missing)"
         )
-    scan = None
     if degraded:
-        scanned = salvage_checked(blob, traces.manifests.get(rank), count_only=True)
-        scan = scanned.scan
+        scanned = salvage_checked(blob, traces.manifests.get(rank), count_only=True, scan=scan)
+        reason = None
         if scanned.rank is not None and scanned.rank != rank:
-            exclude(f"trace file claims rank {scanned.rank}")
-            return None
+            return None, [_exclude(completeness, rank, f"trace file claims rank {scanned.rank}")]
         if not scanned.complete:
-            exclude(
-                scanned.error,
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        if not scanned.balanced:
-            exclude(
+            reason = scanned.error
+        elif not scanned.balanced:
+            reason = (
                 f"trace decodes but leaves {scanned.open_regions} region(s) "
-                "open (truncated at a record boundary?)",
-                fraction=scanned.completeness,
-                events=scanned.event_count,
+                "open (truncated at a record boundary?)"
             )
-            return None
+        if reason is not None:
+            return None, [_exclude(
+                completeness, rank, reason, scanned.completeness, scanned.event_count
+            )]
         completeness[rank] = RankCompleteness(
             rank=rank,
             complete=True,
@@ -262,27 +306,14 @@ def _admit_rank(
                 f"trace file {trace_filename(rank)} claims rank {file_rank}"
             )
     converter = converters.get(node_of(location))
-    if converter is None:
-        if not degraded:
-            raise AnalysisError(f"no clock converter for node {node_of(location)}")
-        warnings.warn(
-            f"rank {rank}: no clock converter for {node_of(location)}, "
-            "using local time unconverted",
-            PartialTraceWarning,
-            stacklevel=3,
-        )
-        converter = LinearConverter.identity()
-    built = None
-    if build is not None:
-        try:
-            built = build(rank, blob, converter, scan)
-        except AnalysisError as exc:
-            if not degraded:
-                raise
-            prior = completeness[rank]
-            exclude(str(exc), fraction=prior.completeness, events=prior.events)
-            return None
-    return blob, converter, built
+    if converter is not None:
+        return converter, []
+    if not degraded:
+        raise AnalysisError(f"no clock converter for node {node_of(location)}")
+    return LinearConverter.identity(), [
+        f"rank {rank}: no clock converter for {node_of(location)}, "
+        "using local time unconverted"
+    ]
 
 
 def analyze_shard(task: ShardTask) -> PartialAnalysis:
@@ -295,9 +326,6 @@ def analyze_shard(task: ShardTask) -> PartialAnalysis:
     partial = PartialAnalysis(index=task.index, ranks=task.ranks)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for rank in task.ranks:
-            partial.admit(
-                rank, task.definitions, task.traces, task.converters, task.degraded
-            )
+        partial.admit(task.definitions, task.traces, task.converters, task.degraded)
     partial.warnings = [(w.category, str(w.message)) for w in caught]
     return partial

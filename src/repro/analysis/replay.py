@@ -19,7 +19,7 @@ return the same :class:`~repro.analysis.result.AnalysisResult`:
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import ProcessTimeline, build_timeline, total_time_of
@@ -229,13 +229,13 @@ class ReplayAnalyzer:
         matcher = MessageMatcher(
             timelines, comm_lookup=comm_order, allow_unmatched=degraded
         )
-        checker = ClockConditionChecker()
+        stamps: List[MessageStamp] = []
         grid_pairs = GridPairBreakdown()
         p2p_patterns = default_p2p_patterns()
         # Hot loop over every matched pair: resolve each rank's node once,
         # bind per-pair callables out of the loop.
         nodes = {rank: node_of(tl.location) for rank, tl in timelines.items()}
-        stamp_append = checker.stamps.append
+        stamp_append = stamps.append
         cube_add = cube.add
         contribution_fns = [p.contributions for p in p2p_patterns]
         for pair in matcher.matched_pairs():
@@ -259,9 +259,9 @@ class ReplayAnalyzer:
                 for hit in pattern.contributions(instance):
                     cube.add(hit.metric, hit.cpid, hit.rank, hit.value)
 
-        # Both engines sort stamps at finalize, so stamp lists compare
-        # equal across them.
-        checker.sort_stamps()
+        # The checker keeps the canonical order, so stamps compare equal
+        # across engines.
+        checker = ClockConditionChecker.from_stamps(stamps)
 
         master_machine = definitions.machine_of(0)
         merged_copy_bytes = sum(

@@ -13,13 +13,15 @@ types (:mod:`repro.analysis.result`); the engine never imports it.
 
 The replay has four steps.
 
-1. The **local phase** is a pure function of one trace file: during
-   admission every rank's blob becomes op tables — numpy columns built by
-   array passes (:mod:`repro.analysis.optable`).  ``jobs`` says only
-   *where* it runs: in this process, one rank's blob in memory at a time
-   over one shared call-path registry, or as
-   :func:`~repro.analysis.parallel.analyze_shard` tasks on a supervised
-   pool.
+1. The **local phase** is a pure function of each trace file: every rank's
+   blob is admitted and becomes op tables — numpy columns built by array
+   passes (:mod:`repro.analysis.optable`) — in batches of contiguous ranks
+   holding about :data:`~repro.analysis.parallel._BATCH_BYTES` of trace,
+   one walk of the record grammar and one set of passes per batch
+   (:meth:`~repro.analysis.parallel.PartialAnalysis.admit`).  ``jobs``
+   says only *where* it runs: in this process over one shared call-path
+   registry, or as :func:`~repro.analysis.parallel.analyze_shard` tasks on
+   a supervised pool.
 2. **Call-path numbering**: shard-local registries are absorbed in
    ascending shard order, so either way call paths are numbered rank-major
    in first-encounter order — the buffered analyzer's numbering — before
@@ -62,10 +64,10 @@ and degraded, every ``jobs`` value, dict orders included) rests on:
   root;
 * **global call-path ids** — see step 2.
 
-Clock-condition stamps are built in the canonical order
-(``ClockConditionChecker.sort_stamps``), so stamp lists stay comparable
-across engines.  The ``SeverityTimeline``'s bins are plain float sums,
-documented as last-ulp diagnostics.
+The clock-condition checker holds the matched messages as columns in one
+canonical order, so its ``stamps`` compare equal across engines.  The
+``SeverityTimeline``'s bins are plain float sums, documented as last-ulp
+diagnostics.
 
 A deadline cuts a pool run (the supervised pool kills in-flight workers
 and the settled shards are salvaged) and the pump (polled after every
@@ -136,7 +138,7 @@ class StreamingReplayAnalyzer:
         ``result.interrupted`` set — never a hang, never a crash.
     ``jobs``
         where the local phase runs, and nothing else: ``1`` in this
-        process, one rank's blob in memory at a time; ``N >= 2`` as
+        process, batch after batch of ranks; ``N >= 2`` as
         :func:`~repro.analysis.parallel.analyze_shard` tasks over at most
         *N* shards on a supervised pool.
     ``pool`` / ``pool_config``
@@ -205,16 +207,13 @@ class StreamingReplayAnalyzer:
         execution = None
         if self.jobs == 1:
             # One registry shared by all ranks is that numbering as it stands:
-            # the local phase interns nothing for a rank it rejects.  One
-            # rank's blob is in memory at a time.
-            for rank in ranks:
-                local.admit(
-                    rank,
-                    definitions,
-                    TraceShard.gather((rank,), definitions, self.readers),
-                    converters,
-                    degraded,
-                )
+            # the local phase interns nothing for a rank it rejects.
+            local.admit(
+                definitions,
+                TraceShard.gather(ranks, definitions, self.readers),
+                converters,
+                degraded,
+            )
         else:
             partials, execution, interrupted = self._run_shards(
                 ranks, definitions, converters

@@ -36,6 +36,7 @@ from repro.errors import ArchiveError, FileSystemError
 from repro.fs.filesystem import MountNamespace
 from repro.ids import Location
 from repro.trace.encoding import (
+    RecordScan,
     SalvagedTrace,
     block_table,
     encode_events,
@@ -161,6 +162,9 @@ class ArchiveManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ArchiveManifest":
+        """Parse a manifest; raises :class:`~repro.errors.ArchiveError` unless
+        every entry's blocks tile ``[0, size)`` in order with a u32 CRC each
+        — what verification slices by and the local phase walks from."""
         try:
             payload = json.loads(text)
             entries = {
@@ -175,6 +179,21 @@ class ArchiveManifest:
             }
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ArchiveError(f"malformed archive manifest: {exc}") from exc
+        for entry in entries.values():
+            covered = 0
+            for offset, length, crc in entry.blocks:
+                if offset != covered or length <= 0 or not 0 <= crc < 1 << 32:
+                    raise ArchiveError(
+                        f"malformed archive manifest: rank {entry.rank}'s block "
+                        f"{[offset, length, crc]} does not continue the tiling "
+                        f"at offset {covered}"
+                    )
+                covered += length
+            if covered != entry.size:
+                raise ArchiveError(
+                    f"malformed archive manifest: rank {entry.rank}'s blocks "
+                    f"cover {covered} of {entry.size} byte(s)"
+                )
         return cls(entries=entries)
 
 
@@ -332,7 +351,10 @@ def verify_trace_blob(blob: bytes, entry: TraceManifestEntry) -> TraceVerificati
 
 
 def salvage_checked(
-    blob: bytes, entry: Optional[TraceManifestEntry], count_only: bool = False
+    blob: bytes,
+    entry: Optional[TraceManifestEntry],
+    count_only: bool = False,
+    scan: Optional[RecordScan] = None,
 ) -> SalvagedTrace:
     """Checksum-aware salvage: grammar salvage plus manifest evidence.
 
@@ -348,11 +370,11 @@ def salvage_checked(
       partial instead of silently analyzing corrupt data.
 
     With no manifest entry (``entry is None``) this is exactly
-    ``salvage_events(blob)``.  ``count_only`` is passed through: degraded
-    admission scans without materializing events, and the result carries
-    that scan on (``.scan``) for the columnar decoder to read.
+    ``salvage_events(blob)``.  ``count_only`` and *scan* are passed through:
+    degraded admission counts without materializing events, over the walk
+    the local phase made of the blob.
     """
-    salvaged = salvage_events(blob, count_only=count_only)
+    salvaged = salvage_events(blob, count_only=count_only, scan=scan)
     if entry is None:
         return salvaged
     salvaged.bytes_total = max(salvaged.bytes_total, entry.size)

@@ -24,17 +24,25 @@ encode, and unknown kinds or truncated records on decode, all raise
 :class:`~repro.errors.EncodingError` (offsets in decode diagnostics always
 point at the record's kind tag, i.e. the start of the offending record).
 
-Both directions run through per-kind dispatch tables, and two loops step
-through the variable-length record grammar.  :func:`scan_records` builds
-nothing: it returns every complete record's offset, where the clean prefix
-ends and the defect there, and :func:`decode_columns` (the columnar decoder
-the replay's local phase reads: one numpy array per kind, no event objects),
-:func:`block_table`, :func:`record_boundary` and :func:`salvage_events` are
-array operations over its result.  :func:`_chunk_iter` builds event objects
-for the streaming :func:`iter_events` and :func:`decode_events` — the
-reference the columnar decoder is tested against — one ``unpack_from`` per
-record (traces wrap every MPI call in its own ENTER/EXIT, so same-kind runs
-average 1.07 records and batching them measured slower).
+Both directions run through per-kind dispatch tables, and three loops step
+through the variable-length record grammar:
+
+* :func:`scan_records` builds nothing: it returns every complete record's
+  offset, where the clean prefix ends and the defect there.
+  :func:`decode_columns` and :func:`decode_batch` (the columnar decoders
+  the replay's local phase reads: one numpy array per kind, no event
+  objects), :func:`block_table`, :func:`record_boundary` and
+  :func:`salvage_events` are array operations over its result;
+* :func:`walk_records` makes the same result for many blobs at once: the
+  blocks of their checksum manifests are walked in lockstep, one vector
+  step per record a block holds, and only where a block's walk does not
+  land on the next block's start does the :func:`scan_records` loop take
+  over;
+* :func:`_chunk_iter` builds event objects for the streaming
+  :func:`iter_events` and :func:`decode_events` — the reference the
+  columnar decoders are tested against — one ``unpack_from`` per record
+  (traces wrap every MPI call in its own ENTER/EXIT, so same-kind runs
+  average 1.07 records and batching them measured slower).
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,6 +133,8 @@ _DECODERS: Dict[int, Tuple[int, Callable, Callable[[tuple], Event]]] = {
 #: kind byte → record stride; a byte that is no record kind strides past the
 #: end of any file, so the scan needs no test for it inside its loop.
 _STRIDES = [_DECODERS[kind][0] if kind in _DECODERS else 1 << 62 for kind in range(256)]
+#: The same table as an array, for the lockstep walk's vector steps.
+_STRIDE_ARRAY = np.array(_STRIDES, dtype=np.int64)
 
 
 def encode_header(rank: int) -> bytes:
@@ -282,9 +292,14 @@ def scan_records(data: bytes) -> RecordScan:
     result.  The header is not examined (checksum blocks and fault injection
     walk foreign files too): the walk starts where it ends.
     """
+    return _scan_from(data, min(_HEADER.size, len(data)))
+
+
+def _scan_from(data: bytes, offset: int, known: Optional[np.ndarray] = None) -> RecordScan:
+    """The sequential walk from *offset*, a record start; *known* holds the
+    offsets of the records before it."""
     strides = _STRIDES
     size = len(data)
-    offset = min(_HEADER.size, size)
     offsets: List[int] = []
     append = offsets.append
     while offset < size:
@@ -293,39 +308,134 @@ def scan_records(data: bytes) -> RecordScan:
     if offset > size:  # the last step left the file: cut short, or no record
         offset = offsets.pop()
     error = _defect(data, offset) if offset < size else ""
-    return RecordScan(np.array(offsets, dtype=np.int64), offset, error)
+    found = np.array(offsets, dtype=np.int64)
+    if known is not None:
+        found = np.concatenate((known, found))
+    return RecordScan(found, offset, error)
+
+
+def walk_records(
+    blobs: Sequence[bytes], tables: Sequence[Optional[Sequence[Tuple[int, int, int]]]]
+) -> List[RecordScan]:
+    """``scan_records(blob)`` of every blob, with one walk for all of them.
+
+    ``tables[i]`` is blob *i*'s checksum block table (``(offset, length,
+    crc32)`` triples, as :func:`block_table` cuts them), or None.  Every
+    block is a cursor — block 0's starts where the header ends — and all
+    cursors of all blobs step at once, one vector step per record a block
+    holds (``cur += strides[raw[cur]]``).  A block is trusted only when its
+    walk lands exactly on the next block's start, or on the blob's end for
+    the last block: by induction from the header, a trusted block's records
+    are the ones the sequential walk meets there.  From a blob's first
+    untrusted block on — and for a blob without a table — the
+    :func:`scan_records` loop continues, so the results equal it whatever
+    the tables say.
+    """
+    scans: List[Optional[RecordScan]] = [None] * len(blobs)
+    lanes = [
+        i for i, (blob, table) in enumerate(zip(blobs, tables))
+        if table and len(blob) > _HEADER.size
+    ]
+    if lanes:
+        sizes = np.array([len(blobs[i]) for i in lanes], np.int64)
+        counts = np.array([len(tables[i]) for i in lanes], np.int64)
+        base = np.cumsum(sizes) - sizes
+        first = np.cumsum(counts) - counts
+        last = first + counts - 1
+        lane_of = np.repeat(np.arange(len(lanes)), counts)
+        # Cursors stay inside their blob, whatever the table claims.
+        start = np.clip(
+            np.array([block[0] for i in lanes for block in tables[i]], np.int64),
+            _HEADER.size,
+            sizes[lane_of],
+        )
+        start[first] = _HEADER.size
+        end = np.roll(start, -1)
+        end[last] = sizes
+        start += base[lane_of]
+        end += base[lane_of]
+        raw = np.frombuffer(b"".join(blobs[i] for i in lanes), np.uint8)
+
+        stands = start.copy()
+        live = np.flatnonzero(start < end)
+        at, stop = start[live], end[live]
+        seen, seen_in = [], []
+        while len(at):
+            seen.append(at)
+            seen_in.append(live)
+            at = at + _STRIDE_ARRAY[raw[at]]
+            going = at < stop
+            if not going.all():
+                stands[live] = at
+                live, at, stop = live[going], at[going], stop[going]
+
+        # A lane trusts its blocks up to the first one that missed.
+        block = np.arange(len(start)) - first[lane_of]
+        missed = np.where(stands == end, counts[lane_of], block)
+        trusted = np.minimum.reduceat(missed, first)
+        if seen:
+            offsets = np.concatenate(seen)
+            owner = np.concatenate(seen_in)
+            offsets = np.sort(offsets[block[owner] < trusted[lane_of[owner]]])
+        else:
+            offsets = np.empty(0, np.int64)
+        bounds = np.searchsorted(offsets, np.append(base, base[-1] + sizes[-1])).tolist()
+        for lane, i in enumerate(lanes):
+            known = offsets[bounds[lane]:bounds[lane + 1]] - base[lane]
+            if trusted[lane] == counts[lane]:
+                scans[i] = RecordScan(known, len(blobs[i]), "")
+            else:
+                resume = int(start[first[lane] + trusted[lane]] - base[lane])
+                scans[i] = _scan_from(blobs[i], resume, known)
+    return [scan if scan is not None else scan_records(blob) for scan, blob in zip(scans, blobs)]
 
 
 def decode_columns(data: bytes, scan: Optional[RecordScan] = None) -> TraceColumns:
     """Parse a trace file into per-kind arrays, without event objects.
 
     The strict decoders' columnar sibling: same header and grammar checks,
-    same :class:`~repro.errors.EncodingError` texts.  After the scan — *scan*
-    itself, when the caller has already walked this blob — each kind's
-    records are gathered in one indexing operation through a byte-window
-    view of the blob and reinterpreted as structured rows, so the cost per
-    event is a few array elements, not a Python object.
+    same :class:`~repro.errors.EncodingError` texts, then
+    :func:`decode_batch` over this one blob.  *scan* is the blob's walk
+    when the caller has already made it.
     """
     rank = header_rank(data)
     if scan is None:
         scan = scan_records(data)
     if scan.error:
         raise EncodingError(scan.error)
-    offsets = scan.offsets
-    raw = np.frombuffer(data, dtype=np.uint8)
-    kinds = raw[offsets]
+    return TraceColumns(rank, *decode_batch([data], [scan.offsets]))
 
-    def gather(where: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        if not len(where):  # also: a blob too short for one window
+
+def decode_batch(
+    blobs: Sequence[bytes], offsets: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    """The records of several blobs as one set of columns, blob by blob.
+
+    ``offsets[i]`` is blob *i*'s record offsets from a clean walk; the
+    header and grammar checks of :func:`decode_columns` are the caller's.
+    Returns what :class:`TraceColumns` holds past the rank — kinds, stamps,
+    per-kind rows — over the concatenated records.  Each kind's records are
+    gathered in one indexing operation through a byte-window view of the
+    blobs and reinterpreted as structured rows, so the cost per event is a
+    few array elements, not a Python object.
+    """
+    sizes = np.array([len(blob) for blob in blobs], np.int64)
+    where = np.concatenate([np.empty(0, np.int64), *offsets])
+    where += np.repeat(np.cumsum(sizes) - sizes, [len(rows) for rows in offsets])
+    raw = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+    kinds = raw[where]
+
+    def gather(at: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        if not len(at):  # also: a blob too short for one window
             return np.empty(0, dtype)
-        return sliding_window_view(raw, dtype.itemsize)[where].view(dtype).ravel()
+        return sliding_window_view(raw, dtype.itemsize)[at].view(dtype).ravel()
 
     # Every record carries its stamp right after the kind tag.
-    times = gather(offsets + 1, np.dtype("<f8"))
+    times = gather(where + 1, np.dtype("<f8"))
     records = {
-        kind: gather(offsets[kinds == kind], dtype) for kind, dtype in _RECORD_DTYPES.items()
+        kind: gather(where[kinds == kind], dtype) for kind, dtype in _RECORD_DTYPES.items()
     }
-    return TraceColumns(rank, kinds, times, records)
+    return kinds, times, records
 
 
 #: Target checksum-block size.  Small enough that a flipped byte condemns
@@ -414,9 +524,6 @@ class SalvagedTrace:
     #: prefix.  Negative when stray EXITs outnumber ENTERs (corruption that
     #: happened to decode as valid records).
     open_regions: int = 0
-    #: The grammar walk behind these numbers (None under a bad header), so a
-    #: caller that goes on to :func:`decode_columns` need not walk again.
-    scan: Optional[RecordScan] = field(default=None, repr=False, compare=False)
 
     @property
     def completeness(self) -> float:
@@ -437,7 +544,9 @@ class SalvagedTrace:
         return self.open_regions == 0
 
 
-def salvage_events(data: bytes, count_only: bool = False) -> SalvagedTrace:
+def salvage_events(
+    data: bytes, count_only: bool = False, scan: Optional[RecordScan] = None
+) -> SalvagedTrace:
     """Decode the longest clean prefix of *data*, never raising.
 
     Unlike :func:`decode_events`, a bad header, an unknown kind byte, or a
@@ -446,17 +555,18 @@ def salvage_events(data: bytes, count_only: bool = False) -> SalvagedTrace:
     returned together with a description of it.  Degraded-mode replay is
     built on this.
 
-    Every field but ``events`` comes from the scan.  ``count_only=True``
-    stops there — records are counted (``event_count``), not materialized,
-    so a long damaged trace costs one offset per record instead of one
-    object.  Degraded admission uses this and hands the scan on to the
-    columnar decoder for the ranks that pass.
+    Every field but ``events`` comes from the scan — *scan* itself, when the
+    caller has already walked *data*.  ``count_only=True`` stops there —
+    records are counted (``event_count``), not materialized, so a long
+    damaged trace costs one offset per record instead of one object.
+    Degraded admission uses this over the local phase's one walk.
     """
     try:
         rank = header_rank(data)
     except EncodingError as exc:
         return SalvagedTrace(rank=None, complete=False, error=str(exc), bytes_total=len(data))
-    scan = scan_records(data)
+    if scan is None:
+        scan = scan_records(data)
     kinds = np.bincount(np.frombuffer(data, dtype=np.uint8)[scan.offsets], minlength=3)
     return SalvagedTrace(
         rank,
@@ -467,5 +577,4 @@ def salvage_events(data: bytes, count_only: bool = False) -> SalvagedTrace:
         bytes_total=len(data),
         event_count=len(scan.offsets),
         open_regions=int(kinds[EventKind.ENTER]) - int(kinds[EventKind.EXIT]),
-        scan=scan,
     )

@@ -2,8 +2,9 @@
 
 Two builders, one result: the sequential :func:`build_timeline` (the
 definition, and the reference analyzer's local phase) and the columnar
-:func:`build_rank_tables` (what the streaming replay and the shard workers
-run).  The property tests at the bottom hold the second to the first.
+:func:`build_tables` (what the streaming replay and the shard workers run,
+one batch of ranks at a time).  The property tests at the bottom hold the
+second to the first, rank by rank and over batches.
 """
 
 import pickle
@@ -19,7 +20,7 @@ from repro.analysis.instances import (
     SendRecord,
     build_timeline,
 )
-from repro.analysis.optable import build_rank_tables
+from repro.analysis.optable import RankTrace, build_tables
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, ReproError
 from repro.ids import Location
@@ -27,6 +28,7 @@ from repro.trace.encoding import encode_events, iter_events
 from repro.trace.events import (
     CollExitEvent,
     EnterEvent,
+    EventKind,
     ExitEvent,
     OmpRegionEvent,
     RecvEvent,
@@ -206,8 +208,16 @@ class TestFeedMany:
         assert ops[0].recvs == ()
 
 
+def build_one(rank, location, blob, converter, callpaths, regions):
+    """:func:`build_tables` over a batch of one: the timeline, or its error raised."""
+    (built,) = build_tables([RankTrace(rank, location, blob, converter)], callpaths, regions)
+    if isinstance(built, ReproError):
+        raise built
+    return built
+
+
 def _tables(blob, regions, converter=None, callpaths=None, rank=0):
-    return build_rank_tables(
+    return build_one(
         rank,
         Location(0, 0, rank),
         blob,
@@ -396,7 +406,7 @@ def _both(blob, converter):
     regions = _property_regions()
     location = Location(0, 0, 0)
     tabled = _outcome(
-        lambda callpaths: build_rank_tables(3, location, blob, converter, callpaths, regions)
+        lambda callpaths: build_one(3, location, blob, converter, callpaths, regions)
     )
     walked = _outcome(
         lambda callpaths: build_timeline(
@@ -419,42 +429,102 @@ class TestTablesEqualSequentialWalk:
     def test_malformed(self, events, converter, data):
         """One defect per trace: both builders raise the same error, or —
         where the defect happens to leave a valid trace — agree again."""
-        defect = data.draw(st.sampled_from((
-            "stray-exit", "wrong-exit", "stray-record", "stray-omp", "open-frame",
-            "unknown-region", "truncated", "unknown-kind",
-        )))
-        events = list(events) or [EnterEvent(0.0, 0), ExitEvent(1.0, 0)]
-        at = data.draw(st.integers(0, len(events) - 1))
-        if defect == "stray-exit":
-            events.insert(at, ExitEvent(events[at].time, data.draw(st.integers(0, 6))))
-        elif defect == "wrong-exit":
-            exits = [i for i, e in enumerate(events) if isinstance(e, ExitEvent)]
-            at = data.draw(st.sampled_from(exits))
-            events[at] = ExitEvent(events[at].time, (events[at].region + 1) % 7)
-        elif defect == "stray-record":
-            record = data.draw(st.sampled_from((
-                SendEvent(0.0, 1, 0, 0, 8), RecvEvent(0.0, 1, 0, 0, 8),
-                CollExitEvent(0.0, 5, 0, 0, 0, 0),
-            )))
-            events.insert(at, record._replace(time=events[at].time))
-        elif defect == "stray-omp":
-            events.insert(
-                at, OmpRegionEvent(events[at].time, data.draw(st.integers(0, 6)), 2, 1.0, 0.5)
-            )
-        elif defect == "open-frame":
-            del events[data.draw(st.sampled_from(
-                [i for i, e in enumerate(events) if isinstance(e, ExitEvent)]
-            ))]
-        elif defect == "unknown-region":
-            events.insert(at, ExitEvent(events[at].time, 40))
-            events.insert(at, EnterEvent(events[at].time, 40))
-        blob = encode_events(3, events)
-        if defect == "truncated":
-            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
-        elif defect == "unknown-kind":
-            # Overwrite one record's kind tag (a payload byte would only
-            # change a field — possibly to NaN, which equals nothing).
-            cut = len(encode_events(3, events[:at]))
-            blob = blob[:cut] + bytes([data.draw(st.sampled_from((0, 7, 255)))]) + blob[cut + 1:]
-        tabled, walked = _both(blob, converter)
+        tabled, walked = _both(_damaged(events, data.draw(_defects), data), converter)
         assert tabled == walked
+
+
+_defects = st.sampled_from((
+    "stray-exit", "wrong-exit", "stray-record", "stray-omp", "open-frame",
+    "unknown-region", "truncated", "unknown-kind",
+))
+
+
+def _damaged(events, defect, data):
+    """*events* encoded for rank 3 with one *defect*, or clean for None."""
+    events = list(events) or [EnterEvent(0.0, 0), ExitEvent(1.0, 0)]
+    at = data.draw(st.integers(0, len(events) - 1))
+    if defect == "stray-exit":
+        events.insert(at, ExitEvent(events[at].time, data.draw(st.integers(0, 6))))
+    elif defect == "wrong-exit":
+        exits = [i for i, e in enumerate(events) if isinstance(e, ExitEvent)]
+        at = data.draw(st.sampled_from(exits))
+        events[at] = ExitEvent(events[at].time, (events[at].region + 1) % 7)
+    elif defect == "stray-record":
+        record = data.draw(st.sampled_from((
+            SendEvent(0.0, 1, 0, 0, 8), RecvEvent(0.0, 1, 0, 0, 8),
+            CollExitEvent(0.0, 5, 0, 0, 0, 0),
+        )))
+        events.insert(at, record._replace(time=events[at].time))
+    elif defect == "stray-omp":
+        events.insert(
+            at, OmpRegionEvent(events[at].time, data.draw(st.integers(0, 6)), 2, 1.0, 0.5)
+        )
+    elif defect == "open-frame":
+        del events[data.draw(st.sampled_from(
+            [i for i, e in enumerate(events) if isinstance(e, ExitEvent)]
+        ))]
+    elif defect == "unknown-region":
+        events.insert(at, ExitEvent(events[at].time, 40))
+        events.insert(at, EnterEvent(events[at].time, 40))
+    blob = encode_events(3, events)
+    if defect == "truncated":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif defect == "unknown-kind":
+        # Overwrite one record's kind tag (a payload byte would only
+        # change a field — possibly to NaN, which equals nothing).
+        cut = len(encode_events(3, events[:at]))
+        blob = blob[:cut] + bytes([data.draw(st.sampled_from((0, 7, 255)))]) + blob[cut + 1:]
+    return blob
+
+
+class TestBatchEqualsRankByRank:
+    """A batch built at once is every rank built alone, in rank order, over
+    one shared registry — with inconsistent ranks anywhere in the batch."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_traces, _converters, st.one_of(st.none(), _defects)),
+            min_size=1, max_size=5,
+        ),
+        st.data(),
+    )
+    def test_batch(self, ranks, data):
+        regions = _property_regions()
+        traces = [
+            RankTrace(
+                rank, Location(0, 0, rank),
+                encode_events(rank, events) if defect is None else _damaged(events, defect, data),
+                converter,
+            )
+            for rank, (events, converter, defect) in enumerate(ranks)
+        ]
+        batched = CallPathRegistry()
+        built = build_tables(traces, batched, regions)
+        alone = CallPathRegistry()
+        for trace, outcome in zip(traces, built):
+            def walk(callpaths, trace=trace):
+                return build_timeline(
+                    trace.rank, trace.location, iter_events(trace.blob)[1],
+                    trace.converter, callpaths, regions,
+                )
+            try:
+                walk(CallPathRegistry())  # a rank that fails interns nothing
+            except ReproError as exc:
+                assert (type(outcome), str(outcome)) == (type(exc), str(exc))
+                continue
+            expected = walk(alone)
+            assert outcome == expected
+            assert list(outcome.exclusive_time.items()) == list(expected.exclusive_time.items())
+            assert list(outcome.visits.items()) == list(expected.visits.items())
+            # Where each op completed and each fork-join record sits, by
+            # index in the rank's own trace: what the pump's cut counts in.
+            events = list(iter_events(trace.blob)[1])
+            assert outcome.mpi_ops.exit_event.tolist() == [
+                i for i, e in enumerate(events)
+                if e.kind == EventKind.EXIT and regions.name_of(e.region).startswith("MPI_")
+            ]
+            assert outcome.omp_regions.event.tolist() == [
+                i for i, e in enumerate(events) if e.kind == EventKind.OMPREGION
+            ]
+        assert batched.all_paths() == alone.all_paths()

@@ -9,6 +9,7 @@ file under its final name).
 
 from __future__ import annotations
 
+import json
 import warnings
 import zlib
 
@@ -124,6 +125,44 @@ class TestManifest:
             ArchiveManifest.from_json("{not json")
         with pytest.raises(ArchiveError):
             ArchiveManifest.from_json('{"version": 1}')
+
+    @pytest.mark.parametrize(
+        "lie",
+        [
+            lambda blocks: blocks + [[-4, 4, 0]],  # before the file
+            lambda blocks: [[1, blocks[0][1] - 1, 0]] + blocks[1:],  # not from 0
+            lambda blocks: blocks[:1] + blocks[2:],  # a gap
+            lambda blocks: blocks[:1] + [[blocks[1][0] - 1, *blocks[1][1:]]] + blocks[2:],
+            lambda blocks: blocks + [[blocks[-1][0] + blocks[-1][1], 0, 0]],  # empty
+            lambda blocks: blocks[:-1] + [[blocks[-1][0], blocks[-1][1] + 1, 0]],  # past size
+            lambda blocks: blocks[:-1] + [[*blocks[-1][:2], 1 << 32]],  # no u32 CRC
+        ],
+        ids=["before-file", "not-from-0", "gap", "overlap", "empty", "past-size", "crc"],
+    )
+    def test_blocks_that_do_not_tile_the_trace_are_rejected(self, lie):
+        """A manifest whose blocks do not tile ``[0, size)`` in order is
+        unreadable, not trusted: verification slices by them and the local
+        phase walks from their starts.  (A block ``[-4, 4, 0]`` used to be
+        read, and salvage then reported ``bytes_decoded = -4``.)"""
+        manifest = ArchiveManifest()
+        manifest.entries[0] = TraceManifestEntry.for_blob(0, _blob(2000))
+        document = json.loads(manifest.to_json())
+        blocks = document["traces"]["0"]["blocks"]
+        assert len(blocks) >= 3
+        document["traces"]["0"]["blocks"] = lie(blocks)
+        with pytest.raises(ArchiveError, match="^malformed archive manifest: rank 0's"):
+            ArchiveManifest.from_json(json.dumps(document))
+
+    def test_lying_manifest_leaves_completeness_a_fraction(self):
+        blob = _blob(2000)
+        ns, _ = _archive_with_trace(blob)
+        document = json.loads(ns.read_file(f"/work/exp/{MANIFEST_FILE}"))
+        document["traces"]["0"]["blocks"].append([-4, 4, 0])
+        ns.write_file(f"/work/exp/{MANIFEST_FILE}", json.dumps(document).encode(), overwrite=True)
+        reader = ArchiveReader(ns, "/work/exp")
+        assert "malformed archive manifest" in reader.verify().error
+        salvaged = salvage_checked(blob, reader.manifest_entry(0))
+        assert salvaged.bytes_decoded == len(blob) and salvaged.completeness == 1.0
 
 
 # -- writer atomicity ----------------------------------------------------------

@@ -42,40 +42,65 @@ class TestChecker:
         assert count_violations(stamps) == 2
 
     def test_internal_external_split(self):
-        checker = ClockConditionChecker()
-        checker.add(_stamp(1.0, 0.5, sender=A, receiver=B))  # internal violation
-        checker.add(_stamp(1.0, 0.5, sender=A, receiver=C))  # external violation
-        checker.add(_stamp(1.0, 2.0, sender=A, receiver=C))  # fine
+        checker = ClockConditionChecker.from_stamps([
+            _stamp(1.0, 0.5, sender=A, receiver=B),  # internal violation
+            _stamp(1.0, 0.5, sender=A, receiver=C),  # external violation
+            _stamp(1.0, 2.0, sender=A, receiver=C),  # fine
+        ])
         assert checker.total == 3
         assert checker.violations == 2
         assert checker.internal_violations == 1
         assert checker.external_violations == 1
 
     def test_worst_slack(self):
-        checker = ClockConditionChecker()
-        checker.add(_stamp(1.0, 0.2))
-        checker.add(_stamp(1.0, 0.8))
+        checker = ClockConditionChecker.from_stamps([_stamp(1.0, 0.2), _stamp(1.0, 0.8)])
         assert checker.worst_slack_s() == pytest.approx(-0.8)
 
     def test_worst_slack_clamped_to_zero(self):
-        checker = ClockConditionChecker()
-        checker.add(_stamp(1.0, 5.0))
+        checker = ClockConditionChecker.from_stamps([_stamp(1.0, 5.0)])
         assert checker.worst_slack_s() == 0.0
 
     def test_empty_checker(self):
-        checker = ClockConditionChecker()
+        checker = ClockConditionChecker.from_stamps([])
         assert checker.violations == 0
         assert checker.worst_slack_s() == 0.0
         summary = checker.summary()
         assert summary["messages"] == 0
+        assert checker.stamps == [] and len(checker.stamps) == 0
 
     def test_summary_keys(self):
-        checker = ClockConditionChecker()
-        checker.add(_stamp(0.0, 1.0))
+        checker = ClockConditionChecker.from_stamps([_stamp(0.0, 1.0)])
         assert set(checker.summary()) == {
             "messages",
             "violations",
             "internal_violations",
             "external_violations",
             "worst_slack_s",
+        }
+
+    def test_stamps_read_back_in_canonical_order(self):
+        """Whatever order the stamps come in, the checker holds them in the
+        order of sorting the tuples, and reads them back as equal tuples."""
+        stamps = [
+            _stamp(2.0, 1.5, sender=C, receiver=A),
+            _stamp(1.0, 0.5, sender=A, receiver=C),
+            _stamp(0.5, 0.75, sender=A, receiver=B),
+            _stamp(0.25, 0.5, sender=A, receiver=C),
+        ]
+        checker = ClockConditionChecker.from_stamps(stamps)
+        canonical = sorted(stamps)
+        assert checker.stamps == canonical and canonical == checker.stamps
+        assert list(checker.stamps) == canonical
+        assert checker.stamps[1] == canonical[1] and checker.stamps[-1] == canonical[-1]
+        assert checker.stamps[1:3] == canonical[1:3]
+        assert checker.stamps != canonical[:-1]
+        with pytest.raises(IndexError):
+            checker.stamps[len(stamps)]
+        assert checker == ClockConditionChecker.from_stamps(reversed(stamps))
+        assert checker.summary() == {
+            "messages": 4,
+            "violations": 2,
+            "internal_violations": 0,
+            "external_violations": 2,
+            "worst_slack_s": -0.5,
         }

@@ -12,7 +12,10 @@ The codec contract under test (PR: engine/codec correctness fixes):
 * everything derived from the one grammar scan (:func:`scan_records`:
   columnar decode, checksum blocks, record boundaries, salvage) agrees
   with the event decoders on damaged input too, down to blobs too short
-  to hold a record or a header.
+  to hold a record or a header;
+* the lockstep walk of many blobs over their manifest blocks
+  (:func:`walk_records`) is :func:`scan_records` of each, whatever the
+  blocks claim and whatever happened to the bytes since.
 """
 
 import re
@@ -34,6 +37,7 @@ from repro.trace.encoding import (
     record_boundary,
     salvage_events,
     scan_records,
+    walk_records,
 )
 from repro.trace.events import (
     CollExitEvent,
@@ -233,8 +237,12 @@ def _mutated_blobs(draw):
     """A valid blob with up to two bits flipped and, perhaps, a record
     overwritten or displaced by (part of) a record of any kind."""
     evs = draw(st.lists(events, min_size=1, max_size=10))
-    blob = bytearray(encode_events(draw(st.integers(0, 9)), evs))
-    starts = _record_offsets(0, evs)
+    return _mutate(draw, encode_events(draw(st.integers(0, 9)), evs), _record_offsets(0, evs))
+
+
+def _mutate(draw, blob, starts):
+    """*blob* with :func:`_mutated_blobs`'s damage; *starts* its record offsets."""
+    blob = bytearray(blob)
     for _ in range(draw(st.integers(0, 2))):
         blob[draw(st.integers(0, len(blob) - 1))] ^= 1 << draw(st.integers(0, 7))
     if draw(st.booleans()):
@@ -308,6 +316,49 @@ class TestDamagedInputAgreement:
         blob = encode_events(1, evs)
         for cut in range(len(blob) + 1):
             self.check(blob[:cut])
+
+
+@st.composite
+def _manifested_blobs(draw):
+    """``(blob, block table)`` as the local phase walks them: the table was
+    cut from the pristine blob (or there is none, or its starts were
+    shifted, some off record boundaries), and the blob may since have been
+    flipped, spliced or truncated."""
+    evs = draw(st.lists(events, max_size=30))
+    pristine = encode_events(draw(st.integers(0, 9)), evs)
+    table = block_table(pristine, draw(st.sampled_from((1, 13, 40, 4096))))
+    damage = draw(st.sampled_from(("none", "mutated", "truncated")))
+    blob = pristine
+    if damage == "mutated" and evs:
+        blob = _mutate(draw, pristine, _record_offsets(0, evs))
+    elif damage == "truncated":
+        blob = pristine[: draw(st.integers(0, len(pristine)))]
+    form = draw(st.sampled_from(("manifest", "none", "shifted")))
+    if form == "none":
+        return blob, None
+    if form == "shifted":
+        shift = st.integers(-len(pristine) - 2, len(pristine) + 2)
+        table = [
+            (offset + draw(st.one_of(st.just(0), st.integers(-3, 3), shift)), length, crc)
+            for offset, length, crc in table
+        ]
+    return blob, table
+
+
+class TestLockstepWalk:
+    @given(st.lists(_manifested_blobs(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_blob_is_its_sequential_walk(self, walked):
+        blobs = [blob for blob, _ in walked]
+        scans = walk_records(blobs, [table for _, table in walked])
+        assert len(scans) == len(blobs)
+        for blob, scan in zip(blobs, scans):
+            expected = scan_records(blob)
+            assert scan.offsets.tolist() == expected.offsets.tolist()
+            assert (scan.end, scan.error) == (expected.end, expected.error)
+
+    def test_no_blob(self):
+        assert walk_records([], []) == []
 
 
 class TestEncodeErrors:

@@ -112,15 +112,15 @@ class TestSerialDeadline:
                 return original(blob, *args, **kwargs)
             return wrapper
 
-        real_columns = optable.decode_columns
+        real_batch = optable.decode_batch
 
-        def last_columns(blob, *args, **kwargs):
-            columns = real_columns(blob, *args, **kwargs)
-            if columns.rank == max(run.definitions.locations):
+        def last_batch(blobs, *args, **kwargs):
+            columns = real_batch(blobs, *args, **kwargs)
+            if encoding.header_rank(blobs[-1]) == max(run.definitions.locations):
                 deadline.cancel("budget spent")  # as the prepass ends
             return columns
 
-        monkeypatch.setattr(optable, "decode_columns", counting("columns", last_columns))
+        monkeypatch.setattr(optable, "decode_batch", counting("columns", last_batch))
         for module in (optable, encoding):
             monkeypatch.setattr(
                 module, "iter_events", counting("iter_events", encoding.iter_events)

@@ -27,7 +27,7 @@ import repro.analysis.streaming as streaming_module
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.globalphase import global_phase
 from repro.analysis.matching import MessageMatcher
-from repro.analysis.optable import build_rank_tables
+from repro.analysis.optable import RankTrace, build_tables
 from repro.analysis.patterns import (
     EARLY_REDUCE,
     EARLY_SCAN,
@@ -95,12 +95,12 @@ def _oracle(definitions, timelines, consumed):
         return entry[1] if entry is not None else None
 
     matcher = MessageMatcher(cut, comm_lookup=comm_order, allow_unmatched=True)
-    checker = ClockConditionChecker()
+    stamps = []
     grid_pairs = GridPairBreakdown()
     patterns = default_p2p_patterns()
     for pair in matcher.matched_pairs():
         accumulate_p2p(grid_pairs, pair)
-        checker.add(
+        stamps.append(
             MessageStamp(
                 node_of(pair.sender_location),
                 node_of(pair.receiver_location),
@@ -117,8 +117,7 @@ def _oracle(definitions, timelines, consumed):
         for pattern in patterns:
             for hit in pattern.contributions(instance):
                 cube.add(hit.metric, hit.cpid, hit.rank, hit.value)
-    checker.sort_stamps()
-    return cube, grid_pairs, checker.stamps, matcher.stats
+    return cube, grid_pairs, ClockConditionChecker.from_stamps(stamps).stamps, matcher.stats
 
 
 def _ordered(grid_pairs):
@@ -254,11 +253,13 @@ class _World:
             )
             events.append(ExitEvent(exit, region))
         events.append(ExitEvent(100.0, main))
-        self.timelines[rank] = build_rank_tables(
-            rank,
-            self.definitions.locations[rank],
-            encode_events(rank, events),
-            LinearConverter.identity(),
+        (self.timelines[rank],) = build_tables(
+            [RankTrace(
+                rank,
+                self.definitions.locations[rank],
+                encode_events(rank, events),
+                LinearConverter.identity(),
+            )],
             self.callpaths,
             self.regions,
         )

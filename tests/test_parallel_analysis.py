@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.parallel as parallel_module
 import repro.analysis.streaming as streaming_module
+from repro.analysis.callpath import CallPathRegistry
+from repro.analysis.instances import build_timeline
 from repro.analysis.parallel import (
     PartialAnalysis,
     ShardTask,
@@ -25,11 +28,12 @@ from repro.analysis.parallel import (
     plan_shards,
     resolve_jobs,
 )
+from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import AnalysisRequest, analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.apps.metatrace import make_metatrace_app
-from repro.clocks.sync import HierarchicalInterpolation
+from repro.clocks.sync import HierarchicalInterpolation, LinearConverter
 from repro.errors import AnalysisError, PartialTraceWarning, ReproError
 from repro.experiments.configs import experiment1
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
@@ -38,8 +42,8 @@ from repro.report.serialize import result_to_dict
 from repro.resilience import ExecutionReport
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.presets import uniform_metacomputer
-from repro.trace.archive import ArchiveWriter
-from repro.trace.encoding import encode_events
+from repro.trace.archive import MANIFEST_FILE, ArchiveManifest, ArchiveWriter, TraceManifestEntry
+from repro.trace.encoding import encode_events, iter_events
 from repro.trace.events import EventKind
 
 from tests.conftest import run_app
@@ -93,11 +97,12 @@ class _PicklingPool:
         return partials, ExecutionReport()
 
 
-def _through_the_seam(run, jobs, quantum, degraded):
+def _through_the_seam(run, jobs, quantum, degraded, batch=parallel_module._BATCH_BYTES):
     """``(result or error, warnings)`` of one analysis whose local phase ran
-    at *jobs* behind :class:`_PicklingPool` and whose pump steps *quantum*
-    ops at a time."""
-    with mock.patch.object(streaming_module, "_QUANTUM_OPS", quantum):
+    at *jobs* behind :class:`_PicklingPool`, in batches of about *batch*
+    trace bytes, and whose pump steps *quantum* ops at a time."""
+    with mock.patch.object(streaming_module, "_QUANTUM_OPS", quantum), \
+            mock.patch.object(parallel_module, "_BATCH_BYTES", batch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -112,9 +117,14 @@ def _through_the_seam(run, jobs, quantum, degraded):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
-#: Any shard plan of the 8-rank runs below, and pump quanta from one op (a
-#: strictly time-ordered pump) to longer than any trace (whole ranks).
-_SEAM = dict(jobs=st.integers(1, 8), quantum=st.sampled_from((1, 2, 3, 7, 32, 10**9)))
+#: Any shard plan of the 8-rank runs below, pump quanta from one op (a
+#: strictly time-ordered pump) to longer than any trace (whole ranks), and
+#: local-phase batches from one rank each to the whole world at once.
+_SEAM = dict(
+    jobs=st.integers(1, 8),
+    quantum=st.sampled_from((1, 2, 3, 7, 32, 10**9)),
+    batch=st.sampled_from((1, 4096, 1 << 20)),
+)
 
 
 class TestResolveJobs:
@@ -258,12 +268,12 @@ class TestStrictEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(**_SEAM)
-    def test_local_phase_placement_reaches_nothing(self, small_run, jobs, quantum):
+    def test_local_phase_placement_reaches_nothing(self, small_run, jobs, quantum, batch):
         """Where the local phase ran (here, or in shards whose partials were
-        pickled back), how the world was cut into shards and how the pump
-        interleaved the ranks afterwards reach nothing in the result —
-        call-path ids included."""
-        result, _ = _through_the_seam(small_run, jobs, quantum, degraded=False)
+        pickled back), how the world was cut into shards and batches and how
+        the pump interleaved the ranks afterwards reach nothing in the
+        result — call-path ids included."""
+        result, _ = _through_the_seam(small_run, jobs, quantum, False, batch)
         assert_identical(analyze(small_run), result)
         assert (result.execution is None) == (jobs == 1)
 
@@ -358,6 +368,37 @@ class TestGoldenFigure6:
         assert render_analysis(serial).encode() == render_analysis(parallel).encode()
 
 
+def _inconsistent_run(stray_header=False):
+    """A run whose rank 4 closes one frame with the wrong region, under a
+    manifest that agrees: it passes every admission check, and only the
+    local phase finds it inconsistent — in the middle of a batch, ahead of
+    rank 6, whose trace lost its second half and fails admission, and (with
+    *stray_header*) of rank 7, whose file claims to be rank 2's."""
+    mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
+    work = {r: 0.005 * (1 + r % 3) for r in range(8)}
+    run = run_app(mc, 8, make_imbalance_app(work, iterations=3), seed=3)
+
+    def rewrite(rank, blob):
+        namespace = run.namespaces[run.definitions.machine_of(rank)]
+        ArchiveWriter(namespace, run.archive_path).write_trace_blob(rank, blob)
+        return namespace
+
+    events = run.reader(run.definitions.machine_of(4)).read_trace(4)
+    wrong = [i for i, event in enumerate(events) if event.kind == EventKind.EXIT][3]
+    events[wrong] = events[wrong]._replace(region=events[wrong].region + 1)
+    blob = encode_events(4, events)
+    namespace = rewrite(4, blob)
+    path = f"{run.archive_path}/{MANIFEST_FILE}"
+    manifest = ArchiveManifest.from_json(namespace.read_file(path).decode())
+    manifest.entries[4] = TraceManifestEntry.for_blob(4, blob)
+    namespace.write_file_atomic(path, manifest.to_json().encode())
+    blob = run.reader(run.definitions.machine_of(6)).read_trace_blob(6)
+    rewrite(6, blob[: len(blob) // 2])
+    if stray_header:
+        rewrite(7, encode_events(2, run.reader(run.definitions.machine_of(7)).read_trace(7)))
+    return run
+
+
 class TestDegradedEquivalence:
     @pytest.fixture(scope="class")
     def damaged_run(self):
@@ -376,6 +417,42 @@ class TestDegradedEquivalence:
             mc, 8, make_imbalance_app(work, iterations=3), seed=3, fault_plan=plan
         )
 
+    @pytest.fixture(scope="class")
+    def inconsistent_run(self):
+        return _inconsistent_run()
+
+    @pytest.mark.parametrize("stray_header", [False, True])
+    def test_inconsistent_rank_between_good_ranks(self, stray_header):
+        """Strict: the sequential builder's error for rank 4, not a later
+        rank's — also when a later rank of its batch fails admission.
+        Degraded: the damaged ranks excluded, with the reference engine's
+        warnings in its order, its exclusions and call-path numbering,
+        whether the ranks share a batch or not."""
+        run = _inconsistent_run(stray_header)
+        machine = run.definitions.machine_of(4)
+        blob = run.reader(machine).read_trace_blob(4)
+        with pytest.raises(AnalysisError, match="^rank 4: EXIT region") as canonical:
+            build_timeline(
+                4, run.definitions.locations[4], iter_events(blob)[1],
+                LinearConverter.identity(), CallPathRegistry(), run.definitions.regions,
+            )
+        readers = {m: run.reader(m) for m in run.machines_used}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reference = ReplayAnalyzer(readers, degraded=True).analyze()
+        expected = [(w.category, str(w.message)) for w in caught]
+        assert reference.excluded_ranks == ([4, 6, 7] if stray_header else [4, 6])
+        assert expected[0] == (
+            PartialTraceWarning, f"rank 4 excluded from replay: {canonical.value}"
+        )
+        assert expected[1][1].startswith("rank 6 excluded")
+        for batch in (1, 1 << 20):
+            outcome, _ = _through_the_seam(run, 1, 32, False, batch)
+            assert outcome == (AnalysisError, str(canonical.value))
+            result, said = _through_the_seam(run, 1, 32, True, batch)
+            assert said == expected
+            assert_identical(reference, result)
+
     def _analyze_with_warnings(self, run, jobs):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -390,47 +467,63 @@ class TestDegradedEquivalence:
         assert serial.excluded_ranks == parallel.excluded_ranks
 
     @settings(max_examples=30, deadline=None)
-    @given(degraded=st.booleans(), **_SEAM)
+    @given(degraded=st.booleans(), inconsistent=st.booleans(), **_SEAM)
     def test_local_phase_placement_reaches_nothing(
-        self, damaged_run, jobs, quantum, degraded
+        self, damaged_run, inconsistent_run, jobs, quantum, batch, degraded, inconsistent
     ):
-        """The seam property on a damaged archive: degraded, the same
+        """The seam property on a damaged archive — ranks 3 and 6 fail
+        admission — and on one whose rank 4 only the local phase finds
+        inconsistent (and rank 6 fails admission): degraded, the same
         exclusions, result and warnings in the same order; strict, the same
         error for the same rank."""
-        serial = _through_the_seam(damaged_run, 1, streaming_module._QUANTUM_OPS, degraded)
-        sharded = _through_the_seam(damaged_run, jobs, quantum, degraded)
+        run, excluded = (inconsistent_run, [4, 6]) if inconsistent else (damaged_run, [3, 6])
+        serial = _through_the_seam(run, 1, streaming_module._QUANTUM_OPS, degraded)
+        sharded = _through_the_seam(run, jobs, quantum, degraded, batch)
         assert serial[1] == sharded[1]
         if degraded:
             assert_identical(serial[0], sharded[0])
-            assert serial[0].excluded_ranks == sharded[0].excluded_ranks == [3, 6]
+            assert serial[0].excluded_ranks == sharded[0].excluded_ranks == excluded
         else:
             assert isinstance(serial[0], tuple) and serial[0] == sharded[0]
+            assert serial[0][1].startswith("rank 4: EXIT region") == inconsistent
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_admitted_rank_is_scanned_once(self, monkeypatch, jobs):
-        """The grammar walk degraded admission pays for is the one the
-        columnar decoder reads — in-process and inside ``analyze_shard``."""
+        """Every rank's record grammar is walked once, by the local phase's
+        lockstep walk over its manifest blocks — which admission (strict or
+        degraded) and the columnar decoder both read — in-process and
+        inside ``analyze_shard``; the sequential walk is never entered."""
+        import repro.analysis.optable as optable
         import repro.trace.encoding as encoding
 
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
         work = {r: 0.004 for r in range(8)}
         run = run_app(mc, 8, make_imbalance_app(work, iterations=2), seed=2)
-        scanned = []
-        real_scan = encoding.scan_records
+        walked = []
+        real_walk = encoding.walk_records
 
-        def counting_scan(blob):
-            scanned.append(encoding.header_rank(blob))
-            return real_scan(blob)
+        def counting_walk(blobs, tables):
+            assert all(tables), "every rank has its manifest blocks"
+            walked.extend(encoding.header_rank(blob) for blob in blobs)
+            return real_walk(blobs, tables)
 
-        monkeypatch.setattr(encoding, "scan_records", counting_scan)
-        result = StreamingReplayAnalyzer(
-            {machine: run.reader(machine) for machine in run.machines_used},
-            degraded=True,
-            jobs=jobs,
-            pool=_PicklingPool(),
-        ).analyze()
-        assert result.excluded_ranks == []
-        assert sorted(scanned) == sorted(run.definitions.locations)
+        def second_walk(*args):
+            raise AssertionError("a rank's grammar was walked twice")
+
+        monkeypatch.setattr(parallel_module, "walk_records", counting_walk)
+        for module in (encoding, optable):
+            monkeypatch.setattr(module, "scan_records", second_walk)
+        monkeypatch.setattr(encoding, "_scan_from", second_walk)
+        for degraded in (False, True):
+            walked.clear()
+            result = StreamingReplayAnalyzer(
+                {machine: run.reader(machine) for machine in run.machines_used},
+                degraded=degraded,
+                jobs=jobs,
+                pool=_PicklingPool(),
+            ).analyze()
+            assert result.excluded_ranks == []
+            assert sorted(walked) == sorted(run.definitions.locations)
 
     @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
     def test_degraded_timeline_matches_serial(self, damaged_run, jobs):

@@ -322,12 +322,14 @@ class TestBoundedMemory:
         """A retained result keeps op *columns*, not op objects, so keeping
         it costs next to nothing over the bounded run.
 
-        Measured on this workload (tracemalloc peaks): bounded ~0.49 MB,
-        retained ~0.52 MB — 1.06-1.11x.  The parent of the columnar local
-        phase retained one object per op and record and peaked at 1.11 MB
-        retained against 0.65 MB bounded.  1.25x the bounded peak and 0.8x
-        the parent's retained peak leave headroom against allocator noise
-        while still failing if per-op objects quietly come back.
+        Measured on this workload (tracemalloc peaks): bounded and retained
+        both ~0.80 MB, the transient arrays of the local phase's one batch
+        (its 164 KB of trace); with one rank's passes at a time they were
+        ~0.49 / ~0.52 MB.  The parent of the columnar local phase retained
+        one object per op and record and peaked at 1.11 MB retained against
+        0.65 MB bounded.  1.25x the bounded peak and 0.8x the parent's
+        retained peak leave headroom against allocator noise while still
+        failing if per-op objects quietly come back.
         """
         import tracemalloc
 
