@@ -107,6 +107,10 @@ _BASE_METRICS = {
     None: (MPI,),
 }
 
+#: Most fed ops of consecutive ranks whose base metrics one set of array
+#: passes charges (a larger rank is a slice alone); results never depend on it.
+_SLICE_OPS = 1 << 14
+
 #: What a collective's wait states depend on, by region name.
 _NXN, _BARRIER, _N_TO_1, _ONE_TO_N, _PREFIX = range(1, 6)
 _COLLECTIVE_KINDS = (
@@ -247,39 +251,42 @@ def _install_grid(breakdown: GridPairBreakdown, *entries) -> None:
 
 
 def _local_metrics(timelines, fed, consumed, cube, timeline, charge) -> None:
-    """Structural MPI time of the fed ops and fork-join idling up to the cut."""
-    idle_parts = []
+    """Structural MPI time of the fed ops, charged in slices of whole ranks
+    of at most :data:`_SLICE_OPS` ops, and fork-join idling up to the cut."""
+    names = {r: n for process in timelines.values() for r, n in process.mpi_ops.names.items()}
+    metrics_of = {region: _BASE_METRICS[classify_region(name)] for region, name in names.items()}
+    def charge_slice(parts) -> None:
+        rank, cpid, region, enter, exit = (np.concatenate(column) for column in zip(*parts))
+        kept = exit - enter > 0.0
+        rank, cpid, region, enter, exit = (c[kept] for c in (rank, cpid, region, enter, exit))
+        duration = exit - enter
+        # A call path has one region, so these are per-path sums.
+        region_of = np.zeros(int(cpid.max(initial=0)) + 1, np.int64)
+        region_of[cpid] = region
+        region_of = region_of.tolist()
+        for path, process, partials in _sum_cells(cpid, rank, duration):
+            for metric in metrics_of[region_of[path]]:
+                cube.add_expansion(metric, path, process, partials)
+        for metrics in sorted(set(metrics_of.values())) if timeline is not None else ():
+            rows = np.isin(region, [r for r, charged in metrics_of.items() if charged == metrics])
+            timeline.add_columns(metrics, *(c[rows] for c in (cpid, rank, enter, exit, duration)))
+
+    parts, idle_parts = [], []
     for rank, process in sorted(timelines.items()):
         ops, count = process.mpi_ops, fed[rank]
-        metrics_of = {
-            region: _BASE_METRICS[classify_region(name)]
-            for region, name in ops.names.items()
-        }
-        duration = ops.exit[:count] - ops.enter[:count]
-        kept = np.flatnonzero(duration > 0.0)
-        cpid, region, duration = ops.cpid[kept], ops.region[kept], duration[kept]
-        # A call path has one region, so these are per-path sums.
-        for path, called, partials in _sum_cells(cpid, region, duration):
-            for metric in metrics_of[called]:
-                cube.add_expansion(metric, path, rank, partials)
-        if timeline is not None:
-            for metrics in sorted(set(metrics_of.values())):
-                regions = [r for r, charged in metrics_of.items() if charged == metrics]
-                rows = np.flatnonzero(np.isin(region, regions))
-                timeline.add_columns(
-                    metrics, cpid[rows], np.full(len(rows), rank),
-                    ops.enter[kept[rows]], ops.exit[kept[rows]], duration[rows],
-                )
+        if parts and sum(len(part[0]) for part in parts) + count > _SLICE_OPS:
+            charge_slice(parts)
+            parts = []
+        parts.append((np.full(count, rank, np.int32),
+                      *[c[:count] for c in (ops.cpid, ops.region, ops.enter, ops.exit)]))
         omps = process.omp_regions
         upto = int(np.searchsorted(omps.event, consumed[rank]))
         if upto:
-            idle_parts.append(
-                (np.full(upto, rank), *[column[:upto] for column in omps.columns])
-            )
+            idle_parts.append((np.full(upto, rank), *[c[:upto] for c in omps.columns]))
+    charge_slice(parts)
     if idle_parts:
-        rank, cpid, enter, exit, nthreads, busy_sum, busy_max = (
-            np.concatenate(column) for column in zip(*idle_parts)
-        )
+        columns = (np.concatenate(column) for column in zip(*idle_parts))
+        rank, cpid, enter, exit, nthreads, busy_sum, busy_max = columns
         idle = nthreads * busy_max - busy_sum
         charge(IDLE_THREADS, idle > 0.0, cpid, rank, enter, exit, idle)
 

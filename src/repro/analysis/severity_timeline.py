@@ -6,7 +6,8 @@ Late Sender waiting disappears into a run-long total.  This module keeps
 the *when*: every pattern hit (and every MPI base-class second) is spread
 over the charged operation's ``[enter, exit]`` interval into fixed-stride
 bins, and queries read the bins back as rolling-window series per
-(metric, call path, rank).
+(metric, call path, rank).  The store is columns: a charge appends one
+``(cpid, rank, bin, seconds)`` chunk per metric, and bins are summed on read.
 
 Timelines are **diagnostic, not part of the bit-identity contract**: bins
 are plain float sums (accumulation-order dependent in the last ulp), never
@@ -17,17 +18,40 @@ rendered into golden-compared report text, and excluded from
 
 from __future__ import annotations
 
-from math import floor
+from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Bin key: (call-path id, rank).
-CellKey = Tuple[int, int]
+from repro.errors import AnalysisError
+
+#: Bins a timeline may spread its rows over beyond each row's first, so a
+#: tiny ``stride_s`` is refused, not allocated (the default stride spreads
+#: the 128-rank benchmark archive's rows over about 6k).
+_MAX_TERMS = 4_000_000
+
+#: One metric's terms: cpid, rank and bin (int32), seconds (float64).
+Cells = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_EMPTY: Cells = (*[np.empty(0, np.int32)] * 3, np.empty(0))
+
+
+def _sum_by(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The distinct rows of the key columns (all but the last), first key
+    major, with the last column summed over each in charge order."""
+    *keys, seconds = columns
+    order = np.lexsort(keys[::-1])
+    new = np.arange(len(order)) == 0
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    group = np.empty(len(order), np.int64)
+    group[order] = np.cumsum(new) - 1
+    first = order[new]
+    return (*(key[first] for key in keys), np.bincount(group, seconds, len(first)))
 
 
 class SeverityTimeline:
-    """Sparse binned severity: ``metric → (cpid, rank) → bin index → seconds``.
+    """Sparse binned severity: per metric, ``(cpid, rank, bin, seconds)`` columns.
 
     Bins are ``stride_s`` wide, anchored at synchronized (master) time 0;
     an interval contribution is distributed over the bins it overlaps in
@@ -43,141 +67,123 @@ class SeverityTimeline:
             raise ValueError(f"stride_s must be positive, got {stride_s}")
         self.window_s = window_s
         self.stride_s = stride_s
-        self._bins: Dict[str, Dict[CellKey, Dict[int, float]]] = {}
+        self._chunks: Dict[str, List[Cells]] = defaultdict(list)
+        self._tables: Dict[str, Cells] = {}
+        self._extra = 0
 
     @property
     def window_bins(self) -> int:
         """Number of strides a rolling window spans (≥ 1)."""
         return max(1, round(self.window_s / self.stride_s))
 
-    def add(
-        self,
-        metric: str,
-        cpid: int,
-        rank: int,
-        start: float,
-        end: float,
-        value: float,
-    ) -> None:
-        """Charge *value* seconds to ``[start, end]``, overlap-weighted.
+    def add(self, metric: str, cpid: int, rank: int, start: float, end: float,
+            value: float) -> None:
+        """:meth:`add_columns` with a batch of one."""
+        self.add_columns((metric,), *(np.array([x]) for x in (cpid, rank, start, end, value)))
 
-        A degenerate interval (``end <= start``) charges its single bin.
-        """
-        if value <= 0.0:
-            return
-        stride = self.stride_s
-        cell = self._bins.setdefault(metric, {}).setdefault((cpid, rank), {})
-        lo = floor(start / stride)
-        if end <= start:
-            cell[lo] = cell.get(lo, 0.0) + value
-            return
-        hi = floor(end / stride)
-        if hi == lo:
-            cell[lo] = cell.get(lo, 0.0) + value
-            return
-        span = end - start
-        for b in range(lo, hi + 1):
-            overlap = min(end, (b + 1) * stride) - max(start, b * stride)
-            if overlap > 0.0:
-                cell[b] = cell.get(b, 0.0) + value * overlap / span
-
-    def add_columns(
-        self,
-        metrics: Sequence[str],
-        cpid: np.ndarray,
-        rank: np.ndarray,
-        start: np.ndarray,
-        end: np.ndarray,
-        value: np.ndarray,
-    ) -> None:
-        """Column form of :meth:`add`: row *i* charges ``value[i]`` seconds to
-        ``[start[i], end[i]]`` at ``(cpid[i], rank[i])``, in every one of
-        *metrics* — the same bins and the same per-bin terms, computed by
-        array passes; a cell's terms of one call are summed before they join
-        the bin, so values agree with per-row ``add`` to the last ulps.
-        """
+    def add_columns(self, metrics: Sequence[str], cpid: np.ndarray, rank: np.ndarray,
+                    start: np.ndarray, end: np.ndarray, value: np.ndarray) -> None:
+        """Row *i* charges ``value[i]`` seconds to ``[start[i], end[i]]`` (its
+        single bin if ``end <= start``) at ``(cpid[i], rank[i])`` in every one
+        of *metrics*, overlap-weighted.  A value not ``> 0`` (NaN too) charges
+        nothing; a non-finite interval, bin indices past int32 and more than
+        :data:`_MAX_TERMS` spread bins raise :class:`AnalysisError`."""
         kept = np.flatnonzero(value > 0.0)
         if not len(kept):
             return
-        cpid, rank, start, end, value = (
-            column[kept] for column in (cpid, rank, start, end, value)
-        )
+        cpid, rank, start, end, value = (c[kept] for c in (cpid, rank, start, end, value))
+        for i in np.flatnonzero(~(np.isfinite(start) & np.isfinite(end)))[:1]:
+            raise AnalysisError(
+                f"timeline charge of {'/'.join(metrics)} at cpid {cpid[i]}, rank "
+                f"{rank[i]} has a non-finite interval [{start[i]}, {end[i]}]"
+            )
         stride = self.stride_s
-        lo = np.floor(start / stride).astype(np.int64)
-        hi = np.where(end <= start, lo, np.floor(end / stride).astype(np.int64))
-        # One term per (row, overlapped bin); a row inside one bin charges it whole.
-        count = hi - lo + 1
-        row = np.repeat(np.arange(len(lo)), count)
+        with np.errstate(over="ignore", invalid="ignore"):  # past float range: refused
+            lo = np.floor(start / stride)
+            hi = np.where(end <= start, lo, np.floor(end / stride))
+            extra = self._extra + float(np.sum(hi - lo))
+        reach = max(-lo.min(), hi.max())
+        if not (extra <= _MAX_TERMS and reach < 2**31 - 1):  # NaN fails too
+            raise AnalysisError(
+                f"timeline needs {extra:.0f} bins past its rows' first, up to index "
+                f"{reach:.0f}, at stride_s={stride!r}; raise stride_s"
+            )
+        self._extra = int(extra)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        # A row inside one bin is that bin's term; only the others repeat.
+        one, many = np.flatnonzero(lo == hi), np.flatnonzero(lo != hi)
+        count = (hi - lo + 1)[many]
+        row = np.repeat(many, count)
         b = lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
         overlap = np.minimum(end[row], (b + 1) * stride) - np.maximum(start[row], b * stride)
-        whole = (hi == lo)[row]
-        span = np.where(whole, 1.0, end[row] - start[row])
-        term = np.where(whole, value[row], value[row] * overlap / span)
-        kept = np.flatnonzero(whole | (overlap > 0.0))
-        row, b, term = row[kept], b[kept], term[kept]
-        order = np.lexsort((b, rank[row], cpid[row]))
-        keys = cpid[row][order], rank[row][order], b[order]
-        new = np.ones(len(order), bool)
-        new[1:] = (keys[0][1:] != keys[0][:-1]) | (keys[1][1:] != keys[1][:-1]) | (
-            keys[2][1:] != keys[2][:-1]
-        )
-        first = np.flatnonzero(new)
-        sums = np.add.reduceat(term[order], first).tolist()
-        cells = list(zip(zip(keys[0][first].tolist(), keys[1][first].tolist()),
-                         keys[2][first].tolist(), sums))
+        term, spread = value[row] * overlap / (end[row] - start[row]), overlap > 0.0
+        rows = np.concatenate((one, row[spread]))
+        chunk = (cpid[rows].astype(np.int32), rank[rows].astype(np.int32),
+                 np.concatenate((lo[one], b[spread])).astype(np.int32),
+                 np.concatenate((value[one], term[spread])))
         for metric in metrics:
-            by_cell = self._bins.setdefault(metric, {})
-            for key, bin_index, total in cells:
-                cell = by_cell.get(key)
-                if cell is None:
-                    cell = by_cell[key] = {}
-                cell[bin_index] = cell.get(bin_index, 0.0) + total
+            self._chunks[metric].append(chunk)
+            self._tables.pop(metric, None)
 
     # -- queries ---------------------------------------------------------------
 
+    def cells(self, metric: str) -> Cells:
+        """The metric's bins as read-only columns ``(cpid, rank, bin,
+        seconds)``, one row per charged ``(cpid, rank, bin)``, in that order."""
+        if metric not in self._tables:
+            chunks = self._chunks.get(metric, [_EMPTY])
+            table = self._tables[metric] = _sum_by(*map(np.concatenate, zip(*chunks)))
+            for column in table:
+                column.flags.writeable = False
+            if metric in self._chunks:
+                self._chunks[metric] = [table]
+        return self._tables[metric]
+
     def metrics(self) -> List[str]:
-        return sorted(self._bins)
+        return sorted(self._chunks)
 
-    def bins(
-        self,
-        metric: str,
-        cpid: Optional[int] = None,
-        rank: Optional[int] = None,
-    ) -> Dict[int, float]:
+    def bins(self, metric: str, cpid: Optional[int] = None,
+             rank: Optional[int] = None) -> Dict[int, float]:
         """Aggregated per-stride bins of one metric, optionally filtered."""
-        out: Dict[int, float] = {}
-        for (cell_cpid, cell_rank), cell in self._bins.get(metric, {}).items():
-            if cpid is not None and cell_cpid != cpid:
-                continue
-            if rank is not None and cell_rank != rank:
-                continue
-            for b, value in cell.items():
-                out[b] = out.get(b, 0.0) + value
-        return out
+        cpids, ranks, b, seconds = self.cells(metric)
+        keep = np.ones(len(b), bool) & (cpid is None or cpids == cpid)
+        keep &= rank is None or ranks == rank
+        b, seconds = _sum_by(b[keep], seconds[keep])
+        return dict(zip(b.tolist(), seconds.tolist()))
 
-    def series(
-        self,
-        metric: str,
-        cpid: Optional[int] = None,
-        rank: Optional[int] = None,
-    ) -> List[Tuple[float, float]]:
+    def _windows(self, group: np.ndarray, b: np.ndarray, seconds: np.ndarray):
+        """Each group's rolling-window series, from its first to its last bin,
+        as ``(groups, bounds, times, totals)`` with group *g*'s entries at
+        ``bounds[g]:bounds[g + 1]``.  Bin *i*'s entry is ``0.0 + bin[i - w + 1]
+        + … + bin[i]``, added in that order."""
+        if not len(b):
+            return [], [0], np.empty(0), np.empty(0)
+        group, b, seconds = _sum_by(group, b.astype(np.int64), seconds)
+        w, new = self.window_bins, np.append(True, group[1:] != group[:-1])
+        head, at = np.flatnonzero(new), np.cumsum(new) - 1
+        lo = b[head]
+        bounds = np.append(0, np.cumsum(b[np.append(head[1:], len(b)) - 1] - lo + 1))
+        # Each group's bins densely after w - 1 zeros: no window leaves its group.
+        dense = np.zeros(bounds[-1] + len(head) * (w - 1))
+        dense[bounds[at] + (w - 1) * (at + 1) + b - lo[at]] = seconds
+        seg = np.repeat(np.arange(len(head)), np.diff(bounds))
+        step = np.arange(bounds[-1]) - bounds[seg]
+        pos, total = bounds[seg] + (w - 1) * (seg + 1) + step, np.zeros(len(step))
+        for back in range(w - 1, -1, -1):
+            total += dense[pos - back]
+        return group[head].tolist(), bounds.tolist(), (lo[seg] + step) * self.stride_s, total
+
+    def series(self, metric: str, cpid: Optional[int] = None,
+               rank: Optional[int] = None) -> List[Tuple[float, float]]:
         """Rolling-window series ``[(window start seconds, seconds), ...]``.
 
         One entry per stride from the first to the last populated bin;
         entry *i*'s value sums the window ending at that stride.
         """
-        bins = self.bins(metric, cpid=cpid, rank=rank)
-        if not bins:
-            return []
-        w = self.window_bins
-        first, last = min(bins), max(bins)
-        out: List[Tuple[float, float]] = []
-        for i in range(first, last + 1):
-            total = 0.0
-            for j in range(i - w + 1, i + 1):
-                total += bins.get(j, 0.0)
-            out.append((i * self.stride_s, total))
-        return out
+        bins = self.bins(metric, cpid, rank)
+        b, seconds = np.array(list(bins), np.int64), np.array(list(bins.values()))
+        _, _, times, totals = self._windows(np.zeros(len(b), np.int32), b, seconds)
+        return list(zip(times.tolist(), totals.tolist()))
 
     def peak_window(self, metric: str) -> Tuple[float, float]:
         """``(window start seconds, seconds)`` of the worst rolling window.
@@ -186,36 +192,24 @@ class SeverityTimeline:
         severity concentrates (e.g. a transient WAN congestion burst).
         Returns ``(0.0, 0.0)`` when the metric has no contributions.
         """
-        series = self.series(metric)
-        if not series:
-            return (0.0, 0.0)
-        return max(series, key=lambda entry: entry[1])
+        return max(self.series(metric), key=lambda entry: entry[1], default=(0.0, 0.0))
 
     def ranks(self, metric: str) -> List[int]:
-        return sorted({rank for _, rank in self._bins.get(metric, {})})
+        return np.unique(self.cells(metric)[1]).tolist()
 
     # -- service payload -------------------------------------------------------
 
     def to_payload(self, metric: Optional[str] = None) -> Dict[str, Any]:
         """JSON-safe form served by ``/jobs/<key>/severity/timeline``."""
-        names = [metric] if metric is not None else self.metrics()
         metrics: Dict[str, Any] = {}
-        for name in names:
+        for name in [metric] if metric is not None else self.metrics():
             series = self.series(name)
-            if not series and metric is None:
-                continue
-            peak = self.peak_window(name)
+            ranks, bounds, times, totals = self._windows(*self.cells(name)[1:])
+            entries = np.column_stack((times, totals)).tolist()
             metrics[name] = {
-                "series": [[t, v] for t, v in series],
-                "peak": [peak[0], peak[1]],
-                "ranks": self.ranks(name),
-                "by_rank": {
-                    str(r): [[t, v] for t, v in self.series(name, rank=r)]
-                    for r in self.ranks(name)
-                },
+                "series": [list(entry) for entry in series],
+                "peak": list(max(series, key=lambda entry: entry[1], default=(0.0, 0.0))),
+                "ranks": ranks,
+                "by_rank": {str(r): entries[a:z] for r, a, z in zip(ranks, bounds, bounds[1:])},
             }
-        return {
-            "window_s": self.window_s,
-            "stride_s": self.stride_s,
-            "metrics": metrics,
-        }
+        return {"window_s": self.window_s, "stride_s": self.stride_s, "metrics": metrics}

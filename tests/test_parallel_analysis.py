@@ -75,10 +75,11 @@ def assert_timelines_agree(serial, parallel):
     """
     flat = [
         {
-            (metric, cpid, rank, b): value
-            for metric, cells in result.severity_timeline._bins.items()
-            for (cpid, rank), cell in cells.items()
-            for b, value in cell.items()
+            (metric, *key): value
+            for metric in result.severity_timeline.metrics()
+            for *key, value in zip(
+                *(column.tolist() for column in result.severity_timeline.cells(metric))
+            )
         }
         for result in (serial, parallel)
     ]

@@ -225,6 +225,28 @@ class TestEndpoints:
         assert status == 409 and "only analyze jobs" in body["error"]
 
 
+    def test_tiny_timeline_stride_fails_the_job_not_the_server(self, server):
+        """``stride_s=1e-7`` passes validation (positive, finite) but would
+        need more bins than a timeline may hold: the job fails at its first
+        charge, and the service goes on serving."""
+        base, _ = server
+        spec = {
+            "kind": "analyze",
+            "experiment": "figure6",
+            "seed": 2,
+            "jobs": 1,
+            "config": {"timeline": True, "coupling_intervals": 1, "stride_s": 1e-7},
+        }
+        status, _, body = _request(base, "POST", "/jobs", spec)
+        assert status == 202, body
+        job = _poll_done(base, body["job"]["key"], timeout=120)
+        assert job["status"] == "failed"
+        assert "raise stride_s" in job["error"], job["error"]
+        assert _request(base, "GET", "/healthz")[0] == 200
+        _, _, body = _request(base, "POST", "/jobs", SIM)
+        assert _poll_done(base, body["job"]["key"])["status"] == "done"
+
+
 class TestCliClient:
     def test_submit_wait_prints_result(self, server, capsys):
         base, _ = server

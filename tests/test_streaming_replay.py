@@ -28,9 +28,14 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.severity_timeline as timeline_module
 import repro.analysis.streaming as streaming_module
 from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.request import AnalysisRequest
@@ -356,6 +361,29 @@ class TestBoundedMemory:
             f"parent's {parent_retained_peak}"
         )
 
+    def test_timeline_adds_nothing_to_the_bounded_peak(self):
+        """The timeline's chunks and its charges' transient arrays stay
+        under the local phase's peak.  Measured on this workload (tracemalloc
+        peaks, timeline on / off): 0.997–1.000 here and at the dict-store
+        parent alike; 1.05 is headroom for allocator noise, not for a
+        timeline that outgrows the batch it was charged from."""
+        import tracemalloc
+
+        run = _long_short_runs(300)
+        analyze(_long_short_runs(3), request=AnalysisRequest(timeline=True))
+
+        def peak(timeline):
+            tracemalloc.start()
+            result = analyze(run, request=AnalysisRequest(bounded=True, timeline=timeline))
+            _, peak_bytes = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return result, peak_bytes
+
+        _, off = peak(False)
+        result, on = peak(True)
+        assert result.severity_timeline.metrics()
+        assert on <= 1.05 * off, f"timeline-on peak {on} above 1.05x timeline-off {off}"
+
     def test_retained_result_holds_no_op_objects(self):
         """The census: after a retained analyze nothing per-op is alive —
         the objects the replay made died with their matching windows."""
@@ -419,6 +447,45 @@ class TestBoundedMemory:
 # -- the severity timeline -----------------------------------------------------
 
 
+def _flat(timeline):
+    """``{(metric, cpid, rank, bin): seconds}`` of every charged bin."""
+    return {
+        (metric, *key): seconds
+        for metric in timeline.metrics()
+        for *key, seconds in zip(*(column.tolist() for column in timeline.cells(metric)))
+    }
+
+
+def _scalar_add(bins, stride, metric, cpid, rank, start, end, value):
+    """The oracle: the per-row loop the columnar store replaced, charging
+    *bins* keyed like :func:`_flat`."""
+    if not value > 0.0:
+        return
+    lo = math.floor(start / stride)
+    hi = lo if end <= start else math.floor(end / stride)
+    for b in range(lo, hi + 1):
+        overlap = min(end, (b + 1) * stride) - max(start, b * stride)
+        if lo == hi or overlap > 0.0:
+            key = (metric, cpid, rank, b)
+            term = value if lo == hi else value * overlap / (end - start)
+            bins[key] = bins.get(key, 0.0) + term
+
+
+#: Times on a 1/64 s grid: edge-aligned at strides 0.25 and 1, not at 0.1,
+#: never so close to an edge that the overlaps lose the mass's precision.
+_grid_times = st.integers(-192, 320).map(lambda k: k / 64)
+_timeline_rows = st.builds(
+    lambda cpid, rank, interval, value: (cpid, rank, *interval, value),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.one_of(
+        st.tuples(_grid_times, _grid_times),  # ends before its start half the time
+        _grid_times.map(lambda t: (t, t)),  # degenerate
+    ),
+    st.one_of(st.floats(1e-6, 1e3), st.sampled_from([0.0, -1.0, math.nan])),
+)
+
+
 class TestSeverityTimelineUnit:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="window_s"):
@@ -441,17 +508,18 @@ class TestSeverityTimelineUnit:
         assert tl.bins("m") == {4: pytest.approx(3.0)}
 
     def test_nonpositive_value_ignored(self):
+        """Zero, negative and NaN values charge nothing, by either entry point."""
         tl = SeverityTimeline()
-        tl.add("m", 1, 0, 0.0, 1.0, 0.0)
-        tl.add("m", 1, 0, 0.0, 1.0, -1.0)
-        assert tl.metrics() == []
+        for bad in (0.0, -1.0, math.nan):
+            tl.add("m", 1, 0, 0.0, 1.0, bad)
+            tl.add_columns(("m",), np.array([1]), np.array([0]), np.array([0.0]),
+                           np.array([1.0]), np.array([bad]))
+        assert tl.metrics() == [] and tl.bins("m") == {}
 
     def test_column_charge_equals_per_item_add(self):
         """``add_columns`` against one ``add`` per row on the same inputs:
         degenerate interval, single bin, spans over several bins, zero and
         negative values skipped, several metrics charged from one pass."""
-        import numpy as np
-
         rows = [
             # cpid, rank, start, end, value
             (1, 0, 1.0, 1.0, 3.0),      # degenerate: its single bin
@@ -471,26 +539,141 @@ class TestSeverityTimelineUnit:
         columnar = SeverityTimeline(stride_s=0.25)
         columnar.add_columns(("a", "b"), *(np.array(column) for column in zip(*rows)))
 
-        def flat(timeline):
-            return {
-                (metric, cell, b): value
-                for metric, cells in timeline._bins.items()
-                for cell, bins in cells.items()
-                for b, value in bins.items()
-            }
-
-        assert flat(columnar).keys() == flat(itemwise).keys()
-        assert (2, 1) not in columnar._bins["a"]
-        for key, value in flat(itemwise).items():
-            assert flat(columnar)[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        assert _flat(columnar).keys() == _flat(itemwise).keys()
+        assert ("a", 2, 1) not in {key[:3] for key in _flat(columnar)}
+        for key, value in _flat(itemwise).items():
+            assert _flat(columnar)[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
         # A second pass accumulates into the same bins.
         columnar.add_columns(("a",), *(np.array(column) for column in zip(*rows)))
-        for key, value in flat(itemwise).items():
+        for key, value in _flat(itemwise).items():
             times = 2 if key[0] == "a" else 1
-            assert flat(columnar)[key] == pytest.approx(times * value, rel=1e-12), key
+            assert _flat(columnar)[key] == pytest.approx(times * value, rel=1e-12), key
         empty = SeverityTimeline()
         empty.add_columns(("a",), *(np.empty(0) for _ in range(5)))
         assert empty.metrics() == []
+        cpid, rank, b, seconds = empty.cells("a")
+        assert len(cpid) == len(rank) == len(b) == len(seconds) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(_timeline_rows, max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+        charged=st.lists(st.sampled_from([("a",), ("b",), ("a", "b")]), min_size=7, max_size=7),
+        reads=st.lists(st.booleans(), min_size=7, max_size=7),
+        stride=st.sampled_from([0.25, 0.1, 1.0]),
+    )
+    def test_columns_match_scalar_oracle(self, rows, cuts, charged, reads, stride):
+        """Drawn rows, charged in drawn batches to drawn metrics with reads
+        in between, bin exactly where the scalar loop puts them: same keys,
+        values to 1e-12, and each metric's mass is the sum charged to it
+        (to 1e-9: an overlap is a difference of times, exact only on a grid
+        the 0.1 s stride is not)."""
+        timeline = SeverityTimeline(stride_s=stride)
+        expected, mass = {}, {}
+        bounds = [0, *sorted(cuts), len(rows)]
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            batch = rows[lo:hi]
+            columns = [np.array(column, dtype=float) for column in zip(*batch)] or [
+                np.empty(0) for _ in range(5)
+            ]
+            columns[0], columns[1] = columns[0].astype(int), columns[1].astype(int)
+            timeline.add_columns(charged[i], *columns)
+            for metric in charged[i]:
+                for row in batch:
+                    _scalar_add(expected, stride, metric, *row)
+                    mass[metric] = mass.get(metric, 0.0) + (row[4] if row[4] > 0.0 else 0.0)
+            if reads[i]:
+                assert _flat(timeline).keys() == expected.keys()
+        got = _flat(timeline)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        assert timeline.metrics() == sorted({key[0] for key in expected})
+        for metric in timeline.metrics():
+            seconds = timeline.cells(metric)[3]
+            assert float(seconds.sum()) == pytest.approx(mass[metric], rel=1e-9)
+            assert sum(timeline.bins(metric).values()) == pytest.approx(mass[metric], rel=1e-9)
+
+    def test_cells_are_a_read_only_cache_over_any_key_space(self):
+        """``cells`` sums equal keys however far apart the keys lie (call
+        path and rank at the int32 top), hands out read-only columns, and a
+        later charge rebuilds them."""
+        tl = SeverityTimeline(stride_s=0.25)
+        top = 2**31 - 1
+        tl.add("m", top, top, 2.5e8, 2.5e8, 1.0)
+        tl.add("m", 0, 0, 0.0, 0.0, 2.0)
+        tl.add("m", top, top, 2.5e8, 2.5e8, 3.0)
+        assert _flat(tl) == {("m", 0, 0, 0): 2.0, ("m", top, top, 10**9): 4.0}
+        cpid, rank, b, seconds = tl.cells("m")
+        with pytest.raises(ValueError):
+            seconds[0] = 0.0
+        tl.add("m", 0, 0, 0.1, 0.1, 0.5)
+        assert _flat(tl)[("m", 0, 0, 0)] == 2.5
+        assert tl.ranks("m") == [0, top]
+
+    @pytest.mark.parametrize("start, end", [
+        (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_non_finite_interval_raises_from_both_entry_points(self, start, end):
+        for charge in (
+            lambda tl: tl.add("m", 7, 3, start, end, 1.0),
+            lambda tl: tl.add_columns(
+                ("m",), np.array([1, 7]), np.array([0, 3]), np.array([0.0, start]),
+                np.array([0.5, end]), np.array([1.0, 1.0]),
+            ),
+        ):
+            tl = SeverityTimeline()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AnalysisError, match=r"m at cpid 7, rank 3 .*non-finite"):
+                    charge(tl)
+            assert tl.metrics() == []
+
+    def test_tiny_stride_is_refused_not_allocated(self):
+        tl = SeverityTimeline(stride_s=1e-9)
+        needs = r"timeline needs \d+ bins past its rows' first, .* at stride_s=1e-09; raise"
+        with pytest.raises(AnalysisError, match=needs):
+            tl.add("m", 1, 0, 0.0, 10.0, 1.0)
+        with pytest.raises(AnalysisError, match=r"needs 0 bins past .*, up to index 10{21}, "):
+            tl.add("m", 1, 0, 1e12, 1e12, 1.0)
+        with pytest.raises(AnalysisError, match="raise stride_s"):
+            tl.add("m", 1, 0, 1e300, 1e300, 1.0)  # a bin index past float range
+        assert tl.metrics() == []
+        # The budget counts the bins past each row's first over the timeline's
+        # calls: single-bin rows, however many a long run has, never reach it.
+        tl = SeverityTimeline(stride_s=1.0)
+        rows = np.arange(6)
+        with mock.patch.object(timeline_module, "_MAX_TERMS", 10):
+            for _ in range(3):
+                tl.add_columns(("m",), rows, rows, rows * 1.0, rows * 1.0, rows + 1.0)
+            tl.add_columns(("m",), rows, rows, rows * 1.0, rows + 1.5, rows + 1.0)
+            with pytest.raises(AnalysisError, match="needs 12 bins past"):
+                tl.add_columns(("m",), rows, rows, rows * 1.0, rows + 1.5, rows + 1.0)
+        assert sum(tl.bins("m").values()) == pytest.approx(84.0)
+
+    def test_tiny_stride_fails_fast_through_analyze(self):
+        """A 32-rank run at ``stride_s=1e-7`` used to run for tens of
+        seconds and then exhaust memory; now its first charge refuses it.
+        At the default stride the same run builds its timeline under a
+        budget below its cell count: only bins past a row's first count."""
+        from repro.apps.metatrace import make_metatrace_app
+        from repro.experiments.configs import scaled_experiment1
+        from repro.sim.runtime import MetaMPIRuntime
+
+        metacomputer, placement, config = scaled_experiment1(1, coupling_intervals=1)
+        run = MetaMPIRuntime(
+            metacomputer, placement, seed=1, subcomms=config.subcomms()
+        ).run(make_metatrace_app(config))
+        charge = SeverityTimeline.add_columns
+        with mock.patch.object(
+            SeverityTimeline, "add_columns", autospec=True, side_effect=charge
+        ) as charges:
+            with pytest.raises(AnalysisError, match=r"at stride_s=1e-07; raise stride_s"):
+                analyze(run, request=AnalysisRequest(timeline=True, stride_s=1e-7))
+        assert charges.call_count == 1
+        with mock.patch.object(timeline_module, "_MAX_TERMS", 1000):
+            timeline = analyze(run, request=AnalysisRequest(timeline=True)).severity_timeline
+        assert sum(len(timeline.cells(metric)[0]) for metric in timeline.metrics()) > 1000
 
     def test_rolling_window_series(self):
         tl = SeverityTimeline(window_s=2.0, stride_s=1.0)
