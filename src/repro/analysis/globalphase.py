@@ -1,13 +1,10 @@
 """The columnar global phase: matching, patterns and severities by array passes.
 
 Everything the replay does after the local phase is a pure function of the
-admitted ranks' op tables (:mod:`repro.analysis.optable`) and of the *cut*
-— how many of each rank's events the pump consumed.  A cut is a prefix of
-every rank's trace, so "message *k* of a channel is matched iff its send
-and its receive both lie inside the cut" is all the FIFO rule needs, and no
-op, record, pair or collective instance is ever made an object:
+admitted ranks' op tables (:mod:`repro.analysis.optable`), each read whole,
+and no op, record, pair or collective instance is ever made an object:
 
-* **matching** — the SEND and RECV rows of the consumed ops are gathered
+* **matching** — the SEND and RECV rows of every op are gathered
   rank-major in trace order, each with its op's enter, exit and call path;
   one ``lexsort`` over ``(source, destination, tag, communicator, side)``
   lines up every channel's sends before its receives, and the *k*-th
@@ -22,7 +19,7 @@ op, record, pair or collective instance is ever made an object:
   count on it)``; members are sorted by ``(communicator, index, rank)`` and
   last enter, spans-metahosts, the causing metahost (lowest rank on a tie),
   the root and every wait are ``reduceat`` passes.  An instance with
-  members missing (excluded ranks, a cut) is evaluated over those present;
+  members missing (excluded or unadmitted ranks) is evaluated over those present;
 * **severities** — each metric's hits are summed exactly per cell
   (:func:`~repro.analysis.severity.exact_expansion`) and enter the cube and
   the grid breakdown in the order the object-wise reference meets them
@@ -32,7 +29,7 @@ op, record, pair or collective instance is ever made an object:
 The object-wise definitions — :mod:`repro.analysis.matching` and
 :mod:`repro.analysis.patterns`, driven by the buffered reference analyzer —
 are the oracle: ``tests/test_global_phase.py`` holds the two together,
-cuts included.  They take the match accounting (:class:`MatchStats`, the
+interrupted runs included.  They take the match accounting (:class:`MatchStats`, the
 metadata byte sizes) from this module; nothing here imports them.
 """
 
@@ -107,7 +104,7 @@ _BASE_METRICS = {
     None: (MPI,),
 }
 
-#: Most fed ops of consecutive ranks whose base metrics one set of array
+#: Most ops of consecutive ranks whose base metrics one set of array
 #: passes charges (a larger rank is a slice alone); results never depend on it.
 _SLICE_OPS = 1 << 14
 
@@ -125,25 +122,19 @@ _COLLECTIVE_KINDS = (
 def global_phase(
     definitions: Definitions,
     timelines: Dict[int, ProcessTimeline],
-    consumed: Dict[int, int],
     allow_unmatched: bool,
     timeline: Optional[SeverityTimeline] = None,
 ) -> Tuple[SeverityCube, GridPairBreakdown, ClockConditionChecker, MatchStats]:
-    """Match, search patterns and accumulate over the first ``consumed[rank]``
-    events of every admitted rank's tables; see the module docstring.
+    """Match, search patterns and accumulate over every admitted rank's
+    whole tables; see the module docstring.
 
-    *allow_unmatched* counts a receive whose send is not inside the cut
-    (degraded replay, an interrupted pump) instead of raising the strict
-    starved-receive error.  Pattern hits and the structural MPI-time metrics
-    are also charged to *timeline* when one is given.
+    *allow_unmatched* counts a receive whose send is in no admitted rank
+    (degraded replay, an interrupted local phase) instead of raising the
+    strict starved-receive error.  Pattern hits and the structural MPI-time
+    metrics are also charged to *timeline* when one is given.
     """
     ranks = sorted(timelines)
     tables = {rank: timelines[rank].mpi_ops for rank in ranks}
-    #: rank → ops completed inside the cut.
-    fed = {
-        rank: int(np.searchsorted(table.exit_event, consumed[rank]))
-        for rank, table in tables.items()
-    }
     machine = np.zeros(ranks[-1] + 1, np.int64)
     for rank in ranks:
         machine[rank] = timelines[rank].location.machine
@@ -163,11 +154,9 @@ def global_phase(
         if timeline is not None:
             timeline.add_columns((metric,), cpid, rank, enter[rows], exit[rows], value)
 
-    _local_metrics(timelines, fed, consumed, cube, timeline, charge)
-    pairs = _point_to_point(
-        tables, fed, machine, allow_unmatched, charge, grid_pairs, stats
-    )
-    _collectives(tables, fed, machine, definitions, charge, grid_pairs, stats)
+    _local_metrics(timelines, cube, timeline, charge)
+    pairs = _point_to_point(tables, machine, allow_unmatched, charge, grid_pairs, stats)
+    _collectives(tables, machine, definitions, charge, grid_pairs, stats)
     # Last, so that the one per-pair product is not alive during the passes.
     return cube, grid_pairs, _stamps(timelines, *pairs), stats
 
@@ -204,10 +193,10 @@ def _sum_cells(
 
 
 def _gather(
-    tables: Dict[int, OpTable], fed: Dict[int, int], kind: str, fields: slice,
+    tables: Dict[int, OpTable], kind: str, fields: slice,
     of_op: Sequence[str] = ("cpid", "enter", "exit"), last: bool = False,
 ) -> List[np.ndarray]:
-    """Rows of one record kind over the fed ops, rank-major in trace order.
+    """Rows of one record kind, rank-major in trace order.
 
     Columns: the owning op's rank and its *of_op* columns, then the record's
     own *fields* in their trace dtypes.  *last* keeps only an op's final
@@ -217,14 +206,13 @@ def _gather(
     parts = []
     for rank, ops in tables.items():
         start, columns = getattr(ops, kind)
-        bounds = start[: fed[rank] + 1]
         if last:
-            owner = np.flatnonzero(bounds[1:] > bounds[:-1])
-            rows = bounds[1:][owner] - 1
+            owner = np.flatnonzero(start[1:] > start[:-1])
+            rows = start[1:][owner] - 1
             record = [column[rows] for column in columns[fields]]
         else:
-            owner = np.repeat(np.arange(fed[rank]), np.diff(bounds))
-            record = [column[: bounds[-1]] for column in columns[fields]]
+            owner = np.repeat(np.arange(len(ops)), np.diff(start))
+            record = list(columns[fields])
         parts.append((
             np.full(len(owner), rank, np.int32),
             *[getattr(ops, name)[owner] for name in of_op],
@@ -250,9 +238,9 @@ def _install_grid(breakdown: GridPairBreakdown, *entries) -> None:
 # -- per-rank metrics ----------------------------------------------------------
 
 
-def _local_metrics(timelines, fed, consumed, cube, timeline, charge) -> None:
-    """Structural MPI time of the fed ops, charged in slices of whole ranks
-    of at most :data:`_SLICE_OPS` ops, and fork-join idling up to the cut."""
+def _local_metrics(timelines, cube, timeline, charge) -> None:
+    """Structural MPI time, charged in slices of whole ranks of at most
+    :data:`_SLICE_OPS` ops, and fork-join idling."""
     names = {r: n for process in timelines.values() for r, n in process.mpi_ops.names.items()}
     metrics_of = {region: _BASE_METRICS[classify_region(name)] for region, name in names.items()}
     def charge_slice(parts) -> None:
@@ -273,16 +261,14 @@ def _local_metrics(timelines, fed, consumed, cube, timeline, charge) -> None:
 
     parts, idle_parts = [], []
     for rank, process in sorted(timelines.items()):
-        ops, count = process.mpi_ops, fed[rank]
+        ops, count = process.mpi_ops, len(process.mpi_ops)
         if parts and sum(len(part[0]) for part in parts) + count > _SLICE_OPS:
             charge_slice(parts)
             parts = []
-        parts.append((np.full(count, rank, np.int32),
-                      *[c[:count] for c in (ops.cpid, ops.region, ops.enter, ops.exit)]))
-        omps = process.omp_regions
-        upto = int(np.searchsorted(omps.event, consumed[rank]))
-        if upto:
-            idle_parts.append((np.full(upto, rank), *[c[:upto] for c in omps.columns]))
+        parts.append((np.full(count, rank, np.int32), ops.cpid, ops.region, ops.enter, ops.exit))
+        forks = len(process.omp_regions)
+        if forks:
+            idle_parts.append((np.full(forks, rank), *process.omp_regions.columns))
     charge_slice(parts)
     if idle_parts:
         columns = (np.concatenate(column) for column in zip(*idle_parts))
@@ -334,19 +320,19 @@ def _wrong_order(receiver: np.ndarray, comm: np.ndarray, sent: np.ndarray) -> np
 
 
 def _point_to_point(
-    tables, fed, machine, allow_unmatched, charge, grid_pairs, stats
+    tables, machine, allow_unmatched, charge, grid_pairs, stats
 ) -> Tuple[np.ndarray, ...]:
-    """Match the fed sends and receives, charge the five point-to-point
+    """Match the sends and receives, charge the five point-to-point
     patterns and the grid breakdown.
 
     Returns the matched pairs' ``(sender, receiver, send stamp, receive
     stamp)`` columns in receive order; everything else dies with this scope.
     """
     s_rank, s_cpid, s_enter, s_exit, s_time, dest, s_tag, s_comm = _gather(
-        tables, fed, "sends", slice(0, 4)
+        tables, "sends", slice(0, 4)
     )
     r_rank, r_cpid, r_enter, r_exit, r_time, source, r_tag, r_comm = _gather(
-        tables, fed, "recvs", slice(0, 4)
+        tables, "recvs", slice(0, 4)
     )
     send, recv = (
         _match((s_rank, dest, s_tag, s_comm), (source, r_rank, r_tag, r_comm))
@@ -411,11 +397,11 @@ def _stamps(timelines, sender, receiver, sent, received) -> ClockConditionChecke
 # -- collectives ---------------------------------------------------------------
 
 
-def _collectives(tables, fed, machine, definitions, charge, grid_pairs, stats) -> None:
-    """Group the fed COLLEXIT records into instances and charge the nine
+def _collectives(tables, machine, definitions, charge, grid_pairs, stats) -> None:
+    """Group the COLLEXIT records into instances and charge the nine
     collective patterns and the grid breakdown."""
     rank, op_region, cpid, enter, exit, region, comm, root = _gather(
-        tables, fed, "colls", slice(1, 4), ("region", "cpid", "enter", "exit"), last=True
+        tables, "colls", slice(1, 4), ("region", "cpid", "enter", "exit"), last=True
     )
     members = len(rank)
     stats.metadata_bytes += members * COLLECTIVE_MEMBER_BYTES
@@ -471,7 +457,7 @@ def _collectives(tables, fed, machine, definitions, charge, grid_pairs, stats) -
         grid.append((grid_waits, np.flatnonzero(across), causer, where, wait))
     _install_grid(grid_pairs, *grid)
 
-    # Rooted operations: an absent root (excluded, or beyond the cut) leaves
+    # Rooted operations: an absent root (excluded, or never admitted) leaves
     # -inf behind, which no wait survives.
     is_root = rank == root[starts][instance]
     others_last = np.maximum.reduceat(np.where(is_root, -np.inf, enter), starts)

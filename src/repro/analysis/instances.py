@@ -281,7 +281,7 @@ def remap_timeline(timeline: ProcessTimeline, remap: List[int]) -> None:
     """Rewrite a table-backed timeline's call-path ids: ``remap[old]`` is new.
 
     How a shard worker's tables get their global (rank-major, first-
-    encounter) ids before the pump feeds them.  Dict insertion order is
+    encounter) ids before the global phase reads them.  Dict insertion order is
     preserved, so downstream iteration order is unchanged; the op and
     fork-join tables take one ``np.take`` each.
     """

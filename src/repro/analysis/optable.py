@@ -94,8 +94,6 @@ class OpTable(LazySequence):
     cpid: np.ndarray
     enter: np.ndarray
     exit: np.ndarray
-    #: Index, in the rank's trace, of the EXIT that completed each op.
-    exit_event: np.ndarray
     sends: _Records
     recvs: _Records
     colls: _Records
@@ -137,11 +135,9 @@ class OmpTable(LazySequence):
 
     #: cpid, enter, exit, nthreads, busy_sum, busy_max — one array each.
     columns: Tuple[np.ndarray, ...]
-    #: Index, in the rank's trace, of each OMPREGION record.
-    event: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.event)
+        return len(self.columns[0])
 
     def span(self, lo: int, hi: int) -> Iterator[OmpRegionRecord]:
         return map(
@@ -364,7 +360,6 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
         f_cpid[op_frames],
         f_start[op_frames],
         f_end[op_frames],
-        op_exit - first[trace_of(op_exit)],  # the index in the rank's own trace
     )
     omp_index, omp_frame = placed[_OMP]
     omp_columns = (
@@ -373,7 +368,6 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
         stamps[omp_index],
         *[omp[name].copy() for name in ("nthreads", "busy_sum", "busy_max")],
     )
-    omp_event = omp_index - first[trace_of(omp_index)]
 
     # -- each trace's slice of the batch ---------------------------------------
     cut = np.append(first, len(stamps))
@@ -412,9 +406,7 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
                 _slice(recvs, a, b),
                 _slice(colls, a, b),
             ),
-            omp_regions=OmpTable(
-                tuple(column[c:d] for column in omp_columns), omp_event[c:d]
-            ),
+            omp_regions=OmpTable(tuple(column[c:d] for column in omp_columns)),
             event_count=count,
         ))
     return timelines

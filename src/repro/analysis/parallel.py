@@ -28,8 +28,8 @@ worker process needs to run it and nothing else:
 There is no matcher, no pattern evaluator and no driver here.
 :class:`repro.analysis.streaming.StreamingReplayAnalyzer` is the one
 analyzer: with ``jobs >= 2`` it ships shards here, absorbs the returned
-registries in ascending shard order, and pumps the tables exactly as it
-pumps the ones it builds in-process with ``jobs=1``.
+registries in ascending shard order, and hands the tables to the global
+phase exactly as it hands the ones it builds in-process with ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.analysis.result import RankCompleteness
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning, ReproError
 from repro.ids import NodeId, node_of
+from repro.resilience.deadline import Deadline
 from repro.trace.archive import (
     Definitions,
     TraceShard,
@@ -145,24 +146,31 @@ class PartialAnalysis:
         traces: TraceShard,
         converters: Dict[NodeId, Optional[LinearConverter]],
         degraded: bool,
-    ) -> None:
+        deadline: Optional[Deadline] = None,
+    ) -> Optional[str]:
         """The local phase of every rank of *traces*, batch after batch.
 
         An admitted rank gains a timeline (its call paths interned into
         ``callpaths``) and a ``trace_bytes`` entry; a rejected one raises
         (strict) or gains an exclusion record in ``completeness``.  Errors
         and warnings come in rank order, the lowest rank's error first.
+
+        *deadline* is polled after every batch, and once it has ended no
+        further batch is taken: a rank is analyzed whole or not looked at.
+        Returns why admission stopped (None: it was never cut).
         """
         batch: List[int] = []
         held = 0
-        for rank in traces.ranks:
+        for position, rank in enumerate(traces.ranks, 1):
             batch.append(rank)
             held += len(traces.blobs.get(rank, b""))
-            if held >= _BATCH_BYTES:
+            if held >= _BATCH_BYTES or position == len(traces.ranks):
                 self._admit_batch(batch, definitions, traces, converters, degraded)
                 batch, held = [], 0
-        if batch:
-            self._admit_batch(batch, definitions, traces, converters, degraded)
+                reason = deadline.reason() if deadline is not None else None
+                if reason is not None:
+                    return reason
+        return None
 
     def _admit_batch(
         self,

@@ -60,9 +60,10 @@ class AnalysisRequest:
     deadline_s:
         End-to-end wall-clock budget for the whole analysis.  Unlike
         ``timeout`` (which bounds one shard attempt), the deadline bounds
-        the request: when it expires the analyzer stops cooperatively and
-        returns a partial result with honest per-rank completeness and
-        ``result.interrupted`` set, instead of raising or hanging.
+        the request: when it expires the local phase admits no further
+        rank, the ranks admitted so far are analyzed whole, and the result
+        is partial — honest per-rank completeness and
+        ``result.interrupted`` set — instead of raising or hanging.
     """
 
     degraded: bool = False
@@ -77,6 +78,14 @@ class AnalysisRequest:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("degraded", "verify_archive", "timeline", "bounded"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise AnalysisError(f"{name} must be True or False, got {value!r}")
+        for name in ("timeout", "deadline_s", "window_s", "stride_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise AnalysisError(f"{name} must be a number of seconds, got {value!r}")
         for name in ("jobs", "max_retries"):
             value = getattr(self, name)
             if value is not None and (type(value) is not int or value < 0):

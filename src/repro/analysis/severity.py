@@ -11,9 +11,9 @@ expansion (a short list of non-overlapping partial floats whose sum is the
 cell's exact value), collapsed with :func:`math.fsum` on read.  The
 collapsed value is the correctly rounded sum of the real numbers added, so
 it depends only on the *multiset* of contributions — never on their order.
-That property is what lets the single-pass streaming replay, in whatever
-order its pump interleaves the ranks, and the buffered two-pass reference
-feed the same cells in different orders and still agree bit for bit.
+That property is what lets the columnar replay, which sums each cell's
+hits in one pass, and the buffered two-pass reference feed the same cells
+in different orders and still agree bit for bit.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The replay analyzer: one driver — local phase, pump, columnar global phase.
+"""The replay analyzer: one driver — local phase, then columnar global phase.
 
 There are two replay engines.  The buffered
 :class:`~repro.analysis.replay.ReplayAnalyzer` — kept as the independent,
@@ -11,7 +11,7 @@ same code path at every ``jobs`` value, which makes no object per op,
 record, pair or collective.  The reference imports this engine's result
 types (:mod:`repro.analysis.result`); the engine never imports it.
 
-The replay has four steps.
+The replay has three steps.
 
 1. The **local phase** is a pure function of each trace file: every rank's
    blob is admitted and becomes op tables — numpy columns built by array
@@ -27,26 +27,18 @@ The replay has four steps.
    in first-encounter order — the buffered analyzer's numbering — before
    anything is evaluated, and the cube and the timeline are keyed globally
    from the first contribution.
-3. The **pump chooses the cut.**  It keeps one cursor per rank in a heap
-   keyed by the next op's synchronized enter stamp, advances the earliest
-   rank's cursor by :data:`_QUANTUM_OPS` completed ops, and polls the
-   deadline after every step.  A step does no analysis: it only records how
-   many of the rank's events are now inside the cut.  Ranks advance roughly
-   in time order (quantum granularity), so a budget that runs out leaves a
-   cut that is about one instant of the run, a prefix of every trace.
-4. The **columnar global phase** (:mod:`repro.analysis.globalphase`) then
-   evaluates everything over that cut in array passes: FIFO matching as one
-   sort, the pattern catalogue as ufuncs and ``reduceat`` passes over pair
-   and member columns, severities as exact per-cell sums.  It runs after
-   the pump and is bounded by the consumed prefix; like the in-process
-   local phase, it is never cut itself.
+3. The **columnar global phase** (:mod:`repro.analysis.globalphase`) then
+   evaluates everything over the admitted ranks' whole tables in array
+   passes: FIFO matching as one sort, the pattern catalogue as ufuncs and
+   ``reduceat`` passes over pair and member columns, severities as exact
+   per-cell sums.  It runs once and is never cut.
 
 What a retained result keeps is the tables (``ProcessTimeline.mpi_ops`` is
 a lazy sequence over them); a bounded one drops them once the global phase
 has read them.
 
-The result is a function of the tables and the cut, never of how the pump
-interleaved the ranks: the replay needs local order plus message matching,
+The result is a function of the admitted ranks' tables, never of how they
+were batched or sharded: the replay needs local order plus message matching,
 not a global event order.  Bit-identity with the buffered analyzer (strict
 and degraded, every ``jobs`` value, dict orders included) rests on:
 
@@ -69,18 +61,17 @@ canonical order, so its ``stamps`` compare equal across engines.  The
 ``SeverityTimeline``'s bins are plain float sums, documented as last-ulp
 diagnostics.
 
-A deadline cuts a pool run (the supervised pool kills in-flight workers
-and the settled shards are salvaged) and the pump (polled after every
-quantum), never the in-process local phase or the global phase: an
-interrupted result's timelines describe whole traces (and so does the TIME
-metric, which is local), while every other metric covers the consumed
-prefix and ``RankCompleteness`` says how many events that was.
+A deadline stops the local phase between whole ranks, at every ``jobs``:
+in this process it is polled after every batch, and a pool run is cut by
+the supervised pool (in-flight workers killed, settled shards salvaged).
+Every admitted rank is analyzed whole and the global phase runs once over
+the admitted ranks, so a rank the budget left unadmitted is missing the
+way an excluded one is.
 """
 
 from __future__ import annotations
 
 import warnings
-from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.globalphase import global_phase
@@ -104,16 +95,9 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.pool import ExecutionReport, PoolConfig, SupervisedPool
 from repro.trace.archive import ArchiveReader, Definitions, TraceShard
 
-#: Completed MPI ops a pump step admits into the cut: the scheduling
-#: quantum, and the deadline's poll interval.  Small enough that ranks
-#: advance nearly in time order and an expired budget is noticed at once;
-#: a step is a heap operation, so no smaller quantum would be cheaper to act on.
-_QUANTUM_OPS = 32
-
-
 class StreamingReplayAnalyzer:
-    """The replay analyzer: local phase, call-path numbering, the pump's
-    cut, the columnar global phase over it.
+    """The replay analyzer: local phase, call-path numbering, the columnar
+    global phase over the admitted ranks.
 
     Constructor contract mirrors :class:`~repro.analysis.replay.ReplayAnalyzer`
     (readers keyed by machine, optional scheme, degraded flag) plus:
@@ -126,15 +110,13 @@ class StreamingReplayAnalyzer:
         a :class:`~repro.analysis.severity_timeline.SeverityTimeline` to
         accumulate time-resolved severity into (None: skip).
     ``deadline``
-        a :class:`~repro.resilience.deadline.Deadline`.  A pool run is cut
-        by the :class:`~repro.resilience.pool.SupervisedPool` (in-flight
-        workers killed, settled shards salvaged); the pump polls it after
-        every quantum (:data:`_QUANTUM_OPS` completed ops) and stops
-        extending the cut when it has run out.  The global phase then
-        evaluates the cut it was left with — work bounded by the consumed
-        prefix, never cut itself.  Either way stragglers settle
-        degraded-style and the result carries the severity of the consumed
-        prefix with honest per-rank completeness and
+        a :class:`~repro.resilience.deadline.Deadline`.  It stops the local
+        phase between whole ranks: in this process it is polled after every
+        batch, and a pool run is cut by the
+        :class:`~repro.resilience.pool.SupervisedPool` (in-flight workers
+        killed, settled shards salvaged).  The global phase then runs once
+        over the admitted ranks, never cut itself; the result settles
+        degraded-style, with honest per-rank completeness and
         ``result.interrupted`` set — never a hang, never a crash.
     ``jobs``
         where the local phase runs, and nothing else: ``1`` in this
@@ -203,16 +185,16 @@ class StreamingReplayAnalyzer:
         timelines = local.timelines
         trace_bytes = local.trace_bytes
         completeness = local.completeness
-        interrupted: Optional[str] = None
         execution = None
         if self.jobs == 1:
             # One registry shared by all ranks is that numbering as it stands:
             # the local phase interns nothing for a rank it rejects.
-            local.admit(
+            interrupted = local.admit(
                 definitions,
                 TraceShard.gather(ranks, definitions, self.readers),
                 converters,
                 degraded,
+                self.deadline,
             )
         else:
             partials, execution, interrupted = self._run_shards(
@@ -230,65 +212,32 @@ class StreamingReplayAnalyzer:
                     timelines[rank] = timeline
                 trace_bytes.update(sorted(partial.trace_bytes.items()))
                 completeness.update(sorted(partial.completeness.items()))
+            if interrupted is None and self.deadline is not None:
+                # Polled as the last shard settles, as after the last batch.
+                interrupted = self.deadline.reason()
 
         if not timelines:
+            if interrupted is not None:
+                raise TimeBudgetExceeded(interrupted)
             raise AnalysisError("no rank produced a usable trace")
 
-        # The pump chooses the cut: a heap holding each admitted rank's next
-        # op index, keyed by that op's synchronized enter stamp.  (stamp,
-        # rank) is unique — one cursor per rank — so heapq never compares
-        # further.  A step admits the earliest rank's next quantum of ops
-        # and notes the events that covers; nothing is evaluated here.  The
-        # budget is polled after every step, so one that is already spent
-        # when the pump starts — the pool run above was cut, or the local
-        # phase used it up — still costs one quantum.
-        heap = [
-            (
-                float(timeline.mpi_ops.enter[0]) if len(timeline.mpi_ops)
-                else timeline.first_time,
-                rank,
-                0,
-            )
-            for rank, timeline in timelines.items()
-        ]
-        heapify(heap)
-        deadline = self.deadline
-        pumped: Dict[int, int] = dict.fromkeys(timelines, 0)
-        while heap:
-            _, rank, lo = heap[0]
-            ops = timelines[rank].mpi_ops
-            hi = min(lo + _QUANTUM_OPS, len(ops))
-            if hi == len(ops):
-                heappop(heap)
-                pumped[rank] = timelines[rank].event_count
-            else:
-                heapreplace(heap, (float(ops.enter[hi]), rank, hi))
-                # Consumed through the EXIT that completed the quantum's last op.
-                pumped[rank] = int(ops.exit_event[hi - 1]) + 1
-            if interrupted is None and deadline is not None:
-                interrupted = deadline.reason()
-            if interrupted is not None:
-                break
-
-        # The global phase evaluates the cut.  An *interrupted* stream
-        # settles degraded-style: a receive whose send lies beyond the cut
-        # is expected when the sender's trace was only half pumped, so it
-        # is counted, never raised.
+        # The global phase reads every admitted rank whole.  An *interrupted*
+        # run settles degraded-style: a receive whose send lies in a rank the
+        # budget left unadmitted is counted, never raised.
         cube, grid_pairs, violations, stats = global_phase(
             definitions,
             timelines,
-            pumped,
             allow_unmatched=degraded or interrupted is not None,
             timeline=self.timeline,
         )
-        # TIME from per-rank exclusive time: local, so whole traces.
+        # TIME from per-rank exclusive time.
         for rank, process in timelines.items():
             for cpid, exclusive in process.exclusive_time.items():
                 cube.add(TIME, cpid, rank, exclusive)
 
         if interrupted is not None:
             completeness = self._interrupted_completeness(
-                interrupted, ranks, timelines, pumped, completeness
+                interrupted, ranks, timelines, completeness
             )
         if not self.retain:
             for timeline in timelines.values():
@@ -395,34 +344,28 @@ class StreamingReplayAnalyzer:
         reason: str,
         ranks: List[int],
         timelines: Dict[int, ProcessTimeline],
-        pumped: Dict[int, int],
         completeness: Dict[int, RankCompleteness],
     ) -> Dict[int, RankCompleteness]:
         """Honest per-rank accounting for a run the budget cut short.
 
-        Every analyzed rank reports the events the replay actually consumed
-        and the fraction of its trace that represents (the local phase
-        counted them, so nothing is decoded again after the budget is
-        gone).  A rank with neither a timeline nor an exclusion record was
-        never admitted: its shard had not settled when the pool run was
-        cut.  The error string names the budget so the partial result can
-        never be mistaken for a complete one.
+        An admitted rank was analyzed whole (its event count is the local
+        phase's, so nothing is decoded again after the budget is gone), but
+        against a world the budget may have left short of ranks, so it is
+        not complete either.  A rank with neither a timeline nor an
+        exclusion record was never admitted: its batch was not reached, or
+        its shard had not settled.  The error string names the budget so
+        the partial result can never be mistaken for a complete one.
         """
         out = dict(completeness)
         for rank in ranks:
             if rank in timelines:
-                consumed = pumped[rank]
-                total = timelines[rank].event_count
                 out[rank] = RankCompleteness(
                     rank=rank,
                     complete=False,
-                    completeness=consumed / total if total else 0.0,
-                    events=consumed,
+                    completeness=1.0,
+                    events=timelines[rank].event_count,
                     analyzed=True,
-                    error=(
-                        f"TimeBudgetExceeded: {reason} after {consumed} of "
-                        f"{total} event(s)"
-                    ),
+                    error=f"TimeBudgetExceeded: {reason} after its local phase ran",
                 )
             elif rank not in completeness:
                 out[rank] = RankCompleteness(
@@ -431,7 +374,7 @@ class StreamingReplayAnalyzer:
                     completeness=0.0,
                     events=0,
                     analyzed=False,
-                    error=f"TimeBudgetExceeded: {reason} before its shard finished",
+                    error=f"TimeBudgetExceeded: {reason} before its local phase ran",
                 )
         return out
 
@@ -469,9 +412,9 @@ def analyze(
     serves.
 
     ``request.deadline_s`` bounds the whole analysis end to end: on expiry
-    the analyzer stops cooperatively and returns a *partial* result —
-    severity accumulated so far, honest per-rank completeness,
-    ``result.interrupted`` set — instead of hanging.  ``deadline`` lends an
+    the local phase admits no further rank and the analyzer returns a
+    *partial* result — the admitted ranks analyzed whole, honest per-rank
+    completeness, ``result.interrupted`` set — instead of hanging.  ``deadline`` lends an
     externally owned :class:`~repro.resilience.deadline.Deadline` instead
     (how the service makes a client ``DELETE`` reach the running analysis)
     and wins over ``request.deadline_s``, which starts a fresh clock at

@@ -202,8 +202,8 @@ class PoolShutdown(ReproError):
 class TimeBudgetExceeded(ReproError):
     """An end-to-end deadline expired (or was cancelled) before work finished.
 
-    Raised by deadline-aware layers — the streaming analyzer's pump, the
-    supervised pool's dispatch loop, the service executor — when the
+    Raised by deadline-aware layers — the replay analyzer when a budget
+    leaves it no admitted rank, the supervised pool's dispatch loop, the service executor — when the
     :class:`~repro.resilience.deadline.Deadline` attached to the request
     runs out or a client cancels it.  Whatever partial progress exists at
     that point travels on the exception so callers can salvage it.

@@ -2,8 +2,8 @@
 
 A :class:`Deadline` is created once per request (from
 ``AnalysisRequest.deadline_s`` or by the service per job) and handed down
-through every layer that does open-ended work: the streaming replay pump
-polls it between chunks, the supervised pool derives per-shard budgets
+through every layer that does open-ended work: the replay's local phase
+polls it between batches of ranks, the supervised pool derives per-shard budgets
 from :meth:`Deadline.remaining`, and the service keeps the handle so a
 ``DELETE /jobs/<key>`` can :meth:`cancel` it from another thread.
 

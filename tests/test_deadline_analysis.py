@@ -5,7 +5,8 @@ budget of ``D`` seconds against wedged workers returns a *partial* result
 (severity so far, honest per-rank completeness, ``TimeBudgetExceeded`` in
 the record) within ``D + grace`` — it never hangs and never dies — while
 an analysis with no deadline (or a generous one) stays byte-identical to
-the unbudgeted run.
+the unbudgeted run.  One cut rule holds at every ``jobs``: a deadline
+stops the local phase between whole ranks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,23 @@ from tests.test_parallel_analysis import assert_identical
 from tests.test_resilience_pool import _fast_config, _hang, _small_run
 
 
+def _assert_cut_between_whole_ranks(result, whole, admitted):
+    """*admitted* ranks analyzed whole, every other rank never looked at,
+    as the interrupted *result*'s completeness records say (*whole*: the
+    same run analyzed without a budget)."""
+    reason = result.interrupted
+    assert sorted(result.timelines) == admitted
+    assert sorted(result.completeness) == sorted(whole.timelines)
+    for rank, entry in result.completeness.items():
+        assert not entry.complete
+        if rank in admitted:
+            assert entry.analyzed and entry.events == whole.timelines[rank].event_count
+            assert entry.error == f"TimeBudgetExceeded: {reason} after its local phase ran"
+        else:
+            assert not entry.analyzed and entry.events == 0
+            assert entry.error == f"TimeBudgetExceeded: {reason} before its local phase ran"
+
+
 class TestRequestField:
     def test_deadline_must_be_positive(self):
         with pytest.raises(AnalysisError, match="deadline_s must be positive"):
@@ -37,6 +55,21 @@ class TestRequestField:
         # would change.
         assert "deadline_s" not in AnalysisRequest().to_config()
         assert AnalysisRequest(deadline_s=5.0).to_config()["deadline_s"] == 5.0
+
+    @pytest.mark.parametrize("value", ["false", 1, 0, None])
+    @pytest.mark.parametrize("name", ["degraded", "verify_archive", "timeline", "bounded"])
+    def test_flags_must_be_bool(self, name, value):
+        # A truthy string used to run the analysis with the flag on and
+        # carry the string into to_config().
+        with pytest.raises(AnalysisError, match=f"{name} must be True or False"):
+            AnalysisRequest(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", ["timeout", "deadline_s", "window_s", "stride_s"])
+    def test_seconds_must_not_be_bool(self, name, value):
+        # True used to pass as one second.
+        with pytest.raises(AnalysisError, match=f"{name} must be a number of seconds"):
+            AnalysisRequest(**{name: value})
 
 
 class TestSerialDeadline:
@@ -67,36 +100,50 @@ class TestSerialDeadline:
         assert result.interrupted is not None
         assert "deadline of" in result.interrupted
 
-    def test_spent_budget_stops_within_one_quantum(self, monkeypatch):
-        """The pump polls after every quantum: a budget already spent when
-        the pump starts costs exactly one quantum of one rank, and every
-        rank reports the events the replay really consumed."""
-        import repro.analysis.streaming as streaming
+    def test_spent_budget_stops_within_one_batch(self, monkeypatch):
+        """The local phase polls after every batch: a budget already spent
+        when it starts costs exactly one batch — here one rank — and the
+        global phase runs over that rank, whole."""
+        import repro.analysis.parallel as parallel
 
-        # These traces are 9 ops (29 events) a rank: cut them mid-trace.
-        monkeypatch.setattr(streaming, "_QUANTUM_OPS", 2)
         run = _small_run()
-        timelines = analyze(run).timelines
-        events = {rank: timeline.event_count for rank, timeline in timelines.items()}
+        whole = analyze(run)
+        monkeypatch.setattr(parallel, "_BATCH_BYTES", 1)  # one rank a batch
         deadline = Deadline(1e-9)
         assert deadline.expired()
         result = analyze(run, deadline=deadline)
-        assert "deadline of" in result.interrupted
-        consumed = {
-            rank: entry.events for rank, entry in result.completeness.items()
-        }
-        started = [rank for rank, count in consumed.items() if count]
-        assert len(started) == 1 and set(consumed) == set(events)
-        (rank,) = started
-        # Consumed through the EXIT that completed the quantum's last op.
-        assert consumed[rank] == timelines[rank].mpi_ops.exit_event[1] + 1 < events[rank]
-        for rank, entry in result.completeness.items():
-            assert entry.completeness == consumed[rank] / events[rank]
-            assert f"after {consumed[rank]} of {events[rank]} event(s)" in entry.error
+        assert "deadline of" in result.interrupted and result.degraded
+        _assert_cut_between_whole_ranks(result, whole, [0])
+
+    def test_deadline_ending_in_batch_one_decodes_one_batch(self, monkeypatch):
+        """Cancelled while the first batch is decoded, the local phase
+        finishes that batch and takes no other: one ``decode_batch`` call
+        for eight one-rank batches."""
+        import repro.analysis.optable as optable
+        import repro.analysis.parallel as parallel
+
+        run = _small_run()
+        whole = analyze(run)
+        monkeypatch.setattr(parallel, "_BATCH_BYTES", 1)
+        deadline = Deadline(3600.0)
+        decoded = []
+        real_batch = optable.decode_batch
+
+        def decode_then_cancel(blobs, *args, **kwargs):
+            decoded.append(len(blobs))
+            deadline.cancel("cancelled by client")
+            return real_batch(blobs, *args, **kwargs)
+
+        monkeypatch.setattr(optable, "decode_batch", decode_then_cancel)
+        result = analyze(run, deadline=deadline)
+        assert decoded == [1]
+        assert result.interrupted == "cancelled by client"
+        _assert_cut_between_whole_ranks(result, whole, [0])
 
     def test_expired_strict_run_decodes_nothing_after_expiry(self, monkeypatch):
-        """Accounting for a cut pump uses the event counts the local phase
-        already has: once the budget is gone, no trace is decoded again."""
+        """Accounting for an interrupted run uses the event counts the local
+        phase already has: once the budget is gone, no trace is decoded
+        again."""
         import repro.analysis.optable as optable
         import repro.analysis.parallel as parallel
         import repro.trace.encoding as encoding
@@ -135,7 +182,7 @@ class TestSerialDeadline:
         assert result.interrupted == "budget spent"
         assert decodes_after_expiry == []
         for entry in result.completeness.values():
-            assert "of " in entry.error and "unknown" not in entry.error
+            assert entry.error == "TimeBudgetExceeded: budget spent after its local phase ran"
 
 
 def _hang_upper_shards(task):
@@ -182,14 +229,11 @@ class TestParallelDeadline:
                 "TimeBudgetExceeded" in entry.error for entry in unfinished
             )
 
-    def test_cut_pool_run_salvages_what_settled(self, monkeypatch):
-        """The pool run is cut by the pool, the pump after a quantum: the
-        shard that settled is replayed for one quantum — not to its end —
-        and the ranks of the one that did not say so."""
-        import repro.analysis.streaming as streaming
-
-        monkeypatch.setattr(streaming, "_QUANTUM_OPS", 2)
+    def test_cut_pool_run_salvages_what_settled(self):
+        """The pool run is cut by the pool: the shard that settled is
+        analyzed whole, and the ranks of the one that did not say so."""
         run = _small_run()
+        whole = analyze(run)
         result = StreamingReplayAnalyzer(
             {m: run.reader(m) for m in run.machines_used},
             jobs=2,
@@ -200,31 +244,19 @@ class TestParallelDeadline:
         ).analyze()
         assert "deadline of 1.0s" in result.interrupted and result.degraded
         assert len(result.execution.tasks) == 2
-        entries = result.completeness
-        assert sorted(result.timelines) == [0, 1, 2, 3] and sorted(entries) == list(range(8))
-        for rank in (0, 1, 2, 3):
-            assert entries[rank].analyzed and "event(s)" in entries[rank].error
-        assert sum(1 for rank in (0, 1, 2, 3) if entries[rank].events) == 1
-        for rank in (4, 5, 6, 7):
-            assert not entries[rank].analyzed and entries[rank].events == 0
-            assert entries[rank].error == (
-                f"TimeBudgetExceeded: {result.interrupted} before its shard finished"
-            )
+        _assert_cut_between_whole_ranks(result, whole, [0, 1, 2, 3])
 
-    def test_budget_spent_as_pool_returns_stops_within_one_quantum(self, monkeypatch):
-        """The ``jobs=2`` twin of ``test_spent_budget_stops_within_one_quantum``:
-        every shard settles, the budget ends as the pool run returns, and the
-        pump — the one pump — stops after a quantum with the same accounting.
-        (Not a parameter of that test: a budget spent *before* ``analyze``
-        cuts the pool run first and, no shard settled, raises
+    def test_budget_spent_as_pool_returns_admits_every_rank_whole(self, monkeypatch):
+        """Every shard settles and the budget ends as the pool run returns:
+        it is polled then, as after the in-process local phase's last batch,
+        so the result is marked interrupted with every rank analyzed whole —
+        the unbudgeted run's severities.  (A budget spent *before*
+        ``analyze`` cuts the pool run first and, no shard settled, raises
         ``TimeBudgetExceeded``.)"""
-        import repro.analysis.streaming as streaming
         from repro.resilience import SupervisedPool
 
-        monkeypatch.setattr(streaming, "_QUANTUM_OPS", 2)
         run = _small_run()
-        timelines = analyze(run).timelines
-        events = {rank: timeline.event_count for rank, timeline in timelines.items()}
+        whole = analyze(run)
         deadline = Deadline(3600.0)
         pool_run = SupervisedPool.run
 
@@ -239,17 +271,8 @@ class TestParallelDeadline:
         assert result.interrupted == "cancelled by client"
         assert result.degraded
         assert result.execution is not None and result.execution.clean
-        consumed = {
-            rank: entry.events for rank, entry in result.completeness.items()
-        }
-        started = [rank for rank, count in consumed.items() if count]
-        assert len(started) == 1 and set(consumed) == set(events)
-        (rank,) = started
-        assert consumed[rank] == timelines[rank].mpi_ops.exit_event[1] + 1 < events[rank]
-        for rank, entry in result.completeness.items():
-            assert entry.analyzed
-            assert entry.completeness == consumed[rank] / events[rank]
-            assert f"after {consumed[rank]} of {events[rank]} event(s)" in entry.error
+        assert result.cube.data == whole.cube.data
+        _assert_cut_between_whole_ranks(result, whole, list(range(8)))
 
     def test_generous_parallel_deadline_is_byte_identical(self):
         run = _small_run()

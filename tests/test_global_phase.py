@@ -6,8 +6,9 @@ by array passes over op tables; ``repro.analysis.matching`` and
 These tests hold the two definitions together:
 
 * a hypothesis property over drawn runs *and drawn cuts* (a deadline that
-  fires after a drawn number of polls, at a drawn quantum): the analyzer's
-  result equals the object-wise evaluation of ``mpi_ops[:fed[rank]]``;
+  fires after a drawn number of polls, at a drawn batch size): the
+  analyzer's result equals the object-wise evaluation of the admitted
+  ranks' whole timelines;
 * hand-made worlds the simulated applications never produce;
 * the two order bugs the arrival-ordered matcher had (the strict
   collective-mismatch error, the grid breakdown's key order).
@@ -15,7 +16,6 @@ These tests hold the two definitions together:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from unittest import mock
 
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.analysis.streaming as streaming_module
+import repro.analysis.parallel as parallel_module
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.globalphase import global_phase
 from repro.analysis.matching import MessageMatcher
@@ -72,29 +72,19 @@ from tests.test_resilience_pool import _small_run
 # -- the oracle ----------------------------------------------------------------
 
 
-def _oracle(definitions, timelines, consumed):
-    """What the object-wise matcher and pattern classes make of the first
-    ``consumed[rank]`` events of every timeline, computed the way
-    ``ReplayAnalyzer.analyze`` does: ``(cube, grid breakdown, sorted stamps,
-    match stats)``.  TIME is local and covers whole traces."""
-    cut = {}
-    for rank, timeline in sorted(timelines.items()):
-        ops = timeline.mpi_ops
-        fed = sum(1 for event in ops.exit_event.tolist() if event < consumed[rank])
-        forks = sum(
-            1 for event in timeline.omp_regions.event.tolist() if event < consumed[rank]
-        )
-        cut[rank] = dataclasses.replace(
-            timeline, mpi_ops=ops[:fed], omp_regions=timeline.omp_regions[:forks]
-        )
+def _oracle(definitions, timelines):
+    """What the object-wise matcher and pattern classes make of every
+    timeline, computed the way ``ReplayAnalyzer.analyze`` does: ``(cube,
+    grid breakdown, sorted stamps, match stats)``."""
+    world = dict(sorted(timelines.items()))
     cube = SeverityCube()
-    ReplayAnalyzer._base_metrics(cube, cut)
+    ReplayAnalyzer._base_metrics(cube, world)
 
     def comm_order(comm):
         entry = definitions.communicators.get(comm)
         return entry[1] if entry is not None else None
 
-    matcher = MessageMatcher(cut, comm_lookup=comm_order, allow_unmatched=True)
+    matcher = MessageMatcher(world, comm_lookup=comm_order, allow_unmatched=True)
     stamps = []
     grid_pairs = GridPairBreakdown()
     patterns = default_p2p_patterns()
@@ -132,15 +122,13 @@ def _nested_order(data):
     }
 
 
-def _assert_phase_equals_oracle(definitions, timelines, consumed=None):
-    """``global_phase`` over *timelines* cut at *consumed* (default: whole
-    traces) equals the oracle; returns the phase's ``(cube, stats)``."""
-    if consumed is None:
-        consumed = {rank: timeline.event_count for rank, timeline in timelines.items()}
+def _assert_phase_equals_oracle(definitions, timelines):
+    """``global_phase`` over *timelines* equals the oracle; returns the
+    phase's ``(cube, stats)``."""
     cube, grid_pairs, violations, stats = global_phase(
-        definitions, timelines, consumed, allow_unmatched=True
+        definitions, timelines, allow_unmatched=True
     )
-    ref_cube, ref_grid, ref_stamps, ref_stats = _oracle(definitions, timelines, consumed)
+    ref_cube, ref_grid, ref_stamps, ref_stats = _oracle(definitions, timelines)
     # The oracle's cube also holds TIME, which is not the global phase's.
     reference = {m: cells for m, cells in ref_cube.data.items() if m != TIME}
     assert cube.data == reference
@@ -172,42 +160,43 @@ class TestCutsAgainstOracle:
     @given(
         schedule=rounds,
         seed=st.integers(min_value=0, max_value=2**16),
-        polls=st.integers(min_value=0, max_value=30),
-        quantum=st.sampled_from((1, 2, 3, 7, 32)),
+        polls=st.integers(min_value=0, max_value=NPROCS),
+        batch=st.sampled_from((1, 300, 2000, 1 << 20)),
     )
     @settings(
         max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_interrupted_result_is_the_oracle_over_the_prefix(
-        self, schedule, seed, polls, quantum
+        self, schedule, seed, polls, batch
     ):
+        """A budget that ends after *polls* polls stops the local phase after
+        that many batches: the admitted ranks are a prefix of the rank
+        order, each analyzed whole, and the result is the oracle over their
+        whole timelines."""
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
         run = MetaMPIRuntime(mc, Placement.block(mc, NPROCS), seed=seed).run(
             _schedule_app(schedule)
         )
-        with mock.patch.object(streaming_module, "_QUANTUM_OPS", quantum):
+        with mock.patch.object(parallel_module, "_BATCH_BYTES", batch):
             result = StreamingReplayAnalyzer(
                 {m: run.reader(m) for m in run.machines_used},
                 deadline=_AfterPolls(polls),
             ).analyze()
         timelines = result.timelines
-        consumed = {
-            rank: (
-                result.completeness[rank].events
-                if result.interrupted is not None
-                else timeline.event_count
-            )
-            for rank, timeline in timelines.items()
-        }
-        cube, grid_pairs, stamps, stats = _oracle(result.definitions, timelines, consumed)
+        assert list(timelines) == list(range(len(timelines)))
+        if result.interrupted is None:
+            assert len(timelines) == NPROCS and not result.completeness
+        for rank, entry in result.completeness.items():
+            assert entry.analyzed == (rank in timelines) and not entry.complete
+            if entry.analyzed:
+                assert entry.events == timelines[rank].event_count
+        cube, grid_pairs, stamps, stats = _oracle(result.definitions, timelines)
         assert result.cube == cube
         assert _ordered(result.grid_pairs) == _ordered(grid_pairs)
         assert result.violations.stamps == stamps
         assert result.traffic.replay_metadata_bytes == stats.metadata_bytes
         # Matched / unmatched counts are not part of a result: ask the phase.
-        _, phase_stats = _assert_phase_equals_oracle(
-            result.definitions, timelines, consumed
-        )
+        _, phase_stats = _assert_phase_equals_oracle(result.definitions, timelines)
         assert phase_stats.matched == result.violations.total
         if result.interrupted is None:
             assert phase_stats.unmatched_sends == phase_stats.unmatched_recvs == 0
@@ -327,9 +316,8 @@ class TestHandMadeWorlds:
         )
         _, stats = _assert_phase_equals_oracle(world.definitions, world.timelines)
         assert (stats.matched, stats.unmatched_sends, stats.unmatched_recvs) == (1, 0, 2)
-        whole = {rank: tl.event_count for rank, tl in world.timelines.items()}
         with pytest.raises(AnalysisError) as columnar:
-            global_phase(world.definitions, world.timelines, whole, allow_unmatched=False)
+            global_phase(world.definitions, world.timelines, allow_unmatched=False)
         with pytest.raises(AnalysisError) as objectwise:
             list(MessageMatcher(world.timelines).matched_pairs())
         assert str(columnar.value) == str(objectwise.value) == (
@@ -455,18 +443,18 @@ class TestCollectiveMismatchError:
         )
         return run
 
-    def test_every_quantum_and_jobs_raises_the_reference_error(
+    def test_every_batch_and_jobs_raises_the_reference_error(
         self, monkeypatch, mismatched_run
     ):
         """The message names the lowest mismatching member in rank-major
         trace order against the instance's lowest-rank member — not
-        whichever member a pump met first."""
+        whichever member a batch or a shard met first."""
         readers = {m: mismatched_run.reader(m) for m in mismatched_run.machines_used}
         with pytest.raises(AnalysisError) as reference:
             ReplayAnalyzer(readers).analyze()
         assert "collective mismatch on comm 0 instance 0: rank 1" in str(reference.value)
-        for jobs, quantum in itertools.product((1, 3), (1, 2, 32, 10**9)):
-            monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", quantum)
+        for jobs, batch in itertools.product((1, 3), (1, 4096, 1 << 20)):
+            monkeypatch.setattr(parallel_module, "_BATCH_BYTES", batch)
             with pytest.raises(AnalysisError) as caught:
                 analyze(mismatched_run, AnalysisRequest(jobs=jobs))
-            assert str(caught.value) == str(reference.value), (jobs, quantum)
+            assert str(caught.value) == str(reference.value), (jobs, batch)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.parallel as parallel_module
-import repro.analysis.streaming as streaming_module
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import build_timeline
 from repro.analysis.parallel import (
@@ -98,12 +97,11 @@ class _PicklingPool:
         return partials, ExecutionReport()
 
 
-def _through_the_seam(run, jobs, quantum, degraded, batch=parallel_module._BATCH_BYTES):
+def _through_the_seam(run, jobs, degraded, batch=parallel_module._BATCH_BYTES):
     """``(result or error, warnings)`` of one analysis whose local phase ran
     at *jobs* behind :class:`_PicklingPool`, in batches of about *batch*
-    trace bytes, and whose pump steps *quantum* ops at a time."""
-    with mock.patch.object(streaming_module, "_QUANTUM_OPS", quantum), \
-            mock.patch.object(parallel_module, "_BATCH_BYTES", batch):
+    trace bytes."""
+    with mock.patch.object(parallel_module, "_BATCH_BYTES", batch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -118,12 +116,10 @@ def _through_the_seam(run, jobs, quantum, degraded, batch=parallel_module._BATCH
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
-#: Any shard plan of the 8-rank runs below, pump quanta from one op (a
-#: strictly time-ordered pump) to longer than any trace (whole ranks), and
-#: local-phase batches from one rank each to the whole world at once.
+#: Any shard plan of the 8-rank runs below, and local-phase batches from one
+#: rank each to the whole world at once.
 _SEAM = dict(
     jobs=st.integers(1, 8),
-    quantum=st.sampled_from((1, 2, 3, 7, 32, 10**9)),
     batch=st.sampled_from((1, 4096, 1 << 20)),
 )
 
@@ -269,12 +265,11 @@ class TestStrictEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(**_SEAM)
-    def test_local_phase_placement_reaches_nothing(self, small_run, jobs, quantum, batch):
+    def test_local_phase_placement_reaches_nothing(self, small_run, jobs, batch):
         """Where the local phase ran (here, or in shards whose partials were
-        pickled back), how the world was cut into shards and batches and how
-        the pump interleaved the ranks afterwards reach nothing in the
-        result — call-path ids included."""
-        result, _ = _through_the_seam(small_run, jobs, quantum, False, batch)
+        pickled back) and how the world was cut into shards and batches
+        reach nothing in the result — call-path ids included."""
+        result, _ = _through_the_seam(small_run, jobs, False, batch)
         assert_identical(analyze(small_run), result)
         assert (result.execution is None) == (jobs == 1)
 
@@ -448,9 +443,9 @@ class TestDegradedEquivalence:
         )
         assert expected[1][1].startswith("rank 6 excluded")
         for batch in (1, 1 << 20):
-            outcome, _ = _through_the_seam(run, 1, 32, False, batch)
+            outcome, _ = _through_the_seam(run, 1, False, batch)
             assert outcome == (AnalysisError, str(canonical.value))
-            result, said = _through_the_seam(run, 1, 32, True, batch)
+            result, said = _through_the_seam(run, 1, True, batch)
             assert said == expected
             assert_identical(reference, result)
 
@@ -470,7 +465,7 @@ class TestDegradedEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(degraded=st.booleans(), inconsistent=st.booleans(), **_SEAM)
     def test_local_phase_placement_reaches_nothing(
-        self, damaged_run, inconsistent_run, jobs, quantum, batch, degraded, inconsistent
+        self, damaged_run, inconsistent_run, jobs, batch, degraded, inconsistent
     ):
         """The seam property on a damaged archive — ranks 3 and 6 fail
         admission — and on one whose rank 4 only the local phase finds
@@ -478,8 +473,8 @@ class TestDegradedEquivalence:
         exclusions, result and warnings in the same order; strict, the same
         error for the same rank."""
         run, excluded = (inconsistent_run, [4, 6]) if inconsistent else (damaged_run, [3, 6])
-        serial = _through_the_seam(run, 1, streaming_module._QUANTUM_OPS, degraded)
-        sharded = _through_the_seam(run, jobs, quantum, degraded, batch)
+        serial = _through_the_seam(run, 1, degraded)
+        sharded = _through_the_seam(run, jobs, degraded, batch)
         assert serial[1] == sharded[1]
         if degraded:
             assert_identical(serial[0], sharded[0])

@@ -35,8 +35,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.parallel as parallel_module
 import repro.analysis.severity_timeline as timeline_module
-import repro.analysis.streaming as streaming_module
 from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.severity_timeline import SeverityTimeline
@@ -128,7 +128,7 @@ class TestStreamingEquivalence:
 
     def test_bounded_means_the_same_on_the_pool(self, small_run):
         """``bounded`` is the analyzer's, not the in-process local phase's:
-        shard workers' tables are dropped after the pump like any others."""
+        shard workers' tables are dropped after the global phase like any others."""
         self.test_bounded_matches_retained(small_run, jobs=2)
 
     def test_timeline_consumers_read_tables_as_lists(self, small_run):
@@ -163,24 +163,23 @@ class TestStreamingEquivalence:
         assert render_analysis(buffered) == render_analysis(bounded)
 
 
-class TestPumpOrderIndependence:
-    """The pump promises per-rank trace order and per-receiver release
-    order, nothing global: how ranks interleave (the quantum) must not
-    reach any aggregate — wherever the local phase ran (``jobs``)."""
+class TestBatchIndependence:
+    """The replay needs per-rank trace order and message matching, nothing
+    global: how the local phase cuts the world into batches must not reach
+    any aggregate — wherever it ran (``jobs``)."""
 
-    #: One op per quantum (a strictly time-ordered pump), a few quanta per
-    #: rank of these 9-op traces, the default, and a quantum longer than any
-    #: trace (whole ranks, one after another).
-    QUANTA = (1, 3, streaming_module._QUANTUM_OPS, 10**9)
+    #: One rank per batch, a few ranks per batch, and the default (the whole
+    #: world at once).
+    BATCHES = (1, 2048, parallel_module._BATCH_BYTES)
     #: In-process, and three shards on the pool.  A loop, not a parameter:
     #: every outcome below must equal every other, across both axes.
     JOBS = (1, 3)
 
     def _outcomes(self, monkeypatch, run, degraded):
-        """Per (jobs, quantum): the serialized result, or the error it raised."""
+        """Per (jobs, batch): the serialized result, or the error it raised."""
         outcomes = []
-        for jobs, size in itertools.product(self.JOBS, self.QUANTA):
-            monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", size)
+        for jobs, size in itertools.product(self.JOBS, self.BATCHES):
+            monkeypatch.setattr(parallel_module, "_BATCH_BYTES", size)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
@@ -197,7 +196,7 @@ class TestPumpOrderIndependence:
     def test_clean_run(self, monkeypatch, small_run, degraded):
         outcomes = self._outcomes(monkeypatch, small_run, degraded)
         assert isinstance(outcomes[0], str)
-        assert outcomes.count(outcomes[0]) == len(self.JOBS) * len(self.QUANTA)
+        assert outcomes.count(outcomes[0]) == len(self.JOBS) * len(self.BATCHES)
 
     @pytest.mark.parametrize("degraded", [False, True])
     def test_faulted_run(self, monkeypatch, damaged_run, degraded):
@@ -205,11 +204,11 @@ class TestPumpOrderIndependence:
         # Strict replay of a damaged archive raises (the lowest damaged
         # rank's decode error, met in the local phase); degraded returns.
         assert isinstance(outcomes[0], str) == degraded
-        assert outcomes.count(outcomes[0]) == len(self.JOBS) * len(self.QUANTA)
+        assert outcomes.count(outcomes[0]) == len(self.JOBS) * len(self.BATCHES)
 
     def test_timeline_counters_match_buffered(self, monkeypatch, small_run):
-        # Several quanta per rank, so the cursors cross quantum borders.
-        monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", 3)
+        # One rank per batch, so every rank is cut out of its own batch.
+        monkeypatch.setattr(parallel_module, "_BATCH_BYTES", 1)
         buffered = _buffered(small_run)
         for jobs in self.JOBS:
             streaming = analyze(small_run, request=AnalysisRequest(jobs=jobs))
@@ -267,15 +266,15 @@ class TestGoldenFigure6:
         """``figure6`` prints the grid breakdown's dicts in insertion order:
         cells must enter in the reference's first-encounter order (pairs
         receiver-major, instances by ``(comm, index)``, members by rank),
-        whatever the quantum and wherever the local phase ran."""
+        whatever the batch size and wherever the local phase ran."""
 
         def key_order(result):
             return {m: list(cells) for m, cells in result.grid_pairs.data.items()}
 
         reference = key_order(_buffered(clean_run))
         assert any(len(cells) > 1 for cells in reference.values())
-        for jobs, size in itertools.product((1, 4), (1, 32, 10**9)):
-            monkeypatch.setattr(streaming_module, "_QUANTUM_OPS", size)
+        for jobs, size in itertools.product((1, 4), (1, 1 << 16, 1 << 20)):
+            monkeypatch.setattr(parallel_module, "_BATCH_BYTES", size)
             result = analyze(clean_run, request=AnalysisRequest(jobs=jobs))
             assert key_order(result) == reference, (jobs, size)
 
