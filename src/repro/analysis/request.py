@@ -8,120 +8,161 @@ place that spells its fields out (for ``StreamingReplayAnalyzer``).  Nothing in 
 ``jobs``/``timeout``/``max_retries``/``verify_archive`` apart; the fault
 ladder's per-rung ``replace(request, degraded=...)`` is the only edit.
 
-``to_config``/``from_config`` give the request a canonical plain-dict form
-(defaults omitted) so the service job store content-addresses identical
-requests to identical keys — a request carrying every default serializes
-exactly like the empty config that pre-request job specs produced.
+Every field is declared once (:func:`declare`): kind, bounds, default,
+one-line doc and CLI flag.  Construction checks it (:class:`FieldTable`),
+and the job store's config checks, the CLI's analysis flags and the field
+list of ``docs/API.md`` are derived from the same declarations.
+``to_config``/``from_config`` give the canonical defaults-omitted dict the
+service job store content-addresses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import Field, dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import AnalysisError
+from repro.resilience.pool import PoolConfig
 
 
 @dataclass(frozen=True)
-class AnalysisRequest:
-    """Everything that selects *how* a run is analyzed.
+class Rule:
+    """What one declared field admits, and what it means.
 
-    Parameters
-    ----------
-    degraded:
-        Survive damaged traces: salvage/exclude instead of raising.
-    jobs:
-        Where the replay's local phase runs: ``None``/``1`` in-process,
-        ``N >= 2`` sharded across *N* pool workers, ``0`` one worker per
-        core.  Nothing else about the analysis depends on it.
-    timeout:
-        Per-shard deadline in seconds for the supervised pool
-        (``jobs >= 2`` only).
-    max_retries:
-        Re-dispatches allowed after a worker crash/hang (``jobs >= 2``
-        only).
-    verify_archive:
-        Verify archive checksums before analyzing (experiment layer).
-    timeline:
-        Also accumulate a time-resolved :class:`SeverityTimeline` —
-        rolling-window severity series per (metric, call path, rank).
-    window_s / stride_s:
-        Rolling-window width and bin stride of the timeline, in seconds.
-    bounded:
-        Bounded-memory streaming: drop the per-rank op tables once the
-        replay has consumed them, so the result holds nothing O(trace).
-        The severity cube and every aggregate are bit-identical either
-        way; only ``result.timelines[r].mpi_ops``/``omp_regions`` come
-        back empty (so the per-rank Gantt rendering needs
-        ``bounded=False``).  A retained result keeps those as lazy
-        sequences over numpy columns — a few dozen bytes per operation,
-        objects made on read.
-    deadline_s:
-        End-to-end wall-clock budget for the whole analysis.  Unlike
-        ``timeout`` (which bounds one shard attempt), the deadline bounds
-        the request: when it expires the local phase admits no further
-        rank, the ranks admitted so far are analyzed whole, and the result
-        is partial — honest per-rank completeness and
-        ``result.interrupted`` set — instead of raising or hanging.
+    ``kind`` is ``"flag"`` (``True``/``False``), ``"count"`` (an ``int`` in
+    ``[low, high]``, ``why`` giving the reason for ``high``) or
+    ``"seconds"`` (a real number > 0, stored as a ``float`` so ``1`` and
+    ``1.0`` are one value; ``finite`` refuses infinity too).  A field
+    whose default is ``None`` also admits ``None``, meaning ``unset``.
     """
 
-    degraded: bool = False
-    jobs: Optional[int] = None
-    timeout: Optional[float] = None
-    max_retries: Optional[int] = None
-    verify_archive: bool = False
-    timeline: bool = False
-    window_s: float = 1.0
-    stride_s: float = 0.25
-    bounded: bool = False
-    deadline_s: Optional[float] = None
+    kind: str
+    doc: str
+    flag: Optional[str] = None
+    low: int = 0
+    high: Optional[int] = None
+    why: str = ""
+    finite: bool = False
+    unset: str = ""
+
+    def expects(self, nullable: bool) -> str:
+        """The admitted values, in the words of every edge's error."""
+        if self.kind == "flag":
+            text = "True or False"
+        elif self.kind == "count":
+            text = f"an integer >= {self.low}"
+            if self.high is not None:
+                text += f" and <= {self.high} ({self.why})"
+        else:
+            text = "a number of seconds > 0" + (" and finite" if self.finite else "")
+        return text + (" or None" if nullable else "")
+
+    def admit(self, name: str, value: Any, default: Any) -> Any:
+        """*value* as field *name* stores it, or an error naming the field."""
+        if value is None and default is None:
+            return None
+        if self.kind == "flag":
+            if type(value) is bool:
+                return value
+        elif self.kind == "count":
+            if type(value) is int and self.low <= value and (
+                self.high is None or value <= self.high
+            ):
+                return value
+        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                seconds = float(value)
+            except OverflowError:  # an integer no float can hold
+                seconds = math.nan
+            if seconds > 0 and not (self.finite and seconds == math.inf):  # NaN fails
+                return seconds
+        raise AnalysisError(f"{name} must be {self.expects(default is None)}, got {value!r}")
+
+
+def declare(default: Any, kind: str, doc: str, **rule: Any) -> Any:
+    """A dataclass field carrying its :class:`Rule` as ``metadata["rule"]``."""
+    return field(default=default, metadata={"rule": Rule(kind, doc, **rule)})
+
+
+def declared(table: Any) -> Dict[str, Field]:
+    """A declared table's fields by name."""
+    return {f.name: f for f in fields(table)}
+
+
+class FieldTable:
+    """A frozen dataclass of declared fields, each admitted by its rule."""
 
     def __post_init__(self) -> None:
-        for name in ("degraded", "verify_archive", "timeline", "bounded"):
-            value = getattr(self, name)
-            if type(value) is not bool:
-                raise AnalysisError(f"{name} must be True or False, got {value!r}")
-        for name in ("timeout", "deadline_s", "window_s", "stride_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise AnalysisError(f"{name} must be a number of seconds, got {value!r}")
-        for name in ("jobs", "max_retries"):
-            value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 0):
-                raise AnalysisError(f"{name} must be an integer >= 0 or None, got {value!r}")
-        for name in ("timeout", "deadline_s"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:  # NaN fails too
-                raise AnalysisError(f"{name} must be positive, got {value!r}")
-        for name in ("window_s", "stride_s"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise AnalysisError(f"{name} must be positive and finite, got {value!r}")
+        for f in fields(self):
+            value = f.metadata["rule"].admit(f.name, getattr(self, f.name), f.default)
+            object.__setattr__(self, f.name, value)
 
     def to_config(self) -> Dict[str, Any]:
-        """Canonical plain-dict form with every default omitted.
-
-        Omitting defaults keeps content addresses stable: a request that
-        only sets defaults canonicalizes to ``{}``, the same spec config
-        that pre-request callers submitted, so existing stored jobs keep
-        deduplicating against new submissions.
-        """
-        out: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value != f.default:
-                out[f.name] = value
-        return out
+        """Canonical plain-dict form with every default omitted, so an
+        all-defaults request is ``{}``: the empty config older job specs
+        hashed, whose stored keys therefore stay valid."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
 
     @classmethod
-    def from_config(cls, config: Dict[str, Any], **overrides: Any) -> "AnalysisRequest":
-        """Rebuild a request from :meth:`to_config` output (plus overrides)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(config) - known
+    def from_config(cls, config: Dict[str, Any], **overrides: Any) -> Any:
+        """Rebuild an instance from :meth:`to_config` output (plus overrides)."""
+        unknown = set(config) - set(declared(cls))
         if unknown:
-            raise AnalysisError(
-                f"unknown analysis config keys: {sorted(unknown)}"
-            )
-        merged = {**config, **overrides}
-        return cls(**merged)
+            raise AnalysisError(f"unknown analysis config keys: {sorted(unknown)}")
+        return cls(**{**config, **overrides})
+
+
+@dataclass(frozen=True)
+class AnalysisRequest(FieldTable):
+    """Everything that selects *how* a run is analyzed.
+
+    Each field's meaning, bounds and default are its declaration;
+    ``docs/API.md`` lists them and says more.  Unlike ``timeout`` (one
+    shard attempt), ``deadline_s`` bounds the request: on expiry the local
+    phase admits no further rank, the ranks admitted so far are analyzed
+    whole, and the result is partial — honest per-rank completeness and
+    ``result.interrupted`` set — instead of raising or hanging.
+    """
+
+    degraded: bool = declare(
+        False, "flag", "survive damaged traces: salvage and exclude instead of raising"
+    )
+    jobs: Optional[int] = declare(
+        None, "count", "analysis worker processes: 1=serial, 0=one per core",
+        flag="--jobs", unset="serial",
+    )
+    timeout: Optional[float] = declare(
+        None, "seconds", "per-shard deadline for parallel analysis workers",
+        flag="--timeout", unset=f"{PoolConfig.timeout_s:g}",
+    )
+    max_retries: Optional[int] = declare(
+        None, "count", "re-dispatches allowed after a worker crash/hang",
+        flag="--max-retries", unset=f"{PoolConfig.max_retries}",
+    )
+    verify_archive: bool = declare(
+        False, "flag", "checksum-verify trace archives before analysis", flag="--verify-archive"
+    )
+    timeline: bool = declare(
+        False, "flag", "append rolling-window severity series to the report", flag="--timeline"
+    )
+    window_s: float = declare(
+        1.0, "seconds", "rolling-window width of the severity timeline",
+        flag="--window", finite=True,
+    )
+    stride_s: float = declare(
+        0.25, "seconds", "bin stride of the severity timeline", flag="--stride", finite=True
+    )
+    bounded: bool = declare(
+        False, "flag",
+        "bounded-memory streaming replay (identical severity; drops the per-rank Gantt data)",
+        flag="--bounded",
+    )
+    deadline_s: Optional[float] = declare(
+        None, "seconds", "wall-clock budget for the whole analysis", unset="unbounded"
+    )

@@ -44,6 +44,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.request import declared
 from repro.api import (
     DEFAULT_SEEDS,
     EXPERIMENTS,
@@ -82,6 +83,42 @@ COMMANDS: Dict[str, Callable[..., str]] = {
 
 # -- parser ---------------------------------------------------------------------
 
+#: The request fields every analysing command sets by flag, and those only
+#: ``analyze`` adds.  Each flag's name, type, help and default come from the
+#: field's declaration in :mod:`repro.analysis.request`.
+_SHARED_FLAGS = ("jobs", "timeout", "max_retries", "verify_archive")
+_ANALYZE_FLAGS = ("timeline", "window_s", "stride_s", "bounded")
+
+
+def seconds(text: str) -> Any:
+    """A duration flag's value.  An integer literal stays an ``int``, so the
+    field's check refuses one no float can hold, as it does at every edge."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _add_request_flags(parser: argparse.ArgumentParser, names: Tuple[str, ...]) -> None:
+    """Add the flags of request fields *names*.  Each defaults to ``None``,
+    so a flag left out leaves its field at the dataclass's default."""
+    table = declared(AnalysisRequest)
+    for name in names:
+        rule = table[name].metadata["rule"]
+        if rule.kind == "flag":
+            parser.add_argument(
+                rule.flag, dest=name, action="store_true", default=None, help=rule.doc
+            )
+            continue
+        parser.add_argument(
+            rule.flag,
+            dest=name,
+            type=int if rule.kind == "count" else seconds,
+            default=None,
+            metavar="N" if rule.kind == "count" else "SECONDS",
+            help=f"{rule.doc} (default: {rule.unset or table[name].default})",
+        )
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -97,32 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analysis_opts.add_argument(
         "--seed", type=int, default=None, help="random seed (default: per-artifact)"
     )
-    analysis_opts.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="analysis worker processes (1=serial, 0=one per core; "
-        "default: serial)",
-    )
-    analysis_opts.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard deadline for parallel analysis workers (default: 300)",
-    )
-    analysis_opts.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-dispatches allowed after a worker crash/hang (default: 2)",
-    )
-    analysis_opts.add_argument(
-        "--verify-archive",
-        action="store_true",
-        help="checksum-verify trace archives before analysis",
-    )
+    _add_request_flags(analysis_opts, _SHARED_FLAGS)
     for name in sorted(COMMANDS) + ["all"]:
         help_text = (
             "regenerate every artifact" if name == "all" else f"regenerate {name}"
@@ -153,29 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("figure6", "figure7"),
         help="MetaTrace experiment to simulate and analyze",
     )
-    analyze_parser.add_argument(
-        "--timeline",
-        action="store_true",
-        help="append rolling-window severity series to the report",
-    )
-    analyze_parser.add_argument(
-        "--window", type=float, default=1.0, metavar="SECONDS",
-        help="rolling-window width of the severity timeline (default: 1.0)",
-    )
-    analyze_parser.add_argument(
-        "--stride", type=float, default=0.25, metavar="SECONDS",
-        help="bin stride of the severity timeline (default: 0.25)",
-    )
+    _add_request_flags(analyze_parser, _ANALYZE_FLAGS)
     analyze_parser.add_argument(
         "--metric",
         default=None,
         help="restrict the timeline rendering to one metric",
-    )
-    analyze_parser.add_argument(
-        "--bounded",
-        action="store_true",
-        help="bounded-memory streaming replay (identical severity; "
-        "drops the per-rank Gantt data)",
     )
     analyze_parser.set_defaults(command="analyze")
 
@@ -359,15 +353,10 @@ def _parse_seeds(spec: str) -> List[int]:
 # -- experiment commands ---------------------------------------------------------
 
 
-def _request(args: argparse.Namespace, **extra: Any) -> AnalysisRequest:
-    """The request the shared analysis flags describe, plus a command's own."""
-    return AnalysisRequest(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        verify_archive=args.verify_archive,
-        **extra,
-    )
+def _request(args: argparse.Namespace) -> AnalysisRequest:
+    """The request a command's generated flags describe."""
+    given = {name: getattr(args, name, None) for name in declared(AnalysisRequest)}
+    return AnalysisRequest(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -402,19 +391,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.report.timeline import render_severity_timeline
 
     seed = args.seed if args.seed is not None else DEFAULT_SEEDS[args.experiment]
-    request = _request(
-        args,
-        timeline=args.timeline,
-        window_s=args.window,
-        stride_s=args.stride,
-        bounded=args.bounded,
-    )
+    request = _request(args)
     outcome = run_metatrace_experiment(
         figure=METATRACE_FIGURES[args.experiment], seed=seed, request=request
     )
     print(f"==== {args.experiment} (seed {seed}) ====")
     print(metatrace_report_text(outcome))
-    if args.timeline:
+    if request.timeline:
         print()
         print(
             render_severity_timeline(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import JobValidationError
+from repro.service.store import AnalyzeConfig, SimulateConfig
 
 __all__ = ["execute_job"]
 
@@ -69,15 +70,11 @@ def _check_budget(deadline) -> None:
 
 
 def _request(spec: Mapping[str, Any]):
-    """The spec's ``AnalysisRequest``: its config minus the workload key,
-    window widths (which may arrive as JSON integers) served as floats."""
+    """The spec's ``AnalysisRequest``: its config minus the workload key."""
     from repro.api import AnalysisRequest
 
     config = dict(spec.get("config", {}))
     config.pop("coupling_intervals", None)
-    for key in ("window_s", "stride_s"):
-        if key in config:
-            config[key] = float(config[key])
     return AnalysisRequest.from_config(config, jobs=spec["jobs"] or None)
 
 
@@ -125,7 +122,7 @@ def _analyze_job(
     outcome = run_metatrace_experiment(
         figure=METATRACE_FIGURES[experiment],
         seed=spec["seed"],
-        coupling_intervals=config.get("coupling_intervals"),
+        coupling_intervals=AnalyzeConfig.from_config(config).coupling_intervals,
         request=_request(spec),
         pool=pool,
         deadline=deadline,
@@ -162,10 +159,8 @@ def _simulate_job(
     from repro.api import Placement, simulate, uniform_metacomputer, verify_archives
     from repro.apps.imbalance import make_imbalance_app
 
-    config = spec.get("config", {})
-    ranks = int(config.get("ranks", 4))
-    metahosts = int(config.get("metahosts", 2))
-    iterations = int(config.get("iterations", 4))
+    sizes = SimulateConfig.from_config(spec.get("config", {}))
+    ranks, metahosts, iterations = sizes.ranks, sizes.metahosts, sizes.iterations
     node_count = max(1, math.ceil(ranks / metahosts))
     metacomputer = uniform_metacomputer(
         metahost_count=metahosts, node_count=node_count, cpus_per_node=1

@@ -31,10 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.request import AnalysisRequest
-from repro.errors import JobValidationError
+from repro.analysis.request import AnalysisRequest, FieldTable, declare, declared
+from repro.errors import AnalysisError, JobValidationError
 from repro.resilience.checkpoint import CheckpointJournal
 
 __all__ = [
@@ -69,51 +69,51 @@ JOB_KINDS = ("simulate", "analyze", "run_experiment")
 #: Experiments each kind accepts.  ``analyze`` jobs run the MetaTrace
 #: pipeline end to end (simulate + replay) and expose the severity cube;
 #: ``simulate`` jobs run a workload and report archive integrity only.
-_ANALYZE_EXPERIMENTS = ("figure6", "figure7")
-_SIMULATE_EXPERIMENTS = ("imbalance",)
+_EXPERIMENTS = {"analyze": ("figure6", "figure7"), "simulate": ("imbalance",)}
 
-#: What both analysing kinds accept: name → (description, validator).
-_REQUEST_SCHEMA: Dict[str, Any] = {
-    "timeout": ("positive number", lambda v: _is_number(v) and v > 0),
-    "max_retries": ("non-negative integer", lambda v: _is_int(v) and v >= 0),
-    "verify_archive": ("boolean", lambda v: isinstance(v, bool)),
-    "deadline_s": ("positive number", lambda v: _is_number(v) and v > 0),
+
+@dataclass(frozen=True)
+class AnalyzeConfig(AnalysisRequest):
+    """An ``analyze`` job's config: the request plus the workload size."""
+
+    coupling_intervals: Optional[int] = declare(
+        None, "count", "MetaTrace coupling intervals to simulate", unset="the figure's own",
+        low=1, high=100, why="figures 6 and 7 run 6; 100 simulate and replay in seconds",
+    )
+
+
+@dataclass(frozen=True)
+class SimulateConfig(FieldTable):
+    """A ``simulate`` job's config: the imbalance workload's size."""
+
+    ranks: int = declare(
+        4, "count", "world size", low=2, high=1024, why="the benchmark ladder's largest world"
+    )
+    metahosts: int = declare(
+        2, "count", "metahosts the ranks are placed on", low=1, high=64,
+        why="the inter-metahost link table grows with its square",
+    )
+    iterations: int = declare(
+        4, "count", "compute-and-ring rounds per rank", low=1, high=100,
+        why="1024 ranks x 100 rounds simulate in seconds",
+    )
+    deadline_s: Optional[float] = field(
+        default=None, metadata=declared(AnalysisRequest)["deadline_s"].metadata
+    )
+
+
+#: Per-kind config: the table that checks it and the keys it admits.
+#: ``run_experiment`` renders text, which a timeline or ``bounded`` cannot
+#: change, so it admits only the supervision and budget fields.
+_RUN_KEYS = frozenset({"timeout", "max_retries", "verify_archive", "deadline_s"})
+_CONFIG: Dict[str, Tuple[type, frozenset]] = {
+    "run_experiment": (AnalysisRequest, _RUN_KEYS),
+    "analyze": (
+        AnalyzeConfig,
+        _RUN_KEYS | {"coupling_intervals", "timeline", "window_s", "stride_s", "bounded"},
+    ),
+    "simulate": (SimulateConfig, frozenset(declared(SimulateConfig))),
 }
-
-#: Per-kind whitelist of ``config`` keys.  Apart from ``coupling_intervals``
-#: every key of the analysing kinds is an ``AnalysisRequest`` field: the
-#: runner builds its request with ``from_config``, so admitted is served.
-_CONFIG_SCHEMA: Dict[str, Dict[str, Any]] = {
-    "run_experiment": _REQUEST_SCHEMA,
-    "analyze": {
-        **_REQUEST_SCHEMA,
-        "coupling_intervals": ("positive integer", lambda v: _is_int(v) and v >= 1),
-        "timeline": ("boolean", lambda v: isinstance(v, bool)),
-        "window_s": ("positive number", lambda v: _is_number(v) and 0 < v < float("inf")),
-        "stride_s": ("positive number", lambda v: _is_number(v) and 0 < v < float("inf")),
-        "bounded": ("boolean", lambda v: isinstance(v, bool)),
-    },
-    "simulate": {
-        "ranks": ("integer >= 2", lambda v: _is_int(v) and v >= 2),
-        "metahosts": ("positive integer", lambda v: _is_int(v) and v >= 1),
-        "iterations": ("positive integer", lambda v: _is_int(v) and v >= 1),
-        "deadline_s": ("positive number", lambda v: _is_number(v) and v > 0),
-    },
-}
-
-
-#: Request fields whose value is a duration: an integer means the float.
-_SECONDS = ("timeout", "deadline_s", "window_s", "stride_s")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    # An integer no float can hold is no duration: ``float()`` of it and
-    # ``Deadline`` arithmetic on it raise OverflowError.
-    return (_is_int(value) and abs(value) < 1e308) or isinstance(value, float)
 
 
 def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str, Any]:
@@ -123,15 +123,13 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
     ``{"kind", "experiment", "seed", "jobs", "config"}``, ``seed`` and
     ``jobs`` made explicit.  Submissions that differ only in key order,
     omitted defaults, or JSON-irrelevant formatting canonicalize
-    identically — the foundation of :func:`job_key` dedup.  The
-    :class:`~repro.analysis.request.AnalysisRequest` fields of an
-    analysing kind's ``config`` — given as a plain dict or as a request,
-    whose ``jobs`` lifts into the spec's top-level field — are normalised
-    one way, ``AnalysisRequest.from_config(...).to_config()``: a field
-    left at or set to its default is omitted, and a duration (``timeout``,
-    ``deadline_s``, ``window_s``, ``stride_s``) is a float whether it
-    arrived as ``1`` or ``1.0``.  ``coupling_intervals`` and the
-    ``simulate`` keys are kept as submitted.
+    identically — the foundation of :func:`job_key` dedup.  A ``config``
+    — a plain dict, or for the analysing kinds an ``AnalysisRequest``
+    whose ``jobs`` lifts into the spec's top-level field — is built
+    through its kind's declared table (``AnalysisRequest``,
+    :class:`AnalyzeConfig`, :class:`SimulateConfig`) and read back with
+    ``to_config()``: a field left at or set to its default is omitted,
+    and a duration is a float whether it arrived as ``1`` or ``1.0``.
 
     Raises :class:`~repro.errors.JobValidationError` on anything
     malformed, with a message precise enough to fix the submission.
@@ -152,36 +150,20 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
             f"unknown job kind {kind!r}; choose from: {', '.join(JOB_KINDS)}"
         )
 
+    from repro.api import DEFAULT_SEEDS, EXPERIMENTS  # deferred: api imports this package
+
     experiment = raw.get("experiment")
     if not isinstance(experiment, str) or not experiment:
         raise JobValidationError("job needs an 'experiment' name (string)")
-    if kind == "run_experiment":
-        from repro.api import EXPERIMENTS  # deferred: api imports this package
-
-        if experiment not in EXPERIMENTS:
-            raise JobValidationError(
-                f"unknown experiment {experiment!r}; "
-                f"choose from: {', '.join(sorted(EXPERIMENTS))}"
-            )
-    elif kind == "analyze":
-        if experiment not in _ANALYZE_EXPERIMENTS:
-            raise JobValidationError(
-                f"analyze jobs support {', '.join(_ANALYZE_EXPERIMENTS)}; "
-                f"got {experiment!r}"
-            )
-    else:  # simulate
-        if experiment not in _SIMULATE_EXPERIMENTS:
-            raise JobValidationError(
-                f"simulate jobs support {', '.join(_SIMULATE_EXPERIMENTS)}; "
-                f"got {experiment!r}"
-            )
-
+    choices = sorted(EXPERIMENTS) if kind == "run_experiment" else _EXPERIMENTS[kind]
+    if experiment not in choices:
+        raise JobValidationError(
+            f"{kind} jobs support {', '.join(choices)}; got {experiment!r}"
+        )
     seed = raw.get("seed")
     if seed is None:
-        from repro.api import DEFAULT_SEEDS
-
         seed = DEFAULT_SEEDS.get(experiment, 0)
-    if not _is_int(seed):
+    if type(seed) is not int:
         raise JobValidationError(f"seed must be an integer, got {seed!r}")
 
     config = raw.get("config") or {}
@@ -200,40 +182,26 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
             f"jobs={request_jobs!r}; set one of them"
         )
     if jobs is None:
-        jobs = request_jobs
-    if jobs is None:
-        jobs = default_jobs
-    if not _is_int(jobs) or jobs < 0:
-        raise JobValidationError(
-            f"jobs must be a non-negative integer (0 = one per core), got {jobs!r}"
-        )
-    schema = _CONFIG_SCHEMA[kind]
-    clean: Dict[str, Any] = {}
+        jobs = default_jobs if request_jobs is None else request_jobs
+    table, allowed = _CONFIG[kind]
     for key in sorted(config):
-        if key not in schema:
+        if key not in allowed:
             raise JobValidationError(
                 f"config key {key!r} is not valid for {kind} jobs; "
-                f"allowed: {', '.join(sorted(schema)) or '(none)'}"
+                f"allowed: {', '.join(sorted(allowed))}"
             )
-        expected, check = schema[key]
-        value = config[key]
-        if not check(value):
-            raise JobValidationError(f"config {key!r} must be a {expected}, got {value!r}")
-        clean[key] = value
-    if kind != "simulate":
-        fields = {k: float(v) if k in _SECONDS else v for k, v in clean.items()}
-        intervals = fields.pop("coupling_intervals", None)
-        fields = AnalysisRequest.from_config(fields).to_config()
-        if intervals is not None:
-            fields["coupling_intervals"] = intervals
-        clean = dict(sorted(fields.items()))
+    try:
+        jobs = AnalysisRequest(jobs=jobs).jobs
+        clean = table(**config).to_config()
+    except AnalysisError as exc:
+        raise JobValidationError(str(exc)) from None
 
     return {
         "kind": kind,
         "experiment": experiment,
         "seed": seed,
         "jobs": jobs,
-        "config": clean,
+        "config": dict(sorted(clean.items())),
     }
 
 

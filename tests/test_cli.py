@@ -47,7 +47,9 @@ class TestCli:
         assert main(["analyze", "figure6", "--timeout", "nan"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: timeout must be positive, got nan")
+        assert captured.err.startswith(
+            "error: timeout must be a number of seconds > 0 or None, got nan"
+        )
 
     @pytest.mark.slow
     def test_figure6_output(self, capsys):

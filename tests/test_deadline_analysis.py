@@ -44,9 +44,9 @@ def _assert_cut_between_whole_ranks(result, whole, admitted):
 
 class TestRequestField:
     def test_deadline_must_be_positive(self):
-        with pytest.raises(AnalysisError, match="deadline_s must be positive"):
+        with pytest.raises(AnalysisError, match="deadline_s must be a number of seconds > 0"):
             AnalysisRequest(deadline_s=0)
-        with pytest.raises(AnalysisError, match="deadline_s must be positive"):
+        with pytest.raises(AnalysisError, match="deadline_s must be a number of seconds > 0"):
             AnalysisRequest(deadline_s=-3)
 
     def test_default_deadline_keeps_job_keys_stable(self):
@@ -63,6 +63,20 @@ class TestRequestField:
         # carry the string into to_config().
         with pytest.raises(AnalysisError, match=f"{name} must be True or False"):
             AnalysisRequest(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("window_s", "1"), ("timeout", "5")])
+    def test_string_seconds_are_an_analysis_error(self, name, value):
+        # A string used to reach a comparison and raise TypeError.
+        with pytest.raises(AnalysisError, match=f"{name} must be a number of seconds > 0"):
+            AnalysisRequest(**{name: value})
+
+    def test_duration_no_float_can_hold_is_refused_at_the_library_edge(self):
+        # The job store refused it while the library took it, and then
+        # ``Deadline`` raised OverflowError mid-experiment.
+        from repro.api import run_experiment
+
+        with pytest.raises(AnalysisError, match="deadline_s must be a number of seconds > 0"):
+            run_experiment("table2", AnalysisRequest(deadline_s=10**400), seed=1)
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize("name", ["timeout", "deadline_s", "window_s", "stride_s"])

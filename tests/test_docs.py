@@ -93,3 +93,45 @@ class TestPerformanceRecord:
                     f"README says {metric}@{name} = {row[columns[metric]]}, "
                     f"BENCH_e2e.json says {sig3(median)}"
                 )
+
+
+def _field_rows(table, skip=()):
+    """The documentation rows of a declared table's fields."""
+    from dataclasses import fields
+
+    rows = []
+    for f in fields(table):
+        if f.name not in skip:
+            rule = f.metadata["rule"]
+            default = rule.unset or f"`{f.default!r}`"
+            rows.append(
+                f"| `{f.name}` | {rule.expects(f.default is None)} | {default} | {rule.doc} |"
+            )
+    return rows
+
+
+def _table_rows(document, header="| field | admits | default | meaning |"):
+    text = (ROOT / "docs" / document).read_text(encoding="utf-8")
+    block = text.split(header + "\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    return block.splitlines()
+
+
+def test_api_request_rows_are_the_field_table():
+    from repro.analysis.request import AnalysisRequest
+
+    assert _table_rows("API.md") == _field_rows(AnalysisRequest)
+
+
+def test_service_workload_rows_are_the_field_table():
+    from repro.analysis.request import AnalysisRequest, declared
+    from repro.service.store import _CONFIG, AnalyzeConfig, SimulateConfig
+
+    request = set(declared(AnalysisRequest))
+    assert _table_rows("SERVICE.md") == (
+        _field_rows(AnalyzeConfig, skip=request) + _field_rows(SimulateConfig, skip=request)
+    )
+    # The job-model table's config row names each kind's field set.
+    text = (ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
+    row = next(line for line in text.splitlines() if line.startswith("| `config` |"))
+    for kind, (_, allowed) in _CONFIG.items():
+        assert kind in row and all(f"`{name}`" in row for name in allowed), kind

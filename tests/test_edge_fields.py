@@ -1,0 +1,190 @@
+"""One field table, three edges.
+
+Every request, ``simulate`` and ``coupling_intervals`` field is declared once
+(``repro.analysis.request.declare``).  The library (``AnalysisRequest``), the
+job store (``canonical_spec``) and the command line (``repro analyze`` argv)
+all check a value by that declaration, so they must agree on every spec:
+
+* each accepts it or each refuses it;
+* an accepted spec has one job key — from a dict config or an
+  ``AnalysisRequest``, with defaults spelled out or left out, with
+  durations given as ``1`` or ``1.0``;
+* every refusal names the field.
+
+The strategy draws specs from the table plus hostile values.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.analysis.request import AnalysisRequest, declared
+from repro.cli import _build_parser, _request
+from repro.errors import AnalysisError, JobValidationError
+from repro.service.store import _CONFIG, canonical_spec, job_key
+
+REQUEST = declared(AnalysisRequest)
+PARSER = _build_parser()
+#: Request fields an ``analyze`` job carries: its config keys and ``jobs``.
+STORE_FIELDS = sorted((_CONFIG["analyze"][1] - {"coupling_intervals"}) | {"jobs"})
+
+HOSTILE = [
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None,
+    "false", "true", "1s", "", 0, -1, 0.0, -0.5, 2**63,
+]
+
+
+def _valid(f):
+    rule = f.metadata["rule"]
+    if rule.kind == "flag":
+        return st.booleans()
+    if rule.kind == "count":
+        return st.integers(rule.low, rule.high if rule.high is not None else rule.low + 64)
+    seconds = st.one_of(
+        st.integers(1, 10**6),
+        st.floats(min_value=1e-3, max_value=1e6),
+        st.integers(1, 100).map(float),
+    )
+    return seconds if rule.finite else st.one_of(seconds, st.just(math.inf))
+
+
+def _value(f):
+    bounds = []
+    rule = f.metadata["rule"]
+    if rule.kind == "count":  # either side of each bound
+        bounds = [rule.low - 1, rule.low] + ([rule.high, rule.high + 1] if rule.high else [])
+    return st.one_of(_valid(f), st.just(f.default), st.sampled_from(HOSTILE + bounds))
+
+
+def _specs(table, names):
+    chosen = st.lists(st.sampled_from(names), unique=True, max_size=len(names))
+    return chosen.flatmap(
+        lambda keys: st.fixed_dictionaries({k: _value(table[k]) for k in keys})
+    )
+
+
+def _refusal(call):
+    """``(result, None)`` if *call* succeeds, ``(None, message)`` if it refuses."""
+    try:
+        return call(), None
+    except (AnalysisError, JobValidationError) as exc:
+        return None, str(exc)
+
+
+def _named(message, spec):
+    """The spec field a refusal names; it must be refused on its own."""
+    name = message.split(" must be ")[0]
+    assert name in spec, f"{message!r} names no field of {spec!r}"
+    return name
+
+
+def _twin(table, spec):
+    """*spec* as another caller would spell it: defaults left out,
+    integral durations as ``int`` where given as ``float`` and back."""
+    out = {}
+    for name, value in spec.items():
+        if _refusal(lambda: table(**{name: value}))[0] == table():
+            continue  # an admitted default: leaving it out means the same
+        if declared(table)[name].metadata["rule"].kind == "seconds":
+            if type(value) is float and value.is_integer() and abs(value) < 2**53:
+                value = int(value)
+            elif type(value) is int and abs(value) < 2**53:
+                value = float(value)
+        out[name] = value
+    return out
+
+
+def _store(kind, config):
+    """The job key of a *kind* job with *config*; a dict config's ``jobs``
+    is the spec's top-level field (an ``AnalysisRequest`` lifts its own)."""
+    raw = {"kind": kind, "experiment": "imbalance" if kind == "simulate" else "figure6"}
+    if isinstance(config, dict):
+        config = dict(config)
+        if config.get("jobs") is not None:
+            raw["jobs"] = config["jobs"]
+        config.pop("jobs", None)
+    return _refusal(lambda: job_key(canonical_spec({**raw, "seed": 1, "config": config})))
+
+
+def _argv(spec):
+    """The ``repro analyze`` flags that spell *spec*, or ``None``."""
+    argv = ["analyze", "figure6"]
+    for name, value in spec.items():
+        rule = REQUEST[name].metadata["rule"]
+        if rule.flag is None:
+            return None  # no flag: the command line cannot say it
+        if rule.kind == "flag":
+            if value is True:
+                argv.append(rule.flag)
+            elif value is not False:
+                argv.append(f"{rule.flag}={value}")
+        elif value is not None or REQUEST[name].default is not None:
+            argv += [rule.flag, str(value)]
+    return argv
+
+
+def _parse(argv):
+    """``(request, None)`` or ``(None, what the command line said)``."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            args = PARSER.parse_args(argv)
+    except SystemExit:
+        return None, stderr.getvalue()
+    return _refusal(lambda: _request(args))
+
+
+@seed(20260531)
+@settings(max_examples=400, deadline=None)
+@given(spec=_specs(REQUEST, STORE_FIELDS))
+def test_request_edges_agree(spec):
+    request, refused = _refusal(lambda: AnalysisRequest(**spec))
+    key, store_refused = _store("analyze", spec)
+    assert (key is None) == (request is None), (spec, refused, store_refused)
+
+    argv = _argv(spec)
+    if argv is not None:
+        parsed, cli_refused = _parse(argv)
+        assert (parsed is None) == (request is None), (argv, refused, cli_refused)
+        if parsed is not None:
+            assert parsed == request
+        else:  # argparse names the flag, the table the field
+            assert any(
+                name in cli_refused or REQUEST[name].metadata["rule"].flag in cli_refused
+                for name in spec
+            ), cli_refused
+
+    if request is None:
+        for message in (refused, store_refused):
+            name = _named(message, spec)
+            assert _refusal(lambda: AnalysisRequest(**{name: spec[name]}))[1] is not None
+        return
+    assert _store("analyze", request)[0] == key
+    assert _store("analyze", _twin(AnalysisRequest, spec))[0] == key
+
+
+@pytest.mark.parametrize("kind", ["simulate", "analyze"])
+@seed(20260531)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_job_config_edges_agree(kind, data):
+    """Each kind's config table (``SimulateConfig``; ``AnalyzeConfig``, which
+    adds ``coupling_intervals`` to the request) against the store."""
+    table, allowed = _CONFIG[kind]
+    spec = data.draw(_specs(declared(table), sorted(allowed)))
+    built, refused = _refusal(lambda: table(**spec))
+    key, store_refused = _store(kind, spec)
+    assert (key is None) == (built is None), (spec, refused, store_refused)
+    if built is None:
+        for message in (refused, store_refused):
+            name = _named(message, spec)
+            assert _refusal(lambda: table(**{name: spec[name]}))[1] is not None
+        return
+    assert _store(kind, _twin(table, spec))[0] == key
+

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
-from repro.errors import CheckpointLockError, JobValidationError
+from repro.errors import AnalysisError, CheckpointLockError, JobValidationError
 from repro.service.store import (
     ACCEPTED,
     DONE,
@@ -215,25 +217,35 @@ class TestSameJobSameKey:
         assert all(type(v) is float for v in spec["config"].values())
         assert spec == canonical_spec({**self.BASE, "config": AnalysisRequest(**ints)})
 
-    def test_workload_and_simulate_keys_kept_as_submitted(self):
+    def test_workload_kept_and_simulate_keys_canonical(self):
         spec = canonical_spec(
             {**self.BASE, "config": {"coupling_intervals": 1, "timeline": False}}
         )
         assert spec["config"] == {"coupling_intervals": 1}
-        simulate = canonical_spec(
-            {"kind": "simulate", "experiment": "imbalance", "config": {"deadline_s": 5}}
-        )
-        assert type(simulate["config"]["deadline_s"]) is int
+
+        def simulate(config):
+            return canonical_spec(
+                {"kind": "simulate", "experiment": "imbalance", "config": config}
+            )
+
+        # simulate specs canonicalize like the analysing kinds: durations
+        # are floats and a spelled-out default is left out.
+        assert simulate({"deadline_s": 5}) == simulate({"deadline_s": 5.0})
+        assert type(simulate({"deadline_s": 5})["config"]["deadline_s"]) is float
+        assert simulate({"metahosts": 2}) == simulate({})
+        assert simulate({"ranks": 8, "iterations": 4})["config"] == {"ranks": 8}
 
     def test_duration_no_float_can_hold_is_rejected(self):
-        with pytest.raises(JobValidationError, match="positive number"):
+        with pytest.raises(JobValidationError, match="deadline_s must be a number of seconds > 0"):
             canonical_spec({**self.BASE, "config": {"deadline_s": 10**400}})
 
     @pytest.mark.parametrize("key", ["window_s", "stride_s"])
     def test_infinite_timeline_width_is_rejected(self, key):
         # JSON admits ``Infinity``; no timeline can bin with it.
         config = json.loads(f'{{"{key}": Infinity}}')
-        with pytest.raises(JobValidationError, match=f"'{key}' must be a positive number"):
+        with pytest.raises(
+            JobValidationError, match=f"{key} must be a number of seconds > 0 and finite"
+        ):
             canonical_spec({**self.BASE, "config": config})
 
     def test_service_dedupes_explicit_defaults_and_integer_widths(
@@ -275,45 +287,89 @@ class TestSameJobSameKey:
             assert len(service.jobs()) == 1
 
 
+class TestSizeBounds:
+    """Every workload size has an upper bound, and one past it is refused
+    before any work runs — by the store and by the runner alike."""
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("simulate", "ranks"),
+            ("simulate", "metahosts"),
+            ("simulate", "iterations"),
+            ("analyze", "coupling_intervals"),
+        ],
+    )
+    def test_one_past_the_bound_is_refused(self, kind, name, monkeypatch):
+        import repro.api
+        import repro.experiments.figures
+        from repro.analysis.request import declared
+        from repro.service.runners import execute_job
+        from repro.service.store import _CONFIG
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran for a refused spec")
+
+        monkeypatch.setattr(repro.api, "simulate", no_work)
+        monkeypatch.setattr(repro.experiments.figures, "run_metatrace_experiment", no_work)
+        rule = declared(_CONFIG[kind][0])[name].metadata["rule"]
+        assert rule.high is not None and rule.why
+        experiment = "imbalance" if kind == "simulate" else "figure6"
+        raw = {"kind": kind, "experiment": experiment, "seed": 0, "jobs": 1}
+        admitted = canonical_spec({**raw, "config": {name: rule.high}})
+        assert admitted["config"] == {name: rule.high}
+        pattern = f"{name} must be an integer >= {rule.low} and <= {rule.high} "
+        with pytest.raises(JobValidationError, match=pattern):
+            canonical_spec({**raw, "config": {name: rule.high + 1}})
+        with pytest.raises(AnalysisError, match=pattern):
+            execute_job({**raw, "config": {name: rule.high + 1}})
+
+    def test_ranks_reach_the_benchmark_ladder_top(self):
+        from repro.analysis.request import declared
+        from repro.service.store import SimulateConfig
+
+        assert declared(SimulateConfig)["ranks"].metadata["rule"].high >= 1024
+
+
 class TestAdmittedIsServed:
     """The store's whitelist and the runner's request cannot drift apart:
-    every config key the two analysing kinds admit is an AnalysisRequest
-    field (``coupling_intervals``, the workload size, aside), and the
-    runner turns any admitted config into a request without loss."""
+    every config key the two analysing kinds admit is a field of the
+    kind's declared table and, ``coupling_intervals`` (the workload size)
+    aside, an AnalysisRequest field; the runner turns any admitted config
+    into a request without loss."""
 
-    #: One valid value per whitelisted key, none of them a default.
-    FULL = {
-        "timeout": 60,
-        "max_retries": 1,
-        "verify_archive": True,
-        "deadline_s": 300,
-        "coupling_intervals": 1,
-        "timeline": True,
-        "window_s": 2,
-        "stride_s": 1,
-        "bounded": True,
-    }
+    @staticmethod
+    def off_default(f):
+        """One admitted value of declared field *f* that is not its default
+        (durations as integers, which the table serves as floats)."""
+        rule = f.metadata["rule"]
+        if rule.kind == "flag":
+            return not f.default
+        if rule.kind == "count":
+            return (f.default if f.default is not None else rule.low) + 1
+        return int(f.default or 1) + 1
 
     @pytest.mark.parametrize("kind", ["run_experiment", "analyze"])
     def test_whitelist_is_request_fields(self, kind):
-        from dataclasses import fields
+        from repro.analysis.request import AnalysisRequest, declared
+        from repro.service.store import _CONFIG
 
-        from repro.analysis.request import AnalysisRequest
-        from repro.service.store import _CONFIG_SCHEMA
-
-        known = {f.name for f in fields(AnalysisRequest)}
-        assert set(_CONFIG_SCHEMA[kind]) - {"coupling_intervals"} <= known
+        table, allowed = _CONFIG[kind]
+        assert allowed <= set(declared(table))
+        assert allowed - {"coupling_intervals"} <= set(declared(AnalysisRequest))
 
     @pytest.mark.parametrize("kind", ["run_experiment", "analyze"])
     def test_runner_serves_every_admitted_key(self, kind):
-        from repro.analysis.request import AnalysisRequest
+        from repro.analysis.request import AnalysisRequest, declared
         from repro.service.runners import _request
-        from repro.service.store import _CONFIG_SCHEMA
+        from repro.service.store import _CONFIG
 
-        config = {key: self.FULL[key] for key in _CONFIG_SCHEMA[kind]}
+        table, allowed = _CONFIG[kind]
+        config = {key: self.off_default(declared(table)[key]) for key in allowed}
         spec = canonical_spec(
             {"kind": kind, "experiment": "figure6", "jobs": 2, "config": config}
         )
+        assert set(spec["config"]) == allowed  # no admitted value was a default
         served = dict(spec["config"])
         served.pop("coupling_intervals", None)
         AnalysisRequest.from_config(served)  # accepts every admitted key
@@ -343,6 +399,66 @@ class TestAdmittedIsServed:
 
         assert result_of(2, 1) == result_of(2.0, 1.0)
         assert '"window_s": 2.0' in result_of(2, 1)
+
+
+class TestStoreWrittenBefore:
+    """``tests/data/job_store_v1``: a job store journal written before the
+    field table existed (``jobs.jsonl``), with the raw submissions that made
+    it and the keys they got then (``submissions.json``).  Its analyze and
+    run_experiment jobs — an explicit default and integer durations among
+    them — keep their keys; only simulate specs that spelled a default or
+    an integer duration re-key."""
+
+    DATA = pathlib.Path(__file__).parent / "data" / "job_store_v1"
+    REKEYED = [{"ranks": 8, "metahosts": 2}, {"deadline_s": 5}]
+
+    def rows(self):
+        return json.loads((self.DATA / "submissions.json").read_text())
+
+    def test_submissions_keep_their_keys(self):
+        rekeyed = []
+        for row in self.rows():
+            raw = row["submission"]
+            if job_key(canonical_spec(raw, default_jobs=1)) != row["key"]:
+                assert raw["kind"] == "simulate", raw
+                rekeyed.append(raw["config"])
+        assert rekeyed == self.REKEYED
+
+    def test_stored_specs_recanonicalize_to_their_keys(self, tmp_path):
+        shutil.copy(self.DATA / "jobs.jsonl", tmp_path)
+        with JobStore(str(tmp_path / "jobs.jsonl")) as store:
+            records = store.records()
+        assert [r.key for r in records] == [row["key"] for row in self.rows()]
+        for record in records:
+            if record.spec["kind"] != "simulate":
+                assert job_key(canonical_spec(record.spec)) == record.key
+
+    def test_service_restarts_over_the_journal(self, tmp_path, monkeypatch):
+        import time
+
+        import repro.service.app as app_module
+        from repro.service import ServiceConfig, create_app
+
+        monkeypatch.setattr(
+            app_module, "execute_job", lambda spec, **kwargs: ({"kind": spec["kind"]}, None)
+        )
+        shutil.copy(self.DATA / "jobs.jsonl", tmp_path)
+        config = ServiceConfig(
+            store_path=str(tmp_path / "jobs.jsonl"), pool_workers=1, default_jobs=1
+        )
+        rows = self.rows()
+        with create_app(config) as service:
+            give_up = time.monotonic() + 30.0
+            while any(job.status != DONE for job in service.jobs()):
+                assert time.monotonic() < give_up, "recovered jobs never finished"
+                time.sleep(0.01)
+            assert sorted(job.key for job in service.jobs()) == sorted(r["key"] for r in rows)
+            for row in rows:
+                record, disposition = service.submit(row["submission"])
+                if row["submission"].get("config") in self.REKEYED:
+                    assert disposition == "created"
+                else:
+                    assert (record.key, disposition) == (row["key"], "cached")
 
 
 class TestJobRecord:

@@ -793,7 +793,7 @@ class TestAnalysisRequest:
     @pytest.mark.parametrize("name", ["window_s", "stride_s"])
     def test_infinite_timeline_widths_rejected(self, name):
         # The timeline cannot bin with them: inf * 0 is NaN.
-        with pytest.raises(AnalysisError, match=f"{name} must be positive and finite"):
+        with pytest.raises(AnalysisError, match=f"{name} must be a number of seconds > 0 and finite"):
             AnalysisRequest(timeline=True, **{name: math.inf})
 
     def test_frozen(self):
