@@ -136,6 +136,7 @@ class AnalysisRequest(FieldTable):
     jobs: Optional[int] = declare(
         None, "count", "analysis worker processes: 1=serial, 0=one per core",
         flag="--jobs", unset="serial",
+        high=1024, why="a worker per rank of the benchmark ladder's largest world",
     )
     timeout: Optional[float] = declare(
         None, "seconds", "per-shard deadline for parallel analysis workers",
@@ -144,6 +145,7 @@ class AnalysisRequest(FieldTable):
     max_retries: Optional[int] = declare(
         None, "count", "re-dispatches allowed after a worker crash/hang",
         flag="--max-retries", unset=f"{PoolConfig.max_retries}",
+        high=16, why="the backoff doubles: the 16th retry waits ~27 min",
     )
     verify_archive: bool = declare(
         False, "flag", "checksum-verify trace archives before analysis", flag="--verify-archive"

@@ -1,112 +1,105 @@
 """Minimal deterministic discrete-event engine.
 
-A binary heap of plain ``[time, seq, callback, args]`` list entries.  The
-sequence number breaks ties in insertion order (and is unique, so
-comparison never reaches the callback slot), which — together with seeding
-every random draw from one :class:`numpy.random.Generator` — makes entire
-simulations bit-reproducible from a single seed.
+Pending events are ``(time, seq, callback, args)`` tuples run in
+``(time, seq)`` order: the unique sequence number breaks ties in insertion
+order (so comparison never reaches the callback), which — together with
+seeding every random draw from one :class:`numpy.random.Generator` — makes
+entire simulations bit-reproducible from a single seed.  ``call_at`` /
+``call_later`` take the callback's positional arguments (the ``asyncio``
+shape), so a caller schedules a bound method plus its operand instead of a
+closure.  Nothing can be cancelled, so no handle is created.
 
-One scheduling surface: :meth:`Engine.call_later` / :meth:`Engine.call_at`
-take the callback's positional arguments (the ``asyncio`` ``call_at``
-shape) and keep them in the entry's ``args`` slot, so a caller schedules a
-bound method plus its operand instead of allocating a closure per event.
-Nothing can be cancelled, so no handle is created, and every entry list is
-recycled through a small free pool once its callback has run — per-message
-scheduling then allocates nothing but the argument tuple in the steady
-state.  A recycled entry keeps its last callback and ``args`` until it is
-reused (at most ``_POOL_MAX`` of them).
-
-Both reject non-finite times: ``delay < 0`` is ``False`` for NaN, so the
-old guard let ``NaN``/``inf`` stamps into the heap, where a single NaN
-poisons the heap invariant (every comparison with NaN is ``False``) and
-corrupts event ordering for the rest of the run.
+The earliest pending entry waits in a one-entry slot in front of the heap,
+strictly before the heap's top: an entry earlier than everything queued (a
+process's continuation usually is) runs next without touching
+:mod:`heapq`, and the slot's entry moves into the heap when an earlier one
+takes its place.  Non-finite times are refused (``delay < 0`` is ``False``
+for NaN, and one NaN in the heap corrupts its order for the rest of the run).
 """
 
 from __future__ import annotations
 
-import heapq
-from math import isfinite
-from typing import Any, Callable, List, Optional
+from heapq import heappop, heappush
+from math import inf
+from sys import maxsize
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-# Entry layout: [time, seq, callback, args]; ``args`` is the tuple the
-# callback is called with.
-_TIME, _SEQ, _CALLBACK, _ARGS = 0, 1, 2, 3
-
-#: Upper bound on recycled entry lists kept around (covers scheduling
-#: bursts; beyond this, entries are simply dropped to the allocator).
-_POOL_MAX = 1024
+Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class Engine:
     """The event loop.  Time is in (true) seconds and never runs backwards."""
 
     def __init__(self) -> None:
-        self._heap: List[list] = []
+        self._heap: List[Entry] = []
+        self._next: Optional[Entry] = None  # the earliest pending entry, if not in the heap
         self._seq = 0
         #: Current true simulation time in seconds (read-only for callers).
         self.now = 0.0
         self._processed = 0
-        self._pool: List[list] = []  # recycled entries
 
     @property
     def processed_events(self) -> int:
-        """Number of callbacks executed so far (engine statistics)."""
+        """Callbacks executed; a run adds its count when it returns or raises."""
         return self._processed
 
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` ``delay`` seconds from now."""
-        if delay < 0 or not isfinite(delay):
+        if not 0 <= delay < inf:  # NaN fails
             raise SimulationError(
                 f"cannot schedule a negative or non-finite delay: delay={delay}"
             )
         self.call_at(self.now + delay, callback, *args)
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at absolute time *time* (must not precede now).
-
-        The entry list is drawn from (and eventually returned to) the free
-        pool, so steady-state scheduling allocates nothing beyond the
-        *args* tuple.
-        """
-        if time < self.now or not isfinite(time):
+        """Run ``callback(*args)`` at absolute time *time* (must not precede now)."""
+        if not self.now <= time < inf:  # NaN fails
             raise SimulationError(
                 f"cannot schedule into the past or at a non-finite time: "
                 f"t={time}, now={self.now}"
             )
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[_TIME] = time
-            entry[_SEQ] = self._seq
-            entry[_CALLBACK] = callback
-            entry[_ARGS] = args
-        else:
-            entry = [time, self._seq, callback, args]
+        entry = (time, self._seq, callback, args)
         self._seq += 1
-        heapq.heappush(self._heap, entry)
+        first = self._next  # on a time tie the new entry, with the largest seq, goes after
+        if first is None:
+            heap = self._heap
+            if heap and heap[0][0] <= time:
+                heappush(heap, entry)
+            else:
+                self._next = entry
+        elif time < first[0]:
+            heappush(self._heap, first)
+            self._next = entry
+        else:
+            heappush(self._heap, entry)
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Process events in time order until the heap is empty.
+        """Process events in time order until none is pending.
 
         *max_events* is a runaway-loop backstop: the call raises
         :class:`~repro.errors.SimulationError` once it has run that many
         callbacks.
         """
         heap = self._heap
-        pool = self._pool
-        pop = heapq.heappop
+        limit = maxsize if max_events is None else max_events
         executed = 0
-        while heap:
-            entry = pop(heap)
-            self.now = entry[_TIME]
-            entry[_CALLBACK](*entry[_ARGS])
-            self._processed += 1
-            executed += 1
-            if len(pool) < _POOL_MAX:
-                pool.append(entry)
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events — likely livelock"
-                )
+        try:
+            while True:
+                entry = self._next
+                if entry is not None:
+                    self._next = None
+                elif heap:
+                    entry = heappop(heap)
+                else:
+                    return
+                self.now, _, callback, args = entry
+                callback(*args)
+                executed += 1
+                if executed >= limit:
+                    raise SimulationError(
+                        f"simulation exceeded {max_events} events — likely livelock"
+                    )
+        finally:
+            self._processed += executed

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from math import ceil, log2
+from math import ceil, inf, log2
+from numbers import Real
 from operator import index
 from sys import intern
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -230,21 +231,33 @@ _SIZE_END = 2**64
 _TAG_END = 2**31
 
 
-def _checked(value: Any, what: str, end: int, wildcard: Optional[int] = None) -> int:
-    """A builder's slow path: *value* as an ``int`` in ``[0, end)`` or equal
-    to *wildcard*, else :class:`MPIUsageError` naming the argument *what*.
-    Numpy integers pass; floats and bools do not, even when integral."""
+def _checked(value: Any, what: str, end: Optional[int], wildcard: Optional[int] = None) -> int:
+    """A builder's slow path: *value* as an ``int`` in ``[0, end)`` (any
+    ``int`` if *end* is None) or equal to *wildcard*, else
+    :class:`MPIUsageError` naming the argument *what*.  Numpy integers pass;
+    floats and bools do not, even when integral."""
     try:
         number = None if isinstance(value, bool) else index(value)
     except TypeError:
         number = None
     if number is None:
         raise MPIUsageError(f"{what} must be an integer, got {value!r}")
-    if not (0 <= number < end or number == wildcard):
+    if end is not None and not (0 <= number < end or number == wildcard):
         bound = f"2**{end.bit_length() - 1}" if end >= 2**31 else end
         allowed = "" if wildcard is None else f" or {wildcard} (the wildcard)"
         raise MPIUsageError(f"{what} must be in [0, {bound}){allowed}, got {number}")
     return number
+
+
+def _seconds(value: Any, what: str) -> float:
+    """A duration's slow path: *value* as a finite ``float`` >= 0, else
+    :class:`MPIUsageError` naming the argument *what*.  Bools do not pass."""
+    try:
+        if isinstance(value, Real) and not isinstance(value, bool) and 0 <= float(value) < inf:
+            return float(value)
+    except OverflowError:  # an integer no float can hold
+        pass
+    raise MPIUsageError(f"{what} must be a number of seconds >= 0 and finite, got {value!r}")
 
 
 # Builders that differ only in what they build, each checking and building in
@@ -371,8 +384,12 @@ class Communicator:
         Every member must call it; members sharing a color form a new
         communicator ordered by (key, old rank).  ``color=None``
         (MPI_UNDEFINED) yields no communicator for that rank — the result
-        delivered to the caller is then ``None``.
+        delivered to the caller is then ``None``.  A color is a C ``int``.
         """
+        if color is not None and (type(color) is not int or not 0 <= color < _TAG_END):
+            color = _checked(color, "color", _TAG_END)
+        if type(key) is not int:
+            key = _checked(key, "key", None)
         return SplitReq(self.id, color, key)
 
 
@@ -426,14 +443,14 @@ class Context:
 
     def compute(self, work_seconds: float) -> ComputeReq:
         """Busy time for *work_seconds* of reference work on this CPU."""
-        if work_seconds < 0:
-            raise MPIUsageError(f"work must be non-negative, got {work_seconds}")
+        if type(work_seconds) is not float or not 0.0 <= work_seconds < inf:
+            work_seconds = _seconds(work_seconds, "work_seconds")
         return ComputeReq(work_seconds / self._speed)  # CpuSpec.work_seconds
 
     def sleep(self, wall_seconds: float) -> ComputeReq:
         """Busy time independent of CPU speed (I/O waits, fixed delays)."""
-        if wall_seconds < 0:
-            raise MPIUsageError(f"sleep must be non-negative, got {wall_seconds}")
+        if type(wall_seconds) is not float or not 0.0 <= wall_seconds < inf:
+            wall_seconds = _seconds(wall_seconds, "wall_seconds")
         return ComputeReq(wall_seconds)
 
     def parallel(
@@ -450,9 +467,8 @@ class Context:
         """
         if not work_seconds:
             raise MPIUsageError("parallel region needs at least one thread")
-        if any(w < 0 for w in work_seconds):
-            raise MPIUsageError("thread work must be non-negative")
-        return OmpParallelReq(tuple(float(w) for w in work_seconds), region)
+        work = tuple(_seconds(w, f"work_seconds[{i}]") for i, w in enumerate(work_seconds))
+        return OmpParallelReq(work, region)
 
     def get_comm(self, name: str) -> Optional[Communicator]:
         """Bound view of a named sub-communicator, or None if not a member."""
@@ -645,6 +661,8 @@ class World:
         # sampled value or trace byte.
         self._jitter = ExponentialJitterStream(self.rng)
         self._routes: Dict[Tuple[int, int], Tuple[LatencyModel, str]] = {}
+        #: (comm id, source global, dest comm rank) -> what _inject needs.
+        self._channels: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
         self._comm_costs: Dict[int, Tuple[float, float]] = {}
         self._comm_locations: Dict[int, Dict[int, Location]] = {}
         self._region_ids = _RegionIds(tracer.regions) if tracer is not None else {}
@@ -887,9 +905,9 @@ class World:
 
         The single injection routine behind ``send``/``ssend``, ``isend``
         and the send half of ``sendrecv``: build the :class:`Message`, count
-        it, write the SEND record, draw the network delay (one route lookup,
-        one draw from the shared jitter stream, fault effects if a plan is
-        active), clamp the arrival on the channel (MPI non-overtaking) and
+        it, write the SEND record, draw the network delay (one cached
+        channel lookup, one draw from the shared jitter stream, fault effects
+        if a plan is active), clamp the arrival on the channel (MPI non-overtaking) and
         schedule the announcement at the receiver.  *overhead* is the
         sender-side cost before the message leaves; *eager* selects payload
         arrival over a ready-to-send announcement; *handle* is the request
@@ -898,13 +916,19 @@ class World:
         for rendezvous).  Draw, clamp and scheduling order are part of the
         archive contract — do not reorder.
         """
-        comm = self.comm_by_id(comm_id)
         src_global = proc.rank
-        dst_global = comm.global_rank(dest)
+        channel = self._channels.get((comm_id, src_global, dest))
+        if channel is None:  # the first message on it: resolve once, errors uncached
+            comm = self.comm_by_id(comm_id)
+            dst_global = comm.global_rank(dest)
+            channel = self._channels[comm_id, src_global, dest] = (
+                comm.comm_rank(src_global), dst_global, *self._route(src_global, dst_global),
+                (comm_id, src_global, dst_global),  # the FIFO key
+            )
+        source, dst_global, link, direction, fifo = channel
         now = self.engine.now
         message = Message(
-            comm.comm_rank(src_global), dest, tag, comm_id, size, data,
-            now, now, src_global, dst_global,
+            source, dest, tag, comm_id, size, data, now, now, src_global, dst_global
         )
         stats = self.stats
         stats.p2p_messages += 1
@@ -913,7 +937,6 @@ class World:
         if trace is not None:
             buf, offset, rate = trace
             buf.send(offset + rate * now, dst_global, tag, comm_id, size)
-        link, direction = self._route(src_global, dst_global)
         if eager:
             delay = link.transfer_time(size, self._jitter, now, direction)
         else:
@@ -921,9 +944,7 @@ class World:
             delay = link.sample_latency(self._jitter, now, direction)
         if self.fault_injector is not None:
             delay = self._faulted(link, delay)
-        announce = self._channel_clock.clamp(
-            (comm_id, src_global, dst_global), now + overhead + delay
-        )
+        announce = self._channel_clock.clamp(fifo, now + overhead + delay)
         self.engine.call_at(
             announce, self._announce, _InFlight(message, announce, not eager, proc, handle)
         )
@@ -1203,24 +1224,26 @@ class World:
         if op in coll.N_TO_1_OPS:
             if my_comm_rank != instance.root:
                 alpha, inv_bw = self._comm_cost(comm)
-                exit_time = now + alpha + req.size * inv_bw
-                self._schedule_coll_exit(comm, instance, my_comm_rank, exit_time)
+                self._release(
+                    comm, instance, [(my_comm_rank, now + alpha + req.size * inv_bw)]
+                )
         elif op in coll.ONE_TO_N_OPS:
+            # The root leaves after injecting, with every non-root already
+            # waiting for it; a non-root once the root's subtree reaches it.
             alpha, inv_bw = self._comm_cost(comm)
-            if my_comm_rank == instance.root:
-                self._schedule_coll_exit(
-                    comm, instance, my_comm_rank, now + alpha + req.size * inv_bw
+            root, entered = instance.root, instance.enter_times
+            exits = []
+            if my_comm_rank == root:
+                exits.append((root, now + alpha + req.size * inv_bw))
+                waiting = [r for r in sorted(entered) if r != root and r not in instance.resumed]
+            else:
+                waiting = [my_comm_rank] if root in entered else []
+            for r in waiting:
+                depth = coll.binomial_depth(r, root, comm.size)
+                exits.append(
+                    (r, max(entered[r], entered[root]) + depth * (alpha + instance.size * inv_bw))
                 )
-                # Release every non-root already waiting for the root.
-                for waiting_rank in sorted(instance.enter_times):
-                    if waiting_rank not in instance.resumed:
-                        self._schedule_one_to_n_exit(
-                            comm, instance, waiting_rank, alpha, inv_bw
-                        )
-            elif instance.root in instance.enter_times:
-                self._schedule_one_to_n_exit(
-                    comm, instance, my_comm_rank, alpha, inv_bw
-                )
+            self._release(comm, instance, exits)
         elif op in coll.PREFIX_OPS:
             # A scan rank may leave once every lower comm rank has entered;
             # release the whole frontier of complete prefixes.
@@ -1239,18 +1262,15 @@ class World:
         stages = max(1, ceil(log2(max(2, comm.size))))
         stage_cost = alpha + instance.size * inv_bw
         prefix_max = float("-inf")
+        exits = []
         for comm_rank in range(comm.size):
             enter = instance.enter_times.get(comm_rank)
             if enter is None:
                 break  # frontier ends at the first missing rank
             prefix_max = max(prefix_max, enter)
             if comm_rank not in instance.resumed:
-                self._schedule_coll_exit(
-                    comm,
-                    instance,
-                    comm_rank,
-                    max(enter, prefix_max) + stages * stage_cost,
-                )
+                exits.append((comm_rank, max(enter, prefix_max) + stages * stage_cost))
+        self._release(comm, instance, exits)
 
     def _comm_cost(self, comm: CommunicatorData) -> Tuple[float, float]:
         """(alpha, 1/bandwidth) of the communicator's slowest spanned link.
@@ -1266,57 +1286,53 @@ class World:
             self._comm_costs[comm.id] = cost
         return cost
 
-    def _schedule_one_to_n_exit(
+    def _release(
         self,
         comm: CommunicatorData,
         instance: _CollectiveInstance,
-        comm_rank: int,
-        alpha: float,
-        inv_bw: float,
+        exits: Sequence[Tuple[int, float]],
     ) -> None:
-        root_enter = instance.enter_times[instance.root]
-        depth = coll.binomial_depth(comm_rank, instance.root, comm.size)
-        stage_cost = alpha + instance.size * inv_bw
-        exit_time = (
-            max(instance.enter_times[comm_rank], root_enter) + depth * stage_cost
-        )
-        self._schedule_coll_exit(comm, instance, comm_rank, exit_time)
-
-    def _schedule_coll_exit(
-        self,
-        comm: CommunicatorData,
-        instance: _CollectiveInstance,
-        comm_rank: int,
-        exit_time: float,
-    ) -> None:
-        if comm_rank in instance.resumed:
-            raise SimulationError(
-                f"comm rank {comm_rank} resumed twice in {instance.op}"
-            )
-        instance.resumed.add(comm_rank)
+        """Hand each ``(comm rank, exit time)`` its result; one exit event per
+        run of equal times leaves them in *exits* order, as an event each would
+        (consecutive seqs, before anything a continuation schedules)."""
+        now = self.engine.now
+        comm_id = comm.id
         global_ranks = comm.global_ranks
-        proc = self._procs[global_ranks[comm_rank]]
-        proc.pending = self._collective_result(instance, comm_rank)
-        sent, recvd = coll.bytes_moved(
-            instance.op, instance.size, comm.size, comm_rank, instance.root
-        )
-        self.engine.call_at(
-            max(exit_time, self.engine.now), self._finish_collective,
-            proc, comm.id, global_ranks[instance.root], sent, recvd,
-        )
-
-    def _finish_collective(
-        self, proc: SimProcess, comm_id: int, root_global: int, sent: int, recvd: int
-    ) -> None:
-        """*proc* leaves the collective it is blocked in: COLLEXIT, EXIT."""
-        trace = proc.trace
-        if trace is not None:
-            buf, offset, rate = trace
-            buf.coll_exit(
-                offset + rate * self.engine.now, self._region_ids[proc.blocked_on],
-                comm_id, root_global, sent, recvd,
+        root_global = global_ranks[instance.root]
+        released_at = None
+        for comm_rank, exit_time in exits:
+            if comm_rank in instance.resumed:
+                raise SimulationError(
+                    f"comm rank {comm_rank} resumed twice in {instance.op}"
+                )
+            instance.resumed.add(comm_rank)
+            proc = self._procs[global_ranks[comm_rank]]
+            proc.pending = self._collective_result(instance, comm_rank)
+            sent, recvd = coll.bytes_moved(
+                instance.op, instance.size, comm.size, comm_rank, instance.root
             )
-        self._finish_call(proc)
+            exit_time = max(exit_time, now)
+            if exit_time != released_at:
+                # Filled before any event runs: nothing runs while this loops.
+                members = []
+                self.engine.call_at(exit_time, self._finish_collective, members)
+                released_at = exit_time
+            members.append((proc, comm_id, root_global, sent, recvd))
+
+    def _finish_collective(self, members: List[Tuple[SimProcess, int, int, int, int]]) -> None:
+        """Each ``(proc, comm id, root, sent, recvd)`` member leaves the
+        collective it is blocked in, in order: COLLEXIT, EXIT, resume."""
+        time = self.engine.now
+        region_ids = self._region_ids
+        for proc, comm_id, root_global, sent, recvd in members:
+            trace = proc.trace
+            if trace is not None:
+                buf, offset, rate = trace
+                buf.coll_exit(
+                    offset + rate * time, region_ids[proc.blocked_on],
+                    comm_id, root_global, sent, recvd,
+                )
+            self._finish_call(proc)
 
     def _complete_collective(self, comm: CommunicatorData, instance: _CollectiveInstance) -> None:
         self.stats.collectives += 1
@@ -1336,10 +1352,9 @@ class World:
             locations,
             self.params,
         )
-        for comm_rank, exit_time in timing.exit_times.items():
-            if comm_rank in instance.resumed:
-                continue  # released early by the rooted-op fast path
-            self._schedule_coll_exit(comm, instance, comm_rank, exit_time)
+        # Comm-rank order; members released early by a rooted op are skipped.
+        exits = timing.exit_times.items()
+        self._release(comm, instance, [e for e in exits if e[0] not in instance.resumed])
 
     # -- fork-join threading ------------------------------------------------------
 
@@ -1420,14 +1435,13 @@ class World:
                 name = f"{base}#{counter}"
             new_comms[color] = self.new_communicator(name, members)
 
+        leaving = []
         for global_rank, (color, _key, _t) in instance.items():
             proc = self._procs[global_rank]
             data = new_comms.get(color) if color is not None else None
             proc.pending = Communicator(data, global_rank) if data is not None else None
-            self.engine.call_at(
-                max(finish, self.engine.now), self._finish_collective,
-                proc, comm.id, comm.global_rank(0), 8, 8 * comm.size,
-            )
+            leaving.append((proc, comm.id, comm.global_rank(0), 8, 8 * comm.size))
+        self.engine.call_at(max(finish, self.engine.now), self._finish_collective, leaving)
 
     @staticmethod
     def _collective_result(instance: _CollectiveInstance, comm_rank: int) -> Any:

@@ -280,15 +280,16 @@ class MetaMPIRuntime:
             writer.write_sync_data(sync_data)
             for rank in ranks:
                 # Buffers hold the already-encoded record stream (encoding
-                # happened incrementally during simulation), so emission is
-                # one byte copy per rank — no event objects, no second
-                # whole-trace encode pass.  Checksums cover the pristine
-                # encoding; an injector's damage models storage corrupting
-                # the bytes *after* they were checksummed, so verify() can
-                # catch it.
-                clean = tracer.buffer(rank).encoded()
+                # happened incrementally during simulation) and its checksum
+                # blocks, so emission is one byte copy per rank — no event
+                # objects, no second pass over the records.  Checksums cover
+                # the pristine encoding; an injector's damage models storage
+                # corrupting the bytes *after* they were checksummed, so
+                # verify() can catch it.
+                buffer = tracer.buffer(rank)
+                clean = buffer.encoded()
                 blob = clean if injector is None else injector.mangle_trace(rank, clean)
-                trace_bytes[rank] = writer.write_trace_blob(rank, blob, checksums_of=clean)
+                trace_bytes[rank] = writer.write_trace_blob(rank, blob, buffer.blocks())
             writer.write_manifest()
 
         return RunResult(

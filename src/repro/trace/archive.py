@@ -490,19 +490,20 @@ class ArchiveWriter:
         return self.write_trace_blob(rank, encode_events(rank, events))
 
     def write_trace_blob(
-        self, rank: int, blob: bytes, checksums_of: Optional[bytes] = None
+        self, rank: int, blob: bytes, blocks: Optional[Sequence[Tuple[int, int, int]]] = None
     ) -> int:
         """Write pre-encoded trace bytes for *rank* and record its checksums.
 
-        ``checksums_of`` lets the caller checksum *different* bytes than it
-        stores: fault injection models storage corrupting a trace *after*
-        the encoder checksummed it, so the manifest carries the pristine
-        bytes' CRCs while the damaged bytes hit the (simulated) disk —
-        exactly the situation :meth:`ArchiveReader.verify` exists to catch.
+        *blocks* is the checksum table of the bytes as the encoder made them
+        (``block_table(blob)`` if omitted; a simulated run passes its buffer's
+        :meth:`~repro.trace.buffer.TraceBuffer.blocks`).  Fault injection
+        models storage corrupting a trace *after* the encoder checksummed it:
+        the manifest carries the pristine bytes' CRCs while the damaged bytes
+        hit the (simulated) disk — what :meth:`ArchiveReader.verify` catches.
         """
-        self._manifest.entries[rank] = TraceManifestEntry.for_blob(
-            rank, blob if checksums_of is None else checksums_of
-        )
+        blocks = block_table(blob) if blocks is None else blocks
+        size = sum(length for _, length, _ in blocks)  # the blocks tile the file
+        self._manifest.entries[rank] = TraceManifestEntry(rank, size, tuple(blocks))
         self._write_atomic(trace_filename(rank), blob)
         return len(blob)
 

@@ -188,3 +188,21 @@ def test_job_config_edges_agree(kind, data):
         return
     assert _store(kind, _twin(table, spec))[0] == key
 
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in STORE_FIELDS if REQUEST[n].metadata["rule"].high is not None]
+)
+def test_count_bound_at_every_edge(name):
+    """A count's declared bound is admitted and bound+1 refused, naming the
+    field, by the library, the store and ``repro analyze`` argv alike."""
+    high = REQUEST[name].metadata["rule"].high
+    for value, admitted in ((high, True), (high + 1, False)):
+        spec = {name: value}
+        request, refused = _refusal(lambda: AnalysisRequest(**spec))
+        key, store_refused = _store("analyze", spec)
+        parsed, cli_refused = _parse(_argv(spec))
+        assert [request is not None, key is not None, parsed is not None] == [admitted] * 3
+        if not admitted:
+            assert _named(refused, spec) == _named(store_refused, spec) == name
+            assert f"<= {high}" in cli_refused and str(value) in cli_refused

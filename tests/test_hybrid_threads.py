@@ -123,6 +123,15 @@ class TestTraceLayer:
         with pytest.raises(TraceError):
             buf.omp_region(0.0, 1, nthreads=2, busy_sum=-1.0, busy_max=0.0)
 
+    @pytest.mark.parametrize(
+        "busy_sum, busy_max", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)]
+    )
+    def test_buffer_refuses_non_finite_busy_times(self, busy_sum, busy_max):
+        buf = TraceBuffer(0)
+        with pytest.raises(TraceError, match="^rank 0: thread busy times must be finite"):
+            buf.omp_region(0.0, 1, nthreads=2, busy_sum=busy_sum, busy_max=busy_max)
+        assert buf.encoded() == TraceBuffer(0).encoded()
+
     def test_idle_seconds_formula(self):
         from repro.analysis.instances import OmpRegionRecord
 

@@ -131,10 +131,9 @@ class TestHandleLessScheduling:
         with pytest.raises(SimulationError):
             engine.call_later(-1.0, lambda: None)
 
-    def test_entry_recycling_preserves_order_and_counts(self):
-        # Interleave enough events to cycle entries through the free pool
-        # several times, across runs; ordering, tie-breaking and the event
-        # counter must be unaffected by reuse.
+    def test_order_and_counts_across_runs(self):
+        # Many ties across seven instants, then a second run on the same
+        # engine: ordering, tie-breaking and the event counter carry over.
         engine = Engine()
         seen = []
         for i in range(500):
@@ -143,7 +142,6 @@ class TestHandleLessScheduling:
         assert len(seen) == 500
         assert engine.processed_events == 500
         assert seen == sorted(seen, key=lambda i: (i % 7, i))
-        # A second run draws every entry from the pool the first one filled.
         again = []
         for i in range(300):
             engine.call_later(float(i % 5), again.append, i)

@@ -37,6 +37,8 @@ from repro.sim.runtime import MetaMPIRuntime
 from repro.sim.transfer import SimParams
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster, uniform_metacomputer
+from repro.trace.buffer import TraceBuffer
+from repro.trace.encoding import block_table
 from tests.conftest import archive_digest
 
 #: ``Engine.processed_events`` of the 32-rank golden run at the parent.
@@ -249,6 +251,40 @@ class TestGoldenArchives:
         assert _observed_digest(observed) == (
             "6545c33f45c89c66e27dcfe437b4f845f88aebc33e5ceb1e99b7c8d8e4c91b26"
         )
+
+
+class TestManifestBlocks:
+    """The manifest stores each buffer's own checksum table; on every golden
+    run it is ``block_table`` of the rank's pristine bytes."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        ranks = []
+        original = TraceBuffer.blocks
+
+        def blocks(buf):
+            table = original(buf)
+            assert table == block_table(buf.encoded())
+            ranks.append(buf.rank)
+            return table
+
+        monkeypatch.setattr(TraceBuffer, "blocks", blocks)
+        return ranks
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: _metatrace_run(seed=1),
+            lambda: _metatrace_run(
+                seed=1, fault_plan=escalating_fault_plans(1)[2], coupling_intervals=1
+            ),
+            lambda: _every_request_run({}),
+        ],
+        ids=["metatrace-32", "fault-plan", "every-request"],
+    )
+    def test_buffer_blocks_are_the_block_table(self, checked, run):
+        result = run()
+        assert sorted(checked) == sorted(result.definitions.locations)
 
 
 # --------------------------------------------------------------------------

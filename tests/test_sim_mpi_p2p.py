@@ -299,6 +299,94 @@ class TestBuilderArguments:
             comm.recv(2)
 
 
+class TestSplitArguments:
+    """``split`` checks like the other builders: the color is a non-negative
+    C int or None (MPI_UNDEFINED), the key an integer."""
+
+    @pytest.fixture
+    def comm(self):
+        return Communicator(CommunicatorData(0, "world", range(2)), 0)
+
+    @pytest.mark.parametrize(
+        "color, message",
+        [
+            (1.5, r"^color must be an integer, got 1\.5$"),
+            (True, r"^color must be an integer, got True$"),
+            (-3, r"^color must be in \[0, 2\*\*31\), got -3$"),
+            (2**31, r"^color must be in \[0, 2\*\*31\), got 2147483648$"),
+        ],
+    )
+    def test_bad_color(self, comm, color, message):
+        with pytest.raises(MPIUsageError, match=message):
+            comm.split(color)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("1", r"^key must be an integer, got '1'$"),
+            (2.0, r"^key must be an integer, got 2\.0$"),
+            (True, r"^key must be an integer, got True$"),
+        ],
+    )
+    def test_bad_key(self, comm, key, message):
+        with pytest.raises(MPIUsageError, match=message):
+            comm.split(0, key)
+
+    def test_admitted(self, comm):
+        assert comm.split(None) == (0, None, 0)
+        request = comm.split(np.int64(2), key=np.int32(-5))
+        assert request == (0, 2, -5)
+        assert type(request.color) is int and type(request.key) is int
+
+    def test_refused_before_a_communicator_is_made(self, mc):
+        def app(ctx):
+            yield ctx.comm.split(1.5)
+
+        with pytest.raises(MPIUsageError, match="^color must be an integer"):
+            run_world(mc, 2, app)
+
+
+class TestWorkArguments:
+    """``compute``, ``sleep`` and ``parallel`` take finite, non-negative
+    seconds and name the argument otherwise, before anything is simulated."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda ctx: ctx.compute(True), "work_seconds .* got True$"),
+            (lambda ctx: ctx.compute(float("nan")), "work_seconds .* got nan$"),
+            (lambda ctx: ctx.compute(-0.5), "work_seconds .* got -0.5$"),
+            (lambda ctx: ctx.compute("1"), "work_seconds .* got '1'$"),
+            (lambda ctx: ctx.compute(10**400), "work_seconds .* got 1000"),
+            (lambda ctx: ctx.sleep(float("inf")), "wall_seconds .* got inf$"),
+            (lambda ctx: ctx.sleep(False), "wall_seconds .* got False$"),
+            (lambda ctx: ctx.parallel([1.0, float("nan")]), r"work_seconds\[1\] .* got nan$"),
+            (lambda ctx: ctx.parallel([float("inf")]), r"work_seconds\[0\] .* got inf$"),
+            (lambda ctx: ctx.parallel([0.5, True]), r"work_seconds\[1\] .* got True$"),
+        ],
+    )
+    def test_refused(self, mc, build, message):
+        def app(ctx):
+            yield build(ctx)
+
+        with pytest.raises(MPIUsageError, match="^" + message.replace(
+            " .* ", " must be a number of seconds >= 0 and finite, "
+        )):
+            run_world(mc, 1, app)
+
+    def test_integers_and_numpy_reals_are_seconds(self, mc):
+        done = {}
+
+        def app(ctx):
+            yield ctx.compute(1)
+            yield ctx.sleep(np.float64(0.5))
+            yield ctx.parallel([np.float32(0.25), 0])
+            done[ctx.rank] = ctx.now
+
+        run_world(mc, 1, app)
+        assert done[0] == 1.75 and type(done[0]) is float
+
+
 class TestDeterminism:
     def _finish(self, seed):
         mc = single_cluster(node_count=2, cpus_per_node=1)

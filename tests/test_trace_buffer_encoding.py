@@ -1,10 +1,22 @@
 """Tests for trace buffers and the binary encoding."""
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EncodingError, TraceError
 from repro.trace.buffer import TraceBuffer
-from repro.trace.encoding import FORMAT_VERSION, MAGIC, decode_events, encode_events
+from repro.trace.encoding import (
+    CHECKSUM_BLOCK_BYTES,
+    FORMAT_VERSION,
+    HEADER_SIZE,
+    MAGIC,
+    block_table,
+    decode_events,
+    encode_events,
+)
 from repro.trace.events import (
     CollExitEvent,
     EnterEvent,
@@ -56,6 +68,60 @@ class TestBuffer:
         with pytest.raises(TraceError):
             buf.enter(0.0, 1)
 
+
+
+class TestChecksumBlocks:
+    """The buffer's own checksum table is the one ``block_table`` cuts from
+    its bytes: the archive manifest stores the former, readers use the latter."""
+
+    def test_empty_trace(self):
+        buf = TraceBuffer(7)
+        head = buf.encoded()
+        assert buf.blocks() == block_table(head) == [(0, HEADER_SIZE, zlib.crc32(head))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rank=st.integers(0, 2**31),
+        kinds=st.lists(
+            st.sampled_from(["enter", "exit", "send", "recv", "coll_exit", "omp_region"]),
+            max_size=800,
+        ),
+    )
+    def test_blocks_are_the_block_table_of_the_bytes(self, rank, kinds):
+        # 13- to 37-byte records: several 4 KiB marks, each crossed by a
+        # record of any kind at any offset within it.
+        buf = TraceBuffer(rank)
+        depth = 0
+        for step, kind in enumerate(kinds):
+            time = float(step)
+            if kind == "exit" and depth:
+                buf.exit(time, 1)
+                depth -= 1
+            elif kind in ("enter", "exit"):
+                buf.enter(time, 1)
+                depth += 1
+            elif kind in ("send", "recv"):
+                getattr(buf, kind)(time, 1, 2, 0, 64)
+            elif kind == "coll_exit":
+                buf.coll_exit(time, 2, 0, 0, 8, 8)
+            else:
+                buf.omp_region(time, 3, 4, 2.5, 1.0)
+        assert buf.blocks() == block_table(buf.encoded())
+
+    def test_a_record_ending_exactly_on_the_mark_closes_the_block(self):
+        buf = TraceBuffer(0)
+        time = iter(range(10**4))
+        # Header (10 bytes) + 10 SENDs of 29 bytes + 292 ENTERs of 13 bytes
+        # end at byte 4 096; 9 SENDs + 295 ENTERs fill the next 4 096 bytes
+        # exactly; one more record opens a third block.
+        for sends, enters in ((10, 292), (9, 296)):
+            for _ in range(sends):
+                buf.send(float(next(time)), 1, 2, 0, 64)
+            for _ in range(enters):
+                buf.enter(float(next(time)), 1)
+        table = buf.blocks()
+        assert table == block_table(buf.encoded())
+        assert [length for _, length, _ in table] == [CHECKSUM_BLOCK_BYTES] * 2 + [13]
 
 SAMPLE_EVENTS = [
     EnterEvent(0.0, 0),
