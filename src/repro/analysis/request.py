@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.errors import AnalysisError
@@ -32,10 +32,11 @@ class Rule:
     """What one declared field admits, and what it means.
 
     ``kind`` is ``"flag"`` (``True``/``False``), ``"count"`` (an ``int`` in
-    ``[low, high]``, ``why`` giving the reason for ``high``) or
+    ``[low, high]``, ``why`` giving the reason for ``high``),
     ``"seconds"`` (a real number > 0, stored as a ``float`` so ``1`` and
-    ``1.0`` are one value; ``finite`` refuses infinity too).  A field
-    whose default is ``None`` also admits ``None``, meaning ``unset``.
+    ``1.0`` are one value; ``finite`` refuses infinity too) or ``"text"``
+    (a non-empty ``str``).  A field whose default is ``None`` also admits
+    ``None``, meaning ``unset``.
     """
 
     kind: str
@@ -55,6 +56,8 @@ class Rule:
             text = f"an integer >= {self.low}"
             if self.high is not None:
                 text += f" and <= {self.high} ({self.why})"
+        elif self.kind == "text":
+            text = "a non-empty string"
         else:
             text = "a number of seconds > 0" + (" and finite" if self.finite else "")
         return text + (" or None" if nullable else "")
@@ -71,6 +74,9 @@ class Rule:
                 self.high is None or value <= self.high
             ):
                 return value
+        elif self.kind == "text":
+            if type(value) is str and value:
+                return value
         elif isinstance(value, numbers.Real) and not isinstance(value, bool):
             try:
                 seconds = float(value)
@@ -81,9 +87,16 @@ class Rule:
         raise AnalysisError(f"{name} must be {self.expects(default is None)}, got {value!r}")
 
 
-def declare(default: Any, kind: str, doc: str, **rule: Any) -> Any:
-    """A dataclass field carrying its :class:`Rule` as ``metadata["rule"]``."""
-    return field(default=default, metadata={"rule": Rule(kind, doc, **rule)})
+def declare(default: Any, kind: Any, doc: str = "", **rule: Any) -> Any:
+    """A dataclass field carrying its :class:`Rule` as ``metadata["rule"]``.
+    *kind* may be another field's rule, admitted alike (its doc if no *doc*)."""
+    base = kind if isinstance(kind, Rule) else Rule(kind, doc)
+    return field(default=default, metadata={"rule": replace(base, doc=doc or base.doc, **rule)})
+
+
+def rule_of(table: Any, name: str) -> Rule:
+    """The :class:`Rule` of *table*'s field *name*."""
+    return declared(table)[name].metadata["rule"]
 
 
 def declared(table: Any) -> Dict[str, Field]:

@@ -20,9 +20,10 @@ import functools
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.request import AnalysisRequest, rule_of
 from repro.chaos.hooks import process_chaos
 from repro.chaos.schedule import ChaosSchedule, schedule_for_seed
 from repro.errors import TimeBudgetExceeded
@@ -40,6 +41,11 @@ __all__ = [
 #: Fixed workload: the chaos seed must never change *what* is analyzed.
 _SIM_SEED = 5
 _RANKS = 8
+
+#: What :func:`run_chaos` admits, by the request's rules: at least one worker
+#: per episode, and a finite slack (under a NaN one no episode could fail).
+_JOBS = replace(rule_of(AnalysisRequest, "jobs"), low=1)
+_GRACE = replace(rule_of(AnalysisRequest, "deadline_s"), finite=True)
 
 
 @dataclass
@@ -268,6 +274,8 @@ def run_chaos(
     """Run the seed matrix and check the cross-episode invariants."""
     from repro.api import analyze
 
+    jobs = _JOBS.admit("jobs", jobs, 4)
+    grace_s = _GRACE.admit("grace_s", grace_s, 120.0)
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     baseline = analyze(_simulate(None, _SIM_SEED))
     episodes: List[EpisodeResult] = []

@@ -44,13 +44,15 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.request import declared
+from repro.analysis.request import Rule, declared
 from repro.api import (
     DEFAULT_SEEDS,
     EXPERIMENTS,
     AnalysisRequest,
     CheckpointJournal,
+    ServiceConfig,
     run_experiment,
+    serve,
 )
 from repro.errors import CheckpointLockError, PoolShutdown, ReproError
 from repro.service.store import DONE, TERMINAL
@@ -60,6 +62,9 @@ DEFAULT_JOURNAL = ".repro-checkpoint.jsonl"
 
 #: Default service endpoint of the client commands.
 DEFAULT_URL = "http://127.0.0.1:8137"
+
+#: What ``submit --poll-interval`` admits, checked before anything is POSTed.
+_POLL_INTERVAL = Rule("seconds", "seconds between polls of --wait", finite=True)
 
 
 def _command(name: str) -> Callable[..., str]:
@@ -99,12 +104,15 @@ def seconds(text: str) -> Any:
         return float(text)
 
 
-def _add_request_flags(parser: argparse.ArgumentParser, names: Tuple[str, ...]) -> None:
-    """Add the flags of request fields *names*.  Each defaults to ``None``,
-    so a flag left out leaves its field at the dataclass's default."""
-    table = declared(AnalysisRequest)
-    for name in names:
-        rule = table[name].metadata["rule"]
+def _add_request_flags(
+    parser: argparse.ArgumentParser, table: type, names: Optional[Tuple[str, ...]] = None
+) -> None:
+    """Add the flags of *table*'s fields *names* (by default every field that
+    has one).  Each defaults to ``None``, so a flag left out leaves its field
+    at the dataclass's default."""
+    fields = declared(table)
+    for name in names or [n for n, f in fields.items() if f.metadata["rule"].flag]:
+        rule, default = fields[name].metadata["rule"], fields[name].default
         if rule.kind == "flag":
             parser.add_argument(
                 rule.flag, dest=name, action="store_true", default=None, help=rule.doc
@@ -113,10 +121,10 @@ def _add_request_flags(parser: argparse.ArgumentParser, names: Tuple[str, ...]) 
         parser.add_argument(
             rule.flag,
             dest=name,
-            type=int if rule.kind == "count" else seconds,
+            type={"count": int, "seconds": seconds}.get(rule.kind, str),
             default=None,
-            metavar="N" if rule.kind == "count" else "SECONDS",
-            help=f"{rule.doc} (default: {rule.unset or table[name].default})",
+            metavar={"count": "N", "seconds": "SECONDS"}.get(rule.kind),
+            help=f"{rule.doc} (default: {rule.unset if default is None else default})",
         )
 
 
@@ -134,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analysis_opts.add_argument(
         "--seed", type=int, default=None, help="random seed (default: per-artifact)"
     )
-    _add_request_flags(analysis_opts, _SHARED_FLAGS)
+    _add_request_flags(analysis_opts, AnalysisRequest, _SHARED_FLAGS)
     for name in sorted(COMMANDS) + ["all"]:
         help_text = (
             "regenerate every artifact" if name == "all" else f"regenerate {name}"
@@ -165,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("figure6", "figure7"),
         help="MetaTrace experiment to simulate and analyze",
     )
-    _add_request_flags(analyze_parser, _ANALYZE_FLAGS)
+    _add_request_flags(analyze_parser, AnalysisRequest, _ANALYZE_FLAGS)
     analyze_parser.add_argument(
         "--metric",
         default=None,
@@ -176,46 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve", help="run the analysis service (HTTP job layer over the API)"
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8137, help="TCP port (0 = OS-assigned)"
-    )
-    serve_parser.add_argument(
-        "--store",
-        default=".repro-jobs.jsonl",
-        metavar="PATH",
-        help="durable job store journal (default: .repro-jobs.jsonl)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=16, metavar="N",
-        help="waiting jobs admitted before submissions get 429 (default: 16)",
-    )
-    serve_parser.add_argument(
-        "--pool-workers", type=int, default=2, metavar="N",
-        help="workers in the shared analysis pool (default: 2)",
-    )
-    serve_parser.add_argument(
-        "--default-jobs", type=int, default=2, metavar="N",
-        help="analysis shard count for jobs that do not specify one",
-    )
-    serve_parser.add_argument(
-        "--drain-grace", type=float, default=30.0, metavar="SECONDS",
-        help="graceful-shutdown budget for the in-flight job (default: 30)",
-    )
-    serve_parser.add_argument(
-        "--job-deadline", type=float, default=None, metavar="SECONDS",
-        help="default wall-clock budget per job; jobs over budget are "
-        "cancelled with a partial record (default: unbounded)",
-    )
-    serve_parser.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive worker failures before the circuit breaker "
-        "opens and submissions get 503 (default: 3)",
-    )
-    serve_parser.add_argument(
-        "--breaker-cooldown", type=float, default=30.0, metavar="SECONDS",
-        help="open-breaker cooldown before a half-open probe (default: 30)",
-    )
+    _add_request_flags(serve_parser, ServiceConfig)
     serve_parser.add_argument(
         "--ready-file", default=None, metavar="PATH",
         help="write host:port here once listening (for scripts/tests)",
@@ -353,10 +322,10 @@ def _parse_seeds(spec: str) -> List[int]:
 # -- experiment commands ---------------------------------------------------------
 
 
-def _request(args: argparse.Namespace) -> AnalysisRequest:
-    """The request a command's generated flags describe."""
-    given = {name: getattr(args, name, None) for name in declared(AnalysisRequest)}
-    return AnalysisRequest(**{k: v for k, v in given.items() if v is not None})
+def _request(args: argparse.Namespace, table: type = AnalysisRequest) -> Any:
+    """The *table* instance (a request by default) a command's flags describe."""
+    given = {name: getattr(args, name, None) for name in declared(table)}
+    return table(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -428,24 +397,11 @@ def _http_json(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceConfig, serve
-
-    config = ServiceConfig(
-        store_path=args.store,
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        pool_workers=args.pool_workers,
-        default_jobs=args.default_jobs,
-        drain_grace_s=args.drain_grace,
-        job_deadline_s=args.job_deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-    )
-    return serve(config, ready_file=args.ready_file)
+    return serve(_request(args, ServiceConfig), ready_file=args.ready_file)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    poll_s = _POLL_INTERVAL.admit("poll_interval", args.poll_interval, 0.5)
     spec: Dict[str, Any] = {"kind": args.kind, "experiment": args.experiment}
     if args.seed is not None:
         spec["seed"] = args.seed
@@ -479,7 +435,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         job = body["job"]
         if job["status"] in TERMINAL:
             break
-        time.sleep(args.poll_interval)
+        time.sleep(poll_s)
     if job["status"] != DONE:  # failed, or cancelled by a client or its deadline
         print(f"job {job['status']}: {job.get('error')}", file=sys.stderr)
         return 1

@@ -39,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.analysis.request import AnalysisRequest, FieldTable, declare, rule_of
 from repro.errors import (
     JobRejected,
     PoolShutdown,
@@ -66,33 +67,50 @@ __all__ = ["ServiceConfig", "AnalysisService", "create_app"]
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
-    """Tunables of one service instance."""
+class ServiceConfig(FieldTable):
+    """Tunables of one service instance.
 
-    #: Journal file backing the job store (the single source of truth).
-    store_path: str = ".repro-jobs.jsonl"
-    host: str = "127.0.0.1"
-    #: TCP port; 0 lets the OS pick (the bound port is printed/exposed).
-    port: int = 8137
-    #: Maximum jobs waiting behind the running one before 429s start.
-    queue_limit: int = 16
-    #: Workers in the shared analysis pool.
-    pool_workers: int = 2
-    #: Default ``jobs`` for submissions that do not specify one.
-    default_jobs: int = 2
-    #: How long a graceful shutdown waits for the in-flight job.
-    drain_grace_s: float = 30.0
-    #: Journaled attempts after which a job is declared crash-looping.
-    max_job_attempts: int = 3
-    #: Default wall-clock budget applied to every job that does not set
-    #: ``config["deadline_s"]`` itself.  ``None`` means unbounded (jobs
-    #: are still cancellable via ``DELETE /jobs/<key>``).
-    job_deadline_s: Optional[float] = None
-    #: Consecutive infrastructure failures (crash-loop quarantines,
-    #: blown deadlines) before the circuit breaker opens.
-    breaker_threshold: int = 3
-    #: Seconds the open breaker rejects submissions before probing.
-    breaker_cooldown_s: float = 30.0
+    Each field's meaning, bounds, default and ``repro serve`` flag are its
+    declaration; ``docs/SERVICE.md`` lists them.
+    """
+
+    store_path: str = declare(
+        ".repro-jobs.jsonl", "text", "journal file backing the job store", flag="--store"
+    )
+    host: str = declare("127.0.0.1", "text", "interface the HTTP front end binds", flag="--host")
+    port: int = declare(
+        8137, "count", "TCP port; 0 lets the OS pick (announced on stdout and via --ready-file)",
+        flag="--port", high=65535, why="the largest TCP port",
+    )
+    queue_limit: int = declare(
+        16, "count", "waiting jobs admitted before submissions get 429", flag="--queue-limit", low=1
+    )
+    pool_workers: int = declare(
+        2, "count", "workers in the shared analysis pool", flag="--pool-workers", low=1
+    )
+    default_jobs: int = declare(
+        2, rule_of(AnalysisRequest, "jobs"),
+        "jobs of a submission that sets none: 1=serial, 0=one per core", flag="--default-jobs",
+    )
+    drain_grace_s: float = declare(
+        30.0, "seconds", "graceful-shutdown budget for the in-flight job",
+        flag="--drain-grace", finite=True,
+    )
+    max_job_attempts: int = declare(
+        3, "count", "journaled attempts after which a job is declared crash-looping", low=1
+    )
+    job_deadline_s: Optional[float] = declare(
+        None, rule_of(AnalysisRequest, "deadline_s"),
+        "wall-clock budget of a job whose config sets no deadline_s", flag="--job-deadline",
+    )
+    breaker_threshold: int = declare(
+        3, "count", "consecutive worker failures before the circuit breaker opens (503s)",
+        flag="--breaker-threshold", low=1,
+    )
+    breaker_cooldown_s: float = declare(
+        30.0, "seconds", "open-breaker cooldown before a half-open probe",
+        flag="--breaker-cooldown", finite=True,
+    )
 
 
 class AnalysisService:
@@ -134,7 +152,7 @@ class AnalysisService:
 
         self.store = JobStore(self.config.store_path)
         pool_config = PoolConfig(
-            max_workers=max(1, self.config.pool_workers),
+            max_workers=self.config.pool_workers,
             handle_signals=False,  # the serve loop owns signal handling
         )
         self.pool = SupervisedPool(analyze_shard, pool_config, persistent=True)

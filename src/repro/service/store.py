@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.request import AnalysisRequest, FieldTable, declare, declared
+from repro.analysis.request import AnalysisRequest, FieldTable, declare, declared, rule_of
 from repro.errors import AnalysisError, JobValidationError
 from repro.resilience.checkpoint import CheckpointJournal
 
@@ -97,9 +97,7 @@ class SimulateConfig(FieldTable):
         4, "count", "compute-and-ring rounds per rank", low=1, high=100,
         why="1024 ranks x 100 rounds simulate in seconds",
     )
-    deadline_s: Optional[float] = field(
-        default=None, metadata=declared(AnalysisRequest)["deadline_s"].metadata
-    )
+    deadline_s: Optional[float] = declare(None, rule_of(AnalysisRequest, "deadline_s"))
 
 
 #: Per-kind config: the table that checks it and the keys it admits.

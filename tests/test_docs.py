@@ -95,24 +95,26 @@ class TestPerformanceRecord:
                 )
 
 
-def _field_rows(table, skip=()):
-    """The documentation rows of a declared table's fields."""
+def _field_rows(table, skip=(), flags=False):
+    """The documentation rows of a declared table's fields, with a column of
+    their flags if *flags*."""
     from dataclasses import fields
 
     rows = []
     for f in fields(table):
         if f.name not in skip:
             rule = f.metadata["rule"]
-            default = rule.unset or f"`{f.default!r}`"
-            rows.append(
-                f"| `{f.name}` | {rule.expects(f.default is None)} | {default} | {rule.doc} |"
-            )
+            default = rule.unset if f.default is None else f"`{f.default!r}`"
+            flag = [f"`{rule.flag}`" if rule.flag else "none"] if flags else []
+            cells = [f"`{f.name}`", *flag, rule.expects(f.default is None), default, rule.doc]
+            rows.append("| " + " | ".join(cells) + " |")
     return rows
 
 
 def _table_rows(document, header="| field | admits | default | meaning |"):
     text = (ROOT / "docs" / document).read_text(encoding="utf-8")
-    block = text.split(header + "\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rule = "|---" * header.count(" | ") + "|---|"
+    block = text.split(f"{header}\n{rule}\n", 1)[1].split("\n\n", 1)[0]
     return block.splitlines()
 
 
@@ -135,3 +137,10 @@ def test_service_workload_rows_are_the_field_table():
     row = next(line for line in text.splitlines() if line.startswith("| `config` |"))
     for kind, (_, allowed) in _CONFIG.items():
         assert kind in row and all(f"`{name}`" in row for name in allowed), kind
+
+
+def test_service_config_rows_are_the_field_table():
+    from repro.service import ServiceConfig
+
+    header = "| field | flag | admits | default | meaning |"
+    assert _table_rows("SERVICE.md", header) == _field_rows(ServiceConfig, flags=True)

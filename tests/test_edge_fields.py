@@ -11,7 +11,10 @@ all check a value by that declaration, so they must agree on every spec:
   durations given as ``1`` or ``1.0``;
 * every refusal names the field.
 
-The strategy draws specs from the table plus hostile values.
+The strategy draws specs from the table plus hostile values.  The service's
+own table (``ServiceConfig``) has two edges, the library and ``repro serve``
+argv, held to the same agreement; a value either refuses stops the command
+before any socket, pool or executor thread starts.
 """
 
 from __future__ import annotations
@@ -19,17 +22,22 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import repro.cli as cli
 from repro.analysis.request import AnalysisRequest, declared
+from repro.chaos import harness
 from repro.cli import _build_parser, _request
-from repro.errors import AnalysisError, JobValidationError
+from repro.errors import AnalysisError, JobValidationError, ReproError
+from repro.service import ServiceConfig, app, http
 from repro.service.store import _CONFIG, canonical_spec, job_key
 
 REQUEST = declared(AnalysisRequest)
+SERVICE = declared(ServiceConfig)
 PARSER = _build_parser()
 #: Request fields an ``analyze`` job carries: its config keys and ``jobs``.
 STORE_FIELDS = sorted((_CONFIG["analyze"][1] - {"coupling_intervals"}) | {"jobs"})
@@ -46,6 +54,8 @@ def _valid(f):
         return st.booleans()
     if rule.kind == "count":
         return st.integers(rule.low, rule.high if rule.high is not None else rule.low + 64)
+    if rule.kind == "text":
+        return st.text(min_size=1, max_size=12)
     seconds = st.one_of(
         st.integers(1, 10**6),
         st.floats(min_value=1e-3, max_value=1e6),
@@ -112,11 +122,11 @@ def _store(kind, config):
     return _refusal(lambda: job_key(canonical_spec({**raw, "seed": 1, "config": config})))
 
 
-def _argv(spec):
-    """The ``repro analyze`` flags that spell *spec*, or ``None``."""
-    argv = ["analyze", "figure6"]
+def _argv(spec, table=REQUEST, command=("analyze", "figure6")):
+    """The *command* flags that spell *spec*, or ``None``."""
+    argv = list(command)
     for name, value in spec.items():
-        rule = REQUEST[name].metadata["rule"]
+        rule = table[name].metadata["rule"]
         if rule.flag is None:
             return None  # no flag: the command line cannot say it
         if rule.kind == "flag":
@@ -124,20 +134,24 @@ def _argv(spec):
                 argv.append(rule.flag)
             elif value is not False:
                 argv.append(f"{rule.flag}={value}")
-        elif value is not None or REQUEST[name].default is not None:
+        elif rule.kind == "text":
+            if type(value) is not str:
+                return None  # the command line says only strings
+            argv.append(f"{rule.flag}={value}")
+        elif value is not None or table[name].default is not None:
             argv += [rule.flag, str(value)]
     return argv
 
 
-def _parse(argv):
-    """``(request, None)`` or ``(None, what the command line said)``."""
+def _parse(argv, table=AnalysisRequest):
+    """``(table instance, None)`` or ``(None, what the command line said)``."""
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stderr(stderr):
             args = PARSER.parse_args(argv)
     except SystemExit:
         return None, stderr.getvalue()
-    return _refusal(lambda: _request(args))
+    return _refusal(lambda: _request(args, table))
 
 
 @seed(20260531)
@@ -206,3 +220,109 @@ def test_count_bound_at_every_edge(name):
         if not admitted:
             assert _named(refused, spec) == _named(store_refused, spec) == name
             assert f"<= {high}" in cli_refused and str(value) in cli_refused
+
+
+@seed(20260531)
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs(SERVICE, sorted(SERVICE)))
+def test_service_edges_agree(spec):
+    """``ServiceConfig(**spec)`` and ``repro serve`` argv accept or refuse
+    alike, and build one config."""
+    config, refused = _refusal(lambda: ServiceConfig(**spec))
+    if config is None:
+        name = _named(refused, spec)
+        assert _refusal(lambda: ServiceConfig(**{name: spec[name]}))[1] is not None
+    argv = _argv(spec, SERVICE, ["serve"])
+    if argv is None:
+        return
+    parsed, cli_refused = _parse(argv, ServiceConfig)
+    assert (parsed is None) == (config is None), (argv, refused, cli_refused)
+    if parsed is not None:
+        assert parsed == config
+    else:
+        assert any(
+            name in cli_refused or SERVICE[name].metadata["rule"].flag in cli_refused
+            for name in spec
+        ), cli_refused
+
+
+def test_service_defaults_are_unchanged():
+    assert asdict(ServiceConfig()) == {
+        "store_path": ".repro-jobs.jsonl",
+        "host": "127.0.0.1",
+        "port": 8137,
+        "queue_limit": 16,
+        "pool_workers": 2,
+        "default_jobs": 2,
+        "drain_grace_s": 30.0,
+        "max_job_attempts": 3,
+        "job_deadline_s": None,
+        "breaker_threshold": 3,
+        "breaker_cooldown_s": 30.0,
+    }
+
+
+def test_serve_flags_are_the_table_and_ready_file():
+    serve = PARSER._subparsers._group_actions[0].choices["serve"]
+    assert {s for action in serve._actions for s in action.option_strings} == {
+        "-h", "--help", "--store", "--host", "--port", "--queue-limit", "--pool-workers",
+        "--default-jobs", "--drain-grace", "--job-deadline", "--breaker-threshold",
+        "--breaker-cooldown", "--ready-file",
+    }
+
+
+def _never(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran for a refused value")
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--job-deadline", "-1", "job_deadline_s"),
+        ("--job-deadline", "0", "job_deadline_s"),
+        ("--job-deadline", "nan", "job_deadline_s"),
+        ("--drain-grace", "nan", "drain_grace_s"),
+        ("--default-jobs", "1025", "default_jobs"),
+        ("--queue-limit", "0", "queue_limit"),
+        ("--port", "65536", "port"),
+        ("--breaker-threshold", "0", "breaker_threshold"),
+        ("--pool-workers", "0", "pool_workers"),
+    ],
+)
+def test_serve_refuses_before_starting(flag, value, field, monkeypatch, capsys):
+    """Each value once started a service that then failed (a dead executor,
+    a 429 for every submission, a traceback, a silent clamp)."""
+    monkeypatch.setattr(http, "ServiceHTTPServer", _never("the HTTP server"))
+    monkeypatch.setattr(app.AnalysisService, "startup", _never("service startup"))
+    assert cli.main(["serve", flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    with pytest.raises(ReproError, match=f"^{field} must be "):
+        ServiceConfig(**{field: cli.seconds(value)})
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["--grace", "nan"], "grace_s"), (["--grace", "-1"], "grace_s"),
+     (["--grace", "inf"], "grace_s"), (["--jobs", "0"], "jobs")],
+)
+def test_chaos_refuses_before_simulating(argv, field, monkeypatch, capsys):
+    """``--grace nan`` turned the termination invariant off (``wall > bound +
+    nan`` is never true); ``--grace -1`` failed every episode."""
+    monkeypatch.setattr(harness, "_simulate", _never("the simulator"))
+    monkeypatch.setattr(harness, "run_episode", _never("an episode"))
+    assert cli.main(["chaos", "--seeds", "0", *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    with pytest.raises(ReproError, match=f"^{field} must be "):
+        harness.run_chaos([0], **{field: cli.seconds(argv[1])})
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
+def test_submit_refuses_poll_interval_before_posting(value, monkeypatch, capsys):
+    """``--poll-interval -1`` died in ``time.sleep`` after the job was accepted."""
+    monkeypatch.setattr(cli, "_http_json", _never("an HTTP request"))
+    argv = ["submit", "figure6", "--wait", "--poll-interval", value]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: poll_interval must be ")
