@@ -18,7 +18,7 @@ from repro.analysis.matching import MessageMatcher, MatchedPair, CollectiveInsta
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.result import AnalysisResult, ReplayTraffic
 from repro.analysis.severity_timeline import SeverityTimeline
-from repro.analysis.streaming import StreamingReplayAnalyzer, analyze
+from repro.analysis.streaming import analyze
 from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.parallel import PartialAnalysis, plan_shards, resolve_jobs
 from repro.analysis.patterns import metric_tree, Metric, METRICS
@@ -40,7 +40,6 @@ __all__ = [
     "MatchedPair",
     "CollectiveInstance",
     "ReplayAnalyzer",
-    "StreamingReplayAnalyzer",
     "AnalysisRequest",
     "SeverityTimeline",
     "PartialAnalysis",

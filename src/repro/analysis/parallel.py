@@ -26,10 +26,12 @@ worker process needs to run it and nothing else:
   warnings.
 
 There is no matcher, no pattern evaluator and no driver here.
-:class:`repro.analysis.streaming.StreamingReplayAnalyzer` is the one
-analyzer: with ``jobs >= 2`` it ships shards here, absorbs the returned
-registries in ascending shard order, and hands the tables to the global
-phase exactly as it hands the ones it builds in-process with ``jobs=1``.
+:func:`repro.analysis.streaming.analyze` is the one driver: with
+``jobs >= 2`` it ships shards here, absorbs the returned registries in
+ascending shard order, and hands the tables to the global phase exactly as
+it hands the ones it builds in-process with ``jobs=1``.  Nothing is
+admitted twice: a strict shard raises its lowest rank's error, and the
+pool re-raises the lowest shard's — the error ``jobs=1`` raises.
 """
 
 from __future__ import annotations
@@ -253,9 +255,9 @@ def _admit_rank(
 ) -> Tuple[Optional[LinearConverter], List[str]]:
     """Decide one rank's fate; every engine but the buffered reference asks here.
 
-    The in-process local phase, the strict pre-check ahead of a pool run and
-    the shard worker all admit a rank through this routine, so check order,
-    error text and warning text cannot drift between ``jobs`` values.
+    The local phase admits a rank through this routine alone, in this
+    process or in a shard worker, so check order, error text and warning
+    text cannot drift between ``jobs`` values.
     *traces* is a snapshot covering *rank*: a rank with neither a blob nor a
     ``missing`` reason had no reader on its metahost.  Strict mode raises at
     the first defect.  Degraded mode records the rank in *completeness* and

@@ -4,9 +4,10 @@ A request is built at an edge — ``repro.cli._request`` from the command
 line, ``repro.service.runners._request`` from a job spec, a library
 caller's own code — and travels whole through ``run_experiment`` and the
 experiment drivers to :func:`repro.analysis.streaming.analyze`, the one
-place that spells its fields out (for ``StreamingReplayAnalyzer``).  Nothing in between takes
-``jobs``/``timeout``/``max_retries``/``verify_archive`` apart; the fault
-ladder's per-rung ``replace(request, degraded=...)`` is the only edit.
+replay driver and the one place that spells its fields out.  Nothing in
+between takes ``jobs``/``timeout``/``max_retries``/``verify_archive``
+apart; the fault ladder's per-rung ``replace(request, degraded=...)`` is
+the only edit.
 
 Every field is declared once (:func:`declare`): kind, bounds, default,
 one-line doc and CLI flag.  Construction checks it (:class:`FieldTable`),
@@ -85,6 +86,11 @@ class Rule:
             if seconds > 0 and not (self.finite and seconds == math.inf):  # NaN fails
                 return seconds
         raise AnalysisError(f"{name} must be {self.expects(default is None)}, got {value!r}")
+
+
+#: What a random seed admits, at every edge that takes one: ``--seed``, the
+#: job store, ``run_experiment``, ``MetaMPIRuntime`` and the chaos harness.
+SEED = Rule("count", "random seed", flag="--seed", unset="per-artifact")
 
 
 def declare(default: Any, kind: Any, doc: str = "", **rule: Any) -> Any:

@@ -4,12 +4,13 @@ There are two replay engines.  The buffered
 :class:`~repro.analysis.replay.ReplayAnalyzer` — kept as the independent,
 object-wise reference the tests and the benchmark compare against —
 materializes every rank's MPI-op instances, then matches, then searches
-patterns.  This module is the other one, and the only driver the package
-runs: :func:`analyze` (re-exported as :func:`repro.analyze` and
-:func:`repro.api.analyze`) builds :class:`StreamingReplayAnalyzer`, the
-same code path at every ``jobs`` value, which makes no object per op,
-record, pair or collective.  The reference imports this engine's result
-types (:mod:`repro.analysis.result`); the engine never imports it.
+patterns.  This module is the other one, and :func:`analyze` (re-exported
+as :func:`repro.analyze` and :func:`repro.api.analyze`) is its one driver:
+the same code path at every ``jobs`` value, which makes no object per op,
+record, pair or collective.  :class:`StreamingReplayAnalyzer` is only the
+end-to-end benchmark's adapter over that driver.  The reference imports
+this engine's result types (:mod:`repro.analysis.result`); the engine
+never imports it.
 
 The replay has three steps.
 
@@ -21,7 +22,9 @@ The replay has three steps.
    (:meth:`~repro.analysis.parallel.PartialAnalysis.admit`).  ``jobs``
    says only *where* it runs: in this process over one shared call-path
    registry, or as :func:`~repro.analysis.parallel.analyze_shard` tasks on
-   a supervised pool.
+   a supervised pool.  A strict run raises the same error either way:
+   a batch, and so a shard, raises its lowest rank's error, and the pool
+   re-raises the lowest shard's.
 2. **Call-path numbering**: shard-local registries are absorbed in
    ascending shard order, so either way call paths are numbered rank-major
    in first-encounter order — the buffered analyzer's numbering — before
@@ -72,14 +75,13 @@ way an excluded one is.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.analysis.globalphase import global_phase
-from repro.analysis.instances import ProcessTimeline, remap_timeline, total_time_of
+from repro.analysis.instances import remap_timeline, total_time_of
 from repro.analysis.parallel import (
     PartialAnalysis,
     ShardTask,
-    _admit_rank,
     analyze_shard,
     plan_shards,
     resolve_jobs,
@@ -88,210 +90,89 @@ from repro.analysis.patterns.base import TIME
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.result import AnalysisResult, RankCompleteness, ReplayTraffic
 from repro.analysis.severity_timeline import SeverityTimeline
-from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
+from repro.clocks.sync import HierarchicalInterpolation, SyncScheme
 from repro.errors import AnalysisError, TimeBudgetExceeded
-from repro.ids import NodeId, node_of
+from repro.ids import node_of
 from repro.resilience.deadline import Deadline
-from repro.resilience.pool import ExecutionReport, PoolConfig, SupervisedPool
-from repro.trace.archive import ArchiveReader, Definitions, TraceShard
+from repro.resilience.pool import PoolConfig, SupervisedPool
+from repro.trace.archive import ArchiveReader, TraceShard
+
 
 class StreamingReplayAnalyzer:
-    """The replay analyzer: local phase, call-path numbering, the columnar
-    global phase over the admitted ranks.
+    """The end-to-end benchmark's adapter over the driver of :func:`analyze`.
 
-    Constructor contract mirrors :class:`~repro.analysis.replay.ReplayAnalyzer`
-    (readers keyed by machine, optional scheme, degraded flag) plus:
-
-    ``retain=False``
-        bounded-memory mode — the op tables are dropped once the global
-        phase has read them, and ``timelines[rank].mpi_ops`` /
-        ``omp_regions`` come back empty.  Aggregates are unaffected.
-    ``timeline``
-        a :class:`~repro.analysis.severity_timeline.SeverityTimeline` to
-        accumulate time-resolved severity into (None: skip).
-    ``deadline``
-        a :class:`~repro.resilience.deadline.Deadline`.  It stops the local
-        phase between whole ranks: in this process it is polled after every
-        batch, and a pool run is cut by the
-        :class:`~repro.resilience.pool.SupervisedPool` (in-flight workers
-        killed, settled shards salvaged).  The global phase then runs once
-        over the admitted ranks, never cut itself; the result settles
-        degraded-style, with honest per-rank completeness and
-        ``result.interrupted`` set — never a hang, never a crash.
-    ``jobs``
-        where the local phase runs, and nothing else: ``1`` in this
-        process, batch after batch of ranks; ``N >= 2`` as
-        :func:`~repro.analysis.parallel.analyze_shard` tasks over at most
-        *N* shards on a supervised pool.
-    ``pool`` / ``pool_config``
-        the pool for ``jobs >= 2``: an externally owned (usually
-        persistent) one whose task function is ``analyze_shard`` and whose
-        worker count and lifetime stay its owner's, or the configuration
-        this run builds its own from.
-    ``timeout`` / ``max_retries``
-        per-run overrides of the pool's per-shard budget, either way.
+    Its :meth:`analyze` replays the archive of *readers* (keyed by machine)
+    in this process, as ``AnalysisRequest(degraded=degraded, bounded=not
+    retain)`` describes.  It exists only for the two probes of
+    ``benchmarks/e2e/pipeline.py`` that construct it, and goes when they
+    call :func:`analyze` instead.
     """
 
     def __init__(
-        self,
-        readers: Dict[int, ArchiveReader],
-        scheme: Optional[SyncScheme] = None,
-        degraded: bool = False,
-        retain: bool = True,
-        timeline: Optional[SeverityTimeline] = None,
-        deadline: Optional[Deadline] = None,
-        jobs: int = 1,
-        pool: Optional[SupervisedPool] = None,
-        pool_config: Optional[PoolConfig] = None,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
+        self, readers: Dict[int, ArchiveReader], degraded: bool = False, retain: bool = True
     ) -> None:
-        if not readers:
-            raise AnalysisError("no archive readers supplied")
-        if jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-        self.readers = dict(readers)
+        self.readers = readers
         self.degraded = degraded
-        if scheme is None:
-            scheme = HierarchicalInterpolation(strict=not degraded)
-        self.scheme = scheme
         self.retain = retain
-        self.timeline = timeline
-        self.deadline = deadline
-        self.jobs = jobs
-        self.pool = pool
-        self.pool_config = pool_config or PoolConfig()
-        self.timeout = timeout
-        self.max_retries = max_retries
-
-    # -- the pass --------------------------------------------------------------
 
     def analyze(self) -> AnalysisResult:
-        first_reader = next(iter(self.readers.values()))
-        definitions = first_reader.definitions()
-        converters = self.scheme.convert_all(first_reader.sync_data()).converters
-        degraded = self.degraded
-        ranks = sorted(definitions.locations)
+        request = AnalysisRequest(degraded=self.degraded, bounded=not self.retain)
+        return _replay(self.readers, request, None, None, None)
 
-        # The local phase: admit each rank through its own metahost's reader
-        # and build the admitted ranks' op tables.  It finishes before
-        # anything is evaluated, so a structurally inconsistent rank is
-        # excluded (or, strict, raises) with nothing accumulated for it.
-        # Either branch leaves the call paths numbered rank-major in first-
-        # encounter order — the buffered analyzer's numbering, exactly.
-        # *local* collects it for the whole world.
-        local = PartialAnalysis(index=0, ranks=tuple(ranks))
-        callpaths = local.callpaths
-        timelines = local.timelines
-        trace_bytes = local.trace_bytes
-        completeness = local.completeness
-        execution = None
-        if self.jobs == 1:
-            # One registry shared by all ranks is that numbering as it stands:
-            # the local phase interns nothing for a rank it rejects.
-            interrupted = local.admit(
-                definitions,
-                TraceShard.gather(ranks, definitions, self.readers),
-                converters,
-                degraded,
-                self.deadline,
-            )
-        else:
-            partials, execution, interrupted = self._run_shards(
-                ranks, definitions, converters
-            )
-            # Shards are contiguous ascending rank slices, so absorbing each
-            # shard's registry in shard order, before anything is fed, is
-            # the same numbering.
-            for partial in partials:
-                for category, message in partial.warnings:
-                    warnings.warn(message, category, stacklevel=2)
-                remap = callpaths.absorb(partial.callpaths)
-                for rank, timeline in sorted(partial.timelines.items()):
-                    remap_timeline(timeline, remap)
-                    timelines[rank] = timeline
-                trace_bytes.update(sorted(partial.trace_bytes.items()))
-                completeness.update(sorted(partial.completeness.items()))
-            if interrupted is None and self.deadline is not None:
-                # Polled as the last shard settles, as after the last batch.
-                interrupted = self.deadline.reason()
 
-        if not timelines:
-            if interrupted is not None:
-                raise TimeBudgetExceeded(interrupted)
-            raise AnalysisError("no rank produced a usable trace")
+def _replay(
+    readers: Dict[int, ArchiveReader],
+    request: AnalysisRequest,
+    scheme: Optional[SyncScheme],
+    pool: Optional[SupervisedPool],
+    deadline: Optional[Deadline],
+) -> AnalysisResult:
+    """The replay of *readers*' archive (keyed by machine): see :func:`analyze`."""
+    if not readers:
+        raise AnalysisError("no archive readers supplied")
+    degraded = request.degraded
+    jobs = resolve_jobs(request.jobs)
+    if scheme is None:
+        scheme = HierarchicalInterpolation(strict=not degraded)
+    if deadline is None and request.deadline_s is not None:
+        deadline = Deadline(request.deadline_s)
+    timeline = (
+        SeverityTimeline(window_s=request.window_s, stride_s=request.stride_s)
+        if request.timeline
+        else None
+    )
+    first_reader = next(iter(readers.values()))
+    definitions = first_reader.definitions()
+    converters = scheme.convert_all(first_reader.sync_data()).converters
+    ranks = sorted(definitions.locations)
+    # One snapshot of the world, each rank's blob through its own metahost's
+    # reader; a pool run's plan balances its blob lengths.
+    world = TraceShard.gather(ranks, definitions, readers)
 
-        # The global phase reads every admitted rank whole.  An *interrupted*
-        # run settles degraded-style: a receive whose send lies in a rank the
-        # budget left unadmitted is counted, never raised.
-        cube, grid_pairs, violations, stats = global_phase(
-            definitions,
-            timelines,
-            allow_unmatched=degraded or interrupted is not None,
-            timeline=self.timeline,
-        )
-        # TIME from per-rank exclusive time.
-        for rank, process in timelines.items():
-            for cpid, exclusive in process.exclusive_time.items():
-                cube.add(TIME, cpid, rank, exclusive)
-
-        if interrupted is not None:
-            completeness = self._interrupted_completeness(
-                interrupted, ranks, timelines, completeness
-            )
-        if not self.retain:
-            for timeline in timelines.values():
-                timeline.mpi_ops, timeline.omp_regions = [], []
-        master_machine = definitions.machine_of(0)
-        traffic = ReplayTraffic(
-            replay_metadata_bytes=stats.metadata_bytes,
-            merged_copy_bytes=sum(
-                size
-                for rank, size in trace_bytes.items()
-                if definitions.machine_of(rank) != master_machine
-            ),
-            trace_bytes_total=sum(trace_bytes.values()),
-        )
-        return AnalysisResult(
-            cube=cube,
-            callpaths=callpaths,
-            definitions=definitions,
-            violations=violations,
-            traffic=traffic,
-            scheme_name=self.scheme.name,
-            total_time=total_time_of(timelines),
-            timelines=timelines,
-            grid_pairs=grid_pairs,
-            # An interrupted result is degraded-style by construction:
-            # starved receives were counted, not matched.
-            degraded=degraded or interrupted is not None,
-            completeness=completeness,
-            severity_timeline=self.timeline,
-            interrupted=interrupted,
-            execution=execution,
-        )
-
-    def _run_shards(
-        self,
-        ranks: List[int],
-        definitions: Definitions,
-        converters: Dict[NodeId, Optional[LinearConverter]],
-    ) -> Tuple[List[PartialAnalysis], ExecutionReport, Optional[str]]:
-        """The local phase on the supervised pool, one task per shard.
-
-        Returns the settled shards' partials in shard order, the pool's
-        report, and why the run was cut short (None: it was not).
-        """
-        # One snapshot of the world, each rank's blob through its own
-        # metahost's reader; its blob lengths are what the plan balances.
-        world = TraceShard.gather(ranks, definitions, self.readers)
+    # The local phase: admit each rank and build the admitted ranks' op
+    # tables.  It finishes before anything is evaluated, so a structurally
+    # inconsistent rank is excluded (or, strict, raises) with nothing
+    # accumulated for it.  Either branch leaves the call paths numbered
+    # rank-major in first-encounter order — the buffered analyzer's
+    # numbering, exactly.  *local* collects it for the whole world.
+    local = PartialAnalysis(index=0, ranks=tuple(ranks))
+    callpaths = local.callpaths
+    timelines = local.timelines
+    trace_bytes = local.trace_bytes
+    completeness = local.completeness
+    execution = None
+    if jobs == 1:
+        # One registry shared by all ranks is that numbering as it stands:
+        # the local phase interns nothing for a rank it rejects.
+        interrupted = local.admit(definitions, world, converters, degraded, deadline)
+    else:
         sizes = {rank: len(world.blobs.get(rank, b"")) for rank in ranks}
         machine_of = {rank: definitions.machine_of(rank) for rank in ranks}
         tasks = [
             ShardTask(
                 index=index,
                 ranks=shard,
-                degraded=self.degraded,
+                degraded=degraded,
                 definitions=definitions,
                 converters={
                     node: converters.get(node)
@@ -301,34 +182,24 @@ class StreamingReplayAnalyzer:
                 },
                 traces=world.select(shard),
             )
-            for index, shard in enumerate(plan_shards(sizes, machine_of, self.jobs))
+            for index, shard in enumerate(plan_shards(sizes, machine_of, jobs))
         ]
-        if not self.degraded:
-            # Strict pre-check, rank-ascending in the parent: a broken
-            # experiment fails with the very same error — same rank, same
-            # message — as ``jobs=1``, before any worker is spawned.
-            for task in tasks:
-                for rank in task.ranks:
-                    _admit_rank(
-                        rank, definitions, task.traces, task.converters, False, {}
-                    )
+        if pool is None:
+            pool = SupervisedPool(analyze_shard, PoolConfig(max_workers=min(jobs, len(tasks))))
         # The supervised pool keeps the in-process semantics — results in
-        # shard order, the lowest-ranked shard's exception wins — while
+        # shard order; each shard raises its lowest rank's error and the
+        # lowest shard's error wins, which is ``jobs=1``'s error — while
         # surviving worker crashes, hangs, and kills that would deadlock a
         # bare Pool.map forever.
-        pool = self.pool
-        if pool is None:
-            pool = SupervisedPool(
-                analyze_shard,
-                self.pool_config.with_workers(min(self.jobs, len(tasks))),
-            )
         try:
             partials, execution = pool.run(
                 tasks,
-                timeout_s=self.timeout,
-                max_retries=self.max_retries,
-                deadline=self.deadline,
+                timeout_s=request.timeout,
+                max_retries=request.max_retries,
+                deadline=deadline,
             )
+            # Polled as the last shard settles, as after the last batch.
+            interrupted = deadline.reason() if deadline is not None else None
         except TimeBudgetExceeded as exc:
             if not exc.results:
                 # Nothing settled before the budget ran out: there is no
@@ -336,47 +207,99 @@ class StreamingReplayAnalyzer:
                 raise
             # Shards that never settled look exactly like excluded ranks:
             # boundary receives void, collectives tolerate missing members.
-            return [exc.results[i] for i in sorted(exc.results)], exc.report, exc.reason
-        return partials, execution, None
+            partials = [exc.results[i] for i in sorted(exc.results)]
+            execution, interrupted = exc.report, exc.reason
+        # Shards are contiguous ascending rank slices, so absorbing each
+        # shard's registry in shard order, before anything is fed, is the
+        # same numbering.
+        for partial in partials:
+            for category, message in partial.warnings:
+                warnings.warn(message, category, stacklevel=2)
+            remap = callpaths.absorb(partial.callpaths)
+            for rank, process in sorted(partial.timelines.items()):
+                remap_timeline(process, remap)
+                timelines[rank] = process
+            trace_bytes.update(sorted(partial.trace_bytes.items()))
+            completeness.update(sorted(partial.completeness.items()))
 
-    @staticmethod
-    def _interrupted_completeness(
-        reason: str,
-        ranks: List[int],
-        timelines: Dict[int, ProcessTimeline],
-        completeness: Dict[int, RankCompleteness],
-    ) -> Dict[int, RankCompleteness]:
-        """Honest per-rank accounting for a run the budget cut short.
+    if not timelines:
+        if interrupted is not None:
+            raise TimeBudgetExceeded(interrupted)
+        raise AnalysisError("no rank produced a usable trace")
 
-        An admitted rank was analyzed whole (its event count is the local
-        phase's, so nothing is decoded again after the budget is gone), but
-        against a world the budget may have left short of ranks, so it is
-        not complete either.  A rank with neither a timeline nor an
-        exclusion record was never admitted: its batch was not reached, or
-        its shard had not settled.  The error string names the budget so
-        the partial result can never be mistaken for a complete one.
-        """
-        out = dict(completeness)
+    # The global phase reads every admitted rank whole.  An *interrupted*
+    # run settles degraded-style: a receive whose send lies in a rank the
+    # budget left unadmitted is counted, never raised.
+    cube, grid_pairs, violations, stats = global_phase(
+        definitions,
+        timelines,
+        allow_unmatched=degraded or interrupted is not None,
+        timeline=timeline,
+    )
+    # TIME from per-rank exclusive time.
+    for rank, process in timelines.items():
+        for cpid, exclusive in process.exclusive_time.items():
+            cube.add(TIME, cpid, rank, exclusive)
+
+    if interrupted is not None:
+        # Honest per-rank accounting for a run the budget cut short.  An
+        # admitted rank was analyzed whole (its event count is the local
+        # phase's, so nothing is decoded again after the budget is gone),
+        # but against a world the budget may have left short of ranks, so
+        # it is not complete either.  A rank with neither a timeline nor an
+        # exclusion record was never admitted: its batch was not reached,
+        # or its shard had not settled.  The error names the budget so the
+        # partial result can never be mistaken for a complete one.
         for rank in ranks:
             if rank in timelines:
-                out[rank] = RankCompleteness(
+                completeness[rank] = RankCompleteness(
                     rank=rank,
                     complete=False,
                     completeness=1.0,
                     events=timelines[rank].event_count,
                     analyzed=True,
-                    error=f"TimeBudgetExceeded: {reason} after its local phase ran",
+                    error=f"TimeBudgetExceeded: {interrupted} after its local phase ran",
                 )
             elif rank not in completeness:
-                out[rank] = RankCompleteness(
+                completeness[rank] = RankCompleteness(
                     rank=rank,
                     complete=False,
                     completeness=0.0,
                     events=0,
                     analyzed=False,
-                    error=f"TimeBudgetExceeded: {reason} before its local phase ran",
+                    error=f"TimeBudgetExceeded: {interrupted} before its local phase ran",
                 )
-        return out
+    if request.bounded:
+        for process in timelines.values():
+            process.mpi_ops, process.omp_regions = [], []
+    master_machine = definitions.machine_of(0)
+    traffic = ReplayTraffic(
+        replay_metadata_bytes=stats.metadata_bytes,
+        merged_copy_bytes=sum(
+            size
+            for rank, size in trace_bytes.items()
+            if definitions.machine_of(rank) != master_machine
+        ),
+        trace_bytes_total=sum(trace_bytes.values()),
+    )
+    return AnalysisResult(
+        cube=cube,
+        callpaths=callpaths,
+        definitions=definitions,
+        violations=violations,
+        traffic=traffic,
+        scheme_name=scheme.name,
+        total_time=total_time_of(timelines),
+        timelines=timelines,
+        grid_pairs=grid_pairs,
+        # An interrupted result is degraded-style by construction:
+        # starved receives were counted, not matched.
+        degraded=degraded or interrupted is not None,
+        completeness=completeness,
+        severity_timeline=timeline,
+        interrupted=interrupted,
+        execution=execution,
+    )
 
 
 def analyze(
@@ -390,12 +313,14 @@ def analyze(
     """Replay-analyze a traced run's archive (a :class:`~repro.sim.runtime.RunResult`).
 
     *request* (an :class:`~repro.analysis.request.AnalysisRequest`)
-    describes the analysis; its fields are spelled out here and nowhere
-    else.  ``jobs`` says only where the local phase (trace blob → op
+    describes the analysis; this driver spells its fields out and nothing
+    else does.  ``jobs`` says only where the local phase (trace blob → op
     tables, per rank) runs: ``None``/``1`` in this process, ``N >= 2``
     sharded across that many pool worker processes, ``0`` one per
     available core.  Every value of ``jobs`` produces a bit-identical
-    :class:`~repro.analysis.result.AnalysisResult`.  ``request.timeline``
+    :class:`~repro.analysis.result.AnalysisResult`, and a strict run
+    raises the same error at every value: the lowest failing rank's.
+    ``request.timeline``
     additionally accumulates a time-resolved :class:`SeverityTimeline`
     (``result.severity_timeline``), and ``request.bounded`` drops the op
     tables once the global phase has read them, so the result holds
@@ -409,7 +334,8 @@ def analyze(
     :class:`~repro.resilience.pool.SupervisedPool` (task function
     :func:`~repro.analysis.parallel.analyze_shard`) instead of spawning one
     — how the analysis service shares a single pool across every job it
-    serves.
+    serves, and how a run gets its own supervision settings (a chaos hook,
+    fast heartbeats).
 
     ``request.deadline_s`` bounds the whole analysis end to end: on expiry
     the local phase admits no further rank and the analyzer returns a
@@ -423,23 +349,5 @@ def analyze(
     """
     if request is None:
         request = AnalysisRequest()
-    if deadline is None and request.deadline_s is not None:
-        deadline = Deadline(request.deadline_s)
     readers = {machine: run.reader(machine) for machine in run.machines_used}
-    timeline = (
-        SeverityTimeline(window_s=request.window_s, stride_s=request.stride_s)
-        if request.timeline
-        else None
-    )
-    return StreamingReplayAnalyzer(
-        readers,
-        scheme=scheme,
-        degraded=request.degraded,
-        retain=not request.bounded,
-        timeline=timeline,
-        deadline=deadline,
-        jobs=resolve_jobs(request.jobs),
-        pool=pool,
-        timeout=request.timeout,
-        max_retries=request.max_retries,
-    ).analyze()
+    return _replay(readers, request, scheme, pool, deadline)

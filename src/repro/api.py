@@ -36,7 +36,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.analysis.parallel import resolve_jobs
-from repro.analysis.request import AnalysisRequest
+from repro.analysis.request import SEED, AnalysisRequest
 from repro.analysis.result import AnalysisResult
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.analysis.streaming import analyze
@@ -309,8 +309,7 @@ def run_experiment(
         raise ExperimentError(f"unknown experiment {name!r}; choose from: {known}")
     if request is None:
         request = AnalysisRequest()
-    if seed is None:
-        seed = DEFAULT_SEEDS[name]
+    seed = SEED.admit("seed", DEFAULT_SEEDS[name] if seed is None else seed, 0)
     if deadline is None and request.deadline_s is not None:
         deadline = Deadline(request.deadline_s)
     cell = {"experiment": name, "seed": seed}

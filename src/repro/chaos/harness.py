@@ -23,12 +23,13 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.request import AnalysisRequest, rule_of
+from repro.analysis.parallel import analyze_shard
+from repro.analysis.request import SEED, AnalysisRequest, rule_of
 from repro.chaos.hooks import process_chaos
 from repro.chaos.schedule import ChaosSchedule, schedule_for_seed
 from repro.errors import TimeBudgetExceeded
 from repro.resilience import CheckpointJournal, Deadline
-from repro.resilience.pool import PoolConfig
+from repro.resilience.pool import PoolConfig, SupervisedPool
 
 __all__ = [
     "EpisodeResult",
@@ -115,7 +116,8 @@ def _simulate(fault_plan, sim_seed: int):
     )
 
 
-def _pool_config(schedule: ChaosSchedule, marker_dir: str, jobs: int) -> PoolConfig:
+def _pool(schedule: ChaosSchedule, marker_dir: str, jobs: int) -> SupervisedPool:
+    """The episode's pool: the schedule's process chaos, fast supervision."""
     hook = None
     if schedule.kill_workers or schedule.stall_workers:
         hook = functools.partial(
@@ -124,8 +126,8 @@ def _pool_config(schedule: ChaosSchedule, marker_dir: str, jobs: int) -> PoolCon
             schedule.kill_workers,
             schedule.stall_workers,
         )
-    return PoolConfig(
-        max_workers=max(2, jobs),
+    config = PoolConfig(
+        max_workers=jobs,
         timeout_s=60.0,
         max_retries=2,
         backoff_base_s=0.01,
@@ -136,6 +138,7 @@ def _pool_config(schedule: ChaosSchedule, marker_dir: str, jobs: int) -> PoolCon
         heartbeat_grace_s=1.0,
         chaos_hook=hook,
     )
+    return SupervisedPool(analyze_shard, config)
 
 
 def _tear_journal(path: str, completeness: Dict, torn_bytes: int) -> bool:
@@ -179,7 +182,6 @@ def run_episode(
     ``baseline`` is the clean-run :class:`~repro.api.AnalysisResult` to
     compare against (computed on demand when omitted).
     """
-    from repro.analysis.streaming import StreamingReplayAnalyzer
     from repro.api import analyze
 
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
@@ -193,16 +195,11 @@ def run_episode(
     deadline = (
         Deadline(schedule.deadline_s) if schedule.deadline_s is not None else None
     )
-    analyzer = StreamingReplayAnalyzer(
-        {machine: run.reader(machine) for machine in run.machines_used},
-        degraded=degraded,
-        jobs=jobs,
-        pool_config=_pool_config(schedule, marker_dir, jobs),
-        deadline=deadline,
-    )
+    request = AnalysisRequest(degraded=degraded, jobs=jobs)
+    pool = _pool(schedule, marker_dir, jobs)
     began = time.monotonic()
     try:
-        result = analyzer.analyze()
+        result = analyze(run, request, pool=pool, deadline=deadline)
         interrupted = result.interrupted
     except TimeBudgetExceeded as exc:
         # Nothing settled before the budget ended: an honest empty
@@ -274,6 +271,7 @@ def run_chaos(
     """Run the seed matrix and check the cross-episode invariants."""
     from repro.api import analyze
 
+    seeds = [SEED.admit("seed", seed, 0) for seed in seeds]
     jobs = _JOBS.admit("jobs", jobs, 4)
     grace_s = _GRACE.admit("grace_s", grace_s, 120.0)
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")

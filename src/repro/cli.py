@@ -44,7 +44,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.request import Rule, declared
+from repro.analysis.request import SEED, Rule, declared
 from repro.api import (
     DEFAULT_SEEDS,
     EXPERIMENTS,
@@ -112,20 +112,22 @@ def _add_request_flags(
     at the dataclass's default."""
     fields = declared(table)
     for name in names or [n for n, f in fields.items() if f.metadata["rule"].flag]:
-        rule, default = fields[name].metadata["rule"], fields[name].default
-        if rule.kind == "flag":
-            parser.add_argument(
-                rule.flag, dest=name, action="store_true", default=None, help=rule.doc
-            )
-            continue
-        parser.add_argument(
-            rule.flag,
-            dest=name,
-            type={"count": int, "seconds": seconds}.get(rule.kind, str),
-            default=None,
-            metavar={"count": "N", "seconds": "SECONDS"}.get(rule.kind),
-            help=f"{rule.doc} (default: {rule.unset if default is None else default})",
-        )
+        _add_flag(parser, name, fields[name].metadata["rule"], fields[name].default)
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str, rule: Rule, default: Any) -> None:
+    """Add *rule*'s flag, storing field *name*; ``None`` when left out."""
+    if rule.kind == "flag":
+        parser.add_argument(rule.flag, dest=name, action="store_true", default=None, help=rule.doc)
+        return
+    parser.add_argument(
+        rule.flag,
+        dest=name,
+        type={"count": int, "seconds": seconds}.get(rule.kind, str),
+        default=None,
+        metavar={"count": "N", "seconds": "SECONDS"}.get(rule.kind),
+        help=f"{rule.doc} (default: {rule.unset if default is None else default})",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,9 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # What every analysing command shares; ``_request`` reads it back.
     analysis_opts = argparse.ArgumentParser(add_help=False)
-    analysis_opts.add_argument(
-        "--seed", type=int, default=None, help="random seed (default: per-artifact)"
-    )
+    _add_flag(analysis_opts, "seed", SEED, None)
     _add_request_flags(analysis_opts, AnalysisRequest, _SHARED_FLAGS)
     for name in sorted(COMMANDS) + ["all"]:
         help_text = (
@@ -328,7 +328,14 @@ def _request(args: argparse.Namespace, table: type = AnalysisRequest) -> Any:
     return table(**{k: v for k, v in given.items() if v is not None})
 
 
+def _seed(args: argparse.Namespace, name: str) -> int:
+    """``--seed``, or artifact *name*'s default seed, admitted by the seed rule."""
+    return SEED.admit("seed", DEFAULT_SEEDS[name] if args.seed is None else args.seed, 0)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    targets = sorted(COMMANDS) if args.what == "all" else [args.what]
+    seeds = {name: _seed(args, name) for name in targets}
     # ``--resume`` owns the journal for the whole sweep, so it takes the
     # writer lock up front and fails fast if another sweep holds it.
     journal = (
@@ -336,11 +343,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     try:
         request = _request(args)
-        targets = sorted(COMMANDS) if args.what == "all" else [args.what]
         for name in targets:
-            seed = args.seed if args.seed is not None else DEFAULT_SEEDS[name]
-            print(f"==== {name} (seed {seed}) ====")
-            print(COMMANDS[name](seed, request, journal=journal))
+            print(f"==== {name} (seed {seeds[name]}) ====")
+            print(COMMANDS[name](seeds[name], request, journal=journal))
             print()
     finally:
         if journal is not None:
@@ -359,7 +364,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     from repro.report.timeline import render_severity_timeline
 
-    seed = args.seed if args.seed is not None else DEFAULT_SEEDS[args.experiment]
+    seed = _seed(args, args.experiment)
     request = _request(args)
     outcome = run_metatrace_experiment(
         figure=METATRACE_FIGURES[args.experiment], seed=seed, request=request

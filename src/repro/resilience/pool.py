@@ -105,9 +105,6 @@ class PoolConfig:
     #: (chaos harnesses use it to SIGKILL/SIGSTOP/stall the worker).
     chaos_hook: Optional[Callable[[Any], None]] = None
 
-    def with_workers(self, max_workers: int) -> "PoolConfig":
-        return replace(self, max_workers=max(1, max_workers))
-
 
 @dataclass
 class TaskExecution:

@@ -151,11 +151,11 @@ class AnalysisService:
         from repro.resilience.pool import PoolConfig, SupervisedPool
 
         self.store = JobStore(self.config.store_path)
-        pool_config = PoolConfig(
+        supervision = PoolConfig(
             max_workers=self.config.pool_workers,
             handle_signals=False,  # the serve loop owns signal handling
         )
-        self.pool = SupervisedPool(analyze_shard, pool_config, persistent=True)
+        self.pool = SupervisedPool(analyze_shard, supervision, persistent=True)
         with self._lock:
             recovered = self.store.pending()
             for record in recovered:

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.request import AnalysisRequest, FieldTable, declare, declared, rule_of
+from repro.analysis.request import SEED, AnalysisRequest, FieldTable, declare, declared, rule_of
 from repro.errors import AnalysisError, JobValidationError
 from repro.resilience.checkpoint import CheckpointJournal
 
@@ -159,12 +159,14 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
             f"{kind} jobs support {', '.join(choices)}; got {experiment!r}"
         )
     seed = raw.get("seed")
-    if seed is None:
-        seed = DEFAULT_SEEDS.get(experiment, 0)
-    if type(seed) is not int:
-        raise JobValidationError(f"seed must be an integer, got {seed!r}")
+    try:
+        seed = SEED.admit("seed", DEFAULT_SEEDS.get(experiment, 0) if seed is None else seed, 0)
+    except AnalysisError as exc:
+        raise JobValidationError(str(exc)) from None
 
-    config = raw.get("config") or {}
+    config = raw.get("config")
+    if config is None:
+        config = {}
     request_jobs = None
     if isinstance(config, AnalysisRequest):
         # Its ``jobs`` belongs to the spec's top-level field, not the config.

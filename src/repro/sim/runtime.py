@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.request import SEED
 from repro.clocks.clock import ClockEnsemble
 from repro.clocks.measurement import OffsetMeasurementConfig
 from repro.clocks.sync import SyncData, collect_sync_data
@@ -129,7 +130,7 @@ class MetaMPIRuntime:
         self.metacomputer = metacomputer
         self.placement = placement
         self.params = params
-        self.seed = seed
+        self.seed = SEED.admit("seed", seed, 0)
         self.archive_path = archive_path
         self.subcomms = dict(subcomms or {})
         self.fault_plan = fault_plan

@@ -15,11 +15,11 @@ import time
 
 import pytest
 
-from repro.analysis.streaming import StreamingReplayAnalyzer
+from repro.analysis.parallel import analyze_shard
 from repro.analysis.request import AnalysisRequest
 from repro.api import analyze
 from repro.errors import AnalysisError, TimeBudgetExceeded
-from repro.resilience import Deadline
+from repro.resilience import Deadline, SupervisedPool
 
 from tests.test_parallel_analysis import assert_identical
 from tests.test_resilience_pool import _fast_config, _hang, _small_run
@@ -210,19 +210,16 @@ class TestParallelDeadline:
         """The acceptance criterion: deadline D against wedged workers →
         partial result within D + grace, never a hang."""
         run = _small_run()
-        analyzer = StreamingReplayAnalyzer(
-            {m: run.reader(m) for m in run.machines_used},
-            jobs=4,
-            # Workers hang forever; timeout_s would allow 60s — only the
-            # deadline can bound the run.
-            pool_config=_fast_config(
-                max_workers=4, timeout_s=60.0, max_retries=0, chaos_hook=_hang
-            ),
-            deadline=Deadline(3.0),
-        )
+        # Workers hang forever; timeout_s would allow 60s — only the
+        # deadline can bound the run.
+        pool = SupervisedPool(analyze_shard, _fast_config(
+            max_workers=4, timeout_s=60.0, max_retries=0, chaos_hook=_hang
+        ))
         began = time.monotonic()
         try:
-            result = analyzer.analyze()
+            result = analyze(
+                run, AnalysisRequest(jobs=4), pool=pool, deadline=Deadline(3.0)
+            )
             interrupted = result.interrupted
             completeness = result.completeness
         except TimeBudgetExceeded as exc:
@@ -248,14 +245,10 @@ class TestParallelDeadline:
         analyzed whole, and the ranks of the one that did not say so."""
         run = _small_run()
         whole = analyze(run)
-        result = StreamingReplayAnalyzer(
-            {m: run.reader(m) for m in run.machines_used},
-            jobs=2,
-            pool_config=_fast_config(
-                timeout_s=60.0, max_retries=0, chaos_hook=_hang_upper_shards
-            ),
-            deadline=Deadline(1.0),
-        ).analyze()
+        pool = SupervisedPool(analyze_shard, _fast_config(
+            timeout_s=60.0, max_retries=0, chaos_hook=_hang_upper_shards
+        ))
+        result = analyze(run, AnalysisRequest(jobs=2), pool=pool, deadline=Deadline(1.0))
         assert "deadline of 1.0s" in result.interrupted and result.degraded
         assert len(result.execution.tasks) == 2
         _assert_cut_between_whole_ranks(result, whole, [0, 1, 2, 3])
@@ -267,8 +260,6 @@ class TestParallelDeadline:
         the unbudgeted run's severities.  (A budget spent *before*
         ``analyze`` cuts the pool run first and, no shard settled, raises
         ``TimeBudgetExceeded``.)"""
-        from repro.resilience import SupervisedPool
-
         run = _small_run()
         whole = analyze(run)
         deadline = Deadline(3600.0)

@@ -11,6 +11,9 @@ all check a value by that declaration, so they must agree on every spec:
   durations given as ``1`` or ``1.0``;
 * every refusal names the field.
 
+A random seed is one more declared rule (``repro.analysis.request.SEED``),
+held to the same agreement by the library, the store and argv.
+
 The strategy draws specs from the table plus hostile values.  The service's
 own table (``ServiceConfig``) has two edges, the library and ``repro serve``
 argv, held to the same agreement; a value either refuses stops the command
@@ -28,13 +31,18 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 import repro.cli as cli
 from repro.analysis.request import AnalysisRequest, declared
 from repro.chaos import harness
 from repro.cli import _build_parser, _request
 from repro.errors import AnalysisError, JobValidationError, ReproError
+from repro.experiments import figures
 from repro.service import ServiceConfig, app, http
 from repro.service.store import _CONFIG, canonical_spec, job_key
+from repro.sim.runtime import MetaMPIRuntime
+from repro.topology.metacomputer import Placement
+from repro.topology.presets import uniform_metacomputer
 
 REQUEST = declared(AnalysisRequest)
 SERVICE = declared(ServiceConfig)
@@ -326,3 +334,59 @@ def test_submit_refuses_poll_interval_before_posting(value, monkeypatch, capsys)
     argv = ["submit", "figure6", "--wait", "--poll-interval", value]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: poll_interval must be ")
+
+
+class _Started(Exception):
+    """Raised where an edge would begin its work: the value was admitted."""
+
+
+def _start(*args, **kwargs):
+    raise _Started
+
+
+def _outcome(call):
+    """``"admitted"`` if *call* reached its work, else what refused it."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            code = call()
+    except _Started:
+        return "admitted"
+    except SystemExit:  # argparse refused the flag's text
+        return stderr.getvalue()
+    except ReproError as exc:
+        return str(exc)
+    assert code, "the command neither refused nor started"
+    return stderr.getvalue()
+
+
+@pytest.mark.parametrize("value, admitted", [(-1, False), (True, False), (1.0, False),
+                                             (2**64, True), (0, True)])
+def test_seed_at_every_edge(value, admitted, monkeypatch):
+    """``-1`` once ended in a numpy traceback (``table1``, ``figure4``), in
+    ``schedule_for_seed`` (``chaos``) or in a journalled job that always
+    failed.  Now the library, the store and argv admit or refuse a seed
+    alike, naming it, before any work."""
+    monkeypatch.setitem(api.EXPERIMENTS, "table1", _start)
+    monkeypatch.setattr(cli, "run_experiment", _start)
+    monkeypatch.setattr(figures, "run_metatrace_experiment", _start)
+    monkeypatch.setattr(harness, "_simulate", _start)
+    mc = uniform_metacomputer(metahost_count=1, node_count=1, cpus_per_node=2)
+    library = [
+        _outcome(lambda: api.run_experiment("table1", seed=value)),
+        _outcome(lambda: _start(MetaMPIRuntime(mc, Placement.block(mc, 2), seed=value))),
+        _outcome(lambda: harness.run_chaos([value])),
+        _outcome(lambda: _start(canonical_spec({"experiment": "table1", "seed": value}))),
+    ]
+    argv = [
+        _outcome(lambda: cli.main(["table1", "--seed", str(value)])),
+        _outcome(lambda: cli.main(["analyze", "figure6", "--seed", str(value)])),
+        _outcome(lambda: cli.main(["chaos", f"--seeds={value}"])),
+    ]
+    if admitted:
+        assert library + argv == ["admitted"] * 7
+        return
+    for message in library:
+        assert message == f"seed must be an integer >= 0, got {value!r}"
+    for message in argv:
+        assert "error: seed must be " in message or "--seed" in message, message

@@ -44,7 +44,6 @@ from repro.analysis.replay import ReplayAnalyzer
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.result import GridPairBreakdown
 from repro.analysis.severity import SeverityCube
-from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import analyze
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.clocks.sync import LinearConverter
@@ -178,10 +177,7 @@ class TestCutsAgainstOracle:
             _schedule_app(schedule)
         )
         with mock.patch.object(parallel_module, "_BATCH_BYTES", batch):
-            result = StreamingReplayAnalyzer(
-                {m: run.reader(m) for m in run.machines_used},
-                deadline=_AfterPolls(polls),
-            ).analyze()
+            result = analyze(run, deadline=_AfterPolls(polls))
         timelines = result.timelines
         assert list(timelines) == list(range(len(timelines)))
         if result.interrupted is None:

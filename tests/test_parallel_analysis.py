@@ -28,7 +28,6 @@ from repro.analysis.parallel import (
     resolve_jobs,
 )
 from repro.analysis.replay import ReplayAnalyzer
-from repro.analysis.streaming import StreamingReplayAnalyzer
 from repro.api import AnalysisRequest, analyze
 from repro.apps.imbalance import make_imbalance_app
 from repro.apps.metatrace import make_metatrace_app
@@ -105,12 +104,9 @@ def _through_the_seam(run, jobs, degraded, batch=parallel_module._BATCH_BYTES):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                outcome = StreamingReplayAnalyzer(
-                    {machine: run.reader(machine) for machine in run.machines_used},
-                    degraded=degraded,
-                    jobs=jobs,
-                    pool=_PicklingPool(),
-                ).analyze()
+                outcome = analyze(
+                    run, AnalysisRequest(degraded=degraded, jobs=jobs), pool=_PicklingPool()
+                )
             except ReproError as exc:
                 outcome = (type(exc), str(exc))
     return outcome, [(w.category, str(w.message)) for w in caught]
@@ -420,7 +416,8 @@ class TestDegradedEquivalence:
     @pytest.mark.parametrize("stray_header", [False, True])
     def test_inconsistent_rank_between_good_ranks(self, stray_header):
         """Strict: the sequential builder's error for rank 4, not a later
-        rank's — also when a later rank of its batch fails admission.
+        rank's — also when a later rank of its batch or of a later shard
+        fails admission, through the pool seam and through a real pool.
         Degraded: the damaged ranks excluded, with the reference engine's
         warnings in its order, its exclusions and call-path numbering,
         whether the ranks share a batch or not."""
@@ -448,6 +445,12 @@ class TestDegradedEquivalence:
             result, said = _through_the_seam(run, 1, True, batch)
             assert said == expected
             assert_identical(reference, result)
+        for jobs in (2, 4):
+            outcome, _ = _through_the_seam(run, jobs, False)
+            assert outcome == (AnalysisError, str(canonical.value))
+            with pytest.raises(ReproError) as pooled:
+                analyze(run, AnalysisRequest(jobs=jobs))
+            assert (type(pooled.value), str(pooled.value)) == outcome
 
     def _analyze_with_warnings(self, run, jobs):
         with warnings.catch_warnings(record=True) as caught:
@@ -512,12 +515,9 @@ class TestDegradedEquivalence:
         monkeypatch.setattr(encoding, "_scan_from", second_walk)
         for degraded in (False, True):
             walked.clear()
-            result = StreamingReplayAnalyzer(
-                {machine: run.reader(machine) for machine in run.machines_used},
-                degraded=degraded,
-                jobs=jobs,
-                pool=_PicklingPool(),
-            ).analyze()
+            result = analyze(
+                run, AnalysisRequest(degraded=degraded, jobs=jobs), pool=_PicklingPool()
+            )
             assert result.excluded_ranks == []
             assert sorted(walked) == sorted(run.definitions.locations)
 

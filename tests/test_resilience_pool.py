@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.analysis.streaming import StreamingReplayAnalyzer
+from repro.analysis.parallel import analyze_shard
 from repro.api import AnalysisRequest, analyze, verify_archives
 from repro.apps.imbalance import make_imbalance_app
 from repro.errors import PartialTraceWarning, PoolShutdown
@@ -318,16 +318,12 @@ class TestAnalyzerChaos:
         supervision deadline, with the recovery on the record."""
         run = _small_run()
         serial = analyze(run)
-        analyzer = StreamingReplayAnalyzer(
-            {m: run.reader(m) for m in run.machines_used},
-            jobs=4,
-            pool_config=_fast_config(
-                max_workers=4,
-                chaos_hook=functools.partial(_kill_first, str(tmp_path)),
-            ),
-        )
+        pool = SupervisedPool(analyze_shard, _fast_config(
+            max_workers=4,
+            chaos_hook=functools.partial(_kill_first, str(tmp_path)),
+        ))
         began = time.monotonic()
-        recovered = analyzer.analyze()
+        recovered = analyze(run, AnalysisRequest(jobs=4), pool=pool)
         assert time.monotonic() - began < 60.0
         assert_identical(serial, recovered)
         report = recovered.execution
@@ -349,17 +345,12 @@ class TestAnalyzerChaos:
         assert not verify_archives(run).ok, "injected corruption went undetected"
         with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
             serial = analyze(run, AnalysisRequest(degraded=True))
-        analyzer = StreamingReplayAnalyzer(
-            {m: run.reader(m) for m in run.machines_used},
-            degraded=True,
-            jobs=4,
-            pool_config=_fast_config(
-                max_workers=4,
-                chaos_hook=functools.partial(_kill_first, str(tmp_path)),
-            ),
-        )
+        pool = SupervisedPool(analyze_shard, _fast_config(
+            max_workers=4,
+            chaos_hook=functools.partial(_kill_first, str(tmp_path)),
+        ))
         with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
-            recovered = analyzer.analyze()
+            recovered = analyze(run, AnalysisRequest(degraded=True, jobs=4), pool=pool)
         assert_identical(serial, recovered)
         assert recovered.execution is not None
         assert not recovered.execution.clean
@@ -378,21 +369,16 @@ class TestAnalyzerChaos:
         run = _small_run(fault_plan=plan, seed=3)
         with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
             serial = analyze(run, AnalysisRequest(degraded=True))
-        analyzer = StreamingReplayAnalyzer(
-            {m: run.reader(m) for m in run.machines_used},
-            degraded=True,
-            jobs=4,
-            pool_config=_fast_config(
-                max_workers=4,
-                timeout_s=60.0,
-                heartbeat_interval_s=0.05,
-                heartbeat_grace_s=0.3,
-                chaos_hook=functools.partial(_sigstop_first, str(tmp_path)),
-            ),
-        )
+        pool = SupervisedPool(analyze_shard, _fast_config(
+            max_workers=4,
+            timeout_s=60.0,
+            heartbeat_interval_s=0.05,
+            heartbeat_grace_s=0.3,
+            chaos_hook=functools.partial(_sigstop_first, str(tmp_path)),
+        ))
         began = time.monotonic()
         with pytest.warns(PartialTraceWarning, match="rank 3 excluded"):
-            recovered = analyzer.analyze()
+            recovered = analyze(run, AnalysisRequest(degraded=True, jobs=4), pool=pool)
         assert time.monotonic() - began < 60.0
         assert_identical(serial, recovered)
         assert recovered.execution is not None

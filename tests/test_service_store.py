@@ -81,6 +81,15 @@ class TestCanonicalSpec:
         with pytest.raises(JobValidationError):
             canonical_spec(raw)
 
+    @pytest.mark.parametrize("config", [[], 0, "", False, "x"])
+    def test_config_must_be_an_object_even_when_falsy(self, config):
+        """``[]``, ``0``, ``""`` and ``false`` were once read as ``{}``;
+        only an absent or ``null`` config is."""
+        with pytest.raises(JobValidationError, match="^config must be a JSON object$"):
+            canonical_spec({"experiment": "figure6", "config": config})
+        implicit = canonical_spec({"experiment": "figure6"})
+        assert canonical_spec({"experiment": "figure6", "config": None}) == implicit
+
     def test_timeline_config_keys_validate(self):
         spec = canonical_spec(
             {
