@@ -152,29 +152,25 @@ def _enclosing_user_region(
     return None
 
 
-def _op_actions(op: MPIOpInstance) -> List[Action]:
-    """Translate one MPI op instance into replayable actions."""
+def _op_actions(
+    op: MPIOpInstance, rank: int, comm_sizes: Dict[int, int]
+) -> List[Action]:
+    """Translate one MPI op instance of *rank* into replayable actions."""
     name = op.op_name
-    if op.coll is not None:
+    coll = op.coll
+    if coll is not None:
         if name == "MPI_Comm_split":
             # The created communicator's membership is not recorded in the
             # trace; replay the operation's synchronization effect (it
             # behaves like a small allgather) as a barrier.
             name = "MPI_Barrier"
-        return [
-            CollectiveAction(
-                op=name,
-                comm=op.coll.comm,
-                root_global=op.coll.root,
-                size=invert_bytes_moved(
-                    name,
-                    op.coll.sent,
-                    op.coll.recvd,
-                    nprocs=0,  # patched by the caller, needs comm size
-                    is_root=False,
-                ),
-            )
-        ]
+        nprocs = comm_sizes.get(coll.comm)
+        if nprocs is None:
+            raise AnalysisError(f"collective on unknown communicator {coll.comm}")
+        size = invert_bytes_moved(
+            name, coll.sent, coll.recvd, nprocs=nprocs, is_root=coll.root == rank
+        )
+        return [CollectiveAction(name, coll.comm, coll.root, size)]
     if name == "MPI_Sendrecv":
         if len(op.sends) != 1 or len(op.recvs) != 1:
             raise AnalysisError("sendrecv op without exactly one send and recv")
@@ -253,28 +249,7 @@ def extract_skeleton(
             if gap > 0:
                 actions.append(ComputeAction(gap))
             cursor = max(cursor, op.exit)
-            for action in _op_actions(op):
-                if isinstance(action, CollectiveAction):
-                    nprocs = comm_sizes.get(action.comm)
-                    if nprocs is None:
-                        raise AnalysisError(
-                            f"collective on unknown communicator {action.comm}"
-                        )
-                    is_root = action.root_global == rank
-                    size = invert_bytes_moved(
-                        action.op,
-                        op.coll.sent,
-                        op.coll.recvd,
-                        nprocs=nprocs,
-                        is_root=is_root,
-                    )
-                    action = CollectiveAction(
-                        op=action.op,
-                        comm=action.comm,
-                        root_global=action.root_global,
-                        size=size,
-                    )
-                actions.append(action)
+            actions.extend(_op_actions(op, rank, comm_sizes))
         tail = timeline.last_time - cursor
         if tail > 0:
             actions.append(ComputeAction(tail))

@@ -1,27 +1,29 @@
-"""Cost models for collective operations.
+"""The collective cost model: when each member of a collective leaves.
 
-Collectives are simulated centrally: once every rank of the communicator
-has entered the operation, per-rank exit times are computed from the enter
-times plus an algorithmic cost model.  The models are deliberately simple
+The world calls :func:`exits_on_entry` once per member entry, and it returns
+the exits that entry made known, so every member's exit time is computed
+once, at the entry that decides it.  The models are deliberately simple
 (logarithmic latency terms, bandwidth terms on the slowest link spanned by
 the communicator) — the wait-state patterns depend on the *synchronization
 semantics*, which are modeled exactly:
 
-* n-to-n operations (allreduce, allgather, alltoall, barrier): no rank can
-  finish before the last rank has started (→ *Wait at N×N* / *Wait at
-  Barrier*).
-* 1-to-n operations (bcast, scatter): no non-root can finish before the
-  root has started (→ *Late Broadcast*).
-* n-to-1 operations (reduce, gather): the root cannot finish before the
-  last rank has started; non-roots leave after injecting their data
+* barrier and n-to-n operations (allreduce, allgather, alltoall): every
+  member leaves once the last one has entered (→ *Wait at Barrier* /
+  *Wait at N×N*).
+* 1-to-n operations (bcast, scatter): the root leaves after injecting its
+  data; a non-root leaves once the root's binomial subtree reaches it, so
+  never before the root has entered (→ *Late Broadcast*).
+* n-to-1 operations (reduce, gather): a non-root leaves after injecting its
+  data, at its own entry; the root once the last member has entered
   (→ *Early Reduce*).
+* prefix operations (scan): comm rank i leaves once ranks 0..i have all
+  entered (→ *Early Scan*).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from math import ceil, log2
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import MPIUsageError
 from repro.ids import Location
@@ -53,13 +55,6 @@ ALL_COLLECTIVES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CollectiveTiming:
-    """Per-rank exit times of one collective instance (keyed by comm rank)."""
-
-    exit_times: Dict[int, float]
-
-
 def comm_alpha_beta(
     metacomputer: Metacomputer,
     locations: Sequence[Location],
@@ -88,96 +83,90 @@ def comm_alpha_beta(
 
 
 def _stages(nprocs: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, nprocs))))
+    return max(1, ceil(log2(max(2, nprocs))))
 
 
-def binomial_depth(comm_rank: int, root: int, nprocs: int) -> int:
-    """Depth of *comm_rank* in a binomial tree rooted at *root*."""
-    distance = (comm_rank - root) % nprocs
-    return max(1, distance.bit_length())
-
-
-def collective_exit_times(
+def exits_on_entry(
     op: str,
-    enter_times: Dict[int, float],
     root: int,
-    size_bytes: int,
-    metacomputer: Metacomputer,
-    locations: Dict[int, Location],
-    params: SimParams,
-) -> CollectiveTiming:
-    """Compute per-rank exit times for one collective instance.
+    size: int,
+    enter_times: Dict[int, float],
+    released: Set[int],
+    comm_rank: int,
+    own_size: int,
+    nprocs: int,
+    cost: Tuple[float, float],
+) -> List[Tuple[int, float]]:
+    """The ``(comm rank, exit time)`` pairs that *comm_rank*'s entry made
+    known, in release order.
 
-    Parameters
-    ----------
-    op:
-        One of the module's collective name constants.
-    enter_times:
-        Comm-rank → true time the rank entered the operation.  All ranks of
-        the communicator must be present.
-    root:
-        Root comm rank for rooted operations (ignored otherwise).
-    size_bytes:
-        Per-rank payload size.
-    locations:
-        Comm-rank → location, used to derive the spanned link classes.
+    *enter_times* (comm rank → entry time) already holds the entry, made at
+    ``enter_times[comm_rank]``; *size* is the largest payload entered so
+    far and *own_size* the entering rank's; *released* holds the comm ranks
+    whose exits are already known; *cost* is the communicator's
+    ``(alpha, 1/bandwidth)`` from :func:`comm_alpha_beta`.  *op* and *root*
+    are the caller's to check.  Members enter in time order, so the last
+    entry is the latest: a completion exit counts from it.
     """
-    if op not in ALL_COLLECTIVES:
-        raise MPIUsageError(f"unknown collective operation {op!r}")
-    ranks: List[int] = sorted(enter_times)
-    if not ranks:
-        raise MPIUsageError("collective with empty communicator")
-    if op in ONE_TO_N_OPS or op in N_TO_1_OPS:
-        if root not in enter_times:
-            raise MPIUsageError(f"root {root} not in communicator ranks {ranks}")
-    nprocs = len(ranks)
-    alpha, inv_bw = comm_alpha_beta(
-        metacomputer, [locations[r] for r in ranks], params
-    )
-    stages = _stages(nprocs)
-    last_enter = max(enter_times.values())
-    stage_cost = alpha + size_bytes * inv_bw
-
-    exits: Dict[int, float] = {}
-    if op == BARRIER:
-        # Dissemination barrier: everyone leaves together, one latency round
-        # per stage after the last arrival.
-        finish = last_enter + stages * alpha
-        exits = {r: finish for r in ranks}
-    elif op in N_TO_N_OPS:
-        # Butterfly/recursive-doubling: nobody finishes before the last
-        # entry; log(p) stages each moving the payload.
-        volume_factor = nprocs if op == ALLTOALL else 1
-        finish = last_enter + stages * stage_cost * volume_factor
-        exits = {r: finish for r in ranks}
-    elif op in ONE_TO_N_OPS:
-        # Binomial tree from the root: a non-root may have to wait for the
-        # root to arrive; the root leaves after injecting into the tree.
-        root_enter = enter_times[root]
-        for r in ranks:
-            if r == root:
-                exits[r] = root_enter + stage_cost
-            else:
-                depth = binomial_depth(r, root, nprocs)
-                exits[r] = max(enter_times[r], root_enter) + depth * stage_cost
-    elif op in N_TO_1_OPS:
-        # Non-roots inject and leave; the root must wait for the slowest
+    alpha, inv_bw = cost
+    now = enter_times[comm_rank]
+    complete = len(enter_times) == nprocs
+    if op in N_TO_1_OPS:
+        # Non-roots inject and leave; the root waits for the slowest
         # contributor.
-        for r in ranks:
-            if r == root:
-                exits[r] = last_enter + stages * stage_cost
-            else:
-                exits[r] = enter_times[r] + stage_cost
-    elif op in PREFIX_OPS:
-        # Prefix reduction: rank i cannot finish before every lower rank
-        # has started (its result depends on their contributions).
-        for r in ranks:
-            prefix_last = max(enter_times[j] for j in ranks if j <= r)
-            exits[r] = max(enter_times[r], prefix_last) + stages * stage_cost
-    # Exit must never precede entry.
-    for r in ranks:
-        exits[r] = max(exits[r], enter_times[r])
-    return CollectiveTiming(exit_times=exits)
+        exits = [] if comm_rank == root else [(comm_rank, now + alpha + own_size * inv_bw)]
+        if complete:
+            exits.append((root, now + _stages(nprocs) * (alpha + size * inv_bw)))
+        return exits
+    if op in ONE_TO_N_OPS:
+        # Binomial tree from the root: the root leaves after injecting, and
+        # a non-root once the root has entered and the tree has reached it.
+        if comm_rank == root:
+            exits = [(root, now + alpha + own_size * inv_bw)]
+            waiting = [r for r in sorted(enter_times) if r != root]
+        elif root in enter_times:
+            exits, waiting = [], [comm_rank]
+        else:
+            return []
+        stage_cost = alpha + size * inv_bw
+        root_enter = enter_times[root]
+        for r in waiting:
+            depth = max(1, ((r - root) % nprocs).bit_length())
+            exits.append((r, max(enter_times[r], root_enter) + depth * stage_cost))
+        return exits
+    if op in PREFIX_OPS:
+        # Rank i's result depends on ranks 0..i: release the frontier of
+        # complete prefixes, which ends at the first rank not yet entered.
+        step = _stages(nprocs) * (alpha + size * inv_bw)
+        prefix_max = float("-inf")
+        exits = []
+        for r in range(nprocs):
+            enter = enter_times.get(r)
+            if enter is None:
+                break
+            prefix_max = max(prefix_max, enter)
+            if r not in released:
+                exits.append((r, prefix_max + step))
+        return exits
+    if not complete:
+        return []
+    if op == BARRIER:
+        # Dissemination barrier: one latency round per stage after the last
+        # arrival.
+        finish = now + _stages(nprocs) * alpha
+    else:
+        # Butterfly / recursive doubling: log(p) stages each moving the
+        # payload (p times over for alltoall).
+        volume_factor = nprocs if op == ALLTOALL else 1
+        finish = now + _stages(nprocs) * (alpha + size * inv_bw) * volume_factor
+    return [(r, finish) for r in range(nprocs)]
+
+
+def split_exit(last_enter: float, nprocs: int, cost: Tuple[float, float]) -> float:
+    """When an ``MPI_Comm_split`` whose last member entered at *last_enter*
+    ends: its (color, key) exchange costs what an 8-byte allgather does."""
+    alpha, inv_bw = cost
+    return last_enter + _stages(nprocs) * (alpha + 8 * inv_bw)
 
 
 def bytes_moved(op: str, size_bytes: int, nprocs: int, comm_rank: int, root: int) -> tuple:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from math import ceil, inf, log2
+from math import inf
 from numbers import Real
 from operator import index
 from sys import intern
@@ -546,8 +546,8 @@ class _CollectiveInstance:
     size: int
     enter_times: Dict[int, float] = field(default_factory=dict)
     data: Dict[int, Any] = field(default_factory=dict)
-    #: Comm ranks whose exit has already been scheduled (rooted operations
-    #: release early finishers before the whole communicator has entered).
+    #: Comm ranks whose exit has already been scheduled (rooted and prefix
+    #: operations release members before the whole communicator has entered).
     resumed: set = field(default_factory=set)
 
 
@@ -664,7 +664,6 @@ class World:
         #: (comm id, source global, dest comm rank) -> what _inject needs.
         self._channels: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
         self._comm_costs: Dict[int, Tuple[float, float]] = {}
-        self._comm_locations: Dict[int, Dict[int, Location]] = {}
         self._region_ids = _RegionIds(tracer.regions) if tracer is not None else {}
         self._handlers: Dict[type, Callable[[SimProcess, Any], None]] = {
             ComputeReq: self._do_compute,
@@ -801,17 +800,10 @@ class World:
             raise SimulationError(f"rank {proc.rank} raised {exc!r}") from exc
         handler = self._handlers.get(type(request))
         if handler is None:
-            # Exact-type miss: honour subclasses of the request dataclasses
-            # once, then cache the resolution for their concrete type.
-            for cls, candidate in self._handlers.items():
-                if isinstance(request, cls):
-                    self._handlers[type(request)] = handler = candidate
-                    break
-            else:
-                raise MPIUsageError(
-                    f"rank {proc.rank} yielded an unknown request at "
-                    f"t={self.engine.now}: {request!r}"
-                )
+            raise MPIUsageError(
+                f"rank {proc.rank} yielded an unknown request at "
+                f"t={self.engine.now}: {request!r}"
+            )
         handler(proc, request)
 
     def _finish_call(self, proc: SimProcess) -> None:
@@ -1186,6 +1178,15 @@ class World:
                 f"{comm.name!r} it does not belong to"
             )
         op = req.op
+        if op not in coll.ALL_COLLECTIVES:
+            raise MPIUsageError(
+                f"rank {proc.rank} called unknown collective {op!r} on {comm.name!r}"
+            )
+        if not 0 <= req.root < comm.size:
+            raise MPIUsageError(
+                f"rank {proc.rank} called {op} on {comm.name!r} with root "
+                f"{req.root}, outside [0, {comm.size})"
+            )
         now = self.engine.now
         self.record_enter(proc, op)
         proc.blocked_on = op
@@ -1215,62 +1216,15 @@ class World:
         instance.enter_times[my_comm_rank] = now
         instance.data[my_comm_rank] = req.data
 
-        # Rooted operations release some participants early: an n-to-1
-        # contributor leaves right after injecting its data, a 1-to-n
-        # participant leaves as soon as the root's subtree reaches it.
-        # Without this, an early contributor would be blocked until the
-        # *last* rank arrived — wrong semantics (and exits in the past).
-        # Barriers and n-to-n operations release nobody early.
-        if op in coll.N_TO_1_OPS:
-            if my_comm_rank != instance.root:
-                alpha, inv_bw = self._comm_cost(comm)
-                self._release(
-                    comm, instance, [(my_comm_rank, now + alpha + req.size * inv_bw)]
-                )
-        elif op in coll.ONE_TO_N_OPS:
-            # The root leaves after injecting, with every non-root already
-            # waiting for it; a non-root once the root's subtree reaches it.
-            alpha, inv_bw = self._comm_cost(comm)
-            root, entered = instance.root, instance.enter_times
-            exits = []
-            if my_comm_rank == root:
-                exits.append((root, now + alpha + req.size * inv_bw))
-                waiting = [r for r in sorted(entered) if r != root and r not in instance.resumed]
-            else:
-                waiting = [my_comm_rank] if root in entered else []
-            for r in waiting:
-                depth = coll.binomial_depth(r, root, comm.size)
-                exits.append(
-                    (r, max(entered[r], entered[root]) + depth * (alpha + instance.size * inv_bw))
-                )
+        exits = coll.exits_on_entry(
+            op, instance.root, instance.size, instance.enter_times, instance.resumed,
+            my_comm_rank, req.size, comm.size,
+            self._comm_costs.get(comm.id) or self._comm_cost(comm),
+        )
+        if exits:
             self._release(comm, instance, exits)
-        elif op in coll.PREFIX_OPS:
-            # A scan rank may leave once every lower comm rank has entered;
-            # release the whole frontier of complete prefixes.
-            self._release_scan_frontier(comm, instance, *self._comm_cost(comm))
-
         if len(instance.enter_times) == comm.size:
-            self._complete_collective(comm, instance)
-
-    def _release_scan_frontier(
-        self,
-        comm: CommunicatorData,
-        instance: _CollectiveInstance,
-        alpha: float,
-        inv_bw: float,
-    ) -> None:
-        stages = max(1, ceil(log2(max(2, comm.size))))
-        stage_cost = alpha + instance.size * inv_bw
-        prefix_max = float("-inf")
-        exits = []
-        for comm_rank in range(comm.size):
-            enter = instance.enter_times.get(comm_rank)
-            if enter is None:
-                break  # frontier ends at the first missing rank
-            prefix_max = max(prefix_max, enter)
-            if comm_rank not in instance.resumed:
-                exits.append((comm_rank, max(enter, prefix_max) + stages * stage_cost))
-        self._release(comm, instance, exits)
+            self.stats.collectives += 1
 
     def _comm_cost(self, comm: CommunicatorData) -> Tuple[float, float]:
         """(alpha, 1/bandwidth) of the communicator's slowest spanned link.
@@ -1334,28 +1288,6 @@ class World:
                 )
             self._finish_call(proc)
 
-    def _complete_collective(self, comm: CommunicatorData, instance: _CollectiveInstance) -> None:
-        self.stats.collectives += 1
-        locations = self._comm_locations.get(comm.id)
-        if locations is None:
-            locations = {
-                comm.comm_rank(g): self.placement.location(g)
-                for g in comm.global_ranks
-            }
-            self._comm_locations[comm.id] = locations
-        timing = coll.collective_exit_times(
-            instance.op,
-            instance.enter_times,
-            instance.root,
-            instance.size,
-            self.metacomputer,
-            locations,
-            self.params,
-        )
-        # Comm-rank order; members released early by a rooted op are skipped.
-        exits = timing.exit_times.items()
-        self._release(comm, instance, [e for e in exits if e[0] not in instance.resumed])
-
     # -- fork-join threading ------------------------------------------------------
 
     def _do_omp_parallel(self, proc: SimProcess, req: OmpParallelReq) -> None:
@@ -1411,10 +1343,8 @@ class World:
     def _complete_split(self, comm: CommunicatorData, instance: Dict, index: int) -> None:
         self.stats.collectives += 1
         # Exchange of (color, key) behaves like a small allgather.
-        alpha, inv_bw = self._comm_cost(comm)
-        stages = max(1, ceil(log2(max(2, comm.size))))
-        finish = max(t for (_c, _k, t) in instance.values()) + stages * (
-            alpha + 8 * inv_bw
+        finish = coll.split_exit(
+            max(t for (_c, _k, t) in instance.values()), comm.size, self._comm_cost(comm)
         )
         # Group by color; order members by (key, old comm rank).
         by_color: Dict[int, List[Tuple[int, int, int]]] = {}

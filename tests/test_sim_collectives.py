@@ -1,20 +1,15 @@
-"""Tests for collective cost models (synchronization semantics)."""
+"""Tests for the collective cost model (synchronization semantics)."""
 
 import pytest
 
 from repro.errors import MPIUsageError
 from repro.sim import collectives as coll
+from repro.sim.mpi import CommunicatorData
 from repro.sim.transfer import SimParams
+from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster, uniform_metacomputer
 
 PARAMS = SimParams()
-
-
-def _locations(mc, n):
-    from repro.topology.metacomputer import Placement
-
-    placement = Placement.block(mc, n)
-    return {r: placement.location(r) for r in range(n)}
 
 
 @pytest.fixture
@@ -27,10 +22,25 @@ def multi():
     return uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=2)
 
 
-def _exits(op, enters, mc, n, root=0, size=0):
-    return coll.collective_exit_times(
-        op, enters, root, size, mc, _locations(mc, n), PARAMS
-    ).exit_times
+def _exits(op, enters, mc, n, root=0, size=0, released_at=None):
+    """Comm rank -> exit time, fed to ``exits_on_entry`` one entry at a time
+    in time order, as the world does.  Every member's exit is computed once,
+    and all are known once the last member has entered.  *released_at*, if
+    given, collects comm rank -> the comm rank whose entry released it."""
+    placement = Placement.block(mc, n)
+    cost = coll.comm_alpha_beta(mc, [placement.location(r) for r in range(n)], PARAMS)
+    entered, exits = {}, {}
+    for rank in sorted(enters, key=lambda r: (enters[r], r)):
+        entered[rank] = enters[rank]
+        for member, exit_time in coll.exits_on_entry(
+            op, root, size, entered, set(exits), rank, size, n, cost
+        ):
+            assert member not in exits
+            exits[member] = exit_time
+            if released_at is not None:
+                released_at[member] = rank
+    assert sorted(exits) == sorted(enters)
+    return exits
 
 
 class TestBarrier:
@@ -41,8 +51,10 @@ class TestBarrier:
 
     def test_everyone_leaves_together(self, single):
         enters = {0: 0.0, 1: 5.0, 2: 1.0, 3: 2.0}
-        exits = _exits(coll.BARRIER, enters, single, 4)
+        released_at = {}
+        exits = _exits(coll.BARRIER, enters, single, 4, released_at=released_at)
         assert len(set(exits.values())) == 1
+        assert set(released_at.values()) == {1}  # all by the last entry
 
 
 class TestNxN:
@@ -72,23 +84,25 @@ class TestNxN:
 class TestRooted:
     def test_bcast_nonroot_waits_for_root(self, single):
         enters = {0: 10.0, 1: 0.0, 2: 0.0, 3: 0.0}
-        exits = _exits(coll.BCAST, enters, single, 4, root=0, size=64)
+        released_at = {}
+        exits = _exits(coll.BCAST, enters, single, 4, root=0, size=64, released_at=released_at)
         assert all(exits[r] > 10.0 for r in (1, 2, 3))
+        assert released_at == {0: 0, 1: 0, 2: 0, 3: 0}  # by the root's entry
 
     def test_bcast_early_root_leaves_quickly(self, single):
         enters = {0: 0.0, 1: 50.0, 2: 50.0, 3: 50.0}
-        exits = _exits(coll.BCAST, enters, single, 4, root=0, size=64)
+        released_at = {}
+        exits = _exits(coll.BCAST, enters, single, 4, root=0, size=64, released_at=released_at)
         assert exits[0] < 1.0  # root does not wait for receivers
+        assert released_at == {0: 0, 1: 1, 2: 2, 3: 3}  # each on its own entry
 
     def test_reduce_root_waits_for_last(self, single):
         enters = {0: 0.0, 1: 7.0, 2: 0.0, 3: 0.0}
-        exits = _exits(coll.REDUCE, enters, single, 4, root=0, size=64)
+        released_at = {}
+        exits = _exits(coll.REDUCE, enters, single, 4, root=0, size=64, released_at=released_at)
         assert exits[0] > 7.0
         assert exits[2] < 1.0  # early contributor leaves after injecting
-
-    def test_missing_root_rejected(self, single):
-        with pytest.raises(MPIUsageError):
-            _exits(coll.BCAST, {0: 0.0, 1: 0.0}, single, 2, root=5)
+        assert released_at == {0: 1, 1: 1, 2: 2, 3: 3}
 
 
 class TestInvariantsAndBytes:
@@ -99,13 +113,9 @@ class TestInvariantsAndBytes:
             for r, enter in enters.items():
                 assert exits[r] >= enter
 
-    def test_unknown_op_rejected(self, single):
+    def test_empty_communicator_rejected(self):
         with pytest.raises(MPIUsageError):
-            _exits("MPI_Magic", {0: 0.0}, single, 1)
-
-    def test_empty_communicator_rejected(self, single):
-        with pytest.raises(MPIUsageError):
-            _exits(coll.BARRIER, {}, single, 1)
+            CommunicatorData(0, "empty", [])
 
     def test_bytes_moved_barrier(self):
         assert coll.bytes_moved(coll.BARRIER, 100, 4, 0, 0) == (0, 0)

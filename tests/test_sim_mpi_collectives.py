@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, MPIUsageError
-from repro.sim.mpi import World
+from repro.sim.mpi import CollectiveReq, World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
 from tests.test_sim_mpi_p2p import run_world
@@ -166,4 +166,25 @@ class TestCollectiveErrors:
                 yield ctx.comm.barrier()
 
         with pytest.raises(DeadlockError):
+            run_world(mc, 3, app)
+
+    @pytest.mark.parametrize(
+        "op, root",
+        [
+            ("MPI_Reduce", -1),
+            ("MPI_Reduce", 3),  # == size
+            ("MPI_Bcast", 5),
+            ("MPI_Magic", 0),
+        ],
+        ids=["root-1", "root=size", "root>size", "unknown-op"],
+    )
+    def test_bad_request_refused_at_entry(self, mc, op, root):
+        """A hand-built request bypasses the builders' checks; the first
+        member to enter with it is refused, before anyone is released."""
+
+        def app(ctx):
+            yield ctx.compute(0.001 * ctx.rank)
+            yield CollectiveReq(ctx.comm.id, op, 8, root)
+
+        with pytest.raises(MPIUsageError, match="^rank 0 called"):
             run_world(mc, 3, app)

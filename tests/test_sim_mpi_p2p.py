@@ -242,6 +242,13 @@ class TestErrors:
         with pytest.raises(MPIUsageError):
             run_world(mc, 1, app)
 
+        def late(ctx):
+            yield ctx.compute(0.5)
+            yield 42
+
+        with pytest.raises(MPIUsageError, match=r"^rank 0 yielded an unknown request at t=0\.5: 42$"):
+            run_world(mc, 1, late)
+
 
 class TestBuilderArguments:
     """The request builders refuse what MPI forbids, naming the argument,

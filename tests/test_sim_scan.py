@@ -6,9 +6,9 @@ from repro.analysis.patterns import metric_by_name
 from repro.analysis.patterns.base import EARLY_SCAN
 from repro.api import analyze
 from repro.sim import collectives as coll
-from repro.sim.transfer import SimParams
 from repro.topology.presets import single_cluster
 from tests.conftest import run_app
+from tests.test_sim_collectives import _exits
 from tests.test_sim_mpi_p2p import run_world
 
 
@@ -56,21 +56,12 @@ class TestScanSemantics:
         assert all(t >= 0.3 for t in after.values())
 
     def test_cost_model_exit_times(self, mc):
-        exits = coll.collective_exit_times(
-            coll.SCAN,
-            {0: 5.0, 1: 0.0, 2: 0.0},
-            root=0,
-            size_bytes=64,
-            metacomputer=mc,
-            locations={
-                r: __import__("repro.ids", fromlist=["Location"]).Location(0, 0, r)
-                for r in range(3)
-            },
-            params=SimParams(),
-        ).exit_times
+        released_at = {}
+        exits = _exits(coll.SCAN, {0: 5.0, 1: 0.0, 2: 0.0}, mc, 3, size=64, released_at=released_at)
         # Rank 1's prefix includes the late rank 0.
         assert exits[1] >= 5.0
         assert exits[2] >= 5.0
+        assert released_at == {0: 0, 1: 0, 2: 0}  # the frontier, at once
 
     def test_bytes_moved(self):
         assert coll.bytes_moved(coll.SCAN, 100, 4, 0, 0) == (100, 0)
