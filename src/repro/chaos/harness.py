@@ -45,8 +45,13 @@ _RANKS = 8
 
 #: What :func:`run_chaos` admits, by the request's rules: at least one worker
 #: per episode, and a finite slack (under a NaN one no episode could fail).
-_JOBS = replace(rule_of(AnalysisRequest, "jobs"), low=1)
-_GRACE = replace(rule_of(AnalysisRequest, "deadline_s"), finite=True)
+_JOBS = replace(
+    rule_of(AnalysisRequest, "jobs"), low=1, doc="analysis worker processes per episode"
+)
+_GRACE = replace(
+    rule_of(AnalysisRequest, "deadline_s"), finite=True, flag="--grace",
+    doc="termination slack added to each episode's deadline",
+)
 
 
 @dataclass

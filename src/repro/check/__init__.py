@@ -22,6 +22,14 @@ result.  This package enforces them mechanically, at the source level:
 * **API drift** (``API4xx``): ``repro.api.__all__`` must match the
   checked-in snapshot contract, and every ``DeprecationWarning`` shim is
   registered with a removal window that has not lapsed.
+* **Architecture** (``ARC5xx``): what each simplicity refactor removed
+  stays removed — deleted names, import boundaries (the process boundary
+  does not know the replay driver, the engine does not import the
+  object-wise reference), banned calls (garbage-collector switches, a
+  timer in the pool supervisor) and shapes (generated CLI flags are not
+  hand-written).  The rules are one declarative table,
+  :data:`repro.check.architecture.ROWS`, the one module that spells the
+  deleted names.
 
 Rules report typed :class:`~repro.check.findings.Finding`\\ s with
 ``file:line``, a rule id and a fix hint.  The checked-in

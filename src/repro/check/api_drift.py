@@ -161,7 +161,7 @@ def check_deprecations(
     findings: List[Finding] = []
     matched = [False] * len(registry)
     for module in modules:
-        collector = _DeprecationSites(module, import_table(module.tree))
+        collector = _DeprecationSites(module, import_table(module.tree, module.dotted_package))
         collector.visit(module.tree)
         for file, symbol, node in collector.sites:
             entry = None

@@ -3,9 +3,10 @@
 :func:`run_checks` is the one entry point the CLI and :mod:`repro.api`
 expose.  It walks the scanned package (by default the installed
 ``repro`` tree itself), parses every ``.py`` file once, runs the
-per-module rule families (determinism, atomicity, concurrency), then the
-tree-wide ones (API surface, deprecation registry), applies the
-checked-in baseline, and returns a :class:`~repro.check.findings.CheckReport`.
+per-module rule families (determinism, atomicity, concurrency,
+architecture), then the tree-wide ones (API surface, deprecation
+registry), applies the checked-in baseline, and returns a
+:class:`~repro.check.findings.CheckReport`.
 
 File ordering is sorted, findings are sorted, and nothing consults a
 clock or an environment variable: two runs over the same tree produce
@@ -25,6 +26,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.check.api_drift import API_MODULE, check_api_surface, check_deprecations
+from repro.check.architecture import check_architecture
 from repro.check.atomicity import check_atomicity
 from repro.check.baseline import Baseline, BaselineError
 from repro.check.concurrency import check_concurrency
@@ -80,11 +82,12 @@ def load_snapshot(path: str) -> Optional[Dict[str, Any]]:
 
 
 def _module_findings(module: Module) -> List[Finding]:
-    imports = import_table(module.tree)
+    imports = import_table(module.tree, module.dotted_package)
     findings: List[Finding] = []
     findings.extend(check_determinism(module, imports))
     findings.extend(check_atomicity(module, imports))
     findings.extend(check_concurrency(module, imports))
+    findings.extend(check_architecture(module, imports))
     return findings
 
 

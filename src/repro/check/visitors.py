@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.check.findings import Finding
 
@@ -48,6 +48,13 @@ class Module:
             parts = parts[:-1]
         return ".".join(parts)
 
+    @property
+    def dotted_package(self) -> str:
+        """The package a relative import in this file starts from."""
+        if self.file.endswith("/__init__.py"):
+            return self.module_name
+        return self.module_name.rpartition(".")[0]
+
     def snippet(self, node: ast.AST) -> str:
         lineno = getattr(node, "lineno", 0)
         if 1 <= lineno <= len(self.lines):
@@ -55,30 +62,50 @@ class Module:
         return ""
 
 
-def import_table(tree: ast.Module) -> Dict[str, str]:
+def imported_names(
+    tree: ast.Module, package: str = ""
+) -> Iterator[Tuple[ast.stmt, ast.alias, str]]:
+    """``(statement, alias, dotted name imported)`` for every import.
+
+    ``import a.b`` imports ``a.b``; ``from m import n as k`` imports
+    ``m.n``.  A relative import is resolved against *package*, the dotted
+    package the module sits in, so ``from ..wallclock import wallclock`` in
+    ``repro.analysis`` imports ``repro.wallclock.wallclock``; one that
+    climbs above *package* is skipped.  Function-local imports are included
+    too — a deferred import changes *when* a name binds, not what it means.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".") if package else []
+                if node.level > len(anchor):
+                    continue
+                anchor = anchor[: len(anchor) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node, alias, f"{base}.{alias.name}" if base else alias.name
+
+
+def import_table(tree: ast.Module, package: str = "") -> Dict[str, str]:
     """Local name → canonical dotted prefix, from the module's imports.
 
     ``import numpy as np`` maps ``np → numpy``; ``from numpy import
     random as nprand`` maps ``nprand → numpy.random``; ``from time import
-    time`` maps ``time → time.time``.  Function-local imports are
-    included too — a deferred import changes *when* a name binds, not
-    what it means.
+    time`` maps ``time → time.time``; ``import os.path`` binds only ``os``.
+    Relative imports resolve against *package* (:func:`imported_names`).
     """
     table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                table[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative import: not used in this repo
-                continue
-            base = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                table[local] = f"{base}.{alias.name}" if base else alias.name
+    for node, alias, name in imported_names(tree, package):
+        if isinstance(node, ast.Import) and not alias.asname:
+            head = name.split(".")[0]
+            table[head] = head
+        else:
+            table[alias.asname or alias.name] = name
     return table
 
 

@@ -44,7 +44,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.request import SEED, Rule, declared
+from repro.analysis.request import SEED, Rule, declared, rule_of
 from repro.api import (
     DEFAULT_SEEDS,
     EXPERIMENTS,
@@ -54,6 +54,7 @@ from repro.api import (
     run_experiment,
     serve,
 )
+from repro.chaos.harness import _GRACE, _JOBS
 from repro.errors import CheckpointLockError, PoolShutdown, ReproError
 from repro.service.store import DONE, TERMINAL
 
@@ -63,8 +64,12 @@ DEFAULT_JOURNAL = ".repro-checkpoint.jsonl"
 #: Default service endpoint of the client commands.
 DEFAULT_URL = "http://127.0.0.1:8137"
 
-#: What ``submit --poll-interval`` admits, checked before anything is POSTed.
-_POLL_INTERVAL = Rule("seconds", "seconds between polls of --wait", finite=True)
+#: What ``submit --poll-interval`` admits, checked before anything is POSTed,
+#: and its default.
+_POLL_INTERVAL = Rule(
+    "seconds", "seconds between polls of --wait", flag="--poll-interval", finite=True
+)
+_POLL_S = 0.5
 
 
 def _command(name: str) -> Callable[..., str]:
@@ -203,8 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="job kind (default: run_experiment)",
     )
     submit_parser.add_argument("--url", default=DEFAULT_URL)
-    submit_parser.add_argument("--seed", type=int, default=None)
-    submit_parser.add_argument("--jobs", type=int, default=None)
+    _add_flag(submit_parser, "seed", SEED, None)
+    _add_flag(submit_parser, "jobs", rule_of(AnalysisRequest, "jobs"), "the service's")
     submit_parser.add_argument(
         "--config",
         default=None,
@@ -217,20 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="poll until the job is done, failed or cancelled; print its "
         "result (exit 0) or its error (exit 1)",
     )
-    submit_parser.add_argument(
-        "--poll-interval", type=float, default=0.5, metavar="SECONDS"
-    )
+    _add_flag(submit_parser, "poll_interval", _POLL_INTERVAL, _POLL_S)
 
     jobs_parser = sub.add_parser(
         "jobs", help="list jobs (from a running service, or --store offline)"
     )
     jobs_parser.add_argument("--url", default=DEFAULT_URL)
-    jobs_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="read this job store journal directly instead of over HTTP",
-    )
+    _add_flag(jobs_parser, "store", rule_of(ServiceConfig, "store_path"), "over HTTP")
     jobs_parser.add_argument(
         "--requeue",
         default=None,
@@ -254,15 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="seed list/ranges, e.g. '0..4' or '0,2,7' (default: 0..4)",
     )
-    chaos_parser.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
-        help="analysis worker processes per episode (default: 4)",
-    )
-    chaos_parser.add_argument(
-        "--grace", type=float, default=120.0, metavar="SECONDS",
-        help="termination slack added to each episode's deadline "
-        "(default: 120)",
-    )
+    _add_flag(chaos_parser, "jobs", _JOBS, 4)
+    _add_flag(chaos_parser, "grace_s", _GRACE, 120)
     chaos_parser.add_argument(
         "--workdir", default=None, metavar="PATH",
         help="directory for episode markers/journals (default: a temp dir)",
@@ -406,7 +397,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    poll_s = _POLL_INTERVAL.admit("poll_interval", args.poll_interval, 0.5)
+    poll_s = _POLL_S if args.poll_interval is None else args.poll_interval
+    poll_s = _POLL_INTERVAL.admit("poll_interval", poll_s, _POLL_S)
     spec: Dict[str, Any] = {"kind": args.kind, "experiment": args.experiment}
     if args.seed is not None:
         spec["seed"] = args.seed
@@ -457,8 +449,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --seeds: {exc}", file=sys.stderr)
         return 2
+    # A flag left out keeps run_chaos's default.
+    given = {"jobs": args.jobs, "grace_s": args.grace_s}
     report = run_chaos(
-        seeds, jobs=args.jobs, grace_s=args.grace, workdir=args.workdir
+        seeds, workdir=args.workdir, **{k: v for k, v in given.items() if v is not None}
     )
     print(render_report(report))
     return 0 if report.ok else 1

@@ -11,11 +11,18 @@ whose rules apply.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import textwrap
 
-from repro.check import check_source
+import pytest
+
+from repro.check import RULES, check_source
 from repro.check.api_drift import check_api_surface, check_deprecations
+from repro.check.architecture import ROWS, SKIPPED, check_file
 from repro.check.visitors import Module, import_table, resolve
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def rules_of(source, rel_file):
@@ -88,6 +95,14 @@ class TestDET102ClocksInResultPackages:
         now = wallclock()
         """
         assert rules_of(src, "repro/report/fx.py") == ["DET102"]
+
+    def test_relative_wallclock_import_flagged(self):
+        # The relative spelling is the same import as the absolute one.
+        src = """
+        from ..wallclock import wallclock
+        now = wallclock()
+        """
+        assert rules_of(src, "repro/analysis/fx.py") == ["DET102"]
 
     def test_datetime_now_flagged(self):
         src = """
@@ -509,3 +524,151 @@ class TestImportResolution:
         assert resolve(name, imports) == "time.time"
         name = ast.parse("wallclock").body[0].value
         assert resolve(name, imports) == "repro.wallclock.wallclock"
+
+    def test_relative_imports_resolve_against_the_package(self):
+        tree = ast.parse(
+            "from ..wallclock import wallclock\n"
+            "from . import streaming as s\n"
+            "from .optable import build_tables\n"
+            "from .... import too_far\n"
+        )
+        imports = import_table(tree, "repro.analysis")
+        assert imports == {
+            "wallclock": "repro.wallclock.wallclock",
+            "s": "repro.analysis.streaming",
+            "build_tables": "repro.analysis.optable.build_tables",
+        }
+
+    def test_package_init_is_its_own_anchor(self):
+        module = module_of("from . import streaming", "repro/analysis/__init__.py")
+        assert module.dotted_package == "repro.analysis"
+        assert module_of("x = 1", "repro/analysis/fx.py").dotted_package == "repro.analysis"
+
+
+def arc_rules(source, path):
+    """Rule ids *source* draws at repository *path*: a package module goes
+    through ``check_source`` with its real ``rel_file``, any other file
+    through ``check_file``."""
+    if path.startswith("src/repro/") and path.endswith(".py"):
+        return [f.rule for f in check_source(source, path[len("src/"):])]
+    return [f.rule for f in check_file(path, source)]
+
+
+class TestARCAliasBypasses:
+    """Spellings the text guards let through: each is the same import or call."""
+
+    @pytest.mark.parametrize(
+        "source, path, rule",
+        [
+            ("from repro.analysis import ReplayAnalyzer\n", "src/repro/report/timeline.py",
+             "ARC508"),
+            ("from repro.analysis import streaming\n", "src/repro/analysis/parallel.py",
+             "ARC507"),
+            ("from . import streaming\n", "src/repro/analysis/parallel.py", "ARC507"),
+            ("from gc import freeze\nfreeze()\n", "src/repro/sim/engine.py", "ARC501"),
+            ("from time import sleep\nsleep(0.1)\n", "src/repro/resilience/pool.py", "ARC524"),
+        ],
+    )
+    def test_alias_fires(self, source, path, rule):
+        assert arc_rules(source, path) == [rule]
+
+    @pytest.mark.parametrize(
+        "source, path",
+        [
+            ("from repro.analysis import AnalysisResult\n", "src/repro/report/timeline.py"),
+            ("from repro.analysis.optable import build_tables\n",
+             "src/repro/analysis/parallel.py"),
+            ("import gc\ngc.collect()\n", "src/repro/sim/engine.py"),
+            ("import time\nt0 = time.monotonic()\n", "src/repro/resilience/pool.py"),
+            ("def f(engine, t, proc):\n    engine.call_at(t, proc.step, proc)\n",
+             "src/repro/sim/mpi.py"),
+        ],
+    )
+    def test_near_miss_clean(self, source, path):
+        assert arc_rules(source, path) == []
+
+
+def _repository_files():
+    """Tracked files by repository path (a walk where git is unavailable)."""
+    try:
+        listing = subprocess.run(
+            ["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True, timeout=60
+        ).stdout.decode("utf-8")
+        paths = [p for p in listing.split("\0") if p]
+    except (OSError, subprocess.SubprocessError):
+        paths = []
+        for dirpath, dirnames, filenames in os.walk(ROOT):
+            dirnames[:] = [
+                d for d in dirnames
+                if d in (".github", ".claude") or not (
+                    d.startswith(".") or d in ("__pycache__", "build", "dist")
+                    or d.endswith(".egg-info")
+                )
+            ]
+            rel = os.path.relpath(dirpath, ROOT).replace(os.sep, "/")
+            paths += [f if rel == "." else f"{rel}/{f}" for f in filenames]
+    return sorted(p for p in paths if os.path.isfile(os.path.join(ROOT, p)))
+
+
+FILES = _repository_files()
+PY_FILES = sorted(
+    (p for p in FILES if p.endswith(".py")), key=lambda p: (not p.startswith("src/repro/"), p)
+)
+
+
+def _planted(row):
+    """The row's own pattern, one source per name it matches."""
+    def split(name):
+        head, _, last = name.rpartition(".")
+        return head, last
+
+    plant = {
+        "text": lambda n: f"# {n}\n",
+        "import": lambda n: "from %s import %s\n"
+        % (split(n) if "." in n else ("repro.analysis", n)),
+        "call": lambda n: (
+            "from %s import %s as planted\nplanted()\n" % split(n) if "." in n else f"{n}()\n"
+        ),
+        "lambda": lambda n: f"def f(engine, t):\n    engine.{n}(t, lambda: None)\n",
+        "param": lambda n: f"def {row.within}planted(request, {n}=None):\n    return request\n",
+        "field": lambda n: f"class Planted:\n    {n}: float = 1.0\n",
+        "flag": lambda n: f'parser.add_argument("{n}")\n',
+        "words": lambda n: f"def {row.within}(args):\n    return args.{n}\n",
+    }
+    if row.kind == "loops":
+        return ["while False:\n    pass\n" * (row.limit + 1)]
+    return [plant[row.kind](name) for name in row.words()]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.rule for row in ROWS])
+def test_row_fires_on_its_path_only(row):
+    """Plant the row's own pattern in a real module the row covers: its id
+    fires.  Plant it in the first module the row does not cover (at worst one
+    it skips): nothing does."""
+    inside = next(p for p in PY_FILES if row.covers(p))
+    outside = next(p for p in [*PY_FILES, *SKIPPED] if not row.covers(p))
+    for source in _planted(row):
+        assert row.rule in arc_rules(source, inside), (source, inside)
+        assert arc_rules(source, outside) == [], (source, outside)
+
+
+def test_every_row_has_a_fixture_and_a_contract():
+    docs = open(os.path.join(ROOT, "docs", "CHECKS.md"), encoding="utf-8").read()
+    assert len({row.rule for row in ROWS}) == len(ROWS)
+    for row in ROWS:
+        assert _planted(row), row.rule
+        assert any(row.covers(p) for p in PY_FILES), row.rule
+        assert row.rule in RULES and f"### {row.rule}" in docs, row.rule
+
+
+def test_repository_files_keep_the_architecture_rules():
+    """Every row over every tracked file: the rows that reach beyond the
+    package (tests, docs, benchmarks, CI, or every file) are checked here
+    only, the package's modules by ``repro check`` too."""
+    assert "src/repro/check/architecture.py" in SKIPPED
+    findings = []
+    for path in FILES:
+        with open(os.path.join(ROOT, path), "rb") as handle:
+            text = handle.read().decode("utf-8", errors="replace")
+        findings += [f"{f.location()}: {f.rule} {f.message}" for f in check_file(path, text)]
+    assert findings == []

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import repro.api as api
 import repro.cli as cli
-from repro.analysis.request import AnalysisRequest, declared
+from repro.analysis.request import SEED, AnalysisRequest, declared
 from repro.chaos import harness
 from repro.cli import _build_parser, _request
 from repro.errors import AnalysisError, JobValidationError, ReproError
@@ -314,7 +314,8 @@ def test_serve_refuses_before_starting(flag, value, field, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, field",
     [(["--grace", "nan"], "grace_s"), (["--grace", "-1"], "grace_s"),
-     (["--grace", "inf"], "grace_s"), (["--jobs", "0"], "jobs")],
+     (["--grace", "inf"], "grace_s"), (["--jobs", "0"], "jobs"),
+     (["--grace", "0"], "grace_s"), (["--jobs", "1025"], "jobs")],
 )
 def test_chaos_refuses_before_simulating(argv, field, monkeypatch, capsys):
     """``--grace nan`` turned the termination invariant off (``wall > bound +
@@ -334,6 +335,47 @@ def test_submit_refuses_poll_interval_before_posting(value, monkeypatch, capsys)
     argv = ["submit", "figure6", "--wait", "--poll-interval", value]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: poll_interval must be ")
+
+
+def _options(command):
+    parser = PARSER._subparsers._group_actions[0].choices[command]
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def test_client_flags_are_built_from_their_rules():
+    """``submit --seed/--jobs/--poll-interval``, ``chaos --jobs/--grace`` and
+    ``jobs --store`` are each generated from the ``Rule`` that admits them."""
+    jobs = declared(AnalysisRequest)["jobs"].metadata["rule"]
+    store = SERVICE["store_path"].metadata["rule"]
+    assert {SEED.flag, jobs.flag, cli._POLL_INTERVAL.flag} <= _options("submit")
+    assert {harness._JOBS.flag, harness._GRACE.flag} <= _options("chaos")
+    assert store.flag in _options("jobs")
+    args = PARSER.parse_args(["chaos", "--jobs", "3", "--grace", "5"])
+    assert (args.jobs, args.grace_s) == (3, 5)
+
+
+def test_left_out_client_flags_keep_the_callees_defaults(monkeypatch):
+    """A flag left out passes nothing, so ``run_chaos`` keeps its own
+    ``jobs``/``grace_s`` and ``submit --wait`` polls every 0.5 s."""
+    import repro.chaos
+
+    calls = []
+    monkeypatch.setattr(
+        repro.chaos, "run_chaos", lambda seeds, **kw: calls.append(kw) or _start()
+    )
+    with pytest.raises(_Started):
+        cli.main(["chaos", "--seeds", "0"])
+    with pytest.raises(_Started):
+        cli.main(["chaos", "--seeds", "0", "--grace", "7"])
+    assert calls == [{"workdir": None}, {"workdir": None, "grace_s": 7}]
+
+    replies = iter([(202, {"disposition": "created", "job": {"key": "k", "status": "queued"}}),
+                    (200, {"job": {"status": "queued"}})])
+    monkeypatch.setattr(cli, "_http_json", lambda *a, **kw: next(replies))
+    monkeypatch.setattr(cli.time, "sleep", lambda s: calls.append(s) or _start())
+    with pytest.raises(_Started):
+        cli.main(["submit", "figure6", "--wait"])
+    assert calls[-1] == 0.5
 
 
 class _Started(Exception):
