@@ -9,12 +9,13 @@ Pattern severities accumulate in a (metric × call path × process) cube.
 
 from repro.analysis.callpath import CallPathRegistry, CallPathBuilder
 from repro.analysis.severity import SeverityCube
-from repro.analysis.instances import (
+from repro.analysis.instances import ProcessTimeline, build_timeline
+from repro.analysis.matching import (
+    MessageMatcher,
+    MatchedPair,
+    CollectiveInstance,
     MPIOpInstance,
-    ProcessTimeline,
-    build_timeline,
 )
-from repro.analysis.matching import MessageMatcher, MatchedPair, CollectiveInstance
 from repro.analysis.request import AnalysisRequest
 from repro.analysis.result import AnalysisResult, ReplayTraffic
 from repro.analysis.severity_timeline import SeverityTimeline

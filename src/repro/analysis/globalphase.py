@@ -40,8 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.instances import ProcessTimeline
-from repro.analysis.optable import OpTable
+from repro.analysis.instances import OpTable, ProcessTimeline
 from repro.analysis.patterns.base import (
     BARRIER_COMPLETION,
     COLLECTIVE,

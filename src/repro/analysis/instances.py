@@ -1,111 +1,106 @@
-"""Per-process timelines: local trace events → synchronized MPI op instances.
+"""Per-process timelines: local trace events → synchronized op tables.
 
 This is the local phase of the replay: each analysis process walks its own
 rank's events once, converting node-local stamps to master time with the
 selected synchronization scheme, reconstructing call paths, accumulating
-per-call-path exclusive time, and collecting one :class:`MPIOpInstance` per
-completed MPI call (with its attached SEND/RECV/COLLEXIT records).  Nothing
-here requires data from other ranks.
+per-call-path exclusive time, and collecting every completed MPI call as a
+row of an :class:`OpTable` (its SEND/RECV/COLLEXIT records as rows of the
+table's record columns) and every fork-join region as a row of an
+:class:`OmpTable`.  Nothing here requires data from other ranks.
 
 Two implementations produce the same :class:`ProcessTimeline`.
 :func:`build_timeline`, here, is the sequential definition: a plain loop
 over event objects — the buffered reference analyzer's local phase, the
 oracle the property tests compare against, and the source of every
 structural error message.  The streaming replay and the shard workers run
-:func:`repro.analysis.optable.build_rank_tables` instead: array passes over
-the trace blob, whose ``mpi_ops`` / ``omp_regions`` are lazy column-backed
-sequences that make the record types below on read.
+:func:`repro.analysis.optable.build_tables` instead: array passes over
+the trace blobs.  Both write the same columns, of the same dtypes; the
+tables hold those columns and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError
-from repro.ids import Location, NodeId, node_of
+from repro.ids import Location
+from repro.trace.encoding import _RECORD_DTYPES
 from repro.trace.events import Event, EventKind
 from repro.trace.regions import RegionRegistry, is_mpi_region
 
-
-class SendRecord(NamedTuple):
-    """A SEND event with synchronized stamp, in trace order.
-
-    The per-event records are ``NamedTuple``\\ s for the same reason the raw
-    trace events are: ``build_timeline`` constructs one per communication
-    record and tuple construction is several times cheaper than a frozen
-    dataclass ``__init__``.
-    """
-
-    time: float
-    dest: int  # global rank
-    tag: int
-    comm: int
-    size: int
+#: One kind of record in a table: (each op's first row, ``len(ops) + 1``
+#: long; the record columns, rows grouped by owning op in trace order).
+Records = Tuple[np.ndarray, Tuple[np.ndarray, ...]]
 
 
-class RecvRecord(NamedTuple):
-    """A RECV event with synchronized stamp, in trace order."""
+class _Columns:
+    """Equality column by column: every field equal, arrays by
+    ``np.array_equal`` (so a NaN equals nothing)."""
 
-    time: float
-    source: int  # global rank
-    tag: int
-    comm: int
-    size: int
+    __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-class CollRecord(NamedTuple):
-    """A COLLEXIT event with synchronized stamp."""
-
-    time: float
-    region: int
-    comm: int
-    root: int  # global rank
-    sent: int
-    recvd: int
+    __hash__ = None  # type: ignore[assignment]
 
 
-class OmpRegionRecord(NamedTuple):
-    """One fork-join region with synchronized times and team summary."""
-
-    cpid: int
-    enter: float
-    exit: float
-    nthreads: int
-    busy_sum: float
-    busy_max: float
-
-    @property
-    def idle_thread_seconds(self) -> float:
-        """Thread-seconds idled waiting for the slowest team member."""
-        return max(0.0, self.nthreads * self.busy_max - self.busy_sum)
+def _equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
-@dataclass(slots=True)
-class MPIOpInstance:
-    """One completed MPI call of one rank, with synchronized times.
+@dataclass(eq=False, slots=True)
+class OpTable(_Columns):
+    """One rank's completed MPI operations, in completion (EXIT) order.
 
-    ``sends``/``recvs`` are immutable tuples: most ops carry no record and
-    share the one empty ``()`` instead of allocating a list pair each.
+    The record columns are, per kind: SEND ``(time, dest, tag, comm,
+    size)``, RECV ``(time, source, tag, comm, size)`` and COLLEXIT ``(time,
+    region, comm, root, sent, recvd)`` — synchronized stamps, global ranks.
+    An op may hold several COLLEXIT records; its last one counts.
     """
 
     rank: int
-    region: int
-    op_name: str
-    cpid: int
-    enter: float
-    exit: float
-    sends: Tuple[SendRecord, ...] = ()
-    recvs: Tuple[RecvRecord, ...] = ()
-    coll: Optional[CollRecord] = None
+    #: region id → name, for the MPI regions that occur.
+    names: Dict[int, str]
+    region: np.ndarray
+    cpid: np.ndarray
+    enter: np.ndarray
+    exit: np.ndarray
+    sends: Records
+    recvs: Records
+    colls: Records
 
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.exit - self.enter)
+    def __len__(self) -> int:
+        return len(self.region)
+
+    def remap(self, lookup: np.ndarray) -> None:
+        """Renumber call paths: ``lookup[old cpid]`` is the new one."""
+        self.cpid = np.take(lookup, self.cpid)
+
+
+@dataclass(eq=False, slots=True)
+class OmpTable(_Columns):
+    """One rank's fork-join region records, in trace order."""
+
+    #: cpid, enter, exit, nthreads, busy_sum, busy_max — one array each.
+    columns: Tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def remap(self, lookup: np.ndarray) -> None:
+        self.columns = (np.take(lookup, self.columns[0]),) + self.columns[1:]
 
 
 @dataclass
@@ -119,16 +114,11 @@ class ProcessTimeline:
     exclusive_time: Dict[int, float] = field(default_factory=dict)
     #: Number of times each call path was entered.
     visits: Dict[int, int] = field(default_factory=dict)
-    #: Completed MPI operations in completion order, and fork-join region
-    #: records in trace order: lists from :func:`build_timeline`, lazy
-    #: column-backed sequences (objects made on read) from the op tables.
-    mpi_ops: Sequence[MPIOpInstance] = field(default_factory=list)
-    omp_regions: Sequence[OmpRegionRecord] = field(default_factory=list)
+    #: Completed MPI operations and fork-join regions; None once a
+    #: ``bounded`` analysis has dropped them.
+    mpi_ops: Optional[OpTable] = None
+    omp_regions: Optional[OmpTable] = None
     event_count: int = 0
-
-    @property
-    def node(self) -> NodeId:
-        return node_of(self.location)
 
     @property
     def machine(self) -> int:
@@ -153,19 +143,21 @@ def build_timeline(
     :meth:`~repro.trace.archive.ArchiveReader.stream_trace`, so a trace is
     consumed record by record without a full in-memory event list.
     """
-    timeline = ProcessTimeline(
-        rank=rank, location=location, first_time=0.0, last_time=0.0
-    )
-    visits = timeline.visits
-    exclusive_time = timeline.exclusive_time
-    mpi_ops = timeline.mpi_ops
+    visits: Dict[int, int] = {}
+    exclusive_time: Dict[int, float] = {}
     slope = converter.slope
     intercept = converter.intercept
     intern = callpaths.intern
-    # Per-open-frame state: [cpid, region, enter_sync, child_time, instance]
+    # Per-open-frame state: [cpid, region, enter_sync, child_time, records],
+    # *records* None outside MPI regions, else the op's (kind, row) pairs
+    # until its EXIT moves them to the rank's rows of that kind.
     frame_stack: List[List] = []
     #: region id → region name when it is an MPI region, else None.
     mpi_name: Dict[int, Optional[str]] = {}
+    ops: List[Tuple] = []
+    rows_of_kind: Tuple[List[Tuple], ...] = ([], [], [])
+    owners: Tuple[List[int], ...] = ([], [], [])  # each row's op
+    omp_rows: List[Tuple] = []
     first: Optional[float] = None
     count = 0
     t = 0.0
@@ -184,14 +176,11 @@ def build_timeline(
                 resolved = regions.name_of(region)
                 name = resolved if is_mpi_region(resolved) else None
                 mpi_name[region] = name
-            instance = None
-            if name is not None:
-                instance = MPIOpInstance(rank, region, name, cpid, t, t)
-            frame_stack.append([cpid, region, t, 0.0, instance])
+            frame_stack.append([cpid, region, t, 0.0, None if name is None else []])
         elif kind == _KIND_EXIT:
             if not frame_stack:
                 raise AnalysisError(f"rank {rank}: EXIT without open frame")
-            cpid, region, enter_t, child_time, instance = frame_stack.pop()
+            cpid, region, enter_t, child_time, records = frame_stack.pop()
             if region != event.region:
                 raise AnalysisError(
                     f"rank {rank}: EXIT region {event.region} does not match "
@@ -206,38 +195,31 @@ def build_timeline(
             )
             if frame_stack:
                 frame_stack[-1][3] += duration
-            if instance is not None:
-                instance.exit = t
-                mpi_ops.append(instance)
+            if records is not None:
+                for which, row in records:
+                    rows_of_kind[which].append(row)
+                    owners[which].append(len(ops))
+                ops.append((region, cpid, enter_t, t))
         elif kind == _KIND_SEND:
-            instance = _open_mpi_instance(frame_stack, rank, "SEND")
-            instance.sends += (
-                SendRecord(t, event.dest, event.tag, event.comm, event.size),
+            _open_op_records(frame_stack, rank, "SEND").append(
+                (0, (t, event.dest, event.tag, event.comm, event.size))
             )
         elif kind == _KIND_RECV:
-            instance = _open_mpi_instance(frame_stack, rank, "RECV")
-            instance.recvs += (
-                RecvRecord(t, event.source, event.tag, event.comm, event.size),
+            _open_op_records(frame_stack, rank, "RECV").append(
+                (1, (t, event.source, event.tag, event.comm, event.size))
             )
         elif kind == _KIND_COLLEXIT:
-            instance = _open_mpi_instance(frame_stack, rank, "COLLEXIT")
-            instance.coll = CollRecord(
-                t, event.region, event.comm, event.root, event.sent, event.recvd
+            _open_op_records(frame_stack, rank, "COLLEXIT").append(
+                (2, (t, event.region, event.comm, event.root, event.sent, event.recvd))
             )
         elif kind == _KIND_OMP:
             if not frame_stack or frame_stack[-1][1] != event.region:
                 raise AnalysisError(
                     f"rank {rank}: OMPREGION record outside its region frame"
                 )
-            timeline.omp_regions.append(
-                OmpRegionRecord(
-                    cpid=frame_stack[-1][0],
-                    enter=frame_stack[-1][2],
-                    exit=t,
-                    nthreads=event.nthreads,
-                    busy_sum=event.busy_sum,
-                    busy_max=event.busy_max,
-                )
+            cpid, _, enter_t, _, _ = frame_stack[-1]
+            omp_rows.append(
+                (cpid, enter_t, t, event.nthreads, event.busy_sum, event.busy_max)
             )
         else:  # pragma: no cover - closed event union
             raise AnalysisError(f"rank {rank}: unknown event {event!r}")
@@ -245,11 +227,27 @@ def build_timeline(
         raise AnalysisError(
             f"rank {rank}: {len(frame_stack)} regions still open at trace end"
         )
-    timeline.event_count = count
-    if first is not None:
-        timeline.first_time = first
-        timeline.last_time = t
-    return timeline
+    region, cpid, enter, exit = _columns(ops, _OP_TYPES)
+    return ProcessTimeline(
+        rank=rank,
+        location=location,
+        first_time=0.0 if first is None else first,
+        last_time=0.0 if first is None else t,
+        exclusive_time=exclusive_time,
+        visits=visits,
+        mpi_ops=OpTable(
+            rank,
+            {r: name for r, name in sorted(mpi_name.items()) if name is not None},
+            region, cpid, enter, exit,
+            *[
+                (np.searchsorted(np.array(owner, np.int64), np.arange(len(ops) + 1)),
+                 _columns(rows, types))
+                for rows, owner, types in zip(rows_of_kind, owners, _RECORD_TYPES)
+            ],
+        ),
+        omp_regions=OmpTable(_columns(omp_rows, _OMP_TYPES)),
+        event_count=count,
+    )
 
 
 #: Cache-miss sentinel for the per-region MPI-name cache (None is a valid hit).
@@ -264,11 +262,29 @@ _KIND_COLLEXIT = int(EventKind.COLLEXIT)
 _KIND_OMP = int(EventKind.OMPREGION)
 
 
-def _open_mpi_instance(frame_stack: List[List], rank: int, what: str) -> MPIOpInstance:
+def _field_types(kind: int, skip: int) -> List[np.dtype]:
+    """The trace dtypes of a record kind's fields, after the first *skip*."""
+    record = _RECORD_DTYPES[kind]
+    return [record[name] for name in record.names[1 + skip:]]
+
+
+#: The dtypes the array passes give each column: synchronized stamps and
+#: ids as float64 / int64, record fields as the trace stores them.
+_OP_TYPES = [np.int64, np.int64, np.float64, np.float64]
+_RECORD_TYPES = [_field_types(kind, 0) for kind in (_KIND_SEND, _KIND_RECV, _KIND_COLLEXIT)]
+_OMP_TYPES = [np.int64, np.float64, np.float64, *_field_types(_KIND_OMP, 2)]
+
+
+def _columns(rows: List[Tuple], types: Sequence) -> Tuple[np.ndarray, ...]:
+    """*rows* as one array per field."""
+    return tuple(
+        np.array(column, dtype) for column, dtype in zip(list(zip(*rows)) or [()] * len(types), types)
+    )
+
+
+def _open_op_records(frame_stack: List[List], rank: int, what: str) -> List[Tuple]:
     if not frame_stack or frame_stack[-1][4] is None:
-        raise AnalysisError(
-            f"rank {rank}: {what} record outside an MPI region"
-        )
+        raise AnalysisError(f"rank {rank}: {what} record outside an MPI region")
     return frame_stack[-1][4]
 
 
@@ -292,3 +308,20 @@ def remap_timeline(timeline: ProcessTimeline, remap: List[int]) -> None:
     lookup = np.array(remap, np.int64)
     timeline.mpi_ops.remap(lookup)
     timeline.omp_regions.remap(lookup)
+
+
+def record_rows(records: Records, make: Callable = tuple) -> Tuple[List[int], list]:
+    """One record kind of a table as Python scalars: each op's first row
+    (``len(ops) + 1`` bounds) and the rows, each made by *make*."""
+    start, columns = records
+    return start.tolist(), list(map(make, zip(*[column.tolist() for column in columns])))
+
+
+def require_tables(timelines: Dict[int, ProcessTimeline], reader: str, error: type) -> None:
+    """Raise *error* when a ``bounded`` analysis has dropped the op tables
+    that *reader* reads, instead of reading dropped as empty."""
+    if any(timeline.mpi_ops is None for timeline in timelines.values()):
+        raise error(
+            f"{reader} reads the per-op tables, which a bounded=True analysis drops; "
+            "analyze without bounded"
+        )

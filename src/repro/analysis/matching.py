@@ -9,28 +9,96 @@ replay's matching is deterministic.
 Collective grouping mirrors MPI ordering semantics: a rank's *n*-th
 collective operation on a communicator belongs to that communicator's
 *n*-th collective instance.
+
+This is the reference's own view of the op tables: :func:`op_instances`
+makes one :class:`MPIOpInstance` per row, holding Python scalars, and the
+object-wise matcher and pattern classes read those.  The columnar engine
+reads the tables directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.globalphase import (
     COLLECTIVE_MEMBER_BYTES,
     PAIR_METADATA_BYTES,
     MatchStats,
 )
-from repro.analysis.instances import (
-    CollRecord,
-    MPIOpInstance,
-    ProcessTimeline,
-    RecvRecord,
-    SendRecord,
-)
+from repro.analysis.instances import OpTable, ProcessTimeline, record_rows
 from repro.errors import AnalysisError
 from repro.ids import Location
+
+
+class SendRecord(NamedTuple):
+    """A SEND event with synchronized stamp, in trace order."""
+
+    time: float
+    dest: int  # global rank
+    tag: int
+    comm: int
+    size: int
+
+
+class RecvRecord(NamedTuple):
+    """A RECV event with synchronized stamp, in trace order."""
+
+    time: float
+    source: int  # global rank
+    tag: int
+    comm: int
+    size: int
+
+
+class CollRecord(NamedTuple):
+    """A COLLEXIT event with synchronized stamp."""
+
+    time: float
+    region: int
+    comm: int
+    root: int  # global rank
+    sent: int
+    recvd: int
+
+
+@dataclass(slots=True)
+class MPIOpInstance:
+    """One completed MPI call of one rank, with synchronized times.
+
+    ``sends``/``recvs`` are immutable tuples: most ops carry no record and
+    share the one empty ``()``.
+    """
+
+    rank: int
+    region: int
+    op_name: str
+    cpid: int
+    enter: float
+    exit: float
+    sends: Tuple[SendRecord, ...] = ()
+    recvs: Tuple[RecvRecord, ...] = ()
+    coll: Optional[CollRecord] = None
+
+    @property
+    def duration(self) -> float:
+        return max(0.0, self.exit - self.enter)
+
+
+def op_instances(ops: OpTable) -> Iterator[MPIOpInstance]:
+    """One rank's ops as objects, in table order; an op's last COLLEXIT counts."""
+    s, sends = record_rows(ops.sends, SendRecord._make)
+    r, recvs = record_rows(ops.recvs, RecvRecord._make)
+    c, colls = record_rows(ops.colls, CollRecord._make)
+    columns = (ops.region.tolist(), ops.cpid.tolist(), ops.enter.tolist(), ops.exit.tolist())
+    for i, (region, cpid, enter, exit) in enumerate(zip(*columns)):
+        yield MPIOpInstance(
+            ops.rank, region, ops.names[region], cpid, enter, exit,
+            tuple(sends[s[i]:s[i + 1]]),
+            tuple(recvs[r[i]:r[i + 1]]),
+            colls[c[i + 1] - 1] if c[i + 1] > c[i] else None,
+        )
 
 
 class MatchedPair:
@@ -155,6 +223,7 @@ class MessageMatcher:
         allow_unmatched: bool = False,
     ) -> None:
         self.timelines = timelines
+        self._ops = {rank: list(op_instances(tl.mpi_ops)) for rank, tl in timelines.items()}
         self.comm_ranks = comm_ranks or {}
         self._comm_lookup = comm_lookup
         self._comm_order_cache: Dict[int, Optional[Tuple[int, ...]]] = {}
@@ -176,8 +245,7 @@ class MessageMatcher:
         """Yield every matched pair (receiver trace order per rank)."""
         queues: Dict[Tuple[int, int, int, int], Deque[Tuple[MPIOpInstance, SendRecord]]] = {}
         for rank in sorted(self.timelines):
-            timeline = self.timelines[rank]
-            for op in timeline.mpi_ops:
+            for op in self._ops[rank]:
                 for send in op.sends:
                     key = (rank, send.dest, send.tag, send.comm)
                     queue = queues.get(key)
@@ -191,7 +259,7 @@ class MessageMatcher:
         for rank in sorted(timelines):
             timeline = timelines[rank]
             location = timeline.location
-            for op in timeline.mpi_ops:
+            for op in self._ops[rank]:
                 for recv in op.recvs:
                     source = recv.source
                     key = (source, rank, recv.tag, recv.comm)
@@ -228,7 +296,7 @@ class MessageMatcher:
         for rank in sorted(self.timelines):
             timeline = self.timelines[rank]
             counters: Dict[int, int] = {}
-            for op in timeline.mpi_ops:
+            for op in self._ops[rank]:
                 coll = op.coll
                 if coll is None:
                     continue

@@ -27,13 +27,10 @@ as well as each rank's events:
 
 Each rank's result is then cut out of the batch: a
 :class:`~repro.analysis.instances.ProcessTimeline` whose ``mpi_ops`` and
-``omp_regions`` are an :class:`OpTable` and an :class:`OmpTable` over
-slices of the batch's columns — lazy sequences that make
-:class:`~repro.analysis.instances.MPIOpInstance` /
-:class:`~repro.analysis.instances.OmpRegionRecord` objects on read.  That
-protocol is for result consumers: the replay's global phase
-(:mod:`repro.analysis.globalphase`) reads the columns and never iterates a
-table, and a retained result keeps the columns, not objects.
+``omp_regions`` are an :class:`~repro.analysis.instances.OpTable` and an
+:class:`~repro.analysis.instances.OmpTable` over slices of the batch's
+columns — the columns the sequential builder writes, which the global phase
+(:mod:`repro.analysis.globalphase`) and every result consumer read.
 
 A rank the passes find inconsistent — undecodable, unbalanced, a record
 outside its frame, an unknown region — is set aside and the passes run
@@ -44,26 +41,21 @@ mode raises it, degraded mode reports it as the rank's exclusion reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.analysis.instances import (
-    CollRecord,
-    MPIOpInstance,
-    OmpRegionRecord,
+    OmpTable,
+    OpTable,
     ProcessTimeline,
-    RecvRecord,
-    SendRecord,
+    Records,
     build_timeline,
 )
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, EncodingError, ReproError, TraceError
 from repro.ids import Location
-from repro.lazyseq import LazySequence
 from repro.trace.encoding import (
     RecordScan,
     decode_batch,
@@ -73,94 +65,6 @@ from repro.trace.encoding import (
 )
 from repro.trace.events import EventKind
 from repro.trace.regions import RegionRegistry, is_mpi_region
-
-#: Objects made per batch when a table is iterated: bounds the transient
-#: column-to-list copies, large enough that per-batch numpy calls vanish.
-_BATCH = 256
-
-#: One kind of record in a table: (each op's first row, ``len(ops) + 1``
-#: long; the record columns, rows grouped by owning op in trace order).
-_Records = Tuple[np.ndarray, Tuple[np.ndarray, ...]]
-
-
-@dataclass(eq=False, repr=False, slots=True)
-class OpTable(LazySequence):
-    """One rank's completed MPI operations, in completion (EXIT) order."""
-
-    rank: int
-    #: region id → name, for the MPI regions that occur.
-    names: Dict[int, str]
-    region: np.ndarray
-    cpid: np.ndarray
-    enter: np.ndarray
-    exit: np.ndarray
-    sends: _Records
-    recvs: _Records
-    colls: _Records
-
-    def __len__(self) -> int:
-        return len(self.region)
-
-    def span(self, lo: int, hi: int) -> Iterator[MPIOpInstance]:
-        rank = self.rank
-        names = self.names
-        for a in range(lo, hi, _BATCH):
-            b = min(a + _BATCH, hi)
-            sends, s = _rows(self.sends, a, b, SendRecord)
-            recvs, r = _rows(self.recvs, a, b, RecvRecord)
-            colls, c = _rows(self.colls, a, b, CollRecord)
-            columns = zip(
-                self.region[a:b].tolist(),
-                self.cpid[a:b].tolist(),
-                self.enter[a:b].tolist(),
-                self.exit[a:b].tolist(),
-            )
-            for i, (region, cpid, enter, exit) in enumerate(columns):
-                yield MPIOpInstance(
-                    rank, region, names[region], cpid, enter, exit,
-                    tuple(sends[s[i]:s[i + 1]]) if s[i + 1] > s[i] else (),
-                    tuple(recvs[r[i]:r[i + 1]]) if r[i + 1] > r[i] else (),
-                    # A later COLLEXIT of the same op replaces an earlier one.
-                    colls[c[i + 1] - 1] if c[i + 1] > c[i] else None,
-                )
-
-    def remap(self, lookup: np.ndarray) -> None:
-        """Renumber call paths: ``lookup[old cpid]`` is the new one."""
-        self.cpid = np.take(lookup, self.cpid)
-
-
-@dataclass(eq=False, repr=False, slots=True)
-class OmpTable(LazySequence):
-    """One rank's fork-join region records, in trace order."""
-
-    #: cpid, enter, exit, nthreads, busy_sum, busy_max — one array each.
-    columns: Tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def span(self, lo: int, hi: int) -> Iterator[OmpRegionRecord]:
-        return map(
-            partial(tuple.__new__, OmpRegionRecord),
-            zip(*[column[lo:hi].tolist() for column in self.columns]),
-        )
-
-    def remap(self, lookup: np.ndarray) -> None:
-        self.columns = (np.take(lookup, self.columns[0]),) + self.columns[1:]
-
-
-def _rows(records: _Records, a: int, b: int, cls) -> Tuple[list, List[int]]:
-    """Records of ops ``[a, b)`` as objects, and each op's bounds among them."""
-    start, columns = records
-    bounds = start[a:b + 1].tolist()
-    lo, hi = bounds[0], bounds[-1]
-    if hi == lo:
-        return [], bounds
-    # tuple.__new__ builds a NamedTuple without entering its Python __new__.
-    make = partial(tuple.__new__, cls)
-    rows = list(map(make, zip(*[column[lo:hi].tolist() for column in columns])))
-    return rows, ([bound - lo for bound in bounds] if lo else bounds)
-
 
 class RankTrace(NamedTuple):
     """One admitted rank, as the local phase reads it."""
@@ -342,7 +246,7 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
     op_of_frame[op_frames] = np.arange(ops)
     op_exit = f_exit[op_frames]
 
-    def grouped(kind: int, *fields: str) -> _Records:
+    def grouped(kind: int, *fields: str) -> Records:
         # Stable: an op's records stay in trace order.  Fancy indexing copies,
         # so no column keeps the gathered record block alive.
         index, frame = placed[kind]
@@ -478,7 +382,7 @@ def _exclusive_time(f_start, f_end, f_exit, f_parent, f_path, paths):
     return exclusive_sum, exited[np.argsort(first_exit)]
 
 
-def _slice(records: _Records, a: int, b: int) -> _Records:
+def _slice(records: Records, a: int, b: int) -> Records:
     """The records of ops ``[a, b)``, their bounds rebased to the first."""
     start, columns = records
     lo, hi = start[a], start[b]

@@ -293,21 +293,21 @@ class ReplayAnalyzer:
     def _base_metrics(cube: SeverityCube, timelines: Dict[int, ProcessTimeline]) -> None:
         """Accumulate structural metrics (time, MPI, communication classes)."""
         cube_add = cube.add
-        leaf_of: Dict[str, Optional[str]] = {}
+        leaf_of: Dict[int, Optional[str]] = {}
         for rank, timeline in timelines.items():
             for cpid, exclusive in timeline.exclusive_time.items():
                 cube_add(TIME, cpid, rank, exclusive)
-            for op in timeline.mpi_ops:
-                duration = op.exit - op.enter
+            ops = timeline.mpi_ops
+            columns = (ops.region.tolist(), ops.cpid.tolist(), ops.enter.tolist(), ops.exit.tolist())
+            for region, cpid, enter, exit in zip(*columns):
+                duration = exit - enter
                 if duration <= 0.0:
                     continue
-                cpid = op.cpid
                 cube_add(MPI, cpid, rank, duration)
-                name = op.op_name
                 try:
-                    leaf = leaf_of[name]
+                    leaf = leaf_of[region]
                 except KeyError:
-                    leaf = leaf_of[name] = classify_region(name)
+                    leaf = leaf_of[region] = classify_region(ops.names[region])
                 if leaf == P2P:
                     cube_add(COMMUNICATION, cpid, rank, duration)
                     cube_add(P2P, cpid, rank, duration)
@@ -316,6 +316,9 @@ class ReplayAnalyzer:
                     cube_add(COLLECTIVE, cpid, rank, duration)
                 elif leaf == SYNCHRONIZATION:
                     cube_add(SYNCHRONIZATION, cpid, rank, duration)
-            for omp in timeline.omp_regions:
-                cube_add(IDLE_THREADS, omp.cpid, rank, omp.idle_thread_seconds)
-
+            cpids, _, _, nthreads, busy_sum, busy_max = (
+                column.tolist() for column in timeline.omp_regions.columns
+            )
+            for cpid, n, total, slowest in zip(cpids, nthreads, busy_sum, busy_max):
+                # Thread-seconds idled waiting for the slowest team member.
+                cube_add(IDLE_THREADS, cpid, rank, max(0.0, n * slowest - total))

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.analysis.instances import ProcessTimeline
+from repro.analysis.instances import ProcessTimeline, require_tables
 from repro.errors import AnalysisError
-from repro.trace.regions import RegionRegistry
+from repro.trace.archive import Definitions
 
 
 @dataclass
@@ -119,30 +119,34 @@ class TraceStatistics:
 
 def compute_statistics(
     timelines: Dict[int, ProcessTimeline],
-    regions: RegionRegistry,
+    definitions: Definitions,
     callpaths,
 ) -> TraceStatistics:
     """Derive all summaries from per-rank timelines.
 
-    ``callpaths`` is the :class:`~repro.analysis.callpath.CallPathRegistry`
-    the timelines were built against (needed to map exclusive times back to
-    region names).
+    ``definitions`` are the run's (they place every rank, analyzed or not,
+    on its metahost, and name the regions); ``callpaths`` is the
+    :class:`~repro.analysis.callpath.CallPathRegistry` the timelines were
+    built against (needed to map exclusive times back to region names).
     """
+    require_tables(timelines, "trace statistics", AnalysisError)
+    regions = definitions.regions
     comm = CommMatrix()
     sizes = SizeHistogram()
     region_stats: Dict[str, RegionStats] = {}
     mpi_fraction: Dict[int, float] = {}
 
-    machine_of = {rank: tl.machine for rank, tl in timelines.items()}
+    machine_of = {rank: location.machine for rank, location in definitions.locations.items()}
 
     for rank, timeline in timelines.items():
+        ops = timeline.mpi_ops
         mpi_time = 0.0
-        for op in timeline.mpi_ops:
-            mpi_time += op.duration
-            for send in op.sends:
-                crosses = machine_of.get(send.dest) != timeline.machine
-                comm.add(rank, send.dest, send.size, crosses)
-                sizes.add(send.size)
+        for enter, exit in zip(ops.enter.tolist(), ops.exit.tolist()):
+            mpi_time += max(0.0, exit - enter)
+        _, (_, dest, _, _, size) = ops.sends
+        for dest, size in zip(dest.tolist(), size.tolist()):
+            comm.add(rank, dest, size, machine_of.get(dest) != timeline.machine)
+            sizes.add(size)
         total = timeline.total_time
         mpi_fraction[rank] = mpi_time / total if total > 0 else 0.0
 
@@ -173,9 +177,7 @@ def compute_statistics(
 
 def statistics_of(result) -> TraceStatistics:
     """Convenience: statistics from an :class:`AnalysisResult`."""
-    return compute_statistics(
-        result.timelines, result.definitions.regions, result.callpaths
-    )
+    return compute_statistics(result.timelines, result.definitions, result.callpaths)
 
 
 def render_statistics(stats: TraceStatistics, top: int = 8) -> str:

@@ -36,9 +36,10 @@ The replay has three steps.
    ``reduceat`` passes over pair and member columns, severities as exact
    per-cell sums.  It runs once and is never cut.
 
-What a retained result keeps is the tables (``ProcessTimeline.mpi_ops`` is
-a lazy sequence over them); a bounded one drops them once the global phase
-has read them.
+What a retained result keeps is the tables (``ProcessTimeline.mpi_ops`` /
+``omp_regions``, numpy columns); a bounded one sets them to None once the
+global phase has read them, so a consumer that needs them raises instead
+of reading an empty run.
 
 The result is a function of the admitted ranks' tables, never of how they
 were batched or sharded: the replay needs local order plus message matching,
@@ -271,7 +272,7 @@ def _replay(
                 )
     if request.bounded:
         for process in timelines.values():
-            process.mpi_ops, process.omp_regions = [], []
+            process.mpi_ops = process.omp_regions = None
     master_machine = definitions.machine_of(0)
     traffic = ReplayTraffic(
         replay_metadata_bytes=stats.metadata_bytes,

@@ -84,7 +84,8 @@ class Row:
 _SRC = "src/**"
 _REPLAY_CONSUMERS = (
     *(f"src/repro/analysis/{m}.py"
-      for m in ("streaming", "globalphase", "optable", "parallel", "result")),
+      for m in ("streaming", "globalphase", "optable", "parallel", "result", "stats",
+                "instances")),
     "src/repro/api.py", "src/repro/report/**", "src/repro/predict/**",
     "src/repro/service/**", "src/repro/experiments/**",
 )
@@ -107,7 +108,8 @@ ROWS: Tuple[Row, ...] = (
         ("repro.analysis.replay", "repro.analysis.matching",
          "repro.analysis.patterns.point2point", "repro.analysis.patterns.collective",
          "repro.analysis.patterns.grid",
-         "ReplayAnalyzer", "MessageMatcher", "MatchedPair", "CollectiveInstance")),
+         "ReplayAnalyzer", "MessageMatcher", "MatchedPair", "CollectiveInstance",
+         "MPIOpInstance", "SendRecord", "RecvRecord", "CollRecord")),
     Row("ARC509", "text", (_SRC,), ("_analysis_opts", "_ANALYSIS_OPTS")),
     Row("ARC510", "param", ("src/repro/experiments/*.py",), _REQUEST_FIELDS),
     Row("ARC511", "param", ("src/repro/api.py",), _REQUEST_FIELDS, within="_run_"),
@@ -130,6 +132,7 @@ ROWS: Tuple[Row, ...] = (
     Row("ARC522", "text", (_SRC, "tests/**"), ("collective_exit_times", "CollectiveTiming")),
     Row("ARC523", "text", ("src/repro/sim/mpi.py",), ("binomial_depth", "log2", "inv_bw *")),
     Row("ARC524", "call", ("src/repro/resilience/pool.py",), ("time.sleep",)),
+    Row("ARC525", "text", (_SRC, "tests/**"), ("LazySequence", "repro.lazyseq")),
 )
 
 

@@ -75,6 +75,8 @@ RULES: Dict[str, str] = {
     "ARC523": "sim/mpi.py computes no collective cost: sim/collectives.py "
     "does",
     "ARC524": "resilience/pool.py waits on its workers, not on a timer",
+    "ARC525": "the lazy-object layer over the op tables is back: read the "
+    "columns",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

@@ -10,13 +10,11 @@ Table 2 counts them for the three synchronization schemes.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.ids import NodeId
-from repro.lazyseq import LazySequence
 
 
 class MessageStamp(NamedTuple):
@@ -97,9 +95,14 @@ class ClockConditionChecker:
         )
 
     @property
-    def stamps(self) -> "_Stamps":
-        """The messages as :class:`MessageStamp` tuples, made on read."""
-        return _Stamps(self)
+    def stamps(self) -> List[MessageStamp]:
+        """The messages as :class:`MessageStamp` tuples, in canonical order."""
+        nodes = self.nodes
+        columns = (self.send_time_s.tolist(), self.recv_time_s.tolist())
+        return [
+            MessageStamp(nodes[s], nodes[r], sent, received)
+            for s, r, sent, received in zip(self.sender.tolist(), self.receiver.tolist(), *columns)
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClockConditionChecker):
@@ -142,28 +145,3 @@ class ClockConditionChecker:
             "external_violations": self.external_violations,
             "worst_slack_s": self.worst_slack_s(),
         }
-
-
-class _Stamps(LazySequence):
-    """A checker's messages as :class:`MessageStamp` tuples, made on read."""
-
-    __slots__ = ("_checker",)
-
-    def __init__(self, checker: ClockConditionChecker) -> None:
-        self._checker = checker
-
-    def __len__(self) -> int:
-        return self._checker.total
-
-    def span(self, lo: int, hi: int) -> Iterator[MessageStamp]:
-        checker = self._checker
-        node = checker.nodes.__getitem__
-        return map(
-            partial(tuple.__new__, MessageStamp),
-            zip(
-                map(node, checker.sender[lo:hi].tolist()),
-                map(node, checker.receiver[lo:hi].tolist()),
-                checker.send_time_s[lo:hi].tolist(),
-                checker.recv_time_s[lo:hi].tolist(),
-            ),
-        )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
-from repro.analysis.instances import MPIOpInstance
+from repro.analysis.instances import record_rows, require_tables
 from repro.analysis.result import AnalysisResult
 from repro.analysis.streaming import analyze
 from repro.errors import AnalysisError, ConfigurationError
@@ -140,10 +140,10 @@ def invert_bytes_moved(
 
 
 def _enclosing_user_region(
-    op: MPIOpInstance, callpaths: CallPathRegistry, regions: RegionRegistry
+    cpid: int, callpaths: CallPathRegistry, regions: RegionRegistry
 ) -> Optional[str]:
-    """Innermost non-MPI region on the op's call path."""
-    cpid = callpaths.path(op.cpid).parent
+    """Innermost non-MPI region on the call path of an op at *cpid*."""
+    cpid = callpaths.path(cpid).parent
     while cpid != ROOT_PATH:
         name = regions.name_of(callpaths.path(cpid).region)
         if not is_mpi_region(name):
@@ -153,55 +153,37 @@ def _enclosing_user_region(
 
 
 def _op_actions(
-    op: MPIOpInstance, rank: int, comm_sizes: Dict[int, int]
+    name: str, sends: List[tuple], recvs: List[tuple], coll: Optional[tuple],
+    rank: int, comm_sizes: Dict[int, int],
 ) -> List[Action]:
-    """Translate one MPI op instance of *rank* into replayable actions."""
-    name = op.op_name
-    coll = op.coll
+    """Translate one MPI op of *rank*, given its record rows as the op table
+    holds them, into replayable actions."""
     if coll is not None:
+        _, _, comm, root, sent, recvd = coll
         if name == "MPI_Comm_split":
             # The created communicator's membership is not recorded in the
             # trace; replay the operation's synchronization effect (it
             # behaves like a small allgather) as a barrier.
             name = "MPI_Barrier"
-        nprocs = comm_sizes.get(coll.comm)
+        nprocs = comm_sizes.get(comm)
         if nprocs is None:
-            raise AnalysisError(f"collective on unknown communicator {coll.comm}")
-        size = invert_bytes_moved(
-            name, coll.sent, coll.recvd, nprocs=nprocs, is_root=coll.root == rank
-        )
-        return [CollectiveAction(name, coll.comm, coll.root, size)]
+            raise AnalysisError(f"collective on unknown communicator {comm}")
+        size = invert_bytes_moved(name, sent, recvd, nprocs=nprocs, is_root=root == rank)
+        return [CollectiveAction(name, comm, root, size)]
     if name == "MPI_Sendrecv":
-        if len(op.sends) != 1 or len(op.recvs) != 1:
+        if len(sends) != 1 or len(recvs) != 1:
             raise AnalysisError("sendrecv op without exactly one send and recv")
-        send, recv = op.sends[0], op.recvs[0]
-        return [
-            SendrecvAction(
-                dest_global=send.dest,
-                send_size=send.size,
-                send_tag=send.tag,
-                source_global=recv.source,
-                recv_tag=recv.tag,
-                comm=send.comm,
-            )
-        ]
-    actions: List[Action] = []
-    for send in op.sends:
-        actions.append(
-            SendAction(
-                dest_global=send.dest,
-                size=send.size,
-                tag=send.tag,
-                comm=send.comm,
-                synchronous=(name == "MPI_Ssend"),
-                nonblocking=(name == "MPI_Isend"),
-            )
-        )
-    for recv in op.recvs:
-        actions.append(RecvAction(source_global=recv.source, tag=recv.tag, comm=recv.comm))
+        (_, dest, send_tag, comm, size), (_, source, recv_tag, _, _) = sends[0], recvs[0]
+        return [SendrecvAction(dest, size, send_tag, source, recv_tag, comm)]
+    actions: List[Action] = [
+        SendAction(dest, size, tag, comm, synchronous=(name == "MPI_Ssend"),
+                   nonblocking=(name == "MPI_Isend"))
+        for _, dest, tag, comm, size in sends
+    ]
+    actions += [RecvAction(source, tag, comm) for _, source, tag, comm, _ in recvs]
     if name == "MPI_Waitall":
         actions.append(WaitSendsAction(all_pending=True))
-    elif name == "MPI_Wait" and not op.recvs:
+    elif name == "MPI_Wait" and not recvs:
         actions.append(WaitSendsAction(all_pending=False))
     # MPI_Irecv instances carry nothing (their RECV lands in the wait).
     return actions
@@ -222,6 +204,7 @@ def extract_skeleton(
         rescale compute segments (``target_time = source_time × source_speed
         / target_speed``).
     """
+    require_tables(result.timelines, "skeleton extraction", AnalysisError)
     skeleton = ProgramSkeleton(
         communicators=dict(result.definitions.communicators),
         source_speed=dict(source_speed),
@@ -231,25 +214,42 @@ def extract_skeleton(
     }
     callpaths = result.callpaths
     regions = result.definitions.regions
+    #: cpid → the user region enclosing an op there.
+    user_region: Dict[int, Optional[str]] = {}
 
     for rank, timeline in result.timelines.items():
         if rank not in source_speed:
             raise ConfigurationError(f"no source CPU speed for rank {rank}")
+        ops = timeline.mpi_ops
+        s, sends = record_rows(ops.sends)
+        r, recvs = record_rows(ops.recvs)
+        c, colls = record_rows(ops.colls)
         actions: List[Action] = []
         cursor = timeline.first_time
         current_region: Optional[str] = None
-        for op in timeline.mpi_ops:
+        columns = (ops.region.tolist(), ops.cpid.tolist(), ops.enter.tolist(), ops.exit.tolist())
+        for i, (op_region, cpid, enter, exit) in enumerate(zip(*columns)):
             # The compute gap leading up to an op is attributed to that
             # op's enclosing region, so the region switch comes first.
-            region = _enclosing_user_region(op, callpaths, regions)
+            if cpid not in user_region:
+                user_region[cpid] = _enclosing_user_region(cpid, callpaths, regions)
+            region = user_region[cpid]
             if region != current_region:
                 actions.append(RegionAction(region or "untracked"))
                 current_region = region
-            gap = op.enter - cursor
+            gap = enter - cursor
             if gap > 0:
                 actions.append(ComputeAction(gap))
-            cursor = max(cursor, op.exit)
-            actions.extend(_op_actions(op, rank, comm_sizes))
+            cursor = max(cursor, exit)
+            actions.extend(_op_actions(
+                ops.names[op_region],
+                sends[s[i]:s[i + 1]],
+                recvs[r[i]:r[i + 1]],
+                # An op's last COLLEXIT counts.
+                colls[c[i + 1] - 1] if c[i + 1] > c[i] else None,
+                rank,
+                comm_sizes,
+            ))
         tail = timeline.last_time - cursor
         if tail > 0:
             actions.append(ComputeAction(tail))

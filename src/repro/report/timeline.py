@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.instances import ProcessTimeline
-from repro.analysis.patterns.base import classify_region
+import numpy as np
+
+from repro.analysis.instances import ProcessTimeline, require_tables
+from repro.analysis.patterns.base import COLLECTIVE, SYNCHRONIZATION, classify_region
 from repro.errors import ReportError
 from repro.trace.regions import RegionRegistry
 
@@ -25,6 +27,9 @@ GLYPH_P2P = "m"
 GLYPH_COLLECTIVE = "C"
 GLYPH_SYNC = "B"
 GLYPH_IDLE = "."
+
+#: MPI region class → glyph; every other MPI call renders as p2p.
+_MPI_GLYPHS = {COLLECTIVE: GLYPH_COLLECTIVE, SYNCHRONIZATION: GLYPH_SYNC}
 
 
 @dataclass
@@ -103,7 +108,10 @@ def render_timeline(
         raise ReportError("no timelines to render")
     if columns < 8:
         raise ReportError(f"need at least 8 columns, got {columns}")
+    require_tables(timelines, "the timeline view", ReportError)
     pool = sorted(timelines) if ranks is None else list(ranks)
+    if not pool:
+        raise ReportError("no ranks to render")
     for rank in pool:
         if rank not in timelines:
             raise ReportError(f"no timeline for rank {rank}")
@@ -112,41 +120,37 @@ def render_timeline(
     if t1 <= t0:
         raise ReportError(f"empty time window [{t0}, {t1}]")
     cell = (t1 - t0) / columns
+    mpi_glyph = {
+        region: _MPI_GLYPHS.get(classify_region(name), GLYPH_P2P)
+        for rank in pool for region, name in timelines[rank].mpi_ops.names.items()
+    }
 
     legend: Dict[str, str] = {}
     rows: Dict[int, str] = {}
     for rank in pool:
         timeline = timelines[rank]
-        spans: List[Tuple[float, float, str]] = []
-        # MPI ops are explicit instances.
-        for op in timeline.mpi_ops:
-            leaf = classify_region(op.op_name)
-            if leaf == "mpi-point-to-point":
-                glyph = GLYPH_P2P
-            elif leaf == "mpi-collective":
-                glyph = GLYPH_COLLECTIVE
-            elif leaf == "mpi-synchronization":
-                glyph = GLYPH_SYNC
-            else:
-                glyph = GLYPH_P2P
-            spans.append((op.enter, op.exit, glyph))
-        # User regions: approximate by the innermost frame of each call
-        # path with exclusive time, spread over the rank's whole window —
-        # exact intervals would require keeping raw events; instead mark
-        # the deepest user region per op gap via callpath lookups.  For a
-        # faithful picture we reconstruct user spans from op boundaries:
+        ops = timeline.mpi_ops
+        # MPI ops are explicit rows.
+        spans: List[Tuple[float, float, str]] = [
+            (enter, exit, mpi_glyph[region])
+            for region, enter, exit in zip(
+                ops.region.tolist(), ops.enter.tolist(), ops.exit.tolist()
+            )
+        ]
+        # User regions: exact intervals would need the raw events, so the
+        # gaps between MPI ops show the rank's dominant user region.
         user_name = _dominant_user_region(timeline, regions, callpaths)
         if user_name:
             glyph = user_name[0].lower()
             if glyph in (GLYPH_P2P, GLYPH_COLLECTIVE, GLYPH_SYNC, GLYPH_IDLE):
                 glyph = glyph.upper() if glyph.upper() not in ("C", "B") else "u"
             legend.setdefault(glyph, user_name)
-            # Fill gaps between MPI ops with the dominant user region.
             cursor = timeline.first_time
-            for op in sorted(timeline.mpi_ops, key=lambda o: o.enter):
-                if op.enter > cursor:
-                    spans.append((cursor, op.enter, glyph))
-                cursor = max(cursor, op.exit)
+            by_enter = np.argsort(ops.enter, kind="stable")
+            for enter, exit in zip(ops.enter[by_enter].tolist(), ops.exit[by_enter].tolist()):
+                if enter > cursor:
+                    spans.append((cursor, enter, glyph))
+                cursor = max(cursor, exit)
             if timeline.last_time > cursor:
                 spans.append((cursor, timeline.last_time, glyph))
         rows[rank] = _interval_cells(spans, t0, cell, columns)

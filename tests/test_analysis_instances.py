@@ -7,19 +7,18 @@ one batch of ranks at a time).  The property tests at the bottom hold the
 second to the first, rank by rank and over batches.
 """
 
+import math
 import pickle
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.callpath import CallPathRegistry
-from repro.analysis.instances import (
-    MPIOpInstance,
-    OmpRegionRecord,
-    SendRecord,
-    build_timeline,
-)
+from repro.analysis.instances import build_timeline, record_rows
+from repro.analysis.matching import op_instances
 from repro.analysis.optable import RankTrace, build_tables
 from repro.clocks.sync import LinearConverter
 from repro.errors import AnalysisError, ReproError
@@ -73,13 +72,12 @@ def _simple_trace(regions):
 
 class TestTimeline:
     def test_mpi_instances_extracted(self, regions):
-        timeline = _build(_simple_trace(regions), regions)
-        assert [op.op_name for op in timeline.mpi_ops] == ["MPI_Send", "MPI_Recv"]
-        send_op = timeline.mpi_ops[0]
-        assert send_op.enter == 1.0 and send_op.exit == 2.0
-        assert send_op.sends[0].dest == 1
-        recv_op = timeline.mpi_ops[1]
-        assert recv_op.recvs[0].source == 1
+        ops = _build(_simple_trace(regions), regions).mpi_ops
+        assert [ops.names[r] for r in ops.region.tolist()] == ["MPI_Send", "MPI_Recv"]
+        assert ops.enter.tolist() == [1.0, 3.0] and ops.exit.tolist() == [2.0, 4.0]
+        # Each op's first record row: the send is op 0's, the receive op 1's.
+        assert record_rows(ops.sends) == ([0, 1, 1], [(1.1, 1, 0, 0, 64)])
+        assert record_rows(ops.recvs) == ([0, 0, 1], [(4.0, 1, 0, 0, 64)])
 
     def test_exclusive_time(self, regions):
         timeline = _build(_simple_trace(regions), regions)
@@ -97,7 +95,7 @@ class TestTimeline:
         converter = LinearConverter(slope=1.0, intercept=100.0)
         timeline = _build(_simple_trace(regions), regions, converter)
         assert timeline.first_time == pytest.approx(100.0)
-        assert timeline.mpi_ops[0].enter == pytest.approx(101.0)
+        assert timeline.mpi_ops.enter[0] == pytest.approx(101.0)
 
     def test_coll_record_attached(self, regions):
         main = regions.id_of("main")
@@ -109,14 +107,14 @@ class TestTimeline:
             ExitEvent(2.0, barrier),
             ExitEvent(3.0, main),
         ]
-        timeline = _build(events, regions)
-        assert timeline.mpi_ops[0].coll is not None
-        assert timeline.mpi_ops[0].coll.root == 0
+        start, (_, region, _, root, _, _) = _build(events, regions).mpi_ops.colls
+        assert start.tolist() == [0, 1]
+        assert (region.tolist(), root.tolist()) == ([barrier], [0])
 
     def test_empty_trace(self, regions):
         timeline = _build([], regions)
         assert timeline.total_time == 0.0
-        assert timeline.mpi_ops == []
+        assert len(timeline.mpi_ops) == len(timeline.omp_regions) == 0
 
     def test_unbalanced_trace_rejected(self, regions):
         events = [EnterEvent(0.0, regions.id_of("main"))]
@@ -146,8 +144,8 @@ class TestTimeline:
             SendEvent(0.0, 1, 0, 0, 1),
             ExitEvent(0.0, regions.id_of("MPI_Send")),
         ]
-        timeline = _build(op_events, regions)
-        assert timeline.mpi_ops[0].duration == 0.0
+        (op,) = op_instances(_build(op_events, regions).mpi_ops)
+        assert op.duration == 0.0
 
 
 class TestFeedMany:
@@ -186,25 +184,24 @@ class TestFeedMany:
 
     @pytest.mark.parametrize("run_length", [1, 3, 8])
     def test_any_cut_builds_the_same_timeline(self, regions, run_length):
-        """The op table equals the sequential timeline, and reading it in
-        runs of any length makes the same ops."""
+        """Each rank of a batch of *run_length* ranks, cut out of the
+        batch's columns, equals its sequential timeline column by column."""
         events = _simple_trace(regions)
         converter = LinearConverter(1.0, 100.0)
-        whole = _build(events, regions, converter)
-        timeline = _tables(encode_events(0, events), regions, converter)
-        assert timeline == whole
-        ops = timeline.mpi_ops
-        completed = []
-        for start in range(0, len(ops), run_length):
-            completed.extend(ops.span(start, min(start + run_length, len(ops))))
-        assert list(ops.span(0, 0)) == []  # an empty run makes nothing
-        assert completed == whole.mpi_ops
-        assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
-            8, 100.0, 105.0,
-        )
-        # Records ride in immutable tuples; an op without any shares ().
-        assert ops[0].sends == (SendRecord(101.1, 1, 0, 0, 64),)
-        assert ops[0].recvs == ()
+        traces = [
+            RankTrace(rank, Location(0, 0, rank), encode_events(rank, events), converter)
+            for rank in range(run_length)
+        ]
+        built = build_tables(traces, CallPathRegistry(), regions)
+        alone = CallPathRegistry()
+        for trace, timeline in zip(traces, built):
+            assert timeline == build_timeline(
+                trace.rank, trace.location, events, converter, alone, regions
+            )
+            assert (timeline.event_count, timeline.first_time, timeline.last_time) == (
+                8, 100.0, 105.0,
+            )
+            assert record_rows(timeline.mpi_ops.sends) == ([0, 1, 1], [(101.1, 1, 0, 0, 64)])
 
 
 def build_one(rank, location, blob, converter, callpaths, regions):
@@ -226,9 +223,10 @@ def _tables(blob, regions, converter=None, callpaths=None, rank=0):
     )
 
 
-class TestLazySequences:
-    """``mpi_ops`` / ``omp_regions`` of a table-built timeline behave as the
-    lists they replaced; the objects exist only while being read."""
+class TestTables:
+    """The op and fork-join tables are plain column holders: equal column
+    by column, and whole after a pickle round trip (how a shard's tables
+    cross the process boundary)."""
 
     @pytest.fixture
     def pair(self, regions):
@@ -245,40 +243,6 @@ class TestLazySequences:
         events.append(ExitEvent(20.0, main))
         return _build(events, regions), _tables(encode_events(0, events), regions)
 
-    def test_sequence_protocol(self, pair):
-        listed, tabled = pair
-        for reference, lazy in (
-            (listed.mpi_ops, tabled.mpi_ops),
-            (listed.omp_regions, tabled.omp_regions),
-        ):
-            assert not isinstance(lazy, list)
-            assert len(lazy) == len(reference) > 0 and bool(lazy)
-            assert list(lazy) == reference
-            assert lazy == reference and reference == lazy
-            assert not (lazy == reference[:-1]) and lazy != reference[:-1]
-            assert lazy[0] == reference[0] and lazy[-1] == reference[-1]
-            assert lazy[1:4] == reference[1:4]
-            assert lazy[::-2] == reference[::-2]
-            assert lazy[-3:] == reference[-3:]
-            assert reference[2] in lazy
-            with pytest.raises(IndexError):
-                lazy[len(reference)]
-            with pytest.raises(IndexError):
-                lazy[-len(reference) - 1]
-        assert isinstance(tabled.mpi_ops[0], MPIOpInstance)
-        assert isinstance(tabled.omp_regions[0], OmpRegionRecord)
-
-    def test_sorted_and_fresh_objects(self, pair):
-        listed, tabled = pair
-        by_exit = sorted(tabled.mpi_ops, key=lambda op: -op.exit)
-        assert by_exit == sorted(listed.mpi_ops, key=lambda op: -op.exit)
-        # Made on read: two reads give equal but distinct objects, so
-        # mutating one cannot reach the table.
-        first, again = tabled.mpi_ops[0], tabled.mpi_ops[0]
-        assert first == again and first is not again
-        first.cpid = 99
-        assert tabled.mpi_ops[0].cpid == again.cpid
-
     def test_pickle_round_trip(self, pair):
         listed, tabled = pair
         clone = pickle.loads(pickle.dumps(tabled))
@@ -289,8 +253,21 @@ class TestLazySequences:
     def test_empty_tables(self, regions):
         timeline = _tables(encode_events(0, []), regions)
         assert timeline == _build([], regions)
-        assert timeline.mpi_ops == [] and not timeline.mpi_ops
-        assert list(timeline.omp_regions) == []
+        assert len(timeline.mpi_ops) == len(timeline.omp_regions) == 0 and not timeline.mpi_ops
+
+    def test_equality_is_column_wise(self, pair):
+        listed, tabled = pair
+        ops, forks = tabled.mpi_ops, tabled.omp_regions
+        assert ops == listed.mpi_ops and forks == listed.omp_regions
+        assert ops != replace(ops, rank=1)
+        assert ops != replace(ops, names={})
+        assert ops != replace(ops, exit=ops.exit + 1.0)
+        start, columns = ops.sends
+        assert ops != replace(ops, sends=(start, columns[:-1]))
+        assert forks != replace(forks, columns=forks.columns[:-1])
+        # NaN equals nothing, as for the floats it stands in for.
+        nan = replace(ops, enter=np.full(len(ops), math.nan))
+        assert nan != replace(nan) and ops != listed.omp_regions
 
 
 # -- the property: table build == sequential build ------------------------------
@@ -395,10 +372,20 @@ def _outcome(build):
         timeline,
         list(timeline.exclusive_time.items()),
         list(timeline.visits.items()),
-        list(timeline.mpi_ops),
-        list(timeline.omp_regions),
+        _dtypes(timeline),
         callpaths.all_paths(),
     )
+
+
+def _dtypes(timeline):
+    """Every column's dtype: both builders write the same format."""
+    ops = timeline.mpi_ops
+    records = [column for _, columns in (ops.sends, ops.recvs, ops.colls) for column in columns]
+    return [
+        column.dtype
+        for column in (ops.region, ops.cpid, ops.enter, ops.exit, *records,
+                       *timeline.omp_regions.columns)
+    ]
 
 
 def _both(blob, converter):
@@ -514,6 +501,7 @@ class TestBatchEqualsRankByRank:
                 continue
             expected = walk(alone)
             assert outcome == expected
+            assert _dtypes(outcome) == _dtypes(expected)
             assert list(outcome.exclusive_time.items()) == list(expected.exclusive_time.items())
             assert list(outcome.visits.items()) == list(expected.visits.items())
         assert batched.all_paths() == alone.all_paths()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.instances import CollRecord, MPIOpInstance
-from repro.analysis.matching import CollectiveInstance
+from repro.analysis.matching import CollectiveInstance, CollRecord, MPIOpInstance
 from repro.analysis.patterns.collective import (
     BarrierCompletionPattern,
     EarlyReducePattern,

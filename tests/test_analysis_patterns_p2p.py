@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.instances import MPIOpInstance, RecvRecord, SendRecord
-from repro.analysis.matching import MatchedPair
+from repro.analysis.matching import MatchedPair, MPIOpInstance, RecvRecord, SendRecord
 from repro.analysis.patterns.point2point import (
     GridLateReceiverPattern,
     GridLateSenderPattern,

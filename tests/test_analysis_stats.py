@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.request import AnalysisRequest
 from repro.analysis.stats import (
     CommMatrix,
     SizeHistogram,
@@ -10,7 +11,9 @@ from repro.analysis.stats import (
 )
 from repro.api import analyze
 from repro.apps.imbalance import make_imbalance_app, make_master_worker_app
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReportError
+from repro.predict.skeleton import CollectiveAction, SendrecvAction, skeleton_from_run
+from repro.report.timeline import render_result_timeline
 from repro.topology.presets import single_cluster, uniform_metacomputer
 
 from tests.conftest import run_app
@@ -64,13 +67,17 @@ class TestSizeHistogram:
             SizeHistogram().add(-1)
 
 
+@pytest.fixture(scope="module")
+def ring_run():
+    mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
+    work = {r: 0.01 for r in range(4)}
+    return run_app(mc, 4, make_imbalance_app(work, iterations=3), seed=2)
+
+
 class TestEndToEndStatistics:
     @pytest.fixture(scope="class")
-    def stats(self):
-        mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
-        work = {r: 0.01 for r in range(4)}
-        run = run_app(mc, 4, make_imbalance_app(work, iterations=3), seed=2)
-        return statistics_of(analyze(run))
+    def stats(self, ring_run):
+        return statistics_of(analyze(ring_run))
 
     def test_message_counts(self, stats):
         # 4 ranks × 3 iterations × 1 sendrecv each = 12 messages.
@@ -110,3 +117,23 @@ class TestEndToEndStatistics:
         # All traffic flows into rank 0.
         assert all(dst == 0 for (_src, dst) in stats.comm.bytes_sent)
         assert stats.comm.partners_of(0) == [1, 2, 3]
+
+
+class TestBoundedResult:
+    """A bounded analysis drops the op tables: each reader of them names
+    ``bounded`` and refuses, where it used to read dropped as empty."""
+
+    def test_table_readers_refuse_a_bounded_result(self, ring_run):
+        retained = analyze(ring_run)
+        actions = [a for acts in skeleton_from_run(ring_run, retained).actions.values()
+                   for a in acts]
+        assert any(isinstance(a, SendrecvAction) for a in actions)
+        assert any(isinstance(a, CollectiveAction) for a in actions)
+        bounded = analyze(ring_run, request=AnalysisRequest(bounded=True))
+        for read, error in (
+            (statistics_of, AnalysisError),
+            (render_result_timeline, ReportError),
+            (lambda result: skeleton_from_run(ring_run, result), AnalysisError),
+        ):
+            with pytest.raises(error, match="bounded"):
+                read(bounded)

@@ -567,6 +567,9 @@ class TestARCAliasBypasses:
             ("from . import streaming\n", "src/repro/analysis/parallel.py", "ARC507"),
             ("from gc import freeze\nfreeze()\n", "src/repro/sim/engine.py", "ARC501"),
             ("from time import sleep\nsleep(0.1)\n", "src/repro/resilience/pool.py", "ARC524"),
+            ("from repro.analysis import MPIOpInstance\n", "src/repro/analysis/stats.py",
+             "ARC508"),
+            ("from .matching import SendRecord\n", "src/repro/analysis/instances.py", "ARC508"),
         ],
     )
     def test_alias_fires(self, source, path, rule):
@@ -580,6 +583,7 @@ class TestARCAliasBypasses:
              "src/repro/analysis/parallel.py"),
             ("import gc\ngc.collect()\n", "src/repro/sim/engine.py"),
             ("import time\nt0 = time.monotonic()\n", "src/repro/resilience/pool.py"),
+            ("from repro.analysis.instances import OpTable\n", "src/repro/analysis/stats.py"),
             ("def f(engine, t, proc):\n    engine.call_at(t, proc.step, proc)\n",
              "src/repro/sim/mpi.py"),
         ],

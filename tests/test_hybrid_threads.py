@@ -133,12 +133,25 @@ class TestTraceLayer:
         assert buf.encoded() == TraceBuffer(0).encoded()
 
     def test_idle_seconds_formula(self):
-        from repro.analysis.instances import OmpRegionRecord
+        """A team of 4 whose slowest thread is busy 1.0 s, 2.5 s in all,
+        idles 4 × 1.0 − 2.5 thread-seconds."""
+        from repro.analysis.callpath import CallPathRegistry
+        from repro.analysis.instances import build_timeline
+        from repro.analysis.replay import ReplayAnalyzer
+        from repro.analysis.severity import SeverityCube
+        from repro.clocks.sync import LinearConverter
+        from repro.ids import Location
+        from repro.trace.events import EnterEvent, ExitEvent
+        from repro.trace.regions import RegionRegistry
 
-        record = OmpRegionRecord(
-            cpid=0, enter=0.0, exit=1.0, nthreads=4, busy_sum=2.5, busy_max=1.0
+        events = [EnterEvent(0.0, 0), OmpRegionEvent(1.0, 0, 4, 2.5, 1.0), ExitEvent(1.0, 0)]
+        timeline = build_timeline(
+            0, Location(0, 0, 0), events, LinearConverter.identity(), CallPathRegistry(),
+            RegionRegistry.from_list(["loop"]),
         )
-        assert record.idle_thread_seconds == pytest.approx(1.5)
+        cube = SeverityCube()
+        ReplayAnalyzer._base_metrics(cube, {0: timeline})
+        assert cube.total(IDLE_THREADS) == pytest.approx(1.5)
 
     def test_event_round_trip_via_archive(self, mc):
         def app(ctx):

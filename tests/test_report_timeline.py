@@ -97,6 +97,13 @@ class TestTimeline:
                 barrier_result.callpaths,
                 ranks=[99],
             )
+        with pytest.raises(ReportError, match="no ranks"):
+            render_timeline(
+                barrier_result.timelines,
+                barrier_result.definitions.regions,
+                barrier_result.callpaths,
+                ranks=[],
+            )
         with pytest.raises(ReportError):
             render_timeline(
                 barrier_result.timelines,

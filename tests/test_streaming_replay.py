@@ -131,26 +131,40 @@ class TestStreamingEquivalence:
         shard workers' tables are dropped after the global phase like any others."""
         self.test_bounded_matches_retained(small_run, jobs=2)
 
-    def test_timeline_consumers_read_tables_as_lists(self, small_run):
+    def test_consumers_agree_on_reference_and_engine(self, small_run):
         """The Gantt view, the trace statistics and the skeleton extractor
-        iterate ``mpi_ops``: over the streaming result's lazy tables they
-        produce what they produce over the reference's lists."""
+        read the op tables: the reference's, built by the sequential walk,
+        and the engine's, built by the array passes, give the same output."""
+        from repro.analysis.instances import OpTable
         from repro.analysis.stats import render_statistics, statistics_of
         from repro.predict.skeleton import skeleton_from_run
         from repro.report.timeline import render_result_timeline
 
-        listed = _buffered(small_run)
-        tabled = analyze(small_run, request=AnalysisRequest())
-        assert all(isinstance(tl.mpi_ops, list) for tl in listed.timelines.values())
-        assert not any(isinstance(tl.mpi_ops, list) for tl in tabled.timelines.values())
-        assert listed.timelines == tabled.timelines
-        assert render_result_timeline(listed) == render_result_timeline(tabled)
-        assert render_statistics(statistics_of(listed)) == render_statistics(
-            statistics_of(tabled)
+        reference = _buffered(small_run)
+        engine = analyze(small_run, request=AnalysisRequest())
+        for result in (reference, engine):
+            assert all(isinstance(tl.mpi_ops, OpTable) for tl in result.timelines.values())
+        assert reference.timelines == engine.timelines
+        assert render_result_timeline(reference) == render_result_timeline(engine)
+        assert render_statistics(statistics_of(reference)) == render_statistics(
+            statistics_of(engine)
         )
-        assert skeleton_from_run(small_run, listed) == skeleton_from_run(
-            small_run, tabled
+        assert skeleton_from_run(small_run, reference) == skeleton_from_run(
+            small_run, engine
         )
+
+    def test_statistics_place_excluded_receivers_on_their_metahost(self, damaged_run):
+        """A send to an excluded rank is internal or external by where the
+        run's definitions put that rank, not external for want of its
+        timeline."""
+        from repro.analysis.stats import statistics_of
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = analyze(damaged_run, request=AnalysisRequest(degraded=True))
+        assert result.excluded_ranks == [3, 6]
+        comm = statistics_of(result).comm
+        assert (comm.internal_bytes, comm.external_bytes) == (15360, 3072)
 
     def test_bounded_degraded_matches_buffered(self, damaged_run):
         with warnings.catch_warnings():
@@ -388,7 +402,7 @@ class TestBoundedMemory:
         the objects the replay made died with their matching windows."""
         import gc
 
-        from repro.analysis.instances import (
+        from repro.analysis.matching import (
             CollRecord,
             MPIOpInstance,
             RecvRecord,
