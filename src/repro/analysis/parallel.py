@@ -1,11 +1,14 @@
-"""What crosses the process boundary when the local phase runs on a pool.
+"""The local phase, and what crosses the process boundary when ``jobs``
+processes share it.
 
 The paper's analyzer is *parallel by construction*: every analysis process
-reads only the traces local to its own metahost and the replay exchanges
-per-event metadata, never whole trace files.  The replay's **local phase**
-— admit a rank, build its op tables — is a pure function of one trace
-file, so it is the part that can run anywhere.  This module holds what a
-worker process needs to run it and nothing else:
+— the one that starts the analysis included — replays the traces local to
+it, and the replay exchanges per-event metadata, never whole trace files.
+The replay's **local phase** — admit a rank, build its op tables — is a
+pure function of one trace file, so it is the part that can run anywhere:
+``jobs`` processes share it, the analyzing process (shard 0) and
+``jobs − 1`` pool workers (shards 1…).  This module holds what each of
+them runs and what a worker needs, and nothing else:
 
 * :func:`plan_shards` cuts the ascending rank list into contiguous
   **shards** of about equal trace *bytes* (ranks differ in trace size by
@@ -26,12 +29,14 @@ worker process needs to run it and nothing else:
   warnings.
 
 There is no matcher, no pattern evaluator and no driver here.
-:func:`repro.analysis.streaming.analyze` is the one driver: with
-``jobs >= 2`` it ships shards here, absorbs the returned registries in
-ascending shard order, and hands the tables to the global phase exactly as
-it hands the ones it builds in-process with ``jobs=1``.  Nothing is
-admitted twice: a strict shard raises its lowest rank's error, and the
-pool re-raises the lowest shard's — the error ``jobs=1`` raises.
+:func:`repro.analysis.streaming.analyze` is the one driver: it runs
+:meth:`PartialAnalysis.admit` over shard 0 itself while the pool runs
+:func:`analyze_shard` over shards 1…, absorbs the workers' registries
+after shard 0's in ascending shard order, and hands every table to the
+global phase (``jobs=1`` is the case with no worker shard).  Nothing is
+admitted twice: a strict shard raises its lowest rank's error, shard 0's
+propagates at once, and the pool re-raises the lowest of the others' —
+the error ``jobs=1`` raises.
 """
 
 from __future__ import annotations

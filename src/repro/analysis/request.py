@@ -153,9 +153,10 @@ class AnalysisRequest(FieldTable):
         False, "flag", "survive damaged traces: salvage and exclude instead of raising"
     )
     jobs: Optional[int] = declare(
-        None, "count", "analysis worker processes: 1=serial, 0=one per core",
+        None, "count", "processes sharing the local phase, this one and jobs-1 pool workers: "
+        "1=serial, 0=one per core",
         flag="--jobs", unset="serial",
-        high=1024, why="a worker per rank of the benchmark ladder's largest world",
+        high=1024, why="a process per rank of the benchmark ladder's largest world",
     )
     timeout: Optional[float] = declare(
         None, "seconds", "per-shard deadline for parallel analysis workers",

@@ -20,16 +20,19 @@ The replay has three steps.
    holding about :data:`~repro.analysis.parallel._BATCH_BYTES` of trace,
    one walk of the record grammar and one set of passes per batch
    (:meth:`~repro.analysis.parallel.PartialAnalysis.admit`).  ``jobs``
-   says only *where* it runs: in this process over one shared call-path
-   registry, or as :func:`~repro.analysis.parallel.analyze_shard` tasks on
-   a supervised pool.  A strict run raises the same error either way:
-   a batch, and so a shard, raises its lowest rank's error, and the pool
-   re-raises the lowest shard's.
-2. **Call-path numbering**: shard-local registries are absorbed in
-   ascending shard order, so either way call paths are numbered rank-major
-   in first-encounter order — the buffered analyzer's numbering — before
-   anything is evaluated, and the cube and the timeline are keyed globally
-   from the first contribution.
+   says only how many processes share it: the world is cut into ``jobs``
+   contiguous shards, this process admits shard 0 into the world's
+   call-path registry, and shards 1… run meanwhile as
+   :func:`~repro.analysis.parallel.analyze_shard` tasks on ``jobs − 1``
+   supervised pool workers (``jobs=1``: one shard, no pool).  A strict run
+   raises ``jobs=1``'s error at every ``jobs``: a batch, and so a shard,
+   raises its lowest rank's error, shard 0's propagates at once, and the
+   pool re-raises the lowest of the others'.
+2. **Call-path numbering**: the workers' shard-local registries are
+   absorbed after shard 0's in ascending shard order, so call paths are
+   numbered rank-major in first-encounter order — the buffered analyzer's
+   numbering — before anything is evaluated, and the cube and the
+   timeline are keyed globally from the first contribution.
 3. The **columnar global phase** (:mod:`repro.analysis.globalphase`) then
    evaluates everything over the admitted ranks' whole tables in array
    passes: FIFO matching as one sort, the pattern catalogue as ufuncs and
@@ -66,8 +69,9 @@ canonical order, so its ``stamps`` compare equal across engines.  The
 diagnostics.
 
 A deadline stops the local phase between whole ranks, at every ``jobs``:
-in this process it is polled after every batch, and a pool run is cut by
-the supervised pool (in-flight workers killed, settled shards salvaged).
+this process polls it after every batch of shard 0, and the supervised
+pool cuts the other shards once shard 0 is done (in-flight workers
+killed, settled shards salvaged).
 Every admitted rank is analyzed whole and the global phase runs once over
 the admitted ranks, so a rank the budget left unadmitted is missing the
 way an excluded one is.
@@ -76,6 +80,7 @@ way an excluded one is.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import Dict, Optional
 
 from repro.analysis.globalphase import global_phase
@@ -147,81 +152,78 @@ def _replay(
     converters = scheme.convert_all(first_reader.sync_data()).converters
     ranks = sorted(definitions.locations)
     # One snapshot of the world, each rank's blob through its own metahost's
-    # reader; a pool run's plan balances its blob lengths.
+    # reader, cut into *jobs* contiguous shards of about equal blob bytes.
     world = TraceShard.gather(ranks, definitions, readers)
+    sizes = {rank: len(world.blobs.get(rank, b"")) for rank in ranks}
+    machine_of = {rank: definitions.machine_of(rank) for rank in ranks}
+    shards = plan_shards(sizes, machine_of, jobs) or [()]
 
     # The local phase: admit each rank and build the admitted ranks' op
     # tables.  It finishes before anything is evaluated, so a structurally
     # inconsistent rank is excluded (or, strict, raises) with nothing
-    # accumulated for it.  Either branch leaves the call paths numbered
-    # rank-major in first-encounter order — the buffered analyzer's
-    # numbering, exactly.  *local* collects it for the whole world.
+    # accumulated for it.  This process runs shard 0 into *local*, whose
+    # registry is the world's: it interns nothing for a rank it rejects, so
+    # it numbers call paths rank-major in first-encounter order — the
+    # buffered analyzer's numbering, exactly.  Shards 1… run on the pool
+    # meanwhile, and their registries are absorbed after it in shard order.
     local = PartialAnalysis(index=0, ranks=tuple(ranks))
     callpaths = local.callpaths
     timelines = local.timelines
     trace_bytes = local.trace_bytes
     completeness = local.completeness
+    admit_first = partial(
+        local.admit, definitions, world.select(shards[0]), converters, degraded, deadline
+    )
+    tasks = [
+        ShardTask(
+            index=index,
+            ranks=shard,
+            degraded=degraded,
+            definitions=definitions,
+            converters={
+                node: converters.get(node)
+                for node in sorted({node_of(definitions.locations[rank]) for rank in shard})
+            },
+            traces=world.select(shard),
+        )
+        for index, shard in enumerate(shards[1:], 1)
+    ]
     execution = None
-    if jobs == 1:
-        # One registry shared by all ranks is that numbering as it stands:
-        # the local phase interns nothing for a rank it rejects.
-        interrupted = local.admit(definitions, world, converters, degraded, deadline)
+    if not tasks:
+        interrupted = admit_first()
     else:
-        sizes = {rank: len(world.blobs.get(rank, b"")) for rank in ranks}
-        machine_of = {rank: definitions.machine_of(rank) for rank in ranks}
-        tasks = [
-            ShardTask(
-                index=index,
-                ranks=shard,
-                degraded=degraded,
-                definitions=definitions,
-                converters={
-                    node: converters.get(node)
-                    for node in sorted(
-                        {node_of(definitions.locations[rank]) for rank in shard}
-                    )
-                },
-                traces=world.select(shard),
-            )
-            for index, shard in enumerate(plan_shards(sizes, machine_of, jobs))
-        ]
         if pool is None:
-            pool = SupervisedPool(analyze_shard, PoolConfig(max_workers=min(jobs, len(tasks))))
+            pool = SupervisedPool(analyze_shard, PoolConfig(max_workers=len(tasks)))
         # The supervised pool keeps the in-process semantics — results in
         # shard order; each shard raises its lowest rank's error and the
         # lowest shard's error wins, which is ``jobs=1``'s error — while
         # surviving worker crashes, hangs, and kills that would deadlock a
-        # bare Pool.map forever.
+        # bare Pool.map forever.  Shard 0's error propagates at once.
         try:
-            partials, execution = pool.run(
+            (_, *partials), execution = pool.run(
                 tasks,
                 timeout_s=request.timeout,
                 max_retries=request.max_retries,
                 deadline=deadline,
+                local=admit_first,
             )
             # Polled as the last shard settles, as after the last batch.
             interrupted = deadline.reason() if deadline is not None else None
         except TimeBudgetExceeded as exc:
-            if not exc.results:
-                # Nothing settled before the budget ran out: there is no
-                # partial result to salvage, so the budget error stands.
-                raise
-            # Shards that never settled look exactly like excluded ranks:
-            # boundary receives void, collectives tolerate missing members.
-            partials = [exc.results[i] for i in sorted(exc.results)]
+            # The budget cut the run once shard 0 was admitted.  Shards
+            # that never settled look exactly like excluded ranks: boundary
+            # receives void, collectives tolerate missing members.
+            partials = [exc.results[i] for i in sorted(exc.results) if i]
             execution, interrupted = exc.report, exc.reason
-        # Shards are contiguous ascending rank slices, so absorbing each
-        # shard's registry in shard order, before anything is fed, is the
-        # same numbering.
-        for partial in partials:
-            for category, message in partial.warnings:
+        for shard in partials:
+            for category, message in shard.warnings:
                 warnings.warn(message, category, stacklevel=2)
-            remap = callpaths.absorb(partial.callpaths)
-            for rank, process in sorted(partial.timelines.items()):
+            remap = callpaths.absorb(shard.callpaths)
+            for rank, process in sorted(shard.timelines.items()):
                 remap_timeline(process, remap)
                 timelines[rank] = process
-            trace_bytes.update(sorted(partial.trace_bytes.items()))
-            completeness.update(sorted(partial.completeness.items()))
+            trace_bytes.update(sorted(shard.trace_bytes.items()))
+            completeness.update(sorted(shard.completeness.items()))
 
     if not timelines:
         if interrupted is not None:
@@ -315,33 +317,35 @@ def analyze(
 
     *request* (an :class:`~repro.analysis.request.AnalysisRequest`)
     describes the analysis; this driver spells its fields out and nothing
-    else does.  ``jobs`` says only where the local phase (trace blob → op
-    tables, per rank) runs: ``None``/``1`` in this process, ``N >= 2``
-    sharded across that many pool worker processes, ``0`` one per
-    available core.  Every value of ``jobs`` produces a bit-identical
-    :class:`~repro.analysis.result.AnalysisResult`, and a strict run
-    raises the same error at every value: the lowest failing rank's.
-    ``request.timeline``
-    additionally accumulates a time-resolved :class:`SeverityTimeline`
-    (``result.severity_timeline``), and ``request.bounded`` drops the op
-    tables once the global phase has read them, so the result holds
-    nothing that grows with the trace.
+    else does.  ``jobs`` says only how many processes share the local
+    phase (trace blob → op tables, per rank): ``None``/``1`` this one,
+    ``N >= 2`` this one (shard 0) and ``N − 1`` pool worker processes,
+    ``0`` one per available core.  Every value of ``jobs`` produces a
+    bit-identical :class:`~repro.analysis.result.AnalysisResult`, and a
+    strict run raises the same error at every value: the lowest failing
+    rank's.  ``request.timeline`` additionally accumulates a time-resolved
+    :class:`SeverityTimeline` (``result.severity_timeline``), and
+    ``request.bounded`` drops the op tables once the global phase has read
+    them, so the result holds nothing that grows with the trace.
 
     ``request.timeout`` (per-shard deadline, seconds) and
     ``request.max_retries`` (re-dispatches after a worker crash or hang)
     tune the supervised pool a ``jobs >= 2`` run uses; its result carries
     the pool's :class:`~repro.resilience.pool.ExecutionReport` in
-    ``result.execution``.  ``pool`` lends the run an externally owned warm
-    :class:`~repro.resilience.pool.SupervisedPool` (task function
-    :func:`~repro.analysis.parallel.analyze_shard`) instead of spawning one
-    — how the analysis service shares a single pool across every job it
-    serves, and how a run gets its own supervision settings (a chaos hook,
-    fast heartbeats).
+    ``result.execution``, one task per shard, shard 0 (this process's:
+    one attempt, never retried) first.  ``pool`` lends the run an
+    externally owned warm :class:`~repro.resilience.pool.SupervisedPool`
+    (task function :func:`~repro.analysis.parallel.analyze_shard`) instead
+    of spawning one — how the analysis service shares a single pool across
+    every job it serves, and how a run gets its own supervision settings (a
+    chaos hook, fast heartbeats).
 
     ``request.deadline_s`` bounds the whole analysis end to end: on expiry
     the local phase admits no further rank and the analyzer returns a
     *partial* result — the admitted ranks analyzed whole, honest per-rank
-    completeness, ``result.interrupted`` set — instead of hanging.  ``deadline`` lends an
+    completeness, ``result.interrupted`` set — instead of hanging.  A
+    budget already spent at the start costs the first batch of shard 0,
+    as at ``jobs=1``, and dispatches no worker.  ``deadline`` lends an
     externally owned :class:`~repro.resilience.deadline.Deadline` instead
     (how the service makes a client ``DELETE`` reach the running analysis)
     and wins over ``request.deadline_s``, which starts a fresh clock at

@@ -43,10 +43,11 @@ __all__ = [
 _SIM_SEED = 5
 _RANKS = 8
 
-#: What :func:`run_chaos` admits, by the request's rules: at least one worker
+#: What :func:`run_chaos` admits, by the request's rules: at least one process
 #: per episode, and a finite slack (under a NaN one no episode could fail).
 _JOBS = replace(
-    rule_of(AnalysisRequest, "jobs"), low=1, doc="analysis worker processes per episode"
+    rule_of(AnalysisRequest, "jobs"), low=1,
+    doc="analysis processes per episode: this one and jobs-1 pool workers",
 )
 _GRACE = replace(
     rule_of(AnalysisRequest, "deadline_s"), finite=True, flag="--grace",

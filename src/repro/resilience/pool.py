@@ -30,11 +30,15 @@ actively supervises it:
   plain ``Pool.map``.
 
 Workers run a task loop, so one pool can serve many :meth:`run` calls.  A
-pool constructed with ``persistent=True`` keeps its healthy workers warm
-between runs — the serving-layer configuration, where respawning a pool
-per job would dominate small-job latency — until :meth:`close` reaps
-them; a non-persistent pool (the default) reaps everything at the end of
-each run, preserving the original one-shot behaviour.
+worker spawned for a task is handed it as its process argument (under
+fork it is never pickled); a warm worker's next task crosses its pipe.
+The supervising process may run a task of its own while its workers run
+theirs (:meth:`run`'s ``local``).  A pool constructed with
+``persistent=True`` keeps its healthy workers warm between runs — the
+serving-layer configuration, where respawning a pool per job would
+dominate small-job latency — until :meth:`close` reaps them; a
+non-persistent pool (the default) reaps everything at the end of each
+run, preserving the original one-shot behaviour.
 
 Interruption is first-class: :meth:`request_shutdown` (called directly,
 from another thread, or by the SIGTERM/SIGINT handlers the pool installs
@@ -204,28 +208,23 @@ def _heartbeat_loop(beat, interval_s: float, stop: threading.Event) -> None:
             beat.value += 1
 
 
-def _worker_main(fn, conn, beat, interval_s, chaos_hook) -> None:
+def _worker_main(fn, conn, beat, interval_s, chaos_hook, message) -> None:
     """Worker entry point: loop over tasks, send back ("ok"|"error", value).
 
-    Tasks arrive over the duplex pipe as one-tuples; ``None`` is the
-    graceful-exit sentinel.  Application exceptions travel back over the
-    pipe as values — only the *infrastructure* (process death, deadline,
-    heartbeat loss) is the supervisor's business.  The heartbeat thread is
-    a daemon: it dies with the process, which is exactly the signal the
-    supervisor listens for.
+    The first task is *message*, the one-tuple the worker was spawned for
+    (under fork it is never pickled); later tasks arrive over the duplex
+    pipe as one-tuples, and ``None`` there is the graceful-exit sentinel.
+    Application exceptions travel back over the pipe as values — only the
+    *infrastructure* (process death, deadline, heartbeat loss) is the
+    supervisor's business.  The heartbeat thread is a daemon: it dies with
+    the process, which is exactly the signal the supervisor listens for.
     """
     stop = threading.Event()
     threading.Thread(
         target=_heartbeat_loop, args=(beat, interval_s, stop), daemon=True
     ).start()
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None:
-                break
+        while message is not None:
             (task,) = message
             try:
                 if chaos_hook is not None:
@@ -237,6 +236,10 @@ def _worker_main(fn, conn, beat, interval_s, chaos_hook) -> None:
                 conn.send(payload)
             except Exception as exc:  # unpicklable result/exception
                 conn.send(("error", ReproError(f"task payload not picklable: {exc!r}")))
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                break
     finally:
         stop.set()
         conn.close()
@@ -328,7 +331,9 @@ class SupervisedPool:
 
     # -- worker lifecycle ------------------------------------------------------
 
-    def _spawn(self, ctx) -> _Worker:
+    def _spawn(self, ctx, task: Any) -> _Worker:
+        """A new worker whose first task is *task*: a process argument, so
+        free under fork and pickled once under spawn."""
         parent_conn, child_conn = ctx.Pipe()
         beat = ctx.Value("Q", 0)
         process = ctx.Process(
@@ -339,6 +344,7 @@ class SupervisedPool:
                 beat,
                 self.config.heartbeat_interval_s,
                 self.config.chaos_hook,
+                (task,),
             ),
             daemon=True,
         )
@@ -346,31 +352,27 @@ class SupervisedPool:
         child_conn.close()
         return _Worker(process=process, conn=parent_conn, beat=beat)
 
-    def _checkout(self, ctx, fresh: bool) -> _Worker:
-        """A warm idle worker, or a newly spawned one.
+    def _dispatch(self, ctx, task: Any, fresh: bool) -> _Attempt:
+        """Send *task* to a live warm worker over its pipe, or spawn one for it.
 
         ``fresh=True`` always spawns — retries go to a worker whose runtime
         state cannot have been poisoned by the failed attempt.
         """
-        while not fresh and self._idle:
-            worker = self._idle.pop()
-            if worker.process.is_alive():
-                return worker
-            self._release(worker, kill=True)
-        return self._spawn(ctx)
-
-    def _dispatch(self, ctx, task: Any, fresh: bool) -> _Attempt:
         # Stamped here, not at the top of the supervisor's pass: the spawn
         # and send of the tasks dispatched before this one are not its time.
         now = time.monotonic()
-        worker = self._checkout(ctx, fresh)
-        try:
-            worker.conn.send((task,))
-        except (OSError, ValueError):
-            # The reused worker died between checkout and send: replace it.
+        while not fresh and self._idle:
+            worker = self._idle.pop()
+            if worker.process.is_alive():
+                try:
+                    worker.conn.send((task,))
+                    break
+                except (OSError, ValueError):
+                    pass
+            # The warm worker died while idle: retire it.
             self._release(worker, kill=True)
-            worker = self._spawn(ctx)
-            worker.conn.send((task,))
+        else:  # no warm worker took it
+            worker = self._spawn(ctx, task)
         return _Attempt(
             worker=worker,
             started=now,
@@ -497,8 +499,17 @@ class SupervisedPool:
         timeout_s: Optional[float] = None,
         max_retries: Optional[int] = None,
         deadline: Optional[Deadline] = None,
+        local: Optional[Callable[[], Any]] = None,
     ) -> Tuple[List[Any], ExecutionReport]:
         """Execute every task; returns ``(results in task order, report)``.
+
+        ``local`` is the supervisor's own task, run here once the first
+        dispatch pass has handed the workers theirs: it is task 0 of the
+        results and the report (one attempt, never retried or timed out),
+        and *tasks* follow from index 1.  It runs even when the budget or a
+        shutdown stops the dispatch, and the run is cut only after it; if
+        it raises, the in-flight workers are killed and its error
+        propagates.
 
         ``timeout_s`` and ``max_retries`` override the pool's configured
         deadline/retry budget for this run only — a shared long-lived pool
@@ -517,7 +528,8 @@ class SupervisedPool:
         shutdown request (signal or :meth:`request_shutdown`) drains, reaps,
         and raises :class:`~repro.errors.PoolShutdown`.
         """
-        tasks = list(tasks)
+        first = 0 if local is None else 1
+        tasks = [local, *tasks] if first else list(tasks)
         config = self.config
         if timeout_s is not None:
             config = replace(config, timeout_s=float(timeout_s))
@@ -534,7 +546,7 @@ class SupervisedPool:
         began = time.monotonic()
         report = ExecutionReport(
             tasks=[TaskExecution(index=i) for i in range(len(tasks))],
-            workers=min(config.max_workers, len(tasks)),
+            workers=min(config.max_workers, len(tasks) - first),
         )
         if not tasks:
             return [], report
@@ -546,7 +558,7 @@ class SupervisedPool:
         #: (not-before time, task index, needs-fresh-worker) — failed tasks
         #: re-enter with backoff and a fresh worker.
         pending: List[Tuple[float, int, bool]] = [
-            (began, i, False) for i in range(len(tasks))
+            (began, i, False) for i in range(first, len(tasks))
         ]
         running: Dict[int, _Attempt] = {}
         drain_deadline: Optional[float] = None
@@ -581,17 +593,18 @@ class SupervisedPool:
                 now = time.monotonic()
                 if deadline is not None and budget_reason is None:
                     budget_reason = deadline.reason()
-                    if budget_reason is not None:
+                if budget_reason is not None:
+                    if local is None:
                         # The budget IS the bound: no drain grace — kill
                         # in-flight attempts (finally block) and report
                         # what settled.
                         break
-                if self._shutdown.is_set():
+                elif self._shutdown.is_set():
                     # Drain: no new dispatches; give in-flight tasks one
                     # bounded grace window, then stop.
                     if drain_deadline is None:
                         drain_deadline = now + config.drain_grace_s
-                    if not running or now >= drain_deadline:
+                    if local is None and (not running or now >= drain_deadline):
                         break
                 else:
                     # Dispatch ready pending tasks into free worker slots.
@@ -606,6 +619,13 @@ class SupervisedPool:
                         attempt = self._dispatch(ctx, tasks[index], fresh)
                         first_dispatch.setdefault(index, attempt.started)
                         running[index] = attempt
+                if local is not None:
+                    report.tasks[0].attempts = 1
+                    first_dispatch[0] = time.monotonic()
+                    results[0] = local()
+                    local = None
+                    settle(0)
+                    continue
 
                 progressed = False
                 for index in list(running):

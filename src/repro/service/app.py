@@ -83,10 +83,12 @@ class ServiceConfig(FieldTable):
         flag="--port", high=65535, why="the largest TCP port",
     )
     queue_limit: int = declare(
-        16, "count", "waiting jobs admitted before submissions get 429", flag="--queue-limit", low=1
+        16, "count", "waiting jobs admitted before submissions get 429", flag="--queue-limit",
+        low=1, high=4096, why="a cancel scans the waiting queue under the service lock",
     )
     pool_workers: int = declare(
-        2, "count", "workers in the shared analysis pool", flag="--pool-workers", low=1
+        2, "count", "workers in the shared analysis pool", flag="--pool-workers", low=1,
+        high=rule_of(AnalysisRequest, "jobs").high, why="the jobs bound: no job has more shards",
     )
     default_jobs: int = declare(
         2, rule_of(AnalysisRequest, "jobs"),

@@ -11,6 +11,7 @@ stops the local phase between whole ranks.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
@@ -228,6 +229,7 @@ class TestParallelDeadline:
             completeness = None
         elapsed = time.monotonic() - began
         assert elapsed < 3.0 + 15.0, f"took {elapsed:.1f}s, deadline was 3s"
+        assert not multiprocessing.active_children()
         assert interrupted is not None and "deadline of 3.0s" in interrupted
         if completeness is not None:
             unfinished = [
@@ -258,8 +260,9 @@ class TestParallelDeadline:
         it is polled then, as after the in-process local phase's last batch,
         so the result is marked interrupted with every rank analyzed whole —
         the unbudgeted run's severities.  (A budget spent *before*
-        ``analyze`` cuts the pool run first and, no shard settled, raises
-        ``TimeBudgetExceeded``.)"""
+        ``analyze`` cuts the run after the first batch of shard 0, which
+        this process admits: ``jobs=1``'s partial result, as the next test
+        pins.)"""
         run = _small_run()
         whole = analyze(run)
         deadline = Deadline(3600.0)
@@ -278,6 +281,25 @@ class TestParallelDeadline:
         assert result.execution is not None and result.execution.clean
         assert result.cube.data == whole.cube.data
         _assert_cut_between_whole_ranks(result, whole, list(range(8)))
+
+    def test_budget_spent_before_a_pool_run_returns_jobs_one_partial(self, monkeypatch):
+        """One cut rule, literally: a budget already spent when a ``jobs=2``
+        run starts stops this process's shard after its first batch, as it
+        stops ``jobs=1``'s local phase, and no worker is dispatched."""
+        import repro.analysis.parallel as parallel
+
+        run = _small_run()
+        whole = analyze(run)
+        monkeypatch.setattr(parallel, "_BATCH_BYTES", 1)  # one rank a batch
+        spent = Deadline(3600.0)
+        spent.cancel("budget spent")
+        serial = analyze(run, deadline=spent)
+        sharded = analyze(run, AnalysisRequest(jobs=2), deadline=spent)
+        assert_identical(serial, sharded)
+        assert sharded.interrupted == serial.interrupted == "budget spent"
+        _assert_cut_between_whole_ranks(sharded, whole, [0])
+        assert [task.attempts for task in sharded.execution.tasks] == [1, 0]
+        assert not multiprocessing.active_children()
 
     def test_generous_parallel_deadline_is_byte_identical(self):
         run = _small_run()

@@ -230,6 +230,23 @@ def test_count_bound_at_every_edge(name):
             assert f"<= {high}" in cli_refused and str(value) in cli_refused
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(SERVICE) if SERVICE[n].metadata["rule"].high is not None]
+)
+def test_service_count_bound_at_every_edge(name):
+    """A service count's declared bound is admitted and bound+1 refused,
+    naming the field, by the library and ``repro serve`` argv alike."""
+    high = SERVICE[name].metadata["rule"].high
+    for value, admitted in ((high, True), (high + 1, False)):
+        spec = {name: value}
+        config, refused = _refusal(lambda: ServiceConfig(**spec))
+        parsed, cli_refused = _parse(_argv(spec, SERVICE, ["serve"]), ServiceConfig)
+        assert [config is not None, parsed is not None] == [admitted] * 2
+        if not admitted:
+            assert _named(refused, spec) == name
+            assert f"<= {high}" in cli_refused and str(value) in cli_refused
+
+
 @seed(20260531)
 @settings(max_examples=300, deadline=None)
 @given(spec=_specs(SERVICE, sorted(SERVICE)))
@@ -298,6 +315,8 @@ def _never(what):
         ("--port", "65536", "port"),
         ("--breaker-threshold", "0", "breaker_threshold"),
         ("--pool-workers", "0", "pool_workers"),
+        ("--pool-workers", "1025", "pool_workers"),
+        ("--queue-limit", "4097", "queue_limit"),
     ],
 )
 def test_serve_refuses_before_starting(flag, value, field, monkeypatch, capsys):

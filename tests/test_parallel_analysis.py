@@ -9,7 +9,9 @@ report bytes — in both strict and degraded mode.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import pickle
+import time
 import warnings
 from unittest import mock
 
@@ -37,7 +39,7 @@ from repro.experiments.configs import experiment1
 from repro.faults import FaultPlan, TraceCorruption, TraceTruncation
 from repro.report import render_analysis
 from repro.report.serialize import result_to_dict
-from repro.resilience import ExecutionReport
+from repro.resilience import ExecutionReport, PoolConfig, SupervisedPool
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.presets import uniform_metacomputer
 from repro.trace.archive import MANIFEST_FILE, ArchiveManifest, ArchiveWriter, TraceManifestEntry
@@ -87,13 +89,20 @@ def assert_timelines_agree(serial, parallel):
         assert flat[1][key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
-class _PicklingPool:
-    """The analyzer's ``pool=`` seam without processes: every shard runs
-    here, and its partial still crosses a pickle boundary."""
+def _wedge(task):
+    """Pool chaos hook: the worker never returns."""
+    time.sleep(120.0)
 
-    def run(self, tasks, **budgets):
-        partials = [pickle.loads(pickle.dumps(analyze_shard(task))) for task in tasks]
-        return partials, ExecutionReport()
+
+class _PicklingPool:
+    """The analyzer's ``pool=`` seam without processes: the supervisor's own
+    shard runs first, then every other shard here, and each of their
+    partials still crosses a pickle boundary."""
+
+    def run(self, tasks, *, local, **budgets):
+        results = [local()]
+        results += [pickle.loads(pickle.dumps(analyze_shard(task))) for task in tasks]
+        return results, ExecutionReport()
 
 
 def _through_the_seam(run, jobs, degraded, batch=parallel_module._BATCH_BYTES):
@@ -239,6 +248,25 @@ class TestStrictEquivalence:
 
     def test_jobs_one_uses_serial_path(self, small_run):
         assert_identical(analyze(small_run), analyze(small_run, AnalysisRequest(jobs=1)))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    def test_a_cold_run_spawns_one_worker_fewer_than_jobs(self, small_run, jobs, monkeypatch):
+        """This process runs shard 0 itself: a cold ``jobs=N`` run spawns a
+        worker for each of shards 1…N−1, and ``jobs=1`` none."""
+        spawned = []
+        spawn = SupervisedPool._spawn
+
+        def counting(pool, ctx, task):
+            spawned.append(task.index)
+            return spawn(pool, ctx, task)
+
+        monkeypatch.setattr(SupervisedPool, "_spawn", counting)
+        result = analyze(small_run, AnalysisRequest(jobs=jobs))
+        assert sorted(spawned) == list(range(1, jobs))
+        assert not multiprocessing.active_children()
+        if jobs > 1:
+            assert [task.index for task in result.execution.tasks] == list(range(jobs))
+            assert [task.attempts for task in result.execution.tasks] == [1] * jobs
 
     @pytest.mark.parametrize("jobs", [2, 3, 4, 8])
     def test_timeline_matches_serial(self, small_run, jobs):
@@ -457,6 +485,24 @@ class TestDegradedEquivalence:
             warnings.simplefilter("always")
             result = analyze(run, AnalysisRequest(degraded=True, jobs=jobs))
         return result, [(w.category, str(w.message)) for w in caught]
+
+    def test_shard_zero_error_kills_the_worker_in_flight(self, damaged_run):
+        """Strict, the lowest failing rank (3) is in shard 0, which this
+        process admits: its error — ``jobs=1``'s — propagates while shard
+        1's worker is still wedged, and that worker is killed and reaped."""
+        with pytest.raises(ReproError) as serial:
+            analyze(damaged_run)
+        pool = SupervisedPool(analyze_shard, PoolConfig(
+            max_workers=1, timeout_s=60.0, max_retries=0, chaos_hook=_wedge
+        ))
+        began = time.monotonic()
+        with pytest.raises(ReproError) as sharded:
+            analyze(damaged_run, AnalysisRequest(jobs=2), pool=pool)
+        assert time.monotonic() - began < 30.0
+        assert (type(sharded.value), str(sharded.value)) == (
+            type(serial.value), str(serial.value)
+        )
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_degraded_bit_identical(self, damaged_run, jobs):

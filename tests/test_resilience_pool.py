@@ -10,6 +10,7 @@ claim the first-victim slot.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 import signal
 import threading
@@ -98,6 +99,23 @@ def _zero(task):
     return 0
 
 
+class _CountsItsPickling:
+    """A task that counts, in the process that pickles it, its picklings."""
+
+    pickled = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return (_CountsItsPickling, (self.value,))
+
+
+def _value_of(task):
+    return task.value
+
+
 def _square_shortly(x):
     time.sleep(0.05)  # not done yet when the dispatching pass polls it
     return x * x
@@ -143,6 +161,30 @@ class TestCleanRuns:
         assert "2 task(s)" in text
         assert "2 attempt(s)" in text
         assert "0 serial fallback(s)" in text
+
+
+class TestTaskTransport:
+    def test_the_supervisors_own_task_is_task_zero(self):
+        pool = SupervisedPool(_square, _fast_config(max_workers=3))
+        results, report = pool.run([2, 3], local=lambda: "here")
+        assert results == ["here", 4, 9]
+        assert [task.index for task in report.tasks] == [0, 1, 2]
+        assert [task.attempts for task in report.tasks] == [1, 1, 1]
+        assert report.workers == 2 and report.clean
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="a task handed over at fork is what the test counts",
+    )
+    def test_a_spawned_worker_gets_its_task_at_fork(self, monkeypatch):
+        """A worker spawned for a task is handed it as its process argument —
+        under fork, never pickled — and a warm worker's task crosses its pipe."""
+        monkeypatch.setattr(_CountsItsPickling, "pickled", 0)
+        with SupervisedPool(_value_of, _fast_config(), persistent=True) as pool:
+            cold, _ = pool.run([_CountsItsPickling(1), _CountsItsPickling(2)])
+            assert cold == [1, 2] and _CountsItsPickling.pickled == 0
+            warm, _ = pool.run([_CountsItsPickling(3), _CountsItsPickling(4)])
+            assert warm == [3, 4] and _CountsItsPickling.pickled == 2
 
 
 class TestApplicationErrors:
@@ -291,10 +333,13 @@ class TestSupervisorWaitsOnItsWorkers:
         assert excinfo.value.report.tasks[0].attempts == 1
 
     def test_a_task_is_not_charged_its_predecessors_dispatch(self):
-        """Each dispatch blocks the supervisor for 0.15 s (the send); task 2
-        is dispatched third, and its clock starts with its own send."""
-        pool = SupervisedPool(_zero, _fast_config(max_workers=3))
-        _results, report = pool.run([_SlowToSend(), _SlowToSend(), _SlowToSend()])
+        """Each dispatch to a warm worker blocks the supervisor for 0.15 s
+        (the send); task 2 is dispatched third, and its clock starts with its
+        own send.  The pool is warmed first: a worker spawned for its task
+        gets it at fork, unpickled, so only a warm worker's send is slow."""
+        with SupervisedPool(_zero, _fast_config(max_workers=3), persistent=True) as pool:
+            pool.run([0, 0, 0])
+            _results, report = pool.run([_SlowToSend(), _SlowToSend(), _SlowToSend()])
         assert report.clean
         assert 0.15 <= report.tasks[2].wall_time_s < 0.40
 
@@ -325,6 +370,7 @@ class TestAnalyzerChaos:
         began = time.monotonic()
         recovered = analyze(run, AnalysisRequest(jobs=4), pool=pool)
         assert time.monotonic() - began < 60.0
+        assert not multiprocessing.active_children()
         assert_identical(serial, recovered)
         report = recovered.execution
         assert isinstance(report, ExecutionReport)
