@@ -39,6 +39,7 @@ of corrupting the store.  Pure readers never lock.
 from __future__ import annotations
 
 import json
+import multiprocessing.util
 import os
 import tempfile
 from typing import Any, Dict, Mapping, Optional
@@ -134,6 +135,18 @@ class CheckpointJournal:
         except OSError:  # diagnostics only — the lock itself is what matters
             pass
         self._lock_fd = fd
+        multiprocessing.util.register_after_fork(self, CheckpointJournal._drop_inherited_lock)
+
+    def _drop_inherited_lock(self) -> None:
+        """In a forked worker: close its copy of the lock descriptor.
+
+        The lock belongs to the open file description the parent shares
+        with the worker, so the worker must not unlock it, and must not keep
+        it held after the parent dies (a restarted writer would be refused).
+        """
+        fd, self._lock_fd = self._lock_fd, None
+        if fd is not None:
+            os.close(fd)
 
     def close(self) -> None:
         """Release the writer lock (if held).  Idempotent."""

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import os
 import signal
 import threading
 import time
@@ -202,8 +203,16 @@ class ExecutionReport:
 
 
 def _heartbeat_loop(beat, interval_s: float, stop: threading.Event) -> None:
-    """Worker-side daemon thread: bump the shared counter until told to stop."""
+    """Worker-side daemon thread: bump the shared counter until told to stop.
+
+    A worker whose supervisor died (it was re-parented) exits here:
+    nobody reads its result, and as it holds both ends of its own pipe it
+    would otherwise wait for a next task forever.
+    """
+    supervisor = os.getppid()
     while not stop.wait(interval_s):
+        if os.getppid() != supervisor:
+            os._exit(1)
         with beat.get_lock():
             beat.value += 1
 
@@ -218,7 +227,12 @@ def _worker_main(fn, conn, beat, interval_s, chaos_hook, message) -> None:
     *infrastructure* (process death, deadline, heartbeat loss) is the
     supervisor's business.  The heartbeat thread is a daemon: it dies with
     the process, which is exactly the signal the supervisor listens for.
+
+    The worker is daemonic to its supervisor (an exiting supervisor
+    terminates it) but may start processes of its own: a service job
+    worker runs a ``jobs=N`` analysis with a pool of its own.
     """
+    multiprocessing.current_process().daemon = False
     stop = threading.Event()
     threading.Thread(
         target=_heartbeat_loop, args=(beat, interval_s, stop), daemon=True

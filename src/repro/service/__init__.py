@@ -2,7 +2,7 @@
 
 The package turns the library's three verbs — ``simulate``, ``analyze``,
 ``run_experiment`` — into *jobs* submitted over HTTP and executed
-asynchronously against one long-lived warm
+asynchronously, each whole in a warm worker process supervised by a
 :class:`~repro.resilience.pool.SupervisedPool`:
 
 * :mod:`repro.service.store` — the durable, idempotent job store.  Every
@@ -16,8 +16,8 @@ asynchronously against one long-lived warm
   :mod:`repro.api` facade and produces a JSON-serializable result.
 * :mod:`repro.service.app` — :class:`AnalysisService`: lifecycle
   (startup / graceful drain), admission control (bounded queue,
-  reject-when-full), the single executor loop, and the severity-cube
-  query.
+  reject-when-full), the ``pool_workers`` executor slots, and the
+  severity-cube query.
 * :mod:`repro.service.http` — the stdlib HTTP front end
   (:func:`serve`, ``repro serve``) exposing submission, polling, result
   retrieval, severity queries and health/readiness endpoints.

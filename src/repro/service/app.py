@@ -4,27 +4,31 @@
 
 * one :class:`~repro.service.store.JobStore` (durable state — the only
   thing that must survive a crash),
-* one warm persistent :class:`~repro.resilience.pool.SupervisedPool`
-  of ``analyze_shard`` workers, lent to every analysis job instead of
-  spawning a pool per request,
-* one executor thread draining the in-memory run queue in submission
-  order.
+* the in-memory run queue, drained in submission order,
+* ``pool_workers`` slots, each an executor thread and a persistent
+  one-worker :class:`~repro.resilience.pool.SupervisedPool` (task
+  function ``execute_job``): a job runs whole in its slot's warm worker
+  process, so the server process keeps only HTTP, the queue, the journal
+  and the breaker.  A slot's worker is forked at its first job.
 
 Crash-safety protocol (the order matters):
 
 1. :meth:`submit` journals the accepted record *before* acknowledging —
    an acknowledged job is durable by construction.
-2. The executor journals the ``running`` transition before computing,
-   so a SIGKILL mid-compute is distinguishable from never-started.
+2. A slot journals the ``running`` transition before dispatching the job
+   to its worker, so a SIGKILL mid-compute is distinguishable from
+   never-started; each job is journaled ``done`` / ``failed`` /
+   ``cancelled`` when its own pool run settles.
 3. On :meth:`startup`, every journaled job still in a recoverable state
    is re-queued (in original submission order) and runs to completion;
    since each job is deterministic in its canonical spec, the recovered
    result is byte-identical to the one the uninterrupted service would
    have produced.
 4. A graceful shutdown (SIGTERM → :meth:`shutdown`) stops admission,
-   lets the in-flight job finish within ``drain_grace_s``, cancels it
-   through the pool past that, and leaves everything unfinished
-   journaled as ``accepted`` for the next start.
+   gives the in-flight jobs together ``drain_grace_s`` to finish, cuts
+   each remaining one through its pool past that (killing its worker),
+   and leaves everything unfinished journaled as ``accepted`` for the
+   next start.
 
 Admission control is a bounded queue: past ``queue_limit`` waiting jobs,
 :meth:`submit` raises :class:`~repro.errors.JobRejected` (HTTP 429)
@@ -33,6 +37,7 @@ rather than buffering unbounded work it may never get to.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -47,6 +52,7 @@ from repro.errors import (
     TimeBudgetExceeded,
 )
 from repro.resilience.deadline import Deadline
+from repro.resilience.pool import PoolConfig, SupervisedPool
 from repro.service.breaker import CircuitBreaker
 from repro.service.runners import execute_job
 from repro.service.store import (
@@ -64,6 +70,13 @@ from repro.service.store import (
 from repro.wallclock import wallclock
 
 __all__ = ["ServiceConfig", "AnalysisService", "create_app"]
+
+#: A slot's supervision: one warm worker; no per-attempt timeout, as a
+#: job's only bound is its deadline; no drain of its own, as the service's
+#: shared grace is the drain; signals stay with the serve loop.
+_SLOT_POOL = PoolConfig(
+    max_workers=1, timeout_s=math.inf, drain_grace_s=0.0, handle_signals=False
+)
 
 
 @dataclass(frozen=True)
@@ -87,15 +100,16 @@ class ServiceConfig(FieldTable):
         low=1, high=4096, why="a cancel scans the waiting queue under the service lock",
     )
     pool_workers: int = declare(
-        2, "count", "workers in the shared analysis pool", flag="--pool-workers", low=1,
-        high=rule_of(AnalysisRequest, "jobs").high, why="the jobs bound: no job has more shards",
+        2, "count", "jobs computed at once, each in its own warm worker process",
+        flag="--pool-workers", low=1, high=64,
+        why="each is an executor thread plus a warm worker process",
     )
     default_jobs: int = declare(
         2, rule_of(AnalysisRequest, "jobs"),
         "jobs of a submission that sets none: 1=serial, 0=one per core", flag="--default-jobs",
     )
     drain_grace_s: float = declare(
-        30.0, "seconds", "graceful-shutdown budget for the in-flight job",
+        30.0, "seconds", "graceful-shutdown budget shared by the in-flight jobs",
         flag="--drain-grace", finite=True,
     )
     max_job_attempts: int = declare(
@@ -130,14 +144,13 @@ class AnalysisService:
         self._queue: Deque[str] = deque()
         self._accepting = False
         self._stopping = False
-        self._running_key: Optional[str] = None
-        self._running_deadline: Optional[Deadline] = None
+        #: Each running job's deadline and its slot's pool, by key.
+        self._running: Dict[str, Tuple[Deadline, SupervisedPool]] = {}
         self._cancel_requested: set = set()
         self._drain_started: Optional[float] = None
-        self._executed = 0  # jobs actually computed by this process
+        self._executed = 0  # jobs computed by this service instance
         self.store: Optional[JobStore] = None
-        self.pool = None
-        self._executor: Optional[threading.Thread] = None
+        self._executors: List[threading.Thread] = []
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
@@ -146,18 +159,10 @@ class AnalysisService:
     # -- lifecycle -------------------------------------------------------------
 
     def startup(self) -> "AnalysisService":
-        """Open the store, recover journaled work, start pool + executor."""
+        """Open the store, recover journaled work, start the executor threads."""
         if self.store is not None:
             return self
-        from repro.analysis.parallel import analyze_shard
-        from repro.resilience.pool import PoolConfig, SupervisedPool
-
         self.store = JobStore(self.config.store_path)
-        supervision = PoolConfig(
-            max_workers=self.config.pool_workers,
-            handle_signals=False,  # the serve loop owns signal handling
-        )
-        self.pool = SupervisedPool(analyze_shard, supervision, persistent=True)
         with self._lock:
             recovered = self.store.pending()
             for record in recovered:
@@ -169,20 +174,25 @@ class AnalysisService:
                 self._queue.append(record.key)
             self._accepting = True
             self._wakeup.notify_all()
-        self._executor = threading.Thread(
-            target=self._run_jobs, name="repro-service-executor", daemon=True
-        )
-        self._executor.start()
+        self._executors = [
+            threading.Thread(
+                target=self._run_jobs, name=f"repro-service-executor-{slot}", daemon=True
+            )
+            for slot in range(self.config.pool_workers)
+        ]
+        for thread in self._executors:
+            thread.start()
         return self
 
     def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting, settle the in-flight job, release everything.
+        """Stop accepting, settle the in-flight jobs, release everything.
 
-        ``drain=True`` gives the running job ``drain_grace_s`` to finish
-        cleanly; past the grace (or with ``drain=False``) the job is
-        cancelled through the pool, journaled back to ``accepted`` and
-        left for the next start.  Queued jobs always stay journaled as
-        ``accepted``.  Idempotent.
+        ``drain=True`` gives the running jobs together ``drain_grace_s``
+        to finish cleanly; past the grace (or with ``drain=False``) each
+        remaining job is cut through its pool, which kills its worker, and
+        is journaled back to ``accepted`` for the next start.  Queued jobs
+        always stay journaled as ``accepted``.  Every slot reaps its
+        worker before this returns.  Idempotent.
         """
         if self.store is None:
             return
@@ -192,19 +202,16 @@ class AnalysisService:
             if self._drain_started is None:
                 self._drain_started = time.monotonic()
             self._wakeup.notify_all()
-        if self.pool is not None and not drain:
-            self.pool.request_shutdown("service shutdown (no drain)")
-        if self._executor is not None:
-            grace = self.config.drain_grace_s if drain else 5.0
-            self._executor.join(timeout=grace)
-            if self._executor.is_alive() and self.pool is not None:
-                # Drain grace exceeded: cancel the in-flight analysis.
-                self.pool.request_shutdown("drain grace exceeded")
-                self._executor.join(timeout=10.0)
-            self._executor = None
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
+        if not drain:
+            self._cut("service shutdown (no drain)")
+        grace_ends = time.monotonic() + (self.config.drain_grace_s if drain else 5.0)
+        for thread in self._executors:
+            thread.join(timeout=max(0.0, grace_ends - time.monotonic()))
+        if any(thread.is_alive() for thread in self._executors):
+            self._cut("drain grace exceeded")
+            for thread in self._executors:
+                thread.join(timeout=10.0)
+        self._executors = []
         store, self.store = self.store, None
         store.close()
 
@@ -279,9 +286,9 @@ class AnalysisService:
         """Cancel a queued or running job; returns ``(record, disposition)``.
 
         Dispositions: ``cancelled`` (a queued job, journaled terminal
-        immediately), ``cancelling`` (the running job — its deadline is
-        cancelled and the executor journals the ``cancelled`` state as
-        soon as the analysis reaches its next cooperative check),
+        immediately), ``cancelling`` (a running job — its deadline is
+        cancelled, its pool kills its worker at once and the slot journals
+        the ``cancelled`` state),
         ``terminal`` (already done/failed/cancelled; nothing to do).
         Raises :class:`~repro.errors.ServiceError` for unknown keys.
         """
@@ -293,10 +300,9 @@ class AnalysisService:
                 raise ServiceError(f"no job {key}")
             if record.status in TERMINAL:
                 return record, "terminal"
-            if key == self._running_key:
+            if key in self._running:
                 self._cancel_requested.add(key)
-                if self._running_deadline is not None:
-                    self._running_deadline.cancel(reason)
+                self._running[key][0].cancel(reason)
                 record.phase = "cancellation requested"
                 return record, "cancelling"
             try:
@@ -371,18 +377,14 @@ class AnalysisService:
     @property
     def ready(self) -> bool:
         with self._lock:
-            return (
-                self._accepting
-                and self._executor is not None
-                and self._executor.is_alive()
-            )
+            return self._accepting and any(t.is_alive() for t in self._executors)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "accepting": self._accepting,
                 "queued": len(self._queue),
-                "running": self._running_key,
+                "running": sorted(self._running, key=lambda k: self.store.get(k).seq),
                 "executed": self._executed,
                 "jobs_total": len(self.store) if self.store is not None else 0,
                 "store": self.store.path if self.store is not None else None,
@@ -483,98 +485,108 @@ class AnalysisService:
             "metrics": {metric: entry},
         }
 
-    # -- the executor ----------------------------------------------------------
-
-    def _set_phase(self, key: str, phase: str) -> None:
-        with self._lock:
-            record = self.store.get(key) if self.store is not None else None
-            if record is not None:
-                record.phase = phase  # in-memory progress; journaled on transitions
+    # -- the executor slots ----------------------------------------------------
 
     def _run_jobs(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopping:
-                    self._wakeup.wait(timeout=0.2)
-                if self._stopping:
-                    return
-                key = self._queue.popleft()
-                assert self.store is not None
-                record = self.store.get(key)
-                if record is None:  # pragma: no cover - queue/store drift guard
-                    continue
-                record.attempts += 1
-                if record.attempts > self.config.max_job_attempts:
-                    # The job has now crashed the service repeatedly;
-                    # quarantine it instead of crash-looping forever.
-                    gave_up = f"gave up after {record.attempts - 1} interrupted attempts"
-                    self._finish(record, FAILED, error=gave_up)
-                    self.breaker.record_failure(
-                        f"job {key} quarantined after crash-looping"
-                    )
-                    continue
-                record.status = RUNNING
-                record.started_at = wallclock()
-                record.phase = "starting"
-                self.store.save(record)
-                self._running_key = key
-                # One Deadline per job: the budget from the job's config
-                # (falling back to the service default), and always a
-                # handle — an unbounded deadline is still the channel a
-                # client cancel travels through.
-                budget = record.spec.get("config", {}).get("deadline_s")
-                if budget is None:
-                    budget = self.config.job_deadline_s
-                deadline = Deadline(budget)
-                self._running_deadline = deadline
-                pool = self.pool
-            try:
-                result, execution = execute_job(
-                    record.spec,
-                    pool=pool,
-                    progress=lambda phase: self._set_phase(key, phase),
-                    deadline=deadline,
-                )
-            except PoolShutdown:
-                # Shutdown raced the job: put it back to ``accepted`` so
-                # the next start finishes it; the loop then observes
-                # ``_stopping`` and exits.
+        """One slot: run queued jobs, each whole in this slot's warm worker."""
+        pool: Optional[SupervisedPool] = None
+        try:
+            while True:
                 with self._lock:
-                    record.status = ACCEPTED
-                    record.phase = "interrupted by shutdown; resumes on restart"
+                    while not self._queue and not self._stopping:
+                        self._wakeup.wait(timeout=0.2)
+                    if self._stopping:
+                        return
+                    key = self._queue.popleft()
+                    assert self.store is not None
+                    record = self.store.get(key)
+                    if record is None:  # pragma: no cover - queue/store drift guard
+                        continue
+                    record.attempts += 1
+                    if record.attempts > self.config.max_job_attempts:
+                        # The job has now crashed the service repeatedly;
+                        # quarantine it instead of crash-looping forever.
+                        gave_up = f"gave up after {record.attempts - 1} interrupted attempts"
+                        self._finish(record, FAILED, error=gave_up)
+                        self.breaker.record_failure(
+                            f"job {key} quarantined after crash-looping"
+                        )
+                        continue
+                    record.status = RUNNING
+                    record.started_at = wallclock()
+                    record.phase = "computing in a worker process"
                     self.store.save(record)
-                    self._clear_running(key)
-                continue
-            except TimeBudgetExceeded as exc:
-                # Budget expired or a client cancelled: terminal
-                # ``cancelled`` state; the partial result is discarded so
-                # the content-addressed cache only ever holds complete
-                # answers.
-                with self._lock:
-                    client = key in self._cancel_requested
-                    self._finish(record, CANCELLED, error=f"TimeBudgetExceeded: {exc.reason}")
-                if client:
-                    # A client cancel says nothing about service health:
-                    # don't count it, but do free the half-open probe
-                    # slot if this job happened to be the probe.
-                    self.breaker.release_probe()
-                else:
-                    self.breaker.record_failure(
-                        f"job {key} exceeded its time budget: {exc.reason}"
-                    )
-                continue
-            except Exception as exc:
-                with self._lock:
-                    self._finish(record, FAILED, error=f"{type(exc).__name__}: {exc}")
-                # A deterministic application error from a healthy worker
-                # proves the infrastructure works; it resets the breaker
-                # rather than tripping it.
-                self.breaker.record_success()
-                continue
+                    # One Deadline per job: the budget from the job's config
+                    # (falling back to the service default), and always a
+                    # handle — an unbounded deadline is still the channel a
+                    # client cancel travels through.
+                    budget = record.spec.get("config", {}).get("deadline_s")
+                    if budget is None:
+                        budget = self.config.job_deadline_s
+                    deadline = Deadline(budget)
+                    if pool is None:
+                        pool = SupervisedPool(execute_job, _SLOT_POOL, persistent=True)
+                    self._running[key] = (deadline, pool)
+                self._settle(record, pool, deadline)
+        finally:
+            if pool is not None:
+                pool.close()
+
+    def _settle(self, record: JobRecord, pool: SupervisedPool, deadline: Deadline) -> None:
+        """Run *record* in *pool*'s worker under *deadline*; journal the outcome."""
+        key = record.key
+        try:
+            [(result, execution)], report = pool.run([record.spec], deadline=deadline)
+        except PoolShutdown:
+            # Shutdown cut the job: put it back to ``accepted`` so the
+            # next start finishes it; the slot then observes ``_stopping``
+            # and exits.
             with self._lock:
-                self._finish(record, DONE, result=result, execution=execution)
-                self._executed += 1
+                record.status = ACCEPTED
+                record.phase = "interrupted by shutdown; resumes on restart"
+                self.store.save(record)
+                self._clear_running(key)
+            return
+        except TimeBudgetExceeded as exc:
+            # Budget expired or a client cancelled: terminal ``cancelled``
+            # state; the partial result is discarded so the
+            # content-addressed cache only ever holds complete answers.
+            with self._lock:
+                client = key in self._cancel_requested
+                self._finish(record, CANCELLED, error=f"TimeBudgetExceeded: {exc.reason}")
+            if client:
+                # A client cancel says nothing about service health:
+                # don't count it, but do free the half-open probe
+                # slot if this job happened to be the probe.
+                self.breaker.release_probe()
+            else:
+                self.breaker.record_failure(
+                    f"job {key} exceeded its time budget: {exc.reason}"
+                )
+            return
+        except Exception as exc:
+            with self._lock:
+                self._finish(record, FAILED, error=f"{type(exc).__name__}: {exc}")
+            # A deterministic application error from a healthy worker
+            # proves the infrastructure works; it resets the breaker
+            # rather than tripping it.
             self.breaker.record_success()
+            return
+        with self._lock:
+            self._finish(record, DONE, result=result, execution=execution)
+            self._executed += 1
+        if report.fallbacks:
+            self.breaker.record_failure(f"job {key} ran in the server: every worker it had died")
+        else:
+            self.breaker.record_success()
+
+    def _cut(self, reason: str) -> None:
+        """Shut down every in-flight job's pool: its worker is killed and
+        its slot journals it back to ``accepted``."""
+        with self._lock:
+            pools = [pool for _deadline, pool in self._running.values()]
+        for pool in pools:
+            pool.request_shutdown(reason)
 
     def _finish(
         self,
@@ -593,8 +605,7 @@ class AnalysisService:
         record.finished_at = wallclock()
         record.phase = ""
         self.store.save(record)
-        if record.key == self._running_key:
-            self._clear_running(record.key)
+        self._clear_running(record.key)
 
     def _readmit(self, record: JobRecord, phase: str) -> None:
         """Journal a settled *record* back to ``accepted`` and queue it
@@ -609,9 +620,8 @@ class AnalysisService:
         self._wakeup.notify_all()
 
     def _clear_running(self, key: str) -> None:
-        """Drop the running-job bookkeeping (caller holds the lock)."""
-        self._running_key = None
-        self._running_deadline = None
+        """Drop one job's running bookkeeping (caller holds the lock)."""
+        self._running.pop(key, None)
         self._cancel_requested.discard(key)
 
 

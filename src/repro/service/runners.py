@@ -36,10 +36,13 @@ def execute_job(
 ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
     """Run one canonical job spec; return ``(result, execution)``.
 
-    ``pool`` is the service's long-lived warm
+    ``pool`` is an optional lent
     :class:`~repro.resilience.pool.SupervisedPool` (task function
-    ``analyze_shard``), lent to every analysis phase.  ``progress`` is
-    called with human-readable phase strings as the job advances.
+    ``analyze_shard``) for the analysis phases; without one a ``jobs=N``
+    analysis forks its own, as ``repro analyze --jobs N`` does — the
+    service lends none, it runs each job whole in a worker process.
+    ``progress`` is called with human-readable phase strings as the job
+    advances.
     ``deadline`` is an optional :class:`~repro.resilience.Deadline`
     bounding the whole job; when it expires (or a client cancels it) the
     job raises :class:`~repro.errors.TimeBudgetExceeded` rather than

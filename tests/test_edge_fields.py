@@ -315,7 +315,8 @@ def _never(what):
         ("--port", "65536", "port"),
         ("--breaker-threshold", "0", "breaker_threshold"),
         ("--pool-workers", "0", "pool_workers"),
-        ("--pool-workers", "1025", "pool_workers"),
+        ("--pool-workers", str(SERVICE["pool_workers"].metadata["rule"].high + 1),
+         "pool_workers"),
         ("--queue-limit", "4097", "queue_limit"),
     ],
 )

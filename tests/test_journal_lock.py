@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -107,3 +108,46 @@ class TestCrossProcess:
         # The dead holder's lock is released by the kernel: we can write now.
         with CheckpointJournal(path, exclusive=True) as journal:
             journal.record({"cell": 1}, "one")
+
+    def test_a_forked_worker_does_not_keep_a_dead_writers_lock(self, tmp_path):
+        """A worker forked from the writer (a service job worker) shares the
+        lock's open file description; it must not hold the lock once the
+        writer is gone, or a restarted writer would be refused."""
+        path = str(tmp_path / "j.jsonl")
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os, sys, time
+            from repro.resilience.checkpoint import CheckpointJournal
+
+            def nap(ready):
+                ready.set()
+                time.sleep(30)
+
+            journal = CheckpointJournal(sys.argv[1], exclusive=True)
+            ready = multiprocessing.Event()
+            worker = multiprocessing.Process(target=nap, args=(ready,), daemon=True)
+            worker.start()
+            ready.wait(10)
+            print(worker.pid, flush=True)
+            time.sleep(30)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        holder = subprocess.Popen(
+            [sys.executable, "-c", script, path], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            worker_pid = int(holder.stdout.readline())
+        finally:
+            holder.kill()
+            holder.wait(timeout=10)
+        try:
+            os.kill(worker_pid, 0)  # the worker outlives the writer ...
+            with CheckpointJournal(path, exclusive=True) as journal:  # ... not its lock
+                journal.record({"cell": 1}, "one")
+        finally:
+            os.kill(worker_pid, signal.SIGKILL)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -12,7 +13,8 @@ import time
 
 import pytest
 
-from repro.errors import PoolShutdown
+from repro.errors import PoolShutdown, TimeBudgetExceeded
+from repro.resilience.deadline import Deadline
 from repro.resilience.pool import PoolConfig, SupervisedPool
 
 
@@ -136,12 +138,61 @@ class TestGracefulShutdown:
         finally:
             timer.cancel()
         # No orphans: multiprocessing's live-children registry is empty.
-        import multiprocessing
-
         deadline = time.monotonic() + 10
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not multiprocessing.active_children()
+
+
+def _hang_recording_pid(pid):
+    pid.value = os.getpid()
+    time.sleep(60)
+
+
+def _run_inner_pool(pid):
+    """A task with a pool of its own, as a service job worker has for a
+    ``jobs=N`` analysis."""
+    inner = SupervisedPool(_hang_recording_pid, PoolConfig(max_workers=1, handle_signals=False))
+    inner.run([pid])
+
+
+def _alive(pid):
+    """*pid* runs; a zombie its new parent has not reaped yet counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestNestedPools:
+    def test_a_workers_own_workers_die_with_it(self):
+        grandchild = multiprocessing.RawValue("i", 0)
+        deadline = Deadline()
+        pool = SupervisedPool(_run_inner_pool, PoolConfig(max_workers=1, handle_signals=False))
+        outcome = {}
+
+        def run():
+            try:
+                pool.run([grandchild], deadline=deadline)
+            except TimeBudgetExceeded as exc:
+                outcome["cut"] = exc.reason
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                outcome["error"] = repr(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        give_up = time.monotonic() + 30
+        while not grandchild.value and runner.is_alive() and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert grandchild.value, f"the worker could not run a pool of its own: {outcome}"
+        deadline.cancel("cut by the test")  # the pool SIGKILLs its worker
+        runner.join(timeout=10)
+        assert outcome == {"cut": "cut by the test"}
+        give_up = time.monotonic() + 5
+        while _alive(grandchild.value) and time.monotonic() < give_up:
+            time.sleep(0.05)
+        assert not _alive(grandchild.value), "the killed worker's own worker outlived it"
 
 
 class TestSignalHandling:

@@ -3,20 +3,36 @@
 Timing-sensitive behaviours (queue-full, duplicate-while-queued) use a
 gated stand-in for ``execute_job`` so the executor blocks deterministically;
 end-to-end correctness of the real runners is covered by
-``test_service_http.py`` and ``test_service_recovery.py``.
+``test_service_http.py`` and ``test_service_recovery.py``.  A job runs in
+a worker process forked from the test, so the stand-ins' gates and
+counters are the shared-memory ones of ``tests/gates.py``.
 """
 
 from __future__ import annotations
 
-import threading
+import json
+import multiprocessing
+import os
+import signal
 import time
+from dataclasses import replace
 
 import pytest
 
 import repro.service.app as app_module
 from repro.errors import JobRejected, JobValidationError, ServiceError
 from repro.service import ServiceConfig, create_app
-from repro.service.store import ACCEPTED, DONE, FAILED, JobRecord, JobStore
+from repro.service.runners import execute_job
+from repro.service.store import (
+    ACCEPTED,
+    DONE,
+    FAILED,
+    JobRecord,
+    JobStore,
+    canonical_spec,
+)
+
+from tests.gates import Counter, Flag
 
 
 def _wait(predicate, timeout=30.0):
@@ -36,16 +52,24 @@ def _wait_settled(service, key, timeout=60.0):
 
 
 class _Gate:
-    """Controllable execute_job replacement: blocks until released."""
+    """Controllable execute_job replacement: blocks until released, and
+    raises ``boom`` while ``fail`` is set."""
 
     def __init__(self):
-        self.release = threading.Event()
-        self.started = threading.Event()
-        self.calls = 0
+        self.release = Flag()
+        self.started = Flag()
+        self.fail = Flag()
+        self._calls = Counter()
+
+    @property
+    def calls(self):
+        return self._calls.value
 
     def __call__(self, spec, *, pool=None, progress=None, deadline=None):
-        self.calls += 1
+        self._calls.add()
         self.started.set()
+        if self.fail.is_set():
+            raise RuntimeError("boom")
         if not self.release.wait(timeout=60):
             raise RuntimeError("gate never released")
         return {"kind": spec["kind"], "echo": spec["seed"]}, None
@@ -124,18 +148,16 @@ class TestIdempotency:
             assert gate.calls == calls_before
 
     def test_failed_job_readmitted_on_resubmit(self, config, monkeypatch):
-        def explode(spec, *, pool=None, progress=None, deadline=None):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(app_module, "execute_job", explode)
+        gate = _Gate()
+        gate.fail.set()
+        gate.release.set()
+        monkeypatch.setattr(app_module, "execute_job", gate)
         with create_app(config) as service:
             record, _ = service.submit({**SIM, "seed": 1})
             final = _wait_settled(service, record.key)
             assert final.status == FAILED
             assert "boom" in final.error
-            healthy = _Gate()
-            healthy.release.set()
-            monkeypatch.setattr(app_module, "execute_job", healthy)
+            gate.fail.clear()  # the warm worker runs the same stand-in, now healthy
             again, disposition = service.submit({**SIM, "seed": 1})
             assert disposition == "retried"
             final = _wait_settled(service, again.key)
@@ -156,6 +178,114 @@ class TestAdmissionControl:
                 service.submit({**SIM, "seed": 4})
             assert excinfo.value.retry_after_s > 0
             gate.release.set()
+
+
+class TestSlots:
+    """Each of ``pool_workers`` slots computes one job in its own worker."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jobs_overlap_only_with_two_slots(self, config, monkeypatch, workers):
+        gate = _Gate()
+        monkeypatch.setattr(app_module, "execute_job", gate)
+        with create_app(replace(config, pool_workers=workers)) as service:
+            keys = [service.submit({**SIM, "seed": s})[0].key for s in (1, 2)]
+            assert _wait(lambda: gate.calls == workers)
+            gate.release.set()
+            first, second = (_wait_settled(service, key) for key in keys)
+        overlap = max(first.started_at, second.started_at) < min(
+            first.finished_at, second.finished_at
+        )
+        assert overlap == (workers == 2)
+
+    def test_stats_lists_every_running_job_in_submission_order(
+        self, config, monkeypatch
+    ):
+        gate = _Gate()
+        monkeypatch.setattr(app_module, "execute_job", gate)
+        with create_app(replace(config, pool_workers=2, queue_limit=4)) as service:
+            keys = [service.submit({**SIM, "seed": s})[0].key for s in (1, 2, 3)]
+            assert _wait(lambda: gate.calls == 2)
+            stats = service.stats()
+            assert stats["running"] == keys[:2]
+            assert stats["queued"] == 1
+            gate.release.set()
+            for key in keys:
+                _wait_settled(service, key)
+            assert service.stats()["running"] == []
+
+    def test_shutdown_shares_one_grace_and_leaves_no_worker(self, config, monkeypatch):
+        gate = _Gate()  # never released: both jobs outlive the grace
+        monkeypatch.setattr(app_module, "execute_job", gate)
+        grace = 1.0
+        service = create_app(replace(config, pool_workers=2, drain_grace_s=grace)).startup()
+        try:
+            keys = [service.submit({**SIM, "seed": s})[0].key for s in (1, 2)]
+            assert _wait(lambda: gate.calls == 2)
+            began = time.monotonic()
+            service.shutdown()
+            assert time.monotonic() - began < 2 * grace  # one grace, not one per slot
+        finally:
+            gate.release.set()
+            service.shutdown()
+        assert multiprocessing.active_children() == []
+        with JobStore(config.store_path) as store:
+            assert [store.get(key).status for key in keys] == [ACCEPTED, ACCEPTED]
+
+
+class _DiesOnce:
+    """Hangs on its first call, in a worker the test then SIGKILLs; every
+    later call records its process and is the real ``execute_job``."""
+
+    def __init__(self):
+        self.started = Flag()
+        self.first_pid = multiprocessing.RawValue("i", 0)
+        self.rerun_pid = multiprocessing.RawValue("i", 0)
+
+    def __call__(self, spec, **kwargs):
+        if not self.started.is_set():
+            self.first_pid.value = os.getpid()
+            self.started.set()
+            time.sleep(60)
+        self.rerun_pid.value = os.getpid()
+        return execute_job(spec, **kwargs)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_reruns_the_job_on_a_fresh_worker(self, config, monkeypatch):
+        stand_in = _DiesOnce()
+        monkeypatch.setattr(app_module, "execute_job", stand_in)
+        with create_app(config) as service:
+            record, _ = service.submit({**SIM, "seed": 1})
+            assert stand_in.started.wait(timeout=30)
+            os.kill(stand_in.first_pid.value, signal.SIGKILL)
+            final = _wait_settled(service, record.key)
+            assert final.status == DONE, final.error
+            assert stand_in.rerun_pid.value not in (0, os.getpid(), stand_in.first_pid.value)
+            direct, _ = execute_job(canonical_spec({**SIM, "seed": 1}, default_jobs=1))
+            assert json.dumps(final.result, sort_keys=True) == json.dumps(
+                direct, sort_keys=True
+            )
+            after, _ = service.submit({**SIM, "seed": 2})
+            assert _wait_settled(service, after.key).status == DONE
+
+    def test_a_job_every_worker_dies_on_runs_here_and_counts_as_a_failure(
+        self, config, monkeypatch
+    ):
+        server = os.getpid()
+
+        def dies_in_every_worker(spec, **kwargs):
+            if os.getpid() != server:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {"kind": spec["kind"], "echo": spec["seed"]}, None
+
+        monkeypatch.setattr(app_module, "execute_job", dies_in_every_worker)
+        with create_app(config) as service:
+            record, _ = service.submit({**SIM, "seed": 1})
+            final = _wait_settled(service, record.key)
+            assert (final.status, final.result) == (DONE, {"kind": "simulate", "echo": 1})
+            breaker = service.breaker.snapshot()
+            assert breaker["consecutive_failures"] == 1
+            assert "every worker it had died" in breaker["last_failure"]
 
 
 class TestRecovery:

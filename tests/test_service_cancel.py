@@ -1,9 +1,10 @@
 """Deadlines, cancellation, requeue and the circuit breaker in the service.
 
-Executor-level behaviours use gated/deadline-aware ``execute_job``
-stand-ins (as in ``test_service_app.py``) so nothing here waits on a real
-simulation; the breaker is driven with an injected clock so state
-transitions are deterministic.
+Executor-level behaviours use gated ``execute_job`` stand-ins (as in
+``test_service_app.py``) so nothing here waits on a real simulation; they
+run in the job's worker process and never check a deadline, so a cancel
+or a budget must end them by killing that worker.  The breaker is driven
+with an injected clock so state transitions are deterministic.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import time
 import pytest
 
 import repro.service.app as app_module
-from repro.errors import JobRejected, ServiceError, TimeBudgetExceeded
+from repro.errors import JobRejected, ServiceError
 from repro.service import ServiceConfig, create_app
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.store import ACCEPTED, CANCELLED, DONE, FAILED, JobStore
+
+from tests.gates import Flag
 
 
 def _wait(predicate, timeout=30.0):
@@ -33,18 +36,19 @@ SIM = {"kind": "simulate", "experiment": "imbalance"}
 
 
 class _Gate:
-    """Blocks until released; cooperatively honours the job deadline."""
+    """Blocks until released, and raises ``boom`` while ``fail`` is set."""
 
     def __init__(self):
-        self.release = threading.Event()
-        self.started = threading.Event()
+        self.release = Flag()
+        self.started = Flag()
+        self.fail = Flag()
 
     def __call__(self, spec, *, pool=None, progress=None, deadline=None):
         self.started.set()
-        while not self.release.is_set():
-            if deadline is not None and deadline.reason() is not None:
-                raise TimeBudgetExceeded(deadline.reason())
-            time.sleep(0.01)
+        if self.fail.is_set():
+            raise RuntimeError("boom")
+        if not self.release.wait(timeout=60):
+            raise RuntimeError("gate never released")
         return {"kind": spec["kind"], "echo": spec["seed"]}, None
 
 
@@ -192,16 +196,14 @@ class TestCancellation:
 
 class TestRequeue:
     def test_requeue_quarantined_job(self, config, monkeypatch):
-        def explode(spec, *, pool=None, progress=None, deadline=None):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(app_module, "execute_job", explode)
+        gate = _Gate()
+        gate.fail.set()
+        gate.release.set()
+        monkeypatch.setattr(app_module, "execute_job", gate)
         with create_app(config) as service:
             record, _ = service.submit({**SIM, "seed": 1})
             assert _wait(lambda: service.job(record.key).status == FAILED)
-            healthy = _Gate()
-            healthy.release.set()
-            monkeypatch.setattr(app_module, "execute_job", healthy)
+            gate.fail.clear()  # the warm worker runs the same stand-in, now healthy
             requeued = service.requeue(record.key)
             assert requeued.status == ACCEPTED
             assert requeued.attempts == 0

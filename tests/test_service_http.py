@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 import urllib.error
@@ -13,6 +15,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.service import ServiceConfig, create_app
 from repro.service.http import ServiceHTTPServer
+
+from tests.gates import Flag
 
 
 def _request(base, method, path, body=None, timeout=30.0):
@@ -121,7 +125,7 @@ class TestEndpoints:
         base, app = server
         import repro.service.app as app_module
 
-        gate = threading.Event()
+        gate = Flag()  # shared with the job's worker process
 
         def gated(spec, *, pool=None, progress=None, deadline=None):
             gate.wait(timeout=60)
@@ -142,6 +146,52 @@ class TestEndpoints:
             assert codes[:2] == [202, 202]
         finally:
             gate.set()
+
+    def test_delete_kills_a_job_that_never_checks_its_deadline(self, server, monkeypatch):
+        """Cancellation is not cooperative: the job's worker is killed, so
+        a stand-in that never polls a deadline still lands ``cancelled``."""
+        base, _ = server
+        import repro.service.app as app_module
+
+        worker = multiprocessing.RawValue("i", 0)
+
+        def wedged(spec, *, pool=None, progress=None, deadline=None):
+            worker.value = os.getpid()
+            time.sleep(60)
+
+        monkeypatch.setattr(app_module, "execute_job", wedged)
+        _, _, body = _request(base, "POST", "/jobs", SIM)
+        key = body["job"]["key"]
+        give_up = time.monotonic() + 30
+        while not worker.value and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert worker.value, "the job never reached its worker"
+        began = time.monotonic()
+        status, _, body = _request(base, "DELETE", f"/jobs/{key}")
+        assert status == 202 and body["disposition"] == "cancelling"
+        while _request(base, "GET", f"/jobs/{key}")[2]["job"]["status"] != "cancelled":
+            assert time.monotonic() - began < 1.0, "cancel did not land within 1 s"
+            time.sleep(0.01)
+        assert worker.value not in {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker.value, 0)
+
+    def test_jobs_2_analyze_shards_in_its_worker(self, server):
+        """A ``jobs=2`` job forks its shard worker from its job worker: a
+        two-shard execution, and the ``jobs=1`` job's result."""
+        base, _ = server
+        spec = {"kind": "analyze", "experiment": "figure6", "seed": 4,
+                "config": {"coupling_intervals": 1}}
+        jobs = {}
+        for n in (1, 2):
+            _, _, body = _request(base, "POST", "/jobs", {**spec, "jobs": n})
+            jobs[n] = _poll_done(base, body["job"]["key"], timeout=120)
+            assert jobs[n]["status"] == "done", jobs[n]["error"]
+        results = {
+            n: _request(base, "GET", f"/jobs/{job['key']}/result")[2] for n, job in jobs.items()
+        }
+        assert len(results[2]["execution"]["tasks"]) == 2
+        assert results[2]["result"] == results[1]["result"]
 
     def test_severity_endpoint(self, server):
         base, _ = server

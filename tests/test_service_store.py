@@ -260,13 +260,14 @@ class TestSameJobSameKey:
     def test_service_dedupes_explicit_defaults_and_integer_widths(
         self, tmp_path, monkeypatch
     ):
-        import threading
         import time
 
         import repro.service.app as app_module
         from repro.service import ServiceConfig, create_app
 
-        release = threading.Event()
+        from tests.gates import Flag
+
+        release = Flag()  # shared with the job's worker process
 
         def gated(spec, *, pool=None, progress=None, deadline=None):
             assert release.wait(timeout=60), "gate never released"
