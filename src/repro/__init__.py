@@ -29,126 +29,43 @@ Quickstart::
     print(render_analysis(result, metric="wait-at-barrier"))
 """
 
-from repro.errors import ReproError
-from repro.ids import ANY_SOURCE, ANY_TAG, Location, NodeId
-from repro.topology import (
-    CpuSpec,
-    Metacomputer,
-    Metahost,
-    NodeSpec,
-    Placement,
-    ibm_aix_power,
-    single_cluster,
-    uniform_metacomputer,
-    viola_testbed,
-)
-from repro.clocks import (
-    ClockEnsemble,
-    FlatInterpolation,
-    FlatSingleOffset,
-    HierarchicalInterpolation,
-    LinearClock,
-    SCHEMES,
-)
-from repro.sim import Context, MetaMPIRuntime, RunResult, SimParams, World
-
-# Imported after repro.sim: the faults package reaches back into
-# repro.sim.transfer for RetryPolicy, so the sim package must finish
-# initializing first (runtime -> faults -> sim.transfer resolves; the
-# reverse order is a circular import).
-from repro.faults import (
-    FaultPlan,
-    FileSystemFault,
-    LinkDegradation,
-    LinkOutage,
-    MessageLoss,
-    PingFault,
-    TraceCorruption,
-    TraceTruncation,
-)
-from repro.analysis import (
-    AnalysisResult,
-    ReplayAnalyzer,
-    statistics_of,
-    render_statistics,
-)
-from repro.analysis.patterns import METRICS, metric_tree
-# The stable facade (imported after the subsystems it fronts).
-from repro.api import (
-    analyze,
-    resolve_jobs,
-    run_experiment,
-    simulate,
-)
-from repro.predict import predict_run, skeleton_from_run
-from repro.report import (
-    render_result_timeline,
-    canonicalize,
-    diff,
-    mean,
-    merge,
-    render_analysis,
-    render_call_tree,
-    render_metric_tree,
-    render_system_tree,
-)
+from repro.exports import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ReproError",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Location",
-    "NodeId",
-    "CpuSpec",
-    "Metacomputer",
-    "Metahost",
-    "NodeSpec",
-    "Placement",
-    "ibm_aix_power",
-    "single_cluster",
-    "uniform_metacomputer",
-    "viola_testbed",
-    "ClockEnsemble",
-    "FlatInterpolation",
-    "FlatSingleOffset",
-    "HierarchicalInterpolation",
-    "LinearClock",
-    "SCHEMES",
-    "FaultPlan",
-    "FileSystemFault",
-    "LinkDegradation",
-    "LinkOutage",
-    "MessageLoss",
-    "PingFault",
-    "TraceCorruption",
-    "TraceTruncation",
-    "Context",
-    "MetaMPIRuntime",
-    "RunResult",
-    "SimParams",
-    "World",
-    "AnalysisResult",
-    "ReplayAnalyzer",
-    "simulate",
-    "analyze",
-    "run_experiment",
-    "resolve_jobs",
-    "statistics_of",
-    "render_statistics",
-    "predict_run",
-    "skeleton_from_run",
-    "render_result_timeline",
-    "METRICS",
-    "metric_tree",
-    "canonicalize",
-    "diff",
-    "mean",
-    "merge",
-    "render_analysis",
-    "render_call_tree",
-    "render_metric_tree",
-    "render_system_tree",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.errors": ("ReproError",),
+        "repro.ids": ("ANY_SOURCE", "ANY_TAG", "Location", "NodeId"),
+        "repro.topology.machine": ("CpuSpec", "Metahost", "NodeSpec"),
+        "repro.topology.metacomputer": ("Metacomputer", "Placement"),
+        "repro.topology.presets": (
+            "ibm_aix_power", "single_cluster", "uniform_metacomputer", "viola_testbed",
+        ),
+        "repro.clocks.clock": ("ClockEnsemble", "LinearClock"),
+        "repro.clocks.sync": (
+            "FlatInterpolation", "FlatSingleOffset", "HierarchicalInterpolation", "SCHEMES",
+        ),
+        "repro.sim.transfer": ("SimParams",),
+        "repro.sim.mpi": ("Context", "World"),
+        "repro.sim.runtime": ("MetaMPIRuntime", "RunResult"),
+        "repro.faults.plan": (
+            "FaultPlan", "FileSystemFault", "LinkDegradation", "LinkOutage", "MessageLoss",
+            "PingFault", "TraceCorruption", "TraceTruncation",
+        ),
+        "repro.analysis.result": ("AnalysisResult",),
+        "repro.analysis.replay": ("ReplayAnalyzer",),
+        "repro.analysis.stats": ("statistics_of", "render_statistics"),
+        "repro.analysis.patterns.base": ("METRICS", "metric_tree"),
+        "repro.api": ("analyze", "resolve_jobs", "run_experiment", "simulate"),
+        "repro.predict.predictor": ("predict_run",),
+        "repro.predict.skeleton": ("skeleton_from_run",),
+        "repro.report.algebra": ("canonicalize", "diff", "mean", "merge"),
+        "repro.report.render": (
+            "render_analysis", "render_call_tree", "render_metric_tree", "render_system_tree",
+        ),
+        "repro.report.timeline": ("render_result_timeline",),
+    },
+)
+__all__.append("__version__")

@@ -92,6 +92,21 @@ class Rule:
 #: job store, ``run_experiment``, ``MetaMPIRuntime`` and the chaos harness.
 SEED = Rule("count", "random seed", flag="--seed", unset="per-artifact")
 
+#: Each of the paper's artifacts by name → its default seed (the seed of the
+#: committed outputs).  The names are ``repro.api.EXPERIMENTS``' own, kept
+#: here so that the CLI parser and the job store need no experiment driver.
+DEFAULT_SEEDS: Dict[str, int] = {
+    "table1": 0,
+    "table2": 7,
+    "table3": 0,
+    "figure1": 0,
+    "figure3": 7,
+    "figure4": 3,
+    "figure6": 11,
+    "figure7": 11,
+    "faults": 11,
+}
+
 
 def declare(default: Any, kind: Any, doc: str = "", **rule: Any) -> Any:
     """A dataclass field carrying its :class:`Rule` as ``metadata["rule"]``.
@@ -188,3 +203,16 @@ class AnalysisRequest(FieldTable):
     deadline_s: Optional[float] = declare(
         None, "seconds", "wall-clock budget for the whole analysis", unset="unbounded"
     )
+
+
+#: What ``repro chaos`` and :func:`repro.chaos.run_chaos` admit, by the
+#: request's rules: at least one process per episode, and a finite slack
+#: (under a NaN one no episode could fail).
+CHAOS_JOBS = replace(
+    rule_of(AnalysisRequest, "jobs"), low=1,
+    doc="analysis processes per episode: this one and jobs-1 pool workers",
+)
+CHAOS_GRACE = replace(
+    rule_of(AnalysisRequest, "deadline_s"), finite=True, flag="--grace",
+    doc="termination slack added to each episode's deadline",
+)

@@ -36,7 +36,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.analysis.parallel import resolve_jobs
-from repro.analysis.request import SEED, AnalysisRequest
+from repro.analysis.request import DEFAULT_SEEDS, SEED, AnalysisRequest
 from repro.analysis.result import AnalysisResult
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.analysis.streaming import analyze
@@ -139,19 +139,6 @@ def run_checks(root: Optional[str] = None, **options):
 
 
 # -- named experiments --------------------------------------------------------
-
-#: Experiment name → default seed (the seeds the committed outputs use).
-DEFAULT_SEEDS: Dict[str, int] = {
-    "table1": 0,
-    "table2": 7,
-    "table3": 0,
-    "figure1": 0,
-    "figure3": 7,
-    "figure4": 3,
-    "figure6": 11,
-    "figure7": 11,
-    "faults": 11,
-}
 
 # The experiment runners import their drivers lazily: the drivers
 # themselves import through this facade, and deferring the other

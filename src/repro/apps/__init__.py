@@ -4,21 +4,15 @@ Applications are factory functions returning generator apps for
 :class:`~repro.sim.mpi.World` / :class:`~repro.sim.runtime.MetaMPIRuntime`.
 """
 
-from repro.apps.decomp import CartesianDecomposition
-from repro.apps.pingpong import PingPongResults, make_pingpong_app
-from repro.apps.clockbench import ClockBenchConfig, make_clockbench_app, pair_schedule
-from repro.apps.imbalance import make_imbalance_app, make_barrier_imbalance_app
-from repro.apps.metatrace import MetaTraceConfig, make_metatrace_app
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CartesianDecomposition",
-    "PingPongResults",
-    "make_pingpong_app",
-    "ClockBenchConfig",
-    "make_clockbench_app",
-    "pair_schedule",
-    "make_imbalance_app",
-    "make_barrier_imbalance_app",
-    "MetaTraceConfig",
-    "make_metatrace_app",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.apps.decomp": ("CartesianDecomposition",),
+        "repro.apps.pingpong": ("PingPongResults", "make_pingpong_app"),
+        "repro.apps.clockbench": ("ClockBenchConfig", "make_clockbench_app", "pair_schedule"),
+        "repro.apps.imbalance": ("make_imbalance_app", "make_barrier_imbalance_app"),
+        "repro.apps.metatrace": ("MetaTraceConfig", "make_metatrace_app"),
+    },
+)

@@ -13,7 +13,12 @@ costs* of that application — which is what drives every wait state the
 paper's Figures 6 and 7 report — not the numerics.
 """
 
-from repro.apps.metatrace.config import MetaTraceConfig
-from repro.apps.metatrace.coupled import make_metatrace_app
+from repro.exports import lazy_exports
 
-__all__ = ["MetaTraceConfig", "make_metatrace_app"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.apps.metatrace.config": ("MetaTraceConfig",),
+        "repro.apps.metatrace.coupled": ("make_metatrace_app",),
+    },
+)

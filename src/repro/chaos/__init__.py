@@ -18,21 +18,14 @@ the harness asserts invariants that must hold no matter what broke:
 fixed-seed matrix.
 """
 
-from repro.chaos.harness import (
-    ChaosReport,
-    EpisodeResult,
-    render_report,
-    run_chaos,
-    run_episode,
-)
-from repro.chaos.schedule import ChaosSchedule, schedule_for_seed
+from repro.exports import lazy_exports
 
-__all__ = [
-    "ChaosReport",
-    "ChaosSchedule",
-    "EpisodeResult",
-    "render_report",
-    "run_chaos",
-    "run_episode",
-    "schedule_for_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.chaos.harness": (
+            "ChaosReport", "EpisodeResult", "render_report", "run_chaos", "run_episode",
+        ),
+        "repro.chaos.schedule": ("ChaosSchedule", "schedule_for_seed"),
+    },
+)

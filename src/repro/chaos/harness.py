@@ -20,11 +20,11 @@ import functools
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.parallel import analyze_shard
-from repro.analysis.request import SEED, AnalysisRequest, rule_of
+from repro.analysis.request import CHAOS_GRACE, CHAOS_JOBS, SEED, AnalysisRequest
 from repro.chaos.hooks import process_chaos
 from repro.chaos.schedule import ChaosSchedule, schedule_for_seed
 from repro.errors import TimeBudgetExceeded
@@ -42,17 +42,6 @@ __all__ = [
 #: Fixed workload: the chaos seed must never change *what* is analyzed.
 _SIM_SEED = 5
 _RANKS = 8
-
-#: What :func:`run_chaos` admits, by the request's rules: at least one process
-#: per episode, and a finite slack (under a NaN one no episode could fail).
-_JOBS = replace(
-    rule_of(AnalysisRequest, "jobs"), low=1,
-    doc="analysis processes per episode: this one and jobs-1 pool workers",
-)
-_GRACE = replace(
-    rule_of(AnalysisRequest, "deadline_s"), finite=True, flag="--grace",
-    doc="termination slack added to each episode's deadline",
-)
 
 
 @dataclass
@@ -278,8 +267,8 @@ def run_chaos(
     from repro.api import analyze
 
     seeds = [SEED.admit("seed", seed, 0) for seed in seeds]
-    jobs = _JOBS.admit("jobs", jobs, 4)
-    grace_s = _GRACE.admit("grace_s", grace_s, 120.0)
+    jobs = CHAOS_JOBS.admit("jobs", jobs, 4)
+    grace_s = CHAOS_GRACE.admit("grace_s", grace_s, 120.0)
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     baseline = analyze(_simulate(None, _SIM_SEED))
     episodes: List[EpisodeResult] = []

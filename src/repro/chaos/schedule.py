@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.faults import FaultPlan
-from repro.faults.plan import FileSystemFault, TraceCorruption
+from repro.faults.plan import FaultPlan, FileSystemFault, TraceCorruption
 
 __all__ = ["ChaosSchedule", "schedule_for_seed"]
 

@@ -43,23 +43,15 @@ and the ``repro check`` CLI command (exit 0 clean / 1 findings /
 2 usage).
 """
 
-from repro.check.baseline import Baseline, BaselineError
-from repro.check.engine import (
-    DEFAULT_BASELINE_PATH,
-    DEFAULT_SNAPSHOT_PATH,
-    check_source,
-    run_checks,
-)
-from repro.check.findings import RULES, CheckReport, Finding
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "BaselineError",
-    "CheckReport",
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_SNAPSHOT_PATH",
-    "Finding",
-    "RULES",
-    "check_source",
-    "run_checks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.check.baseline": ("Baseline", "BaselineError"),
+        "repro.check.engine": (
+            "DEFAULT_BASELINE_PATH", "DEFAULT_SNAPSHOT_PATH", "check_source", "run_checks",
+        ),
+        "repro.check.findings": ("RULES", "CheckReport", "Finding"),
+    },
+)

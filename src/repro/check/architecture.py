@@ -35,13 +35,13 @@ SKIPPED = ("src/repro/check/architecture.py", "CHANGES.md", "ROADMAP.md")
 @lru_cache(maxsize=None)
 def _declared_flags() -> Tuple[str, ...]:
     """Every flag a declared field or a flag-carrying ``Rule`` generates."""
-    from repro.analysis.request import SEED, AnalysisRequest
-    from repro.chaos.harness import _GRACE, _JOBS
+    from repro.analysis.request import CHAOS_GRACE, CHAOS_JOBS, SEED, AnalysisRequest
     from repro.cli import _POLL_INTERVAL
     from repro.service.app import ServiceConfig
 
     declarations = [*fields(AnalysisRequest), *fields(ServiceConfig)]
-    rules = [f.metadata["rule"] for f in declarations] + [SEED, _POLL_INTERVAL, _JOBS, _GRACE]
+    rules = [f.metadata["rule"] for f in declarations]
+    rules += [SEED, _POLL_INTERVAL, CHAOS_JOBS, CHAOS_GRACE]
     return tuple(sorted({rule.flag for rule in rules if rule.flag}))
 
 
@@ -133,6 +133,8 @@ ROWS: Tuple[Row, ...] = (
     Row("ARC523", "text", ("src/repro/sim/mpi.py",), ("binomial_depth", "log2", "inv_bw *")),
     Row("ARC524", "call", ("src/repro/resilience/pool.py",), ("time.sleep",)),
     Row("ARC525", "text", (_SRC, "tests/**"), ("LazySequence", "repro.lazyseq")),
+    Row("ARC526", "call", ("src/**.py",), ("importlib.import_module", "__import__"),
+        skip=("src/repro/exports.py",)),
 )
 
 

@@ -77,6 +77,8 @@ RULES: Dict[str, str] = {
     "ARC524": "resilience/pool.py waits on its workers, not on a timer",
     "ARC525": "the lazy-object layer over the op tables is back: read the "
     "columns",
+    "ARC526": "a string import outside repro/exports.py: import by statement, "
+    "or export lazily from a package table",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

@@ -73,6 +73,8 @@ def imported_names(
     ``repro.analysis`` imports ``repro.wallclock.wallclock``; one that
     climbs above *package* is skipped.  Function-local imports are included
     too — a deferred import changes *when* a name binds, not what it means.
+    A package init's lazy export table (``lazy_exports(__name__, {module:
+    (name, ...)})``) imports ``module.name`` for each of its names.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -89,6 +91,21 @@ def imported_names(
             for alias in node.names:
                 if alias.name != "*":
                     yield node, alias, f"{base}.{alias.name}" if base else alias.name
+        elif _export_table(node):
+            for module, names in zip(node.args[1].keys, node.args[1].values):
+                for name in names.elts:
+                    yield node, ast.alias(name=name.value), f"{module.value}.{name.value}"
+
+
+def _export_table(node: ast.AST) -> bool:
+    """*node* is a ``lazy_exports`` call with a literal table of string names."""
+    table = node.args[1] if isinstance(node, ast.Call) and len(node.args) > 1 else None
+    if not isinstance(table, ast.Dict):
+        return False
+    strings = [*table.keys, *(n for v in table.values for n in getattr(v, "elts", [None]))]
+    return (dotted_name(node.func) or "").rpartition(".")[2] == "lazy_exports" and all(
+        isinstance(s, ast.Constant) and isinstance(s.value, str) for s in strings
+    )
 
 
 def import_table(tree: ast.Module, package: str = "") -> Dict[str, str]:

@@ -2,7 +2,10 @@
 
 A thin wrapper over :mod:`repro.api`.  The experiment commands each
 resolve to one :func:`repro.api.run_experiment` call; the service
-commands drive the crash-safe job layer of :mod:`repro.service`.
+commands drive the crash-safe job layer of :mod:`repro.service`.  A
+command imports the facade, the chaos harness or an experiment driver only
+when it runs one, so ``serve``, ``submit``, ``jobs`` and ``--help`` load
+neither numpy nor the simulator nor the analyzer.
 
 Usage::
 
@@ -40,22 +43,21 @@ import json
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.request import SEED, Rule, declared, rule_of
-from repro.api import (
+from repro.analysis.request import (
+    CHAOS_GRACE,
+    CHAOS_JOBS,
     DEFAULT_SEEDS,
-    EXPERIMENTS,
+    SEED,
     AnalysisRequest,
-    CheckpointJournal,
-    ServiceConfig,
-    run_experiment,
-    serve,
+    Rule,
+    declared,
+    rule_of,
 )
-from repro.chaos.harness import _GRACE, _JOBS
 from repro.errors import CheckpointLockError, PoolShutdown, ReproError
+from repro.resilience.checkpoint import CheckpointJournal
+from repro.service.app import ServiceConfig
 from repro.service.store import DONE, TERMINAL
 
 #: Default on-disk location of the ``--resume`` checkpoint journal.
@@ -78,6 +80,8 @@ def _command(name: str) -> Callable[..., str]:
         request: Optional[AnalysisRequest] = None,
         journal: Optional[CheckpointJournal] = None,
     ) -> str:
+        from repro.api import run_experiment
+
         return run_experiment(name, request, seed=seed, journal=journal)
 
     run.__name__ = f"_cmd_{name}"
@@ -86,9 +90,7 @@ def _command(name: str) -> Callable[..., str]:
 
 #: Command name → runner(seed[, request, journal]) — the CLI's registry, one
 #: entry per facade experiment.
-COMMANDS: Dict[str, Callable[..., str]] = {
-    name: _command(name) for name in EXPERIMENTS
-}
+COMMANDS: Dict[str, Callable[..., str]] = {name: _command(name) for name in DEFAULT_SEEDS}
 
 
 # -- parser ---------------------------------------------------------------------
@@ -252,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="seed list/ranges, e.g. '0..4' or '0,2,7' (default: 0..4)",
     )
-    _add_flag(chaos_parser, "jobs", _JOBS, 4)
-    _add_flag(chaos_parser, "grace_s", _GRACE, 120)
+    _add_flag(chaos_parser, "jobs", CHAOS_JOBS, 4)
+    _add_flag(chaos_parser, "grace_s", CHAOS_GRACE, 120)
     chaos_parser.add_argument(
         "--workdir", default=None, metavar="PATH",
         help="directory for episode markers/journals (default: a temp dir)",
@@ -378,6 +380,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _http_json(
     method: str, url: str, body: Optional[Dict[str, Any]] = None, timeout: float = 60.0
 ) -> Tuple[int, Dict[str, Any]]:
+    import urllib.error
+    import urllib.request
+
     data = json.dumps(body).encode("utf-8") if body is not None else None
     headers = {"Content-Type": "application/json"} if data else {}
     request = urllib.request.Request(url, data=data, method=method, headers=headers)
@@ -393,6 +398,8 @@ def _http_json(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.http import serve
+
     return serve(_request(args, ServiceConfig), ready_file=args.ready_file)
 
 

@@ -10,44 +10,19 @@ compared in Table 2:
 * two *hierarchical* offsets + linear interpolation (this paper's method).
 """
 
-from repro.clocks.clock import LinearClock, ClockEnsemble, perfect_clock
-from repro.clocks.measurement import (
-    OffsetMeasurement,
-    measure_offset,
-    OffsetMeasurementConfig,
-)
-from repro.clocks.sync import (
-    LinearConverter,
-    SyncData,
-    NodeSyncRecord,
-    SyncScheme,
-    FlatSingleOffset,
-    FlatInterpolation,
-    HierarchicalInterpolation,
-    SCHEMES,
-)
-from repro.clocks.condition import (
-    ClockConditionChecker,
-    count_violations,
-    MessageStamp,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "LinearClock",
-    "ClockEnsemble",
-    "perfect_clock",
-    "OffsetMeasurement",
-    "measure_offset",
-    "OffsetMeasurementConfig",
-    "LinearConverter",
-    "SyncData",
-    "NodeSyncRecord",
-    "SyncScheme",
-    "FlatSingleOffset",
-    "FlatInterpolation",
-    "HierarchicalInterpolation",
-    "SCHEMES",
-    "ClockConditionChecker",
-    "count_violations",
-    "MessageStamp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.clocks.clock": ("LinearClock", "ClockEnsemble", "perfect_clock"),
+        "repro.clocks.measurement": (
+            "OffsetMeasurement", "measure_offset", "OffsetMeasurementConfig",
+        ),
+        "repro.clocks.sync": (
+            "LinearConverter", "SyncData", "NodeSyncRecord", "SyncScheme", "FlatSingleOffset",
+            "FlatInterpolation", "HierarchicalInterpolation", "SCHEMES",
+        ),
+        "repro.clocks.condition": ("ClockConditionChecker", "count_violations", "MessageStamp"),
+    },
+)

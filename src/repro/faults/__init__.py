@@ -9,32 +9,15 @@ the plan against one run from its own seeded random stream, leaving the
 simulation's stream untouched (empty plan ⇒ byte-identical run).
 """
 
-from repro.faults.injector import FaultCounters, FaultInjector, build_injector
-from repro.faults.plan import (
-    FaultPlan,
-    FaultSpec,
-    FileSystemFault,
-    LinkDegradation,
-    LinkOutage,
-    MessageLoss,
-    PingFault,
-    TraceCorruption,
-    TraceTruncation,
-    link_matches,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "FaultCounters",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FileSystemFault",
-    "LinkDegradation",
-    "LinkOutage",
-    "MessageLoss",
-    "PingFault",
-    "TraceCorruption",
-    "TraceTruncation",
-    "build_injector",
-    "link_matches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.injector": ("FaultCounters", "FaultInjector", "build_injector"),
+        "repro.faults.plan": (
+            "FaultPlan", "FaultSpec", "FileSystemFault", "LinkDegradation", "LinkOutage",
+            "MessageLoss", "PingFault", "TraceCorruption", "TraceTruncation", "link_matches",
+        ),
+    },
+)

@@ -9,17 +9,12 @@ models exactly that — the same path string can map to distinct
 archive-creation protocol on top of it.
 """
 
-from repro.fs.filesystem import SimFileSystem, MountNamespace
-from repro.fs.manager import (
-    ensure_archives,
-    ArchiveManagementOutcome,
-    ProtocolStep,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "SimFileSystem",
-    "MountNamespace",
-    "ensure_archives",
-    "ArchiveManagementOutcome",
-    "ProtocolStep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fs.filesystem": ("SimFileSystem", "MountNamespace"),
+        "repro.fs.manager": ("ensure_archives", "ArchiveManagementOutcome", "ProtocolStep"),
+    },
+)

@@ -6,6 +6,11 @@ here the simulator calls the tracing API directly through the hook
 interface of :class:`~repro.instrument.tracer.Tracer`.
 """
 
-from repro.instrument.tracer import Tracer
+from repro.exports import lazy_exports
 
-__all__ = ["Tracer"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.instrument.tracer": ("Tracer",),
+    },
+)

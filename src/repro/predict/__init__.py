@@ -13,17 +13,12 @@ one, closing the loop: *predict the wait states of a metacomputer port
 before running it*.
 """
 
-from repro.predict.skeleton import (
-    ProgramSkeleton,
-    extract_skeleton,
-    skeleton_from_run,
-)
-from repro.predict.predictor import predict_run, PredictionOutcome
+from repro.exports import lazy_exports
 
-__all__ = [
-    "ProgramSkeleton",
-    "extract_skeleton",
-    "skeleton_from_run",
-    "predict_run",
-    "PredictionOutcome",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.predict.skeleton": ("ProgramSkeleton", "extract_skeleton", "skeleton_from_run"),
+        "repro.predict.predictor": ("predict_run", "PredictionOutcome"),
+    },
+)

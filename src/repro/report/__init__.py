@@ -7,44 +7,20 @@ Song et al. that the paper names as planned future work for the parallel
 analyzer (Section 6).
 """
 
-from repro.report.render import (
-    render_metric_tree,
-    render_call_tree,
-    render_system_tree,
-    render_analysis,
-)
-from repro.report.algebra import (
-    ExperimentData,
-    canonicalize,
-    diff,
-    merge,
-    mean,
-    render_comparison,
-)
-from repro.report.serialize import result_to_dict, experiment_to_dict, experiment_from_dict
-from repro.report.timeline import (
-    render_timeline,
-    render_result_timeline,
-    render_severity_timeline,
-    TimelineView,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "render_metric_tree",
-    "render_call_tree",
-    "render_system_tree",
-    "render_analysis",
-    "ExperimentData",
-    "canonicalize",
-    "diff",
-    "merge",
-    "mean",
-    "render_comparison",
-    "result_to_dict",
-    "experiment_to_dict",
-    "experiment_from_dict",
-    "render_timeline",
-    "render_result_timeline",
-    "render_severity_timeline",
-    "TimelineView",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.report.render": (
+            "render_metric_tree", "render_call_tree", "render_system_tree", "render_analysis",
+        ),
+        "repro.report.algebra": (
+            "ExperimentData", "canonicalize", "diff", "merge", "mean", "render_comparison",
+        ),
+        "repro.report.serialize": ("result_to_dict", "experiment_to_dict", "experiment_from_dict"),
+        "repro.report.timeline": (
+            "render_timeline", "render_result_timeline", "render_severity_timeline", "TimelineView",
+        ),
+    },
+)

@@ -7,21 +7,15 @@ a checkpoint journal that lets interrupted experiment sweeps resume
 without redoing completed cells (:mod:`repro.resilience.checkpoint`).
 """
 
-from repro.resilience.checkpoint import CheckpointJournal, open_journal
-from repro.resilience.deadline import Deadline
-from repro.resilience.pool import (
-    ExecutionReport,
-    PoolConfig,
-    SupervisedPool,
-    TaskExecution,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CheckpointJournal",
-    "Deadline",
-    "ExecutionReport",
-    "PoolConfig",
-    "SupervisedPool",
-    "TaskExecution",
-    "open_journal",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.checkpoint": ("CheckpointJournal", "open_journal"),
+        "repro.resilience.deadline": ("Deadline",),
+        "repro.resilience.pool": (
+            "ExecutionReport", "PoolConfig", "SupervisedPool", "TaskExecution",
+        ),
+    },
+)

@@ -27,34 +27,17 @@ stable entry points ``create_app``, ``ServiceConfig`` and ``JobStore``
 are re-exported through :mod:`repro.api`.
 """
 
-from __future__ import annotations
+from repro.exports import lazy_exports
 
-from repro.service.app import AnalysisService, ServiceConfig, create_app
-from repro.service.http import serve
-from repro.service.runners import execute_job
-from repro.service.store import (
-    ACCEPTED,
-    DONE,
-    FAILED,
-    RUNNING,
-    JobRecord,
-    JobStore,
-    canonical_spec,
-    job_key,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.app": ("AnalysisService", "ServiceConfig", "create_app"),
+        "repro.service.http": ("serve",),
+        "repro.service.runners": ("execute_job",),
+        "repro.service.store": (
+            "ACCEPTED", "DONE", "FAILED", "RUNNING", "JobRecord", "JobStore", "canonical_spec",
+            "job_key",
+        ),
+    },
 )
-
-__all__ = [
-    "AnalysisService",
-    "ServiceConfig",
-    "create_app",
-    "serve",
-    "execute_job",
-    "JobStore",
-    "JobRecord",
-    "canonical_spec",
-    "job_key",
-    "ACCEPTED",
-    "RUNNING",
-    "DONE",
-    "FAILED",
-]

@@ -573,7 +573,10 @@ class AnalysisService:
             self.breaker.record_success()
             return
         with self._lock:
-            self._finish(record, DONE, result=result, execution=execution)
+            # A run that was not clean (its worker died and it re-ran, or it
+            # ran here) journals the slot's report beside the result.
+            recovery = None if report.clean else report.to_dict()
+            self._finish(record, DONE, result=result, execution=execution, recovery=recovery)
             self._executed += 1
         if report.fallbacks:
             self.breaker.record_failure(f"job {key} ran in the server: every worker it had died")
@@ -596,12 +599,14 @@ class AnalysisService:
         error: Optional[str] = None,
         result: Optional[Dict[str, Any]] = None,
         execution: Optional[Dict[str, Any]] = None,
+        recovery: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Journal *record* settled in terminal *status* (caller holds the lock)."""
         record.status = status
         record.error = error
         record.result = result
         record.execution = execution
+        record.recovery = recovery
         record.finished_at = wallclock()
         record.phase = ""
         self.store.save(record)

@@ -11,8 +11,9 @@ is returned *separately* so the job record can carry it without
 polluting the cacheable result.
 
 All :mod:`repro.api` imports are deferred into the functions: the
-service package is itself re-exported through the facade, and deferring
-keeps that cycle open at import time.
+service package is itself re-exported through the facade, and the server
+imports this module, so the compute stack loads only where a job runs —
+in a slot's worker, or in the server when a job falls back to it.
 """
 
 from __future__ import annotations

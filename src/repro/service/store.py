@@ -33,7 +33,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.request import SEED, AnalysisRequest, FieldTable, declare, declared, rule_of
+from repro.analysis.request import (
+    DEFAULT_SEEDS,
+    SEED,
+    AnalysisRequest,
+    FieldTable,
+    declare,
+    declared,
+    rule_of,
+)
 from repro.errors import AnalysisError, JobValidationError
 from repro.resilience.checkpoint import CheckpointJournal
 
@@ -148,12 +156,10 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
             f"unknown job kind {kind!r}; choose from: {', '.join(JOB_KINDS)}"
         )
 
-    from repro.api import DEFAULT_SEEDS, EXPERIMENTS  # deferred: api imports this package
-
     experiment = raw.get("experiment")
     if not isinstance(experiment, str) or not experiment:
         raise JobValidationError("job needs an 'experiment' name (string)")
-    choices = sorted(EXPERIMENTS) if kind == "run_experiment" else _EXPERIMENTS[kind]
+    choices = sorted(DEFAULT_SEEDS) if kind == "run_experiment" else _EXPERIMENTS[kind]
     if experiment not in choices:
         raise JobValidationError(
             f"{kind} jobs support {', '.join(choices)}; got {experiment!r}"
@@ -233,9 +239,13 @@ class JobRecord:
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     execution: Optional[Dict[str, Any]] = field(default=None)
+    #: The slot's :class:`~repro.resilience.pool.ExecutionReport` of a run
+    #: that was not clean (a killed worker and a re-run, or a run in the
+    #: server); a clean record has none and keeps its bytes.
+    recovery: Optional[Dict[str, Any]] = None
 
     def to_payload(self) -> Dict[str, Any]:
-        return {
+        payload = {
             "key": self.key,
             "seq": self.seq,
             "spec": self.spec,
@@ -249,6 +259,9 @@ class JobRecord:
             "error": self.error,
             "execution": self.execution,
         }
+        if self.recovery is not None:
+            payload["recovery"] = self.recovery
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "JobRecord":
@@ -265,6 +278,7 @@ class JobRecord:
             result=payload.get("result"),
             error=payload.get("error"),
             execution=payload.get("execution"),
+            recovery=payload.get("recovery"),
         )
 
     def summary(self) -> Dict[str, Any]:

@@ -9,27 +9,15 @@ phenomena the paper's analysis detects — emerge naturally from the timing
 semantics (blocking receives, rendezvous sends, collective synchronization).
 """
 
-from repro.sim.engine import Engine
-from repro.sim.process import SimProcess
-from repro.sim.transfer import SimParams
-from repro.sim.mpi import (
-    World,
-    Communicator,
-    Context,
-    RequestHandle,
-    Message,
-)
-from repro.sim.runtime import MetaMPIRuntime, RunResult
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Engine",
-    "SimProcess",
-    "SimParams",
-    "World",
-    "Communicator",
-    "Context",
-    "RequestHandle",
-    "Message",
-    "MetaMPIRuntime",
-    "RunResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.engine": ("Engine",),
+        "repro.sim.process": ("SimProcess",),
+        "repro.sim.transfer": ("SimParams",),
+        "repro.sim.mpi": ("World", "Communicator", "Context", "RequestHandle", "Message"),
+        "repro.sim.runtime": ("MetaMPIRuntime", "RunResult"),
+    },
+)

@@ -31,7 +31,8 @@ from repro.clocks.clock import ClockEnsemble
 from repro.clocks.measurement import OffsetMeasurementConfig
 from repro.clocks.sync import SyncData, collect_sync_data
 from repro.errors import ConfigurationError
-from repro.faults import FaultCounters, FaultPlan, build_injector
+from repro.faults.injector import FaultCounters, build_injector
+from repro.faults.plan import FaultPlan
 from repro.fs.filesystem import MountNamespace, private_namespaces
 from repro.fs.manager import ArchiveManagementOutcome, ensure_archives
 from repro.ids import NodeId

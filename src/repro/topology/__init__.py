@@ -7,28 +7,16 @@ Figure 2).  Presets encode the VIOLA testbed of Figure 5 / Table 1 and the
 homogeneous IBM AIX POWER host of Experiment 2.
 """
 
-from repro.topology.machine import CpuSpec, NodeSpec, Metahost
-from repro.topology.network import LinkSpec, LatencyModel, LinkClass
-from repro.topology.metacomputer import Metacomputer, Placement, ProcessSlot
-from repro.topology.presets import (
-    viola_testbed,
-    ibm_aix_power,
-    single_cluster,
-    uniform_metacomputer,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CpuSpec",
-    "NodeSpec",
-    "Metahost",
-    "LinkSpec",
-    "LatencyModel",
-    "LinkClass",
-    "Metacomputer",
-    "Placement",
-    "ProcessSlot",
-    "viola_testbed",
-    "ibm_aix_power",
-    "single_cluster",
-    "uniform_metacomputer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.machine": ("CpuSpec", "NodeSpec", "Metahost"),
+        "repro.topology.network": ("LinkSpec", "LatencyModel", "LinkClass"),
+        "repro.topology.metacomputer": ("Metacomputer", "Placement", "ProcessSlot"),
+        "repro.topology.presets": (
+            "viola_testbed", "ibm_aix_power", "single_cluster", "uniform_metacomputer",
+        ),
+    },
+)

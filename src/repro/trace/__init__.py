@@ -6,43 +6,21 @@ holds the region table and the system tree (machine / node / process
 locations, paper Section 3 *Event location*).
 """
 
-from repro.trace.events import (
-    EventKind,
-    Event,
-    EnterEvent,
-    ExitEvent,
-    SendEvent,
-    RecvEvent,
-    CollExitEvent,
-)
-from repro.trace.regions import RegionRegistry
-from repro.trace.buffer import TraceBuffer
-from repro.trace.encoding import encode_events, decode_events
-from repro.trace.archive import (
-    Definitions,
-    ArchiveWriter,
-    ArchiveReader,
-    trace_filename,
-    DEFINITIONS_FILE,
-    SYNC_FILE,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "EventKind",
-    "Event",
-    "EnterEvent",
-    "ExitEvent",
-    "SendEvent",
-    "RecvEvent",
-    "CollExitEvent",
-    "RegionRegistry",
-    "TraceBuffer",
-    "encode_events",
-    "decode_events",
-    "Definitions",
-    "ArchiveWriter",
-    "ArchiveReader",
-    "trace_filename",
-    "DEFINITIONS_FILE",
-    "SYNC_FILE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.events": (
+            "EventKind", "Event", "EnterEvent", "ExitEvent", "SendEvent", "RecvEvent",
+            "CollExitEvent",
+        ),
+        "repro.trace.regions": ("RegionRegistry",),
+        "repro.trace.buffer": ("TraceBuffer",),
+        "repro.trace.encoding": ("encode_events", "decode_events"),
+        "repro.trace.archive": (
+            "Definitions", "ArchiveWriter", "ArchiveReader", "trace_filename", "DEFINITIONS_FILE",
+            "SYNC_FILE",
+        ),
+    },
+)

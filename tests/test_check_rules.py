@@ -554,6 +554,13 @@ def arc_rules(source, path):
     return [f.rule for f in check_file(path, source)]
 
 
+#: A package init's lazy export table around *entries*.
+_EXPORTS = (
+    "from repro.exports import lazy_exports\n\n"
+    "__all__, __getattr__, __dir__ = lazy_exports(__name__, {%s})\n"
+)
+
+
 class TestARCAliasBypasses:
     """Spellings the text guards let through: each is the same import or call."""
 
@@ -570,6 +577,10 @@ class TestARCAliasBypasses:
             ("from repro.analysis import MPIOpInstance\n", "src/repro/analysis/stats.py",
              "ARC508"),
             ("from .matching import SendRecord\n", "src/repro/analysis/instances.py", "ARC508"),
+            (_EXPORTS % '"repro.analysis.replay": ("ReplayAnalyzer",)', "src/repro/report/__init__.py",
+             "ARC508"),
+            ("from importlib import import_module as load\nload('repro.analysis.replay')\n",
+             "src/repro/report/render.py", "ARC526"),
         ],
     )
     def test_alias_fires(self, source, path, rule):
@@ -586,6 +597,8 @@ class TestARCAliasBypasses:
             ("from repro.analysis.instances import OpTable\n", "src/repro/analysis/stats.py"),
             ("def f(engine, t, proc):\n    engine.call_at(t, proc.step, proc)\n",
              "src/repro/sim/mpi.py"),
+            (_EXPORTS % '"repro.analysis.result": ("AnalysisResult",)', "src/repro/report/__init__.py"),
+            ("import importlib\nimportlib.import_module(name)\n", "src/repro/exports.py"),
         ],
     )
     def test_near_miss_clean(self, source, path):

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import repro.api as api
 import repro.cli as cli
-from repro.analysis.request import SEED, AnalysisRequest, declared
+from repro.analysis.request import CHAOS_GRACE, CHAOS_JOBS, SEED, AnalysisRequest, declared
 from repro.chaos import harness
 from repro.cli import _build_parser, _request
 from repro.errors import AnalysisError, JobValidationError, ReproError
@@ -368,7 +368,7 @@ def test_client_flags_are_built_from_their_rules():
     jobs = declared(AnalysisRequest)["jobs"].metadata["rule"]
     store = SERVICE["store_path"].metadata["rule"]
     assert {SEED.flag, jobs.flag, cli._POLL_INTERVAL.flag} <= _options("submit")
-    assert {harness._JOBS.flag, harness._GRACE.flag} <= _options("chaos")
+    assert {CHAOS_JOBS.flag, CHAOS_GRACE.flag} <= _options("chaos")
     assert store.flag in _options("jobs")
     args = PARSER.parse_args(["chaos", "--jobs", "3", "--grace", "5"])
     assert (args.jobs, args.grace_s) == (3, 5)
@@ -430,7 +430,6 @@ def test_seed_at_every_edge(value, admitted, monkeypatch):
     failed.  Now the library, the store and argv admit or refuse a seed
     alike, naming it, before any work."""
     monkeypatch.setitem(api.EXPERIMENTS, "table1", _start)
-    monkeypatch.setattr(cli, "run_experiment", _start)
     monkeypatch.setattr(figures, "run_metatrace_experiment", _start)
     monkeypatch.setattr(harness, "_simulate", _start)
     mc = uniform_metacomputer(metahost_count=1, node_count=1, cpus_per_node=2)

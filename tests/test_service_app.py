@@ -14,7 +14,9 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import urllib.request
 from dataclasses import replace
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 import repro.service.app as app_module
 from repro.errors import JobRejected, JobValidationError, ServiceError
 from repro.service import ServiceConfig, create_app
+from repro.service.http import ServiceHTTPServer
 from repro.service.runners import execute_job
 from repro.service.store import (
     ACCEPTED,
@@ -250,6 +253,29 @@ class _DiesOnce:
         return execute_job(spec, **kwargs)
 
 
+def _served(service, key):
+    """``GET /jobs/<key>`` from an HTTP front end over *service*."""
+    httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        host, port = httpd.server_address[:2]
+        with urllib.request.urlopen(f"http://{host}:{port}/jobs/{key}", timeout=30) as response:
+            return json.loads(response.read())["job"]
+    finally:
+        httpd.shutdown()
+        thread.join(timeout=10)
+        httpd.server_close()
+
+
+def _journaled(config, key):
+    """The record of *key* as the store reads it back after the service stopped."""
+    with JobStore(config.store_path) as store:
+        return store.get(key).to_payload()
+
+
 class TestWorkerDeath:
     def test_killed_worker_reruns_the_job_on_a_fresh_worker(self, config, monkeypatch):
         stand_in = _DiesOnce()
@@ -267,6 +293,17 @@ class TestWorkerDeath:
             )
             after, _ = service.submit({**SIM, "seed": 2})
             assert _wait_settled(service, after.key).status == DONE
+            served, clean = _served(service, record.key), _served(service, after.key)
+        # The kill and the re-run sit beside the result, never inside it,
+        # and a clean job's record carries no report at all.
+        journaled = _journaled(config, record.key)
+        for payload in (served, journaled):
+            recovery = payload["recovery"]
+            assert (recovery["attempts"], recovery["retries"], recovery["fallbacks"]) == (2, 1, 0)
+            [task] = recovery["tasks"]
+            assert not recovery["clean"] and len(task["failures"]) == 1, task
+            assert payload["result"] == direct
+        assert "recovery" not in clean and "recovery" not in _journaled(config, after.key)
 
     def test_a_job_every_worker_dies_on_runs_here_and_counts_as_a_failure(
         self, config, monkeypatch
@@ -286,6 +323,13 @@ class TestWorkerDeath:
             breaker = service.breaker.snapshot()
             assert breaker["consecutive_failures"] == 1
             assert "every worker it had died" in breaker["last_failure"]
+            served = _served(service, record.key)
+        for payload in (served, _journaled(config, record.key)):
+            recovery = payload["recovery"]
+            assert recovery["fallbacks"] == 1 and not recovery["clean"]
+            [task] = recovery["tasks"]
+            assert task["fallback"] and len(task["failures"]) == task["attempts"] >= 2, task
+            assert payload["result"] == {"kind": "simulate", "echo": 1}
 
 
 class TestRecovery:
