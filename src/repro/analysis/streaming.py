@@ -336,9 +336,8 @@ def analyze(
     one attempt, never retried) first.  ``pool`` lends the run an
     externally owned warm :class:`~repro.resilience.pool.SupervisedPool`
     (task function :func:`~repro.analysis.parallel.analyze_shard`) instead
-    of spawning one — how the analysis service shares a single pool across
-    every job it serves, and how a run gets its own supervision settings (a
-    chaos hook, fast heartbeats).
+    of spawning one — how a run gets its own supervision settings (a chaos
+    hook, fast heartbeats) or reuses warm workers across runs.
 
     ``request.deadline_s`` bounds the whole analysis end to end: on expiry
     the local phase admits no further rank and the analyzer returns a

@@ -32,6 +32,7 @@ exclusively through this facade.
 
 from __future__ import annotations
 
+import warnings
 from functools import partial
 from typing import Callable, Dict, Optional
 
@@ -144,33 +145,33 @@ def run_checks(root: Optional[str] = None, **options):
 # themselves import through this facade, and deferring the other
 # direction keeps the cycle open at module-import time.
 #
-# Every runner takes ``(seed, request, journal, **lent)``: the request
-# goes whole to the drivers that analyze, ``lent`` is the live ``pool``
-# and ``deadline`` they borrow; the purely computational runners ignore both.
+# Every runner takes ``(seed, request, journal, deadline)``: the request
+# goes whole to the drivers that analyze, the ``deadline`` is the live one
+# they borrow; the purely computational runners ignore both.
 
 
-def _run_table1(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_table1(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     from repro.experiments.table1 import run_table1, table1_text
 
     return table1_text(run_table1(seed=seed))
 
 
-def _run_table2(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_table2(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     from repro.experiments.table2 import run_table2, table2_text
 
     rows, _run, _analyses = run_table2(
-        seed=seed, request=request, journal=journal, **lent
+        seed=seed, request=request, journal=journal, deadline=deadline
     )
     return table2_text(rows)
 
 
-def _run_table3(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_table3(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     from repro.experiments.configs import table3_text
 
     return table3_text()
 
 
-def _run_figure1(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_figure1(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     from repro.experiments.figures import run_figure1
 
     rows = run_figure1()
@@ -182,7 +183,7 @@ def _run_figure1(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     return "\n".join(lines)
 
 
-def _run_figure3(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_figure3(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     import numpy as np
 
     from repro.experiments.figures import run_figure3
@@ -190,7 +191,7 @@ def _run_figure3(seed: int, request: AnalysisRequest, journal, **lent) -> str:
 
     # No journal here: figure3 needs the live RunResult, which a
     # journal-satisfied table2 cell would not recompute.
-    _rows, run, _analyses = run_table2(seed=seed, request=request, **lent)
+    _rows, run, _analyses = run_table2(seed=seed, request=request, deadline=deadline)
     outcome = run_figure3(run)
     lines = ["Figure 3: intra-metahost pairwise synchronization error", ""]
     for scheme, errors in outcome.pair_errors_us.items():
@@ -202,11 +203,11 @@ def _run_figure3(seed: int, request: AnalysisRequest, journal, **lent) -> str:
     return "\n".join(lines)
 
 
-def _run_figure4(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_figure4(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     from repro.analysis.patterns import LATE_SENDER, WAIT_AT_NXN
     from repro.experiments.figures import run_figure4
 
-    analyses = run_figure4(seed=seed, request=request, **lent)
+    analyses = run_figure4(seed=seed, request=request, deadline=deadline)
     ls = analyses["late_sender"]
     nxn = analyses["wait_at_nxn"]
     return "\n".join(
@@ -219,7 +220,7 @@ def _run_figure4(seed: int, request: AnalysisRequest, journal, **lent) -> str:
 
 
 def _run_metatrace(
-    name: str, seed: int, request: AnalysisRequest, journal, **lent
+    name: str, seed: int, request: AnalysisRequest, journal, deadline
 ) -> str:
     from repro.experiments.figures import (
         METATRACE_FIGURES,
@@ -229,19 +230,19 @@ def _run_metatrace(
 
     figure = METATRACE_FIGURES[name]
     return metatrace_report_text(
-        run_metatrace_experiment(figure=figure, seed=seed, request=request, **lent)
+        run_metatrace_experiment(figure=figure, seed=seed, request=request, deadline=deadline)
     )
 
 
-def _run_faults(seed: int, request: AnalysisRequest, journal, **lent) -> str:
+def _run_faults(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     from repro.experiments.faults import run_fault_experiment
 
     return run_fault_experiment(
-        seed=seed, request=request, journal=journal, **lent
+        seed=seed, request=request, journal=journal, deadline=deadline
     ).text()
 
 
-#: Experiment name → runner(seed, request, journal, **lent) producing the
+#: Experiment name → runner(seed, request, journal, deadline) producing the
 #: rendered text.
 EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "table1": _run_table1,
@@ -283,13 +284,20 @@ def run_experiment(
     strict experiments raise :class:`~repro.errors.ArchiveError`, the
     fault ladder records the verdict in its report instead.
 
-    ``pool`` lends every analysis phase of the experiment an externally
-    owned warm :class:`SupervisedPool`, as in :func:`analyze`.  A lent
-    ``deadline`` wins over ``request.deadline_s``; either way this is the
-    one place an experiment's :class:`Deadline` starts, so all its phases
-    draw down one clock.  (A driver called directly with ``deadline_s``
-    and no lent ``Deadline`` restarts the budget per ``analyze`` call.)
+    A lent ``deadline`` wins over ``request.deadline_s``; either way this
+    is the one place an experiment's :class:`Deadline` starts, so all its
+    phases draw down one clock.  (A driver called directly with
+    ``deadline_s`` and no lent ``Deadline`` restarts the budget per
+    ``analyze`` call.)  ``pool`` is deprecated and ignored: a ``jobs=N``
+    analysis forks its own workers, and its result is the same either way.
     """
+    if pool is not None:
+        warnings.warn(
+            "run_experiment(pool=) is ignored and will be removed in 1.3.0; "
+            "a jobs=N analysis forks its own workers",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     runner = EXPERIMENTS.get(name)
     if runner is None:
         known = ", ".join(sorted(EXPERIMENTS))
@@ -304,7 +312,7 @@ def run_experiment(
         cached = journal.get(cell)
         if cached is not None:
             return cached["text"]
-    text = runner(seed, request, journal, pool=pool, deadline=deadline)
+    text = runner(seed, request, journal, deadline)
     if journal is not None:
         journal.record(cell, {"text": text})
     return text

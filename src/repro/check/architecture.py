@@ -135,6 +135,7 @@ ROWS: Tuple[Row, ...] = (
     Row("ARC525", "text", (_SRC, "tests/**"), ("LazySequence", "repro.lazyseq")),
     Row("ARC526", "call", ("src/**.py",), ("importlib.import_module", "__import__"),
         skip=("src/repro/exports.py",)),
+    Row("ARC527", "text", (_SRC, "tests/**"), ("handle_signals",)),
 )
 
 

@@ -79,6 +79,8 @@ RULES: Dict[str, str] = {
     "columns",
     "ARC526": "a string import outside repro/exports.py: import by statement, "
     "or export lazily from a package table",
+    "ARC527": "the pool's signal knob is back: a run installs handlers "
+    "exactly when it is on the main thread",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

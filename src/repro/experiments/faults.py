@@ -236,11 +236,11 @@ class DegradationReport:
         return "\n".join(lines).rstrip() + "\n"
 
 
-def _analyze(run, request: AnalysisRequest, pool, deadline) -> tuple:
+def _analyze(run, request: AnalysisRequest, deadline) -> tuple:
     """Run the (possibly degraded) replay, counting partial-trace warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PartialTraceWarning)
-        result = analyze(run, request, pool=pool, deadline=deadline)
+        result = analyze(run, request, deadline=deadline)
     partial = sum(
         1 for w in caught if issubclass(w.category, PartialTraceWarning)
     )
@@ -253,7 +253,6 @@ def run_fault_experiment(
     coupling_intervals: Optional[int] = None,
     request: Optional[AnalysisRequest] = None,
     journal: Optional[CheckpointJournal] = None,
-    pool=None,
     deadline=None,
 ) -> DegradationReport:
     """Execute the MetaTrace workload once per fault plan.
@@ -319,7 +318,7 @@ def run_fault_experiment(
         if request.verify_archive:
             entry.integrity_ok = verify_archives(run).ok
         result, entry.partial_warnings = _analyze(
-            run, replace(request, degraded=entry.degraded), pool, deadline
+            run, replace(request, degraded=entry.degraded), deadline
         )
         entry.analyzed_ranks = len(result.analyzed_ranks)
         entry.excluded_ranks = len(result.excluded_ranks)

@@ -136,7 +136,6 @@ def raise_on_damage(label: str, *verifications) -> None:
 def run_figure4(
     seed: int = 3,
     request: Optional[AnalysisRequest] = None,
-    pool=None,
     deadline=None,
 ) -> Dict[str, AnalysisResult]:
     """Pattern-semantics micro-experiments.
@@ -160,8 +159,8 @@ def run_figure4(
     if request.verify_archive:
         raise_on_damage("figure4", verify_archives(ls_run), verify_archives(nxn_run))
     return {
-        "late_sender": analyze(ls_run, request, pool=pool, deadline=deadline),
-        "wait_at_nxn": analyze(nxn_run, request, pool=pool, deadline=deadline),
+        "late_sender": analyze(ls_run, request, deadline=deadline),
+        "wait_at_nxn": analyze(nxn_run, request, deadline=deadline),
     }
 
 
@@ -229,7 +228,6 @@ def run_metatrace_experiment(
     seed: int = 11,
     coupling_intervals: Optional[int] = None,
     request: Optional[AnalysisRequest] = None,
-    pool=None,
     deadline=None,
 ) -> MetaTraceOutcome:
     """Run and analyze MetaTrace Experiment 1 (Figure 6) or 2 (Figure 7).
@@ -260,7 +258,7 @@ def run_metatrace_experiment(
     request = request or AnalysisRequest()
     if request.verify_archive:
         raise_on_damage(f"figure{5 + figure}", verify_archives(run))
-    result = analyze(run, request, pool=pool, deadline=deadline)
+    result = analyze(run, request, deadline=deadline)
     return MetaTraceOutcome(run=run, result=result, label=label)
 
 

@@ -59,7 +59,6 @@ def run_table2(
     clock_drift_scale: float = 3e-6,
     request: Optional[AnalysisRequest] = None,
     journal: Optional[CheckpointJournal] = None,
-    pool=None,
     deadline=None,
 ) -> Tuple[List[Table2Row], RunResult, Dict[str, AnalysisResult]]:
     """Regenerate Table 2.
@@ -112,7 +111,7 @@ def run_table2(
             if cached is not None:
                 rows.append(Table2Row(**cached))
                 continue
-        result = analyze(run, request, scheme=scheme, pool=pool, deadline=deadline)
+        result = analyze(run, request, scheme=scheme, deadline=deadline)
         analyses[scheme.name] = result
         summary = result.violations.summary()
         row = Table2Row(

@@ -14,10 +14,12 @@ call trees) can be subtracted, merged, and averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.result import AnalysisResult
 from repro.errors import ReportError
+
+if TYPE_CHECKING:
+    from repro.analysis.result import AnalysisResult
 
 #: Canonical cell key: (metric name, call-path region names, rank).
 CellKey = Tuple[str, Tuple[str, ...], int]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.analysis.result import AnalysisResult
 from repro.errors import ReportError
 from repro.report.algebra import ExperimentData, canonicalize
+
+if TYPE_CHECKING:
+    from repro.analysis.result import AnalysisResult
 
 
 def result_to_dict(result: AnalysisResult, name: str = "experiment") -> Dict[str, Any]:

@@ -102,10 +102,6 @@ class PoolConfig:
     #: How long a graceful shutdown waits for in-flight tasks to finish
     #: before killing their workers.
     drain_grace_s: float = 10.0
-    #: Install SIGTERM/SIGINT handlers around main-thread runs so an
-    #: interrupted parent drains and reaps its workers instead of
-    #: orphaning them.  Runs on non-main threads never install handlers.
-    handle_signals: bool = True
     #: Test-only fault hook, run inside the worker before the task function
     #: (chaos harnesses use it to SIGKILL/SIGSTOP/stall the worker).
     chaos_hook: Optional[Callable[[Any], None]] = None
@@ -479,9 +475,9 @@ class SupervisedPool:
     # -- signal wiring ---------------------------------------------------------
 
     def _install_signal_handlers(self):
-        """SIGTERM/SIGINT → graceful drain, for main-thread runs only."""
-        if not self.config.handle_signals:
-            return None
+        """SIGTERM/SIGINT → graceful drain, for main-thread runs only: an
+        interrupted parent drains and reaps its workers instead of orphaning
+        them, and a run on another thread leaves signals to its owner."""
         if threading.current_thread() is not threading.main_thread():
             return None
 
@@ -526,8 +522,9 @@ class SupervisedPool:
         propagates.
 
         ``timeout_s`` and ``max_retries`` override the pool's configured
-        deadline/retry budget for this run only — a shared long-lived pool
-        serves jobs with differing budgets without being reconfigured.
+        deadline/retry budget for this run only: an analysis request's
+        ``timeout``/``max_retries`` reach the pool this way, whether
+        ``analyze`` built it or it was lent.
         ``deadline`` bounds the *whole run*: per-attempt timeouts are
         clamped to the remaining budget, and when it expires (or is
         cancelled) in-flight workers are killed immediately and

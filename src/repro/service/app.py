@@ -73,10 +73,9 @@ __all__ = ["ServiceConfig", "AnalysisService", "create_app"]
 
 #: A slot's supervision: one warm worker; no per-attempt timeout, as a
 #: job's only bound is its deadline; no drain of its own, as the service's
-#: shared grace is the drain; signals stay with the serve loop.
-_SLOT_POOL = PoolConfig(
-    max_workers=1, timeout_s=math.inf, drain_grace_s=0.0, handle_signals=False
-)
+#: shared grace is the drain.  Slots run on executor threads, so signals
+#: stay with the serve loop.
+_SLOT_POOL = PoolConfig(max_workers=1, timeout_s=math.inf, drain_grace_s=0.0)
 
 
 @dataclass(frozen=True)
@@ -417,35 +416,28 @@ class AnalysisService:
                 f"job {key} is a {result.get('kind')} job; "
                 "only analyze jobs carry a severity cube"
             )
-        cells = cube.get("cells", [])
+        # Imported here: the server never loads it unless a client asks.
+        from repro.report.serialize import experiment_from_dict
+
+        data = experiment_from_dict(cube)
+        metrics = data.metrics()
         if metric is None:
             return {
                 "job": key,
-                "metrics": sorted({c["metric"] for c in cells}),
+                "metrics": metrics,
                 "total_time": cube.get("total_time"),
                 "scheme": cube.get("scheme"),
                 "machine_names": cube.get("machine_names"),
             }
-        chosen = [c for c in cells if c["metric"] == metric]
-        if not chosen:
-            known = ", ".join(sorted({c["metric"] for c in cells}))
+        if metric not in metrics:
+            known = ", ".join(metrics)
             raise ServiceError(f"metric {metric!r} not in cube; available: {known}")
-        by_rank: Dict[str, float] = {}
-        by_callpath: Dict[str, float] = {}
-        total = 0.0
-        for cell in chosen:
-            value = float(cell["value"])
-            total += value
-            rank = str(cell["rank"])
-            path = "/".join(cell["path"])
-            by_rank[rank] = by_rank.get(rank, 0.0) + value
-            by_callpath[path] = by_callpath.get(path, 0.0) + value
         return {
             "job": key,
             "metric": metric,
-            "total": total,
-            "by_rank": by_rank,
-            "by_callpath": by_callpath,
+            "total": data.metric_total(metric),
+            "by_rank": {str(rank): v for rank, v in data.by_rank(metric).items()},
+            "by_callpath": {"/".join(path): v for path, v in data.by_path(metric).items()},
         }
 
     def severity_timeline(

@@ -1,7 +1,8 @@
 """Execution of canonical job specs against the :mod:`repro.api` facade.
 
-One entry point, :func:`execute_job`, shared by the live service and by
-tests that want to compute a job's expected result without a server.
+One entry point, :func:`execute_job`, which the live service runs whole
+in a slot's worker process and which tests and the benchmark call
+directly to compute a job's expected result without a server.
 Determinism contract: for a fixed canonical spec, the ``result`` mapping
 is byte-stable across runs and across restarts — it contains only
 simulated-time quantities (rendered report text, severity cells, counts),
@@ -18,52 +19,38 @@ in a slot's worker, or in the server when a job falls back to it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import JobValidationError
 from repro.service.store import AnalyzeConfig, SimulateConfig
 
 __all__ = ["execute_job"]
 
-Progress = Callable[[str], None]
 
-
-def execute_job(
-    spec: Mapping[str, Any],
-    *,
-    pool=None,
-    progress: Optional[Progress] = None,
-    deadline=None,
-) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+def execute_job(spec: Mapping[str, Any]) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
     """Run one canonical job spec; return ``(result, execution)``.
 
-    ``pool`` is an optional lent
-    :class:`~repro.resilience.pool.SupervisedPool` (task function
-    ``analyze_shard``) for the analysis phases; without one a ``jobs=N``
-    analysis forks its own, as ``repro analyze --jobs N`` does — the
-    service lends none, it runs each job whole in a worker process.
-    ``progress`` is called with human-readable phase strings as the job
-    advances.
-    ``deadline`` is an optional :class:`~repro.resilience.Deadline`
-    bounding the whole job; when it expires (or a client cancels it) the
-    job raises :class:`~repro.errors.TimeBudgetExceeded` rather than
-    returning — a partial result must never enter the content-addressed
-    cache, where it would shadow the complete answer forever.
+    A ``jobs=N`` analysis forks its own shard workers, as ``repro analyze
+    --jobs N`` does.  The config's ``deadline_s`` starts one
+    :class:`~repro.resilience.Deadline` bounding the whole job; when it
+    expires the job raises :class:`~repro.errors.TimeBudgetExceeded`
+    rather than returning — a partial result must never enter the
+    content-addressed cache, where it would shadow the complete answer
+    forever.
     """
-    notify = progress or (lambda phase: None)
-    if deadline is None:
-        budget = spec.get("config", {}).get("deadline_s")
-        if budget:
-            from repro.resilience import Deadline
+    deadline = None
+    budget = spec.get("config", {}).get("deadline_s")
+    if budget:
+        from repro.resilience import Deadline
 
-            deadline = Deadline(budget)
+        deadline = Deadline(budget)
     kind = spec.get("kind")
     if kind == "run_experiment":
-        return _run_experiment_job(spec, pool, notify, deadline)
+        return _run_experiment_job(spec, deadline)
     if kind == "analyze":
-        return _analyze_job(spec, pool, notify, deadline)
+        return _analyze_job(spec, deadline)
     if kind == "simulate":
-        return _simulate_job(spec, notify, deadline)
+        return _simulate_job(spec, deadline)
     raise JobValidationError(f"unknown job kind {kind!r}")
 
 
@@ -82,19 +69,12 @@ def _request(spec: Mapping[str, Any]):
     return AnalysisRequest.from_config(config, jobs=spec["jobs"] or None)
 
 
-def _run_experiment_job(
-    spec: Mapping[str, Any], pool, notify: Progress, deadline
-) -> Tuple[Dict[str, Any], None]:
+def _run_experiment_job(spec: Mapping[str, Any], deadline) -> Tuple[Dict[str, Any], None]:
     """Regenerate a paper artifact; the result is its rendered text."""
     from repro.api import run_experiment
 
-    notify(f"running experiment {spec['experiment']}")
     text = run_experiment(
-        spec["experiment"],
-        _request(spec),
-        seed=spec["seed"],
-        pool=pool,
-        deadline=deadline,
+        spec["experiment"], _request(spec), seed=spec["seed"], deadline=deadline
     )
     # The experiment renderers flatten the AnalysisResult to text, so an
     # interrupted analysis is invisible here; the budget check is the
@@ -104,7 +84,7 @@ def _run_experiment_job(
 
 
 def _analyze_job(
-    spec: Mapping[str, Any], pool, notify: Progress, deadline
+    spec: Mapping[str, Any], deadline
 ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
     """MetaTrace pipeline end to end: simulate, replay, render, cube.
 
@@ -122,13 +102,11 @@ def _analyze_job(
 
     config = spec.get("config", {})
     experiment = spec["experiment"]
-    notify(f"simulating and replaying {experiment}")
     outcome = run_metatrace_experiment(
         figure=METATRACE_FIGURES[experiment],
         seed=spec["seed"],
         coupling_intervals=AnalyzeConfig.from_config(config).coupling_intervals,
         request=_request(spec),
-        pool=pool,
         deadline=deadline,
     )
     if outcome.result.interrupted is not None:
@@ -136,7 +114,6 @@ def _analyze_job(
 
         raise TimeBudgetExceeded(outcome.result.interrupted)
     _check_budget(deadline)
-    notify("rendering report")
     result = {
         "kind": "analyze",
         "experiment": experiment,
@@ -154,9 +131,7 @@ def _analyze_job(
     return result, execution
 
 
-def _simulate_job(
-    spec: Mapping[str, Any], notify: Progress, deadline
-) -> Tuple[Dict[str, Any], None]:
+def _simulate_job(spec: Mapping[str, Any], deadline) -> Tuple[Dict[str, Any], None]:
     """Run a synthetic imbalance workload; report archive integrity."""
     import math
 
@@ -172,14 +147,12 @@ def _simulate_job(
     placement = Placement.block(metacomputer, ranks)
     # Deterministic per-rank compute imbalance: three work classes.
     work = {rank: 0.005 * (1 + rank % 3) for rank in range(ranks)}
-    notify(f"simulating imbalance workload ({ranks} ranks, {metahosts} metahosts)")
     run = simulate(
         make_imbalance_app(work, iterations=iterations),
         metacomputer,
         placement,
         seed=spec["seed"],
     )
-    notify("verifying archives")
     verification = verify_archives(run)
     _check_budget(deadline)
     result = {

@@ -137,6 +137,16 @@ class TestDeprecations:
         with pytest.raises(ExperimentError, match="figure=1 or figure=2"):
             run_metatrace_experiment()
 
+    def test_run_experiment_pool_warns_and_is_ignored(self, monkeypatch):
+        from repro.experiments import figures
+
+        calls = _spy_on_analyze(monkeypatch, figures)
+        request = api.AnalysisRequest(jobs=2)
+        with pytest.warns(DeprecationWarning, match="pool"):
+            lent = api.run_experiment("figure4", request, pool=object())
+        assert lent == api.run_experiment("figure4", request)
+        assert len(calls) == 4 and not any("pool" in kwargs for _, kwargs in calls)
+
 
 #: A request no field of which is a default any layer could re-invent.
 _MARKED = dict(jobs=1, degraded=True, bounded=True, timeline=True, window_s=0.5)

@@ -169,7 +169,8 @@ class TestDriversTakeARequest:
         from repro.experiments.figures import run_metatrace_experiment
         from repro.experiments.table2 import run_table2
 
-        flat = {"jobs", "timeout", "max_retries", "verify_archive"}
+        # The request's fields, and the pool nothing above ``analyze`` lends.
+        flat = {"jobs", "timeout", "max_retries", "verify_archive", "pool"}
         for driver in (
             run_figure4, run_metatrace_experiment, run_table2, run_fault_experiment
         ):

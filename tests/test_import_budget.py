@@ -60,10 +60,23 @@ def _tables():
     return tables, imports
 
 
+#: A finished ``analyze`` job's result with a one-cell severity cube.
+_CUBE_RESULT = {
+    "kind": "analyze",
+    "severity": {
+        "name": "figure6", "total_time": 2.0, "machine_names": ["A"],
+        "machine_of_rank": {"0": 0}, "scheme": "hierarchical",
+        "cells": [{"metric": "late-sender", "path": ["main", "MPI_Recv"], "rank": 0,
+                   "value": 0.5}],
+    },
+}
+
+
 def test_light_entry_points_load_no_compute_stack(tmp_path):
     """At each point the heavy modules are still absent: after ``import
     repro.cli``; after the HTTP front end and the store; after a service
-    started (its slot workers fork at their first job)."""
+    started (its slot workers fork at their first job); after a severity
+    query of a finished job the store holds."""
     out = _finish(_python(f"""
         import json, os, sys
         HEAVY = {HEAVY!r}
@@ -73,17 +86,23 @@ def test_light_entry_points_load_no_compute_stack(tmp_path):
         import repro.cli
         point("import repro.cli")
         import repro.service.http
-        import repro.service.store
+        from repro.service.store import DONE, JobRecord, JobStore
         point("import repro.service.http, repro.service.store")
+        path = {str(tmp_path / "jobs.jsonl")!r}
+        with JobStore(path) as store:
+            store.save(JobRecord("k", 1, {{"kind": "analyze"}}, DONE, result={_CUBE_RESULT!r}))
         from repro.service.app import AnalysisService, ServiceConfig
-        service = AnalysisService(ServiceConfig(store_path={str(tmp_path / "jobs.jsonl")!r}))
+        service = AnalysisService(ServiceConfig(store_path=path))
         service.startup()
         point("AnalysisService.startup()")
+        detail = service.severity("k", metric="late-sender")
+        assert detail["by_callpath"] == {{"main/MPI_Recv": 0.5}}, detail
+        point("AnalysisService.severity(key, metric=...)")
         service.shutdown()
         print(json.dumps(seen))
     """))
     seen = json.loads(out)
-    assert len(seen) == 3
+    assert len(seen) == 4
     assert seen == {point: [] for point in seen}
 
 

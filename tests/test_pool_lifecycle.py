@@ -30,7 +30,7 @@ def _sleep_then_echo(task):
 class TestPersistentReuse:
     def test_workers_stay_warm_across_runs(self):
         pool = SupervisedPool(
-            _worker_pid, PoolConfig(max_workers=2, handle_signals=False),
+            _worker_pid, PoolConfig(max_workers=2),
             persistent=True,
         )
         try:
@@ -44,14 +44,14 @@ class TestPersistentReuse:
             pool.close()
 
     def test_non_persistent_pool_respawns(self):
-        config = PoolConfig(max_workers=1, handle_signals=False)
+        config = PoolConfig(max_workers=1)
         first, _ = SupervisedPool(_worker_pid, config).run([0])
         second, _ = SupervisedPool(_worker_pid, config).run([0])
         assert set(first) != set(second)
 
     def test_close_reaps_idle_workers(self):
         pool = SupervisedPool(
-            _worker_pid, PoolConfig(max_workers=2, handle_signals=False),
+            _worker_pid, PoolConfig(max_workers=2),
             persistent=True,
         )
         pids, _ = pool.run([0, 1])
@@ -71,7 +71,7 @@ class TestPersistentReuse:
 
     def test_close_is_idempotent_and_pool_reusable_before_close(self):
         pool = SupervisedPool(
-            _worker_pid, PoolConfig(max_workers=1, handle_signals=False),
+            _worker_pid, PoolConfig(max_workers=1),
             persistent=True,
         )
         pool.run([0])
@@ -87,7 +87,7 @@ class TestGracefulShutdown:
     def test_shutdown_mid_run_raises_with_partial_results(self):
         pool = SupervisedPool(
             _sleep_then_echo,
-            PoolConfig(max_workers=1, handle_signals=False, drain_grace_s=0.2),
+            PoolConfig(max_workers=1, drain_grace_s=0.2),
             persistent=True,
         )
         timer = threading.Timer(0.5, pool.request_shutdown, args=("test stop",))
@@ -108,7 +108,7 @@ class TestGracefulShutdown:
     def test_shutdown_request_is_sticky(self):
         pool = SupervisedPool(
             _sleep_then_echo,
-            PoolConfig(max_workers=1, handle_signals=False, drain_grace_s=0.1),
+            PoolConfig(max_workers=1, drain_grace_s=0.1),
         )
         pool.request_shutdown("pre-emptive")
         with pytest.raises(PoolShutdown) as excinfo:
@@ -118,7 +118,7 @@ class TestGracefulShutdown:
 
     def test_completed_run_does_not_raise_after_late_request(self):
         pool = SupervisedPool(
-            _sleep_then_echo, PoolConfig(max_workers=1, handle_signals=False)
+            _sleep_then_echo, PoolConfig(max_workers=1)
         )
         results, report = pool.run([0.0])
         pool.request_shutdown("after the fact")
@@ -128,7 +128,7 @@ class TestGracefulShutdown:
     def test_shutdown_reaps_inflight_workers(self):
         pool = SupervisedPool(
             _sleep_then_echo,
-            PoolConfig(max_workers=2, handle_signals=False, drain_grace_s=0.1),
+            PoolConfig(max_workers=2, drain_grace_s=0.1),
         )
         timer = threading.Timer(0.3, pool.request_shutdown)
         timer.start()
@@ -152,7 +152,7 @@ def _hang_recording_pid(pid):
 def _run_inner_pool(pid):
     """A task with a pool of its own, as a service job worker has for a
     ``jobs=N`` analysis."""
-    inner = SupervisedPool(_hang_recording_pid, PoolConfig(max_workers=1, handle_signals=False))
+    inner = SupervisedPool(_hang_recording_pid, PoolConfig(max_workers=1))
     inner.run([pid])
 
 
@@ -169,7 +169,7 @@ class TestNestedPools:
     def test_a_workers_own_workers_die_with_it(self):
         grandchild = multiprocessing.RawValue("i", 0)
         deadline = Deadline()
-        pool = SupervisedPool(_run_inner_pool, PoolConfig(max_workers=1, handle_signals=False))
+        pool = SupervisedPool(_run_inner_pool, PoolConfig(max_workers=1))
         outcome = {}
 
         def run():

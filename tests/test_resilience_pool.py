@@ -308,7 +308,6 @@ class TestSupervisorWaitsOnItsWorkers:
                 max_workers=1,
                 poll_interval_s=5.0,
                 backoff_base_s=30.0,
-                handle_signals=False,
                 chaos_hook=hook,
             ),
         )

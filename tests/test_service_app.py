@@ -10,6 +10,7 @@ counters are the shared-memory ones of ``tests/gates.py``.
 
 from __future__ import annotations
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -68,7 +69,7 @@ class _Gate:
     def calls(self):
         return self._calls.value
 
-    def __call__(self, spec, *, pool=None, progress=None, deadline=None):
+    def __call__(self, spec):
         self._calls.add()
         self.started.set()
         if self.fail.is_set():
@@ -235,6 +236,12 @@ class TestSlots:
             assert [store.get(key).status for key in keys] == [ACCEPTED, ACCEPTED]
 
 
+def test_a_job_is_its_spec_alone():
+    """A slot's pool calls ``execute_job(spec)``; the job's budget comes
+    from its config's ``deadline_s``, and nothing else is lent to it."""
+    assert list(inspect.signature(execute_job).parameters) == ["spec"]
+
+
 class _DiesOnce:
     """Hangs on its first call, in a worker the test then SIGKILLs; every
     later call records its process and is the real ``execute_job``."""
@@ -244,13 +251,13 @@ class _DiesOnce:
         self.first_pid = multiprocessing.RawValue("i", 0)
         self.rerun_pid = multiprocessing.RawValue("i", 0)
 
-    def __call__(self, spec, **kwargs):
+    def __call__(self, spec):
         if not self.started.is_set():
             self.first_pid.value = os.getpid()
             self.started.set()
             time.sleep(60)
         self.rerun_pid.value = os.getpid()
-        return execute_job(spec, **kwargs)
+        return execute_job(spec)
 
 
 def _served(service, key):
@@ -310,7 +317,7 @@ class TestWorkerDeath:
     ):
         server = os.getpid()
 
-        def dies_in_every_worker(spec, **kwargs):
+        def dies_in_every_worker(spec):
             if os.getpid() != server:
                 os.kill(os.getpid(), signal.SIGKILL)
             return {"kind": spec["kind"], "echo": spec["seed"]}, None

@@ -43,7 +43,7 @@ class _Gate:
         self.started = Flag()
         self.fail = Flag()
 
-    def __call__(self, spec, *, pool=None, progress=None, deadline=None):
+    def __call__(self, spec):
         self.started.set()
         if self.fail.is_set():
             raise RuntimeError("boom")

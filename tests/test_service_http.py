@@ -127,7 +127,7 @@ class TestEndpoints:
 
         gate = Flag()  # shared with the job's worker process
 
-        def gated(spec, *, pool=None, progress=None, deadline=None):
+        def gated(spec):
             gate.wait(timeout=60)
             return {"kind": spec["kind"]}, None
 
@@ -155,7 +155,7 @@ class TestEndpoints:
 
         worker = multiprocessing.RawValue("i", 0)
 
-        def wedged(spec, *, pool=None, progress=None, deadline=None):
+        def wedged(spec):
             worker.value = os.getpid()
             time.sleep(60)
 

@@ -269,7 +269,7 @@ class TestSameJobSameKey:
 
         release = Flag()  # shared with the job's worker process
 
-        def gated(spec, *, pool=None, progress=None, deadline=None):
+        def gated(spec):
             assert release.wait(timeout=60), "gate never released"
             return {"kind": spec["kind"]}, None
 
@@ -450,7 +450,7 @@ class TestStoreWrittenBefore:
         from repro.service import ServiceConfig, create_app
 
         monkeypatch.setattr(
-            app_module, "execute_job", lambda spec, **kwargs: ({"kind": spec["kind"]}, None)
+            app_module, "execute_job", lambda spec: ({"kind": spec["kind"]}, None)
         )
         shutil.copy(self.DATA / "jobs.jsonl", tmp_path)
         config = ServiceConfig(
