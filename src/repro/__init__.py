@@ -48,7 +48,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "FlatInterpolation", "FlatSingleOffset", "HierarchicalInterpolation", "SCHEMES",
         ),
         "repro.sim.transfer": ("SimParams",),
-        "repro.sim.mpi": ("Context", "World"),
+        "repro.sim.mpi": ("Context",),
+        "repro.sim.world": ("World",),
         "repro.sim.runtime": ("MetaMPIRuntime", "RunResult"),
         "repro.faults.plan": (
             "FaultPlan", "FileSystemFault", "LinkDegradation", "LinkOutage", "MessageLoss",

@@ -1,7 +1,7 @@
 """Workloads: benchmark kernels and the MetaTrace multi-physics skeleton.
 
 Applications are factory functions returning generator apps for
-:class:`~repro.sim.mpi.World` / :class:`~repro.sim.runtime.MetaMPIRuntime`.
+:class:`~repro.sim.world.World` / :class:`~repro.sim.runtime.MetaMPIRuntime`.
 """
 
 from repro.exports import lazy_exports

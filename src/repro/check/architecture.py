@@ -94,7 +94,7 @@ _REQUEST_FIELDS = ("timeout", "max_retries", "verify_archive")
 #: The architecture rules, one row per contract.
 ROWS: Tuple[Row, ...] = (
     Row("ARC501", "call", ("src/**.py",), ("gc.disable", "gc.freeze", "gc.set_threshold")),
-    Row("ARC502", "lambda", ("src/repro/sim/mpi.py",), ("call_at", "call_later")),
+    Row("ARC502", "lambda", ("src/repro/sim/*.py",), ("call_at", "call_later")),
     Row("ARC503", "text", (_SRC, "tests/**", "docs/**", "benchmarks/*.py", "examples/**",
                            "README.md", "DESIGN.md", ".github/**"),
         ("ParallelReplayAnalyzer", "merge_partials", "remap_callpaths", "analyze_run",
@@ -130,12 +130,16 @@ ROWS: Tuple[Row, ...] = (
     Row("ARC521", "text", ("src/repro/analysis/severity_timeline.py",),
         ("setdefault(", "for b in range(")),
     Row("ARC522", "text", (_SRC, "tests/**"), ("collective_exit_times", "CollectiveTiming")),
-    Row("ARC523", "text", ("src/repro/sim/mpi.py",), ("binomial_depth", "log2", "inv_bw *")),
+    Row("ARC523", "text", ("src/repro/sim/*.py",), ("binomial_depth", "log2", "inv_bw *"),
+        skip=("src/repro/sim/collectives.py",)),
     Row("ARC524", "call", ("src/repro/resilience/pool.py",), ("time.sleep",)),
     Row("ARC525", "text", (_SRC, "tests/**"), ("LazySequence", "repro.lazyseq")),
     Row("ARC526", "call", ("src/**.py",), ("importlib.import_module", "__import__"),
         skip=("src/repro/exports.py",)),
     Row("ARC527", "text", (_SRC, "tests/**"), ("handle_signals",)),
+    Row("ARC528", "import", ("src/repro/sim/mpi.py",),
+        ("repro.sim.engine", "repro.sim.p2p", "repro.sim.world", "repro.sim.runtime",
+         "repro.topology.network")),
 )
 
 

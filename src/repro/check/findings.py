@@ -45,7 +45,7 @@ RULES: Dict[str, str] = {
     "unexpired removal window",
     "ARC501": "no garbage-collector switches in the program (disable / "
     "freeze / set_threshold)",
-    "ARC502": "sim/mpi.py schedules bound methods: no lambda handed to "
+    "ARC502": "the simulator schedules bound methods: no lambda handed to "
     "call_at/call_later",
     "ARC503": "a name of the deleted replay drivers is back",
     "ARC504": "the analyzer's own pool knob is back: lend a SupervisedPool",
@@ -72,8 +72,8 @@ RULES: Dict[str, str] = {
     "ARC520": "the replay grows no per-op objects back",
     "ARC521": "the severity timeline grows no per-cell store or bin loop back",
     "ARC522": "the completion pass over a finished collective is back",
-    "ARC523": "sim/mpi.py computes no collective cost: sim/collectives.py "
-    "does",
+    "ARC523": "the simulator computes collective costs only in "
+    "sim/collectives.py",
     "ARC524": "resilience/pool.py waits on its workers, not on a timer",
     "ARC525": "the lazy-object layer over the op tables is back: read the "
     "columns",
@@ -81,6 +81,8 @@ RULES: Dict[str, str] = {
     "or export lazily from a package table",
     "ARC527": "the pool's signal knob is back: a run installs handlers "
     "exactly when it is on the main thread",
+    "ARC528": "sim/mpi.py is the application API: it imports no engine, "
+    "point-to-point, world, runtime or network module",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

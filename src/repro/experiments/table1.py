@@ -18,7 +18,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.apps.pingpong import PingPongResults, make_pingpong_app
-from repro.sim.mpi import World
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import FH_BRS, FZJ_XD1, viola_testbed
 

@@ -2,8 +2,8 @@
 
 The paper's applications were instrumented "by inserting directives which
 were automatically translated into tracing API calls by a preprocessor";
-here the simulator calls the tracing API directly through the hook
-interface of :class:`~repro.instrument.tracer.Tracer`.
+here the simulated world writes the records itself, into the per-rank
+buffers of a :class:`~repro.instrument.tracer.Tracer`.
 """
 
 from repro.exports import lazy_exports

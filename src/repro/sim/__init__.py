@@ -17,7 +17,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.sim.engine": ("Engine",),
         "repro.sim.process": ("SimProcess",),
         "repro.sim.transfer": ("SimParams",),
-        "repro.sim.mpi": ("World", "Communicator", "Context", "RequestHandle", "Message"),
+        "repro.sim.mpi": ("Communicator", "Context", "RequestHandle", "Message"),
+        "repro.sim.world": ("World",),
         "repro.sim.runtime": ("MetaMPIRuntime", "RunResult"),
     },
 )

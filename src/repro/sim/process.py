@@ -4,7 +4,7 @@ An application "process" is a Python generator that yields request objects
 (compute blocks and MPI calls) and is resumed with the request's result once
 the simulated operation completes.  This mirrors how trace-replay tools
 think about a rank: a sequence of regions and communication operations.
-The world resumes it (:meth:`repro.sim.mpi.World._advance`); this class is
+The world resumes it (:meth:`repro.sim.world.World._advance`); this class is
 the rank's state between resumes.
 """
 

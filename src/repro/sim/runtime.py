@@ -37,9 +37,9 @@ from repro.fs.filesystem import MountNamespace, private_namespaces
 from repro.fs.manager import ArchiveManagementOutcome, ensure_archives
 from repro.ids import NodeId
 from repro.instrument.tracer import Tracer
-from repro.sim.mpi import World, WorldStats
 from repro.sim.process import AppGenerator
 from repro.sim.transfer import SimParams
+from repro.sim.world import World, WorldStats
 from repro.topology.metacomputer import Metacomputer, Placement
 from repro.trace.archive import ArchiveReader, ArchiveWriter, Definitions, TraceShard
 

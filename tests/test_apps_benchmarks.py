@@ -11,7 +11,7 @@ from repro.apps.clockbench import (
 )
 from repro.apps.pingpong import PingPongResults, make_pingpong_app
 from repro.errors import ConfigurationError
-from repro.sim.mpi import World
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster, uniform_metacomputer
 

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.sim.mpi as mpi_module
+import repro.sim.world as world_module
 from repro.api import AnalysisRequest, analyze
 from repro.apps.metatrace import make_metatrace_app
 from repro.errors import TopologyError
@@ -108,7 +108,7 @@ class TestGoldenBatchedVsScalar:
     def test_figure6_seed1_byte_identical(self, monkeypatch):
         batched = self._figure6_run()
         monkeypatch.setattr(
-            mpi_module, "ExponentialJitterStream", ScalarJitterShim
+            world_module, "ExponentialJitterStream", ScalarJitterShim
         )
         scalar = self._figure6_run()
         assert archive_digest(batched) == archive_digest(scalar)
@@ -121,7 +121,7 @@ class TestGoldenBatchedVsScalar:
     def test_fault_injected_degraded_byte_identical(self, monkeypatch):
         batched = self._fault_run()
         monkeypatch.setattr(
-            mpi_module, "ExponentialJitterStream", ScalarJitterShim
+            world_module, "ExponentialJitterStream", ScalarJitterShim
         )
         scalar = self._fault_run()
         assert archive_digest(batched) == archive_digest(scalar)

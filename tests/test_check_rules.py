@@ -581,6 +581,8 @@ class TestARCAliasBypasses:
              "ARC508"),
             ("from importlib import import_module as load\nload('repro.analysis.replay')\n",
              "src/repro/report/render.py", "ARC526"),
+            ("from repro.sim.engine import Engine\n", "src/repro/sim/mpi.py", "ARC528"),
+            ("from . import world\n", "src/repro/sim/mpi.py", "ARC528"),
         ],
     )
     def test_alias_fires(self, source, path, rule):
@@ -599,6 +601,8 @@ class TestARCAliasBypasses:
              "src/repro/sim/mpi.py"),
             (_EXPORTS % '"repro.analysis.result": ("AnalysisResult",)', "src/repro/report/__init__.py"),
             ("import importlib\nimportlib.import_module(name)\n", "src/repro/exports.py"),
+            ("from repro.sim.process import SimProcess\n", "src/repro/sim/mpi.py"),
+            ("from repro.sim.engine import Engine\n", "src/repro/sim/world.py"),
         ],
     )
     def test_near_miss_clean(self, source, path):

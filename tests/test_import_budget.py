@@ -21,7 +21,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 #: Modules no light entry point may load.
-HEAVY = ("numpy", "repro.api", "repro.sim.mpi", "repro.analysis.streaming", "repro.trace.encoding")
+HEAVY = (
+    "numpy", "repro.api", "repro.sim.mpi", "repro.sim.p2p", "repro.sim.world",
+    "repro.analysis.streaming", "repro.trace.encoding",
+)
 
 
 def _python(code: str, *, cwd: str = ROOT) -> subprocess.Popen:

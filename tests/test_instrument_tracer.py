@@ -1,88 +1,92 @@
-"""Tests for the tracing backend (local clock stamping)."""
+"""Tests for the tracing state: the local clock stamp of the world's records,
+region interning and the buffer lifecycle."""
 
 import pytest
 
 from repro.clocks.clock import ClockEnsemble, LinearClock
-from repro.ids import Location, NodeId
+from repro.errors import TraceError
+from repro.ids import NodeId
 from repro.instrument.tracer import Tracer
-from repro.topology.machine import CpuSpec
-from repro.topology.metacomputer import ProcessSlot
-from repro.trace.events import EnterEvent, SendEvent
+from repro.sim.world import World
+from repro.topology.metacomputer import Placement
+from repro.topology.presets import single_cluster
+from repro.trace.events import EnterEvent, RecvEvent, SendEvent
 
 
-def _slot(rank=0, machine=0, node=0):
-    return ProcessSlot(
-        rank=rank, location=Location(machine, node, rank), cpu=CpuSpec("c", 2.0)
-    )
-
-
-def _tracer(offset=1.0):
+def _traced_run(app, nprocs=1, offset=1.0):
+    """Run *app* on one rank per node; node 0's clock is ahead by *offset*,
+    node 1's behind by it."""
+    mc = single_cluster(node_count=2, cpus_per_node=1)
     clocks = ClockEnsemble(
-        {
-            NodeId(0, 0): LinearClock(offset_s=offset),
-            NodeId(0, 1): LinearClock(offset_s=-offset),
-        }
+        {NodeId(0, 0): LinearClock(offset_s=offset), NodeId(0, 1): LinearClock(offset_s=-offset)}
     )
-    return Tracer(clocks)
+    tracer = Tracer(clocks)
+    world = World(mc, Placement.block(mc, nprocs), tracer=tracer)
+    world.launch(app)
+    world.run()
+    return tracer
+
+
+def _enter_main_at_5(ctx):
+    yield ctx.sleep(5.0)
+    ctx.enter("main")
 
 
 class TestStamping:
     def test_events_carry_local_not_true_time(self):
-        tracer = _tracer(offset=1.0)
-        slot = _slot()
-        tracer.enter(slot, "main", 5.0)
+        tracer = _traced_run(_enter_main_at_5, offset=1.0)
         event = tracer.buffer(0).events[0]
         assert isinstance(event, EnterEvent)
         assert event.time == pytest.approx(6.0)  # true 5.0 + offset 1.0
 
     def test_different_nodes_different_stamps(self):
-        tracer = _tracer(offset=1.0)
-        tracer.enter(_slot(rank=0, node=0), "main", 5.0)
-        tracer.enter(_slot(rank=1, node=1), "main", 5.0)
+        tracer = _traced_run(_enter_main_at_5, nprocs=2, offset=1.0)
         t0 = tracer.buffer(0).events[0].time
         t1 = tracer.buffer(1).events[0].time
         assert t0 - t1 == pytest.approx(2.0)
 
     def test_regions_interned_across_ranks(self):
-        tracer = _tracer()
-        tracer.enter(_slot(rank=0), "main", 0.0)
-        tracer.enter(_slot(rank=1, node=1), "main", 0.0)
+        tracer = _traced_run(_enter_main_at_5, nprocs=2)
         assert len(tracer.regions) == 1
 
     def test_send_recv_records(self):
-        tracer = _tracer()
-        slot = _slot()
-        tracer.enter(slot, "MPI_Send", 0.0)
-        tracer.send(slot, 0.1, dest_global=3, tag=7, comm_id=0, size=999)
-        tracer.exit(slot, "MPI_Send", 0.2)
-        events = tracer.buffer(0).events
-        assert isinstance(events[1], SendEvent)
-        assert events[1].dest == 3 and events[1].size == 999
+        def app(ctx):
+            if ctx.rank == 0:
+                yield ctx.comm.send(1, 999, tag=7)
+            else:
+                yield ctx.comm.recv(0, 7)
+
+        tracer = _traced_run(app, nprocs=2)
+        send = tracer.buffer(0).events[1]
+        assert isinstance(send, SendEvent)
+        assert send.dest == 1 and send.size == 999
+        recv = tracer.buffer(1).events[1]
+        assert isinstance(recv, RecvEvent)
+        assert recv.source == 0 and recv.tag == 7
 
     def test_coll_exit_record(self):
-        tracer = _tracer()
-        slot = _slot()
-        tracer.enter(slot, "MPI_Barrier", 0.0)
-        tracer.coll_exit(slot, 0.5, "MPI_Barrier", comm_id=0, root_global=0, sent=0, recvd=0)
-        tracer.exit(slot, "MPI_Barrier", 0.5)
-        events = tracer.buffer(0).events
-        assert events[1].root == 0
+        def app(ctx):
+            yield ctx.comm.barrier()
+
+        tracer = _traced_run(app, nprocs=2)
+        events = tracer.buffer(1).events
+        assert len(events) == 3 and events[1].root == 0
 
 
 class TestLifecycle:
+    def _one_region(self, ctx):
+        ctx.enter("m")
+        yield ctx.sleep(1.0)
+        ctx.exit("m")
+
     def test_finalize_creates_empty_buffers(self):
-        tracer = _tracer()
-        tracer.enter(_slot(0), "m", 0.0)
-        tracer.exit(_slot(0), "m", 1.0)
+        tracer = _traced_run(self._one_region)
         tracer.finalize(world_size=2)
         assert tracer.buffer(0).finalized
         assert tracer.buffer(1).finalized
         assert len(tracer.buffer(1)) == 0
 
     def test_require_finalized(self):
-        from repro.errors import TraceError
-
-        tracer = _tracer()
-        tracer.enter(_slot(0), "m", 0.0)
+        tracer = _traced_run(self._one_region)
         with pytest.raises(TraceError):
             tracer.require_finalized()

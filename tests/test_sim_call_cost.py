@@ -22,7 +22,7 @@ import pytest
 
 from repro.clocks.clock import ClockEnsemble, LinearClock
 from repro.instrument.tracer import Tracer
-from repro.sim.mpi import World
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
 

@@ -96,7 +96,7 @@ class TestSplit:
     def test_split_on_foreign_comm_rejected(self, mc):
         import numpy as np
 
-        from repro.sim.mpi import World
+        from repro.sim.world import World
         from repro.topology.metacomputer import Placement
 
         world = World(mc, Placement.block(mc, 3), rng=np.random.default_rng(0))

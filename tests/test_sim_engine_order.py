@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.clocks.clock import ClockEnsemble, LinearClock
 from repro.instrument.tracer import Tracer
 from repro.sim.engine import Engine
-from repro.sim.mpi import World
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
 from repro.trace.buffer import TraceBuffer

@@ -1,7 +1,7 @@
 """Golden simulator runs, engine-event budgets and emit equivalence.
 
 The simulator's contract is the archive: for a seed, every byte of every
-archive file, :class:`~repro.sim.mpi.WorldStats` and the finish time must
+archive file, :class:`~repro.sim.world.WorldStats` and the finish time must
 not move when the simulator's internals do.  The digests below were computed
 at commit ``ca86993`` (the parent of the due-time-handle rewrite) and must
 never be re-pinned by a change that claims to keep behaviour.  Three runs:
@@ -11,9 +11,9 @@ reach (rendezvous ``isend``, ``irecv`` + ``wait``, ``sendrecv``, wildcard
 receives, rooted-collective early release, ``scan``, ``split``, threads).
 
 Beside them: budgets on engine callbacks (one heap entry per thing that
-happens at a distinct time), byte-equality of the world's direct trace emit
-with :class:`~repro.instrument.tracer.Tracer`'s by-slot hooks including every
-buffer rejection, ``wait`` issued before / between / after match and
+happens at a distinct time), byte-equality of the world's trace emit with
+records written by hand (each stamped with its rank's node clock) including
+every buffer rejection, ``wait`` issued before / between / after match and
 completion, and the request-handle bookkeeping rules.
 """
 
@@ -30,15 +30,17 @@ from repro.clocks.clock import ClockEnsemble, LinearClock
 from repro.errors import EncodingError, MPIUsageError, SimulationError, TraceError
 from repro.experiments.configs import scaled_experiment1
 from repro.experiments.faults import escalating_fault_plans
-from repro.ids import ANY_SOURCE, ANY_TAG
+from repro.ids import ANY_SOURCE, ANY_TAG, node_of
 from repro.instrument.tracer import Tracer
-from repro.sim.mpi import RequestHandle, SendReq, World, WorldStats
+from repro.sim.mpi import RequestHandle, SendReq
 from repro.sim.runtime import MetaMPIRuntime
 from repro.sim.transfer import SimParams
+from repro.sim.world import World, WorldStats
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster, uniform_metacomputer
 from repro.trace.buffer import TraceBuffer
 from repro.trace.encoding import block_table
+from repro.trace.regions import RegionRegistry
 from tests.conftest import archive_digest
 
 #: ``Engine.processed_events`` of the 32-rank golden run at the parent.
@@ -325,7 +327,7 @@ class TestEventBudget:
 
 
 # --------------------------------------------------------------------------
-# One encoder, two callers
+# The world's emit against hand-written records
 # --------------------------------------------------------------------------
 
 
@@ -339,54 +341,62 @@ def _skewed_clocks(mc, nprocs):
     )
 
 
+def _stamp(clocks, slot):
+    """What a record of *slot*'s rank is stamped with: its node clock."""
+    return clocks.clock(node_of(slot.location)).local_time
+
+
 class TestEmitEquivalence:
-    def test_direct_emit_equals_by_slot_hooks(self):
-        """The world's emit and the tracer's hooks write the same bytes."""
+    def test_world_emit_equals_hand_written_records(self):
+        """The world writes the bytes of records stamped with each rank's
+        ``LinearClock.local_time`` and region ids from ``RegionRegistry.register``."""
         mc = single_cluster(node_count=2, cpus_per_node=1)
         placement, clocks = _skewed_clocks(mc, 2)
-        script = []  # (hook, slot, args...) in global execution order
+        script = []  # (record, slot, true time, fields...) in global execution order
 
         def app(ctx):
             slot, comm = ctx.slot, ctx.comm
             ctx.enter("user")
-            script.append(("enter", slot, "user", ctx.now))
+            script.append(("enter", slot, ctx.now, "user"))
             yield ctx.compute(0.125)
             if ctx.rank == 0:
-                script.append(("enter", slot, "MPI_Send", ctx.now))
+                script.append(("enter", slot, ctx.now, "MPI_Send"))
                 script.append(("send", slot, ctx.now, 1, 7, 0, 300))
                 yield comm.send(1, 300, tag=7)
-                script.append(("exit", slot, "MPI_Send", ctx.now))
+                script.append(("exit", slot, ctx.now, "MPI_Send"))
             else:
-                script.append(("enter", slot, "MPI_Recv", ctx.now))
+                script.append(("enter", slot, ctx.now, "MPI_Recv"))
                 yield comm.recv(0, 7)
                 script.append(("recv", slot, ctx.now, 0, 7, 0, 300))
-                script.append(("exit", slot, "MPI_Recv", ctx.now))
-            script.append(("enter", slot, "omp", ctx.now))
+                script.append(("exit", slot, ctx.now, "MPI_Recv"))
+            script.append(("enter", slot, ctx.now, "omp"))
             yield ctx.parallel([0.5, 0.25], region="omp")
             script.append(("omp_region", slot, ctx.now, "omp", 2, 0.75, 0.5))
-            script.append(("exit", slot, "omp", ctx.now))
-            script.append(("enter", slot, "MPI_Barrier", ctx.now))
+            script.append(("exit", slot, ctx.now, "omp"))
+            script.append(("enter", slot, ctx.now, "MPI_Barrier"))
             yield comm.barrier()
             script.append(("coll_exit", slot, ctx.now, "MPI_Barrier", 0, 0, 0, 0))
-            script.append(("exit", slot, "MPI_Barrier", ctx.now))
+            script.append(("exit", slot, ctx.now, "MPI_Barrier"))
             ctx.exit("user")
-            script.append(("exit", slot, "user", ctx.now))
+            script.append(("exit", slot, ctx.now, "user"))
 
-        direct = Tracer(clocks)
-        world = World(mc, placement, rng=np.random.default_rng(3), tracer=direct)
+        tracer = Tracer(clocks)
+        world = World(mc, placement, rng=np.random.default_rng(3), tracer=tracer)
         world.launch(app, seed=0)
         world.run()
 
-        hooked = Tracer(clocks)
-        for hook, *args in script:
-            getattr(hooked, hook)(*args)
-        assert hooked.regions.to_list() == direct.regions.to_list()
+        registry, written = RegionRegistry(), {0: TraceBuffer(0), 1: TraceBuffer(1)}
+        for record, slot, time, *fields in script:
+            if record not in ("send", "recv"):  # the first field names a region
+                fields[0] = registry.register(fields[0])
+            getattr(written[slot.rank], record)(_stamp(clocks, slot)(time), *fields)
+        assert registry.to_list() == tracer.regions.to_list()
         for rank in (0, 1):
-            assert len(direct.buffer(rank)) == 11
-            assert hooked.buffer(rank).encoded() == direct.buffer(rank).encoded()
+            assert len(tracer.buffer(rank)) == 11
+            assert written[rank].encoded() == tracer.buffer(rank).encoded()
 
-    # Each rejection, provoked once through the world's emit and once
-    # through the by-slot hook; type and text are the parent's.
+    # Each rejection, provoked once through the world's emit and once by
+    # the same record written by hand; type and text are the parent's.
 
     def _world_error(self, app, prepare=None):
         mc = single_cluster(node_count=1, cpus_per_node=2)
@@ -400,14 +410,16 @@ class TestEmitEquivalence:
             world.run()
         return caught.value
 
-    def _hook_error(self, call, prepare=None):
+    def _record_error(self, call, prepare=None):
+        """*call(buffer, stamp, register)* writes one record of rank 0."""
         mc = single_cluster(node_count=1, cpus_per_node=2)
         placement, clocks = _skewed_clocks(mc, 2)
         tracer = Tracer(clocks)
         if prepare is not None:
             prepare(tracer)
+        stamp = _stamp(clocks, placement.slot(0))
         with pytest.raises(Exception) as caught:
-            call(tracer, placement.slot(0))
+            call(tracer.buffer(0), stamp, tracer.regions.register)
         return caught.value
 
     @staticmethod
@@ -427,7 +439,8 @@ class TestEmitEquivalence:
         self._same(
             [
                 self._world_error(app, ahead),
-                self._hook_error(lambda t, slot: t.enter(slot, "late", 0.0), ahead),
+                self._record_error(lambda buf, stamp, rid: buf.enter(stamp(0.0), rid("late")),
+                                   ahead),
             ],
             TraceError,
             "rank 0: non-monotonic local time stamp 0.25 after 1000.0",
@@ -441,7 +454,9 @@ class TestEmitEquivalence:
         self._same(
             [
                 self._world_error(app),
-                self._hook_error(lambda t, slot: t.exit(slot, "never_entered", 0.0)),
+                self._record_error(
+                    lambda buf, stamp, rid: buf.exit(stamp(0.0), rid("never_entered"))
+                ),
             ],
             TraceError,
             "rank 0: EXIT without matching ENTER",
@@ -461,7 +476,9 @@ class TestEmitEquivalence:
         self._same(
             [
                 self._world_error(app, closed),
-                self._hook_error(lambda t, slot: t.enter(slot, "MPI_Send", 0.0), closed),
+                self._record_error(
+                    lambda buf, stamp, rid: buf.enter(stamp(0.0), rid("MPI_Send")), closed
+                ),
             ],
             TraceError,
             "trace buffer of rank 0 already finalized",
@@ -477,7 +494,7 @@ class TestEmitEquivalence:
 
         errors = [
             self._world_error(app),
-            self._hook_error(lambda t, slot: t.send(slot, 0.0, 1, 2**40, 0, 8)),
+            self._record_error(lambda buf, stamp, rid: buf.send(stamp(0.0), 1, 2**40, 0, 8)),
         ]
         for error in errors:
             assert type(error) is EncodingError

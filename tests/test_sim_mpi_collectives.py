@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, MPIUsageError
-from repro.sim.mpi import CollectiveReq, World
+from repro.sim.mpi import CollectiveReq
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
 from tests.test_sim_mpi_p2p import run_world

@@ -5,8 +5,9 @@ import pytest
 
 from repro.errors import DeadlockError, MPIUsageError
 from repro.ids import ANY_SOURCE, ANY_TAG
-from repro.sim.mpi import Communicator, CommunicatorData, World
+from repro.sim.mpi import Communicator, CommunicatorData
 from repro.sim.transfer import SimParams
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster, uniform_metacomputer
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MPIUsageError, SimulationError
-from repro.sim.mpi import RequestHandle, World
+from repro.sim.mpi import RequestHandle
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
 

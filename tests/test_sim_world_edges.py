@@ -11,8 +11,8 @@ from repro.errors import (
     SimulationError,
 )
 from repro.fs.filesystem import private_namespaces
-from repro.sim.mpi import World
 from repro.sim.runtime import MetaMPIRuntime
+from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
 

@@ -324,7 +324,13 @@ run = MetaMPIRuntime(mc, placement, seed=2).run(
 )
 result = analyze(run, request=AnalysisRequest(bounded=True))
 assert result.cube.metrics()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# VmHWM is this process's own peak (a fresh address space after exec); Linux
+# folds the parent's peak into ru_maxrss, so it is only the fallback.
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
