@@ -149,7 +149,7 @@ class ReplayAnalyzer:
         first_reader = next(iter(self.readers.values()))
         definitions = first_reader.definitions()
         sync_data = first_reader.sync_data()
-        synchronized = self.scheme.convert_all(sync_data)
+        converters = self.scheme.converters(sync_data)
         degraded = self.degraded
 
         callpaths = CallPathRegistry()
@@ -177,7 +177,7 @@ class ReplayAnalyzer:
                     )
                 # Stream the trace: one file read, no materialized event list.
                 trace_bytes[rank], events = reader.stream_trace(rank)
-            converter = synchronized.converters.get(node_of(location))
+            converter = converters.get(node_of(location))
             if converter is None:
                 if not degraded:
                     raise AnalysisError(

@@ -149,7 +149,7 @@ def _replay(
     )
     first_reader = next(iter(readers.values()))
     definitions = first_reader.definitions()
-    converters = scheme.convert_all(first_reader.sync_data()).converters
+    converters = scheme.converters(first_reader.sync_data())
     ranks = sorted(definitions.locations)
     # One snapshot of the world, each rank's blob through its own metahost's
     # reader, cut into *jobs* contiguous shards of about equal blob bytes.

@@ -140,6 +140,8 @@ ROWS: Tuple[Row, ...] = (
     Row("ARC528", "import", ("src/repro/sim/mpi.py",),
         ("repro.sim.engine", "repro.sim.p2p", "repro.sim.world", "repro.sim.runtime",
          "repro.topology.network")),
+    Row("ARC529", "text", (_SRC, "tests/**"),
+        ("true_master_time", "SynchronizedTime", "convert_all", ".to_master(")),
 )
 
 

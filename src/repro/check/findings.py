@@ -83,6 +83,8 @@ RULES: Dict[str, str] = {
     "exactly when it is on the main thread",
     "ARC528": "sim/mpi.py is the application API: it imports no engine, "
     "point-to-point, world, runtime or network module",
+    "ARC529": "a second way to a time base is back: every scheme, ground "
+    "truth included, answers converters(sync_data)",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

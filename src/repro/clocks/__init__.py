@@ -7,7 +7,10 @@ compared in Table 2:
 
 * single flat offset (no drift compensation),
 * two flat offsets + linear interpolation (KOJAK's previous method),
-* two *hierarchical* offsets + linear interpolation (this paper's method).
+* two *hierarchical* offsets + linear interpolation (this paper's method),
+
+and ``GroundTruth``, the exact conversion of a simulated run they are
+scored against.
 """
 
 from repro.exports import lazy_exports
@@ -21,7 +24,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.clocks.sync": (
             "LinearConverter", "SyncData", "NodeSyncRecord", "SyncScheme", "FlatSingleOffset",
-            "FlatInterpolation", "HierarchicalInterpolation", "SCHEMES",
+            "FlatInterpolation", "HierarchicalInterpolation", "GroundTruth", "SCHEMES",
         ),
         "repro.clocks.condition": ("ClockConditionChecker", "count_violations", "MessageStamp"),
     },

@@ -3,7 +3,7 @@
 Post-mortem trace analysis needs all event time stamps expressed in one
 global time base — conventionally the clock of the node hosting rank zero
 ("master time").  Three schemes are implemented, matching the three rows of
-the paper's Table 2:
+the paper's Table 2, plus the truth they are scored against:
 
 ``FlatSingleOffset``
     One offset measurement per node against the master at program start;
@@ -26,6 +26,14 @@ the paper's Table 2:
     inter-metahost correction, so their *relative* offsets only carry
     internal-link error.  If a metahost has a hardware global clock the
     slave step is skipped.
+
+``GroundTruth``
+    The exact conversion, read off a simulated run's clock parameters.
+    Never a Table 2 row: it exists to measure the other three against
+    (Figure 3, and ``analyze(run, scheme=GroundTruth(run.clocks))``).
+
+Every scheme is used the same way: ``scheme.converters(sync_data)`` maps
+each node to a :class:`LinearConverter` into master time.
 """
 
 from __future__ import annotations
@@ -166,25 +174,25 @@ class SyncData:
         except KeyError:
             raise ClockError(f"no synchronization record for node {node}") from None
 
-    def nodes(self) -> List[NodeId]:
-        return sorted(self.records)
+
+def _single(measurement: Optional[OffsetMeasurement]) -> Optional[LinearConverter]:
+    return None if measurement is None else LinearConverter.from_single_offset(measurement)
 
 
-def _interp_or_single(
+def _both(
     start: Optional[OffsetMeasurement], end: Optional[OffsetMeasurement]
 ) -> Optional[LinearConverter]:
-    """Best converter obtainable from whatever measurements survived.
+    """Interpolation between two anchors; ``None`` unless both survived."""
+    if start is None or end is None:
+        return None
+    return LinearConverter.from_interpolation(start, end)
 
-    Interpolation with both anchors, single-offset with one, ``None`` with
-    neither — the degradation ladder non-strict schemes walk down.
-    """
-    if start is not None and end is not None:
-        return LinearConverter.from_interpolation(start, end)
-    if start is not None:
-        return LinearConverter.from_single_offset(start)
-    if end is not None:
-        return LinearConverter.from_single_offset(end)
-    return None
+
+def _fits(
+    start: Optional[OffsetMeasurement], end: Optional[OffsetMeasurement]
+) -> List[LinearConverter]:
+    """Converters obtainable from whatever anchors survived, best first."""
+    return [c for c in (_both(start, end), _single(start), _single(end)) if c is not None]
 
 
 class SyncScheme:
@@ -192,11 +200,11 @@ class SyncScheme:
 
     ``strict`` (the default) raises :class:`~repro.errors.ClockError` on
     missing measurements.  With ``strict=False`` each scheme degrades
-    instead: interpolation falls back to a single offset, the hierarchical
-    scheme falls back to flat measurements for a metahost whose local
-    master is unreachable, and as a last resort a node converts through the
-    identity — degraded-mode replay prefers an imprecise time base over no
-    analysis at all.
+    instead (:meth:`_ladder`): interpolation falls back to a single offset,
+    the hierarchical scheme falls back to flat measurements for a metahost
+    whose local master is unreachable, and as a last resort a node converts
+    through the identity — degraded-mode replay prefers an imprecise time
+    base over no analysis at all.
     """
 
     #: Short identifier used by experiment drivers and Table 2 rows.
@@ -208,77 +216,50 @@ class SyncScheme:
     def converters(self, data: SyncData) -> Dict[NodeId, LinearConverter]:
         raise NotImplementedError
 
-    def convert_all(self, data: SyncData) -> "SynchronizedTime":
-        return SynchronizedTime(self.converters(data))
-
-    def _missing(self, message: str) -> LinearConverter:
-        """Strict: raise; non-strict: last-resort identity conversion."""
+    def _ladder(
+        self,
+        exact: Optional[LinearConverter],
+        message: str,
+        fallbacks: List[LinearConverter],
+    ) -> LinearConverter:
+        """*exact* if it was measured; else raise (strict) or degrade to the
+        first surviving fallback, then the identity."""
+        if exact is not None:
+            return exact
         if self.strict:
             raise ClockError(message)
-        return LinearConverter.identity()
-
-
-@dataclass
-class SynchronizedTime:
-    """Per-node converters bundled with a convenience lookup."""
-
-    converters: Dict[NodeId, LinearConverter]
-
-    def to_master(self, node: NodeId, local: float) -> float:
-        try:
-            return self.converters[node].convert(local)
-        except KeyError:
-            raise ClockError(f"no converter for node {node}") from None
+        return fallbacks[0] if fallbacks else LinearConverter.identity()
 
 
 class FlatSingleOffset(SyncScheme):
     """One start-of-run offset per node, no drift compensation (Table 2 row 1)."""
 
     name = "single-flat-offset"
+    _lacks = "a flat start measurement"
+
+    def _exact(self, rec: NodeSyncRecord) -> Optional[LinearConverter]:
+        return _single(rec.flat_start)
 
     def converters(self, data: SyncData) -> Dict[NodeId, LinearConverter]:
-        out: Dict[NodeId, LinearConverter] = {}
-        for node, rec in data.records.items():
-            if node == data.master_node:
-                out[node] = LinearConverter.identity()
-                continue
-            if rec.flat_start is None:
-                fallback = None if self.strict else _interp_or_single(None, rec.flat_end)
-                if fallback is None:
-                    fallback = self._missing(
-                        f"node {node} lacks a flat start measurement"
-                    )
-                out[node] = fallback
-                continue
-            out[node] = LinearConverter.from_single_offset(rec.flat_start)
-        return out
+        return {
+            node: LinearConverter.identity()
+            if node == data.master_node
+            else self._ladder(
+                self._exact(rec), f"node {node} lacks {self._lacks}",
+                _fits(rec.flat_start, rec.flat_end),
+            )
+            for node, rec in data.records.items()
+        }
 
 
-class FlatInterpolation(SyncScheme):
+class FlatInterpolation(FlatSingleOffset):
     """Two flat offsets + linear interpolation (Table 2 row 2, KOJAK's method)."""
 
     name = "two-flat-offsets"
+    _lacks = "flat start/end measurements"
 
-    def converters(self, data: SyncData) -> Dict[NodeId, LinearConverter]:
-        out: Dict[NodeId, LinearConverter] = {}
-        for node, rec in data.records.items():
-            if node == data.master_node:
-                out[node] = LinearConverter.identity()
-                continue
-            if rec.flat_start is None or rec.flat_end is None:
-                fallback = (
-                    None
-                    if self.strict
-                    else _interp_or_single(rec.flat_start, rec.flat_end)
-                )
-                if fallback is None:
-                    fallback = self._missing(
-                        f"node {node} lacks flat start/end measurements"
-                    )
-                out[node] = fallback
-                continue
-            out[node] = LinearConverter.from_interpolation(rec.flat_start, rec.flat_end)
-        return out
+    def _exact(self, rec: NodeSyncRecord) -> Optional[LinearConverter]:
+        return _both(rec.flat_start, rec.flat_end)
 
 
 class HierarchicalInterpolation(SyncScheme):
@@ -287,39 +268,26 @@ class HierarchicalInterpolation(SyncScheme):
     name = "two-hierarchical-offsets"
 
     def converters(self, data: SyncData) -> Dict[NodeId, LinearConverter]:
-        # First build local-master -> metamaster converters.
+        # First build local-master -> metamaster converters.  An unreachable
+        # local master degrades its whole metahost to whatever survived:
+        # partial metamaster measurements, then its flat measurements.
         meta_conv: Dict[int, LinearConverter] = {}
         for machine, local_master in data.local_masters.items():
             if local_master == data.master_node:
                 meta_conv[machine] = LinearConverter.identity()
                 continue
             rec = data.record(local_master)
-            if rec.meta_start is None or rec.meta_end is None:
-                if self.strict:
-                    raise ClockError(
-                        f"local master {local_master} lacks metamaster measurements"
-                    )
-                # Unreachable local master: degrade the whole metahost to
-                # whatever survived — partial metamaster measurements, then
-                # the local master's flat measurements, then identity.
-                converter = _interp_or_single(rec.meta_start, rec.meta_end)
-                if converter is None:
-                    converter = _interp_or_single(rec.flat_start, rec.flat_end)
-                meta_conv[machine] = (
-                    converter if converter is not None else LinearConverter.identity()
-                )
-                continue
-            meta_conv[machine] = LinearConverter.from_interpolation(
-                rec.meta_start, rec.meta_end
+            meta_conv[machine] = self._ladder(
+                _both(rec.meta_start, rec.meta_end),
+                f"local master {local_master} lacks metamaster measurements",
+                _fits(rec.meta_start, rec.meta_end) + _fits(rec.flat_start, rec.flat_end),
             )
 
         out: Dict[NodeId, LinearConverter] = {}
         for node, rec in data.records.items():
-            machine_converter = meta_conv.get(rec.machine)
-            if machine_converter is None:
-                if self.strict:
-                    raise ClockError(f"machine {rec.machine} has no local master")
-                machine_converter = LinearConverter.identity()
+            machine_converter = self._ladder(
+                meta_conv.get(rec.machine), f"machine {rec.machine} has no local master", []
+            )
             if (
                 node == data.local_masters.get(rec.machine)
                 or rec.machine in data.global_clock_machines
@@ -328,23 +296,44 @@ class HierarchicalInterpolation(SyncScheme):
                 # metahost) convert straight to metamaster time.
                 out[node] = machine_converter
                 continue
-            if rec.local_start is None or rec.local_end is None:
-                if self.strict:
-                    raise ClockError(f"node {node} lacks local-master measurements")
-                # Fall back from the hierarchy to this node's own flat
-                # measurements (the pre-paper scheme), then to the
-                # metahost-level converter alone.
-                local = _interp_or_single(rec.local_start, rec.local_end)
-                if local is not None:
-                    out[node] = local.then(machine_converter)
-                else:
-                    flat = _interp_or_single(rec.flat_start, rec.flat_end)
-                    out[node] = flat if flat is not None else machine_converter
-                continue
-            to_local_master = LinearConverter.from_interpolation(
-                rec.local_start, rec.local_end
+            # A slave missing local-master anchors falls back to a single
+            # local offset, then to its own flat measurements (the pre-paper
+            # scheme), then to the metahost-level converter alone.
+            local = [c.then(machine_converter) for c in _fits(rec.local_start, rec.local_end)]
+            measured = rec.local_start is not None and rec.local_end is not None
+            out[node] = self._ladder(
+                local[0] if measured else None,
+                f"node {node} lacks local-master measurements",
+                local + _fits(rec.flat_start, rec.flat_end) + [machine_converter],
             )
-            out[node] = to_local_master.then(machine_converter)
+        return out
+
+
+class GroundTruth(SyncScheme):
+    """Exact conversion from the simulator's clock parameters.
+
+    Simulated runs only (``RunResult.clocks``) and never a Table 2 row: a
+    real tool cannot read its clocks' offsets and drifts.  It is the truth
+    the three measured schemes are scored against.  A node's local stamp
+    ``offset_n + (1+d_n)*t`` maps to master time
+    ``offset_m + (1+d_m)*t`` by one affine map.
+    """
+
+    name = "ground-truth"
+
+    def __init__(self, clocks: Optional[ClockEnsemble]) -> None:
+        if clocks is None:
+            raise ClockError("no ground-truth clocks: only a simulated run carries them")
+        super().__init__()
+        self.clocks = clocks
+
+    def converters(self, data: SyncData) -> Dict[NodeId, LinearConverter]:
+        master = self.clocks.clock(data.master_node)
+        out: Dict[NodeId, LinearConverter] = {}
+        for node in data.records:
+            clock = self.clocks.clock(node)
+            slope = (1.0 + master.drift) / (1.0 + clock.drift)
+            out[node] = LinearConverter(slope, master.offset_s - slope * clock.offset_s)
         return out
 
 
@@ -494,10 +483,3 @@ def collect_sync_data(
                     rec.meta_end = meta
     return data
 
-
-def true_master_time(
-    clocks: ClockEnsemble, master_node: NodeId, node: NodeId, local: float
-) -> float:
-    """Ground-truth conversion of a local stamp to master time (tests only)."""
-    true_t = clocks.clock(node).true_time(local)
-    return clocks.clock(master_node).local_time(true_t)

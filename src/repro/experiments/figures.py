@@ -36,9 +36,9 @@ from repro.apps.metatrace import make_metatrace_app
 from repro.clocks.clock import LinearClock
 from repro.clocks.sync import (
     FlatInterpolation,
+    GroundTruth,
     HierarchicalInterpolation,
     SyncScheme,
-    true_master_time,
 )
 from repro.errors import ArchiveError, ExperimentError
 from repro.experiments.configs import experiment1, experiment2
@@ -86,16 +86,15 @@ class Figure3Outcome:
 
 
 def run_figure3(run: RunResult, at_fraction: float = 0.5) -> Figure3Outcome:
-    """Compare flat and hierarchical schemes against ground truth.
+    """Compare flat and hierarchical schemes against :class:`GroundTruth`.
 
     For every pair of distinct nodes on the same (non-master) metahost,
     computes the error of the synchronized timestamp *difference* for two
     simultaneous events at mid-run — the quantity whose accuracy decides
-    whether intra-metahost clock conditions hold.
+    whether intra-metahost clock conditions hold.  A run without clocks
+    raises :class:`~repro.errors.ClockError`.
     """
-    if run.clocks is None:
-        raise ExperimentError("run result carries no ground-truth clocks")
-    master = run.placement.slot(0).node
+    truth = GroundTruth(run.clocks).converters(run.sync_data)
     schemes: List[SyncScheme] = [FlatInterpolation(), HierarchicalInterpolation()]
     outcome = Figure3Outcome(pair_errors_us={s.name: [] for s in schemes})
     t = run.stats.finish_time * at_fraction
@@ -105,19 +104,15 @@ def run_figure3(run: RunResult, at_fraction: float = 0.5) -> Figure3Outcome:
         nodes_by_machine.setdefault(node.machine, []).append(node)
 
     for scheme in schemes:
-        synchronized = scheme.convert_all(run.sync_data)
+        estimate = scheme.converters(run.sync_data)
         for machine, nodes in sorted(nodes_by_machine.items()):
             for i, node_a in enumerate(sorted(nodes)):
                 for node_b in sorted(nodes)[i + 1 :]:
                     local_a = run.clocks.clock(node_a).local_time(t)
                     local_b = run.clocks.clock(node_b).local_time(t)
-                    est = synchronized.to_master(node_a, local_a) - synchronized.to_master(
-                        node_b, local_b
-                    )
-                    truth = true_master_time(
-                        run.clocks, master, node_a, local_a
-                    ) - true_master_time(run.clocks, master, node_b, local_b)
-                    outcome.pair_errors_us[scheme.name].append((est - truth) * 1e6)
+                    est = estimate[node_a].convert(local_a) - estimate[node_b].convert(local_b)
+                    true = truth[node_a].convert(local_a) - truth[node_b].convert(local_b)
+                    outcome.pair_errors_us[scheme.name].append((est - true) * 1e6)
     return outcome
 
 

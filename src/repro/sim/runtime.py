@@ -59,7 +59,7 @@ class RunResult:
     archive_outcome: ArchiveManagementOutcome
     definitions: Definitions
     trace_bytes: Dict[int, int] = field(default_factory=dict)
-    #: Ground truth — tests only; real tools never have this.
+    #: Ground truth (``GroundTruth(run.clocks)``); real tools never have this.
     clocks: Optional[ClockEnsemble] = None
     #: Fault plan the run executed under (None / empty plan → clean run)
     #: and what the injector actually did.

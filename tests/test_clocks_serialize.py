@@ -47,11 +47,11 @@ class TestRoundTrip:
     def test_schemes_agree_after_round_trip(self, sync_data):
         restored = sync_data_from_dict(sync_data_to_dict(sync_data))
         for scheme in SCHEMES:
-            original = scheme.convert_all(sync_data)
-            recovered = scheme.convert_all(restored)
+            original = scheme.converters(sync_data)
+            recovered = scheme.converters(restored)
             for node in sync_data.records:
-                assert original.to_master(node, 5.0) == pytest.approx(
-                    recovered.to_master(node, 5.0)
+                assert original[node].convert(5.0) == pytest.approx(
+                    recovered[node].convert(5.0)
                 )
 
     def test_failures_round_trip(self, sync_data):

@@ -8,6 +8,8 @@ The central claims (paper Section 4, validated in Section 5):
   internal-link precision while still aligning metahosts globally.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,12 @@ from repro.clocks.sync import (
     SCHEMES,
     FlatInterpolation,
     FlatSingleOffset,
+    GroundTruth,
     HierarchicalInterpolation,
     LinearConverter,
+    NodeSyncRecord,
     SyncData,
     collect_sync_data,
-    true_master_time,
 )
 from repro.errors import ClockError
 from repro.ids import NodeId
@@ -134,10 +137,9 @@ class _SyncFixture:
         )
 
     def scheme_error_us(self, scheme, node, t):
-        converted = scheme.convert_all(self.data)
         local = self.clocks.clock(node).local_time(t)
-        truth = true_master_time(self.clocks, self.master, node, local)
-        return (converted.to_master(node, local) - truth) * 1e6
+        truth = GroundTruth(self.clocks).converters(self.data)[node].convert(local)
+        return (scheme.converters(self.data)[node].convert(local) - truth) * 1e6
 
     def pair_error_us(self, scheme, node_a, node_b, t):
         """Error of the synchronized *difference* between two nodes."""
@@ -235,8 +237,6 @@ class TestSchemeAccuracy:
 class TestSchemeErrors:
     def test_missing_measurements_raise(self):
         data = SyncData(master_node=NodeId(0, 0), local_masters={0: NodeId(0, 0)})
-        from repro.clocks.sync import NodeSyncRecord
-
         data.records[NodeId(0, 1)] = NodeSyncRecord(node=NodeId(0, 1), machine=0)
         with pytest.raises(ClockError):
             FlatSingleOffset().converters(data)
@@ -247,8 +247,6 @@ class TestSchemeErrors:
 
     def test_non_strict_schemes_degrade_to_identity(self):
         """The fallback ladder's last rung: no measurements at all."""
-        from repro.clocks.sync import NodeSyncRecord
-
         data = SyncData(master_node=NodeId(0, 0), local_masters={0: NodeId(0, 0)})
         node = NodeId(0, 1)
         data.records[node] = NodeSyncRecord(node=node, machine=0)
@@ -276,16 +274,14 @@ class TestSchemeErrors:
         # on the damaged machine stay at internal-link precision.
         for node in fx.nodes[1]:
             assert node in converters
-        synchronized = scheme.convert_all(data)
+        truth = GroundTruth(fx.clocks).converters(data)
         t = 30.0
         a, b = fx.nodes[1][1], fx.nodes[1][2]
         local_a = fx.clocks.clock(a).local_time(t)
         local_b = fx.clocks.clock(b).local_time(t)
-        est = synchronized.to_master(a, local_a) - synchronized.to_master(b, local_b)
-        truth = true_master_time(
-            fx.clocks, fx.master, a, local_a
-        ) - true_master_time(fx.clocks, fx.master, b, local_b)
-        assert abs(est - truth) * 1e6 < 50.0  # microseconds, internal scale
+        est = converters[a].convert(local_a) - converters[b].convert(local_b)
+        true = truth[a].convert(local_a) - truth[b].convert(local_b)
+        assert abs(est - true) * 1e6 < 50.0  # microseconds, internal scale
 
     def test_scheme_names_are_table2_rows(self):
         assert [s.name for s in SCHEMES] == [
@@ -293,6 +289,128 @@ class TestSchemeErrors:
             "two-flat-offsets",
             "two-hierarchical-offsets",
         ]
+
+
+_MASTER, _LM, _SLAVE = NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)
+
+
+def _anchor(offset, at):
+    return _measurement(_SLAVE, _MASTER, offset=offset, at_slave_local=at)
+
+
+# Start/end anchors 100 s apart: every pair yields a real drift fit.
+FS, FE = _anchor(1.0e-3, 1.0), _anchor(1.5e-3, 101.0)
+LS, LE = _anchor(2.0e-5, 1.2), _anchor(3.0e-5, 101.2)
+MS, ME = _anchor(4.0e-4, 1.1), _anchor(7.0e-4, 101.1)
+_LM_FULL = dict(flat_start=FS, flat_end=FE, meta_start=MS, meta_end=ME)
+_single, _interp = LinearConverter.from_single_offset, LinearConverter.from_interpolation
+_IDENTITY = LinearConverter.identity()
+
+#: scheme x which measurements survived -> converter of the node, and the
+#: strict scheme's error (None: the exact converter was measured).  ``lm``
+#: is the record of machine 1's local master; None leaves machine 1 without
+#: one.
+_RUNGS = [
+    ("single-both", FlatSingleOffset, _LM_FULL, _SLAVE, dict(flat_start=FS, flat_end=FE),
+     _single(FS), None),
+    ("single-end-only", FlatSingleOffset, _LM_FULL, _SLAVE, dict(flat_end=FE),
+     _single(FE), "node m1.n1 lacks a flat start measurement"),
+    ("single-none", FlatSingleOffset, _LM_FULL, _SLAVE, {},
+     _IDENTITY, "node m1.n1 lacks a flat start measurement"),
+    ("interp-both", FlatInterpolation, _LM_FULL, _SLAVE, dict(flat_start=FS, flat_end=FE),
+     _interp(FS, FE), None),
+    ("interp-start-only", FlatInterpolation, _LM_FULL, _SLAVE, dict(flat_start=FS),
+     _single(FS), "node m1.n1 lacks flat start/end measurements"),
+    ("interp-end-only", FlatInterpolation, _LM_FULL, _SLAVE, dict(flat_end=FE),
+     _single(FE), "node m1.n1 lacks flat start/end measurements"),
+    ("interp-none", FlatInterpolation, _LM_FULL, _SLAVE, {},
+     _IDENTITY, "node m1.n1 lacks flat start/end measurements"),
+    ("meta-both", HierarchicalInterpolation, _LM_FULL, _LM, dict(local_start=LS, local_end=LE),
+     _interp(MS, ME), None),
+    ("meta-start-only", HierarchicalInterpolation, dict(_LM_FULL, meta_end=None), _LM, {},
+     _single(MS), "local master m1.n0 lacks metamaster measurements"),
+    ("meta-end-only", HierarchicalInterpolation, dict(_LM_FULL, meta_start=None), _LM, {},
+     _single(ME), "local master m1.n0 lacks metamaster measurements"),
+    ("meta-flat-only", HierarchicalInterpolation, dict(flat_start=FS, flat_end=FE), _LM, {},
+     _interp(FS, FE), "local master m1.n0 lacks metamaster measurements"),
+    ("meta-flat-end-only", HierarchicalInterpolation, dict(flat_end=FE), _LM, {},
+     _single(FE), "local master m1.n0 lacks metamaster measurements"),
+    ("meta-none", HierarchicalInterpolation, {}, _LM, {},
+     _IDENTITY, "local master m1.n0 lacks metamaster measurements"),
+    ("slave-local-both", HierarchicalInterpolation, _LM_FULL, _SLAVE,
+     dict(local_start=LS, local_end=LE, flat_start=FS, flat_end=FE),
+     _interp(LS, LE).then(_interp(MS, ME)), None),
+    ("slave-local-start-only", HierarchicalInterpolation, _LM_FULL, _SLAVE,
+     dict(local_start=LS, flat_start=FS, flat_end=FE),
+     _single(LS).then(_interp(MS, ME)), "node m1.n1 lacks local-master measurements"),
+    ("slave-local-end-only", HierarchicalInterpolation, _LM_FULL, _SLAVE,
+     dict(local_end=LE, flat_start=FS, flat_end=FE),
+     _single(LE).then(_interp(MS, ME)), "node m1.n1 lacks local-master measurements"),
+    ("slave-flat-only", HierarchicalInterpolation, _LM_FULL, _SLAVE,
+     dict(flat_start=FS, flat_end=FE),
+     _interp(FS, FE), "node m1.n1 lacks local-master measurements"),
+    ("slave-flat-end-only", HierarchicalInterpolation, _LM_FULL, _SLAVE, dict(flat_end=FE),
+     _single(FE), "node m1.n1 lacks local-master measurements"),
+    ("slave-none", HierarchicalInterpolation, _LM_FULL, _SLAVE, {},
+     _interp(MS, ME), "node m1.n1 lacks local-master measurements"),
+    ("slave-under-flat-master", HierarchicalInterpolation, dict(flat_start=FS, flat_end=FE),
+     _SLAVE, dict(local_start=LS),
+     _single(LS).then(_interp(FS, FE)), "local master m1.n0 lacks metamaster measurements"),
+    ("slave-no-local-master", HierarchicalInterpolation, None, _SLAVE,
+     dict(local_start=LS, local_end=LE),
+     _interp(LS, LE), "machine 1 has no local master"),
+    ("slave-no-local-master-none", HierarchicalInterpolation, None, _SLAVE, {},
+     _IDENTITY, "machine 1 has no local master"),
+]
+
+
+class TestDegradationLadder:
+    """Every rung each scheme walks down, pinned bit for bit."""
+
+    @pytest.mark.parametrize(
+        "scheme, lm, node, slave, expected, strict_error",
+        [case[1:] for case in _RUNGS],
+        ids=[case[0] for case in _RUNGS],
+    )
+    def test_rung(self, scheme, lm, node, slave, expected, strict_error):
+        data = SyncData(
+            master_node=_MASTER,
+            local_masters={0: _MASTER} if lm is None else {0: _MASTER, 1: _LM},
+        )
+        data.records[_MASTER] = NodeSyncRecord(node=_MASTER, machine=0)
+        lm = _LM_FULL if lm is None else lm
+        data.records[_LM] = NodeSyncRecord(node=_LM, machine=1, **lm)
+        data.records[_SLAVE] = NodeSyncRecord(node=_SLAVE, machine=1, **slave)
+        assert scheme(strict=False).converters(data)[node] == expected
+        if strict_error is None:
+            assert scheme().converters(data)[node] == expected
+        else:
+            with pytest.raises(ClockError, match=re.escape(strict_error)):
+                scheme().converters(data)
+
+
+class TestGroundTruth:
+    def test_refuses_a_run_without_clocks(self):
+        with pytest.raises(ClockError, match="no ground-truth clocks"):
+            GroundTruth(None)
+
+    def test_is_not_a_table2_row(self):
+        assert not any(isinstance(s, GroundTruth) for s in SCHEMES)
+
+    def test_master_is_the_identity(self, sync_fixture):
+        fx = sync_fixture
+        converters = GroundTruth(fx.clocks).converters(fx.data)
+        assert converters[fx.master] == LinearConverter.identity()
+        assert set(converters) == set(fx.data.records)
+
+    def test_truth_reads_no_violations(self, table2_outcome):
+        from repro.api import analyze
+
+        run = table2_outcome["run"]
+        result = analyze(run, scheme=GroundTruth(run.clocks))
+        summary = result.violations.summary()
+        assert summary["messages"] > 0
+        assert summary["violations"] == 0
 
 
 class TestGlobalClockMachines:
@@ -304,8 +422,6 @@ class TestGlobalClockMachines:
             local_masters={0: master, 1: NodeId(1, 0)},
             global_clock_machines=frozenset({1}),
         )
-        from repro.clocks.sync import NodeSyncRecord
-
         data.records[master] = NodeSyncRecord(node=master, machine=0)
         lm = NodeSyncRecord(
             node=NodeId(1, 0),

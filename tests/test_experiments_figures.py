@@ -9,6 +9,7 @@ waiting time drops sharply, and the steering Late Sender grows — "now Trace
 mostly waits for Partrace".
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -20,9 +21,9 @@ from repro.analysis.patterns import (
     LATE_SENDER,
     WAIT_AT_BARRIER,
 )
-from repro.api import AnalysisRequest
+from repro.api import AnalysisRequest, run_experiment
 from repro.apps.clockbench import ClockBenchConfig
-from repro.errors import ArchiveError, ExperimentError
+from repro.errors import ArchiveError, ClockError, ExperimentError
 from repro.trace.archive import (
     ArchiveVerification,
     BlockCorruption,
@@ -65,6 +66,33 @@ class TestFigure3:
     def test_flat_errors_exceed_internal_latency(self, table2_outcome):
         outcome = run_figure3(table2_outcome["run"])
         assert outcome.max_abs_us("two-flat-offsets") > 21.5
+
+    def test_clockless_run_is_refused(self, table2_outcome):
+        with pytest.raises(ClockError, match="no ground-truth clocks"):
+            run_figure3(dataclasses.replace(table2_outcome["run"], clocks=None))
+
+
+class TestPinnedText:
+    """The rendered Figure 3 and Table 2, character for character."""
+
+    def test_figure3_seed_1(self):
+        assert run_experiment("figure3", seed=1) == "\n".join([
+            "Figure 3: intra-metahost pairwise synchronization error",
+            "",
+            "two-flat-offsets             mean |err|   18.162 us   max   89.012 us",
+            "two-hierarchical-offsets     mean |err|    0.095 us   max    0.356 us",
+        ])
+
+    def test_table2_seed_7(self):
+        assert run_experiment("table2", seed=7) == "\n".join([
+            "Table 2: number of clock condition violations recognized by the "
+            "parallel analyzer",
+            "",
+            "measurement                   violations  internal  external  messages   paper",
+            "single-flat-offset                   419       419         0      7040    7560",
+            "two-flat-offsets                     107       107         0      7040    2179",
+            "two-hierarchical-offsets               0         0         0      7040       0",
+        ])
 
 
 class TestFigure4:

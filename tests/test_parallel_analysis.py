@@ -634,9 +634,9 @@ class TestShardAddressableReads:
                     ranks=ranks,
                     degraded=True,
                     definitions=run.definitions,
-                    converters=HierarchicalInterpolation(strict=False)
-                    .convert_all(run.reader(0).sync_data())
-                    .converters,
+                    converters=HierarchicalInterpolation(strict=False).converters(
+                        run.reader(0).sync_data()
+                    ),
                     traces=shard,
                 )
             )

@@ -5,9 +5,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocks.clock import LinearClock
+from repro.clocks.clock import ClockEnsemble, LinearClock
 from repro.clocks.measurement import OffsetMeasurement
-from repro.clocks.sync import LinearConverter
+from repro.clocks.sync import GroundTruth, LinearConverter, NodeSyncRecord, SyncData
 from repro.ids import NodeId
 
 finite_times = st.floats(
@@ -109,3 +109,28 @@ class TestConverterProperties:
         # Non-strict: sub-resolution gaps may collapse in float arithmetic.
         if t1 < t2:
             assert c.convert(t1) <= c.convert(t2)
+
+
+class TestGroundTruthProperties:
+    @given(
+        master_offset=offsets,
+        master_drift=drifts,
+        node_offset=offsets,
+        node_drift=drifts,
+        local=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    )
+    def test_converter_inverts_the_node_clock(
+        self, master_offset, master_drift, node_offset, node_drift, local
+    ):
+        master, node = NodeId(0, 0), NodeId(1, 0)
+        clocks = ClockEnsemble({
+            master: LinearClock(master_offset, master_drift),
+            node: LinearClock(node_offset, node_drift),
+        })
+        data = SyncData(master_node=master, local_masters={0: master, 1: node})
+        for n in (master, node):
+            data.records[n] = NodeSyncRecord(node=n, machine=n.machine)
+        converters = GroundTruth(clocks).converters(data)
+        expected = clocks.clock(master).local_time(clocks.clock(node).true_time(local))
+        assert math.isclose(converters[node].convert(local), expected, abs_tol=1e-9)
+        assert converters[master].convert(local) == local
