@@ -9,14 +9,14 @@ keeps intra-metahost alignment at internal-link precision.
 import numpy as np
 
 from repro.experiments.figures import run_figure3
-from repro.experiments.table2 import run_table2
+from repro.experiments.table2 import simulate_table2
 
 from benchmarks.conftest import write_artifact
 
 
 def test_figure3_intra_metahost_alignment(benchmark, artifact_dir):
     def workload():
-        _rows, run, _analyses = run_table2(seed=7)
+        run = simulate_table2(seed=7)
         return run, run_figure3(run)
 
     run, outcome = benchmark.pedantic(workload, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ across the call tree" (paper Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import AnalysisError
 from repro.trace.regions import RegionRegistry
@@ -80,20 +80,6 @@ class CallPathRegistry:
     def render(self, cpid: int, regions: RegionRegistry, sep: str = "/") -> str:
         """Human-readable path string such as ``main/cgiteration/MPI_Recv``."""
         return sep.join(regions.name_of(r) for r in self.frames(cpid))
-
-    def find(self, regions: RegionRegistry, *names: str) -> Optional[int]:
-        """cpid of the exact path given by region *names*, or None."""
-        cpid = ROOT_PATH
-        for name in names:
-            if name not in regions:
-                return None
-            region = regions.id_of(name)
-            key = (cpid, region)
-            nxt = self._index.get(key)
-            if nxt is None:
-                return None
-            cpid = nxt
-        return None if cpid == ROOT_PATH else cpid
 
     def all_paths(self) -> List[CallPath]:
         return list(self._paths)

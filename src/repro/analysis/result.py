@@ -97,13 +97,6 @@ class GridPairBreakdown:
             for (causer, waiter), value in self.data.get(metric, {}).items()
         }
 
-    def top_pair(self, metric: str) -> Tuple[MachinePair, float]:
-        by_pair = self.data.get(metric, {})
-        if not by_pair:
-            return ((-1, -1), 0.0)
-        key = max(by_pair, key=by_pair.get)  # type: ignore[arg-type]
-        return key, by_pair[key]
-
 
 @dataclass(frozen=True)
 class RankCompleteness:
@@ -272,13 +265,6 @@ class AnalysisResult:
             (self.callpaths.render(cpid, self.definitions.regions), value)
             for cpid, value in self.cube.top_callpaths(metric, n)
         ]
-
-    def callpath_value(self, metric: str, *names: str) -> float:
-        """Metric value at the exact call path given by region names."""
-        cpid = self.callpaths.find(self.definitions.regions, *names)
-        if cpid is None:
-            return 0.0
-        return self._by_callpath(metric).get(cpid, 0.0)
 
     @property
     def analyzed_ranks(self) -> List[int]:

@@ -53,16 +53,6 @@ class CommMatrix:
         ranked = sorted(self.bytes_sent.items(), key=lambda kv: kv[1], reverse=True)
         return ranked[:n]
 
-    def partners_of(self, rank: int) -> List[int]:
-        """Ranks this rank exchanged messages with (either direction)."""
-        out = set()
-        for src, dst in self.messages:
-            if src == rank:
-                out.add(dst)
-            elif dst == rank:
-                out.add(src)
-        return sorted(out)
-
 
 @dataclass
 class SizeHistogram:

@@ -187,12 +187,11 @@ def _run_figure3(seed: int, request: AnalysisRequest, journal, deadline) -> str:
     import numpy as np
 
     from repro.experiments.figures import run_figure3
-    from repro.experiments.table2 import run_table2
+    from repro.experiments.table2 import simulate_table2
 
-    # No journal here: figure3 needs the live RunResult, which a
-    # journal-satisfied table2 cell would not recompute.
-    _rows, run, _analyses = run_table2(seed=seed, request=request, deadline=deadline)
-    outcome = run_figure3(run)
+    # Figure 3 needs only the run's clocks and offset measurements: no
+    # analysis, so neither a journal nor the deadline has a cell to cut.
+    outcome = run_figure3(simulate_table2(seed=seed, request=request))
     lines = ["Figure 3: intra-metahost pairwise synchronization error", ""]
     for scheme, errors in outcome.pair_errors_us.items():
         abs_err = [abs(e) for e in errors]

@@ -73,12 +73,6 @@ class CartesianDecomposition:
             raise ConfigurationError(f"rank {rank} outside decomposition")
         return self.coords[rank]
 
-    def rank_at(self, coord: Coord) -> int:
-        try:
-            return self.coords.index(coord)
-        except ValueError:
-            raise ConfigurationError(f"no rank at coordinate {coord}") from None
-
     def neighbors(self, rank: int) -> List[Tuple[int, int, int]]:
         """``(dimension, direction, neighbor_rank)`` for all existing neighbors.
 

@@ -93,28 +93,3 @@ def make_nxn_imbalance_app(
                     yield ctx.comm.allreduce(payload_bytes)
 
     return app
-
-
-def make_master_worker_app(
-    work_of_rank: Dict[int, float],
-    chunk_bytes: int = 2048,
-    rounds: int = 1,
-):
-    """Rank 0 collects one message per worker per round (Late Sender mix)."""
-    if rounds < 1:
-        raise ConfigurationError("need at least one round")
-
-    def app(ctx):
-        with ctx.region("main"):
-            for _ in range(rounds):
-                if ctx.rank == 0:
-                    with ctx.region("collect"):
-                        for _ in range(ctx.size - 1):
-                            yield ctx.comm.recv()
-                else:
-                    with ctx.region("produce"):
-                        yield ctx.compute(work_of_rank.get(ctx.rank, 0.0))
-                        yield ctx.comm.send(0, chunk_bytes, tag=9)
-        yield ctx.comm.barrier()
-
-    return app

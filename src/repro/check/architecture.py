@@ -142,6 +142,7 @@ ROWS: Tuple[Row, ...] = (
          "repro.topology.network")),
     Row("ARC529", "text", (_SRC, "tests/**"),
         ("true_master_time", "SynchronizedTime", "convert_all", ".to_master(")),
+    Row("ARC530", "text", (_SRC, "tests/**"), ("repro.instrument", "Tracer(")),
 )
 
 

@@ -45,7 +45,6 @@ RESULT_PACKAGES = frozenset(
         "faults",
         "apps",
         "experiments",
-        "instrument",
         "fs",
     }
 )

@@ -85,6 +85,8 @@ RULES: Dict[str, str] = {
     "point-to-point, world, runtime or network module",
     "ARC529": "a second way to a time base is back: every scheme, ground "
     "truth included, answers converters(sync_data)",
+    "ARC530": "the tracing layer is back: World(clocks=...) keeps the region "
+    "table and the per-rank buffers itself",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

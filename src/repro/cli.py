@@ -58,7 +58,7 @@ from repro.analysis.request import (
 from repro.errors import CheckpointLockError, PoolShutdown, ReproError
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.service.app import ServiceConfig
-from repro.service.store import DONE, TERMINAL
+from repro.service.store import DONE, TERMINAL, job_records
 
 #: Default on-disk location of the ``--resume`` checkpoint journal.
 DEFAULT_JOURNAL = ".repro-checkpoint.jsonl"
@@ -539,19 +539,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         # Offline listing reads the journal directly; a plain (lazy-lock)
         # journal never takes the writer lock for reads, so this works
         # while a service owns the store.
-        from repro.service.store import JobRecord
-
-        journal = CheckpointJournal(args.store)
-        summaries = []
-        for canon, payload in journal.cells().items():
-            cell = json.loads(canon)
-            if not (isinstance(cell, dict) and "job" in cell):
-                continue
-            try:
-                summaries.append(JobRecord.from_payload(payload).summary())
-            except (KeyError, TypeError, ValueError):
-                continue
-        summaries.sort(key=lambda s: s["seq"])
+        summaries = [r.summary() for r in job_records(CheckpointJournal(args.store))]
     else:
         try:
             status, body = _http_json("GET", f"{args.url}/jobs")

@@ -52,6 +52,27 @@ def default_benchmark() -> ClockBenchConfig:
     )
 
 
+def simulate_table2(
+    seed: int = 7,
+    config: Optional[ClockBenchConfig] = None,
+    nodes_per_metahost: int = 4,
+    clock_drift_scale: float = 3e-6,
+    request: Optional[AnalysisRequest] = None,
+) -> RunResult:
+    """The benchmark's one traced run, not analyzed (Figure 3 reads its
+    clocks); ``request.verify_archive`` raises on damaged archives."""
+    metacomputer = viola_testbed()
+    counts = [(host, nodes_per_metahost, 1) for host in (FZJ_XD1, FH_BRS, CAESAR)]
+    placement = Placement.from_counts(metacomputer, counts)
+    runtime = MetaMPIRuntime(
+        metacomputer, placement, seed=seed, clock_drift_scale=clock_drift_scale
+    )
+    run = runtime.run(make_clockbench_app(config or default_benchmark()))
+    if request is not None and request.verify_archive:
+        raise_on_damage("table2", verify_archives(run))
+    return run
+
+
 def run_table2(
     seed: int = 7,
     config: Optional[ClockBenchConfig] = None,
@@ -63,37 +84,19 @@ def run_table2(
 ) -> Tuple[List[Table2Row], RunResult, Dict[str, AnalysisResult]]:
     """Regenerate Table 2.
 
-    One traced run; three analyses of its archive, one per scheme — exactly
-    how the paper's comparison works.
+    One traced run (:func:`simulate_table2`); three analyses of its
+    archive, one per scheme — exactly how the paper's comparison works.
 
     With a ``journal``, each per-scheme analysis is a resumable cell: an
     interrupted sweep rerun with the same journal skips the schemes it
     already finished (their rows are rebuilt from the journal; ``analyses``
     then lacks those schemes).  ``request`` describes every analysis as
     in :func:`repro.api.analyze`; its ``verify_archive`` checksum-verifies
-    the run's archives first and raises
-    :class:`~repro.errors.ArchiveError` on damage.
+    the run's archives first and raises on damage.
     """
     config = config or default_benchmark()
-    metacomputer = viola_testbed()
-    placement = Placement.from_counts(
-        metacomputer,
-        [
-            (FZJ_XD1, nodes_per_metahost, 1),
-            (FH_BRS, nodes_per_metahost, 1),
-            (CAESAR, nodes_per_metahost, 1),
-        ],
-    )
-    runtime = MetaMPIRuntime(
-        metacomputer,
-        placement,
-        seed=seed,
-        clock_drift_scale=clock_drift_scale,
-    )
-    run = runtime.run(make_clockbench_app(config))
+    run = simulate_table2(seed, config, nodes_per_metahost, clock_drift_scale, request)
     request = request or AnalysisRequest()
-    if request.verify_archive:
-        raise_on_damage("table2", verify_archives(run))
 
     rows: List[Table2Row] = []
     analyses: Dict[str, AnalysisResult] = {}

@@ -182,13 +182,6 @@ class MountNamespace:
     def list_dir(self, path: str) -> List[str]:
         return self.resolve(path).list_dir(path)
 
-    def shares_storage_with(self, other: "MountNamespace", path: str) -> bool:
-        """True when *path* resolves to the same file system in both namespaces."""
-        try:
-            return self.resolve(path) is other.resolve(path)
-        except FileSystemError:
-            return False
-
 
 def private_namespaces(
     machine_names: List[str], mount_point: str = "/work"

@@ -113,11 +113,6 @@ class ProgramSkeleton:
     def world_size(self) -> int:
         return len(self.actions)
 
-    def compute_seconds(self, rank: int) -> float:
-        return sum(
-            a.seconds for a in self.actions.get(rank, []) if isinstance(a, ComputeAction)
-        )
-
 
 def invert_bytes_moved(
     op: str, sent: int, recvd: int, nprocs: int, is_root: bool

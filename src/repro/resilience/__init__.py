@@ -12,7 +12,7 @@ from repro.exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.resilience.checkpoint": ("CheckpointJournal", "open_journal"),
+        "repro.resilience.checkpoint": ("CheckpointJournal",),
         "repro.resilience.deadline": ("Deadline",),
         "repro.resilience.pool": (
             "ExecutionReport", "PoolConfig", "SupervisedPool", "TaskExecution",

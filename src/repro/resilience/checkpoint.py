@@ -284,8 +284,3 @@ class CheckpointJournal:
             raise CheckpointError(f"cannot write journal {self.path}: {exc}") from exc
         self._line_bytes = sizes
         self._live_bytes = self._file_bytes = sum(sizes.values())
-
-
-def open_journal(path: Optional[str], *, exclusive: bool = False) -> Optional[CheckpointJournal]:
-    """``None``-propagating constructor for optional-journal call sites."""
-    return CheckpointJournal(path, exclusive=exclusive) if path else None

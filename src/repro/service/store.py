@@ -296,6 +296,20 @@ class JobRecord:
         }
 
 
+def job_records(journal: CheckpointJournal) -> List[JobRecord]:
+    """Every job in *journal*, in submission order (reads take no lock)."""
+    records = []
+    for canon, payload in journal.cells().items():
+        cell = json.loads(canon)
+        if not (isinstance(cell, dict) and "job" in cell):
+            continue  # foreign cell (shared path misuse); leave it alone
+        try:
+            records.append(JobRecord.from_payload(payload))
+        except (KeyError, TypeError, ValueError):
+            continue  # damaged payload degrades to "job unknown"
+    return sorted(records, key=lambda r: r.seq)
+
+
 class JobStore:
     """Journal-backed map of job key → :class:`JobRecord`.
 
@@ -308,19 +322,9 @@ class JobStore:
 
     def __init__(self, path: str) -> None:
         self._journal = CheckpointJournal(path, exclusive=True)
-        self._records: Dict[str, JobRecord] = {}
-        for canon, payload in self._journal.cells().items():
-            try:
-                cell = json.loads(canon)
-            except ValueError:  # pragma: no cover - journal guarantees JSON keys
-                continue
-            if not (isinstance(cell, dict) and "job" in cell):
-                continue  # foreign cell (shared path misuse); leave it alone
-            try:
-                record = JobRecord.from_payload(payload)
-            except (KeyError, TypeError, ValueError):
-                continue  # damaged payload degrades to "job unknown"
-            self._records[record.key] = record
+        self._records: Dict[str, JobRecord] = {
+            record.key: record for record in job_records(self._journal)
+        }
         self._last_seq = max((r.seq for r in self._records.values()), default=0)
 
     @property

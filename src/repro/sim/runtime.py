@@ -5,8 +5,9 @@ way the paper's extended SCALASCA runtime does:
 
 1. identify each process's metahost (the two environment variables of
    Section 4 are set per rank by the world);
-2. run the instrumented application on the simulated metacomputer, writing
-   node-local-clock event records into per-process buffers;
+2. run the instrumented application on a ``World`` given the run's
+   ``clocks``: it writes node-local-clock event records into its
+   ``buffers`` (one per rank) and region names into its ``regions``;
 3. perform clock-offset measurements at program start and end — flat
    (slave ↔ master) and hierarchical (slave ↔ local master ↔ metamaster)
    rounds, so the post-mortem analysis can apply any of the three schemes;
@@ -36,7 +37,6 @@ from repro.faults.plan import FaultPlan
 from repro.fs.filesystem import MountNamespace, private_namespaces
 from repro.fs.manager import ArchiveManagementOutcome, ensure_archives
 from repro.ids import NodeId
-from repro.instrument.tracer import Tracer
 from repro.sim.process import AppGenerator
 from repro.sim.transfer import SimParams
 from repro.sim.world import World, WorldStats
@@ -221,20 +221,20 @@ class MetaMPIRuntime:
     def run(self, app: Callable[..., AppGenerator]) -> RunResult:
         """Execute *app*, write archives, return the run record."""
         injector = self.fault_injector
-        tracer = Tracer(self.clocks)
         world = World(
             self.metacomputer,
             self.placement,
             params=self.params,
             rng=self._rng,
-            tracer=tracer,
+            clocks=self.clocks,
             fault_injector=injector,
         )
         for name, ranks in self.subcomms.items():
             world.new_communicator(name, ranks)
         world.launch(app, seed=self.seed)
         stats = world.run()
-        tracer.finalize(self.placement.size)
+        for buffer in world.buffers.values():
+            buffer.finalize()
 
         master_node = self.placement.slot(0).node
         sync_data = collect_sync_data(
@@ -268,7 +268,7 @@ class MetaMPIRuntime:
             locations={
                 slot.rank: slot.location for slot in self.placement.slots
             },
-            regions=tracer.regions,
+            regions=world.regions,
             communicators={
                 data.id: (data.name, data.global_ranks)
                 for data in world.all_communicators()
@@ -288,7 +288,7 @@ class MetaMPIRuntime:
                 # the pristine encoding; an injector's damage models storage
                 # corrupting the bytes *after* they were checksummed, so
                 # verify() can catch it.
-                buffer = tracer.buffer(rank)
+                buffer = world.buffers[rank]
                 clean = buffer.encoded()
                 blob = clean if injector is None else injector.mangle_trace(rank, clean)
                 trace_bytes[rank] = writer.write_trace_blob(rank, blob, buffer.blocks())

@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.clocks.clock import ClockEnsemble
 from repro.errors import DeadlockError, MPIUsageError, ReproError, SimulationError
 from repro.ids import node_of
 from repro.sim import collectives as coll
@@ -39,6 +40,8 @@ from repro.sim.process import AppGenerator, SimProcess
 from repro.sim.transfer import SimParams
 from repro.topology.metacomputer import Metacomputer, Placement
 from repro.topology.network import ExponentialJitterStream
+from repro.trace.buffer import TraceBuffer
+from repro.trace.regions import RegionRegistry
 
 
 @dataclass(slots=True)
@@ -99,10 +102,11 @@ class World(PointToPoint):
         MPI timing constants.
     rng:
         Single generator used for every latency draw (reproducibility).
-    tracer:
-        Optional :class:`~repro.instrument.tracer.Tracer`: the world takes
-        each rank's buffer, its node clock and the region registry from it
-        and writes every trace record itself; ``None`` disables tracing.
+    clocks:
+        Optional node clocks: the world then writes every trace record,
+        stamped with its rank's node clock, into ``buffers`` (rank →
+        :class:`~repro.trace.buffer.TraceBuffer`), interning region names
+        in ``regions``; ``None`` disables tracing.
     fault_injector:
         Optional :class:`~repro.faults.FaultInjector`; when set, every
         network delay consults it for outage/loss/degradation effects and
@@ -116,7 +120,7 @@ class World(PointToPoint):
         placement: Placement,
         params: SimParams = SimParams(),
         rng: Optional[np.random.Generator] = None,
-        tracer: Any = None,
+        clocks: Optional[ClockEnsemble] = None,
         max_events: int = 50_000_000,
         fault_injector: Any = None,
     ) -> None:
@@ -127,7 +131,7 @@ class World(PointToPoint):
         self.placement = placement
         self.params = params
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.tracer = tracer
+        self.clocks = clocks
         self.max_events = max_events
         self.fault_injector = fault_injector
         self.engine = Engine()
@@ -148,7 +152,9 @@ class World(PointToPoint):
         # Hot-path caches of immutable run state (communicator membership,
         # first-use order of region names): they change no trace byte.
         self._comm_costs: Dict[int, Tuple[float, float]] = {}
-        self._region_ids = _RegionIds(tracer.regions) if tracer is not None else {}
+        self.regions = RegionRegistry()
+        self.buffers: Dict[int, TraceBuffer] = {}
+        self._region_ids = _RegionIds(self.regions) if clocks is not None else {}
         self._handlers: Dict[type, Callable[[SimProcess, Any], None]] = {
             ComputeReq: self._do_compute,
             SendReq: self._do_send,
@@ -210,14 +216,13 @@ class World(PointToPoint):
             }
             ctx = Context(self, slot, env, np.random.default_rng((seed, slot.rank)))
             proc = ctx._proc = SimProcess(slot, app(ctx))
-            if self.tracer is not None:
+            if self.clocks is not None:
                 # What a record needs, resolved once per rank: the buffer
                 # and the node clock as ``offset + rate * true_time`` —
                 # the arithmetic of ``LinearClock.local_time``, bit for bit.
-                clock = self.tracer.clocks.clock(node_of(slot.location))
-                proc.trace = (
-                    self.tracer.buffer(slot.rank), clock.offset_s, 1.0 + clock.drift
-                )
+                clock = self.clocks.clock(node_of(slot.location))
+                buffer = self.buffers[slot.rank] = TraceBuffer(slot.rank)
+                proc.trace = (buffer, clock.offset_s, 1.0 + clock.drift)
             self._procs[slot.rank] = proc
         for proc in self._procs.values():
             self.engine.call_later(0.0, self._advance, proc)

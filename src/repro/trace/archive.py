@@ -132,14 +132,6 @@ class TraceManifestEntry:
     size: int
     blocks: Tuple[Tuple[int, int, int], ...]
 
-    @classmethod
-    def for_blob(cls, rank: int, blob: bytes) -> "TraceManifestEntry":
-        return cls(
-            rank=rank,
-            size=len(blob),
-            blocks=tuple(block_table(blob)),
-        )
-
 
 @dataclass
 class ArchiveManifest:

@@ -191,7 +191,3 @@ class TraceBuffer:
                 f"rank {self.rank}: {self._depth} unclosed regions at trace end"
             )
         self._finalized = True
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized

@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.figures import run_metatrace_experiment
 from repro.experiments.table2 import run_table2
 from repro.sim.runtime import MetaMPIRuntime
@@ -40,6 +41,31 @@ def run_app(metacomputer, nprocs, app, seed=0, **runtime_kwargs):
     placement = Placement.block(metacomputer, nprocs)
     runtime = MetaMPIRuntime(metacomputer, placement, seed=seed, **runtime_kwargs)
     return runtime.run(app)
+
+
+def make_master_worker_app(
+    work_of_rank,
+    chunk_bytes=2048,
+    rounds=1,
+):
+    """Rank 0 collects one message per worker per round (Late Sender mix)."""
+    if rounds < 1:
+        raise ConfigurationError("need at least one round")
+
+    def app(ctx):
+        with ctx.region("main"):
+            for _ in range(rounds):
+                if ctx.rank == 0:
+                    with ctx.region("collect"):
+                        for _ in range(ctx.size - 1):
+                            yield ctx.comm.recv()
+                else:
+                    with ctx.region("produce"):
+                        yield ctx.compute(work_of_rank.get(ctx.rank, 0.0))
+                        yield ctx.comm.send(0, chunk_bytes, tag=9)
+        yield ctx.comm.barrier()
+
+    return app
 
 
 def archive_digest(run):

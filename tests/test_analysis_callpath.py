@@ -54,15 +54,6 @@ class TestRegistry:
         b = reg.intern(a, regions.id_of("solve"))
         assert reg.render(b, regions) == "main/solve"
 
-    def test_find(self, regions):
-        reg = CallPathRegistry()
-        a = reg.intern(ROOT_PATH, regions.id_of("main"))
-        b = reg.intern(a, regions.id_of("MPI_Recv"))
-        assert reg.find(regions, "main", "MPI_Recv") == b
-        assert reg.find(regions, "main") == a
-        assert reg.find(regions, "solve") is None
-        assert reg.find(regions, "unknown-region") is None
-
     def test_unknown_cpid_raises(self):
         with pytest.raises(AnalysisError):
             CallPathRegistry().path(0)

@@ -31,13 +31,6 @@ class TestBreakdownAccumulator:
         named = b.named("m", ["alpha", "beta"])
         assert named == {("alpha", "beta"): 1.0}
 
-    def test_top_pair(self):
-        b = GridPairBreakdown()
-        b.add("m", 0, 1, 1.0)
-        b.add("m", 2, 1, 3.0)
-        assert b.top_pair("m") == ((2, 1), 3.0)
-        assert b.top_pair("missing") == ((-1, -1), 0.0)
-
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
@@ -78,7 +71,7 @@ class TestEndToEnd:
         work = {0: 0.01, 1: 0.2, 2: 0.01, 3: 0.01}
         result = analyze(run_app(mc, 4, make_imbalance_app(work), seed=9))
         pairs = result.grid_pairs.pairs(GRID_LATE_SENDER)
-        top_pair, value = result.grid_pairs.top_pair(GRID_LATE_SENDER)
+        top_pair, value = max(pairs.items(), key=lambda kv: kv[1])
         assert top_pair == (0, 1)  # metahost 0 causes metahost 1 to wait
         assert value > 0.15
 

@@ -10,13 +10,13 @@ from repro.analysis.stats import (
     statistics_of,
 )
 from repro.api import analyze
-from repro.apps.imbalance import make_imbalance_app, make_master_worker_app
+from repro.apps.imbalance import make_imbalance_app
 from repro.errors import AnalysisError, ReportError
 from repro.predict.skeleton import CollectiveAction, SendrecvAction, skeleton_from_run
 from repro.report.timeline import render_result_timeline
 from repro.topology.presets import single_cluster, uniform_metacomputer
 
-from tests.conftest import run_app
+from tests.conftest import make_master_worker_app, run_app
 
 
 class TestCommMatrix:
@@ -37,13 +37,6 @@ class TestCommMatrix:
         matrix.add(0, 1, 10, False)
         matrix.add(2, 3, 100, False)
         assert matrix.heaviest_pairs(1) == [((2, 3), 100)]
-
-    def test_partners(self):
-        matrix = CommMatrix()
-        matrix.add(0, 1, 10, False)
-        matrix.add(2, 0, 10, False)
-        assert matrix.partners_of(0) == [1, 2]
-        assert matrix.partners_of(3) == []
 
 
 class TestSizeHistogram:
@@ -116,7 +109,7 @@ class TestEndToEndStatistics:
         stats = statistics_of(analyze(run))
         # All traffic flows into rank 0.
         assert all(dst == 0 for (_src, dst) in stats.comm.bytes_sent)
-        assert stats.comm.partners_of(0) == [1, 2, 3]
+        assert {src for (src, _dst) in stats.comm.bytes_sent} == {1, 2, 3}
 
 
 class TestBoundedResult:

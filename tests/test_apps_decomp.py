@@ -19,7 +19,7 @@ class TestBuild:
         coords = [(1, 0, 0), (0, 0, 0)]
         d = CartesianDecomposition.build((2, 1, 1), coords)
         assert d.coord(0) == (1, 0, 0)
-        assert d.rank_at((0, 0, 0)) == 1
+        assert d.coord(1) == (0, 0, 0)
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ConfigurationError):
@@ -41,12 +41,12 @@ class TestBuild:
 class TestNeighbors:
     def test_interior_rank_has_six_neighbors(self):
         d = CartesianDecomposition.build((3, 3, 3))
-        center = d.rank_at((1, 1, 1))
+        center = d.coords.index((1, 1, 1))
         assert len(d.neighbors(center)) == 6
 
     def test_corner_rank_has_three_neighbors(self):
         d = CartesianDecomposition.build((3, 3, 3))
-        corner = d.rank_at((0, 0, 0))
+        corner = d.coords.index((0, 0, 0))
         assert len(d.neighbors(corner)) == 3
 
     def test_neighborhood_is_symmetric(self):
@@ -70,8 +70,6 @@ class TestNeighbors:
         d = CartesianDecomposition.build((2, 1, 1))
         with pytest.raises(ConfigurationError):
             d.coord(5)
-        with pytest.raises(ConfigurationError):
-            d.rank_at((9, 9, 9))
 
 
 class TestInterleavedMapping:

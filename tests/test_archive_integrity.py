@@ -50,6 +50,11 @@ NPROCS = 4
 _CACHE = {}
 
 
+def _entry(rank: int, blob: bytes) -> TraceManifestEntry:
+    """The manifest entry a writer records for *blob*."""
+    return TraceManifestEntry(rank, len(blob), tuple(block_table(blob)))
+
+
 def _events(n: int = 400):
     events = [EnterEvent(0.0, 0)]
     for i in range(n):
@@ -116,7 +121,7 @@ class TestManifest:
     def test_json_round_trip(self):
         manifest = ArchiveManifest()
         blob = _blob()
-        manifest.entries[3] = TraceManifestEntry.for_blob(3, blob)
+        manifest.entries[3] = _entry(3, blob)
         restored = ArchiveManifest.from_json(manifest.to_json())
         assert restored.entries == manifest.entries
 
@@ -145,7 +150,7 @@ class TestManifest:
         phase walks from their starts.  (A block ``[-4, 4, 0]`` used to be
         read, and salvage then reported ``bytes_decoded = -4``.)"""
         manifest = ArchiveManifest()
-        manifest.entries[0] = TraceManifestEntry.for_blob(0, _blob(2000))
+        manifest.entries[0] = _entry(0, _blob(2000))
         document = json.loads(manifest.to_json())
         blocks = document["traces"]["0"]["blocks"]
         assert len(blocks) >= 3
@@ -284,7 +289,7 @@ class TestSalvageChecked:
         # A flipped payload byte that the codec parses fine: plain salvage
         # calls the trace complete; the checksum must contradict it.
         blob = _blob(400)
-        entry = TraceManifestEntry.for_blob(0, blob)
+        entry = _entry(0, blob)
         damaged = bytearray(blob)
         damaged[HEADER_SIZE + 4] ^= 0x01  # inside the first record's payload
         plain = salvage_events(bytes(damaged))
@@ -297,14 +302,14 @@ class TestSalvageChecked:
 
     def test_clean_blob_stays_complete(self):
         blob = _blob(100)
-        entry = TraceManifestEntry.for_blob(0, blob)
+        entry = _entry(0, blob)
         checked = salvage_checked(blob, entry)
         assert checked.complete
         assert checked.error == ""
 
     def test_truncated_blob_reports_manifest_size(self):
         blob = _blob(400)
-        entry = TraceManifestEntry.for_blob(0, blob)
+        entry = _entry(0, blob)
         cut = block_table(blob)[0][1]  # exactly the first block: clean cut
         checked = salvage_checked(blob[:cut], entry)
         assert checked.bytes_total == len(blob)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -693,3 +695,61 @@ def test_repository_files_keep_the_architecture_rules():
             text = handle.read().decode("utf-8", errors="replace")
         findings += [f"{f.location()}: {f.rule} {f.message}" for f in check_file(path, text)]
     assert findings == []
+
+
+#: Public functions and methods of ``src/repro`` that only the tests call,
+#: each kept on purpose.  Any other public name must have a caller (or a
+#: mention) in ``src/``, ``benchmarks/``, ``examples/`` or ``docs/``.
+TEST_ONLY = {
+    "slack_s": "a stamp's receive-minus-send gap: the clock condition as a number",
+    "crosses_nodes": "whether a stamped message left its node, for the violation split",
+    "error_s": "an offset measurement's signed error against the true offset",
+    "creation_attempts": "how often the archive protocol tried to create a directory",
+    "is_metacomputing": "the paper's definition: more than one machine",
+    "ranks_on_machine": "a placement's ranks on one machine, for placement layouts",
+    "processed_events": "the engine's callback count behind the event budgets",
+    "write_trace": "object-wise archive write; leaves src/ with the object-wise decode path",
+    "read_trace": "object-wise archive read; leaves src/ with the object-wise decode path",
+}
+
+#: Methods a framework calls by name: ``http.server`` (``do_*``,
+#: ``log_message``) and ``ast.NodeVisitor`` (``visit_*``).
+_PROTOCOL = re.compile(r"do_\w+|visit_\w+|log_message")
+
+
+def _public_defs(path, text):
+    """Module-level functions and (nested) class methods with public names."""
+    body = list(ast.parse(text, filename=path).body)
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.ClassDef):
+            body += node.body
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_") and not _PROTOCOL.fullmatch(node.name):
+                yield node.name
+
+
+def test_no_public_helper_only_the_tests_call():
+    """A public name defined in ``src/repro`` appears outside its own
+    ``def`` in the tracked program, benchmarks, examples or docs, or it is
+    one of :data:`TEST_ONLY`: a helper that only tests call belongs in
+    ``tests/``."""
+    texts = {}
+    for path in FILES:
+        if path.split("/")[0] in ("src", "benchmarks", "examples", "docs"):
+            with open(os.path.join(ROOT, path), "rb") as handle:
+                texts[path] = handle.read().decode("utf-8", errors="replace")
+    corpus = "\n".join(texts.values())
+    words = Counter(re.findall(r"\w+", corpus))
+    words.subtract(re.findall(r"\bdef\s+(\w+)", corpus))
+    defined = {
+        name
+        for path, text in texts.items()
+        if path.startswith("src/repro/") and path.endswith(".py")
+        for name in _public_defs(path, text)
+    }
+    test_only = {name for name in defined if words[name] <= 0}
+    extra = sorted(test_only - TEST_ONLY.keys())
+    assert not extra, f"only tests call {extra}: move them into tests/"
+    stale = sorted(TEST_ONLY.keys() - test_only)
+    assert not stale, f"{stale} have callers outside tests/: drop them from TEST_ONLY"

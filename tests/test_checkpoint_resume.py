@@ -23,7 +23,6 @@ from repro.experiments import table2 as table2_module
 from repro.experiments.faults import run_fault_experiment
 from repro.experiments.table2 import run_table2
 from repro.resilience import checkpoint as checkpoint_module
-from repro.resilience import open_journal
 
 
 class TestJournal:
@@ -89,12 +88,6 @@ class TestJournal:
             journal.record({"ok": 1}, object())
         # The failed record must not poison the journal.
         assert not journal.has({"ok": 1})
-
-    def test_open_journal_propagates_none(self, tmp_path):
-        assert open_journal(None) is None
-        assert open_journal("") is None
-        journal = open_journal(str(tmp_path / "j.jsonl"))
-        assert isinstance(journal, CheckpointJournal)
 
 
 def _parsed_lines(path):

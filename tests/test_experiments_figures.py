@@ -11,6 +11,7 @@ mostly waits for Partrace".
 
 import dataclasses
 import inspect
+import sys
 
 import pytest
 
@@ -70,6 +71,23 @@ class TestFigure3:
     def test_clockless_run_is_refused(self, table2_outcome):
         with pytest.raises(ClockError, match="no ground-truth clocks"):
             run_figure3(dataclasses.replace(table2_outcome["run"], clocks=None))
+
+    def test_figure3_runs_no_analysis(self, monkeypatch):
+        """Figure 3 reads the run's clocks and offset measurements; it
+        analyzes no archive, under any name ``analyze`` is bound to."""
+        from repro.analysis import streaming
+
+        real, calls = streaming.analyze, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "analyze", None) is real:
+                monkeypatch.setattr(module, "analyze", counted)
+        run_experiment("figure3", seed=7)
+        assert calls == []
 
 
 class TestPinnedText:

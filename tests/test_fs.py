@@ -91,13 +91,13 @@ class TestMountNamespace:
         ns_a.create_dir("/work/exp")
         assert ns_a.is_dir("/work/exp")
         assert not ns_b.is_dir("/work/exp")
-        assert not ns_a.shares_storage_with(ns_b, "/work")
+        assert ns_a.resolve("/work") is not ns_b.resolve("/work")
 
     def test_shared_namespace_helper(self):
         namespaces = shared_namespace(["a", "b"])
         namespaces[0].create_dir("/work/x")
         assert namespaces[1].is_dir("/work/x")
-        assert namespaces[0].shares_storage_with(namespaces[1], "/work")
+        assert namespaces[0].resolve("/work") is namespaces[1].resolve("/work")
 
     def test_private_namespaces_helper(self):
         namespaces = private_namespaces(["a", "b"])

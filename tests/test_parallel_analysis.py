@@ -43,7 +43,7 @@ from repro.resilience import ExecutionReport, PoolConfig, SupervisedPool
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.presets import uniform_metacomputer
 from repro.trace.archive import MANIFEST_FILE, ArchiveManifest, ArchiveWriter, TraceManifestEntry
-from repro.trace.encoding import encode_events, iter_events
+from repro.trace.encoding import block_table, encode_events, iter_events
 from repro.trace.events import EventKind
 
 from tests.conftest import run_app
@@ -410,7 +410,7 @@ def _inconsistent_run(stray_header=False):
     namespace = rewrite(4, blob)
     path = f"{run.archive_path}/{MANIFEST_FILE}"
     manifest = ArchiveManifest.from_json(namespace.read_file(path).decode())
-    manifest.entries[4] = TraceManifestEntry.for_blob(4, blob)
+    manifest.entries[4] = TraceManifestEntry(4, len(blob), tuple(block_table(blob)))
     namespace.write_file_atomic(path, manifest.to_json().encode())
     blob = run.reader(run.definitions.machine_of(6)).read_trace_blob(6)
     rewrite(6, blob[: len(blob) // 2])

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.clocks.clock import ClockEnsemble, LinearClock
-from repro.instrument.tracer import Tracer
 from repro.sim.world import World
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import single_cluster
@@ -53,7 +52,7 @@ def _run(body, iterations):
     clocks = ClockEnsemble(
         {node: LinearClock(offset_s=0.0, drift=0.0) for node in placement.ranks_by_node()}
     )
-    world = World(mc, placement, rng=np.random.default_rng(0), tracer=Tracer(clocks))
+    world = World(mc, placement, rng=np.random.default_rng(0), clocks=clocks)
     world.launch(lambda ctx: body(ctx, iterations), seed=0)
     calls = 0
 

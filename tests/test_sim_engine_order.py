@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.clock import ClockEnsemble, LinearClock
-from repro.instrument.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.world import World
 from repro.topology.metacomputer import Placement
@@ -118,7 +117,7 @@ class TestBatchedCollectiveExit:
         clocks = ClockEnsemble(
             {node: LinearClock(offset_s=0.0, drift=0.0) for node in placement.ranks_by_node()}
         )
-        world = World(mc, placement, rng=np.random.default_rng(0), tracer=Tracer(clocks))
+        world = World(mc, placement, rng=np.random.default_rng(0), clocks=clocks)
         world.new_communicator("pair", [3, 1])
 
         def app(ctx):

@@ -31,7 +31,6 @@ from repro.errors import EncodingError, MPIUsageError, SimulationError, TraceErr
 from repro.experiments.configs import scaled_experiment1
 from repro.experiments.faults import escalating_fault_plans
 from repro.ids import ANY_SOURCE, ANY_TAG, node_of
-from repro.instrument.tracer import Tracer
 from repro.sim.mpi import RequestHandle, SendReq
 from repro.sim.runtime import MetaMPIRuntime
 from repro.sim.transfer import SimParams
@@ -294,12 +293,9 @@ class TestManifestBlocks:
 # --------------------------------------------------------------------------
 
 
-def _bare_world(nprocs=2, tracer=None, **kwargs):
+def _bare_world(nprocs=2, **kwargs):
     mc = single_cluster(node_count=2, cpus_per_node=2)
-    return World(
-        mc, Placement.block(mc, nprocs), rng=np.random.default_rng(0), tracer=tracer,
-        **kwargs,
-    )
+    return World(mc, Placement.block(mc, nprocs), rng=np.random.default_rng(0), **kwargs)
 
 
 class TestEventBudget:
@@ -380,8 +376,7 @@ class TestEmitEquivalence:
             ctx.exit("user")
             script.append(("exit", slot, ctx.now, "user"))
 
-        tracer = Tracer(clocks)
-        world = World(mc, placement, rng=np.random.default_rng(3), tracer=tracer)
+        world = World(mc, placement, rng=np.random.default_rng(3), clocks=clocks)
         world.launch(app, seed=0)
         world.run()
 
@@ -390,22 +385,22 @@ class TestEmitEquivalence:
             if record not in ("send", "recv"):  # the first field names a region
                 fields[0] = registry.register(fields[0])
             getattr(written[slot.rank], record)(_stamp(clocks, slot)(time), *fields)
-        assert registry.to_list() == tracer.regions.to_list()
+        assert registry.to_list() == world.regions.to_list()
         for rank in (0, 1):
-            assert len(tracer.buffer(rank)) == 11
-            assert written[rank].encoded() == tracer.buffer(rank).encoded()
+            assert len(world.buffers[rank]) == 11
+            assert written[rank].encoded() == world.buffers[rank].encoded()
 
     # Each rejection, provoked once through the world's emit and once by
     # the same record written by hand; type and text are the parent's.
+    # *prepare(buffer)* sets up rank 0's buffer before the first record.
 
     def _world_error(self, app, prepare=None):
         mc = single_cluster(node_count=1, cpus_per_node=2)
         placement, clocks = _skewed_clocks(mc, 2)
-        tracer = Tracer(clocks)
-        if prepare is not None:
-            prepare(tracer)
-        world = World(mc, placement, rng=np.random.default_rng(0), tracer=tracer)
+        world = World(mc, placement, rng=np.random.default_rng(0), clocks=clocks)
         world.launch(app, seed=0)
+        if prepare is not None:
+            prepare(world.buffers[0])
         with pytest.raises(Exception) as caught:
             world.run()
         return caught.value
@@ -414,12 +409,12 @@ class TestEmitEquivalence:
         """*call(buffer, stamp, register)* writes one record of rank 0."""
         mc = single_cluster(node_count=1, cpus_per_node=2)
         placement, clocks = _skewed_clocks(mc, 2)
-        tracer = Tracer(clocks)
+        buffer = TraceBuffer(0)
         if prepare is not None:
-            prepare(tracer)
+            prepare(buffer)
         stamp = _stamp(clocks, placement.slot(0))
         with pytest.raises(Exception) as caught:
-            call(tracer.buffer(0), stamp, tracer.regions.register)
+            call(buffer, stamp, RegionRegistry().register)
         return caught.value
 
     @staticmethod
@@ -429,8 +424,8 @@ class TestEmitEquivalence:
             assert str(error) == text
 
     def test_time_reversal(self):
-        def ahead(tracer):
-            tracer.buffer(0).enter(1000.0, 0)
+        def ahead(buffer):
+            buffer.enter(1000.0, 0)
 
         def app(ctx):
             ctx.enter("late")
@@ -463,8 +458,8 @@ class TestEmitEquivalence:
         )
 
     def test_append_after_finalize(self):
-        def closed(tracer):
-            tracer.buffer(0).finalize()
+        def closed(buffer):
+            buffer.finalize()
 
         def app(ctx):
             yield ctx.compute(0.0)
