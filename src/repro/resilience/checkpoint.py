@@ -6,7 +6,10 @@ persists each completed cell's payload to real disk so an interrupted
 sweep, rerun with ``--resume``, skips straight past the work it already
 finished and reproduces the same outputs (every cell is deterministic in
 its configuration and seed, so a cached payload and a recomputed one are
-interchangeable).
+interchangeable).  In memory the journal keeps only each cell's place in
+the file (its live line's offset and length); reads parse the line back,
+and one that no longer parses as that cell reads as missing, never as
+another cell's payload.
 
 Write discipline: the journal is a log.  :meth:`CheckpointJournal.record`
 encodes the one changed cell, appends that single line and fsyncs before it
@@ -17,7 +20,7 @@ and unparsable lines are skipped, so an interrupted run can lose at most
 the line being appended, never corrupt the cells already recorded, and even
 a journal damaged by external means degrades to recomputing a few cells
 instead of failing the sweep.  Superseded lines are dropped by *compaction*:
-the live cells are written to a temporary file in the same directory,
+the live lines are copied to a temporary file in the same directory,
 fsync'd, moved over the journal with :func:`os.replace`, and the directory
 is fsync'd.  Compaction runs from ``record`` when the file outgrows twice
 its live bytes plus a fixed slack, and instead of the append whenever the
@@ -42,7 +45,7 @@ import json
 import multiprocessing.util
 import os
 import tempfile
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import CheckpointError, CheckpointLockError
 
@@ -59,6 +62,7 @@ _FORMAT_VERSION = 1
 # the rewrite then costs less than the appends that earned it.
 _COMPACT_FACTOR = 2
 _COMPACT_SLACK = 64 * 1024
+_MISSING = object()
 
 
 def _canonical(cell: Mapping[str, Any]) -> str:
@@ -76,7 +80,7 @@ def _encode(key: str, payload: Any) -> bytes:
 
 
 class CheckpointJournal:
-    """Persistent map of completed cells → payloads, with durable appends.
+    """Completed cells on disk, each kept in memory as its live line's place.
 
     ``exclusive=True`` acquires the writer lock at open (failing fast when
     another writer holds it); the default acquires it lazily on the first
@@ -86,9 +90,8 @@ class CheckpointJournal:
 
     def __init__(self, path: str, *, exclusive: bool = False) -> None:
         self.path = os.fspath(path)
-        self._cells: Dict[str, Any] = {}
-        self._line_bytes: Dict[str, int] = {}  # size of each cell's live line
-        self._live_bytes = 0  # sum of _line_bytes
+        self._spans: Dict[str, Tuple[int, int]] = {}  # each cell's live line: offset, length
+        self._live_bytes = 0  # sum of the live lines' lengths
         self._file_bytes = 0
         self._appendable = False  # the file exists and ends in a whole line
         self._lock_fd: Optional[int] = None
@@ -186,7 +189,7 @@ class CheckpointJournal:
                         continue
                     try:
                         record = json.loads(line)
-                        cell, payload = record["cell"], record["payload"]
+                        cell, _payload = record["cell"], record["payload"]
                         if not isinstance(cell, dict):
                             raise TypeError("cell is not an object")
                     except (ValueError, KeyError, TypeError):
@@ -194,31 +197,52 @@ class CheckpointJournal:
                         # damage: skip the line — the cell is simply recomputed.
                         whole = False
                         continue
-                    self._set(_canonical(cell), payload, len(line))
+                    self._place(_canonical(cell), self._file_bytes - len(line), len(line))
         except OSError as exc:
             raise CheckpointError(f"cannot read journal {self.path}: {exc}") from exc
         self._appendable = whole
 
-    def _set(self, key: str, payload: Any, line_bytes: int) -> None:
-        self._live_bytes += line_bytes - self._line_bytes.get(key, 0)
-        self._line_bytes[key] = line_bytes
-        self._cells[key] = payload
+    def _place(self, key: str, offset: int, length: int) -> None:
+        self._live_bytes += length - self._spans.get(key, (0, 0))[1]
+        self._spans[key] = (offset, length)
+
+    def _line(self, key: str) -> bytes:
+        offset, length = self._spans[key]
+        with open(self.path, "rb") as handle:
+            return os.pread(handle.fileno(), length, offset)
+
+    def _read(self, key: str, default: Any) -> Any:
+        """Payload of *key*'s live line, or *default* unless it reads back as that cell."""
+        try:
+            record = json.loads(self._line(key))
+            if _canonical(record["cell"]) == key:
+                return record["payload"]
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        return default
 
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._spans)
 
     def has(self, cell: Mapping[str, Any]) -> bool:
-        return _canonical(cell) in self._cells
+        return _canonical(cell) in self._spans
 
     def get(self, cell: Mapping[str, Any], default: Any = None) -> Any:
-        """Payload of a completed cell, or *default* when not recorded."""
-        return self._cells.get(_canonical(cell), default)
+        """Payload of a cell, or *default* when it is not recorded or does not read back."""
+        return self._read(_canonical(cell), default)
+
+    def items(self) -> Iterator[Tuple[str, Any]]:
+        """``(canonical key, payload)`` of each cell that reads back, one line at a time."""
+        for key in list(self._spans):
+            payload = self._read(key, _MISSING)
+            if payload is not _MISSING:
+                yield key, payload
 
     def cells(self) -> Dict[str, Any]:
-        """Snapshot of every recorded cell (canonical key → payload)."""
-        return dict(self._cells)
+        """Snapshot of every cell whose line reads back (canonical key → payload)."""
+        return dict(self.items())
 
     # -- recording ---------------------------------------------------------------
 
@@ -232,16 +256,16 @@ class CheckpointJournal:
                 f"payload for cell {key} is not JSON-serializable: {exc}"
             ) from exc
         self._acquire_lock()
-        self._set(key, payload, len(line))
+        live = self._live_bytes + len(line) - self._spans.get(key, (0, 0))[1]
         grown = self._file_bytes + len(line)
         appendable, self._appendable = self._appendable, False  # until this write succeeds
-        if appendable and grown <= _COMPACT_FACTOR * self._live_bytes + _COMPACT_SLACK:
-            self._append(line)
+        if appendable and grown <= _COMPACT_FACTOR * live + _COMPACT_SLACK:
+            self._append(key, line)
         else:
-            self._flush()
+            self._flush(key, line)
         self._appendable = True
 
-    def _append(self, line: bytes) -> None:
+    def _append(self, key: str, line: bytes) -> None:
         try:
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
             try:
@@ -249,24 +273,34 @@ class CheckpointJournal:
                 while rest:
                     rest = rest[os.write(fd, rest) :]
                 os.fsync(fd)
+                end = os.lseek(fd, 0, os.SEEK_CUR)  # where the line really ended
             finally:
                 os.close(fd)
         except OSError as exc:
             raise CheckpointError(f"cannot append to journal {self.path}: {exc}") from exc
-        self._file_bytes += len(line)
+        self._place(key, end - len(line), len(line))
+        self._file_bytes = end
 
-    def _flush(self) -> None:
-        """Compact: atomically replace the journal with its live cells."""
+    def _flush(self, key: Optional[str] = None, line: bytes = b"") -> None:
+        """Compact: atomically replace the journal with copies of its live
+        lines, *line* (when given) replacing *key*'s."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        sizes: Dict[str, int] = {}
+        spans: Dict[str, Tuple[int, int]] = {}
+        size = 0
         fd, tmp_path = tempfile.mkstemp(
             dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                for key, value in self._cells.items():
-                    sizes[key] = handle.write(_encode(key, value))
+                for other in self._spans:
+                    if other != key:  # *line* replaces key's; a last line may lack its newline
+                        chunk = self._line(other).rstrip(b"\n") + b"\n"
+                        spans[other] = (size, len(chunk))
+                        size += handle.write(chunk)
+                if key is not None:
+                    spans[key] = (size, len(line))
+                    size += handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.path)
@@ -282,5 +316,5 @@ class CheckpointJournal:
             except OSError:
                 pass
             raise CheckpointError(f"cannot write journal {self.path}: {exc}") from exc
-        self._line_bytes = sizes
-        self._live_bytes = self._file_bytes = sum(sizes.values())
+        self._spans = spans
+        self._live_bytes = self._file_bytes = size

@@ -391,14 +391,20 @@ class AnalysisService:
                 "breaker": self.breaker.snapshot(),
             }
 
-    def _done_result(self, key: str) -> Dict[str, Any]:
-        """The stored result of a finished job, or why there is none."""
-        record = self.job(key)
-        if record is None:
-            raise ServiceError(f"no job {key}")
-        if record.status != DONE or not record.result:
-            raise ServiceError(f"job {key} is {record.status}; no result to query")
-        return record.result
+    def result(self, key: str) -> Dict[str, Any]:
+        """A done job's result, read back from the store."""
+        with self._lock:  # a save may compact the journal and move its lines
+            record = self.store.get(key) if self.store is not None else None
+            if record is None:
+                raise ServiceError(f"no job {key}")
+            if record.status != DONE:
+                raise ServiceError(f"job {key} is {record.status}; no result to query")
+            return self.store.result(key)
+
+    def payload(self, record: JobRecord) -> Dict[str, Any]:
+        """*record* as a client sees it: a done job carries its result."""
+        result = self.result(record.key) if record.status == DONE else None
+        return {**record.to_payload(), "result": result}
 
     def severity(
         self, key: str, *, metric: Optional[str] = None
@@ -409,7 +415,7 @@ class AnalysisService:
         With ``metric``: total severity plus by-rank and by-callpath
         aggregations of that metric's cells.
         """
-        result = self._done_result(key)
+        result = self.result(key)
         cube = result.get("severity")
         if not cube:
             raise ServiceError(
@@ -450,7 +456,7 @@ class AnalysisService:
         recorded metric's rolling-window series, peak window and per-rank
         breakdown), with ``metric`` just that metric's entry.
         """
-        result = self._done_result(key)
+        result = self.result(key)
         if result.get("kind") != "analyze":
             raise ServiceError(
                 f"job {key} is a {result.get('kind')} job; "

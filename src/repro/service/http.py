@@ -11,7 +11,8 @@ Routes (all JSON):
 * ``GET /jobs`` — all jobs (summaries, submission order).
 * ``GET /jobs/<key>`` — one job's full record (status, phase, attempts).
 * ``GET /jobs/<key>/result`` — the result payload; ``409`` until the
-  job is ``done`` (or after it failed — the body says which).
+  job is ``done`` (or after it failed — the body says which); ``500``
+  naming the job if its result no longer reads back from the store.
 * ``GET /jobs/<key>/severity[?metric=...]`` — severity-cube query of a
   finished analyze job.
 * ``GET /jobs/<key>/severity/timeline[?metric=...]`` — window-resolved
@@ -121,7 +122,7 @@ class _Handler(BaseHTTPRequestHandler):
             status,
             {
                 "disposition": disposition,
-                "job": record.to_payload(),
+                "job": self.app.payload(record),
                 "url": f"/jobs/{record.key}",
             },
         )
@@ -138,7 +139,7 @@ class _Handler(BaseHTTPRequestHandler):
                     202,
                     {
                         "disposition": "requeued",
-                        "job": record.to_payload(),
+                        "job": self.app.payload(record),
                         "url": f"/jobs/{record.key}",
                     },
                 )
@@ -172,7 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status = {"cancelled": 200, "cancelling": 202}.get(disposition, 409)
                 self._send(
                     status,
-                    {"disposition": disposition, "job": record.to_payload()},
+                    {"disposition": disposition, "job": self.app.payload(record)},
                 )
             else:
                 self._send(404, {"error": f"no route DELETE {path}"})
@@ -216,6 +217,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"no route GET {path}"})
         except ServiceError as exc:
             self._send(404, {"error": str(exc)})
+        except CheckpointError as exc:
+            self._send(500, {"error": f"job store failure: {exc}"})
         except Exception as exc:  # pragma: no cover - last-resort 500
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
@@ -227,14 +230,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no job {key}"})
             return
         if len(parts) == 1:
-            self._send(200, {"job": record.to_payload()})
+            self._send(200, {"job": self.app.payload(record)})
         elif parts[1:] == ["result"]:
             if record.status == "done":
                 self._send(
                     200,
                     {
                         "status": record.status,
-                        "result": record.result,
+                        "result": self.app.result(key),
                         "execution": record.execution,
                     },
                 )

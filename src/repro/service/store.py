@@ -12,6 +12,8 @@ here:
   SIGKILL at any instant leaves a loadable store; on restart, every job
   that was accepted is still there and every job that was mid-run is
   found in ``running`` state and re-queued.
+* **Memory** — records in memory carry no result; a done job's result
+  stays in its journal line until :meth:`JobStore.result` reads it back.
 * **Idempotency** — a job's identity is :func:`job_key`, the SHA-256 of
   its *canonicalized* specification.  Two submissions that mean the same
   work (same kind, experiment, seed, jobs, config — regardless of key
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.request import (
@@ -42,7 +44,7 @@ from repro.analysis.request import (
     declared,
     rule_of,
 )
-from repro.errors import AnalysisError, JobValidationError
+from repro.errors import AnalysisError, CheckpointError, JobValidationError
 from repro.resilience.checkpoint import CheckpointJournal
 
 __all__ = [
@@ -297,14 +299,14 @@ class JobRecord:
 
 
 def job_records(journal: CheckpointJournal) -> List[JobRecord]:
-    """Every job in *journal*, in submission order (reads take no lock)."""
+    """Every job in *journal*, without results, in submission order (reads take no lock)."""
     records = []
-    for canon, payload in journal.cells().items():
+    for canon, payload in journal.items():
         cell = json.loads(canon)
         if not (isinstance(cell, dict) and "job" in cell):
             continue  # foreign cell (shared path misuse); leave it alone
         try:
-            records.append(JobRecord.from_payload(payload))
+            records.append(JobRecord.from_payload({**payload, "result": None}))
         except (KeyError, TypeError, ValueError):
             continue  # damaged payload degrades to "job unknown"
     return sorted(records, key=lambda r: r.seq)
@@ -350,11 +352,20 @@ class JobStore:
     def __len__(self) -> int:
         return len(self._records)
 
+    def result(self, key: str) -> Dict[str, Any]:
+        """Done job *key*'s result, read back from its journal line."""
+        payload = self._journal.get({"job": key})
+        if not (isinstance(payload, dict) and payload.get("result")):
+            raise CheckpointError(
+                f"result of job {key} cannot be read back: its journal line is damaged or gone"
+            )
+        return payload["result"]
+
     # -- persistence -----------------------------------------------------------
 
     def save(self, record: JobRecord) -> None:
-        """Persist a job's current state durably (fsync'd) before returning."""
-        self._records[record.key] = record
+        """Persist a job's state durably (fsync'd) before returning; keep it without result."""
+        self._records[record.key] = replace(record, result=None)
         self._last_seq = max(self._last_seq, record.seq)
         self._journal.record({"job": record.key}, record.to_payload())
 

@@ -101,7 +101,7 @@ class TestSubmission:
             assert record.status == ACCEPTED
             final = _wait_settled(service, record.key)
             assert final.status == DONE
-            assert final.result["integrity_ok"] is True
+            assert service.result(record.key)["integrity_ok"] is True
             assert final.attempts == 1
             assert service.stats()["executed"] == 1
 
@@ -147,7 +147,7 @@ class TestIdempotency:
             calls_before = gate.calls
             again, disposition = service.submit({**SIM, "seed": 1})
             assert disposition == "cached"
-            assert again.result == record.result
+            assert service.payload(again)["result"] == {"kind": "simulate", "echo": 1}
             time.sleep(0.2)  # would surface an accidental re-queue
             assert gate.calls == calls_before
 
@@ -280,7 +280,7 @@ def _served(service, key):
 def _journaled(config, key):
     """The record of *key* as the store reads it back after the service stopped."""
     with JobStore(config.store_path) as store:
-        return store.get(key).to_payload()
+        return {**store.get(key).to_payload(), "result": store.result(key)}
 
 
 class TestWorkerDeath:
@@ -295,7 +295,7 @@ class TestWorkerDeath:
             assert final.status == DONE, final.error
             assert stand_in.rerun_pid.value not in (0, os.getpid(), stand_in.first_pid.value)
             direct, _ = execute_job(canonical_spec({**SIM, "seed": 1}, default_jobs=1))
-            assert json.dumps(final.result, sort_keys=True) == json.dumps(
+            assert json.dumps(service.result(record.key), sort_keys=True) == json.dumps(
                 direct, sort_keys=True
             )
             after, _ = service.submit({**SIM, "seed": 2})
@@ -326,7 +326,8 @@ class TestWorkerDeath:
         with create_app(config) as service:
             record, _ = service.submit({**SIM, "seed": 1})
             final = _wait_settled(service, record.key)
-            assert (final.status, final.result) == (DONE, {"kind": "simulate", "echo": 1})
+            assert final.status == DONE
+            assert service.result(record.key) == {"kind": "simulate", "echo": 1}
             breaker = service.breaker.snapshot()
             assert breaker["consecutive_failures"] == 1
             assert "every worker it had died" in breaker["last_failure"]
@@ -356,7 +357,7 @@ class TestRecovery:
             for record in records:
                 final = _wait_settled(service, record.key)
                 assert final.status == DONE
-                assert final.result["integrity_ok"] is True
+                assert service.result(record.key)["integrity_ok"] is True
 
     def test_crash_looping_job_quarantined(self, config):
         with JobStore(config.store_path) as store:
