@@ -47,46 +47,32 @@ RULES: Dict[str, str] = {
     "freeze / set_threshold)",
     "ARC502": "the simulator schedules bound methods: no lambda handed to "
     "call_at/call_later",
-    "ARC503": "a name of the deleted replay drivers is back",
-    "ARC504": "the analyzer's own pool knob is back: lend a SupervisedPool",
+    "ARC503": "a name a refactor removed from every tracked file is back",
+    "ARC504": "a name a refactor removed from the program and its tests is back",
     "ARC505": "analysis/streaming.py admits no rank: the local phase does",
     "ARC506": "only the benchmark constructs the analyzer adapter: call "
     "analyze",
     "ARC507": "analysis/parallel.py does not import the replay driver",
     "ARC508": "the engine and its consumers do not import the object-wise "
     "reference engine",
-    "ARC509": "the by-name request option filter is back",
     "ARC510": "experiment drivers take request=, not its fields",
     "ARC511": "api.py's runners take request=, not its fields",
     "ARC512": "ServiceConfig does not regain the pool tunables",
-    "ARC513": "the job store re-declares field checks: build the config "
-    "through its table",
     "ARC514": "cli.py hand-writes a flag a declared field or Rule generates",
     "ARC515": "_cmd_serve spells a ServiceConfig field: build it with "
     "_request(args, ServiceConfig)",
-    "ARC516": "a deleted benchmark script, recording or marker is back",
-    "ARC517": "a deleted walk of the record grammar is back",
     "ARC518": "trace/encoding.py walks the record grammar in at most three "
     "while loops",
     "ARC519": "only trace/encoding.py indexes the record stride table",
     "ARC520": "the replay grows no per-op objects back",
     "ARC521": "the severity timeline grows no per-cell store or bin loop back",
-    "ARC522": "the completion pass over a finished collective is back",
     "ARC523": "the simulator computes collective costs only in "
     "sim/collectives.py",
     "ARC524": "resilience/pool.py waits on its workers, not on a timer",
-    "ARC525": "the lazy-object layer over the op tables is back: read the "
-    "columns",
     "ARC526": "a string import outside repro/exports.py: import by statement, "
     "or export lazily from a package table",
-    "ARC527": "the pool's signal knob is back: a run installs handlers "
-    "exactly when it is on the main thread",
     "ARC528": "sim/mpi.py is the application API: it imports no engine, "
     "point-to-point, world, runtime or network module",
-    "ARC529": "a second way to a time base is back: every scheme, ground "
-    "truth included, answers converters(sync_data)",
-    "ARC530": "the tracing layer is back: World(clocks=...) keeps the region "
-    "table and the per-rank buffers itself",
     "BASE001": "baseline entry matches no finding — remove the stale entry",
     "BASE002": "baseline entry carries no justification — add a reason",
 }

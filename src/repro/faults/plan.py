@@ -22,9 +22,6 @@ from typing import Tuple, Union
 from repro.errors import ConfigurationError
 from repro.topology.network import LinkSpec
 
-#: Patterns that select a whole link class rather than a named link.
-_CLASS_PATTERNS = ("external", "internal", "loopback")
-
 
 def link_matches(pattern: str, spec: LinkSpec) -> bool:
     """Does *pattern* (name, class, or ``"*"``) select this link?"""

@@ -19,11 +19,6 @@ from typing import Iterator, Tuple
 ANY_SOURCE: int = -1
 ANY_TAG: int = -1
 
-#: Rank of the process conventionally chosen as global master
-#: ("without loss of generality the node hosting the process with rank
-#: zero", paper Section 3).
-MASTER_RANK: int = 0
-
 
 @dataclass(frozen=True, order=True)
 class Location:

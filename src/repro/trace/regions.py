@@ -16,18 +16,6 @@ from repro.errors import TraceError
 #: Names treated as MPI regions by the analysis.
 MPI_REGION_PREFIX = "MPI_"
 
-#: MPI regions in which a process can complete a blocking receive
-#: (the regions where the Late Sender pattern may materialize).
-RECEIVE_REGIONS = frozenset(
-    {"MPI_Recv", "MPI_Wait", "MPI_Waitall", "MPI_Sendrecv"}
-)
-
-#: MPI regions in which a blocking (rendezvous) send can stall
-#: (Late Receiver).
-SEND_REGIONS = frozenset(
-    {"MPI_Send", "MPI_Ssend", "MPI_Wait", "MPI_Waitall", "MPI_Sendrecv"}
-)
-
 
 def is_mpi_region(name: str) -> bool:
     return name.startswith(MPI_REGION_PREFIX)

@@ -16,12 +16,13 @@ import re
 import subprocess
 import textwrap
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.check import RULES, check_source
 from repro.check.api_drift import check_api_surface, check_deprecations
-from repro.check.architecture import ROWS, SKIPPED, check_file
+from repro.check.architecture import REMOVED, ROWS, SKIPPED, check_file
 from repro.check.visitors import Module, import_table, resolve
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -663,7 +664,18 @@ def _planted(row):
     return [plant[row.kind](name) for name in row.words()]
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.rule for row in ROWS])
+#: Every row by its id, and every retired id of a removed-name row as the row
+#: that took its words, narrowed to just those words.
+CASES = {row.rule: row for row in ROWS}
+CASES.update(
+    (old, replace(CASES[rule], names=words))
+    for rule, groups in REMOVED.items()
+    for old, words in groups.items()
+    if old != rule
+)
+
+
+@pytest.mark.parametrize("row", CASES.values(), ids=CASES.keys())
 def test_row_fires_on_its_path_only(row):
     """Plant the row's own pattern in a real module the row covers: its id
     fires.  Plant it in the first module the row does not cover (at worst one
@@ -729,16 +741,22 @@ def _public_defs(path, text):
                 yield node.name
 
 
-def test_no_public_helper_only_the_tests_call():
-    """A public name defined in ``src/repro`` appears outside its own
-    ``def`` in the tracked program, benchmarks, examples or docs, or it is
-    one of :data:`TEST_ONLY`: a helper that only tests call belongs in
-    ``tests/``."""
+def _program_texts():
+    """The tracked program, benchmarks, examples and docs, by path."""
     texts = {}
     for path in FILES:
         if path.split("/")[0] in ("src", "benchmarks", "examples", "docs"):
             with open(os.path.join(ROOT, path), "rb") as handle:
                 texts[path] = handle.read().decode("utf-8", errors="replace")
+    return texts
+
+
+def test_no_public_helper_only_the_tests_call():
+    """A public name defined in ``src/repro`` appears outside its own
+    ``def`` in the tracked program, benchmarks, examples or docs, or it is
+    one of :data:`TEST_ONLY`: a helper that only tests call belongs in
+    ``tests/``."""
+    texts = _program_texts()
     corpus = "\n".join(texts.values())
     words = Counter(re.findall(r"\w+", corpus))
     words.subtract(re.findall(r"\bdef\s+(\w+)", corpus))
@@ -753,3 +771,29 @@ def test_no_public_helper_only_the_tests_call():
     assert not extra, f"only tests call {extra}: move them into tests/"
     stale = sorted(TEST_ONLY.keys() - test_only)
     assert not stale, f"{stale} have callers outside tests/: drop them from TEST_ONLY"
+
+
+def _module_constants(path, text):
+    """Every name a module-level statement of *path* assigns, once per assignment."""
+    for node in ast.parse(text, filename=path).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in getattr(target, "elts", [target]):
+                    if isinstance(name, ast.Name) and name.id != "__all__":
+                        yield name.id
+
+
+def test_no_module_constant_nothing_reads():
+    """A name assigned at module level in ``src/repro`` appears besides its
+    own assignment in the tracked program, benchmarks, examples or docs: a
+    constant that only tests read, or nothing, is dead weight."""
+    texts = _program_texts()
+    words = Counter(re.findall(r"\w+", "\n".join(texts.values())))
+    assigned = Counter(
+        name
+        for path, text in texts.items()
+        if path.startswith("src/repro/") and path.endswith(".py")
+        for name in _module_constants(path, text)
+    )
+    unread = sorted(name for name, count in assigned.items() if words[name] <= count)
+    assert not unread, f"nothing reads {unread}: delete them"

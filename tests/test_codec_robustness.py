@@ -81,7 +81,7 @@ events = st.one_of(
 )
 
 
-def _record_offsets(rank, evs):
+def _record_starts(rank, evs):
     """Byte offset of each event's record (its kind tag) plus the blob end."""
     offsets = [len(encode_events(rank, evs[:i])) for i in range(len(evs) + 1)]
     return offsets
@@ -123,7 +123,7 @@ class TestDecodeDiagnostics:
     def test_truncation_reports_record_start(self, evs, data):
         """Any cut strictly inside a record names that record's offset."""
         blob = encode_events(0, evs)
-        offsets = _record_offsets(0, evs)
+        offsets = _record_starts(0, evs)
         index = data.draw(st.integers(min_value=0, max_value=len(evs) - 1))
         cut = data.draw(
             st.integers(min_value=offsets[index] + 1, max_value=offsets[index + 1] - 1)
@@ -138,7 +138,7 @@ class TestDecodeDiagnostics:
     @settings(max_examples=120)
     def test_flipped_kind_byte_reports_its_offset(self, evs, data):
         blob = bytearray(encode_events(0, evs))
-        offsets = _record_offsets(0, evs)
+        offsets = _record_starts(0, evs)
         index = data.draw(st.integers(min_value=0, max_value=len(evs) - 1))
         bad_kind = data.draw(st.integers(min_value=7, max_value=255))
         blob[offsets[index]] = bad_kind
@@ -158,7 +158,7 @@ class TestDecodeDiagnostics:
     def test_truncation_of_later_record_names_later_offset(self):
         evs = [EnterEvent(1.0, 2), SendEvent(2.0, 1, 0, 0, 64)]
         blob = encode_events(0, evs)
-        offsets = _record_offsets(0, evs)
+        offsets = _record_starts(0, evs)
         with pytest.raises(EncodingError, match=f"truncated SEND record at offset {offsets[1]}"):
             decode_events(blob[: offsets[1] + 5])
 
@@ -237,7 +237,7 @@ def _mutated_blobs(draw):
     """A valid blob with up to two bits flipped and, perhaps, a record
     overwritten or displaced by (part of) a record of any kind."""
     evs = draw(st.lists(events, min_size=1, max_size=10))
-    return _mutate(draw, encode_events(draw(st.integers(0, 9)), evs), _record_offsets(0, evs))
+    return _mutate(draw, encode_events(draw(st.integers(0, 9)), evs), _record_starts(0, evs))
 
 
 def _mutate(draw, blob, starts):
@@ -330,7 +330,7 @@ def _manifested_blobs(draw):
     damage = draw(st.sampled_from(("none", "mutated", "truncated")))
     blob = pristine
     if damage == "mutated" and evs:
-        blob = _mutate(draw, pristine, _record_offsets(0, evs))
+        blob = _mutate(draw, pristine, _record_starts(0, evs))
     elif damage == "truncated":
         blob = pristine[: draw(st.integers(0, len(pristine)))]
     form = draw(st.sampled_from(("manifest", "none", "shifted")))
