@@ -7,16 +7,19 @@ sweep, rerun with ``--resume``, skips straight past the work it already
 finished and reproduces the same outputs (every cell is deterministic in
 its configuration and seed, so a cached payload and a recomputed one are
 interchangeable).  In memory the journal keeps only each cell's place in
-the file (its live line's offset and length); reads parse the line back,
-and one that no longer parses as that cell reads as missing, never as
-another cell's payload.
+the file (its live line's offset and length); reads slice the payload's
+bytes back out, and a line that no longer checks out as that cell reads
+as missing, never as another cell's payload.
 
 Write discipline: the journal is a log.  :meth:`CheckpointJournal.record`
 encodes the one changed cell, appends that single line and fsyncs before it
 returns; nothing already written is touched, so the cost of a save does not
-grow with the journal.  The on-disk format is one JSON object per line
-(``{"cell": {...}, "payload": ...}``); on load the last line of a cell wins
-and unparsable lines are skipped, so an interrupted run can lose at most
+grow with the journal.  A line is ``json.dumps({"cell": {...}, "crc": N,
+"payload": P, "version": 2}, sort_keys=True)``, ``N`` the CRC-32 of ``P``'s
+bytes, so a read checks the cell prefix and the CRC of the slice and
+catches a changed byte that still parses; version-1 lines (no ``crc``) are
+read by parsing.  On load the last line of a cell wins, and lines that do
+not parse or fail their CRC are skipped, so an interrupted run can lose at most
 the line being appended, never corrupt the cells already recorded, and even
 a journal damaged by external means degrades to recomputing a few cells
 instead of failing the sweep.  Superseded lines are dropped by *compaction*:
@@ -45,6 +48,7 @@ import json
 import multiprocessing.util
 import os
 import tempfile
+import zlib
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import CheckpointError, CheckpointLockError
@@ -56,13 +60,13 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 __all__ = ["CheckpointJournal"]
 
-_FORMAT_VERSION = 1
+_SEP = b', "payload": '  # between a version-2 line's CRC and its payload
+_TAIL = b', "version": 2}'  # a version-2 line's last bytes, newline aside
 
 # Compact when the file exceeds _COMPACT_FACTOR x its live bytes + _COMPACT_SLACK:
 # the rewrite then costs less than the appends that earned it.
 _COMPACT_FACTOR = 2
 _COMPACT_SLACK = 64 * 1024
-_MISSING = object()
 
 
 def _canonical(cell: Mapping[str, Any]) -> str:
@@ -73,10 +77,29 @@ def _canonical(cell: Mapping[str, Any]) -> str:
         raise CheckpointError(f"cell is not JSON-serializable: {exc}") from exc
 
 
-def _encode(key: str, payload: Any) -> bytes:
-    """The journal line of one cell (*key* is its canonical form)."""
-    record = {"version": _FORMAT_VERSION, "cell": json.loads(key), "payload": payload}
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+def _head(key: str) -> bytes:
+    """A version-2 line's bytes up to its CRC (*key* is the cell's canonical form)."""
+    return b'{"cell": ' + json.dumps(json.loads(key), sort_keys=True).encode() + b', "crc": '
+
+
+def _encode(key: str, payload: bytes) -> bytes:
+    """The journal line of one cell: ``json.dumps`` of the record, *payload* its encoded ``P``."""
+    return b"%s%d%s%s%s\n" % (_head(key), zlib.crc32(payload), _SEP, payload, _TAIL)
+
+
+def _checked(key: str, line: bytes) -> Optional[bytes]:
+    """``P`` of a version-2 line of cell *key* whose CRC holds, else ``None``."""
+    head, end = _head(key), len(line) - line.endswith(b"\n")
+    if not (line.startswith(head) and line.endswith(_TAIL, 0, end)):
+        return None
+    sep = line.find(_SEP, len(head), len(head) + 10 + len(_SEP))  # a CRC-32 has <= 10 digits
+    crc, payload = line[len(head) : sep], line[sep + len(_SEP) : end - len(_TAIL)]
+    return payload if sep > 0 and crc.isdigit() and zlib.crc32(payload) == int(crc) else None
+
+
+def _v1(record: Mapping[str, Any]) -> bool:
+    """Whether a parsed line is in the version-1 format, which has no CRC."""
+    return record.get("version", 1) == 1 and "crc" not in record
 
 
 class CheckpointJournal:
@@ -192,12 +215,15 @@ class CheckpointJournal:
                         cell, _payload = record["cell"], record["payload"]
                         if not isinstance(cell, dict):
                             raise TypeError("cell is not an object")
+                        key = _canonical(cell)
+                        if not (_v1(record) or _checked(key, line) is not None):
+                            raise ValueError("CRC mismatch")
                     except (ValueError, KeyError, TypeError):
                         # A torn tail from an interrupted append or external
                         # damage: skip the line — the cell is simply recomputed.
                         whole = False
                         continue
-                    self._place(_canonical(cell), self._file_bytes - len(line), len(line))
+                    self._place(key, self._file_bytes - len(line), len(line))
         except OSError as exc:
             raise CheckpointError(f"cannot read journal {self.path}: {exc}") from exc
         self._appendable = whole
@@ -211,15 +237,24 @@ class CheckpointJournal:
         with open(self.path, "rb") as handle:
             return os.pread(handle.fileno(), length, offset)
 
-    def _read(self, key: str, default: Any) -> Any:
-        """Payload of *key*'s live line, or *default* unless it reads back as that cell."""
+    def payload_bytes(self, cell: Mapping[str, Any]) -> Optional[bytes]:
+        """A cell's payload as checked JSON bytes, or ``None`` when it is not
+        recorded or its line no longer reads back as that cell."""
+        key = _canonical(cell)
         try:
-            record = json.loads(self._line(key))
-            if _canonical(record["cell"]) == key:
-                return record["payload"]
-        except (OSError, ValueError, KeyError, TypeError):
+            line = self._line(key)
+        except (OSError, KeyError):
+            return None
+        payload = _checked(key, line)
+        if payload is not None:
+            return payload
+        try:  # a version-1 line: parse it and encode its payload
+            record = json.loads(line)
+            if _canonical(record["cell"]) == key and _v1(record):
+                return json.dumps(record["payload"], sort_keys=True).encode()
+        except (ValueError, KeyError, TypeError):
             pass
-        return default
+        return None
 
     # -- queries ---------------------------------------------------------------
 
@@ -231,14 +266,15 @@ class CheckpointJournal:
 
     def get(self, cell: Mapping[str, Any], default: Any = None) -> Any:
         """Payload of a cell, or *default* when it is not recorded or does not read back."""
-        return self._read(_canonical(cell), default)
+        payload = self.payload_bytes(cell)
+        return default if payload is None else json.loads(payload)
 
     def items(self) -> Iterator[Tuple[str, Any]]:
         """``(canonical key, payload)`` of each cell that reads back, one line at a time."""
         for key in list(self._spans):
-            payload = self._read(key, _MISSING)
-            if payload is not _MISSING:
-                yield key, payload
+            payload = self.payload_bytes(json.loads(key))
+            if payload is not None:
+                yield key, json.loads(payload)
 
     def cells(self) -> Dict[str, Any]:
         """Snapshot of every cell whose line reads back (canonical key → payload)."""
@@ -247,9 +283,12 @@ class CheckpointJournal:
     # -- recording ---------------------------------------------------------------
 
     def record(self, cell: Mapping[str, Any], payload: Any) -> None:
-        """Mark a cell completed; returns once the new state is fsync'd."""
+        """Mark a cell completed; returns once the new state is fsync'd.  A ``bytes``
+        *payload* is already encoded: ``json.dumps(value, sort_keys=True)``."""
         key = _canonical(cell)
         try:
+            if not isinstance(payload, bytes):
+                payload = json.dumps(payload, sort_keys=True).encode()
             line = _encode(key, payload)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(

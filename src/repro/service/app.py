@@ -7,9 +7,10 @@
 * the in-memory run queue, drained in submission order,
 * ``pool_workers`` slots, each an executor thread and a persistent
   one-worker :class:`~repro.resilience.pool.SupervisedPool` (task
-  function ``execute_job``): a job runs whole in its slot's warm worker
-  process, so the server process keeps only HTTP, the queue, the journal
-  and the breaker.  A slot's worker is forked at its first job.
+  function ``execute_job``, whose result the worker encodes): a job runs
+  whole in its slot's warm worker process, so the server process keeps
+  only HTTP, the queue, the journal and the breaker, and handles a result
+  only as bytes.  A slot's worker is forked at its first job.
 
 Crash-safety protocol (the order matters):
 
@@ -37,6 +38,7 @@ rather than buffering unbounded work it may never get to.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import time
@@ -66,6 +68,7 @@ from repro.service.store import (
     JobStore,
     canonical_spec,
     job_key,
+    splice,
 )
 from repro.wallclock import wallclock
 
@@ -76,6 +79,12 @@ __all__ = ["ServiceConfig", "AnalysisService", "create_app"]
 #: shared grace is the drain.  Slots run on executor threads, so signals
 #: stay with the serve loop.
 _SLOT_POOL = PoolConfig(max_workers=1, timeout_s=math.inf, drain_grace_s=0.0)
+
+
+def _execute_encoded(spec: Dict[str, Any]) -> Tuple[bytes, Optional[Dict[str, Any]]]:
+    """A slot's task: run the job and encode its result in the worker, once."""
+    result, execution = execute_job(spec)  # looked up now, so a stand-in applies
+    return json.dumps(result, sort_keys=True).encode(), execution
 
 
 @dataclass(frozen=True)
@@ -391,20 +400,24 @@ class AnalysisService:
                 "breaker": self.breaker.snapshot(),
             }
 
-    def result(self, key: str) -> Dict[str, Any]:
-        """A done job's result, read back from the store."""
+    def result_bytes(self, key: str) -> bytes:
+        """A done job's result as the JSON bytes the store holds."""
         with self._lock:  # a save may compact the journal and move its lines
             record = self.store.get(key) if self.store is not None else None
             if record is None:
                 raise ServiceError(f"no job {key}")
             if record.status != DONE:
                 raise ServiceError(f"job {key} is {record.status}; no result to query")
-            return self.store.result(key)
+            return self.store.result_bytes(key)
 
-    def payload(self, record: JobRecord) -> Dict[str, Any]:
-        """*record* as a client sees it: a done job carries its result."""
-        result = self.result(record.key) if record.status == DONE else None
-        return {**record.to_payload(), "result": result}
+    def result(self, key: str) -> Dict[str, Any]:
+        """A done job's result, parsed: what the severity queries read."""
+        return json.loads(self.result_bytes(key))
+
+    def payload(self, record: JobRecord) -> bytes:
+        """*record* as a client sees it, encoded: a done job carries its result."""
+        result = self.result_bytes(record.key) if record.status == DONE else b"null"
+        return splice(record.to_payload(), "result", result)
 
     def severity(
         self, key: str, *, metric: Optional[str] = None
@@ -523,7 +536,7 @@ class AnalysisService:
                         budget = self.config.job_deadline_s
                     deadline = Deadline(budget)
                     if pool is None:
-                        pool = SupervisedPool(execute_job, _SLOT_POOL, persistent=True)
+                        pool = SupervisedPool(_execute_encoded, _SLOT_POOL, persistent=True)
                     self._running[key] = (deadline, pool)
                 self._settle(record, pool, deadline)
         finally:
@@ -595,19 +608,18 @@ class AnalysisService:
         status: str,
         *,
         error: Optional[str] = None,
-        result: Optional[Dict[str, Any]] = None,
+        result: Optional[bytes] = None,
         execution: Optional[Dict[str, Any]] = None,
         recovery: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Journal *record* settled in terminal *status* (caller holds the lock)."""
+        """Journal *record* settled in *status*, a done one with its encoded *result*."""
         record.status = status
         record.error = error
-        record.result = result
         record.execution = execution
         record.recovery = recovery
         record.finished_at = wallclock()
         record.phase = ""
-        self.store.save(record)
+        self.store.save(record, result)
         self._clear_running(record.key)
 
     def _readmit(self, record: JobRecord, phase: str) -> None:

@@ -52,6 +52,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.service.app import AnalysisService, ServiceConfig, create_app
+from repro.service.store import JobRecord, splice
 
 __all__ = ["ServiceHTTPServer", "serve"]
 
@@ -83,9 +84,12 @@ class _Handler(BaseHTTPRequestHandler):
     # -- response plumbing -----------------------------------------------------
 
     def _send(
-        self, status: int, payload: Dict[str, Any], headers: Optional[Dict[str, str]] = None
+        self, status: int, payload: Any, headers: Optional[Dict[str, str]] = None
     ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        """Answer *payload*: a dict, or the bytes of its ``json.dumps(..., sort_keys=True)``."""
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = payload + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -99,6 +103,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._headers_buffer.append(b"\r\n" + body)
             self.flush_headers()
+
+    def _send_job(self, status: int, fields: Dict[str, Any], record: JobRecord) -> None:
+        """Answer *fields* plus ``job``: the record, its result's bytes spliced in."""
+        self._send(status, splice(fields, "job", self.app.payload(record)))
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
@@ -118,14 +126,7 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self._read_json()
         record, disposition = self.app.submit(raw)
         status = 202 if disposition in ("created", "retried") else 200
-        self._send(
-            status,
-            {
-                "disposition": disposition,
-                "job": self.app.payload(record),
-                "url": f"/jobs/{record.key}",
-            },
-        )
+        self._send_job(status, {"disposition": disposition, "url": f"/jobs/{record.key}"}, record)
 
     def do_POST(self) -> None:  # noqa: N802
         path = urlsplit(self.path).path.rstrip("/")
@@ -135,14 +136,8 @@ class _Handler(BaseHTTPRequestHandler):
             elif path.startswith("/jobs/") and path.endswith("/requeue"):
                 key = path[len("/jobs/") : -len("/requeue")]
                 record = self.app.requeue(key)
-                self._send(
-                    202,
-                    {
-                        "disposition": "requeued",
-                        "job": self.app.payload(record),
-                        "url": f"/jobs/{record.key}",
-                    },
-                )
+                fields = {"disposition": "requeued", "url": f"/jobs/{record.key}"}
+                self._send_job(202, fields, record)
             else:
                 self._send(404, {"error": f"no route POST {path}"})
         except JobValidationError as exc:
@@ -171,10 +166,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 record, disposition = self.app.cancel(key)
                 status = {"cancelled": 200, "cancelling": 202}.get(disposition, 409)
-                self._send(
-                    status,
-                    {"disposition": disposition, "job": self.app.payload(record)},
-                )
+                self._send_job(status, {"disposition": disposition}, record)
             else:
                 self._send(404, {"error": f"no route DELETE {path}"})
         except ServiceError as exc:
@@ -230,17 +222,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no job {key}"})
             return
         if len(parts) == 1:
-            self._send(200, {"job": self.app.payload(record)})
+            self._send_job(200, {}, record)
         elif parts[1:] == ["result"]:
             if record.status == "done":
-                self._send(
-                    200,
-                    {
-                        "status": record.status,
-                        "result": self.app.result(key),
-                        "execution": record.execution,
-                    },
-                )
+                fields = {"status": record.status, "execution": record.execution}
+                self._send(200, splice(fields, "result", self.app.result_bytes(key)))
             else:
                 self._send(
                     409,

@@ -13,7 +13,8 @@ here:
   that was accepted is still there and every job that was mid-run is
   found in ``running`` state and re-queued.
 * **Memory** — records in memory carry no result; a done job's result
-  stays in its journal line until :meth:`JobStore.result` reads it back.
+  stays in its journal line, as the bytes its worker encoded, until
+  :meth:`JobStore.result_bytes` slices it back out (checked, never parsed).
 * **Idempotency** — a job's identity is :func:`job_key`, the SHA-256 of
   its *canonicalized* specification.  Two submissions that mean the same
   work (same kind, experiment, seed, jobs, config — regardless of key
@@ -213,6 +214,16 @@ def canonical_spec(raw: Mapping[str, Any], *, default_jobs: int = 1) -> Dict[str
     }
 
 
+def splice(obj: Mapping[str, Any], key: str, raw: bytes) -> bytes:
+    """``json.dumps({**obj, key: value}, sort_keys=True)``, where *raw* is
+    that encoding of ``value``: the bytes go in unparsed."""
+    before = json.dumps({k: v for k, v in obj.items() if k < key}, sort_keys=True)
+    after = json.dumps({k: v for k, v in obj.items() if k > key}, sort_keys=True)
+    head = before[:-1] + (", " if len(before) > 2 else "") + json.dumps(key) + ": "
+    tail = (", " + after[1:]) if len(after) > 2 else "}"
+    return head.encode() + raw + tail.encode()
+
+
 def job_key(spec: Mapping[str, Any]) -> str:
     """Content-addressed identity of a canonical spec (SHA-256 hex)."""
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
@@ -352,22 +363,40 @@ class JobStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def result(self, key: str) -> Dict[str, Any]:
-        """Done job *key*'s result, read back from its journal line."""
-        payload = self._journal.get({"job": key})
-        if not (isinstance(payload, dict) and payload.get("result")):
+    def result_bytes(self, key: str) -> bytes:
+        """Done job *key*'s result as JSON bytes: the slice of its journal line
+        between the record's own fields when both match byte for byte, else parsed."""
+        payload, record = self._journal.payload_bytes({"job": key}), self._records.get(key)
+        raw = b"null"
+        if payload is not None and record is not None:
+            # JSON escapes a NUL, so the marker splits the record's own encoding in two.
+            head, _, tail = splice(record.to_payload(), "result", b"\0").partition(b"\0")
+            fits = len(payload) > len(head) + len(tail)
+            if fits and payload.startswith(head) and payload.endswith(tail):
+                raw = payload[len(head) : len(payload) - len(tail)]
+            elif isinstance(parsed := json.loads(payload), dict):
+                raw = json.dumps(parsed.get("result"), sort_keys=True).encode()
+        if raw == b"null":
             raise CheckpointError(
                 f"result of job {key} cannot be read back: its journal line is damaged or gone"
             )
-        return payload["result"]
+        return raw
+
+    def result(self, key: str) -> Dict[str, Any]:
+        """Done job *key*'s result, parsed."""
+        return json.loads(self.result_bytes(key))
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, record: JobRecord) -> None:
-        """Persist a job's state durably (fsync'd) before returning; keep it without result."""
+    def save(self, record: JobRecord, result: Optional[bytes] = None) -> None:
+        """Persist a job's state durably (fsync'd) before returning; keep it without
+        result.  *result*: a done job's ``json.dumps(result, sort_keys=True)`` bytes."""
         self._records[record.key] = replace(record, result=None)
         self._last_seq = max(self._last_seq, record.seq)
-        self._journal.record({"job": record.key}, record.to_payload())
+        payload = record.to_payload()
+        self._journal.record(
+            {"job": record.key}, payload if result is None else splice(payload, "result", result)
+        )
 
     def close(self) -> None:
         self._journal.close()

@@ -147,7 +147,7 @@ class TestIdempotency:
             calls_before = gate.calls
             again, disposition = service.submit({**SIM, "seed": 1})
             assert disposition == "cached"
-            assert service.payload(again)["result"] == {"kind": "simulate", "echo": 1}
+            assert json.loads(service.payload(again))["result"] == {"kind": "simulate", "echo": 1}
             time.sleep(0.2)  # would surface an accidental re-queue
             assert gate.calls == calls_before
 
