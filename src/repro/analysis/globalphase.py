@@ -20,9 +20,10 @@ and no op, record, pair or collective instance is ever made an object:
   last enter, spans-metahosts, the causing metahost (lowest rank on a tie),
   the root and every wait are ``reduceat`` passes.  An instance with
   members missing (excluded or unadmitted ranks) is evaluated over those present;
-* **severities** — each metric's hits are summed exactly per cell
-  (:func:`~repro.analysis.severity.exact_expansion`) and enter the cube and
-  the grid breakdown in the order the object-wise reference meets them
+* **severities** — an analysis charges each ``(metric, call path,
+  process)`` cell once, so it is one :func:`math.fsum` of its hits (the sum
+  one ``add`` per hit reaches in any order), installed once into the cube
+  and the grid breakdown in the order the object-wise reference meets them
   (pairs receiver-major, instances by ``(communicator, index)``, members by
   rank), so the results are equal to the reference's down to dict order.
 
@@ -36,7 +37,9 @@ metadata byte sizes) from this module; nothing here imports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from math import fsum
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +73,7 @@ from repro.analysis.patterns.base import (
     classify_region,
 )
 from repro.analysis.result import GridPairBreakdown
-from repro.analysis.severity import Partials, SeverityCube, exact_expansion
+from repro.analysis.severity import SeverityCube
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.condition import ClockConditionChecker
 from repro.errors import AnalysisError
@@ -148,8 +151,7 @@ def global_phase(
         if not len(rows):
             return
         cpid, rank, value = cpid[rows], rank[rows], value[rows]
-        for path, process, partials in _sum_cells(cpid, rank, value):
-            cube.add_expansion(metric, path, process, partials)
+        cube.install(metric, *_sum_cells(cpid, rank, value))
         if timeline is not None:
             timeline.add_columns((metric,), cpid, rank, enter[rows], exit[rows], value)
 
@@ -175,20 +177,31 @@ def _runs(*keys: np.ndarray, order: Optional[np.ndarray] = None):
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
+def _grouped(a: np.ndarray, b: np.ndarray):
+    """Rows stably sorted by ``(a, b)``, non-negative integers, and the
+    runs of equal pairs: ``(order, each run's first row, each row's run)``."""
+    key = a.astype(np.int64) * (int(b.max(initial=0)) + 1) + b
+    # In the smallest dtype: numpy sorts 8- and 16-bit keys by radix, ~10x faster.
+    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+    return (order, *_runs(key, order=order))
+
+
 def _sum_cells(
     a: np.ndarray, b: np.ndarray, values: np.ndarray
-) -> Iterator[Tuple[int, int, Partials]]:
-    """``(a, b, exact sum of values)`` per distinct ``(a, b)``, cells in the
-    order their first rows come: the dict order one ``add`` per row leaves."""
-    order = np.lexsort((b, a))
-    starts, _ = _runs(a, b, order=order)
-    # lexsort is stable: a run's first element is the cell's first row.
+) -> Tuple[List[int], List[int], List[float]]:
+    """``a``, ``b`` and ``fsum`` of the values of each distinct ``(a, b)``
+    (non-negative keys), cells in the order their first rows come: the dict
+    order one ``add`` per row leaves."""
+    order, starts, _ = _grouped(a, b)
+    # A stable sort: a run's first element is the cell's first row.
     first = order[starts]
-    bounds = starts.tolist() + [len(order)]
-    ordered = values[order].tolist()
-    cells = zip(a[first].tolist(), b[first].tolist(), bounds, bounds[1:])
-    for _, (x, y, lo, hi) in sorted(zip(first.tolist(), cells)):
-        yield x, y, exact_expansion(ordered[lo:hi])
+    by_first = np.argsort(first)
+    ends = np.append(starts[1:], len(a))
+    ordered = memoryview(values[order])  # fsum reads a slice without a copy
+    rows = first[by_first]
+    return a[rows].tolist(), b[rows].tolist(), [
+        fsum(ordered[lo:hi]) for lo, hi in zip(starts[by_first].tolist(), ends[by_first].tolist())
+    ]
 
 
 def _gather(
@@ -200,24 +213,29 @@ def _gather(
     Columns: the owning op's rank and its *of_op* columns, then the record's
     own *fields* in their trace dtypes.  *last* keeps only an op's final
     record (a later COLLEXIT of the same op replaces an earlier one).
-    Row-level on purpose: whole op columns are never concatenated.
+    Each column is one concatenation over the ranks.
     """
-    parts = []
-    for rank, ops in tables.items():
-        start, columns = getattr(ops, kind)
-        if last:
-            owner = np.flatnonzero(start[1:] > start[:-1])
-            rows = start[1:][owner] - 1
-            record = [column[rows] for column in columns[fields]]
-        else:
-            owner = np.repeat(np.arange(len(ops)), np.diff(start))
-            record = list(columns[fields])
-        parts.append((
-            np.full(len(owner), rank, np.int32),
-            *[getattr(ops, name)[owner] for name in of_op],
-            *record,
-        ))
-    return [np.concatenate(column) for column in zip(*parts)]
+    ops = tables.values()
+    starts = [getattr(table, kind)[0] for table in ops]
+    # Each op's record count: the bounds' differences, but across ranks.
+    count = np.diff(np.concatenate(starts))
+    count = np.delete(count, np.cumsum([len(start) for start in starts[:-1]], dtype=int) - 1)
+    op_rank = np.repeat(np.fromiter(tables, np.int32, len(tables)), [len(table) for table in ops])
+    record = (
+        np.concatenate(column)
+        for column in zip(*(getattr(table, kind)[1][fields] for table in ops))
+    )
+    if last:
+        owner = np.flatnonzero(count)
+        rows = np.cumsum(count)[owner] - 1
+        record = (column[rows] for column in record)
+    else:
+        owner = np.repeat(np.arange(len(count)), count)
+    return [
+        op_rank[owner],
+        *[np.concatenate([getattr(table, name) for table in ops])[owner] for name in of_op],
+        *record,
+    ]
 
 
 def _install_grid(breakdown: GridPairBreakdown, *entries) -> None:
@@ -228,9 +246,11 @@ def _install_grid(breakdown: GridPairBreakdown, *entries) -> None:
     """
     entries = [entry for entry in entries if len(entry[1])]
     for metric, rows, causer, waiter, value in sorted(entries, key=lambda e: e[1][0]):
+        if metric in breakdown._partials:
+            raise AnalysisError(f"grid breakdown of {metric} is installed twice")
+        causers, waiters, sums = _sum_cells(causer[rows], waiter[rows], value[rows])
         breakdown._partials[metric] = {
-            (c, w): partials
-            for c, w, partials in _sum_cells(causer[rows], waiter[rows], value[rows])
+            (c, w): [total] for c, w, total in zip(causers, waiters, sums)
         }
 
 
@@ -248,12 +268,15 @@ def _local_metrics(timelines, cube, timeline, charge) -> None:
         rank, cpid, region, enter, exit = (c[kept] for c in (rank, cpid, region, enter, exit))
         duration = exit - enter
         # A call path has one region, so these are per-path sums.
+        paths, ranks, sums = _sum_cells(cpid, rank, duration)
         region_of = np.zeros(int(cpid.max(initial=0)) + 1, np.int64)
         region_of[cpid] = region
-        region_of = region_of.tolist()
-        for path, process, partials in _sum_cells(cpid, rank, duration):
-            for metric in metrics_of[region_of[path]]:
-                cube.add_expansion(metric, path, process, partials)
+        of_cell = [metrics_of[region] for region in region_of[paths].tolist()]
+        # Each metric is installed whole, its cells in first-row order; the
+        # metrics enter the cube as one ``add`` per cell would meet them.
+        for metric in dict.fromkeys(m for metrics in dict.fromkeys(of_cell) for m in metrics):
+            mask = [metric in metrics for metrics in of_cell]
+            cube.install(metric, compress(paths, mask), compress(ranks, mask), compress(sums, mask))
         for metrics in sorted(set(metrics_of.values())) if timeline is not None else ():
             rows = np.isin(region, [r for r, charged in metrics_of.items() if charged == metrics])
             timeline.add_columns(metrics, *(c[rows] for c in (cpid, rank, enter, exit, duration)))
@@ -308,13 +331,13 @@ def _match(sends: Sequence[np.ndarray], recvs: Sequence[np.ndarray]):
 def _wrong_order(receiver: np.ndarray, comm: np.ndarray, sent: np.ndarray) -> np.ndarray:
     """Pairs (in receive order) sent before the latest-sent message the same
     receiver had already retrieved on the same communicator."""
+    order, _, run = _grouped(receiver, comm)
+    # One running maximum over every run: the stamps' dense integer ranks,
+    # offset by run, order runs below one another and keep ties equal.
+    values, stamp = np.unique(sent[order], return_inverse=True)
+    stamp += run * len(values)
     wrong = np.zeros(len(sent), bool)
-    order = np.lexsort((comm, receiver))
-    starts, _ = _runs(receiver, comm, order=order)
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
-        rows = order[lo:hi]
-        stamps = sent[rows]
-        wrong[rows[1:]] = stamps[1:] < np.maximum.accumulate(stamps)[:-1]
+    wrong[order[1:]] = stamp[1:] < np.maximum.accumulate(stamp)[:-1]
     return wrong
 
 
@@ -407,8 +430,7 @@ def _collectives(tables, machine, definitions, charge, grid_pairs, stats) -> Non
     if not members:
         return
     # A member's instance on its communicator is its running count there.
-    by_stream = np.lexsort((comm, rank))
-    starts, run = _runs(rank, comm, order=by_stream)
+    by_stream, starts, run = _grouped(rank, comm)
     index = np.empty(members, np.int64)
     index[by_stream] = np.arange(members) - starts[run]
     order = np.lexsort((rank, index, comm))

@@ -275,8 +275,22 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
 
     # -- each trace's slice of the batch ---------------------------------------
     cut = np.append(first, len(stamps))
-    op_bounds = np.searchsorted(op_exit, cut).tolist()
+    op_bounds = np.searchsorted(op_exit, cut)
     omp_bounds = np.searchsorted(omp_index, cut).tolist()
+    # Per kind, one column of every trace's record bounds rebased to its
+    # first record, back to back: trace t's ops [a, b) own rows [a + t, b + t].
+    inner, ops_of = op_bounds[1:-1], np.diff(op_bounds)
+    kinds = []
+    for start, columns in (sends, recvs, colls):
+        bounds = np.insert(start, inner, start[inner])
+        bounds -= np.repeat(start[op_bounds[:-1]], ops_of + 1)
+        kinds.append((bounds, start[op_bounds].tolist(), columns))
+    # The MPI regions each trace's ops are in, ascending.
+    present = np.zeros((len(traces), span), bool)
+    present[np.repeat(np.arange(len(traces)), ops_of), op_columns[0]] = True
+    used_by, used = np.nonzero(present)
+    used_bounds, used = np.searchsorted(used_by, np.arange(len(traces) + 1)).tolist(), used.tolist()
+    op_bounds = op_bounds.tolist()
     path_trace = trace_of(first_enter)
     entered = order.tolist()
     entered_bounds = np.searchsorted(path_trace[order], np.arange(len(traces) + 1)).tolist()
@@ -286,7 +300,6 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
     for t, trace in enumerate(traces):
         a, b = op_bounds[t], op_bounds[t + 1]
         c, d = omp_bounds[t], omp_bounds[t + 1]
-        region = op_columns[0][a:b]
         count = int(counts[t])
         timelines.append(ProcessTimeline(
             rank=trace.rank,
@@ -303,12 +316,12 @@ def _array_passes(traces, offsets, callpaths, regions) -> List[ProcessTimeline]:
             },
             mpi_ops=OpTable(
                 trace.rank,
-                {r: names[r] for r in np.unique(region).tolist()},
-                region,
-                *[column[a:b] for column in op_columns[1:]],
-                _slice(sends, a, b),
-                _slice(recvs, a, b),
-                _slice(colls, a, b),
+                {r: names[r] for r in used[used_bounds[t]:used_bounds[t + 1]]},
+                *[column[a:b] for column in op_columns],
+                *[
+                    (bounds[a + t:b + t + 1], tuple(column[at[t]:at[t + 1]] for column in columns))
+                    for bounds, at, columns in kinds
+                ],
             ),
             omp_regions=OmpTable(tuple(column[c:d] for column in omp_columns)),
             event_count=count,
@@ -380,10 +393,3 @@ def _exclusive_time(f_start, f_end, f_exit, f_parent, f_path, paths):
     exclusive_sum = np.bincount(path_x, weights=exclusive, minlength=paths).tolist()
     exited, first_exit = np.unique(path_x, return_index=True)
     return exclusive_sum, exited[np.argsort(first_exit)]
-
-
-def _slice(records: Records, a: int, b: int) -> Records:
-    """The records of ops ``[a, b)``, their bounds rebased to the first."""
-    start, columns = records
-    lo, hi = start[a], start[b]
-    return start[a:b + 1] - lo, tuple(column[lo:hi] for column in columns)

@@ -11,16 +11,16 @@ expansion (a short list of non-overlapping partial floats whose sum is the
 cell's exact value), collapsed with :func:`math.fsum` on read.  The
 collapsed value is the correctly rounded sum of the real numbers added, so
 it depends only on the *multiset* of contributions — never on their order.
-That property is what lets the columnar replay, which sums each cell's
-hits in one pass, and the buffered two-pass reference feed the same cells
-in different orders and still agree bit for bit.
+That property is what lets the columnar replay, which installs each cell
+once as one :func:`math.fsum` of its hits (:meth:`SeverityCube.install`),
+and the buffered two-pass reference, which adds hit by hit, agree bit for
+bit.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import fsum, isfinite
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import fsum
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import AnalysisError
 
@@ -47,25 +47,6 @@ def grow_expansion(partials: Partials, value: float) -> None:
             i += 1
         x = hi
     partials[i:] = [x]
-
-
-def exact_expansion(values: Sequence[float]) -> Partials:
-    """The exact sum of *values* as an expansion, in a few C-speed passes.
-
-    Equal in value to growing an empty expansion by each element, without
-    the per-element Python call: :func:`math.fsum` rounds the exact sum
-    correctly, so its successive residuals ``fsum(values - partials)`` are
-    non-overlapping and hit zero once the sum is fully represented.
-    """
-    partials: Partials = []
-    residual = fsum(values)
-    while residual:
-        partials.append(residual)
-        if not isfinite(residual):
-            break
-        residual = fsum(chain(values, (-part for part in partials)))
-    partials.reverse()
-    return partials
 
 
 class SeverityCube:
@@ -107,22 +88,26 @@ class SeverityCube:
             grow_expansion(partials, value)
         self._snapshot = None
 
-    def add_expansion(
-        self, metric: str, cpid: int, rank: int, partials: Partials
+    def install(
+        self, metric: str, cpids: Iterable[int], ranks: Iterable[int], values: Iterable[float]
     ) -> None:
-        """Accumulate a whole expansion (kept by the caller) into one cell.
+        """Install exact cell values — ``values[i] >= 0`` seconds at
+        ``(cpids[i], ranks[i])`` — in order, each into a cell of *metric*
+        that holds nothing yet; a zero adds nothing, as in :meth:`add`.
 
-        The streaming replay sums each ``(rank, call path)``'s MPI durations
-        once and installs a copy into every base metric of the op's class;
-        the cell's exact sum is what per-op ``add`` calls would have reached.
+        The global phase sums each cell's hits once with :func:`math.fsum`,
+        the value one ``add`` per hit reaches in any order.  A cell already
+        held raises: merging a rounded sum into it would drift by an ulp.
         """
-        by_rank = self._partials.setdefault(metric, {}).setdefault(cpid, {})
-        existing = by_rank.get(rank)
-        if existing is None:
-            by_rank[rank] = list(partials)
-        else:
-            for part in partials:
-                grow_expansion(existing, part)
+        by_cp = self._partials.get(metric, {})
+        for cpid, rank, value in zip(cpids, ranks, values):
+            if value:
+                by_rank = by_cp.setdefault(cpid, {})
+                if rank in by_rank:
+                    raise AnalysisError(f"{metric} at cpid={cpid} rank={rank} is installed twice")
+                by_rank[rank] = [value]
+        if by_cp:
+            self._partials[metric] = by_cp
         self._snapshot = None
 
     @property

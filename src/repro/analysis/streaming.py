@@ -51,8 +51,8 @@ and degraded, every ``jobs`` value, dict orders included) rests on:
 
 * **exact order-free sums** — the severity cube and the grid breakdown
   hold Shewchuk expansions (:mod:`repro.analysis.severity`); a cell's hits
-  are summed exactly in one pass, which is the value one ``add`` per hit
-  reaches in any order;
+  are summed by one ``math.fsum``, installed once, which is the value one
+  ``add`` per hit reaches in any order;
 * **pairs in receive order** — matched pairs are evaluated receiver-major
   in receive trace order, the buffered feed order, which is what the one
   stateful pattern (Wrong Order, keyed per receiver and communicator) and
@@ -63,8 +63,9 @@ and degraded, every ``jobs`` value, dict orders included) rests on:
   root;
 * **global call-path ids** — see step 2.
 
-The clock-condition checker holds the matched messages as columns in one
-canonical order, so its ``stamps`` compare equal across engines.  The
+The clock-condition checker holds the matched messages as columns in
+receive order and sorts them into one canonical order in ``stamps``, so
+they compare equal across engines.  The
 ``SeverityTimeline``'s bins are plain float sums, documented as last-ulp
 diagnostics.
 
@@ -81,6 +82,7 @@ from __future__ import annotations
 
 import warnings
 from functools import partial
+from itertools import repeat
 from typing import Dict, Optional
 
 from repro.analysis.globalphase import global_phase
@@ -239,10 +241,10 @@ def _replay(
         allow_unmatched=degraded or interrupted is not None,
         timeline=timeline,
     )
-    # TIME from per-rank exclusive time.
+    # TIME from per-rank exclusive time, one install per rank.
     for rank, process in timelines.items():
-        for cpid, exclusive in process.exclusive_time.items():
-            cube.add(TIME, cpid, rank, exclusive)
+        exclusive = process.exclusive_time
+        cube.install(TIME, exclusive.keys(), repeat(rank), exclusive.values())
 
     if interrupted is not None:
         # Honest per-rank accounting for a run the budget cut short.  An

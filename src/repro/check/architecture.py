@@ -104,7 +104,7 @@ REMOVED: Dict[str, Dict[str, Tuple[str, ...]]] = {
                    '"perf:'),
     },
     "ARC504": {
-        "ARC504": ("pool_config", "with_workers"),
+        "ARC504": ("pool_config", "with_workers", "exact_expansion", "add_expansion"),
         "ARC509": ("_analysis_opts", "_ANALYSIS_OPTS"),
         "ARC513": ("_is_number", "_is_int", "_SECONDS", "_REQUEST_SCHEMA"),
         "ARC517": ("_record_offsets", "_run_end", "iter_unpack"),

@@ -55,9 +55,10 @@ class ClockConditionChecker:
 
     One form: the ascending table of the nodes that occur, each message's
     sender and receiver as indices into it, and its synchronized send and
-    receive stamps — columns kept in the canonical order (sender node,
-    receiver node, send stamp, receive stamp), the order of sorting the
-    :class:`MessageStamp` tuples.  The summary separates internal
+    receive stamps — columns in replay order (pairs in receive order).  The
+    canonical order (sender node, receiver node, send stamp, receive stamp),
+    that of sorting the :class:`MessageStamp` tuples, lives in :attr:`stamps`
+    and ``==``; nothing else reads an order.  The summary separates internal
     (same-metahost) from external (cross-metahost) violations, which is the
     breakdown that explains *why* the flat scheme fails (its violations
     concentrate on internal links of non-master metahosts).
@@ -72,12 +73,11 @@ class ClockConditionChecker:
         recv_time_s: np.ndarray,
     ) -> None:
         """*nodes* ascending; the message columns in any order."""
-        order = np.lexsort((recv_time_s, send_time_s, receiver, sender))
         self.nodes: Tuple[NodeId, ...] = tuple(nodes)
-        self.sender = np.asarray(sender)[order]
-        self.receiver = np.asarray(receiver)[order]
-        self.send_time_s = np.asarray(send_time_s, np.float64)[order]
-        self.recv_time_s = np.asarray(recv_time_s, np.float64)[order]
+        self.sender = np.asarray(sender)
+        self.receiver = np.asarray(receiver)
+        self.send_time_s = np.asarray(send_time_s, np.float64)
+        self.recv_time_s = np.asarray(recv_time_s, np.float64)
 
     @classmethod
     def from_stamps(cls, stamps: Iterable[MessageStamp]) -> "ClockConditionChecker":
@@ -98,10 +98,11 @@ class ClockConditionChecker:
     def stamps(self) -> List[MessageStamp]:
         """The messages as :class:`MessageStamp` tuples, in canonical order."""
         nodes = self.nodes
-        columns = (self.send_time_s.tolist(), self.recv_time_s.tolist())
+        order = np.lexsort((self.recv_time_s, self.send_time_s, self.receiver, self.sender))
+        columns = (self.sender, self.receiver, self.send_time_s, self.recv_time_s)
         return [
             MessageStamp(nodes[s], nodes[r], sent, received)
-            for s, r, sent, received in zip(self.sender.tolist(), self.receiver.tolist(), *columns)
+            for s, r, sent, received in zip(*(column[order].tolist() for column in columns))
         ]
 
     def __eq__(self, other: object) -> bool:

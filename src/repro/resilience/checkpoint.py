@@ -17,8 +17,9 @@ returns; nothing already written is touched, so the cost of a save does not
 grow with the journal.  A line is ``json.dumps({"cell": {...}, "crc": N,
 "payload": P, "version": 2}, sort_keys=True)``, ``N`` the CRC-32 of ``P``'s
 bytes, so a read checks the cell prefix and the CRC of the slice and
-catches a changed byte that still parses; version-1 lines (no ``crc``) are
-read by parsing.  On load the last line of a cell wins, and lines that do
+catches a changed byte that still parses; load parses a version-2 line's
+cell, never its payload, and a version-1 line (no ``crc``) whole.  On load
+the last line of a cell wins, and lines that do
 not parse or fail their CRC are skipped, so an interrupted run can lose at most
 the line being appended, never corrupt the cells already recorded, and even
 a journal damaged by external means degrades to recomputing a few cells
@@ -60,6 +61,9 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 __all__ = ["CheckpointJournal"]
 
+_DECODER = json.JSONDecoder()
+_OPEN = b'{"cell": '  # a version-2 line's first bytes
+_CRC = b', "crc": '  # between a version-2 line's cell and its CRC
 _SEP = b', "payload": '  # between a version-2 line's CRC and its payload
 _TAIL = b', "version": 2}'  # a version-2 line's last bytes, newline aside
 
@@ -79,7 +83,7 @@ def _canonical(cell: Mapping[str, Any]) -> str:
 
 def _head(key: str) -> bytes:
     """A version-2 line's bytes up to its CRC (*key* is the cell's canonical form)."""
-    return b'{"cell": ' + json.dumps(json.loads(key), sort_keys=True).encode() + b', "crc": '
+    return _OPEN + json.dumps(json.loads(key), sort_keys=True).encode() + _CRC
 
 
 def _encode(key: str, payload: bytes) -> bytes:
@@ -95,6 +99,17 @@ def _checked(key: str, line: bytes) -> Optional[bytes]:
     sep = line.find(_SEP, len(head), len(head) + 10 + len(_SEP))  # a CRC-32 has <= 10 digits
     crc, payload = line[len(head) : sep], line[sep + len(_SEP) : end - len(_TAIL)]
     return payload if sep > 0 and crc.isdigit() and zlib.crc32(payload) == int(crc) else None
+
+
+def _v2_key(line: bytes) -> Optional[str]:
+    """The cell key of a version-2 line whose head and CRC check out, from
+    the cell alone: the payload is not parsed.  ``None`` for any other line."""
+    try:
+        cell, _ = _DECODER.raw_decode(line.decode("ascii"), len(_OPEN))
+    except ValueError:
+        return None
+    key = _canonical(cell) if isinstance(cell, dict) else ""
+    return key if key and _checked(key, line) is not None else None
 
 
 def _v1(record: Mapping[str, Any]) -> bool:
@@ -211,13 +226,15 @@ class CheckpointJournal:
                     if line.isspace():
                         continue
                     try:
-                        record = json.loads(line)
-                        cell, _payload = record["cell"], record["payload"]
-                        if not isinstance(cell, dict):
-                            raise TypeError("cell is not an object")
-                        key = _canonical(cell)
-                        if not (_v1(record) or _checked(key, line) is not None):
-                            raise ValueError("CRC mismatch")
+                        key = _v2_key(line)
+                        if key is None:  # a version-1 line is read by parsing
+                            record = json.loads(line)
+                            cell, _payload = record["cell"], record["payload"]
+                            if not isinstance(cell, dict):
+                                raise TypeError("cell is not an object")
+                            key = _canonical(cell)
+                            if not _v1(record):
+                                raise ValueError("CRC mismatch")
                     except (ValueError, KeyError, TypeError):
                         # A torn tail from an interrupted append or external
                         # damage: skip the line — the cell is simply recomputed.

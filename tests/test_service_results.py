@@ -159,6 +159,46 @@ class TestStoreReadBack:
                 store.result("a" * 64)
 
 
+class TestOpeningAStoreParsesEachResultOnce:
+    """A restart parses each stored result once: the journal checks a
+    line's cell and CRC without parsing its payload, and the store parses
+    each payload once.  Each result used to be parsed twice on open."""
+
+    def _parses(self, monkeypatch, marker):
+        parsed = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            raw = text.encode() if isinstance(text, str) else bytes(text)
+            parsed.extend([raw] if marker in raw else [])
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        return parsed
+
+    def test_a_restart_parses_each_result_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "jobs.jsonl")
+        keys = [f"{i:064x}" for i in range(5)]
+        with JobStore(path) as store:
+            for seq, key in enumerate(keys, 1):
+                store.save(JobRecord(key=key, seq=seq, spec={}, status=RUNNING))
+                store.save(_done(key, seq, None), json.dumps(_big_result(seq)).encode())
+        parsed = self._parses(monkeypatch, b"x" * 1000)
+        with JobStore(path) as store:
+            assert [(r.key, r.status, r.result) for r in store.records()] == [
+                (key, DONE, None) for key in keys
+            ]
+            assert len(parsed) == len(keys)
+            assert store.result(keys[2]) == _big_result(3)
+        assert len(parsed) == len(keys) + 1  # and the one result a client asked for
+
+    def test_a_store_written_before_still_loads_by_parsing(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        shutil.copy(_V1, path)
+        with JobStore(str(path)) as store:
+            assert len(store) and all(record.result is None for record in store.records())
+
+
 def _request(base, method, path, body=None):
     data = json.dumps(body).encode("utf-8") if body is not None else None
     request = urllib.request.Request(base + path, data=data, method=method)
