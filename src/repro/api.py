@@ -122,21 +122,21 @@ def verify_archives(run: RunResult) -> RunVerification:
     return verification
 
 
-def run_checks(root: Optional[str] = None, **options):
+def run_checks(root: Optional[str] = None):
     """Run the :mod:`repro.check` static-analysis pass over a source tree.
 
     Walks *root* (default: the installed ``repro`` package) through every
-    rule family — determinism, atomicity, concurrency, API drift — applies
-    the checked-in suppression baseline, and returns a
+    rule family — determinism, atomicity, concurrency, deprecations,
+    architecture — applies each module's allow comments, and returns a
     :class:`~repro.check.findings.CheckReport`.  ``repro check`` is a thin
-    CLI shell over this function; see its docstring for the options.
+    CLI shell over this function.
 
     Imported lazily so the facade does not pull the checker (and the
     ``ast`` machinery) into ordinary simulation runs.
     """
     from repro.check.engine import run_checks as _run_checks
 
-    return _run_checks(root=root, **options)
+    return _run_checks(root=root)
 
 
 # -- named experiments --------------------------------------------------------
@@ -279,7 +279,9 @@ def run_experiment(
     ``journal`` makes the run resumable: each completed (experiment, seed)
     cell — and, inside ``table2`` and ``faults``, each completed
     per-scheme/per-plan sub-cell — is persisted, and a rerun with the same
-    journal skips straight to the cached result.  On archive damage the
+    journal skips straight to the cached result; a run a deadline cut
+    journals nothing, so its possibly cut text is never served as the
+    answer.  On archive damage the
     strict experiments raise :class:`~repro.errors.ArchiveError`, the
     fault ladder records the verdict in its report instead.
 
@@ -312,6 +314,6 @@ def run_experiment(
         if cached is not None:
             return cached["text"]
     text = runner(seed, request, journal, deadline)
-    if journal is not None:
+    if journal is not None and (deadline is None or not deadline.expired()):
         journal.record(cell, {"text": text})
     return text

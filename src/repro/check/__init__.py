@@ -19,9 +19,9 @@ result.  This package enforces them mechanically, at the source level:
   call without a timeout while holding a lock; no untimed blocking calls
   in the threaded packages; every ``threading.Thread`` carries an
   explicit daemon/join story.
-* **API drift** (``API4xx``): ``repro.api.__all__`` must match the
-  checked-in snapshot contract, and every ``DeprecationWarning`` shim is
-  registered with a removal window that has not lapsed.
+* **Deprecations** (``API402``): every ``DeprecationWarning`` shim's
+  message names the release that removes it, and that release is still
+  ahead of :data:`repro.__version__`.
 * **Architecture** (``ARC5xx``): what each simplicity refactor removed
   stays removed — deleted names, import boundaries (the process boundary
   does not know the replay driver, the engine does not import the
@@ -32,11 +32,11 @@ result.  This package enforces them mechanically, at the source level:
   deleted names.
 
 Rules report typed :class:`~repro.check.findings.Finding`\\ s with
-``file:line``, a rule id and a fix hint.  The checked-in
-``checks_baseline.json`` suppresses accepted pre-existing sites (each
-entry carries a justification); stale or unjustified baseline entries are
-themselves findings (``BASE0xx``), so the baseline can only shrink
-honestly.
+``file:line``, a rule id and a fix hint.  A reviewed exception is an
+allow comment on the line above the code it excuses, carrying its reason
+(``# check: allow CON303: <reason>``); a stale or reasonless allow
+comment is itself a finding (``BASE0xx``), so exceptions can only stand
+where someone wrote down why.
 
 Entry points: :func:`run_checks` (also exported via :mod:`repro.api`)
 and the ``repro check`` CLI command (exit 0 clean / 1 findings /
@@ -48,10 +48,7 @@ from repro.exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.check.baseline": ("Baseline", "BaselineError"),
-        "repro.check.engine": (
-            "DEFAULT_BASELINE_PATH", "DEFAULT_SNAPSHOT_PATH", "check_source", "run_checks",
-        ),
+        "repro.check.engine": ("check_source", "run_checks"),
         "repro.check.findings": ("RULES", "CheckReport", "Finding"),
     },
 )

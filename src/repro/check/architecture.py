@@ -113,6 +113,8 @@ REMOVED: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "ARC527": ("handle_signals",),
         "ARC529": ("true_master_time", "SynchronizedTime", "convert_all", ".to_master("),
         "ARC530": ("repro.instrument", "Tracer("),
+        "ARC531": ("checks_baseline", "api_snapshot", "update_baseline", "load_snapshot",
+                   "BaselineError"),
     },
 }
 

@@ -15,7 +15,7 @@ Two rules keep every write site honest:
   (``MountNamespace.write_file_atomic``, ``CheckpointJournal._flush``)
   build on ``tempfile.mkstemp`` + ``os.fdopen`` + ``os.replace`` and are
   not matched by this rule; the one append site
-  (``CheckpointJournal._append``) is baselined with its reason.
+  (``CheckpointJournal._append``) carries an allow comment with its reason.
 * ``ATM202`` — ``os.rename`` is flagged everywhere: it raises on
   cross-device moves and on Windows on existing targets; ``os.replace``
   has the atomic-overwrite semantics every call site here wants.

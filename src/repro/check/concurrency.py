@@ -19,7 +19,7 @@ it mechanically, per module:
 * ``CON303`` — the same zero-argument blocking calls *outside* any lock
   are still flagged in these packages: an untimed wait is an unbounded
   hang when the peer dies.  Deliberate blocking sites (a worker's task
-  loop) are baselined with their justification.
+  loop) carry an allow comment with their justification.
 * ``CON304`` — ``threading.Thread(...)`` without an explicit ``daemon=``
   keyword: the daemon/join story must be visible at the creation site.
 
@@ -225,8 +225,8 @@ class ConcurrencyVisitor(RuleVisitor):
                         "CON303",
                         node,
                         f"untimed blocking call {receiver}.{attr}()",
-                        "pass an explicit timeout (or baseline this site "
-                        "with the reason it may block forever)",
+                        "pass an explicit timeout (or put an allow comment "
+                        "above this site with the reason it may block forever)",
                     )
         if name == "threading.Thread":
             if not any(kw.arg == "daemon" for kw in node.keywords):

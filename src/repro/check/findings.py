@@ -1,24 +1,18 @@
 """Typed findings and the check report — the linter's output contract.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`~Finding.identity` deliberately excludes the line *number*: baseline
-entries match on ``(rule, file, enclosing symbol, source line text)`` so
-unrelated edits above a baselined site do not invalidate the baseline,
-while any edit *to* the flagged line does — exactly the stability a
-checked-in suppression list needs.
-
-:class:`CheckReport` aggregates findings and suppressions and renders the
-two CLI formats.  The JSON form is schema-stable (pinned by
-``tests/test_check_cli.py``): top-level keys ``version``, ``root``,
-``ok``, ``findings``, ``suppressed``, ``rules``; each finding carries
-``rule``, ``file``, ``line``, ``symbol``, ``message``, ``hint``,
-``snippet``.
+A :class:`Finding` is one rule violation at one source location.
+:class:`CheckReport` aggregates the active findings and the ones an allow
+comment excused (``suppressed``), and renders the two CLI formats.  The
+JSON form is schema-stable (pinned by ``tests/test_check_cli.py``):
+top-level keys ``version``, ``root``, ``ok``, ``findings``, ``suppressed``
+(the count of allowed sites), ``rules``; each finding carries ``rule``,
+``file``, ``line``, ``symbol``, ``message``, ``hint``, ``snippet``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 #: Rule id → one-line contract, the catalogue ``docs/CHECKS.md`` expands.
 RULES: Dict[str, str] = {
@@ -39,10 +33,8 @@ RULES: Dict[str, str] = {
     "CON303": "no untimed blocking calls (.wait()/.get()/.join()/.recv()) "
     "in the threaded packages",
     "CON304": "threading.Thread needs an explicit daemon= story",
-    "API401": "repro.api.__all__ must match the snapshot contract "
-    "(api_snapshot.json)",
-    "API402": "DeprecationWarning shims must be registered with an "
-    "unexpired removal window",
+    "API402": "a DeprecationWarning shim's literal message names a "
+    "'removed in X.Y.Z' release after the current version",
     "ARC501": "no garbage-collector switches in the program (disable / "
     "freeze / set_threshold)",
     "ARC502": "the simulator schedules bound methods: no lambda handed to "
@@ -73,8 +65,10 @@ RULES: Dict[str, str] = {
     "or export lazily from a package table",
     "ARC528": "sim/mpi.py is the application API: it imports no engine, "
     "point-to-point, world, runtime or network module",
-    "BASE001": "baseline entry matches no finding — remove the stale entry",
-    "BASE002": "baseline entry carries no justification — add a reason",
+    "BASE001": "an allow comment excuses no finding of its rule on its next "
+    "code line — delete the stale comment",
+    "BASE002": "an allow comment gives no reason — write it after the rule id "
+    "and a colon",
 }
 
 
@@ -88,11 +82,7 @@ class Finding:
     symbol: str  # enclosing def/class qualname; "" at module level
     message: str
     hint: str
-    snippet: str  # stripped source line, the baseline's match anchor
-
-    def identity(self) -> Tuple[str, str, str, str]:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.file, self.symbol, self.snippet)
+    snippet: str  # stripped source line
 
     def location(self) -> str:
         return f"{self.file}:{self.line}"
@@ -158,10 +148,10 @@ class CheckReport:
             lines.append("")
             lines.append(
                 f"{len(self.findings)} finding(s) ({counts}); "
-                f"{len(self.suppressed)} baselined"
+                f"{len(self.suppressed)} allowed"
             )
         else:
             lines.append(
-                f"repro check: clean ({len(self.suppressed)} baselined site(s))"
+                f"repro check: clean ({len(self.suppressed)} allowed site(s))"
             )
         return "\n".join(lines)

@@ -7,8 +7,7 @@ The rules all need the same three capabilities:
   rules match *meaning*, not spelling (``import numpy``, ``import numpy
   as np`` and ``from numpy import random`` all resolve identically);
 * **scope tracking** — every finding names its enclosing function/class
-  qualname, which is also half of the baseline's line-number-free match
-  key;
+  qualname;
 * **module context** — which package a file belongs to decides which
   rules apply to it.
 

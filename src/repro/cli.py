@@ -264,26 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check_parser = sub.add_parser(
         "check",
         help="run the static invariant checks (determinism, atomicity, "
-        "concurrency, API drift) over the repro sources",
+        "concurrency, deprecations, architecture) over the repro sources",
     )
     check_parser.add_argument(
         "--root", default=None, metavar="PATH",
         help="source tree to scan (default: the installed repro package)",
-    )
-    check_parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="suppression baseline to apply (default: the shipped "
-        "checks_baseline.json)",
-    )
-    check_parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    check_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to accept every current finding "
-        "(existing reasons are carried forward; new entries still fail "
-        "until a reason is written)",
     )
     check_parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -466,32 +451,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import DEFAULT_BASELINE_PATH, BaselineError, run_checks
+    from repro.check import run_checks
 
-    if args.no_baseline and (args.baseline or args.update_baseline):
-        print(
-            "error: --no-baseline conflicts with --baseline/--update-baseline",
-            file=sys.stderr,
-        )
-        return 2
     if args.root is not None and not os.path.isdir(args.root):
         print(f"error: --root {args.root!r} is not a directory",
               file=sys.stderr)
         return 2
-    baseline_path: Optional[str]
-    if args.no_baseline:
-        baseline_path = None
-    else:
-        baseline_path = args.baseline or DEFAULT_BASELINE_PATH
     try:
-        report = run_checks(
-            root=args.root,
-            baseline_path=baseline_path,
-            update_baseline=args.update_baseline,
-        )
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = run_checks(root=args.root)
     except SyntaxError as exc:
         print(f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
               file=sys.stderr)

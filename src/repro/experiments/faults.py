@@ -263,7 +263,8 @@ def run_fault_experiment(
     With a ``journal``, every settled plan — including the deterministic
     aborts of the link-death rung — is a resumable cell; an interrupted
     ladder rerun with the same journal replays the finished rungs from
-    their recorded payloads.  ``request`` describes every rung's analysis
+    their recorded payloads; a rung whose analysis a deadline cut is not
+    journaled.  ``request`` describes every rung's analysis
     as in :func:`repro.api.analyze`, except ``degraded``, which each rung
     sets for itself (strict on the clean plan, degraded under faults).
     Its ``verify_archive`` runs a checksum pass over each completed run's
@@ -327,6 +328,6 @@ def run_fault_experiment(
             for metric in WAIT_METRICS
             if (pct := result.pct(metric)) > 0.0
         }
-        if journal is not None:
+        if journal is not None and result.interrupted is None:
             journal.record(cell, entry.to_payload())
     return report

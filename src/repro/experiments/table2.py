@@ -90,7 +90,8 @@ def run_table2(
     With a ``journal``, each per-scheme analysis is a resumable cell: an
     interrupted sweep rerun with the same journal skips the schemes it
     already finished (their rows are rebuilt from the journal; ``analyses``
-    then lacks those schemes).  ``request`` describes every analysis as
+    then lacks those schemes); an analysis a deadline cut is not journaled.
+    ``request`` describes every analysis as
     in :func:`repro.api.analyze`; its ``verify_archive`` checksum-verifies
     the run's archives first and raises on damage.
     """
@@ -126,7 +127,7 @@ def run_table2(
             paper_violations=PAPER_TABLE2[scheme.name],
         )
         rows.append(row)
-        if journal is not None:
+        if journal is not None and result.interrupted is None:
             journal.record(cell, asdict(row))
     return rows, run, analyses
 

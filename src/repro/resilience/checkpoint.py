@@ -323,6 +323,10 @@ class CheckpointJournal:
 
     def _append(self, key: str, line: bytes) -> None:
         try:
+            # check: allow ATM201: the journal's one append site: a single whole line is
+            # written and fsync'd before record() returns, the loader skips a torn tail and
+            # takes the last line of a cell, and after a torn tail or a failed append the
+            # next write is an atomic compaction, so a crash mid-append loses at most that line
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
             try:
                 rest = memoryview(line)

@@ -247,6 +247,9 @@ def _worker_main(fn, conn, beat, interval_s, chaos_hook, message) -> None:
             except Exception as exc:  # unpicklable result/exception
                 conn.send(("error", ReproError(f"task payload not picklable: {exc!r}")))
             try:
+                # check: allow CON303: worker child process idles in its task loop by design;
+                # the supervisor owns liveness (heartbeat + process kill), so an untimed recv
+                # here cannot wedge the parent
                 message = conn.recv()
             except (EOFError, OSError):
                 break
@@ -406,6 +409,9 @@ class SupervisedPool:
     def _receive(self, attempt: _Attempt) -> Tuple[str, Any]:
         """Drain the worker's result pipe; pipe damage is a failure."""
         try:
+            # check: allow CON303: recv() runs only after conn.poll() reported data waiting
+            # (see _poll), so it returns immediately; a dead worker's closed pipe reads as
+            # instant EOF, which is the crash signal
             kind, value = attempt.worker.conn.recv()
         except EOFError:
             # A dead worker's closed pipe reads as EOF before is_alive()

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import textwrap
+
+import pytest
 
 from repro.cli import main
 
@@ -35,31 +38,26 @@ class TestExitCodes:
 
     def test_findings_exit_one(self, tmp_path, capsys):
         root = write_tree(tmp_path, DIRTY)
-        assert main(["check", "--root", root, "--no-baseline"]) == 1
+        assert main(["check", "--root", root]) == 1
         assert "DET101" in capsys.readouterr().out
-
-    def test_conflicting_flags_exit_two(self, capsys):
-        assert main(["check", "--no-baseline", "--baseline", "x.json"]) == 2
-        assert "conflicts" in capsys.readouterr().err
 
     def test_bad_root_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         assert main(["check", "--root", missing]) == 2
         assert "not a directory" in capsys.readouterr().err
 
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        root = write_tree(tmp_path, DIRTY)
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{broken")
-        assert main(["check", "--root", root, "--baseline", str(bad)]) == 2
-        assert "unreadable baseline" in capsys.readouterr().err
+    def test_help_lists_only_root_and_format(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--root", "--format"}
 
 
 class TestJsonFormat:
     def test_schema_is_stable(self, tmp_path, capsys):
         root = write_tree(tmp_path, DIRTY)
         code = main(
-            ["check", "--root", root, "--no-baseline", "--format", "json"]
+            ["check", "--root", root, "--format", "json"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -78,41 +76,32 @@ class TestJsonFormat:
     def test_clean_json_on_real_tree(self, capsys):
         assert main(["check", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == TOP_LEVEL_KEYS
         assert payload["ok"] is True
         assert payload["findings"] == []
+        assert payload["suppressed"] == 3  # the three allow comments
 
 
 class TestUpdateBaseline:
     def test_update_then_justify_then_clean(self, tmp_path, capsys):
-        root = write_tree(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-
-        # Update writes an entry but leaves the reason blank — the run
-        # still fails (BASE002) until someone writes the justification.
-        code = main(
-            ["check", "--root", root, "--baseline", str(baseline),
-             "--update-baseline"]
-        )
-        assert code == 1
+        # An allow comment without a reason still fails (BASE002) until
+        # someone writes the justification.
+        allowed = DIRTY.replace("rng =", "# check: allow DET101\nrng =")
+        root = write_tree(tmp_path, allowed)
+        assert main(["check", "--root", root]) == 1
         assert "BASE002" in capsys.readouterr().out
 
-        payload = json.loads(baseline.read_text())
-        (entry,) = payload["entries"]
-        assert entry["rule"] == "DET101"
-        assert entry["reason"] == ""
-        entry["reason"] = "fixture rng is display-only"
-        baseline.write_text(json.dumps(payload))
-
-        assert main(["check", "--root", root, "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
+        justified = allowed.replace("DET101", "DET101: fixture rng is display-only")
+        write_tree(tmp_path, justified)
+        assert main(["check", "--root", root]) == 0
+        assert "clean (1 allowed site(s))" in capsys.readouterr().out
 
     def test_stale_entry_fails_loudly(self, tmp_path, capsys):
-        root = write_tree(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        main(["check", "--root", root, "--baseline", str(baseline),
-              "--update-baseline"])
+        allowed = DIRTY.replace("rng =", "# check: allow DET101: display-only\nrng =")
+        root = write_tree(tmp_path, allowed)
+        assert main(["check", "--root", root]) == 0
         capsys.readouterr()
-        # Fix the violation: the baseline entry is now stale and must fail.
-        write_tree(tmp_path, "import numpy as np\nrng = np.random.default_rng(7)\n")
-        assert main(["check", "--root", root, "--baseline", str(baseline)]) == 1
+        # Fix the violation: the allow comment is now stale and must fail.
+        write_tree(tmp_path, allowed.replace("default_rng()", "default_rng(7)"))
+        assert main(["check", "--root", root]) == 1
         assert "BASE001" in capsys.readouterr().out

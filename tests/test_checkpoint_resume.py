@@ -16,7 +16,7 @@ import tempfile
 import pytest
 
 from repro import cli
-from repro.api import CheckpointJournal, run_experiment
+from repro.api import CheckpointJournal, Deadline, run_experiment
 from repro.errors import CheckpointError
 from repro.experiments import faults as faults_module
 from repro.experiments import table2 as table2_module
@@ -408,6 +408,46 @@ class TestFacadeResume:
         text1 = run_experiment("table1")
         text2 = run_experiment("table1")
         assert text1 == text2  # deterministic, but computed both times
+
+
+class TestDeadlineCutIsNotJournaled:
+    """A result a deadline cut is partial: journaling it would serve the cut
+    answer to every later run of the same cell."""
+
+    def test_run_experiment_journals_no_cut_text(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        cut = run_experiment(
+            "figure6", seed=1, journal=CheckpointJournal(path), deadline=Deadline(1e-9)
+        )
+        assert len(CheckpointJournal(path)) == 0
+        whole = run_experiment("figure6", seed=1, journal=CheckpointJournal(path))
+        assert whole != cut
+        assert whole == run_experiment("figure6", seed=1)
+        assert len(CheckpointJournal(path)) == 1
+
+    def test_table2_journals_no_interrupted_scheme(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        _rows, _run, analyses = run_table2(
+            seed=7,
+            config=_small_bench(),
+            nodes_per_metahost=2,
+            journal=CheckpointJournal(path),
+            deadline=Deadline(1e-9),
+        )
+        assert all(result.interrupted for result in analyses.values())
+        assert len(CheckpointJournal(path)) == 0
+
+    def test_fault_ladder_journals_no_interrupted_rung(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        report = run_fault_experiment(
+            seed=11,
+            plans=faults_module.escalating_fault_plans(11)[:1],
+            coupling_intervals=1,
+            journal=CheckpointJournal(path),
+            deadline=Deadline(1e-9),
+        )
+        assert report.runs[0].completed
+        assert len(CheckpointJournal(path)) == 0
 
 
 class TestCliResume:
